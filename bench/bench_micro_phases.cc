@@ -2,12 +2,22 @@
 // BFS, sketching, guided searching) and the baselines, on a fixed
 // Barabási–Albert graph. Complements the table/figure harnesses with
 // statistically robust per-operation timings.
+//
+// CI runs the restart-path pair (BM_LoadLabelingScheme,
+// BM_MakeSparsifiedGraph) and gates their times with
+// scripts/bench_compare.py, like the table benches.
 
 #include <benchmark/benchmark.h>
 
+#include <cstdio>
+#include <filesystem>
+#include <string>
+
 #include "baselines/bfs_oracle.h"
 #include "baselines/bibfs.h"
+#include "core/guided_search.h"
 #include "core/qbs_index.h"
+#include "core/serialization.h"
 #include "gen/generators.h"
 #include "workload/query_workload.h"
 
@@ -21,6 +31,7 @@ struct Fixture {
     QbsOptions options;
     options.num_landmarks = 20;
     options.num_threads = 0;
+    options.precompute_delta = false;
     index = std::make_unique<QbsIndex>(QbsIndex::Build(graph, options));
     QbsOptions delta_options = options;
     delta_options.precompute_delta = true;
@@ -110,6 +121,34 @@ void BM_OracleQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_OracleQuery);
+
+// The index file half of a restart: one QBSIDX02 load of the fixture's
+// |R| = 20 index (labels, masks, meta-graph; Δ is not stored).
+void BM_LoadLabelingScheme(benchmark::State& state) {
+  auto& f = GetFixture();
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "qbs_bench_micro_phases.qbs")
+          .string();
+  if (!f.index->Save(path)) {
+    state.SkipWithError("cannot write the index file");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(LoadLabelingScheme(path));
+  }
+  std::remove(path.c_str());
+}
+BENCHMARK(BM_LoadLabelingScheme)->Unit(benchmark::kMillisecond);
+
+// G⁻ = G[V \ R], rebuilt at every build, load and churn edit.
+void BM_MakeSparsifiedGraph(benchmark::State& state) {
+  auto& f = GetFixture();
+  const PathLabeling& labeling = f.index->labeling();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MakeSparsifiedGraph(f.graph, labeling));
+  }
+}
+BENCHMARK(BM_MakeSparsifiedGraph)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace qbs

@@ -8,32 +8,16 @@
 namespace qbs {
 
 Graph MakeSparsifiedGraph(const Graph& g, const PathLabeling& labeling) {
-  std::vector<Edge> edges;
-  edges.reserve(g.NumEdges());
-  for (VertexId x = 0; x < g.NumVertices(); ++x) {
-    if (labeling.IsLandmark(x)) continue;
-    for (VertexId w : g.Neighbors(x)) {
-      if (x < w && !labeling.IsLandmark(w)) edges.emplace_back(x, w);
-    }
-  }
-  return Graph::FromEdges(g.NumVertices(), std::move(edges));
+  return g.WithoutEdgesAt(labeling.landmarks());
 }
 
+// Set up against `g` itself, then swap in an owned G⁻ = G[V \ R]:
+// searches traverse it directly instead of filtering per edge.
 GuidedSearcher::GuidedSearcher(const Graph& g, const PathLabeling& labeling,
                                const MetaGraph& meta, const DeltaCache* delta)
-    : g_(g), labeling_(labeling), meta_(meta), delta_(delta) {
-  QBS_CHECK_EQ(g.NumVertices(), labeling.num_vertices());
-  QBS_CHECK(meta.finalized());
-  // Materialize G⁻ = G[V \ R] once; searches then traverse it directly
-  // instead of filtering per edge.
+    : GuidedSearcher(g, g, labeling, meta, delta) {
   gminus_storage_ = MakeSparsifiedGraph(g, labeling);
   gminus_ = &gminus_storage_;
-  for (int s = 0; s < 2; ++s) {
-    depth_[s].Resize(g.NumVertices(), kUnreachable);
-    back_mark_[s].Resize(g.NumVertices(), 0);
-  }
-  walk_mark_.assign(g.NumVertices(), 0);
-  walk_session_.Resize(labeling.num_landmarks(), 0);
 }
 
 GuidedSearcher::GuidedSearcher(const Graph& g, const Graph& sparsified,

@@ -385,6 +385,24 @@ void ComputeBpColumn(const Graph& g, const std::vector<VertexId>& selected,
   ComputeBpSZeroSweep(g, depth, order, col);
 }
 
+// Blocked transpose of a landmark-major buffer (cols[i * n + v]) into
+// vertex-major rows of `stride` elements at `out`: a kTile x kTile tile
+// keeps both the source and the target side cache-resident.
+template <size_t kTile, typename T>
+void TransposeColumns(const std::vector<T>& cols, size_t n, size_t k,
+                      size_t stride, T* out) {
+  QBS_CHECK_EQ(cols.size(), n * k);
+  for (size_t v0 = 0; v0 < n; v0 += kTile) {
+    const size_t v1 = std::min(v0 + kTile, n);
+    for (size_t i0 = 0; i0 < k; i0 += kTile) {
+      const size_t i1 = std::min(i0 + kTile, k);
+      for (size_t v = v0; v < v1; ++v) {
+        for (size_t i = i0; i < i1; ++i) out[v * stride + i] = cols[i * n + v];
+      }
+    }
+  }
+}
+
 }  // namespace
 
 PathLabeling::PathLabeling(VertexId num_vertices,
@@ -414,23 +432,16 @@ uint64_t PathLabeling::NumEntries() const {
 }
 
 void PathLabeling::AssignFromColumns(const std::vector<DistT>& cols) {
-  const size_t n = num_vertices_;
+  // A 64x64 tile of DistT spans 8KB on each side.
+  TransposeColumns<64>(cols, num_vertices_, landmarks_.size(), stride_,
+                       dist_.data());
+}
+
+void PathLabeling::AssignFromRows(const std::vector<DistT>& rows) {
   const size_t k = landmarks_.size();
-  QBS_CHECK_EQ(cols.size(), n * k);
-  // Blocked transpose: a 64x64 tile of DistT spans 8KB on each side, so
-  // both the column-major source tile and the vertex-major target tile stay
-  // cache-resident.
-  constexpr size_t kTile = 64;
-  for (size_t v0 = 0; v0 < n; v0 += kTile) {
-    const size_t v1 = std::min(v0 + kTile, n);
-    for (size_t i0 = 0; i0 < k; i0 += kTile) {
-      const size_t i1 = std::min(i0 + kTile, k);
-      for (size_t v = v0; v < v1; ++v) {
-        for (size_t i = i0; i < i1; ++i) {
-          dist_[v * stride_ + i] = cols[i * n + v];
-        }
-      }
-    }
+  QBS_CHECK_EQ(rows.size(), static_cast<size_t>(num_vertices_) * k);
+  for (size_t v = 0; v < num_vertices_; ++v) {
+    std::copy_n(rows.data() + v * k, k, dist_.data() + v * stride_);
   }
 }
 
@@ -446,24 +457,21 @@ void PathLabeling::SetBpSelected(LandmarkIndex i,
   bp_selected_[i] = std::move(selected);
 }
 
+void PathLabeling::AssignBpMasks(std::vector<std::vector<VertexId>> selected,
+                                 std::vector<BpMask> masks) {
+  QBS_CHECK_EQ(selected.size(), landmarks_.size());
+  for (const auto& s : selected) QBS_CHECK_LE(s.size(), 64u);
+  QBS_CHECK_EQ(masks.size(),
+               static_cast<size_t>(num_vertices_) * landmarks_.size());
+  bp_selected_ = std::move(selected);
+  bp_ = std::move(masks);
+}
+
 void PathLabeling::AssignBpFromColumns(const std::vector<BpMask>& cols) {
-  const size_t n = num_vertices_;
-  const size_t k = landmarks_.size();
-  QBS_CHECK_EQ(cols.size(), n * k);
-  QBS_CHECK_EQ(bp_.size(), n * k);
+  QBS_CHECK_EQ(bp_.size(), cols.size());
   // A BpMask is 16 bytes, so a 32x32 tile spans 16KB per side.
-  constexpr size_t kTile = 32;
-  for (size_t v0 = 0; v0 < n; v0 += kTile) {
-    const size_t v1 = std::min(v0 + kTile, n);
-    for (size_t i0 = 0; i0 < k; i0 += kTile) {
-      const size_t i1 = std::min(i0 + kTile, k);
-      for (size_t v = v0; v < v1; ++v) {
-        for (size_t i = i0; i < i1; ++i) {
-          bp_[v * k + i] = cols[i * n + v];
-        }
-      }
-    }
-  }
+  TransposeColumns<32>(cols, num_vertices_, landmarks_.size(),
+                       landmarks_.size(), bp_.data());
 }
 
 LabelingScheme BuildLabelingScheme(const Graph& g,

@@ -114,6 +114,10 @@ class PathLabeling {
   /// whole vertex-major matrix on every BFS.
   void AssignFromColumns(const std::vector<DistT>& cols);
 
+  /// Bulk-fills the matrix from unpadded vertex-major rows
+  /// (rows[v * |R| + i]), the index file's layout: one row copy per vertex.
+  void AssignFromRows(const std::vector<DistT>& rows);
+
   /// Bytes of the dense label matrix, the quantity Table 3 reports as
   /// size(L) (the paper stores |R| fixed-width slots per vertex, as we do).
   /// Logical |V| x |R| bytes — row padding is an in-memory layout detail
@@ -155,6 +159,12 @@ class PathLabeling {
   /// Bulk-fills the mask matrix from a landmark-major buffer, mirroring
   /// AssignFromColumns.
   void AssignBpFromColumns(const std::vector<BpMask>& cols);
+
+  /// Adopts a whole mask state, enabling masks: S_r per landmark (<= 64
+  /// each) and the vertex-major |V| x |R| mask matrix, which is the index
+  /// file's layout and is moved in as is.
+  void AssignBpMasks(std::vector<std::vector<VertexId>> selected,
+                     std::vector<BpMask> masks);
 
   /// Bytes of the bit-parallel mask matrix (reported separately from
   /// size(L) to keep the Table 3 quantity paper-comparable).

@@ -1,7 +1,6 @@
 #include "core/qbs_index.h"
 
 #include <algorithm>
-#include <iostream>
 #include <utility>
 
 #include "core/label_scan.h"
@@ -32,58 +31,39 @@ QbsIndex QbsIndex::BuildWithLandmarks(const Graph& g,
   build_options.num_threads = options.num_threads;
   build_options.bit_parallel = options.bit_parallel;
   build_options.bp_fused = options.bp_fused;
-  index.mask_prune_ = options.mask_prune;
   index.scheme_ = std::make_unique<LabelingScheme>(
       BuildLabelingScheme(g, landmarks, build_options));
   index.timings_.labeling_seconds = timer.ElapsedSeconds();
-
-  if (options.precompute_delta) {
-    timer.Reset();
-    index.delta_ = std::make_unique<DeltaCache>(
-        DeltaCache::Build(g, index.scheme_->labeling, index.scheme_->meta,
-                          options.num_threads));
-    index.timings_.delta_seconds = timer.ElapsedSeconds();
-  }
-
-  index.sparsified_ = std::make_unique<Graph>(
-      MakeSparsifiedGraph(g, index.scheme_->labeling));
-  index.searcher_ = std::make_unique<GuidedSearcher>(
-      g, *index.sparsified_, index.scheme_->labeling, index.scheme_->meta,
-      index.delta_.get());
-  index.searcher_->set_mask_prune(index.mask_prune_);
+  index.FinishFromScheme(options);
   return index;
 }
 
 std::optional<QbsIndex> QbsIndex::LoadFromFile(const Graph& g,
                                                const std::string& path,
                                                const QbsOptions& options) {
-  auto scheme = LoadLabelingScheme(path);
+  auto scheme = LoadLabelingScheme(path, g.NumVertices());
   if (!scheme.has_value()) return std::nullopt;
-  if (scheme->labeling.num_vertices() != g.NumVertices()) {
-    std::cerr << "QbsIndex::LoadFromFile: index was built for "
-              << scheme->labeling.num_vertices() << " vertices, graph has "
-              << g.NumVertices() << std::endl;
-    return std::nullopt;
-  }
   QbsIndex index;
   index.g_ = &g;
   if (options.force_scalar_scan) SetActiveScanKernel(ScanKernel::kScalar);
-  index.mask_prune_ = options.mask_prune;
   index.scheme_ = std::make_unique<LabelingScheme>(std::move(*scheme));
+  index.FinishFromScheme(options);
+  return index;
+}
+
+void QbsIndex::FinishFromScheme(const QbsOptions& options) {
+  mask_prune_ = options.mask_prune;
   if (options.precompute_delta) {
     WallTimer timer;
-    index.delta_ = std::make_unique<DeltaCache>(
-        DeltaCache::Build(g, index.scheme_->labeling, index.scheme_->meta,
-                          options.num_threads));
-    index.timings_.delta_seconds = timer.ElapsedSeconds();
+    delta_ = std::make_unique<DeltaCache>(DeltaCache::Build(
+        *g_, scheme_->labeling, scheme_->meta, options.num_threads));
+    timings_.delta_seconds = timer.ElapsedSeconds();
   }
-  index.sparsified_ = std::make_unique<Graph>(
-      MakeSparsifiedGraph(g, index.scheme_->labeling));
-  index.searcher_ = std::make_unique<GuidedSearcher>(
-      g, *index.sparsified_, index.scheme_->labeling, index.scheme_->meta,
-      index.delta_.get());
-  index.searcher_->set_mask_prune(index.mask_prune_);
-  return index;
+  sparsified_ =
+      std::make_unique<Graph>(MakeSparsifiedGraph(*g_, scheme_->labeling));
+  searcher_ = std::make_unique<GuidedSearcher>(
+      *g_, *sparsified_, scheme_->labeling, scheme_->meta, delta_.get());
+  searcher_->set_mask_prune(mask_prune_);
 }
 
 bool QbsIndex::Save(const std::string& path) const {

@@ -277,6 +277,10 @@ class QbsIndex {
  private:
   QbsIndex() = default;
 
+  /// Derives what Build and LoadFromFile share from g_ and scheme_: the Δ
+  /// cache (when options ask for it), the sparsified graph and the searcher.
+  void FinishFromScheme(const QbsOptions& options);
+
   /// Rebuilds the structures derived from (graph, labelling, meta) after a
   /// mutation: the Δ cache (when enabled) and the sparsified graph, both
   /// move-assigned in place so searcher references stay valid.

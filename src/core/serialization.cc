@@ -1,10 +1,16 @@
 #include "core/serialization.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <optional>
+#include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
+
+#include "util/binary_io.h"
 
 namespace qbs {
 namespace {
@@ -12,54 +18,24 @@ namespace {
 constexpr uint64_t kMagicV1 = 0x3130584449534251ull;  // "QBSIDX01"
 constexpr uint64_t kMagicV2 = 0x3230584449534251ull;  // "QBSIDX02"
 
-template <typename T>
-void WritePod(std::ofstream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
+// Sections are copied between memory and the file verbatim, so the
+// in-memory records must be the on-disk records.
+static_assert(sizeof(BpMask) == 2 * sizeof(uint64_t) &&
+              std::is_trivially_copyable_v<BpMask>);
+static_assert(sizeof(MetaEdge) == 3 * sizeof(uint32_t) &&
+              std::is_trivially_copyable_v<MetaEdge>);
+
+std::nullopt_t Reject(const std::string& why) {
+  std::cerr << "LoadLabelingScheme: " << why << '\n';
+  return std::nullopt;
 }
 
-template <typename T>
-bool ReadPod(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-// Reads the optional bit-parallel section of a v2 file into *labeling.
-bool ReadBpSection(std::ifstream& in, PathLabeling* labeling) {
-  uint8_t has_bp = 0;
-  if (!ReadPod(in, &has_bp) || has_bp > 1) {
-    std::cerr << "LoadLabelingScheme: bad bit-parallel flag\n";
-    return false;
-  }
-  if (has_bp == 0) return true;
-  labeling->EnableBpMasks();
-  const uint32_t k = labeling->num_landmarks();
-  const VertexId n = labeling->num_vertices();
-  for (LandmarkIndex i = 0; i < k; ++i) {
-    uint32_t count = 0;
-    if (!ReadPod(in, &count) || count > 64) {
-      std::cerr << "LoadLabelingScheme: bad selected-neighbour count\n";
-      return false;
-    }
-    std::vector<VertexId> selected(count);
-    for (auto& w : selected) {
-      if (!ReadPod(in, &w) || w >= n) {
-        std::cerr << "LoadLabelingScheme: bad selected neighbour\n";
-        return false;
-      }
-    }
-    labeling->SetBpSelected(i, std::move(selected));
-  }
-  for (VertexId v = 0; v < n; ++v) {
-    for (LandmarkIndex i = 0; i < k; ++i) {
-      BpMask m;
-      if (!ReadPod(in, &m.s_minus) || !ReadPod(in, &m.s_zero)) {
-        std::cerr << "LoadLabelingScheme: truncated masks\n";
-        return false;
-      }
-      labeling->SetBpMask(v, i, m);
-    }
-  }
-  return true;
+// True iff the landmark ids are in range and pairwise distinct.
+bool ValidLandmarks(std::vector<VertexId> landmarks, VertexId n) {
+  std::sort(landmarks.begin(), landmarks.end());
+  return (landmarks.empty() || landmarks.back() < n) &&
+         std::adjacent_find(landmarks.begin(), landmarks.end()) ==
+             landmarks.end();
 }
 
 }  // namespace
@@ -72,95 +48,105 @@ bool SaveLabelingScheme(const LabelingScheme& scheme,
     return false;
   }
   const PathLabeling& l = scheme.labeling;
+  const VertexId n = l.num_vertices();
+  const uint32_t k = l.num_landmarks();
   WritePod(out, kMagicV2);
-  WritePod(out, l.num_vertices());
-  WritePod(out, l.num_landmarks());
-  for (VertexId r : l.landmarks()) WritePod(out, r);
-  for (VertexId v = 0; v < l.num_vertices(); ++v) {
-    for (LandmarkIndex i = 0; i < l.num_landmarks(); ++i) {
-      WritePod(out, l.Get(v, i));
-    }
+  WritePod(out, n);
+  WritePod(out, k);
+  WriteArray(out, l.landmarks().data(), k);
+  // The label rows without their lane padding, as one block.
+  std::vector<DistT> rows(static_cast<size_t>(n) * k);
+  for (VertexId v = 0; v < n; ++v) {
+    std::copy_n(l.Row(v), k, rows.data() + static_cast<size_t>(v) * k);
   }
+  WriteArray(out, rows.data(), rows.size());
   const uint8_t has_bp = l.has_bp_masks() ? 1 : 0;
   WritePod(out, has_bp);
   if (has_bp != 0) {
-    for (LandmarkIndex i = 0; i < l.num_landmarks(); ++i) {
+    for (LandmarkIndex i = 0; i < k; ++i) {
       const auto& selected = l.BpSelected(i);
       WritePod(out, static_cast<uint32_t>(selected.size()));
-      for (VertexId w : selected) WritePod(out, w);
+      WriteArray(out, selected.data(), selected.size());
     }
-    for (VertexId v = 0; v < l.num_vertices(); ++v) {
-      for (LandmarkIndex i = 0; i < l.num_landmarks(); ++i) {
-        const BpMask m = l.GetBpMask(v, i);
-        WritePod(out, m.s_minus);
-        WritePod(out, m.s_zero);
-      }
-    }
+    // The mask matrix is one contiguous vertex-major block from row 0.
+    WriteArray(out, l.BpRow(0), static_cast<uint64_t>(n) * k);
   }
   const auto& edges = scheme.meta.Edges();
   WritePod(out, static_cast<uint64_t>(edges.size()));
-  for (const MetaEdge& e : edges) {
-    WritePod(out, e.a);
-    WritePod(out, e.b);
-    WritePod(out, e.weight);
-  }
+  WriteArray(out, edges.data(), edges.size());
   return static_cast<bool>(out);
 }
 
-std::optional<LabelingScheme> LoadLabelingScheme(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    std::cerr << "LoadLabelingScheme: cannot open " << path << '\n';
-    return std::nullopt;
-  }
+std::optional<LabelingScheme> LoadLabelingScheme(
+    const std::string& path, std::optional<VertexId> num_vertices) {
+  BinaryReader in(path);
+  if (!in.is_open()) return Reject("cannot open " + path);
   uint64_t magic = 0;
-  VertexId num_vertices = 0;
+  VertexId n = 0;
   uint32_t k = 0;
-  if (!ReadPod(in, &magic) || (magic != kMagicV1 && magic != kMagicV2) ||
-      !ReadPod(in, &num_vertices) || !ReadPod(in, &k)) {
-    std::cerr << "LoadLabelingScheme: bad header in " << path << '\n';
-    return std::nullopt;
+  if (!in.Read(&magic) || (magic != kMagicV1 && magic != kMagicV2) ||
+      !in.Read(&n) || !in.Read(&k)) {
+    return Reject("bad header in " + path);
   }
-  std::vector<VertexId> landmarks(k);
-  for (auto& r : landmarks) {
-    if (!ReadPod(in, &r) || r >= num_vertices) {
-      std::cerr << "LoadLabelingScheme: bad landmark\n";
-      return std::nullopt;
+  if (num_vertices.has_value() && n != *num_vertices) {
+    return Reject("index was built for " + std::to_string(n) +
+                  " vertices, graph has " + std::to_string(*num_vertices));
+  }
+  // Every section is read whole into a buffer the header sizes, each size
+  // checked against the rest of the file first. The labelling itself is
+  // allocated only once all of the file has been read and validated.
+  std::vector<VertexId> landmarks;
+  if (!in.ReadArray(&landmarks, k) || !ValidLandmarks(landmarks, n)) {
+    return Reject("bad landmarks");
+  }
+  std::vector<DistT> labels;
+  if (!in.ReadArray(&labels, static_cast<uint64_t>(n) * k)) {
+    return Reject("truncated labels");
+  }
+  uint8_t has_bp = 0;
+  if (magic == kMagicV2 && (!in.Read(&has_bp) || has_bp > 1)) {
+    return Reject("bad bit-parallel flag");
+  }
+  std::vector<std::vector<VertexId>> selected(has_bp == 1 ? k : 0);
+  for (auto& s : selected) {
+    uint32_t count = 0;
+    if (!in.Read(&count) || count > 64 || !in.ReadArray(&s, count) ||
+        std::any_of(s.begin(), s.end(), [n](VertexId w) { return w >= n; })) {
+      return Reject("bad selected-neighbour set");
     }
   }
-  LabelingScheme scheme;
-  scheme.labeling = PathLabeling(num_vertices, std::move(landmarks));
-  for (VertexId v = 0; v < num_vertices; ++v) {
-    for (LandmarkIndex i = 0; i < k; ++i) {
-      DistT d = kInfDist;
-      if (!ReadPod(in, &d)) {
-        std::cerr << "LoadLabelingScheme: truncated labels\n";
-        return std::nullopt;
-      }
-      scheme.labeling.Set(v, i, d);
-    }
-  }
-  if (magic == kMagicV2 && !ReadBpSection(in, &scheme.labeling)) {
-    return std::nullopt;
+  std::vector<BpMask> masks;
+  if (has_bp == 1 && !in.ReadArray(&masks, static_cast<uint64_t>(n) * k)) {
+    return Reject("truncated masks");
   }
   uint64_t num_edges = 0;
-  if (!ReadPod(in, &num_edges)) {
-    std::cerr << "LoadLabelingScheme: truncated meta header\n";
-    return std::nullopt;
+  std::vector<MetaEdge> edges;
+  if (!in.Read(&num_edges) || !in.ReadArray(&edges, num_edges)) {
+    return Reject("truncated meta-edges");
   }
+  if (in.left() != 0) return Reject("trailing bytes after meta-edges");
+
+  LabelingScheme scheme;
+  // k <= n (distinct landmarks below n) and n * k label bytes are in the
+  // file, so the k x k meta-graph matrices are bounded by the file too.
   scheme.meta = MetaGraph(k);
-  for (uint64_t e = 0; e < num_edges; ++e) {
-    LandmarkIndex a = 0;
-    LandmarkIndex b = 0;
-    uint32_t w = 0;
-    if (!ReadPod(in, &a) || !ReadPod(in, &b) || !ReadPod(in, &w) || a >= k ||
-        b >= k || a == b || w == 0) {
-      std::cerr << "LoadLabelingScheme: bad meta edge\n";
-      return std::nullopt;
+  for (const MetaEdge& e : edges) {
+    if (e.a >= k || e.b >= k || e.a == e.b || e.weight == 0 ||
+        e.weight == kUnreachable) {
+      return Reject("bad meta-edge");
     }
-    scheme.meta.AddEdge(a, b, w);
+    const uint32_t known = scheme.meta.EdgeWeight(e.a, e.b);
+    if (known != kUnreachable && known != e.weight) {
+      return Reject("meta-edge listed twice with different weights");
+    }
+    scheme.meta.AddEdge(e.a, e.b, e.weight);
   }
   scheme.meta.Finalize();
+  scheme.labeling = PathLabeling(n, std::move(landmarks));
+  scheme.labeling.AssignFromRows(labels);
+  if (has_bp == 1) {
+    scheme.labeling.AssignBpMasks(std::move(selected), std::move(masks));
+  }
   return scheme;
 }
 

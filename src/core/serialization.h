@@ -19,6 +19,10 @@
 // the loader still reads v1 files (masks simply come back disabled, and
 // queries fall back to the sketch-guided search). Save() always writes v2.
 //
+// Each section moves with one stream call. Counts are checked against the
+// file's size before they size an allocation; duplicate landmarks,
+// conflicting meta-edge weights and trailing bytes are rejected too.
+//
 // The Δ cache is intentionally not stored: rebuilding it from the loaded
 // labels is a fast parallel pass, and skipping it keeps files small.
 
@@ -39,7 +43,12 @@ bool SaveLabelingScheme(const LabelingScheme& scheme,
 
 // Reads a labelling scheme previously written by SaveLabelingScheme.
 // Returns std::nullopt on I/O failure, bad magic, or a corrupt layout.
-std::optional<LabelingScheme> LoadLabelingScheme(const std::string& path);
+// With `num_vertices` given, a header for any other |V| is rejected before
+// anything is allocated: an |R| = 0 file holds no per-vertex bytes, so
+// only the caller's graph can bound its |V|.
+std::optional<LabelingScheme> LoadLabelingScheme(
+    const std::string& path,
+    std::optional<VertexId> num_vertices = std::nullopt);
 
 }  // namespace qbs
 

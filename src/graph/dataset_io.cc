@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "graph/components.h"
-#include "util/check.h"
+#include "util/binary_io.h"
 
 #ifdef QBS_HAVE_ZLIB
 #include <zlib.h>
@@ -41,46 +41,8 @@ class Fnv1a64 {
   uint64_t hash_ = 0xcbf29ce484222325ull;
 };
 
-template <typename T>
-void WritePod(std::ofstream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::ifstream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
-
-template <typename T>
-bool ReadVec(std::ifstream& in, std::vector<T>* vec) {
-  in.read(reinterpret_cast<char*>(vec->data()),
-          static_cast<std::streamsize>(vec->size() * sizeof(T)));
-  return static_cast<bool>(in);
-}
-
 bool HasGzSuffix(const std::string& path) {
   return path.size() > 3 && path.compare(path.size() - 3, 3, ".gz") == 0;
-}
-
-// Graceful CSR validation for untrusted cache payloads: same invariants as
-// Graph::FromCsr, but a violation returns false instead of aborting the
-// process.
-bool ValidCsr(const std::vector<uint64_t>& offsets,
-              const std::vector<VertexId>& adjacency) {
-  if (offsets.empty() || offsets.front() != 0 ||
-      offsets.back() != adjacency.size() || adjacency.size() % 2 != 0) {
-    return false;
-  }
-  const auto n = static_cast<VertexId>(offsets.size() - 1);
-  for (VertexId v = 0; v < n; ++v) {
-    if (offsets[v] > offsets[v + 1]) return false;
-    for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      if (adjacency[i] >= n || adjacency[i] == v) return false;
-      if (i > offsets[v] && adjacency[i - 1] >= adjacency[i]) return false;
-    }
-  }
-  return true;
 }
 
 #ifdef QBS_HAVE_ZLIB
@@ -179,11 +141,8 @@ bool SaveGraphCache(const Graph& g, const DatasetCacheInfo& info,
         offsets.size() * sizeof(uint64_t) + adjacency.size() * sizeof(VertexId);
     WritePod(out, payload_bytes);
     WritePod(out, checksum.Digest());
-    out.write(reinterpret_cast<const char*>(offsets.data()),
-              static_cast<std::streamsize>(offsets.size() * sizeof(uint64_t)));
-    out.write(
-        reinterpret_cast<const char*>(adjacency.data()),
-        static_cast<std::streamsize>(adjacency.size() * sizeof(VertexId)));
+    WriteArray(out, offsets.data(), offsets.size());
+    WriteArray(out, adjacency.data(), adjacency.size());
     if (!out) {
       std::cerr << "SaveGraphCache: write failed for " << tmp << '\n';
       return false;
@@ -201,8 +160,8 @@ bool SaveGraphCache(const Graph& g, const DatasetCacheInfo& info,
 
 std::optional<Graph> LoadGraphCache(const std::string& path,
                                     DatasetCacheInfo* info) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  BinaryReader in(path);
+  if (!in.is_open()) {
     std::cerr << "LoadGraphCache: cannot open " << path << '\n';
     return std::nullopt;
   }
@@ -213,37 +172,31 @@ std::optional<Graph> LoadGraphCache(const std::string& path,
   DatasetCacheInfo header;
   uint64_t payload_bytes = 0;
   uint64_t stored_checksum = 0;
-  if (!ReadPod(in, &magic) || magic != kMagic || !ReadPod(in, &n) ||
-      !ReadPod(in, &m) || !ReadPod(in, &cc_flag) || cc_flag > 1 ||
-      !ReadPod(in, &header.raw_vertices) || !ReadPod(in, &header.raw_edges) ||
-      !ReadPod(in, &header.raw_file_bytes) || !ReadPod(in, &payload_bytes) ||
-      !ReadPod(in, &stored_checksum)) {
+  if (!in.Read(&magic) || magic != kMagic || !in.Read(&n) || !in.Read(&m) ||
+      !in.Read(&cc_flag) || cc_flag > 1 || !in.Read(&header.raw_vertices) ||
+      !in.Read(&header.raw_edges) || !in.Read(&header.raw_file_bytes) ||
+      !in.Read(&payload_bytes) || !in.Read(&stored_checksum)) {
     std::cerr << "LoadGraphCache: bad header in " << path << '\n';
     return std::nullopt;
   }
   header.largest_cc_extracted = cc_flag == 1;
-  // The checksum only covers the payload, so the header's counts must be
-  // bounded against the actual file before they size any allocation — a
+  // The checksum only covers the payload, so the header's counts must
+  // match the rest of the file before they size any allocation — a
   // bit-flipped edge count must reject gracefully (and be rebuilt from
   // raw), not die in std::bad_alloc.
-  constexpr uint64_t kHeaderBytes = sizeof(kMagic) + sizeof(VertexId) +
-                                    sizeof(uint64_t) + sizeof(uint8_t) +
-                                    5 * sizeof(uint64_t);
-  std::error_code size_ec;
-  const auto file_size = std::filesystem::file_size(path, size_ec);
   const uint64_t expect_payload =
       (static_cast<uint64_t>(n) + 1) * sizeof(uint64_t) +
       2 * m * sizeof(VertexId);
-  if (size_ec || payload_bytes != file_size - kHeaderBytes ||
-      m > file_size / (2 * sizeof(VertexId)) ||
+  if (payload_bytes != in.left() || m > in.left() / (2 * sizeof(VertexId)) ||
       payload_bytes != expect_payload) {
     std::cerr << "LoadGraphCache: header/payload size mismatch in " << path
               << '\n';
     return std::nullopt;
   }
-  std::vector<uint64_t> offsets(static_cast<size_t>(n) + 1);
-  std::vector<VertexId> adjacency(static_cast<size_t>(2 * m));
-  if (!ReadVec(in, &offsets) || !ReadVec(in, &adjacency)) {
+  std::vector<uint64_t> offsets;
+  std::vector<VertexId> adjacency;
+  if (!in.ReadArray(&offsets, static_cast<uint64_t>(n) + 1) ||
+      !in.ReadArray(&adjacency, 2 * m)) {
     std::cerr << "LoadGraphCache: truncated payload in " << path << '\n';
     return std::nullopt;
   }
@@ -255,13 +208,13 @@ std::optional<Graph> LoadGraphCache(const std::string& path,
               << " (corrupt cache; delete it and re-convert)" << '\n';
     return std::nullopt;
   }
-  if (!ValidCsr(offsets, adjacency)) {
+  if (!Graph::IsValidCsr(offsets, adjacency)) {
     std::cerr << "LoadGraphCache: payload is not a valid CSR in " << path
               << '\n';
     return std::nullopt;
   }
   if (info != nullptr) *info = header;
-  // ValidCsr just proved every FromCsr invariant; adopt without a second
+  // IsValidCsr just proved every FromCsr invariant; adopt without a second
   // O(|V| + |E|) CHECK pass.
   return Graph::AdoptCsr(std::move(offsets), std::move(adjacency));
 }

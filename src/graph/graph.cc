@@ -46,20 +46,25 @@ Graph Graph::FromEdges(VertexId num_vertices, std::vector<Edge> edges) {
 
 Graph Graph::FromCsr(std::vector<uint64_t> offsets,
                      std::vector<VertexId> adjacency) {
-  QBS_CHECK(!offsets.empty());
-  QBS_CHECK_EQ(offsets.front(), 0u);
-  QBS_CHECK_EQ(offsets.back(), adjacency.size());
-  QBS_CHECK_EQ(adjacency.size() % 2, 0u);
+  QBS_CHECK(IsValidCsr(offsets, adjacency));
+  return AdoptCsr(std::move(offsets), std::move(adjacency));
+}
+
+bool Graph::IsValidCsr(std::span<const uint64_t> offsets,
+                       std::span<const VertexId> adjacency) {
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != adjacency.size() || adjacency.size() % 2 != 0) {
+    return false;
+  }
   const auto n = static_cast<VertexId>(offsets.size() - 1);
   for (VertexId v = 0; v < n; ++v) {
-    QBS_CHECK_LE(offsets[v], offsets[v + 1]);
+    if (offsets[v] > offsets[v + 1]) return false;
     for (uint64_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      QBS_CHECK_LT(adjacency[i], n);
-      QBS_CHECK(adjacency[i] != v);
-      if (i > offsets[v]) QBS_CHECK_LT(adjacency[i - 1], adjacency[i]);
+      if (adjacency[i] >= n || adjacency[i] == v) return false;
+      if (i > offsets[v] && adjacency[i - 1] >= adjacency[i]) return false;
     }
   }
-  return AdoptCsr(std::move(offsets), std::move(adjacency));
+  return true;
 }
 
 Graph Graph::AdoptCsr(std::vector<uint64_t> offsets,
@@ -90,6 +95,34 @@ double Graph::AverageDegree() const {
   if (NumVertices() == 0) return 0.0;
   return static_cast<double>(adjacency_.size()) /
          static_cast<double>(NumVertices());
+}
+
+Graph Graph::WithoutEdgesAt(std::span<const VertexId> vertices) const {
+  const VertexId n = NumVertices();
+  std::vector<uint8_t> drop(n, 0);
+  for (const VertexId r : vertices) {
+    QBS_CHECK_LT(r, n);
+    drop[r] = 1;
+  }
+  // Exact size up front: an edge at a dropped vertex loses its entry there
+  // and, when the other end is kept, the entry pointing back.
+  uint64_t kept = adjacency_.size();
+  for (VertexId r = 0; r < n; ++r) {
+    if (drop[r] == 0) continue;
+    for (const VertexId w : Neighbors(r)) kept -= drop[w] == 0 ? 2 : 1;
+  }
+  std::vector<uint64_t> offsets(offsets_.size(), 0);
+  std::vector<VertexId> adjacency;
+  adjacency.reserve(kept);
+  for (VertexId v = 0; v < n; ++v) {
+    if (drop[v] == 0) {
+      for (const VertexId w : Neighbors(v)) {
+        if (drop[w] == 0) adjacency.push_back(w);
+      }
+    }
+    offsets[v + 1] = adjacency.size();
+  }
+  return AdoptCsr(std::move(offsets), std::move(adjacency));
 }
 
 std::vector<Edge> Graph::EdgeList() const {

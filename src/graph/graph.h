@@ -67,6 +67,11 @@ class Graph {
   static Graph FromCsr(std::vector<uint64_t> offsets,
                        std::vector<VertexId> adjacency);
 
+  /// True iff the arrays satisfy every invariant FromCsr requires: the
+  /// graceful check for untrusted bytes such as a dataset cache payload.
+  static bool IsValidCsr(std::span<const uint64_t> offsets,
+                         std::span<const VertexId> adjacency);
+
   /// Loads a graph from a QBSGRF01 binary cache file written by
   /// SaveGraphCache (graph/dataset_io.h). Returns std::nullopt on I/O
   /// errors, bad magic, or a payload checksum mismatch.
@@ -102,6 +107,12 @@ class Graph {
   /// All undirected edges, each once, normalized and sorted.
   std::vector<Edge> EdgeList() const;
 
+  /// A copy with every edge incident to `vertices` removed; the vertices
+  /// stay, isolated. One linear filter over the CSR: a filtered sorted,
+  /// deduplicated adjacency already meets every invariant, so nothing is
+  /// re-sorted. Ids must be < NumVertices(); duplicates are allowed.
+  Graph WithoutEdgesAt(std::span<const VertexId> vertices) const;
+
   /// Bytes of the adjacency structure (offsets + adjacency), the quantity the
   /// paper's Table 1 reports as |G|.
   uint64_t SizeBytes() const {
@@ -116,10 +127,10 @@ class Graph {
   std::span<const VertexId> RawAdjacency() const { return adjacency_; }
 
  private:
-  /// FromCsr without the invariant CHECKs. Reserved for the cache loader,
-  /// which just ran the equivalent graceful validation on the same arrays
-  /// (a second O(|V| + |E|) pass per load would cancel much of the cache's
-  /// point on billion-edge graphs).
+  /// FromCsr without the invariant CHECKs. Reserved for arrays already
+  /// known valid: the cache loader just ran IsValidCsr on them (a second
+  /// O(|V| + |E|) pass per load would cancel much of the cache's point on
+  /// billion-edge graphs), and WithoutEdgesAt filters a valid graph's.
   static Graph AdoptCsr(std::vector<uint64_t> offsets,
                         std::vector<VertexId> adjacency);
   friend std::optional<Graph> LoadGraphCache(const std::string& path,

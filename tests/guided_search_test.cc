@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/bfs_oracle.h"
@@ -161,6 +164,63 @@ TEST(GuidedSearchTest, PathGraphLongDistances) {
   EXPECT_EQ(searcher.Query(0, 199), SpgByDoubleBfs(g, 0, 199));
   EXPECT_EQ(searcher.Query(50, 150), SpgByDoubleBfs(g, 50, 150));
   EXPECT_EQ(searcher.Query(0, 99), SpgByDoubleBfs(g, 0, 99));
+}
+
+// G⁻ the slow way: keep the landmark-free edges and let FromEdges sort and
+// deduplicate them.
+Graph ReferenceSparsified(const Graph& g, const PathLabeling& labeling) {
+  std::vector<Edge> edges;
+  for (const Edge& e : g.EdgeList()) {
+    if (!labeling.IsLandmark(e.u) && !labeling.IsLandmark(e.v)) {
+      edges.push_back(e);
+    }
+  }
+  return Graph::FromEdges(g.NumVertices(), std::move(edges));
+}
+
+void ExpectSparsifiedMatchesReference(const Graph& g,
+                                      const std::vector<VertexId>& landmarks) {
+  const PathLabeling labeling(g.NumVertices(), landmarks);
+  const Graph fast = MakeSparsifiedGraph(g, labeling);
+  const Graph ref = ReferenceSparsified(g, labeling);
+  EXPECT_TRUE(std::ranges::equal(fast.RawOffsets(), ref.RawOffsets()));
+  EXPECT_TRUE(std::ranges::equal(fast.RawAdjacency(), ref.RawAdjacency()));
+}
+
+TEST(SparsifiedGraphTest, MatchesFromEdgesOnGraphFamilies) {
+  for (const Graph& g :
+       {BarabasiAlbert(500, 3, 1), WattsStrogatz(400, 6, 0.2, 2),
+        ErdosRenyi(300, 900, 3)}) {
+    for (const uint32_t k : {1u, 8u, 40u}) {
+      for (const LandmarkStrategy strategy :
+           {LandmarkStrategy::kHighestDegree, LandmarkStrategy::kRandom}) {
+        ExpectSparsifiedMatchesReference(
+            g, SelectLandmarks(g, k, strategy, /*seed=*/k));
+      }
+    }
+  }
+  ExpectSparsifiedMatchesReference(testing::Figure4Graph(),
+                                   testing::Figure4Landmarks());
+}
+
+TEST(SparsifiedGraphTest, EdgeCases) {
+  // |R| = 0: G⁻ is G.
+  ExpectSparsifiedMatchesReference(BarabasiAlbert(100, 2, 5), {});
+  // Landmark 0's neighbours {1, 2} are all landmarks; 2 also touches 3.
+  const Graph hub = Graph::FromEdges(
+      5, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}});
+  ExpectSparsifiedMatchesReference(hub, {0, 1, 2});
+  // An all-landmark path component, a cycle holding one landmark, and an
+  // isolated landmark.
+  const Graph parts = Graph::FromEdges(
+      8, {{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 6}, {6, 3}});
+  ExpectSparsifiedMatchesReference(parts, {0, 1, 2, 4, 7});
+  // Every vertex a landmark: no edges left.
+  const Graph path = PathGraph(6);
+  ExpectSparsifiedMatchesReference(path, {5, 4, 3, 2, 1, 0});
+  EXPECT_EQ(MakeSparsifiedGraph(path, PathLabeling(6, {0, 1, 2, 3, 4, 5}))
+                .NumEdges(),
+            0u);
 }
 
 }  // namespace
