@@ -60,19 +60,18 @@ void Run() {
     uint64_t skipped = 0;
     WallTimer timer;
     for (const auto& [u, v] : d.pairs) {
-      SearchStats stats;
-      qbs.Query(u, v, &stats);
+      const SearchStats stats = qbs.Query({u, v}).stats;
       qbs_scans += stats.TotalEdgesScanned();
       skipped += stats.landmark_edges_skipped;
     }
     const double q_nodelta = timer.ElapsedMillis() / d.pairs.size();
 
     timer.Reset();
-    for (const auto& [u, v] : d.pairs) qbs_delta.Query(u, v);
+    for (const auto& [u, v] : d.pairs) qbs_delta.Query({u, v});
     const double q_delta = timer.ElapsedMillis() / d.pairs.size();
 
     timer.Reset();
-    for (const auto& [u, v] : d.pairs) qbs_random.Query(u, v);
+    for (const auto& [u, v] : d.pairs) qbs_random.Query({u, v});
     const double q_random = timer.ElapsedMillis() / d.pairs.size();
 
     const double avg_bibfs =
@@ -87,23 +86,19 @@ void Run() {
   table.Footer();
 }
 
-// Bit-parallel mask ablation: the same index built with the fused mask
-// construction (S^{-1} propagated inside the labelling BFS), with the
-// two-sweep replay reference, and without masks entirely. Reports the
-// fused-vs-replay construction times (both "(s)" columns, so the CI
-// bench_compare gate watches them), per-query latency with and without
-// masks, the label fast-path hit rate, the frontier vertices the
-// mask-guided lower bound pruned per query, and the mask matrix size —
-// the full price/benefit picture of the feature.
+// Bit-parallel mask ablation: the same index built with and without masks.
+// Reports both construction times ("(s)" columns, so the CI bench_compare
+// gate watches them), per-query latency with and without masks, the label
+// fast-path hit rate, the frontier vertices the mask-guided lower bound
+// pruned per query, and the mask matrix size — the full price/benefit
+// picture of the feature.
 void RunBitParallelAblation() {
-  std::printf("Bit-parallel label masks: fused vs replay vs off, |R| = 20, "
-              "%zu pairs\n",
+  std::printf("Bit-parallel label masks: on vs off, |R| = 20, %zu pairs\n",
               EnvPairs());
   TablePrinter table("Bit-parallel ablation",
-                     {"Dataset", "b.fused(s)", "b.replay(s)", "b.nobp(s)",
-                      "f.spd", "q.bp(ms)", "q.nobp(ms)", "spdup", "hit2(%)",
-                      "prune/q", "size.BP"},
-                     {12, 11, 12, 10, 7, 10, 11, 7, 8, 9, 10});
+                     {"Dataset", "b.bp(s)", "b.nobp(s)", "q.bp(ms)",
+                      "q.nobp(ms)", "spdup", "hit2(%)", "prune/q", "size.BP"},
+                     {12, 10, 10, 10, 11, 7, 8, 9, 10});
   for (const auto& ref : SelectedBenchDatasets()) {
     const LoadedDataset d = LoadDataset(ref);
     const Graph& g = d.graph;
@@ -111,47 +106,37 @@ void RunBitParallelAblation() {
     QbsOptions on;
     on.num_landmarks = 20;
     on.num_threads = EnvThreads();
-    QbsOptions replay = on;
-    replay.bp_fused = false;
     QbsOptions off = on;
     off.bit_parallel = false;
     QbsIndex qbs_on = QbsIndex::Build(g, on);
-    QbsIndex qbs_replay = QbsIndex::Build(g, replay);
     QbsIndex qbs_off = QbsIndex::Build(g, off);
 
     // Untimed warmup per index so neither configuration is charged for
     // cold caches.
     const size_t warmup = std::min<size_t>(d.pairs.size(), 128);
     for (size_t i = 0; i < warmup; ++i) {
-      qbs_on.Query(d.pairs[i].u, d.pairs[i].v);
+      qbs_on.Query({d.pairs[i].u, d.pairs[i].v});
     }
     SearchStats agg;
     WallTimer timer;
     for (const auto& [u, v] : d.pairs) {
-      SearchStats stats;
-      qbs_on.Query(u, v, &stats);
-      agg.Accumulate(stats);
+      agg.Accumulate(qbs_on.Query({u, v}).stats);
     }
     const double q_on = timer.ElapsedMillis() / d.pairs.size();
 
     for (size_t i = 0; i < warmup; ++i) {
-      qbs_off.Query(d.pairs[i].u, d.pairs[i].v);
+      qbs_off.Query({d.pairs[i].u, d.pairs[i].v});
     }
     timer.Reset();
-    for (const auto& [u, v] : d.pairs) {
-      SearchStats stats;
-      qbs_off.Query(u, v, &stats);
-    }
+    for (const auto& [u, v] : d.pairs) qbs_off.Query({u, v});
     const double q_off = timer.ElapsedMillis() / d.pairs.size();
 
     const double hit2 =
         100.0 * static_cast<double>(agg.label_short_circuits) /
         static_cast<double>(d.pairs.size());
-    const double b_fused = qbs_on.timings().labeling_seconds;
-    const double b_replay = qbs_replay.timings().labeling_seconds;
-    table.Row({d.spec.abbrev, FormatSeconds(b_fused), FormatSeconds(b_replay),
+    table.Row({d.spec.abbrev,
+               FormatSeconds(qbs_on.timings().labeling_seconds),
                FormatSeconds(qbs_off.timings().labeling_seconds),
-               FormatDouble(b_fused > 0 ? b_replay / b_fused : 0.0, 2),
                FormatMs(q_on), FormatMs(q_off),
                FormatDouble(q_on > 0 ? q_off / q_on : 0.0, 2),
                FormatDouble(hit2, 1),

@@ -86,7 +86,7 @@ void BM_QbsQuery(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const auto& p = f.pairs[i++ % f.pairs.size()];
-    benchmark::DoNotOptimize(f.index->Query(p.u, p.v));
+    benchmark::DoNotOptimize(f.index->Query({p.u, p.v}));
   }
 }
 BENCHMARK(BM_QbsQuery);
@@ -96,7 +96,7 @@ void BM_QbsQueryWithDelta(benchmark::State& state) {
   size_t i = 0;
   for (auto _ : state) {
     const auto& p = f.pairs[i++ % f.pairs.size()];
-    benchmark::DoNotOptimize(f.index_delta->Query(p.u, p.v));
+    benchmark::DoNotOptimize(f.index_delta->Query({p.u, p.v}));
   }
 }
 BENCHMARK(BM_QbsQueryWithDelta);

@@ -94,22 +94,21 @@ void Run() {
       double close_ms = 0.0;
       size_t close = 0;
     };
-    const auto timed_pass = [&](QbsIndex& index, SearchStats* agg) {
+    const auto timed_pass = [&](const QbsIndex& index, SearchStats* agg) {
       for (size_t i = 0; i < warmup; ++i) {
-        index.Query(d.pairs[i].u, d.pairs[i].v);
+        index.Query({d.pairs[i].u, d.pairs[i].v});
       }
       SplitTiming t;
       for (const auto& [u, v] : d.pairs) {
-        SearchStats stats;
         WallTimer qt;
-        const auto spg = index.Query(u, v, &stats);
+        const QueryResponse response = index.Query({u, v});
         const double ms = qt.ElapsedMillis();
         t.total_ms += ms;
-        if (spg.distance <= 2) {
+        if (response.distance() <= 2) {
           t.close_ms += ms;
           ++t.close;
         }
-        if (agg != nullptr) agg->Accumulate(stats);
+        if (agg != nullptr) agg->Accumulate(response.stats);
       }
       return t;
     };

@@ -51,7 +51,7 @@ int main() {
               "#paths", "critical", "cut-links", "verified");
   int shown = 0;
   for (const auto& [u, v] : qbs::SampleQueryPairs(graph, 2000, 5)) {
-    const auto spg = index.Query(u, v);
+    const auto spg = index.Query({u, v}).spg;
     if (!spg.Connected() || spg.distance < 3) continue;
     const auto critical = spg.CriticalVertices();
     const auto cut_links = spg.CriticalEdges();

@@ -31,8 +31,9 @@ int main() {
   // 3. Online phase: SPG queries.
   const auto pairs = qbs::SampleQueryPairs(graph, 3, /*seed=*/99);
   for (const auto& [u, v] : pairs) {
-    qbs::SearchStats stats;
-    const qbs::ShortestPathGraph spg = index.Query(u, v, &stats);
+    const qbs::QueryResponse response = index.Query({u, v});
+    const qbs::ShortestPathGraph& spg = response.spg;
+    const qbs::SearchStats& stats = response.stats;
     std::printf(
         "\nSPG(%u, %u): distance %u, %zu vertices, %zu edges, "
         "%llu shortest paths\n",

@@ -114,7 +114,7 @@ int main() {
   // Find a pair with several shortest paths and try to reroute between the
   // two most different ones.
   for (const auto& [u, v] : qbs::SampleQueryPairs(graph, 3000, 21)) {
-    const auto spg = index.Query(u, v);
+    const auto spg = index.Query({u, v}).spg;
     const uint64_t count = spg.CountShortestPaths();
     if (spg.distance < 3 || count < 3 || count > 64) continue;
 

@@ -38,7 +38,7 @@ int main() {
   constexpr uint32_t kTargetDistance = 4;
   std::vector<Tie> ties;
   for (const auto& [u, v] : qbs::SampleQueryPairs(graph, 4000, 11)) {
-    const auto spg = index.Query(u, v);
+    const auto spg = index.Query({u, v}).spg;
     if (spg.distance != kTargetDistance) continue;
     ties.push_back(Tie{u, v, spg.CountShortestPaths(),
                        spg.Vertices().size(),

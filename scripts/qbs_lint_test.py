@@ -80,18 +80,6 @@ class QbsLintTest(unittest.TestCase):
         )
         self.assertEqual(failures, 0)
 
-    def test_deprecated_pragma_fires_even_inside_string(self):
-        failures, out = lint_tree(
-            {
-                "src/core/a.cc": (
-                    '#pragma GCC diagnostic ignored '
-                    '"-Wdeprecated-declarations"\n'
-                )
-            }
-        )
-        self.assertEqual(failures, 1)
-        self.assertIn("[deprecated-query]", out)
-
     def test_unseeded_rng_fires_and_seeded_passes(self):
         failures, out = lint_tree(
             {

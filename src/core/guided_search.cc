@@ -11,19 +11,10 @@ Graph MakeSparsifiedGraph(const Graph& g, const PathLabeling& labeling) {
   return g.WithoutEdgesAt(labeling.landmarks());
 }
 
-// Set up against `g` itself, then swap in an owned G⁻ = G[V \ R]:
-// searches traverse it directly instead of filtering per edge.
-GuidedSearcher::GuidedSearcher(const Graph& g, const PathLabeling& labeling,
-                               const MetaGraph& meta, const DeltaCache* delta)
-    : GuidedSearcher(g, g, labeling, meta, delta) {
-  gminus_storage_ = MakeSparsifiedGraph(g, labeling);
-  gminus_ = &gminus_storage_;
-}
-
 GuidedSearcher::GuidedSearcher(const Graph& g, const Graph& sparsified,
                                const PathLabeling& labeling,
                                const MetaGraph& meta, const DeltaCache* delta)
-    : g_(g), gminus_(&sparsified), labeling_(labeling), meta_(meta),
+    : g_(g), gminus_(sparsified), labeling_(labeling), meta_(meta),
       delta_(delta) {
   QBS_CHECK_EQ(g.NumVertices(), labeling.num_vertices());
   QBS_CHECK_EQ(sparsified.NumVertices(), g.NumVertices());
@@ -222,14 +213,14 @@ void GuidedSearcher::ExpandLevel(int t, SearchStats* stats) {
   const uint32_t min_check_degree = (labeling_.num_landmarks() + 1) / 2;
   for (size_t idx = begin; idx < end; ++idx) {
     const VertexId x = levels_[t].At(idx);
-    if (prune && gminus_->Degree(x) >= min_check_degree &&
+    if (prune && gminus_.Degree(x) >= min_check_degree &&
         LabelLowerBoundExceeds(x, prune_other_[t], threshold)) {
       ++stats->lb_prunes;
       continue;
     }
-    stats->edges_scanned_search += gminus_->Degree(x);
-    stats->landmark_edges_skipped += g_.Degree(x) - gminus_->Degree(x);
-    for (VertexId w : gminus_->Neighbors(x)) {
+    stats->edges_scanned_search += gminus_.Degree(x);
+    stats->landmark_edges_skipped += g_.Degree(x) - gminus_.Degree(x);
+    for (VertexId w : gminus_.Neighbors(x)) {
       if (!depth_[t].IsSet(w)) {
         depth_[t].Set(w, next_depth);
         levels_[t].Push(w);
@@ -287,8 +278,8 @@ void GuidedSearcher::LabelWalk(VertexId w, LandmarkIndex r,
       edges_.emplace_back(x, target);
       continue;
     }
-    stats->edges_scanned_recover += gminus_->Degree(x);
-    for (VertexId y : gminus_->Neighbors(x)) {
+    stats->edges_scanned_recover += gminus_.Degree(x);
+    for (VertexId y : gminus_.Neighbors(x)) {
       if (labeling_.Get(y, r) != dx - 1) continue;
       edges_.emplace_back(x, y);
       if (walk_mark_[y] != serial) {

@@ -7,8 +7,9 @@
 //   G_uv = ⎨ G⁻_uv ∪ G^L_uv       if d_G⁻(u,v) = d⊤
 //          ⎩ G⁻_uv                otherwise.
 //
-// The sparsified graph G⁻ is materialized as its own CSR at construction
-// (as the paper does): searches never touch edges incident to landmarks.
+// The sparsified graph G⁻ is materialized as its own CSR (as the paper
+// does; MakeSparsifiedGraph, once per index): searches never touch edges
+// incident to landmarks.
 // SearchStats::landmark_edges_skipped reports how many adjacency entries
 // sparsification removed from the traversal, the §6.5(1) effect.
 
@@ -44,18 +45,13 @@ inline constexpr uint32_t kMaskPruneMinBudget = 6;
 // use one searcher per thread.
 class GuidedSearcher {
  public:
-  // All referenced objects must outlive the searcher. `delta` may be null
-  // (recover search then re-derives landmark segments from labels online).
-  // This constructor materializes its own copy of the sparsified graph.
-  GuidedSearcher(const Graph& g, const PathLabeling& labeling,
-                 const MetaGraph& meta, const DeltaCache* delta = nullptr);
-
-  // As above, but shares a pre-materialized sparsified graph G[V \ R]
-  // (see MakeSparsifiedGraph) — the cheap way to construct one searcher
-  // per thread against the same index.
+  // All referenced objects must outlive the searcher. `sparsified` is the
+  // materialized G[V \ R] of `g` (MakeSparsifiedGraph), shared by every
+  // searcher of one index. `delta` may be null (recover search then
+  // re-derives landmark segments from labels online).
   GuidedSearcher(const Graph& g, const Graph& sparsified,
                  const PathLabeling& labeling, const MetaGraph& meta,
-                 const DeltaCache* delta);
+                 const DeltaCache* delta = nullptr);
 
   // Answers SPG(u, v). When the labelling carries bit-parallel masks, d <= 2
   // pairs resolve on a label-guided fast path (ComputeLabelBound + an edge
@@ -138,9 +134,8 @@ class GuidedSearcher {
   // `r`, walking label distances down to 1 (recover search).
   void LabelWalk(VertexId w, LandmarkIndex r, SearchStats* stats);
 
-  const Graph& g_;        // original graph (landmark adjacency for recovery)
-  Graph gminus_storage_;  // owned G⁻ when not shared
-  const Graph* gminus_;   // the sparsified graph actually traversed
+  const Graph& g_;       // original graph (landmark adjacency for recovery)
+  const Graph& gminus_;  // the sparsified graph G⁻ actually traversed
   const PathLabeling& labeling_;
   const MetaGraph& meta_;
   const DeltaCache* delta_;

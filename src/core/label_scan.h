@@ -32,8 +32,8 @@
 //
 // Dispatch: resolved once per process from CPUID (AVX2 support) and the
 // QBS_FORCE_SCALAR_SCAN environment variable (non-empty, not "0" =
-// forced scalar); QbsOptions::force_scalar_scan flips the same
-// process-wide switch programmatically. The scalar kernels are always
+// forced scalar); SetActiveScanKernel flips the same process-wide switch
+// programmatically. The scalar kernels are always
 // compiled; the AVX2 kernels are compiled on x86-64 via per-function
 // target attributes and selected only when the CPU reports AVX2.
 
@@ -135,9 +135,9 @@ ScanKernel ResolveScanKernel(bool cpu_has_avx2, const char* force_scalar_env);
 const ScanOps& ActiveScanOps();
 ScanKernel ActiveScanKernel();
 
-/// Overrides the active kernel process-wide (QbsOptions::force_scalar_scan
-/// and tests). Requesting kAvx2 without compiled/supported AVX2 kernels
-/// falls back to scalar.
+/// Overrides the active kernel process-wide (tests and ablations).
+/// Requesting kAvx2 without compiled/supported AVX2 kernels falls back to
+/// scalar.
 void SetActiveScanKernel(ScanKernel kernel);
 
 /// --- Row-level entry points (kernel-dispatched). ---

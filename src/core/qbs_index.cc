@@ -24,13 +24,11 @@ QbsIndex QbsIndex::BuildWithLandmarks(const Graph& g,
                                       const QbsOptions& options) {
   QbsIndex index;
   index.g_ = &g;
-  if (options.force_scalar_scan) SetActiveScanKernel(ScanKernel::kScalar);
 
   WallTimer timer;
   LabelingBuildOptions build_options;
   build_options.num_threads = options.num_threads;
   build_options.bit_parallel = options.bit_parallel;
-  build_options.bp_fused = options.bp_fused;
   index.scheme_ = std::make_unique<LabelingScheme>(
       BuildLabelingScheme(g, landmarks, build_options));
   index.timings_.labeling_seconds = timer.ElapsedSeconds();
@@ -45,14 +43,12 @@ std::optional<QbsIndex> QbsIndex::LoadFromFile(const Graph& g,
   if (!scheme.has_value()) return std::nullopt;
   QbsIndex index;
   index.g_ = &g;
-  if (options.force_scalar_scan) SetActiveScanKernel(ScanKernel::kScalar);
   index.scheme_ = std::make_unique<LabelingScheme>(std::move(*scheme));
   index.FinishFromScheme(options);
   return index;
 }
 
 void QbsIndex::FinishFromScheme(const QbsOptions& options) {
-  mask_prune_ = options.mask_prune;
   if (options.precompute_delta) {
     WallTimer timer;
     delta_ = std::make_unique<DeltaCache>(DeltaCache::Build(
@@ -61,27 +57,15 @@ void QbsIndex::FinishFromScheme(const QbsOptions& options) {
   }
   sparsified_ =
       std::make_unique<Graph>(MakeSparsifiedGraph(*g_, scheme_->labeling));
-  searcher_ = std::make_unique<GuidedSearcher>(
-      *g_, *sparsified_, scheme_->labeling, scheme_->meta, delta_.get());
-  searcher_->set_mask_prune(mask_prune_);
 }
 
 bool QbsIndex::Save(const std::string& path) const {
   return SaveLabelingScheme(*scheme_, path);
 }
 
-ShortestPathGraph QbsIndex::Query(VertexId u, VertexId v,
-                                  SearchStats* stats) {
-  return searcher_->Query(u, v, stats);
-}
-
-QueryResponse QbsIndex::Query(const QueryRequest& request) {
-  return Execute(*searcher_, request);
-}
-
-QueryResponse QbsIndex::Execute(GuidedSearcher& searcher,
-                                const QueryRequest& request) const {
-  return Execute(searcher, request, nullptr);
+QueryResponse QbsIndex::Query(const QueryRequest& request) const {
+  SearcherLease lease(*this, 1);
+  return Execute(lease[0], request);
 }
 
 QueryResponse QbsIndex::Execute(GuidedSearcher& searcher,
@@ -116,7 +100,7 @@ QueryResponse QbsIndex::Execute(GuidedSearcher& searcher,
   return response;
 }
 
-QbsIndex::SearcherLease::SearcherLease(QbsIndex& index, size_t count)
+QbsIndex::SearcherLease::SearcherLease(const QbsIndex& index, size_t count)
     : index_(index) {
   searchers_.reserve(count);
   {
@@ -128,11 +112,9 @@ QbsIndex::SearcherLease::SearcherLease(QbsIndex& index, size_t count)
   }
   try {
     while (searchers_.size() < count) {
-      auto searcher = std::make_unique<GuidedSearcher>(
+      searchers_.push_back(std::make_unique<GuidedSearcher>(
           *index_.g_, *index_.sparsified_, index_.scheme_->labeling,
-          index_.scheme_->meta, index_.delta_.get());
-      searcher->set_mask_prune(index_.mask_prune_);
-      searchers_.push_back(std::move(searcher));
+          index_.scheme_->meta, index_.delta_.get()));
     }
   } catch (...) {
     // A failed top-up (searcher construction is O(|V|) of allocation) must
@@ -159,7 +141,8 @@ size_t QbsIndex::BatchSearcherPoolSize() const {
 }
 
 std::vector<QueryResponse> QbsIndex::QueryBatch(
-    const std::vector<QueryRequest>& requests, const BatchOptions& options) {
+    const std::vector<QueryRequest>& requests,
+    const BatchOptions& options) const {
   std::vector<QueryResponse> results(requests.size());
   const size_t workers = std::min(EffectiveThreads(options.num_threads),
                                   std::max<size_t>(requests.size(), 1));
@@ -223,34 +206,6 @@ std::vector<QueryResponse> QbsIndex::QueryBatch(
   });
   return results;
 }
-
-// The deprecated pair-based wrappers. Defined with the warning suppressed:
-// the definitions themselves must not trip -Werror builds.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-
-std::vector<ShortestPathGraph> QbsIndex::QueryBatch(
-    const std::vector<std::pair<VertexId, VertexId>>& pairs,
-    const BatchOptions& options) {
-  std::vector<QueryRequest> requests;
-  requests.reserve(pairs.size());
-  for (const auto& [u, v] : pairs) requests.emplace_back(u, v);
-  std::vector<QueryResponse> responses = QueryBatch(requests, options);
-  std::vector<ShortestPathGraph> results;
-  results.reserve(responses.size());
-  for (auto& r : responses) results.push_back(std::move(r.spg));
-  return results;
-}
-
-std::vector<ShortestPathGraph> QbsIndex::QueryBatch(
-    const std::vector<std::pair<VertexId, VertexId>>& pairs,
-    size_t num_threads) {
-  BatchOptions options;
-  options.num_threads = num_threads;
-  return QueryBatch(pairs, options);
-}
-
-#pragma GCC diagnostic pop
 
 void QbsIndex::EnableUpdates(Graph* mutable_graph, size_t num_threads) {
   QBS_CHECK(mutable_graph == g_);  // the very graph the index was built on

@@ -4,12 +4,16 @@
 //
 //   Graph g = ...;                       // must outlive the index
 //   QbsIndex index = QbsIndex::Build(g, {.num_landmarks = 20});
-//   ShortestPathGraph spg = index.Query(u, v);
+//   ShortestPathGraph spg = index.Query({u, v}).spg;
 //
 // Build() runs the offline phase (labelling scheme construction, Algorithm
 // 2, optionally in parallel = the paper's QbS-P, plus the optional Δ
 // precomputation); Query() runs the online phase (sketching, Algorithm 3,
-// then guided searching, Algorithm 4).
+// then guided searching, Algorithm 4) on a searcher leased from the
+// index's pool, so it is const and safe to call from many threads at once
+// (QueryBatch fans a vector of requests out the same way). Neither is safe
+// during ApplyUpdates() or Consolidate(). Construction allocates no
+// searcher: the pool grows on the first query (BatchSearcherPoolSize()).
 
 #ifndef QBS_CORE_QBS_INDEX_H_
 #define QBS_CORE_QBS_INDEX_H_
@@ -18,7 +22,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/delta_cache.h"
@@ -57,22 +60,6 @@ struct QbsOptions {
   /// recover work — and DistanceUpperBound() tightens. Costs 16 bytes per
   /// label slot plus one extra adjacency sweep per landmark at build.
   bool bit_parallel = true;
-  /// Fuse the S^{-1} mask propagation into the labelling BFS instead of
-  /// replaying two post-BFS sweeps per landmark (LabelingBuildOptions::
-  /// bp_fused). Identical masks either way; off only for the fused-vs-
-  /// replay ablation and equivalence tests.
-  bool bp_fused = true;
-  /// Mask-guided search pruning (GuidedSearcher::set_mask_prune): the
-  /// refined label upper bound caps the search budget and mask-lifted
-  /// per-vertex lower bounds skip frontier vertices that cannot lie on a
-  /// relevant path. Identical answers either way; off for ablation.
-  bool mask_prune = true;
-  /// Force the scalar label-scan kernels (core/label_scan.h), the
-  /// programmatic equivalent of QBS_FORCE_SCALAR_SCAN=1. The kernel switch
-  /// is process-wide (SetActiveScanKernel at Build/Load), not per-index;
-  /// answers are bit-identical either way — this exists for ablations and
-  /// for pinning down kernel-specific misbehaviour in the field.
-  bool force_scalar_scan = false;
 };
 
 struct QbsBuildTimings {
@@ -106,16 +93,11 @@ class QbsIndex {
   QbsIndex(QbsIndex&&) = default;
   QbsIndex& operator=(QbsIndex&&) = default;
 
-  /// Answers SPG(u, v) exactly. Non-const: reuses the index's single
-  /// searcher scratch, so serialize calls to Query(); for concurrent reads
-  /// use QueryBatch (which checks searchers out of a locked pool).
-  ShortestPathGraph Query(VertexId u, VertexId v,
-                          SearchStats* stats = nullptr);
-
-  /// The unified query surface (core/query_api.h): answers one request —
-  /// mode, budget, and flags included — on the index's single searcher.
-  /// Same serialization caveat as the scalar Query().
-  QueryResponse Query(const QueryRequest& request);
+  /// Answers one request (core/query_api.h) — mode, budget, and flags
+  /// included — exactly, on a searcher leased from the pool for the call.
+  /// Safe to call concurrently with itself and with QueryBatch; not during
+  /// ApplyUpdates() or Consolidate().
+  QueryResponse Query(const QueryRequest& request) const;
 
   /// Tuning knobs for QueryBatch.
   struct BatchOptions {
@@ -127,57 +109,36 @@ class QbsIndex {
     size_t grain = 0;
   };
 
-  /// Answers many requests in parallel — the canonical batch entry point.
-  /// Workers share the index's read-only state and the materialized
-  /// sparsified graph, and draw searchers from a persistent pool (grown on
-  /// first use, reused across batches); results align with `requests`.
-  /// Safe to call concurrently with other QueryBatch calls on the same
-  /// index (each call checks searchers out of the pool under a lock), but
-  /// not with the single-searcher Query().
+  /// Answers many requests in parallel. Workers share the index's
+  /// read-only state and the materialized sparsified graph, and lease
+  /// searchers from the same pool as Query(); results align with
+  /// `requests`. Same thread-safety contract as Query().
   std::vector<QueryResponse> QueryBatch(
       const std::vector<QueryRequest>& requests,
-      const BatchOptions& options);
+      const BatchOptions& options) const;
   std::vector<QueryResponse> QueryBatch(
-      const std::vector<QueryRequest>& requests) {
+      const std::vector<QueryRequest>& requests) const {
     return QueryBatch(requests, BatchOptions());
   }
 
-  /// Executes one request on a caller-managed searcher (e.g. one held via
-  /// SearcherLease by a server connection). Thread-safe as long as each
-  /// searcher is used by one thread at a time; this is the primitive both
-  /// QueryBatch and the `qbs serve` daemon are built on.
-  QueryResponse Execute(GuidedSearcher& searcher,
-                        const QueryRequest& request) const;
-
-  /// As Execute(), with an optional precomputed certify bound for the
-  /// request's pair — ComputeLabelBound(labeling, meta, u, v, 2), null to
-  /// compute it inline. QueryBatch precomputes these through the SIMD
-  /// batch kernel (ComputeLabelBoundsBatch) so workers skip the per-query
-  /// fast-path row scan.
+  /// Executes one request on a caller-managed searcher (one held via
+  /// SearcherLease); the primitive Query() and QueryBatch are built on.
+  /// Thread-safe as long as each searcher is used by one thread at a time.
+  /// `certify`, if non-null, is the request pair's precomputed certify
+  /// bound — ComputeLabelBound(labeling, meta, u, v, 2) — which QueryBatch
+  /// computes through the SIMD batch kernel (ComputeLabelBoundsBatch) so
+  /// workers skip the per-query fast-path row scan.
   QueryResponse Execute(GuidedSearcher& searcher, const QueryRequest& request,
-                        const LabelBound* certify) const;
+                        const LabelBound* certify = nullptr) const;
 
-  /// Deprecated pair-based batch forms, kept as thin wrappers over the
-  /// QueryRequest vector form (mode = kSpg, no budget).
-  [[deprecated("use QueryBatch(std::vector<QueryRequest>, BatchOptions)")]]
-  std::vector<ShortestPathGraph> QueryBatch(
-      const std::vector<std::pair<VertexId, VertexId>>& pairs,
-      const BatchOptions& options);
-
-  [[deprecated("use QueryBatch(std::vector<QueryRequest>, BatchOptions)")]]
-  std::vector<ShortestPathGraph> QueryBatch(
-      const std::vector<std::pair<VertexId, VertexId>>& pairs,
-      size_t num_threads = 0);
-
-  /// RAII checkout of `count` searchers from the QueryBatch pool, topping
+  /// RAII checkout of `count` searchers from the index's pool, topping
   /// the pool up with freshly constructed ones as needed. The destructor
   /// returns every searcher, so a query that throws mid-batch (e.g. an
   /// allocation failure surfacing through ParallelFor's inline worker)
-  /// unwinds without shrinking the pool. QueryBatch checks its workers'
-  /// searchers out through this guard; exposed for its regression tests.
+  /// unwinds without shrinking the pool.
   class SearcherLease {
    public:
-    SearcherLease(QbsIndex& index, size_t count);
+    SearcherLease(const QbsIndex& index, size_t count);
     ~SearcherLease();
     SearcherLease(const SearcherLease&) = delete;
     SearcherLease& operator=(const SearcherLease&) = delete;
@@ -186,12 +147,13 @@ class QbsIndex {
     size_t size() const { return searchers_.size(); }
 
    private:
-    QbsIndex& index_;
+    const QbsIndex& index_;
     std::vector<std::unique_ptr<GuidedSearcher>> searchers_;
   };
 
-  /// Searchers currently idle in the QueryBatch pool (observability for the
-  /// lease regression tests and capacity debugging).
+  /// Searchers idle in the pool. With no query in flight: 0 until the
+  /// first query, then the peak number leased at once (observability for
+  /// the lease regression tests and capacity debugging).
   size_t BatchSearcherPoolSize() const;
 
   /// --- Dynamic updates (core/updatable_index.h). ---
@@ -278,7 +240,7 @@ class QbsIndex {
   QbsIndex() = default;
 
   /// Derives what Build and LoadFromFile share from g_ and scheme_: the Δ
-  /// cache (when options ask for it), the sparsified graph and the searcher.
+  /// cache (when options ask for it) and the sparsified graph.
   void FinishFromScheme(const QbsOptions& options);
 
   /// Rebuilds the structures derived from (graph, labelling, meta) after a
@@ -291,21 +253,18 @@ class QbsIndex {
   std::unique_ptr<LabelingScheme> scheme_;
   std::unique_ptr<Graph> sparsified_;  // shared G⁻ for all searchers
   std::unique_ptr<DeltaCache> delta_;
-  std::unique_ptr<GuidedSearcher> searcher_;
-  /// Idle searchers for QueryBatch, grown on demand and reused across
-  /// batches (a searcher holds O(|V|) scratch; rebuilding per batch would
-  /// dominate small batches). Each call checks out what it needs under the
-  /// mutex, so concurrent QueryBatch calls never share a searcher.
-  /// Heap-allocated because Mutex is immovable and QbsIndex is movable;
-  /// the capability follows the unique_ptr, so annotations deref it.
+  /// Idle searchers, grown on demand and reused across queries (a searcher
+  /// holds O(|V|) scratch; rebuilding per query would dominate). Each
+  /// SearcherLease checks out what it needs under the mutex, so concurrent
+  /// queries never share a searcher. Mutable: leasing is how the const
+  /// query surface gets scratch. Heap-allocated because Mutex is immovable
+  /// and QbsIndex is movable; the capability follows the unique_ptr, so
+  /// annotations deref it.
   std::unique_ptr<Mutex> batch_searchers_mu_ =
       std::make_unique<Mutex>(LockRank::kSearcherPool);
-  std::vector<std::unique_ptr<GuidedSearcher>> batch_searchers_
+  mutable std::vector<std::unique_ptr<GuidedSearcher>> batch_searchers_
       QBS_GUARDED_BY(*batch_searchers_mu_);
   QbsBuildTimings timings_;
-  /// Mask-guided pruning setting applied to every searcher this index
-  /// constructs (QbsOptions::mask_prune).
-  bool mask_prune_ = true;
   /// Set by EnableUpdates: the same object g_ points at, held mutably so
   /// ApplyUpdates can move-assign the post-edit CSR into it.
   Graph* mutable_g_ = nullptr;

@@ -127,17 +127,16 @@ std::vector<uint8_t> EncodeQueryRequest(const QueryRequest& request) {
 }
 
 bool DecodeQueryRequest(std::span<const uint8_t> payload, QueryRequest* out) {
-  if (payload.size() != 24 && payload.size() != 20) return false;
+  if (payload.size() != 24) return false;
   const uint8_t mode = payload[8];
   if (mode > static_cast<uint8_t>(QueryMode::kSpg)) return false;
+  if (payload[9] != 0 || payload[10] != 0 || payload[11] != 0) return false;
   out->u = Get32(payload.data());
   out->v = Get32(payload.data() + 4);
   out->mode = static_cast<QueryMode>(mode);
   out->budget = Get32(payload.data() + 12);
   out->flags = Get32(payload.data() + 16);
-  // The 20-byte layout predates deadlines: no deadline requested.
-  out->deadline_ms =
-      payload.size() == 24 ? Get32(payload.data() + 20) : kNoDeadline;
+  out->deadline_ms = Get32(payload.data() + 20);
   return true;
 }
 
@@ -284,11 +283,9 @@ std::vector<uint8_t> EncodeBusy(uint32_t retry_after_ms,
 
 bool DecodeBusy(std::span<const uint8_t> payload, uint32_t* retry_after_ms,
                 uint32_t* queue_depth) {
-  if (payload.size() != 8 && payload.size() != 4) return false;
+  if (payload.size() != 8) return false;
   *retry_after_ms = Get32(payload.data());
-  if (queue_depth != nullptr) {
-    *queue_depth = payload.size() == 8 ? Get32(payload.data() + 4) : 0;
-  }
+  if (queue_depth != nullptr) *queue_depth = Get32(payload.data() + 4);
   return true;
 }
 

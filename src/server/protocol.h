@@ -50,7 +50,8 @@ enum class FrameType : uint8_t {
   kQueryResponse = 2,
   kError = 3,
   /// Admission control pushed back: the request was NOT executed; retry
-  /// later. Payload: u32 advisory retry-after hint in milliseconds.
+  /// later. Payload: u32 advisory retry-after hint in milliseconds, then
+  /// u32 admission queue depth (EncodeBusy).
   kBusy = 4,
   kPing = 5,
   kPong = 6,
@@ -131,9 +132,8 @@ class FrameReader {
 // the wrong size or with out-of-range enum values; they never read past
 // the span.
 
-/// 24-byte fixed layout, deadline_ms last. Decoding also accepts the
-/// 20-byte pre-deadline layout (deadline = kNoDeadline), so a client built
-/// before deadlines landed keeps working against a new server.
+/// 24-byte fixed layout: u32 u, u32 v, u8 mode, 3 reserved bytes (must be
+/// 0), u32 budget, u32 flags, u32 deadline_ms.
 std::vector<uint8_t> EncodeQueryRequest(const QueryRequest& request);
 bool DecodeQueryRequest(std::span<const uint8_t> payload, QueryRequest* out);
 
@@ -166,10 +166,9 @@ std::vector<uint8_t> EncodeUpdateResponse(const UpdateStats& stats);
 bool DecodeUpdateResponse(std::span<const uint8_t> payload,
                           UpdateStats* stats);
 
-/// Busy payload: retry-after hint + the admission queue depth observed at
-/// rejection (how deep the backlog was — `qbs load` turns this into a
-/// shed-rate report). Decoding accepts the legacy 4-byte hint-only layout
-/// (depth reported as 0).
+/// Busy payload, 8 bytes: u32 retry-after hint + u32 admission queue depth
+/// observed at rejection (how deep the backlog was — `qbs load` turns this
+/// into a shed-rate report).
 std::vector<uint8_t> EncodeBusy(uint32_t retry_after_ms,
                                 uint32_t queue_depth = 0);
 bool DecodeBusy(std::span<const uint8_t> payload, uint32_t* retry_after_ms,

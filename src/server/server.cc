@@ -440,10 +440,7 @@ bool QueryServer::ServeQuery(Socket& sock, FaultInjector* injector,
     ReaderLock read_lock(index_mu_);
     if (cacheable) cache_hit = cache_.Lookup(request, &response);
     if (!cache_hit) {
-      {
-        QbsIndex::SearcherLease lease(index_, 1);
-        response = index_.Execute(lease[0], request);
-      }
+      response = index_.Query(request);
       if (cacheable) cache_.Insert(request, response);
     }
   }

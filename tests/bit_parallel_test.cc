@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/bfs_oracle.h"
+#include "core/guided_search.h"
 #include "core/label_scan.h"
 #include "core/labeling.h"
 #include "core/landmark_selection.h"
@@ -295,9 +296,10 @@ TEST_P(BitParallelQuery, ShortDistancesAnsweredFromLabels) {
       const bool close = dist[t] <= 2;
       if (close && checked_close > 600) continue;
       if (!close && checked_far > 200) continue;
-      SearchStats stats;
-      const auto spg = index.Query(s, t, &stats);
-      ASSERT_EQ(spg, SpgByDoubleBfs(g, s, t)) << "s=" << s << " t=" << t;
+      const QueryResponse response = index.Query({s, t});
+      const SearchStats& stats = response.stats;
+      ASSERT_EQ(response.spg, SpgByDoubleBfs(g, s, t))
+          << "s=" << s << " t=" << t;
       if (close) {
         ++checked_close;
         // Never any reverse or recover work for a d <= 2 pair.
@@ -341,12 +343,11 @@ TEST_P(BitParallelQuery, DisabledMasksMatchEnabled) {
   EXPECT_EQ(index_off.BpMaskSizeBytes(), 0u);
   EXPECT_GT(index_on.BpMaskSizeBytes(), 0u);
   for (const auto& [u, v] : SampleQueryPairs(g, 80, p.seed + 1)) {
-    SearchStats stats_off;
-    const auto a = index_on.Query(u, v);
-    const auto b = index_off.Query(u, v, &stats_off);
-    ASSERT_EQ(a, b) << "u=" << u << " v=" << v;
-    EXPECT_EQ(stats_off.label_short_circuits, 0u);
-    EXPECT_EQ(stats_off.d_label_upper, kUnreachable);
+    const QueryResponse off_response = index_off.Query({u, v});
+    ASSERT_EQ(index_on.Query({u, v}).spg, off_response.spg)
+        << "u=" << u << " v=" << v;
+    EXPECT_EQ(off_response.stats.label_short_circuits, 0u);
+    EXPECT_EQ(off_response.stats.d_label_upper, kUnreachable);
   }
 }
 
@@ -379,7 +380,7 @@ TEST(BitParallelTest, QueryBatchAgreesWithSerialQueries) {
   const auto batch = index.QueryBatch(requests, four);
   ASSERT_EQ(batch.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_EQ(batch[i].spg, index.Query(requests[i].u, requests[i].v))
+    ASSERT_EQ(batch[i].spg, index.Query({requests[i].u, requests[i].v}).spg)
         << "pair " << i;
   }
 }
@@ -394,9 +395,10 @@ TEST(BitParallelTest, LandmarkEndpointsShortCircuit) {
   for (const VertexId r : index.landmarks()) {
     const auto dist = BfsDistances(g, r);
     for (VertexId t = 0; t < g.NumVertices(); ++t) {
-      SearchStats stats;
-      const auto spg = index.Query(r, t, &stats);
-      ASSERT_EQ(spg, SpgByDoubleBfs(g, r, t)) << "r=" << r << " t=" << t;
+      const QueryResponse response = index.Query({r, t});
+      const SearchStats& stats = response.stats;
+      ASSERT_EQ(response.spg, SpgByDoubleBfs(g, r, t))
+          << "r=" << r << " t=" << t;
       if (r != t && dist[t] <= 2) {
         EXPECT_EQ(stats.edges_scanned_recover, 0u) << "r=" << r << " t=" << t;
         EXPECT_EQ(stats.edges_scanned_reverse, 0u) << "r=" << r << " t=" << t;
@@ -417,17 +419,22 @@ TEST(BitParallelTest, LandmarkEndpointsShortCircuit) {
 // widest, least fruitful frontiers — exactly where a certified
 // depth + lower bound > budget cuts whole subtrees). A small-world ring
 // keeps distances long-range, which is the regime the pruning targets
-// (short-budget searches skip the per-vertex check entirely).
+// (short-budget searches skip the per-vertex check entirely). Two
+// searchers over one index: the default one prunes, the other is the
+// unpruned reference traversal.
 TEST(BitParallelTest, MaskPruneReducesAllThroughLandmarkScans) {
   // A wide small-world ring: distances stay long-range (budgets clear
   // kMaskPruneMinBudget) and degrees clear the per-vertex check gate.
   Graph g = WattsStrogatz(1200, 20, 0.01, 77);
-  QbsOptions pruned_options;
-  pruned_options.num_landmarks = 16;
-  QbsOptions unpruned_options = pruned_options;
-  unpruned_options.mask_prune = false;
-  QbsIndex pruned = QbsIndex::Build(g, pruned_options);
-  QbsIndex unpruned = QbsIndex::Build(g, unpruned_options);
+  QbsOptions options;
+  options.num_landmarks = 16;
+  const QbsIndex index = QbsIndex::Build(g, options);
+  const Graph gminus = MakeSparsifiedGraph(g, index.labeling());
+  GuidedSearcher pruned(g, gminus, index.labeling(), index.meta_graph(),
+                        index.delta_cache());
+  GuidedSearcher unpruned(g, gminus, index.labeling(), index.meta_graph(),
+                          index.delta_cache());
+  unpruned.set_mask_prune(false);
 
   uint64_t pruned_scans = 0;
   uint64_t unpruned_scans = 0;
@@ -483,10 +490,10 @@ TEST(BitParallelTest, V1LoadThenQueryWithMasksRequested) {
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
     const auto dist = BfsDistances(g, u);
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      SearchStats stats;
-      ASSERT_EQ(index->Query(u, v, &stats), SpgByDoubleBfs(g, u, v))
+      const QueryResponse response = index->Query({u, v});
+      ASSERT_EQ(response.spg, SpgByDoubleBfs(g, u, v))
           << "u=" << u << " v=" << v;
-      EXPECT_EQ(stats.label_short_circuits, 0u);
+      EXPECT_EQ(response.stats.label_short_circuits, 0u);
       if (u != v && dist[v] != kUnreachable) {
         EXPECT_GE(index->DistanceUpperBound(u, v), dist[v]);
         const LabelBound bound =
@@ -542,11 +549,11 @@ TEST(BitParallelTest, SerializationRoundTripPreservesMasks) {
     }
   }
   for (const auto& [u, v] : SampleQueryPairs(g, 60, 41)) {
-    SearchStats sa;
-    SearchStats sb;
-    ASSERT_EQ(built.Query(u, v, &sa), loaded->Query(u, v, &sb));
-    EXPECT_EQ(sa.label_short_circuits, sb.label_short_circuits);
-    EXPECT_EQ(sa.d_label_upper, sb.d_label_upper);
+    const QueryResponse a = built.Query({u, v});
+    const QueryResponse b = loaded->Query({u, v});
+    ASSERT_EQ(a.spg, b.spg);
+    EXPECT_EQ(a.stats.label_short_circuits, b.stats.label_short_circuits);
+    EXPECT_EQ(a.stats.d_label_upper, b.stats.d_label_upper);
   }
   std::remove(path.c_str());
 }

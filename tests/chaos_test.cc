@@ -255,12 +255,7 @@ TEST_F(ChaosTest, EveryPlanYieldsExactAnswersOrTypedErrors) {
   // Fault-free ground truth, computed directly against the index (no
   // sockets involved).
   std::vector<QueryResponse> expected;
-  {
-    QbsIndex::SearcherLease lease(*index_, 1);
-    for (const auto& [u, v] : pairs) {
-      expected.push_back(index_->Execute(lease[0], QueryRequest(u, v)));
-    }
-  }
+  for (const auto& [u, v] : pairs) expected.push_back(index_->Query({u, v}));
 
   size_t plans_run = 0;
   for (const ChaosPlan& plan : Plans()) {

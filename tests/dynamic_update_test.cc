@@ -122,14 +122,11 @@ std::vector<QueryPair> ProbePairs(const Graph& g, std::mt19937_64& rng) {
   return pairs;
 }
 
-void AssertSameAnswers(const Graph& g, QbsIndex& updated, QbsIndex& fresh,
-                       std::mt19937_64& rng) {
+void AssertSameAnswers(const Graph& g, const QbsIndex& updated,
+                       const QbsIndex& fresh, std::mt19937_64& rng) {
   for (const auto& [u, v] : ProbePairs(g, rng)) {
-    QueryRequest request;
-    request.u = u;
-    request.v = v;
-    const QueryResponse got = updated.Query(request);
-    const QueryResponse want = fresh.Query(request);
+    const QueryResponse got = updated.Query({u, v});
+    const QueryResponse want = fresh.Query({u, v});
     ASSERT_TRUE(SameAnswer(got, want)) << "answer diverged for (" << u << ", "
                                        << v << ")";
   }
@@ -234,8 +231,8 @@ TEST(DynamicUpdateTest, InsertShortensDistanceImmediately) {
   delta.Insert(0, 7);
   const UpdateStats stats = index.ApplyUpdates(delta);
   EXPECT_EQ(stats.applied_inserts, 1u);
-  EXPECT_EQ(index.Query(0, 7), SpgByDoubleBfs(g, 0, 7));
-  EXPECT_EQ(index.Query(1, 6), SpgByDoubleBfs(g, 1, 6));
+  EXPECT_EQ(index.Query({0, 7}).spg, SpgByDoubleBfs(g, 0, 7));
+  EXPECT_EQ(index.Query({1, 6}).spg, SpgByDoubleBfs(g, 1, 6));
 }
 
 TEST(DynamicUpdateTest, DeleteDisconnectsImmediately) {
@@ -248,9 +245,9 @@ TEST(DynamicUpdateTest, DeleteDisconnectsImmediately) {
   delta.Delete(3, 4);  // the bridge
   const UpdateStats stats = index.ApplyUpdates(delta);
   EXPECT_EQ(stats.applied_deletes, 1u);
-  EXPECT_FALSE(index.Query(0, 7).Connected());
-  EXPECT_EQ(index.Query(0, 3), SpgByDoubleBfs(g, 0, 3));
-  EXPECT_EQ(index.Query(4, 7), SpgByDoubleBfs(g, 4, 7));
+  EXPECT_FALSE(index.Query({0, 7}).spg.Connected());
+  EXPECT_EQ(index.Query({0, 3}).spg, SpgByDoubleBfs(g, 0, 3));
+  EXPECT_EQ(index.Query({4, 7}).spg, SpgByDoubleBfs(g, 4, 7));
 }
 
 TEST(DynamicUpdateTest, NoopScriptChangesNothing) {

@@ -6,7 +6,10 @@
 //     catch violations);
 //   * bounded buffering (the reader's payload cap holds);
 //   * decode → encode → decode is the identity on every payload the
-//     decoder accepts (a decoded value always re-encodes canonically).
+//     decoder accepts (a decoded value always re-encodes canonically);
+//   * for the fixed-layout request and busy codecs, which have exactly one
+//     layout and reject nonzero padding, decode → encode reproduces the
+//     accepted payload byte for byte.
 //
 // Built two ways: with QBS_FUZZ_LIBFUZZER under clang -fsanitize=fuzzer
 // for real fuzzing, and with a standalone main() that replays the
@@ -28,16 +31,16 @@ namespace {
 using namespace qbs;
 using namespace qbs::server;
 
+bool SameBytes(std::span<const uint8_t> a, const std::vector<uint8_t>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
+}
+
 void ExerciseCodecs(std::span<const uint8_t> payload) {
   QueryRequest request;
   if (DecodeQueryRequest(payload, &request)) {
-    // Round-trip property: an accepted request re-encodes to a payload
-    // that decodes back to the same value.
-    QueryRequest again;
-    if (!DecodeQueryRequest(EncodeQueryRequest(request), &again) ||
-        !(again == request)) {
-      __builtin_trap();
-    }
+    // Round-trip property: an accepted request re-encodes to the very
+    // bytes it was decoded from.
+    if (!SameBytes(payload, EncodeQueryRequest(request))) __builtin_trap();
   }
   QueryResponse response;
   if (DecodeQueryResponse(payload, &response)) {
@@ -52,12 +55,7 @@ void ExerciseCodecs(std::span<const uint8_t> payload) {
   uint32_t retry = 0;
   uint32_t depth = 0;
   if (DecodeBusy(payload, &retry, &depth)) {
-    uint32_t retry2 = 0;
-    uint32_t depth2 = 0;
-    if (!DecodeBusy(EncodeBusy(retry, depth), &retry2, &depth2) ||
-        retry2 != retry || depth2 != depth) {
-      __builtin_trap();
-    }
+    if (!SameBytes(payload, EncodeBusy(retry, depth))) __builtin_trap();
   }
   GraphDelta delta;
   uint32_t flags = 0;

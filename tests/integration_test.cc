@@ -48,7 +48,7 @@ TEST_F(IntegrationTest, AllMethodsAgreeOnDataset) {
 
   for (const auto& [u, v] : *pairs_) {
     const auto oracle = SpgByDoubleBfs(g, u, v);
-    ASSERT_EQ(qbs.Query(u, v), oracle) << "QbS u=" << u << " v=" << v;
+    ASSERT_EQ(qbs.Query({u, v}).spg, oracle) << "QbS u=" << u << " v=" << v;
     ASSERT_EQ(bibfs.Query(u, v), oracle) << "BiBFS u=" << u << " v=" << v;
     ASSERT_EQ(ppl->QuerySpg(u, v), oracle) << "PPL u=" << u << " v=" << v;
     ASSERT_EQ(parent_ppl->QuerySpg(u, v), oracle)
@@ -68,7 +68,7 @@ TEST_F(IntegrationTest, ParallelBuildMatchesSequential) {
   EXPECT_EQ(a.labeling().NumEntries(), b.labeling().NumEntries());
   EXPECT_EQ(a.meta_graph().Edges(), b.meta_graph().Edges());
   for (const auto& [u, v] : *pairs_) {
-    ASSERT_EQ(a.Query(u, v), b.Query(u, v));
+    ASSERT_EQ(a.Query({u, v}).spg, b.Query({u, v}).spg);
   }
 }
 
@@ -94,9 +94,7 @@ TEST_F(IntegrationTest, QbsTraversesFewerEdgesThanBiBfs) {
   uint64_t qbs_scans = 0;
   uint64_t bibfs_scans = 0;
   for (const auto& [u, v] : *pairs_) {
-    SearchStats stats;
-    index.Query(u, v, &stats);
-    qbs_scans += stats.TotalEdgesScanned();
+    qbs_scans += index.Query({u, v}).stats.TotalEdgesScanned();
     uint64_t scans = 0;
     bibfs.Query(u, v, &scans);
     bibfs_scans += scans;

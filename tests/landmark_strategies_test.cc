@@ -87,7 +87,7 @@ TEST_P(StrategyCorrectness, QueriesMatchOracle) {
   options.landmark_strategy = GetParam();
   QbsIndex index = QbsIndex::Build(g, options);
   for (const auto& [u, v] : SampleQueryPairs(g, 50, 13)) {
-    ASSERT_EQ(index.Query(u, v), SpgByDoubleBfs(g, u, v))
+    ASSERT_EQ(index.Query({u, v}).spg, SpgByDoubleBfs(g, u, v))
         << LandmarkStrategyName(GetParam());
   }
 }

@@ -236,8 +236,8 @@ TEST(ProtocolTest, QueryRequestCodecCarriesDeadline) {
   EXPECT_EQ(decoded.deadline_ms, 0u);
 }
 
-TEST(ProtocolTest, QueryRequestCodecAcceptsLegacy20ByteLayout) {
-  // A pre-deadline client sends 20 bytes; it must decode with no deadline.
+TEST(ProtocolTest, QueryRequestCodecRejectsLegacy20ByteLayout) {
+  // The pre-deadline 20-byte layout is gone: only the 24-byte one decodes.
   auto payload = EncodeQueryRequest(QueryRequest(11, 22, QueryMode::kDistance,
                                                  /*budget_in=*/3,
                                                  /*flags_in=*/0,
@@ -245,12 +245,18 @@ TEST(ProtocolTest, QueryRequestCodecAcceptsLegacy20ByteLayout) {
   ASSERT_EQ(payload.size(), 24u);
   payload.resize(20);
   QueryRequest decoded;
+  EXPECT_FALSE(DecodeQueryRequest(payload, &decoded));
+}
+
+TEST(ProtocolTest, QueryRequestCodecRejectsNonzeroPadding) {
+  const auto payload = EncodeQueryRequest(QueryRequest(3, 4, QueryMode::kSpg));
+  QueryRequest decoded;
   ASSERT_TRUE(DecodeQueryRequest(payload, &decoded));
-  EXPECT_EQ(decoded.u, 11u);
-  EXPECT_EQ(decoded.v, 22u);
-  EXPECT_EQ(decoded.mode, QueryMode::kDistance);
-  EXPECT_EQ(decoded.budget, 3u);
-  EXPECT_EQ(decoded.deadline_ms, kNoDeadline);
+  for (size_t byte = 9; byte <= 11; ++byte) {
+    auto bad_pad = payload;
+    bad_pad[byte] = 1;
+    EXPECT_FALSE(DecodeQueryRequest(bad_pad, &decoded)) << "byte " << byte;
+  }
 }
 
 TEST(ProtocolTest, DegradedResponseCodecRoundTripsTheLowerBound) {
@@ -292,7 +298,7 @@ TEST(ProtocolTest, DegradedResponseCodecRoundTripsTheLowerBound) {
   EXPECT_FALSE(DecodeQueryResponse(plain_payload, &out));
 }
 
-TEST(ProtocolTest, BusyCodecCarriesQueueDepthAndAcceptsLegacy) {
+TEST(ProtocolTest, BusyCodecCarriesQueueDepthAndRejectsLegacy) {
   const auto payload = EncodeBusy(/*retry_after_ms=*/40, /*queue_depth=*/7);
   ASSERT_EQ(payload.size(), 8u);
   uint32_t retry = 0;
@@ -302,17 +308,12 @@ TEST(ProtocolTest, BusyCodecCarriesQueueDepthAndAcceptsLegacy) {
   EXPECT_EQ(depth, 7u);
   // Depth out-param is optional.
   ASSERT_TRUE(DecodeBusy(payload, &retry));
-  // Legacy 4-byte hint-only payload decodes with depth 0.
-  auto legacy = payload;
-  legacy.resize(4);
-  depth = 123;
-  ASSERT_TRUE(DecodeBusy(legacy, &retry, &depth));
-  EXPECT_EQ(retry, 40u);
-  EXPECT_EQ(depth, 0u);
-  // Anything else is malformed.
-  auto bad = payload;
-  bad.resize(6);
-  EXPECT_FALSE(DecodeBusy(bad, &retry, &depth));
+  // The legacy 4-byte hint-only payload, like any other size, is malformed.
+  for (const size_t size : {0u, 4u, 6u, 12u}) {
+    auto bad = payload;
+    bad.resize(size);
+    EXPECT_FALSE(DecodeBusy(bad, &retry, &depth)) << size << " bytes";
+  }
 }
 
 TEST(ProtocolTest, ErrorCodecRoundTrip) {

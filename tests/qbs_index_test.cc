@@ -1,3 +1,8 @@
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/bfs_oracle.h"
@@ -24,9 +29,8 @@ TEST(QbsIndexTest, BuildAndQuerySmoke) {
   no_delta.precompute_delta = false;
   QbsIndex lean = QbsIndex::Build(g, no_delta);
   EXPECT_EQ(lean.DeltaSizeBytes(), 0u);
-  EXPECT_EQ(lean.Query(50, 400), index.Query(50, 400));
-  const auto spg = index.Query(50, 400);
-  EXPECT_EQ(spg, SpgByDoubleBfs(g, 50, 400));
+  EXPECT_EQ(lean.Query({50, 400}).spg, index.Query({50, 400}).spg);
+  EXPECT_EQ(index.Query({50, 400}).spg, SpgByDoubleBfs(g, 50, 400));
 }
 
 TEST(QbsIndexTest, MoveSemanticsKeepSearcherValid) {
@@ -35,7 +39,64 @@ TEST(QbsIndexTest, MoveSemanticsKeepSearcherValid) {
   options.num_landmarks = 5;
   QbsIndex index = QbsIndex::Build(g, options);
   QbsIndex moved = std::move(index);
-  EXPECT_EQ(moved.Query(10, 100), SpgByDoubleBfs(g, 10, 100));
+  EXPECT_EQ(moved.Query({10, 100}).spg, SpgByDoubleBfs(g, 10, 100));
+}
+
+// Query() is const and leases a searcher per call, so many threads may
+// query one shared index at once; every answer must still be exact.
+TEST(QbsIndexTest, ConcurrentConstQueriesMatchOracle) {
+  Graph g = BarabasiAlbert(300, 3, 6);
+  QbsOptions options;
+  options.num_landmarks = 8;
+  const QbsIndex built = QbsIndex::Build(g, options);
+  const QbsIndex& index = built;
+  const auto pairs = SampleQueryPairs(g, 160, 6);
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<ShortestPathGraph>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Each thread walks every pair from a different offset, so the
+      // threads overlap on pairs without running in lockstep.
+      for (size_t i = 0; i < pairs.size(); ++i) {
+        const auto& [u, v] = pairs[(i + t * 37) % pairs.size()];
+        got[t].push_back(index.Query({u, v}).spg);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    ASSERT_EQ(got[t].size(), pairs.size());
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const auto& [u, v] = pairs[(i + t * 37) % pairs.size()];
+      ASSERT_EQ(got[t][i], SpgByDoubleBfs(g, u, v))
+          << "thread " << t << " u=" << u << " v=" << v;
+    }
+  }
+  EXPECT_LE(index.BatchSearcherPoolSize(), kThreads);
+}
+
+// Construction allocates no searcher: the pool stays empty until the first
+// query leases one, which then stays pooled for reuse.
+TEST(QbsIndexTest, SearcherPoolGrowsOnFirstQuery) {
+  Graph g = BarabasiAlbert(200, 2, 7);
+  QbsOptions options;
+  options.num_landmarks = 6;
+  const QbsIndex built = QbsIndex::Build(g, options);
+  EXPECT_EQ(built.BatchSearcherPoolSize(), 0u);
+  built.Query({1, 150});
+  EXPECT_EQ(built.BatchSearcherPoolSize(), 1u);
+  built.Query({2, 160});
+  EXPECT_EQ(built.BatchSearcherPoolSize(), 1u);
+
+  const std::string path = ::testing::TempDir() + "/pool_index.qbsidx";
+  ASSERT_TRUE(built.Save(path));
+  const auto loaded = QbsIndex::LoadFromFile(g, path, options);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->BatchSearcherPoolSize(), 0u);
+  EXPECT_EQ(loaded->Query({1, 150}).spg, SpgByDoubleBfs(g, 1, 150));
+  EXPECT_EQ(loaded->BatchSearcherPoolSize(), 1u);
 }
 
 TEST(QbsIndexTest, DistanceUpperBoundIsUpperBound) {
@@ -58,7 +119,7 @@ TEST(QbsIndexTest, LandmarksClampedToGraph) {
   QbsIndex index = QbsIndex::Build(g, options);
   EXPECT_EQ(index.landmarks().size(), 5u);
   // Every vertex is a landmark: queries are pure recover searches.
-  EXPECT_EQ(index.Query(0, 4), SpgByDoubleBfs(g, 0, 4));
+  EXPECT_EQ(index.Query({0, 4}).spg, SpgByDoubleBfs(g, 0, 4));
 }
 
 TEST(QbsIndexTest, ZeroLandmarksDegeneratesToBiBfs) {
@@ -66,7 +127,7 @@ TEST(QbsIndexTest, ZeroLandmarksDegeneratesToBiBfs) {
   QbsOptions options;
   options.num_landmarks = 0;
   QbsIndex index = QbsIndex::Build(g, options);
-  EXPECT_EQ(index.Query(3, 150), SpgByDoubleBfs(g, 3, 150));
+  EXPECT_EQ(index.Query({3, 150}).spg, SpgByDoubleBfs(g, 3, 150));
   EXPECT_EQ(index.DistanceUpperBound(3, 150), kUnreachable);
 }
 
@@ -86,7 +147,7 @@ TEST(QbsIndexTest, BuildWithExplicitLandmarks) {
   QbsIndex index =
       QbsIndex::BuildWithLandmarks(g, testing::Figure4Landmarks());
   EXPECT_EQ(index.landmarks(), testing::Figure4Landmarks());
-  EXPECT_EQ(index.Query(5, 10), SpgByDoubleBfs(g, 5, 10));
+  EXPECT_EQ(index.Query({5, 10}).spg, SpgByDoubleBfs(g, 5, 10));
 }
 
 // The central correctness property: QbS answers == oracle answers on every
@@ -136,17 +197,18 @@ TEST_P(QbsOracleSweep, MatchesOracleEverywhere) {
 
   const auto pairs = SampleQueryPairs(g, 60, p.seed + 1000);
   for (const auto& [u, v] : pairs) {
-    ASSERT_EQ(index.Query(u, v), SpgByDoubleBfs(g, u, v))
+    ASSERT_EQ(index.Query({u, v}).spg, SpgByDoubleBfs(g, u, v))
         << "family=" << p.family << " u=" << u << " v=" << v;
   }
   // Landmark endpoints are valid queries too.
   for (VertexId r : index.landmarks()) {
-    ASSERT_EQ(index.Query(r, pairs[0].v), SpgByDoubleBfs(g, r, pairs[0].v));
+    ASSERT_EQ(index.Query({r, pairs[0].v}).spg,
+              SpgByDoubleBfs(g, r, pairs[0].v));
   }
   if (index.landmarks().size() >= 2) {
     const VertexId a = index.landmarks()[0];
     const VertexId b = index.landmarks()[1];
-    ASSERT_EQ(index.Query(a, b), SpgByDoubleBfs(g, a, b));
+    ASSERT_EQ(index.Query({a, b}).spg, SpgByDoubleBfs(g, a, b));
   }
 }
 
@@ -181,8 +243,9 @@ TEST(QbsIndexTest, CoverageClassificationMatchesBruteForce) {
   const auto pairs = SampleQueryPairs(g, 80, 22);
   for (const auto& [u, v] : pairs) {
     if (is_landmark[u] || is_landmark[v]) continue;
-    SearchStats stats;
-    const auto spg = index.Query(u, v, &stats);
+    const QueryResponse response = index.Query({u, v});
+    const ShortestPathGraph& spg = response.spg;
+    const SearchStats& stats = response.stats;
     ASSERT_TRUE(spg.Connected());
     // Brute force: does some / every shortest path pass a landmark?
     const auto du = BfsDistances(g, u);

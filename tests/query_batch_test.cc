@@ -33,7 +33,7 @@ TEST(QueryBatchTest, MatchesSequentialQueries) {
   const auto batch = index.QueryBatch(requests, Threads(8));
   ASSERT_EQ(batch.size(), requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_EQ(batch[i].spg, index.Query(requests[i].u, requests[i].v))
+    ASSERT_EQ(batch[i].spg, index.Query({requests[i].u, requests[i].v}).spg)
         << "i=" << i;
   }
 }
@@ -161,27 +161,6 @@ TEST(QueryBatchTest, DuplicateAndSelfPairs) {
   EXPECT_EQ(batch[2].distance(), 0u);
   EXPECT_EQ(batch[3].distance(), batch[0].distance());
 }
-
-// The deprecated pair-based overloads must keep answering identically to
-// the QueryRequest form until they are removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(QueryBatchTest, DeprecatedPairOverloadsStillAgree) {
-  Graph g = BarabasiAlbert(300, 3, 15);
-  QbsOptions options;
-  options.num_landmarks = 8;
-  QbsIndex index = QbsIndex::Build(g, options);
-  const auto sampled = SampleQueryPairs(g, 80, 21);
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  for (const auto& p : sampled) pairs.emplace_back(p.u, p.v);
-  const auto via_pairs = index.QueryBatch(pairs, size_t{4});
-  const auto via_requests = index.QueryBatch(ToRequests(sampled));
-  ASSERT_EQ(via_pairs.size(), via_requests.size());
-  for (size_t i = 0; i < via_pairs.size(); ++i) {
-    EXPECT_EQ(via_pairs[i], via_requests[i].spg) << "i=" << i;
-  }
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace qbs

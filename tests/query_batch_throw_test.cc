@@ -85,7 +85,7 @@ TEST(QueryBatchThrowTest, PoolStableAcrossBatches) {
         << "round " << round;
   }
   for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_EQ(index.Query(requests[i].u, requests[i].v), first[i].spg);
+    ASSERT_EQ(index.Query({requests[i].u, requests[i].v}).spg, first[i].spg);
   }
 }
 

@@ -270,8 +270,8 @@ TEST_F(SerializationTest, IndexSaveLoadQueriesAgree) {
   EXPECT_EQ(loaded->landmarks(), built.landmarks());
   EXPECT_GT(loaded->DeltaSizeBytes(), 0u);  // Δ rebuilt on load
   for (const auto& [u, v] : SampleQueryPairs(g, 40, 3)) {
-    ASSERT_EQ(loaded->Query(u, v), built.Query(u, v));
-    ASSERT_EQ(loaded->Query(u, v), SpgByDoubleBfs(g, u, v));
+    ASSERT_EQ(loaded->Query({u, v}).spg, built.Query({u, v}).spg);
+    ASSERT_EQ(loaded->Query({u, v}).spg, SpgByDoubleBfs(g, u, v));
   }
 }
 
@@ -340,10 +340,10 @@ TEST_F(SerializationTest, LoadsV1FormatFixture) {
   ASSERT_TRUE(index.has_value());
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      SearchStats stats;
-      ASSERT_EQ(index->Query(u, v, &stats), SpgByDoubleBfs(g, u, v))
+      const QueryResponse response = index->Query({u, v});
+      ASSERT_EQ(response.spg, SpgByDoubleBfs(g, u, v))
           << "u=" << u << " v=" << v;
-      ASSERT_EQ(stats.label_short_circuits, 0u);
+      ASSERT_EQ(response.stats.label_short_circuits, 0u);
     }
   }
 }
@@ -361,7 +361,7 @@ TEST_F(SerializationTest, V2RoundTripWithoutMasks) {
   ASSERT_TRUE(loaded.has_value());
   EXPECT_FALSE(loaded->labeling().has_bp_masks());
   for (const auto& [u, v] : SampleQueryPairs(g, 30, 13)) {
-    ASSERT_EQ(loaded->Query(u, v), built.Query(u, v));
+    ASSERT_EQ(loaded->Query({u, v}).spg, built.Query({u, v}).spg);
   }
 }
 

@@ -64,7 +64,7 @@ TEST_F(ServerTest, AnswersMatchTheIndex) {
     ASSERT_EQ(client.Query(QueryRequest(u, v), &response),
               QueryClient::RpcStatus::kOk)
         << client.last_error();
-    EXPECT_EQ(response.spg, index_->Query(u, v)) << u << "," << v;
+    EXPECT_EQ(response.spg, index_->Query({u, v}).spg) << u << "," << v;
   }
 }
 
@@ -107,7 +107,7 @@ TEST_F(ServerTest, DistanceModeOmitsEdges) {
                          &response),
             QueryClient::RpcStatus::kOk);
   EXPECT_TRUE(response.spg.edges.empty());
-  EXPECT_EQ(response.distance(), index_->Query(2, 400).distance);
+  EXPECT_EQ(response.distance(), index_->Query({2, 400}).spg.distance);
 }
 
 TEST_F(ServerTest, VertexOutOfRangeIsARemoteErrorNotACrash) {
@@ -211,7 +211,7 @@ TEST_F(ServerTest, ConcurrentClientsAllGetCorrectAnswers) {
     QueryResponse response;
     ASSERT_EQ(client.Query(QueryRequest(pairs[i].u, pairs[i].v), &response),
               QueryClient::RpcStatus::kOk);
-    EXPECT_EQ(response.spg, index_->Query(pairs[i].u, pairs[i].v));
+    EXPECT_EQ(response.spg, index_->Query({pairs[i].u, pairs[i].v}).spg);
   }
 }
 

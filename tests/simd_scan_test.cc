@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <iterator>
 #include <random>
 #include <string>
@@ -225,31 +224,26 @@ TEST(SimdScanDispatch, SetActiveKernelOverridesAndRestores) {
   EXPECT_EQ(ActiveScanKernel(), before);
 }
 
-// The forced-scalar index option and the scalar fallback answer queries
-// correctly even when a faster kernel is available (this is what a
-// non-AVX2 machine runs unconditionally).
+// The scalar fallback answers queries identically even when a faster
+// kernel is available (this is what a non-AVX2 machine runs
+// unconditionally). The kernel switch is process-wide, so the same index
+// answers under both.
 TEST(SimdScanDispatch, ScalarFallbackServesIdenticalQueries) {
   Graph g = BarabasiAlbert(300, 3, 7);
   QbsOptions options;
   options.num_landmarks = 10;
-  QbsIndex fast = QbsIndex::Build(g, options);
+  const QbsIndex index = QbsIndex::Build(g, options);
   std::vector<QueryPair> pairs = SampleQueryPairs(g, 60, 7);
   std::vector<ShortestPathGraph> expected;
   expected.reserve(pairs.size());
-  for (const auto& [u, v] : pairs) expected.push_back(fast.Query(u, v));
+  for (const auto& [u, v] : pairs) expected.push_back(index.Query({u, v}).spg);
 
-  QbsOptions scalar_options = options;
-  scalar_options.force_scalar_scan = true;
-  QbsIndex scalar = QbsIndex::Build(g, scalar_options);
-  EXPECT_EQ(ActiveScanKernel(), ScanKernel::kScalar);
+  ScopedScanKernel force(ScanKernel::kScalar);
+  ASSERT_EQ(ActiveScanKernel(), ScanKernel::kScalar);
   for (size_t i = 0; i < pairs.size(); ++i) {
-    ASSERT_EQ(scalar.Query(pairs[i].u, pairs[i].v), expected[i])
+    ASSERT_EQ(index.Query({pairs[i].u, pairs[i].v}).spg, expected[i])
         << "u=" << pairs[i].u << " v=" << pairs[i].v;
   }
-  // Restore the dispatch-resolved kernel (honoring QBS_FORCE_SCALAR_SCAN,
-  // so the forced-scalar CI leg stays forced) for the rest of the suite.
-  SetActiveScanKernel(
-      ResolveScanKernel(CpuHasAvx2(), std::getenv("QBS_FORCE_SCALAR_SCAN")));
 }
 
 // --- Differential bit-identity over generated row families. ---

@@ -26,7 +26,7 @@ TEST(SpgValidateTest, AcceptsQbsAnswers) {
   options.num_landmarks = 10;
   QbsIndex index = QbsIndex::Build(g, options);
   for (const auto& [u, v] : SampleQueryPairs(g, 50, 2)) {
-    const auto r = ValidateShortestPathGraph(g, index.Query(u, v));
+    const auto r = ValidateShortestPathGraph(g, index.Query({u, v}).spg);
     ASSERT_TRUE(r.ok) << r.error;
   }
 }

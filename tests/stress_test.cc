@@ -55,7 +55,7 @@ TEST_P(ExhaustiveAllPairs, QbsEqualsOracleOnEveryPair) {
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
       const auto dist_v = BfsDistances(g, v);
       const auto want = SpgFromDistances(g, u, v, dist_u, dist_v);
-      ASSERT_EQ(index.Query(u, v), want)
+      ASSERT_EQ(index.Query({u, v}).spg, want)
           << "n=" << p.n << " seed=" << p.seed << " u=" << u << " v=" << v;
     }
   }
@@ -91,11 +91,11 @@ TEST(StressTest, DumbbellBridge) {
   QbsIndex index = QbsIndex::Build(g, options);
   for (VertexId u = 0; u < 16; ++u) {
     for (VertexId v = 0; v < 16; ++v) {
-      ASSERT_EQ(index.Query(u, v), SpgByDoubleBfs(g, u, v));
+      ASSERT_EQ(index.Query({u, v}).spg, SpgByDoubleBfs(g, u, v));
     }
   }
   // The bridge vertices are on all shortest 3 -> 13 paths.
-  const auto spg = index.Query(3, 13);
+  const auto spg = index.Query({3, 13}).spg;
   const auto critical = spg.CriticalVertices();
   EXPECT_NE(std::find(critical.begin(), critical.end(), 7u), critical.end());
 }
@@ -119,10 +119,10 @@ TEST(StressTest, LandmarksStrandedInOtherComponent) {
   for (VertexId r : index.landmarks()) EXPECT_LT(r, 30u);
   for (VertexId u = 30; u < 35; ++u) {
     for (VertexId v = 30; v < 35; ++v) {
-      ASSERT_EQ(index.Query(u, v), SpgByDoubleBfs(g, u, v));
+      ASSERT_EQ(index.Query({u, v}).spg, SpgByDoubleBfs(g, u, v));
     }
     // Cross-component queries are disconnected.
-    EXPECT_FALSE(index.Query(u, 0).Connected());
+    EXPECT_FALSE(index.Query({u, 0}).spg.Connected());
   }
 }
 
@@ -131,11 +131,11 @@ TEST(StressTest, RepeatedQueriesAreIdempotent) {
   QbsOptions options;
   options.num_landmarks = 10;
   QbsIndex index = QbsIndex::Build(g, options);
-  const auto first = index.Query(5, 150);
+  const auto first = index.Query({5, 150}).spg;
   for (int i = 0; i < 50; ++i) {
-    ASSERT_EQ(index.Query(5, 150), first);
+    ASSERT_EQ(index.Query({5, 150}).spg, first);
     // Interleave other queries to perturb the scratch state.
-    index.Query(static_cast<VertexId>(i), static_cast<VertexId>(199 - i));
+    index.Query({static_cast<VertexId>(i), static_cast<VertexId>(199 - i)});
   }
 }
 
@@ -163,14 +163,14 @@ TEST(StressTest, AllBaselinesAgreeOnNastyGraph) {
   for (VertexId u = 0; u < 20; ++u) {
     for (VertexId v = 0; v < 20; ++v) {
       const auto want = SpgByDoubleBfs(g, u, v);
-      ASSERT_EQ(qbs.Query(u, v), want);
+      ASSERT_EQ(qbs.Query({u, v}).spg, want);
       ASSERT_EQ(bibfs.Query(u, v), want);
       ASSERT_EQ(ppl->QuerySpg(u, v), want);
       ASSERT_EQ(pppl->QuerySpg(u, v), want);
     }
   }
   // 4 layers of complete bipartite K4,4: 4^3 = 64 corner-to-corner paths.
-  EXPECT_EQ(qbs.Query(0, 16).CountShortestPaths(), 64u);
+  EXPECT_EQ(qbs.Query({0, 16}).spg.CountShortestPaths(), 64u);
 }
 
 TEST(StressTest, HighDiameterWithFewLandmarks) {
@@ -181,10 +181,10 @@ TEST(StressTest, HighDiameterWithFewLandmarks) {
   options.num_landmarks = 3;
   QbsIndex index = QbsIndex::Build(g, options);
   for (VertexId v : {1u, 75u, 149u, 150u, 151u, 299u}) {
-    ASSERT_EQ(index.Query(0, v), SpgByDoubleBfs(g, 0, v)) << v;
+    ASSERT_EQ(index.Query({0, v}).spg, SpgByDoubleBfs(g, 0, v)) << v;
   }
   // Antipodal pair on an even cycle: exactly two shortest paths.
-  EXPECT_EQ(index.Query(0, 150).CountShortestPaths(), 2u);
+  EXPECT_EQ(index.Query({0, 150}).spg.CountShortestPaths(), 2u);
 }
 
 }  // namespace
