@@ -150,21 +150,19 @@ void RunBitParallelAblation() {
 
 // Label-scan kernel ablation: the per-query fused row merge (the dense
 // O(|R|) inner loop of ComputeLabelBound) timed per kernel — scalar
-// reference, the SIMD kernel the dispatcher picked for this CPU, and the
-// batched kScanBatch-pair interleaved sweep. Reports ms per bound (all
-// three "(ms)" columns ride the CI bench_compare gate), ns per row
-// scanned, and batched bound throughput. The checksums double as a free
+// reference and the SIMD kernel the dispatcher picked for this CPU.
+// Reports ms per bound (both "(ms)" columns ride the CI bench_compare
+// gate) and ns per row scanned. The checksums double as a free
 // differential check: the kernels are bit-identical by contract, so any
 // mismatch is printed loudly.
 void RunLabelScanKernelAblation() {
-  std::printf("Label-scan kernels: scalar vs %s vs batched row sweep, "
+  std::printf("Label-scan kernels: scalar vs %s row scan, "
               "|R| = 20, %zu pairs\n",
               ScanOpsFor(ScanKernel::kAvx2).name, EnvPairs());
   TablePrinter table("Label-scan kernels",
-                     {"Dataset", "scal(ms)", "simd(ms)", "batch(ms)",
-                      "spdup", "b.spdup", "ns/r.s", "ns/r.v", "ns/r.b",
-                      "kq/s.b"},
-                     {12, 10, 10, 10, 7, 8, 8, 8, 8, 9});
+                     {"Dataset", "scal(ms)", "simd(ms)", "spdup", "ns/r.s",
+                      "ns/r.v"},
+                     {12, 10, 10, 7, 8, 8});
   for (const auto& ref : SelectedBenchDatasets()) {
     const LoadedDataset d = LoadDataset(ref);
     const Graph& g = d.graph;
@@ -190,55 +188,33 @@ void RunLabelScanKernelAblation() {
     const double calls = static_cast<double>(reps * us.size());
     const double rows = calls * 2.0;
 
-    const ScanOps& scalar_ops = ScalarScanOps();
-    const ScanOps& simd_ops = ScanOpsFor(ScanKernel::kAvx2);
-    std::vector<LabelBound> batch(us.size());
-
-    uint64_t sink[3] = {0, 0, 0};
-    WallTimer timer;
-    for (size_t r = 0; r < reps; ++r) {
-      for (size_t i = 0; i < us.size(); ++i) {
-        const LabelBound b =
-            ComputeLabelBoundRows(l, us[i], vs[i], kUnreachable, scalar_ops);
-        sink[0] += b.lower + b.upper;
+    const ScanOps* kernels[2] = {&ScalarScanOps(),
+                                 &ScanOpsFor(ScanKernel::kAvx2)};
+    double ms[2] = {0.0, 0.0};
+    uint64_t sink[2] = {0, 0};
+    for (int k = 0; k < 2; ++k) {
+      WallTimer timer;
+      for (size_t r = 0; r < reps; ++r) {
+        for (size_t i = 0; i < us.size(); ++i) {
+          const LabelBound b = ComputeLabelBoundRows(l, us[i], vs[i],
+                                                     kUnreachable, *kernels[k]);
+          sink[k] += b.lower + b.upper;
+        }
       }
+      ms[k] = timer.ElapsedMillis();
     }
-    const double ms_scalar = timer.ElapsedMillis();
 
-    timer.Reset();
-    for (size_t r = 0; r < reps; ++r) {
-      for (size_t i = 0; i < us.size(); ++i) {
-        const LabelBound b =
-            ComputeLabelBoundRows(l, us[i], vs[i], kUnreachable, simd_ops);
-        sink[1] += b.lower + b.upper;
-      }
-    }
-    const double ms_simd = timer.ElapsedMillis();
-
-    timer.Reset();
-    for (size_t r = 0; r < reps; ++r) {
-      ComputeLabelBoundRowsBatch(l, us.data(), vs.data(), us.size(),
-                                 kUnreachable, batch.data(), simd_ops);
-      for (const LabelBound& b : batch) sink[2] += b.lower + b.upper;
-    }
-    const double ms_batch = timer.ElapsedMillis();
-
-    if (sink[0] != sink[1] || sink[0] != sink[2]) {
+    if (sink[0] != sink[1]) {
       std::printf("  WARNING: kernel checksum mismatch on %s "
-                  "(scalar %llu, simd %llu, batch %llu)\n",
+                  "(scalar %llu, simd %llu)\n",
                   d.spec.abbrev.c_str(),
                   static_cast<unsigned long long>(sink[0]),
-                  static_cast<unsigned long long>(sink[1]),
-                  static_cast<unsigned long long>(sink[2]));
+                  static_cast<unsigned long long>(sink[1]));
     }
-    table.Row({d.spec.abbrev, FormatMs(ms_scalar / calls),
-               FormatMs(ms_simd / calls), FormatMs(ms_batch / calls),
-               FormatDouble(ms_simd > 0 ? ms_scalar / ms_simd : 0.0, 2),
-               FormatDouble(ms_batch > 0 ? ms_scalar / ms_batch : 0.0, 2),
-               FormatDouble(ms_scalar * 1e6 / rows, 1),
-               FormatDouble(ms_simd * 1e6 / rows, 1),
-               FormatDouble(ms_batch * 1e6 / rows, 1),
-               FormatDouble(ms_batch > 0 ? calls / ms_batch : 0.0, 0)});
+    table.Row({d.spec.abbrev, FormatMs(ms[0] / calls), FormatMs(ms[1] / calls),
+               FormatDouble(ms[1] > 0 ? ms[0] / ms[1] : 0.0, 2),
+               FormatDouble(ms[0] * 1e6 / rows, 1),
+               FormatDouble(ms[1] * 1e6 / rows, 1)});
   }
   table.Footer();
 }

@@ -22,6 +22,10 @@ formatter truncates sub-resolution timings to 0.00, and flagging
 granularity — and non-finite values (inf/nan from a crashed or division-
 degenerate bench cell) are equally meaningless to gate on.
 
+Rows pair by their table's full header, so a table whose columns changed
+matches nothing in the baseline; each such baseline table gets one warning
+line and is not compared (the exit code is unaffected).
+
 A missing or unreadable *baseline* is not an error: the first run on a
 fresh branch has no artifact to compare against, so the script warns and
 passes (exit 0). A missing *current* dump is still an error — the bench
@@ -93,6 +97,13 @@ def main():
         if "(s)" in col:
             return "construction", args.min_s
         return None
+
+    cur_headers = {header for header, _ in cur}
+    for header in sorted({header for header, _ in base} - cur_headers):
+        print(f"bench_compare: warning: baseline table "
+              f"[{','.join(header)}] has no matching table in the current "
+              "dump (header changed or table removed); not compared",
+              file=sys.stderr)
 
     compared = 0
     regressions = []

@@ -108,6 +108,19 @@ class BenchCompareTest(unittest.TestCase):
         code, out = run_compare(base, cur)
         self.assertEqual(code, 0, out)
 
+    def test_changed_table_header_warns_once_and_passes(self):
+        # A removed column changes the header tuple: the baseline table no
+        # longer matches anything, which must be reported, not silent.
+        other = table(["DO,1.00"], header="Dataset,td(ms)")
+        base = table(["DO,0.100,0.050,2.00"],
+                     header="Dataset,scal(ms),batch(ms),b.build(s)") + other
+        cur = table(["DO,0.900,2.00"],
+                    header="Dataset,scal(ms),b.build(s)") + other
+        code, out = run_compare(base, cur)
+        self.assertEqual(code, 0, out)
+        self.assertEqual(out.count("no matching table"), 1, out)
+        self.assertIn("[Dataset,scal(ms),batch(ms),b.build(s)]", out)
+
     def test_noise_floor_suppresses_tiny_absolute_increase(self):
         # 3x ratio but only +0.0006ms: below --min-ms, so not a regression.
         base = table(["DO,0.0003,2.00,55.0"])

@@ -31,9 +31,9 @@ ShortestPathGraph GuidedSearcher::Query(VertexId u, VertexId v,
                                         SearchStats* stats,
                                         const LabelBound* certify) {
   if (u != v && labeling_.has_bp_masks()) {
-    // Certify-level bound: handed in by a batch caller (who computed it
-    // through the SIMD batch kernel), or one kernel-dispatched fused row
-    // scan here. Certified pairs finish without ever scanning candidates.
+    // Certify-level bound: handed in by a caller that timed it separately,
+    // or one kernel-dispatched fused row scan here. Certified pairs finish
+    // without ever scanning candidates.
     const LabelBound bound =
         certify != nullptr
             ? *certify

@@ -60,9 +60,8 @@ class GuidedSearcher {
   // runs the guided search. `stats`, if non-null, receives the per-query
   // counters. `certify`, if non-null, must be
   // ComputeLabelBound(labeling, meta, u, v, /*refine_cutoff=*/2) for this
-  // exact pair — batch callers (QbsIndex::QueryBatch) precompute it through
-  // the SIMD batch kernel so the fast-path check costs no per-query row
-  // scan here.
+  // exact pair; callers that time the certify scan on its own pass it in
+  // so it is not scanned twice.
   ShortestPathGraph Query(VertexId u, VertexId v, SearchStats* stats = nullptr,
                           const LabelBound* certify = nullptr);
 
@@ -82,7 +81,7 @@ class GuidedSearcher {
 
  private:
   // The label-certified d <= 2 fast path. `bound` is the pair's certify
-  // bound (refine_cutoff 2), computed by Query() or handed in by a batch
+  // bound (refine_cutoff 2), computed by Query() or handed in by the
   // caller. Returns true and fills *result (an exact SPG) when it
   // certifies d(u, v) <= 2; the SPG is then a single edge probe or a
   // sorted-adjacency intersection away — no sketch, search, reverse, or

@@ -62,14 +62,6 @@ void RowBoundScalar(const DistT* ru, const DistT* rv, uint32_t lanes,
   agg->sum_min = any ? sum_min : kUnreachable;
 }
 
-void RowBoundBatchScalar(RowBoundTask* tasks, size_t n, uint32_t lanes,
-                         uint16_t gate_limit) {
-  for (size_t p = 0; p < n; ++p) {
-    RowBoundScalar(tasks[p].ru, tasks[p].rv, lanes, gate_limit, &tasks[p].agg,
-                   tasks[p].gate_words);
-  }
-}
-
 void RowCandidatesScalar(const DistT* row, uint32_t lanes,
                          std::vector<SketchAnchor>* out) {
   for (uint32_t i = 0; i < lanes; ++i) {
@@ -94,9 +86,8 @@ bool LowerExceedsScalar(const DistT* rx, const DistT* ro, const BpMask* mx,
   return false;
 }
 
-const ScanOps kScalarOps = {ScanKernel::kScalar,  "scalar",
-                            RowBoundScalar,       RowBoundBatchScalar,
-                            RowCandidatesScalar,  LowerExceedsScalar};
+const ScanOps kScalarOps = {ScanKernel::kScalar, "scalar", RowBoundScalar,
+                            RowCandidatesScalar, LowerExceedsScalar};
 
 #if QBS_HAVE_AVX2_KERNELS
 
@@ -128,8 +119,7 @@ __attribute__((target("avx2"))) inline uint16_t HMaxEpu16(__m256i v) {
   return static_cast<uint16_t>(0xFFFFu - HMinEpu16(inv));
 }
 
-// One 16-lane block of the fused two-row scan; shared by the single-pair
-// and batched kernels so they stay bit-identical by construction.
+// One 16-lane block of the fused two-row scan.
 __attribute__((target("avx2"))) inline void RowBoundBlockAvx2(
     const DistT* ru, const DistT* rv, uint32_t i, __m256i vgate,
     __m256i* vbase, __m256i* vmin, __m256i* vany, uint64_t* gate_words) {
@@ -213,36 +203,6 @@ __attribute__((target("avx2"))) void RowBoundAvx2(const DistT* ru,
   RowBoundFinalizeAvx2(ru, rv, lanes, vbase, vmin, vany, agg);
 }
 
-// The batched variant interleaves pairs within each 16-lane block: when
-// several in-flight queries share an endpoint (hot vertices under Zipfian
-// load) or their rows share cache lines, the block stays in L1 across all
-// pairs instead of being re-fetched per query.
-__attribute__((target("avx2"))) void RowBoundBatchAvx2(RowBoundTask* tasks,
-                                                       size_t n,
-                                                       uint32_t lanes,
-                                                       uint16_t gate_limit) {
-  QBS_DCHECK(n <= kScanBatch);
-  const __m256i vgate = _mm256_set1_epi16(static_cast<short>(gate_limit));
-  __m256i vbase[kScanBatch];
-  __m256i vmin[kScanBatch];
-  __m256i vany[kScanBatch];
-  for (size_t p = 0; p < n; ++p) {
-    vbase[p] = _mm256_setzero_si256();
-    vmin[p] = _mm256_set1_epi16(-1);
-    vany[p] = _mm256_setzero_si256();
-  }
-  for (uint32_t i = 0; i < lanes; i += 16) {
-    for (size_t p = 0; p < n; ++p) {
-      RowBoundBlockAvx2(tasks[p].ru, tasks[p].rv, i, vgate, &vbase[p],
-                        &vmin[p], &vany[p], tasks[p].gate_words);
-    }
-  }
-  for (size_t p = 0; p < n; ++p) {
-    RowBoundFinalizeAvx2(tasks[p].ru, tasks[p].rv, lanes, vbase[p], vmin[p],
-                         vany[p], &tasks[p].agg);
-  }
-}
-
 __attribute__((target("avx2"))) void RowCandidatesAvx2(
     const DistT* row, uint32_t lanes, std::vector<SketchAnchor>* out) {
   const __m256i inf = _mm256_set1_epi16(-1);
@@ -298,9 +258,8 @@ __attribute__((target("avx2"))) bool LowerExceedsAvx2(
   return false;
 }
 
-const ScanOps kAvx2Ops = {ScanKernel::kAvx2,  "avx2",
-                          RowBoundAvx2,       RowBoundBatchAvx2,
-                          RowCandidatesAvx2,  LowerExceedsAvx2};
+const ScanOps kAvx2Ops = {ScanKernel::kAvx2, "avx2", RowBoundAvx2,
+                          RowCandidatesAvx2, LowerExceedsAvx2};
 
 #endif  // QBS_HAVE_AVX2_KERNELS
 
@@ -451,45 +410,6 @@ LabelBound ComputeLabelBoundRows(const PathLabeling& labeling, VertexId u,
                                  VertexId v, uint32_t refine_cutoff) {
   return ComputeLabelBoundRows(labeling, u, v, refine_cutoff,
                                ActiveScanOps());
-}
-
-void ComputeLabelBoundRowsBatch(const PathLabeling& labeling,
-                                const VertexId* us, const VertexId* vs,
-                                size_t n, uint32_t refine_cutoff,
-                                LabelBound* bounds, const ScanOps& ops) {
-  const uint32_t lanes = labeling.row_stride();
-  const bool bp = labeling.has_bp_masks() && lanes > 0;
-  const uint32_t max_refinable = MaxRefinable(refine_cutoff);
-  const uint16_t gate_limit = GateLimit16(max_refinable);
-  const uint32_t nwords = GateWordCount(lanes);
-  uint64_t stack_words[kScanBatch * kMaxStackWords];
-  std::vector<uint64_t> heap_words;
-  for (size_t begin = 0; begin < n; begin += kScanBatch) {
-    const size_t group = std::min(kScanBatch, n - begin);
-    uint64_t* words = nullptr;
-    if (bp) {
-      if (nwords <= kMaxStackWords) {
-        std::fill(stack_words, stack_words + group * nwords, 0);
-        words = stack_words;
-      } else {
-        heap_words.assign(group * nwords, 0);
-        words = heap_words.data();
-      }
-    }
-    RowBoundTask tasks[kScanBatch];
-    for (size_t p = 0; p < group; ++p) {
-      tasks[p].ru = labeling.Row(us[begin + p]);
-      tasks[p].rv = labeling.Row(vs[begin + p]);
-      tasks[p].gate_words = bp ? words + p * nwords : nullptr;
-    }
-    ops.row_bound_batch(tasks, group, lanes, gate_limit);
-    for (size_t p = 0; p < group; ++p) {
-      bounds[begin + p] = FinishRowBound(
-          tasks[p].agg, tasks[p].gate_words, lanes, tasks[p].ru, tasks[p].rv,
-          bp ? labeling.BpRow(us[begin + p]) : nullptr,
-          bp ? labeling.BpRow(vs[begin + p]) : nullptr, max_refinable);
-    }
-  }
 }
 
 bool RowLowerBoundExceeds(const PathLabeling& labeling, VertexId x,

@@ -5,9 +5,9 @@
 // search's per-frontier-vertex lower-bound check — is a dense O(|R|) loop
 // executed on every query. This header vectorizes all three with AVX2
 // (min-plus over du+dv for the upper bound, max-abs-diff over |du-dv| for
-// the lower bound, movemask for presence and refine-gate bits), plus a
-// batched variant that streams up to kScanBatch query pairs through one
-// interleaved row sweep for cache reuse.
+// the lower bound, movemask for presence and refine-gate bits). Each pair
+// is scanned on its own, once per query; an interleaved multi-pair sweep
+// did not make QueryBatch faster end to end.
 //
 // Bit-identity contract: every kernel produces byte-identical results to
 // the scalar reference on every input (tests/simd_scan_test.cc asserts
@@ -40,7 +40,6 @@
 #ifndef QBS_CORE_LABEL_SCAN_H_
 #define QBS_CORE_LABEL_SCAN_H_
 
-#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -62,10 +61,6 @@ enum class ScanKernel : uint8_t {
   kAvx2 = 1,
 };
 
-/// Pairs processed per batched row sweep (the "stream 4-8 queries through
-/// one scan" unit). Also the server's degraded-path drain cap.
-inline constexpr size_t kScanBatch = 8;
-
 /// Order-independent aggregates of one fused two-row scan, prior to the
 /// mask post-pass. sum_min is EXACT (32-bit; kernels recompute on
 /// saturation), so FinishRowBound never needs the rows for the unrefined
@@ -74,14 +69,6 @@ struct RowAgg {
   uint32_t base_max = 0;            ///< max |du - dv| over shared lanes
   uint32_t sum_min = kUnreachable;  ///< min du + dv over shared lanes
   bool any = false;                 ///< any lane present in both rows
-};
-
-/// One pair's slice of a batched row-bound sweep.
-struct RowBoundTask {
-  const DistT* ru = nullptr;
-  const DistT* rv = nullptr;
-  RowAgg agg;
-  uint64_t* gate_words = nullptr;  ///< null = skip gate bits (no masks)
 };
 
 /// The kernel table. `lanes` is always the padded row stride (a multiple
@@ -96,10 +83,6 @@ struct ScanOps {
   /// Fused two-row aggregate + refine-gate bits.
   void (*row_bound)(const DistT* ru, const DistT* rv, uint32_t lanes,
                     uint16_t gate_limit, RowAgg* agg, uint64_t* gate_words);
-  /// Batched row_bound over tasks[0..n): identical per-task results, one
-  /// interleaved sweep so shared row blocks stay cache-hot.
-  void (*row_bound_batch)(RowBoundTask* tasks, size_t n, uint32_t lanes,
-                          uint16_t gate_limit);
   /// Appends SketchAnchor{i, row[i]} for every present lane, ascending i.
   void (*row_candidates)(const DistT* row, uint32_t lanes,
                          std::vector<SketchAnchor>* out);
@@ -151,13 +134,6 @@ LabelBound ComputeLabelBoundRows(const PathLabeling& labeling, VertexId u,
                                  const ScanOps& ops);
 LabelBound ComputeLabelBoundRows(const PathLabeling& labeling, VertexId u,
                                  VertexId v, uint32_t refine_cutoff);
-
-/// Batched ComputeLabelBoundRows: bounds[i] for the NON-landmark pairs
-/// (us[i], vs[i]), one interleaved sweep per kScanBatch group.
-void ComputeLabelBoundRowsBatch(const PathLabeling& labeling,
-                                const VertexId* us, const VertexId* vs,
-                                size_t n, uint32_t refine_cutoff,
-                                LabelBound* bounds, const ScanOps& ops);
 
 /// The guided search's per-frontier-vertex prune check (see
 /// GuidedSearcher::LabelLowerBoundExceeds): true iff the label rows of x

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "core/label_scan.h"
 #include "core/serialization.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
@@ -146,50 +145,6 @@ std::vector<QueryResponse> QbsIndex::QueryBatch(
   std::vector<QueryResponse> results(requests.size());
   const size_t workers = std::min(EffectiveThreads(options.num_threads),
                                   std::max<size_t>(requests.size(), 1));
-  // Certify pre-pass: stream every eligible pair's fast-path bound
-  // (refine_cutoff 2) through the batched SIMD row sweep, kScanBatch pairs
-  // per interleaved scan, before fanning the queries out. Workers then
-  // skip their per-query certify row scan; certified d <= 2 pairs (the
-  // bulk of small-world workloads) never touch their label rows again.
-  std::vector<LabelBound> certify_bounds;
-  std::vector<const LabelBound*> certify(requests.size(), nullptr);
-  bool have_certify = false;
-  if (scheme_->labeling.has_bp_masks() && requests.size() >= 2) {
-    const VertexId n = g_->NumVertices();
-    std::vector<size_t> idx;
-    std::vector<VertexId> us;
-    std::vector<VertexId> vs;
-    idx.reserve(requests.size());
-    us.reserve(requests.size());
-    vs.reserve(requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      const QueryRequest& r = requests[i];
-      // Out-of-range pairs are left for Execute's range CHECK; identical
-      // pairs never consult the certify bound.
-      if (r.u == r.v || r.u >= n || r.v >= n) continue;
-      idx.push_back(i);
-      us.push_back(r.u);
-      vs.push_back(r.v);
-    }
-    if (!idx.empty()) {
-      certify_bounds.resize(idx.size());
-      const size_t blocks = (idx.size() + kScanBatch - 1) / kScanBatch;
-      ParallelForOptions pre;
-      pre.num_threads = workers;
-      ParallelFor(blocks, pre, [&](size_t b, size_t) {
-        const size_t begin = b * kScanBatch;
-        const size_t count = std::min(kScanBatch, idx.size() - begin);
-        ComputeLabelBoundsBatch(scheme_->labeling, scheme_->meta,
-                                us.data() + begin, vs.data() + begin, count,
-                                /*refine_cutoff=*/2,
-                                certify_bounds.data() + begin);
-      });
-      for (size_t j = 0; j < idx.size(); ++j) {
-        certify[idx[j]] = &certify_bounds[j];
-      }
-      have_certify = true;
-    }
-  }
   // One searcher per worker, checked out of the persistent pool (topped up
   // to `workers` if needed); all share the labelling, meta-graph, D cache,
   // and the materialized sparsified graph (read-only). The RAII lease
@@ -201,8 +156,7 @@ std::vector<QueryResponse> QbsIndex::QueryBatch(
   pf.num_threads = workers;
   pf.grain = options.grain;
   ParallelFor(requests.size(), pf, [&](size_t i, size_t worker) {
-    results[i] = Execute(lease[worker], requests[i],
-                         have_certify ? certify[i] : nullptr);
+    results[i] = Execute(lease[worker], requests[i]);
   });
   return results;
 }

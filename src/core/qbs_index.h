@@ -125,9 +125,11 @@ class QbsIndex {
   /// SearcherLease); the primitive Query() and QueryBatch are built on.
   /// Thread-safe as long as each searcher is used by one thread at a time.
   /// `certify`, if non-null, is the request pair's precomputed certify
-  /// bound — ComputeLabelBound(labeling, meta, u, v, 2) — which QueryBatch
-  /// computes through the SIMD batch kernel (ComputeLabelBoundsBatch) so
-  /// workers skip the per-query fast-path row scan.
+  /// bound — ComputeLabelBound(labeling, meta, u, v, 2) — used in place of
+  /// the searcher's own label scan. Query() and QueryBatch pass null and
+  /// scan once inside GuidedSearcher::Query; the parameter exists so a
+  /// profiler (bench_e2e) can time the certify scan apart from the rest of
+  /// the query.
   QueryResponse Execute(GuidedSearcher& searcher, const QueryRequest& request,
                         const LabelBound* certify = nullptr) const;
 

@@ -212,38 +212,6 @@ LabelBound ComputeLabelBound(const PathLabeling& labeling,
   return ComputeLabelBoundRows(labeling, u, v, refine_cutoff);
 }
 
-void ComputeLabelBoundsBatch(const PathLabeling& labeling,
-                             const MetaGraph& meta, const VertexId* us,
-                             const VertexId* vs, size_t n,
-                             uint32_t refine_cutoff, LabelBound* bounds) {
-  // Split off pairs needing the scalar special cases; everything else
-  // streams through the interleaved batch kernel.
-  std::vector<size_t> row_idx;
-  std::vector<VertexId> row_us;
-  std::vector<VertexId> row_vs;
-  row_idx.reserve(n);
-  row_us.reserve(n);
-  row_vs.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (labeling.IsLandmark(us[i]) || labeling.IsLandmark(vs[i])) {
-      bounds[i] = ComputeLabelBound(labeling, meta, us[i], vs[i],
-                                    refine_cutoff);
-    } else {
-      row_idx.push_back(i);
-      row_us.push_back(us[i]);
-      row_vs.push_back(vs[i]);
-    }
-  }
-  if (row_idx.empty()) return;
-  std::vector<LabelBound> row_bounds(row_idx.size());
-  ComputeLabelBoundRowsBatch(labeling, row_us.data(), row_vs.data(),
-                             row_idx.size(), refine_cutoff, row_bounds.data(),
-                             ActiveScanOps());
-  for (size_t j = 0; j < row_idx.size(); ++j) {
-    bounds[row_idx[j]] = row_bounds[j];
-  }
-}
-
 void ComputeSketchMetaEdges(const MetaGraph& meta, Sketch* sketch,
                             SketchScratch* scratch) {
   // One sweep over the meta-edges, testing membership in any minimizing

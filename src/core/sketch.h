@@ -154,16 +154,6 @@ LabelBound ComputeLabelBound(const PathLabeling& labeling,
                              const MetaGraph& meta, VertexId u, VertexId v,
                              uint32_t refine_cutoff = kUnreachable);
 
-/// Batched ComputeLabelBound: bounds[i] for the pair (us[i], vs[i]), each
-/// with us[i] != vs[i]. Non-landmark pairs stream through the active SIMD
-/// kernel's interleaved batch sweep (core/label_scan.h) in kScanBatch
-/// groups; pairs with a landmark endpoint take the scalar special cases.
-/// Results are identical to n calls of ComputeLabelBound.
-void ComputeLabelBoundsBatch(const PathLabeling& labeling,
-                             const MetaGraph& meta, const VertexId* us,
-                             const VertexId* vs, size_t n,
-                             uint32_t refine_cutoff, LabelBound* bounds);
-
 /// As ComputeLabelBound for non-landmark-pair queries, over candidate rows
 /// already produced by ComputeAnchorCandidatesInto(u) / (v) — a sorted
 /// merge on landmark index, no label-row re-scan. (A landmark endpoint is

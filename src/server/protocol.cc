@@ -131,11 +131,13 @@ bool DecodeQueryRequest(std::span<const uint8_t> payload, QueryRequest* out) {
   const uint8_t mode = payload[8];
   if (mode > static_cast<uint8_t>(QueryMode::kSpg)) return false;
   if (payload[9] != 0 || payload[10] != 0 || payload[11] != 0) return false;
+  const uint32_t flags = Get32(payload.data() + 16);
+  if ((flags & ~kQueryFlagNoCache) != 0) return false;
   out->u = Get32(payload.data());
   out->v = Get32(payload.data() + 4);
   out->mode = static_cast<QueryMode>(mode);
   out->budget = Get32(payload.data() + 12);
-  out->flags = Get32(payload.data() + 16);
+  out->flags = flags;
   out->deadline_ms = Get32(payload.data() + 20);
   return true;
 }

@@ -133,7 +133,8 @@ class FrameReader {
 // the span.
 
 /// 24-byte fixed layout: u32 u, u32 v, u8 mode, 3 reserved bytes (must be
-/// 0), u32 budget, u32 flags, u32 deadline_ms.
+/// 0), u32 budget, u32 flags (kQueryFlag* only; unknown bits reject, so
+/// the server answers kBadRequest), u32 deadline_ms.
 std::vector<uint8_t> EncodeQueryRequest(const QueryRequest& request);
 bool DecodeQueryRequest(std::span<const uint8_t> payload, QueryRequest* out);
 

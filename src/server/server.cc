@@ -5,10 +5,8 @@
 #include <chrono>
 #include <cstring>
 #include <limits>
-#include <optional>
 #include <thread>
 
-#include "core/label_scan.h"
 #include "core/sketch.h"
 
 namespace qbs::server {
@@ -293,7 +291,7 @@ void QueryServer::HandleConnection(int fd, uint64_t conn_id) {
           open = false;
           break;
         }
-        if (!HandleFrame(sock, injector.get(), &reader, frame)) {
+        if (!HandleFrame(sock, injector.get(), frame)) {
           open = false;
           break;
         }
@@ -313,7 +311,7 @@ void QueryServer::HandleConnection(int fd, uint64_t conn_id) {
 }
 
 bool QueryServer::HandleFrame(Socket& sock, FaultInjector* injector,
-                              FrameReader* reader, const Frame& frame) {
+                              const Frame& frame) {
   switch (frame.type) {
     case FrameType::kPing:
       return SendFrame(sock, FrameType::kPong, {});
@@ -340,7 +338,7 @@ bool QueryServer::HandleFrame(Socket& sock, FaultInjector* injector,
                          "vertex id out of range (|V| = " +
                              std::to_string(num_vertices_) + ")");
       }
-      return ServeQuery(sock, injector, reader, request);
+      return ServeQuery(sock, injector, request);
     }
     case FrameType::kUpdateRequest: {
       if (!options_.allow_updates) {
@@ -370,7 +368,6 @@ bool QueryServer::HandleFrame(Socket& sock, FaultInjector* injector,
 }
 
 bool QueryServer::ServeQuery(Socket& sock, FaultInjector* injector,
-                             FrameReader* reader,
                              const QueryRequest& request) {
   const DeadlineTracker deadline(request.deadline_ms);
   // Boundary 1: on receipt. deadline_ms == 0 ("already expired") lands
@@ -385,7 +382,7 @@ bool QueryServer::ServeQuery(Socket& sock, FaultInjector* injector,
   // labelling alone instead of joining the admission queue.
   if (options_.degrade_after_inflight > 0 &&
       gate_.inflight() >= options_.degrade_after_inflight) {
-    return ServeDegraded(sock, injector, reader, request);
+    return ServeDegraded(sock, request);
   }
 
   size_t queue_depth = 0;
@@ -461,140 +458,54 @@ bool QueryServer::ServeQuery(Socket& sock, FaultInjector* injector,
   return SendFrame(sock, FrameType::kQueryResponse, payload);
 }
 
-bool QueryServer::ServeDegraded(Socket& sock, FaultInjector* injector,
-                                FrameReader* reader,
-                                const QueryRequest& request) {
-  // Saturation batching: the degraded path answers from the labelling
-  // alone, so any complete query frames the connection has ALREADY
-  // buffered (FrameReader::Next only consumes the feed buffer — no socket
-  // reads, no blocking) can ride one batched SIMD label sweep instead of
-  // one row scan each. The first drained frame that is not a decodable
-  // in-range query ends the drain and is replayed through HandleFrame
-  // after the batch flushes, preserving arrival order.
-  std::vector<QueryRequest> batch;
-  batch.push_back(request);
-  std::optional<Frame> pending;
-  if (reader != nullptr) {
-    while (batch.size() < kScanBatch) {
-      Frame frame;
-      // kNeedMore ends the drain; kBad is sticky, so the connection loop's
-      // next Next() call reports it there — never swallowed here.
-      if (reader->Next(&frame) != FrameReader::Status::kFrame) break;
-      QueryRequest drained;
-      if (frame.type != FrameType::kQueryRequest ||
-          !DecodeQueryRequest(frame.payload, &drained) ||
-          drained.u >= num_vertices_ || drained.v >= num_vertices_) {
-        pending = std::move(frame);  // Frame owns its payload
-        break;
-      }
-      batch.push_back(drained);
-    }
-  }
-
-  bool ok = true;
+bool QueryServer::ServeDegraded(Socket& sock, const QueryRequest& request) {
+  const uint64_t start = NowNanos();
+  const bool cacheable = options_.cache_bytes > 0 &&
+                         (request.flags & kQueryFlagNoCache) == 0;
+  QueryResponse response;
   {
-    const uint64_t start = NowNanos();
     // Same reader discipline as ServeQuery: the labelling read and the
     // cache lookup/insert must not interleave with an update's apply +
-    // clear. One critical section covers the whole batch.
+    // clear.
     ReaderLock read_lock(index_mu_);
-    std::vector<QueryResponse> responses(batch.size());
-    // Per-request disposition: 0 = needs a label bound, 1 = answered
-    // (cache hit / u == v), 2 = deadline error.
-    std::vector<uint8_t> state(batch.size(), 0);
-    std::vector<size_t> scan_idx;
-    std::vector<VertexId> us;
-    std::vector<VertexId> vs;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      const QueryRequest& req = batch[i];
-      // Boundary 1 for drained requests (their receipt is now); a
-      // deadline_ms == 0 request is never executed.
-      if (DeadlineTracker(req.deadline_ms).Expired()) {
-        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-        state[i] = 2;
-        continue;
-      }
-      // A cache hit is cheaper than the label scan and exact — serve it
-      // even under saturation.
-      const bool cacheable = options_.cache_bytes > 0 &&
-                             (req.flags & kQueryFlagNoCache) == 0;
-      if (cacheable && cache_.Lookup(req, &responses[i])) {
-        queries_.fetch_add(1, std::memory_order_relaxed);
-        lat_cached_.Record(NowNanos() - start);
-        state[i] = 1;
-        continue;
-      }
-      responses[i].spg.u = req.u;
-      responses[i].spg.v = req.v;
-      if (req.u == req.v) {
-        // Trivially exact, no searcher needed: identical to the fault-free
-        // answer, so no degraded flag.
-        responses[i].spg.distance = 0;
-        state[i] = 1;
-        queries_.fetch_add(1, std::memory_order_relaxed);
-        if (cacheable) cache_.Insert(req, responses[i]);
-        lat_short_.Record(NowNanos() - start);
-        continue;
-      }
-      scan_idx.push_back(i);
-      us.push_back(req.u);
-      vs.push_back(req.v);
-    }
-    if (!scan_idx.empty()) {
-      std::vector<LabelBound> bounds(scan_idx.size());
-      ComputeLabelBoundsBatch(index_.labeling(), index_.meta_graph(),
-                              us.data(), vs.data(), scan_idx.size(),
-                              kUnreachable, bounds.data());
-      for (size_t j = 0; j < scan_idx.size(); ++j) {
-        const size_t i = scan_idx[j];
-        const QueryRequest& req = batch[i];
-        const LabelBound& bound = bounds[j];
-        QueryResponse& response = responses[i];
-        if (req.mode == QueryMode::kDistance && req.budget == 0 &&
-            bound.upper != kUnreachable && bound.lower == bound.upper) {
-          // The labels certify the distance exactly and the caller wanted
-          // only the distance: this IS the fault-free answer (Execute
-          // would have short-circuited the same way), so serve it
-          // undegraded.
-          response.spg.distance = bound.upper;
-        } else {
-          response.spg.distance = bound.upper;
+    // A cache hit is cheaper than the label scan and exact — serve it
+    // even under saturation.
+    if (cacheable && cache_.Lookup(request, &response)) {
+      queries_.fetch_add(1, std::memory_order_relaxed);
+      lat_cached_.Record(NowNanos() - start);
+    } else {
+      response.spg.u = request.u;
+      response.spg.v = request.v;
+      if (request.u == request.v) {
+        // Trivially exact, identical to the fault-free answer: no degraded
+        // flag.
+        response.spg.distance = 0;
+      } else {
+        const LabelBound bound = ComputeLabelBound(
+            index_.labeling(), index_.meta_graph(), request.u, request.v);
+        response.spg.distance = bound.upper;
+        // Labels that certify the distance exactly, for a caller wanting
+        // only the distance, give the fault-free answer (Execute would
+        // short-circuit the same way): serve it undegraded.
+        if (request.mode != QueryMode::kDistance || request.budget != 0 ||
+            bound.upper == kUnreachable || bound.lower != bound.upper) {
           response.degraded_lower = bound.lower;
           response.flags |= kResponseFlagDegraded;
         }
-        // Degraded answers are NEVER cached: the cache must only ever
-        // replay exact payloads.
-        if ((response.flags & kResponseFlagDegraded) != 0) {
-          degraded_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          queries_.fetch_add(1, std::memory_order_relaxed);
-          if (options_.cache_bytes > 0 &&
-              (req.flags & kQueryFlagNoCache) == 0) {
-            cache_.Insert(req, response);
-          }
-        }
-        lat_short_.Record(NowNanos() - start);
       }
-    }
-    // Responses flush in arrival order; a write failure closes the
-    // connection, so the remaining answers (and any pending frame) die
-    // with it.
-    for (size_t i = 0; i < batch.size() && ok; ++i) {
-      if (state[i] == 2) {
-        ok = SendError(sock, ErrorCode::kDeadlineExceeded,
-                       "deadline expired before execution");
-        continue;
+      // Degraded answers are NEVER cached: the cache must only ever replay
+      // exact payloads.
+      if (response.degraded()) {
+        degraded_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        queries_.fetch_add(1, std::memory_order_relaxed);
+        if (cacheable) cache_.Insert(request, response);
       }
-      const std::vector<uint8_t> payload = EncodeQueryResponse(responses[i]);
-      ok = SendFrame(sock, FrameType::kQueryResponse, payload);
+      lat_short_.Record(NowNanos() - start);
     }
   }
-  // The pending frame replays outside the reader critical section: it may
-  // be an update, whose writer lock must not nest under this reader.
-  if (ok && pending.has_value()) {
-    ok = HandleFrame(sock, injector, reader, *pending);
-  }
-  return ok;
+  const std::vector<uint8_t> payload = EncodeQueryResponse(response);
+  return SendFrame(sock, FrameType::kQueryResponse, payload);
 }
 
 bool QueryServer::ServeUpdate(Socket& sock, const GraphDelta& delta,

@@ -20,9 +20,9 @@
 //     idle_timeout_ms, and a peer not draining responses is cut off after
 //     write_timeout_ms. No stalled client can pin a connection thread.
 //   * Graceful degradation — past degrade_after_inflight executing
-//     queries, new queries are answered from the labelling alone
-//     (kResponseFlagDegraded bounds, O(|R|), no searcher, no queueing)
-//     instead of deepening the backlog.
+//     queries, each new query is answered from the labelling alone (one
+//     label bound per request: kResponseFlagDegraded bounds, O(|R|), no
+//     searcher, no queueing) instead of deepening the backlog.
 //   * Observability — per-class latency histograms (cache hits; label
 //     short-circuits; long guided searches) plus counters for every
 //     robustness path (busy, deadline-exceeded, degraded, timeouts).
@@ -207,24 +207,19 @@ class QueryServer {
   void AcceptLoop();
   void HandleConnection(int fd, uint64_t conn_id);
   /// Handles one decoded frame; returns false when the connection should
-  /// close (shutdown, write failure). `reader` is the connection's frame
-  /// reader (null in contexts without one); the degraded path drains
-  /// already-buffered query frames from it to batch their label scans.
-  bool HandleFrame(Socket& sock, FaultInjector* injector, FrameReader* reader,
-                   const Frame& frame);
+  /// close (shutdown, write failure). Frames are handled one at a time in
+  /// arrival order, so responses go out in request order.
+  bool HandleFrame(Socket& sock, FaultInjector* injector, const Frame& frame);
   /// Executes (or cache-answers) one admitted query and sends the
   /// response; records latency in the matching class histogram.
-  bool ServeQuery(Socket& sock, FaultInjector* injector, FrameReader* reader,
+  bool ServeQuery(Socket& sock, FaultInjector* injector,
                   const QueryRequest& request);
-  /// Answers from the labelling alone — no searcher, no admission — with
-  /// kResponseFlagDegraded bounds (or an exact label-certified distance
-  /// when one exists). Under saturation the connection's already-buffered
-  /// query frames (up to kScanBatch in total, drained from `reader` —
-  /// buffer-only, no socket reads) ride one batched SIMD label sweep;
-  /// responses go out in arrival order, and the first non-query or
-  /// undecodable frame drained is replayed through HandleFrame afterwards.
-  bool ServeDegraded(Socket& sock, FaultInjector* injector,
-                     FrameReader* reader, const QueryRequest& request);
+  /// Answers one request from the labelling alone — no searcher, no
+  /// admission. A cache hit is served as usual and u == v exactly;
+  /// otherwise one ComputeLabelBound yields kResponseFlagDegraded bounds,
+  /// or the exact distance when the labels certify it for a distance-only
+  /// request. Only exact answers are cached.
+  bool ServeDegraded(Socket& sock, const QueryRequest& request);
   /// Applies one decoded edit script under the writer side of index_mu_
   /// and clears the result cache before releasing it; answers with
   /// kUpdateResponse.

@@ -177,6 +177,19 @@ TEST(ProtocolTest, QueryRequestCodecRejectsMalformed) {
   }
 }
 
+TEST(ProtocolTest, QueryRequestCodecRejectsUndefinedFlagBits) {
+  // kQueryFlagNoCache (bit 0) is the only defined bit; any other must
+  // reject, whether or not bit 0 rides along.
+  for (const uint32_t flags : {1u << 1, 1u << 31, kQueryFlagNoCache | 1u << 1,
+                               kQueryFlagNoCache | 1u << 31}) {
+    QueryRequest request(1, 2);
+    request.flags = flags;
+    QueryRequest out;
+    EXPECT_FALSE(DecodeQueryRequest(EncodeQueryRequest(request), &out))
+        << "flags=" << flags;
+  }
+}
+
 TEST(ProtocolTest, QueryResponseCodecRoundTrip) {
   QueryResponse response;
   response.spg.u = 3;

@@ -7,12 +7,14 @@
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -21,6 +23,7 @@
 
 #include "core/qbs_index.h"
 #include "gen/generators.h"
+#include "graph/bfs.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "workload/query_workload.h"
@@ -28,6 +31,27 @@
 
 namespace qbs::server {
 namespace {
+
+// A plain loopback TCP connection (no QBSP client), with a 10 s receive
+// timeout so a missing response fails the test instead of hanging it.
+// Returns -1 on failure.
+int ConnectRaw(uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  timeval timeout{};
+  timeout.tv_sec = 10;
+  if (inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr) != 1 ||
+      ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)) !=
+          0 ||
+      ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
 
 class ServerTest : public ::testing::Test {
  protected:
@@ -126,14 +150,8 @@ TEST_F(ServerTest, GarbageBytesCloseTheConnectionWithoutCrashing) {
   auto server = StartServer();
   QueryClient client = ConnectTo(*server);
   // Speak HTTP at the daemon through a raw socket.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  const int fd = ConnectRaw(server->port());
   ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(server->port());
-  ASSERT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
   const char junk[] = "GET / HTTP/1.1\r\nHost: x\r\n\r\n";
   ASSERT_GT(::send(fd, junk, sizeof(junk) - 1, 0), 0);
   // Server answers with an error frame and closes; drain until EOF.
@@ -379,6 +397,136 @@ TEST_F(ServerTest, BusyResponseCarriesQueueDepth) {
   EXPECT_EQ(probe.Query(request, &response), QueryClient::RpcStatus::kBusy);
   EXPECT_EQ(probe.busy_queue_depth(), 1u);  // the queued hog
   for (auto& h : hogs) h.join();
+  server->Stop();
+}
+
+// Reads frames from a raw socket until `count` have arrived (or the
+// receive times out / the peer closes, leaving fewer).
+std::vector<Frame> ReadFrames(int fd, size_t count) {
+  FrameReader reader;
+  std::vector<Frame> frames;
+  uint8_t buf[4096];
+  while (frames.size() < count) {
+    Frame frame;
+    if (reader.Next(&frame) == FrameReader::Status::kFrame) {
+      frames.push_back(std::move(frame));
+      continue;
+    }
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
+    if (n <= 0) break;
+    reader.Feed(std::span<const uint8_t>(buf, static_cast<size_t>(n)));
+  }
+  return frames;
+}
+
+// Pipelined frames on a saturated server: every frame written in one send
+// gets exactly one response, in arrival order, whether it was answered from
+// the labelling (degraded), exactly (u == v, certified distance), or with
+// an error or a pong.
+TEST_F(ServerTest, PipelinedFramesOnSaturatedServerAnswerInOrder) {
+  ServerOptions options;
+  options.degrade_after_inflight = 1;
+  const FaultPlan plan([] {
+    FaultSpec spec;
+    spec.query_delay_rate = 1.0;
+    spec.query_delay_ms = 400;
+    return spec;
+  }());
+  options.fault_injector_factory = [&plan](uint64_t conn_id) {
+    return plan.MakeInjector(conn_id);
+  };
+  auto server = StartServer(options);
+
+  // The hog holds the one inflight slot the threshold allows. A jthread,
+  // so a failed ASSERT below still joins it.
+  std::jthread hog([&] {
+    QueryClient client;
+    if (!client.Connect("127.0.0.1", server->port())) return;
+    QueryResponse ignored;
+    client.Query(QueryRequest(1, 2, QueryMode::kSpg, 0, kQueryFlagNoCache),
+                 &ignored);
+  });
+  while (server->GetStats().admission_inflight < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+
+  std::vector<QueryPair> pairs;
+  for (const QueryPair& p : SampleQueryPairs(g_, 20, 31)) {
+    if (p.u != p.v) pairs.push_back(p);
+  }
+  ASSERT_GE(pairs.size(), 5u);
+  // One slot per frame; nullopt is a ping.
+  const VertexId n = g_.NumVertices();
+  const std::vector<std::optional<QueryRequest>> slots = {
+      QueryRequest(pairs[0].u, pairs[0].v),
+      QueryRequest(pairs[1].u, pairs[1].v),
+      QueryRequest(pairs[2].u, pairs[2].v),
+      std::nullopt,
+      QueryRequest(pairs[0].u, pairs[0].v),  // repeated pair
+      QueryRequest(7, 7),                    // u == v
+      QueryRequest(n, 0),                    // out of range
+      QueryRequest(pairs[3].u, pairs[3].v),
+      QueryRequest(pairs[4].u, pairs[4].v, QueryMode::kDistance),
+      QueryRequest(7, 7),  // u == v again: a cache hit this time
+  };
+  std::vector<uint8_t> wire;
+  for (const auto& slot : slots) {
+    if (slot.has_value()) {
+      AppendFrame(&wire, FrameType::kQueryRequest, EncodeQueryRequest(*slot));
+    } else {
+      AppendFrame(&wire, FrameType::kPing, {});
+    }
+  }
+
+  const int fd = ConnectRaw(server->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  const std::vector<Frame> frames = ReadFrames(fd, slots.size());
+  ASSERT_EQ(frames.size(), slots.size());
+  for (size_t i = 0; i < slots.size(); ++i) {
+    SCOPED_TRACE("slot " + std::to_string(i));
+    if (!slots[i].has_value()) {
+      EXPECT_EQ(frames[i].type, FrameType::kPong);
+      continue;
+    }
+    const QueryRequest& request = *slots[i];
+    if (request.u >= n) {
+      ASSERT_EQ(frames[i].type, FrameType::kError);
+      ErrorCode code;
+      std::string message;
+      ASSERT_TRUE(DecodeError(frames[i].payload, &code, &message));
+      EXPECT_EQ(code, ErrorCode::kVertexOutOfRange);
+      continue;
+    }
+    ASSERT_EQ(frames[i].type, FrameType::kQueryResponse);
+    QueryResponse response;
+    ASSERT_TRUE(DecodeQueryResponse(frames[i].payload, &response));
+    EXPECT_EQ(response.spg.u, request.u);
+    EXPECT_EQ(response.spg.v, request.v);
+    const uint32_t d = BfsDistances(g_, request.u)[request.v];
+    if (response.degraded()) {
+      EXPECT_LE(response.degraded_lower, d);
+      EXPECT_LE(d, response.distance());
+    } else {
+      EXPECT_EQ(response.distance(), d);
+    }
+  }
+  EXPECT_GE(server->GetStats().degraded, 1u);
+
+  // The connection still answers afterwards.
+  std::vector<uint8_t> more;
+  AppendFrame(&more, FrameType::kPing, {});
+  AppendFrame(&more, FrameType::kQueryRequest,
+              EncodeQueryRequest(QueryRequest(pairs[1].u, pairs[1].v)));
+  ASSERT_EQ(::send(fd, more.data(), more.size(), 0),
+            static_cast<ssize_t>(more.size()));
+  const std::vector<Frame> after = ReadFrames(fd, 2);
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after[0].type, FrameType::kPong);
+  EXPECT_EQ(after[1].type, FrameType::kQueryResponse);
+  ::close(fd);
+  hog.join();
   server->Stop();
 }
 

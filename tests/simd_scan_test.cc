@@ -6,13 +6,12 @@
 // rows, single-present lanes, strides straddling the 16-lane block
 // boundary (|R| in {1, 7, 8, 31, 32, 33, 64, 257}), and saturating
 // distances near the kInfDist sentinel. Also covers the runtime dispatch
-// (CPUID x QBS_FORCE_SCALAR_SCAN), the batched kernel, and the row
-// padding/alignment invariant through build and serialization.
+// (CPUID x QBS_FORCE_SCALAR_SCAN) and the row padding/alignment invariant
+// through build and serialization.
 
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <iterator>
 #include <random>
 #include <string>
 #include <vector>
@@ -208,7 +207,6 @@ TEST(SimdScanDispatch, SupportedKernelsAlwaysIncludeScalar) {
   EXPECT_EQ(kernels.front(), ScanKernel::kScalar);
   for (const ScanKernel kernel : kernels) {
     EXPECT_NE(ScanOpsFor(kernel).row_bound, nullptr);
-    EXPECT_NE(ScanOpsFor(kernel).row_bound_batch, nullptr);
     EXPECT_NE(ScanOpsFor(kernel).row_candidates, nullptr);
     EXPECT_NE(ScanOpsFor(kernel).lower_exceeds, nullptr);
   }
@@ -407,92 +405,9 @@ TEST_P(SimdScanDifferential, LowerExceedsWitnessesBitIdentical) {
   }
 }
 
-// The batched sweep must reproduce the single-pair kernel exactly, pair
-// by pair, for every kernel — including groups smaller than kScanBatch
-// and pairs drawn from different families within one group.
-TEST_P(SimdScanDifferential, BatchedSweepMatchesSinglePairScans) {
-  const uint32_t k = GetParam();
-  const auto kernels = SupportedScanKernels();
-  constexpr size_t kPairs = 11;  // one full group + a partial group
-  for (const bool with_masks : {false, true}) {
-    std::mt19937_64 rng(k * 733 + with_masks);
-    PathLabeling labeling =
-        MakeSyntheticLabeling(k, 2 * kPairs, with_masks);
-    std::vector<VertexId> us(kPairs);
-    std::vector<VertexId> vs(kPairs);
-    constexpr size_t kNumFamilies = std::size(kFamilies);
-    for (size_t p = 0; p < kPairs; ++p) {
-      us[p] = static_cast<VertexId>(k + 2 * p);
-      vs[p] = static_cast<VertexId>(k + 2 * p + 1);
-      FillRow(&labeling, us[p], kFamilies[p % kNumFamilies], &rng);
-      FillRow(&labeling, vs[p], kFamilies[(p + 3) % kNumFamilies], &rng);
-    }
-    for (const uint32_t cutoff : {uint32_t{2}, kUnreachable}) {
-      for (const ScanKernel kernel : kernels) {
-        std::vector<LabelBound> batch(kPairs);
-        ComputeLabelBoundRowsBatch(labeling, us.data(), vs.data(), kPairs,
-                                   cutoff, batch.data(), ScanOpsFor(kernel));
-        for (size_t p = 0; p < kPairs; ++p) {
-          const LabelBound single = ComputeLabelBoundRows(
-              labeling, us[p], vs[p], cutoff, ScanOpsFor(kernel));
-          ASSERT_EQ(batch[p].lower, single.lower)
-              << KernelName(kernel) << " k=" << k << " pair=" << p
-              << " cutoff=" << cutoff << " masks=" << with_masks;
-          ASSERT_EQ(batch[p].upper, single.upper)
-              << KernelName(kernel) << " k=" << k << " pair=" << p
-              << " cutoff=" << cutoff << " masks=" << with_masks;
-        }
-      }
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Strides, SimdScanDifferential,
                          ::testing::Values(1u, 7u, 8u, 31u, 32u, 33u, 64u,
                                            257u));
-
-// --- Batched bounds over a real index (landmark special cases mixed in).
-
-TEST(SimdScanBatch, ComputeLabelBoundsBatchMatchesScalarCalls) {
-  Graph g = BarabasiAlbert(400, 3, 19);
-  QbsOptions options;
-  options.num_landmarks = 12;
-  QbsIndex index = QbsIndex::Build(g, options);
-  const PathLabeling& labeling = index.labeling();
-  const MetaGraph& meta = index.meta_graph();
-
-  std::vector<VertexId> us;
-  std::vector<VertexId> vs;
-  for (const auto& [u, v] : SampleQueryPairs(g, 100, 19)) {
-    if (u == v) continue;
-    us.push_back(u);
-    vs.push_back(v);
-  }
-  // Landmark-pair and one-landmark cases must flow through the scalar
-  // special cases inside the batch.
-  const auto& landmarks = index.landmarks();
-  us.push_back(landmarks[0]);
-  vs.push_back(landmarks[1]);
-  VertexId non_landmark = 0;
-  while (labeling.IsLandmark(non_landmark)) ++non_landmark;
-  us.push_back(landmarks[2]);
-  vs.push_back(non_landmark);
-  ASSERT_FALSE(labeling.IsLandmark(vs.back()));
-
-  for (const uint32_t cutoff : {uint32_t{2}, kUnreachable}) {
-    std::vector<LabelBound> batch(us.size());
-    ComputeLabelBoundsBatch(labeling, meta, us.data(), vs.data(), us.size(),
-                            cutoff, batch.data());
-    for (size_t i = 0; i < us.size(); ++i) {
-      const LabelBound want =
-          ComputeLabelBound(labeling, meta, us[i], vs[i], cutoff);
-      ASSERT_EQ(batch[i].lower, want.lower)
-          << "u=" << us[i] << " v=" << vs[i] << " cutoff=" << cutoff;
-      ASSERT_EQ(batch[i].upper, want.upper)
-          << "u=" << us[i] << " v=" << vs[i] << " cutoff=" << cutoff;
-    }
-  }
-}
 
 // --- The row padding/alignment invariant, through build and load. ---
 
