@@ -22,7 +22,6 @@ void Run() {
       QbsOptions options;
       options.num_landmarks = k;
       options.num_threads = EnvThreads();
-      options.precompute_delta = true;
       QbsIndex index = QbsIndex::Build(d.graph, options);
       table.Row({d.spec.abbrev, std::to_string(k),
                  HumanBytes(index.LabelingSizeBytes()),

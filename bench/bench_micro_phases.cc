@@ -31,17 +31,11 @@ struct Fixture {
     QbsOptions options;
     options.num_landmarks = 20;
     options.num_threads = 0;
-    options.precompute_delta = false;
     index = std::make_unique<QbsIndex>(QbsIndex::Build(graph, options));
-    QbsOptions delta_options = options;
-    delta_options.precompute_delta = true;
-    index_delta =
-        std::make_unique<QbsIndex>(QbsIndex::Build(graph, delta_options));
   }
   Graph graph;
   std::vector<QueryPair> pairs;
   std::unique_ptr<QbsIndex> index;
-  std::unique_ptr<QbsIndex> index_delta;
 };
 
 Fixture& GetFixture() {
@@ -90,16 +84,6 @@ void BM_QbsQuery(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_QbsQuery);
-
-void BM_QbsQueryWithDelta(benchmark::State& state) {
-  auto& f = GetFixture();
-  size_t i = 0;
-  for (auto _ : state) {
-    const auto& p = f.pairs[i++ % f.pairs.size()];
-    benchmark::DoNotOptimize(f.index_delta->Query({p.u, p.v}));
-  }
-}
-BENCHMARK(BM_QbsQueryWithDelta);
 
 void BM_BiBfsQuery(benchmark::State& state) {
   auto& f = GetFixture();

@@ -24,7 +24,6 @@ void Run() {
     QbsOptions options;
     options.num_landmarks = 20;
     options.num_threads = EnvThreads();
-    options.precompute_delta = true;
     QbsIndex index = QbsIndex::Build(d.graph, options);
 
     PplBuildOptions budget;

@@ -8,8 +8,7 @@
 namespace qbs {
 
 std::vector<Edge> RecoverMetaSegment(const Graph& g, const PathLabeling& l,
-                                     const MetaEdge& e,
-                                     uint64_t* edge_scans) {
+                                     const MetaEdge& e) {
   std::vector<Edge> edges;
   const VertexId a_vertex = l.LandmarkVertex(e.a);
   const VertexId b_vertex = l.LandmarkVertex(e.b);
@@ -27,7 +26,6 @@ std::vector<Edge> RecoverMetaSegment(const Graph& g, const PathLabeling& l,
   // is complete.
   std::vector<VertexId> frontier;
   std::unordered_set<VertexId> seen;
-  if (edge_scans != nullptr) *edge_scans += g.Degree(a_vertex);
   for (VertexId w : g.Neighbors(a_vertex)) {
     if (l.IsLandmark(w)) continue;
     if (l.Get(w, e.a) == 1 &&
@@ -39,7 +37,6 @@ std::vector<Edge> RecoverMetaSegment(const Graph& g, const PathLabeling& l,
   for (uint32_t level = 1; level + 1 < e.weight; ++level) {
     std::vector<VertexId> next;
     for (VertexId x : frontier) {
-      if (edge_scans != nullptr) *edge_scans += g.Degree(x);
       for (VertexId y : g.Neighbors(x)) {
         if (l.IsLandmark(y)) continue;
         if (l.Get(y, e.a) == static_cast<DistT>(level + 1) &&

@@ -1,9 +1,10 @@
 // Precomputed shortest path graphs between landmarks (the Δ of Table 3 and
 // §5.2): for every meta-edge (r, r'), the union of all shortest r–r' paths
-// in G that pass through no other landmark. Queries then splice these
-// cached segments instead of re-deriving them, realizing the §6.5(3)
-// efficiency source ("QbS can avoid the computation of shortest paths
-// between high-degree landmarks ... since these shortest paths can be
+// in G that pass through no other landmark. Every QbsIndex builds Δ (and
+// rebuilds it after each update); the recover search splices these
+// segments and never derives one itself, realizing the §6.5(3) efficiency
+// source ("QbS can avoid the computation of shortest paths between
+// high-degree landmarks ... since these shortest paths can be
 // precomputed").
 
 #ifndef QBS_CORE_DELTA_CACHE_H_
@@ -19,13 +20,10 @@
 
 namespace qbs {
 
-// Recomputes (online) the landmark-free shortest path graph of one
-// meta-edge via label-guided frontier expansion. Shared by the Δ-cache
-// builder and the recover search's uncached path. `edge_scans`, if
-// non-null, is incremented per adjacency entry inspected.
+// Computes the landmark-free shortest path graph of one meta-edge via
+// label-guided frontier expansion: Δ's per-segment builder.
 std::vector<Edge> RecoverMetaSegment(const Graph& g, const PathLabeling& l,
-                                     const MetaEdge& e,
-                                     uint64_t* edge_scans = nullptr);
+                                     const MetaEdge& e);
 
 class DeltaCache {
  public:
@@ -35,7 +33,8 @@ class DeltaCache {
   static DeltaCache Build(const Graph& g, const PathLabeling& labeling,
                           const MetaGraph& meta, size_t num_threads);
 
-  // Cached segment edges for meta-edge (a, b); nullptr if absent.
+  // Cached segment edges for meta-edge (a, b); nullptr if (a, b) is not a
+  // meta-edge.
   const std::vector<Edge>* Lookup(LandmarkIndex a, LandmarkIndex b) const {
     const auto it = segments_.find(Key(a, b));
     return it == segments_.end() ? nullptr : &it->second;

@@ -13,7 +13,7 @@ Graph MakeSparsifiedGraph(const Graph& g, const PathLabeling& labeling) {
 
 GuidedSearcher::GuidedSearcher(const Graph& g, const Graph& sparsified,
                                const PathLabeling& labeling,
-                               const MetaGraph& meta, const DeltaCache* delta)
+                               const MetaGraph& meta, const DeltaCache& delta)
     : g_(g), gminus_(sparsified), labeling_(labeling), meta_(meta),
       delta_(delta) {
   QBS_CHECK_EQ(g.NumVertices(), labeling.num_vertices());
@@ -420,23 +420,19 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
 
   // Stage 3: recover search (G^L_uv) — runs iff d⊤ realizes the distance.
   if (sketch.d_top == result.distance) {
-    // (a) Landmark-to-landmark segments for every sketch meta-edge. A
-    // deferred sweep is completed here, now that the recover search is
-    // known to run (`sketch` aliases sketch_scratch_ on this path).
+    // (a) Landmark-to-landmark segments for every sketch meta-edge, spliced
+    // from Δ. A deferred sweep is completed here, now that the recover
+    // search is known to run (`sketch` aliases sketch_scratch_ on this
+    // path). Sketch meta-edges come from meta_.Edges(), which is exactly
+    // what Δ was built from, so every lookup hits.
     if (lazy_sketch) {
       ComputeSketchMetaEdges(meta_, &sketch_scratch_, &sketch_buffers_);
     }
     for (const MetaEdge& e : sketch.meta_edges) {
-      const std::vector<Edge>* cached =
-          delta_ != nullptr ? delta_->Lookup(e.a, e.b) : nullptr;
-      if (cached != nullptr) {
-        ++stats->delta_cache_hits;
-        edges_.insert(edges_.end(), cached->begin(), cached->end());
-      } else {
-        const std::vector<Edge> segment =
-            RecoverMetaSegment(g_, labeling_, e, &stats->edges_scanned_recover);
-        edges_.insert(edges_.end(), segment.begin(), segment.end());
-      }
+      const std::vector<Edge>* segment = delta_.Lookup(e.a, e.b);
+      QBS_CHECK(segment != nullptr);
+      ++stats->delta_cache_hits;
+      edges_.insert(edges_.end(), segment->begin(), segment->end());
     }
     // (b) Z pairs (Lines 19-23): for each sketch anchor (r, t), the
     // on-path vertices w closest to r that the side-t search discovered,

@@ -47,11 +47,12 @@ class GuidedSearcher {
  public:
   // All referenced objects must outlive the searcher. `sparsified` is the
   // materialized G[V \ R] of `g` (MakeSparsifiedGraph), shared by every
-  // searcher of one index. `delta` may be null (recover search then
-  // re-derives landmark segments from labels online).
+  // searcher of one index. `delta` must hold a segment for every edge of
+  // `meta` (DeltaCache::Build over the same scheme): the recover search
+  // splices landmark-to-landmark segments from it and never re-derives one.
   GuidedSearcher(const Graph& g, const Graph& sparsified,
                  const PathLabeling& labeling, const MetaGraph& meta,
-                 const DeltaCache* delta = nullptr);
+                 const DeltaCache& delta);
 
   // Answers SPG(u, v). When the labelling carries bit-parallel masks, d <= 2
   // pairs resolve on a label-guided fast path (ComputeLabelBound + an edge
@@ -137,7 +138,7 @@ class GuidedSearcher {
   const Graph& gminus_;  // the sparsified graph G⁻ actually traversed
   const PathLabeling& labeling_;
   const MetaGraph& meta_;
-  const DeltaCache* delta_;
+  const DeltaCache& delta_;
 
   // Per-query scratch (epoch-reset). All traversal state lives in flat
   // reusable buffers from the shared substrate (graph/frontier.h): BFS

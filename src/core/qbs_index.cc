@@ -48,12 +48,10 @@ std::optional<QbsIndex> QbsIndex::LoadFromFile(const Graph& g,
 }
 
 void QbsIndex::FinishFromScheme(const QbsOptions& options) {
-  if (options.precompute_delta) {
-    WallTimer timer;
-    delta_ = std::make_unique<DeltaCache>(DeltaCache::Build(
-        *g_, scheme_->labeling, scheme_->meta, options.num_threads));
-    timings_.delta_seconds = timer.ElapsedSeconds();
-  }
+  WallTimer timer;
+  delta_ = std::make_unique<DeltaCache>(DeltaCache::Build(
+      *g_, scheme_->labeling, scheme_->meta, options.num_threads));
+  timings_.delta_seconds = timer.ElapsedSeconds();
   sparsified_ =
       std::make_unique<Graph>(MakeSparsifiedGraph(*g_, scheme_->labeling));
 }
@@ -113,7 +111,7 @@ QbsIndex::SearcherLease::SearcherLease(const QbsIndex& index, size_t count)
     while (searchers_.size() < count) {
       searchers_.push_back(std::make_unique<GuidedSearcher>(
           *index_.g_, *index_.sparsified_, index_.scheme_->labeling,
-          index_.scheme_->meta, index_.delta_.get()));
+          index_.scheme_->meta, *index_.delta_));
     }
   } catch (...) {
     // A failed top-up (searcher construction is O(|V|) of allocation) must
@@ -175,13 +173,7 @@ UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta,
   UpdateStats stats;
   stats.noop_updates = net.noop_inserts + net.noop_deletes;
   stats.invalid_updates = net.invalid;
-  if (net.EmptyNet()) {
-    // Nothing changes in the graph; at most an overdue consolidation runs.
-    if (options.consolidate && updatable_->HasDirty()) {
-      stats.rebuilt_columns = Consolidate(options.num_threads);
-    }
-    return stats;
-  }
+  if (net.EmptyNet()) return stats;  // nothing changes in the graph
   Graph new_graph = ApplyNetChanges(*g_, net);
   // Classification reads the OLD depths/masks (still held in updatable_
   // and the labelling), never the old adjacency — so the graph swaps in
@@ -195,25 +187,13 @@ UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta,
   stats.applied_deletes = col.applied_deletes;
   stats.repaired_columns = col.repaired_columns;
   stats.rebuilt_columns = col.rebuilt_columns;
-  stats.deferred_columns = col.deferred_columns;
   RefreshDerived(options.num_threads);
   return stats;
 }
 
-uint32_t QbsIndex::Consolidate(size_t num_threads) {
-  QBS_CHECK(updatable_ != nullptr);
-  const uint32_t rebuilt =
-      ConsolidateDirtyColumns(*g_, &scheme_->labeling, &scheme_->meta,
-                              updatable_.get(), num_threads);
-  if (rebuilt > 0) RefreshDerived(num_threads);
-  return rebuilt;
-}
-
 void QbsIndex::RefreshDerived(size_t num_threads) {
-  if (delta_ != nullptr) {
-    *delta_ = DeltaCache::Build(*g_, scheme_->labeling, scheme_->meta,
-                                num_threads);
-  }
+  *delta_ =
+      DeltaCache::Build(*g_, scheme_->labeling, scheme_->meta, num_threads);
   *sparsified_ = MakeSparsifiedGraph(*g_, scheme_->labeling);
 }
 

@@ -7,13 +7,14 @@
 //   ShortestPathGraph spg = index.Query({u, v}).spg;
 //
 // Build() runs the offline phase (labelling scheme construction, Algorithm
-// 2, optionally in parallel = the paper's QbS-P, plus the optional Δ
-// precomputation); Query() runs the online phase (sketching, Algorithm 3,
-// then guided searching, Algorithm 4) on a searcher leased from the
-// index's pool, so it is const and safe to call from many threads at once
-// (QueryBatch fans a vector of requests out the same way). Neither is safe
-// during ApplyUpdates() or Consolidate(). Construction allocates no
-// searcher: the pool grows on the first query (BatchSearcherPoolSize()).
+// 2, optionally in parallel = the paper's QbS-P, then the Δ precomputation
+// of §5.2, which every index carries); Query() runs the online phase
+// (sketching, Algorithm 3, then guided searching, Algorithm 4) on a
+// searcher leased from the index's pool, so it is const and safe to call
+// from many threads at once (QueryBatch fans a vector of requests out the
+// same way). Neither is safe during ApplyUpdates(), after which the index
+// is exact for the edited graph. Construction allocates no searcher: the
+// pool grows on the first query (BatchSearcherPoolSize()).
 
 #ifndef QBS_CORE_QBS_INDEX_H_
 #define QBS_CORE_QBS_INDEX_H_
@@ -49,11 +50,6 @@ struct QbsOptions {
   /// Labelling construction threads: 1 = sequential QbS, 0 = all hardware
   /// threads (QbS-P), otherwise the exact count.
   size_t num_threads = 1;
-  /// Precompute Δ: the shortest path graphs between landmarks (§5.2), so
-  /// queries splice cached segments instead of re-deriving them. On by
-  /// default — the paper's QbS includes Δ (Table 3 reports its size for
-  /// every dataset); turn off to trade query time for build time/space.
-  bool precompute_delta = true;
   /// Build Akiba-style bit-parallel masks (the 64 nearest non-landmark
   /// neighbours of each landmark) alongside the labels. Queries then answer
   /// d(s, t) <= 2 pairs straight from the labelling — no sketch, search, or
@@ -79,9 +75,8 @@ class QbsIndex {
 
   /// Loads a labelling scheme previously written by Save() and finishes the
   /// index against `g` (which must be the same graph the scheme was built
-  /// on; vertex-count mismatches are rejected). Honors
-  /// options.precompute_delta / num_threads for the Δ rebuild. Returns
-  /// std::nullopt on I/O or format errors.
+  /// on; vertex-count mismatches are rejected). Rebuilds Δ on
+  /// options.num_threads. Returns std::nullopt on I/O or format errors.
   static std::optional<QbsIndex> LoadFromFile(const Graph& g,
                                               const std::string& path,
                                               const QbsOptions& options = {});
@@ -96,7 +91,7 @@ class QbsIndex {
   /// Answers one request (core/query_api.h) — mode, budget, and flags
   /// included — exactly, on a searcher leased from the pool for the call.
   /// Safe to call concurrently with itself and with QueryBatch; not during
-  /// ApplyUpdates() or Consolidate().
+  /// ApplyUpdates().
   QueryResponse Query(const QueryRequest& request) const;
 
   /// Tuning knobs for QueryBatch.
@@ -174,27 +169,14 @@ class QbsIndex {
 
   /// Applies an edit script: computes the net edge changes, swaps in the
   /// updated graph, repairs/rebuilds exactly the affected label columns,
-  /// and refreshes the meta-graph, Δ cache, and sparsified graph. With
-  /// options.consolidate (default) the index answers every query exactly
-  /// as a from-scratch build on the new graph would — bit-identically —
-  /// when this returns; with consolidate = false, delete-dirtied columns
-  /// are deferred to Consolidate() and may serve stale answers until then.
-  /// Requires EnableUpdates(). NOT thread-safe against concurrent queries:
-  /// callers must quiesce query traffic (the server wraps this in a writer
-  /// lock) — searcher scratch is per-query, but the labelling and graph
-  /// mutate in place here.
+  /// and refreshes the meta-graph, Δ cache, and sparsified graph. When this
+  /// returns, the index answers every query exactly as a from-scratch build
+  /// on the new graph would — bit-identically. Requires EnableUpdates().
+  /// NOT thread-safe against concurrent queries: callers must quiesce query
+  /// traffic (the server wraps this in a writer lock) — searcher scratch is
+  /// per-query, but the labelling and graph mutate in place here.
   UpdateStats ApplyUpdates(const GraphDelta& delta,
                            const UpdateOptions& options = {});
-
-  /// Rebuilds any columns left dirty by deferred updates. Returns the
-  /// number rebuilt (0 = already clean). Same thread-safety caveat as
-  /// ApplyUpdates.
-  uint32_t Consolidate(size_t num_threads = 0);
-
-  /// True iff deferred deletes have left stale columns behind.
-  bool HasDirtyColumns() const {
-    return updatable_ != nullptr && updatable_->HasDirty();
-  }
 
   /// An upper bound on d_G(u, v): the sketch bound d⊤ (Eq. 3) — tight
   /// whenever a shortest path crosses a landmark — further tightened by the
@@ -221,8 +203,8 @@ class QbsIndex {
   const PathLabeling& labeling() const { return scheme_->labeling; }
   /// The landmark meta-graph M (read-only).
   const MetaGraph& meta_graph() const { return scheme_->meta; }
-  /// The Δ cache, or nullptr when built with precompute_delta = false.
-  const DeltaCache* delta_cache() const { return delta_.get(); }
+  /// The Δ cache (one segment per meta-edge).
+  const DeltaCache& delta_cache() const { return *delta_; }
   /// Wall-clock timings of the offline phase.
   const QbsBuildTimings& timings() const { return timings_; }
 
@@ -231,10 +213,8 @@ class QbsIndex {
     return scheme_->labeling.SizeBytes();
   }
   /// size(Δ): bytes of the precomputed landmark shortest path graphs
-  /// (Table 3); 0 when precompute_delta is off.
-  uint64_t DeltaSizeBytes() const {
-    return delta_ == nullptr ? 0 : delta_->SizeBytes();
-  }
+  /// (Table 3).
+  uint64_t DeltaSizeBytes() const { return delta_->SizeBytes(); }
   /// Bytes of the meta-graph (edge list + APSP table).
   uint64_t MetaGraphSizeBytes() const { return scheme_->meta.SizeBytes(); }
 
@@ -242,12 +222,12 @@ class QbsIndex {
   QbsIndex() = default;
 
   /// Derives what Build and LoadFromFile share from g_ and scheme_: the Δ
-  /// cache (when options ask for it) and the sparsified graph.
+  /// cache and the sparsified graph.
   void FinishFromScheme(const QbsOptions& options);
 
   /// Rebuilds the structures derived from (graph, labelling, meta) after a
-  /// mutation: the Δ cache (when enabled) and the sparsified graph, both
-  /// move-assigned in place so searcher references stay valid.
+  /// mutation: the Δ cache and the sparsified graph, both move-assigned in
+  /// place so searcher references stay valid.
   void RefreshDerived(size_t num_threads);
 
   const Graph* g_ = nullptr;  // not owned

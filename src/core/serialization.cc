@@ -15,7 +15,6 @@
 namespace qbs {
 namespace {
 
-constexpr uint64_t kMagicV1 = 0x3130584449534251ull;  // "QBSIDX01"
 constexpr uint64_t kMagicV2 = 0x3230584449534251ull;  // "QBSIDX02"
 
 // Sections are copied between memory and the file verbatim, so the
@@ -84,8 +83,8 @@ std::optional<LabelingScheme> LoadLabelingScheme(
   uint64_t magic = 0;
   VertexId n = 0;
   uint32_t k = 0;
-  if (!in.Read(&magic) || (magic != kMagicV1 && magic != kMagicV2) ||
-      !in.Read(&n) || !in.Read(&k)) {
+  if (!in.Read(&magic) || magic != kMagicV2 || !in.Read(&n) ||
+      !in.Read(&k)) {
     return Reject("bad header in " + path);
   }
   if (num_vertices.has_value() && n != *num_vertices) {
@@ -104,7 +103,7 @@ std::optional<LabelingScheme> LoadLabelingScheme(
     return Reject("truncated labels");
   }
   uint8_t has_bp = 0;
-  if (magic == kMagicV2 && (!in.Read(&has_bp) || has_bp > 1)) {
+  if (!in.Read(&has_bp) || has_bp > 1) {
     return Reject("bad bit-parallel flag");
   }
   std::vector<std::vector<VertexId>> selected(has_bp == 1 ? k : 0);

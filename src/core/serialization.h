@@ -15,9 +15,8 @@
 //   u64  num_meta_edges
 //   (u32 a, u32 b, u32 weight) * num_meta_edges
 //
-// Version QBSIDX01 is the same layout without the bit-parallel section;
-// the loader still reads v1 files (masks simply come back disabled, and
-// queries fall back to the sketch-guided search). Save() always writes v2.
+// This is the only format the loader reads; files with any other magic
+// (including the older QBSIDX01) are rejected.
 //
 // Each section moves with one stream call. Counts are checked against the
 // file's size before they size an allocation; duplicate landmarks,

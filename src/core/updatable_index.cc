@@ -12,7 +12,7 @@ namespace {
 enum class ColumnImpact : uint8_t {
   kUnaffected = 0,  // nothing in this batch touches the column
   kRepair = 1,      // decrease-only depth repair + rederivation suffices
-  kRebuild = 2,     // a parent edge died (or the column was already dirty)
+  kRebuild = 2,     // a parent edge died: full column rebuild
 };
 
 // Classifies column i against its OLD exact depths and masks (see the
@@ -103,10 +103,8 @@ void RepairColumnDepths(const Graph& g, const std::vector<Edge>& inserts,
 }
 
 // Rebuilds the meta-graph from the per-column meta lists. Each meta-edge
-// is discovered from both endpoint columns; duplicates collapse, and when
-// a deferred (stale) column disagrees with a fresh one the minimum weight
-// wins until Consolidate() restores exactness. With no dirty columns every
-// duplicate agrees, so the result is canonical.
+// is discovered from both endpoint columns; every column is exact, so the
+// two copies agree and collapse into one.
 MetaGraph RebuildMeta(uint32_t k, const UpdatableState& state) {
   std::vector<MetaEdge> all;
   for (const auto& col : state.columns) {
@@ -119,7 +117,7 @@ MetaGraph RebuildMeta(uint32_t k, const UpdatableState& state) {
   for (size_t idx = 0; idx < all.size(); ++idx) {
     if (idx > 0 && all[idx].a == all[idx - 1].a &&
         all[idx].b == all[idx - 1].b) {
-      continue;  // operator< orders by weight last: first entry is the min
+      continue;
     }
     meta.AddEdge(all[idx].a, all[idx].b, all[idx].weight);
   }
@@ -133,7 +131,6 @@ void InitUpdatableState(const Graph& g, PathLabeling& labeling,
                         UpdatableState* state, size_t num_threads) {
   const uint32_t k = labeling.num_landmarks();
   state->columns.assign(k, {});
-  state->dirty.assign(k, 0);
   if (k == 0) return;
   const size_t workers = std::min<size_t>(EffectiveThreads(num_threads), k);
   ParallelFor(k, workers, [&](size_t i, size_t) {
@@ -162,10 +159,8 @@ UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
   // over the pre-edit state, so no ordering hazards with phase 2.
   std::vector<ColumnImpact> impact(k, ColumnImpact::kUnaffected);
   ParallelFor(k, workers, [&](size_t i, size_t) {
-    impact[i] = state->dirty[i] != 0
-                    ? ColumnImpact::kRebuild
-                    : ClassifyColumn(*labeling, static_cast<LandmarkIndex>(i),
-                                     state->columns[i], net);
+    impact[i] = ClassifyColumn(*labeling, static_cast<LandmarkIndex>(i),
+                               state->columns[i], net);
   });
 
   // Phase 2: repair / rebuild affected columns against the new graph.
@@ -181,49 +176,17 @@ UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
         RederiveLabelColumn(new_graph, *labeling, li, &state->columns[i]);
         break;
       case ColumnImpact::kRebuild:
-        if (options.consolidate) {
-          RebuildLabelColumn(new_graph, *labeling, li, &state->columns[i]);
-          state->dirty[i] = 0;
-        } else {
-          state->dirty[i] = 1;
-        }
+        RebuildLabelColumn(new_graph, *labeling, li, &state->columns[i]);
         break;
     }
   });
   for (uint32_t i = 0; i < k; ++i) {
     if (impact[i] == ColumnImpact::kRepair) ++stats.repaired_columns;
-    if (impact[i] == ColumnImpact::kRebuild) {
-      if (options.consolidate) {
-        ++stats.rebuilt_columns;
-      } else {
-        ++stats.deferred_columns;
-      }
-    }
+    if (impact[i] == ColumnImpact::kRebuild) ++stats.rebuilt_columns;
   }
 
   *meta = RebuildMeta(k, *state);
   return stats;
-}
-
-uint32_t ConsolidateDirtyColumns(const Graph& g, PathLabeling* labeling,
-                                 MetaGraph* meta, UpdatableState* state,
-                                 size_t num_threads) {
-  const uint32_t k = labeling->num_landmarks();
-  QBS_CHECK_EQ(state->columns.size(), static_cast<size_t>(k));
-  std::vector<LandmarkIndex> dirty_cols;
-  for (uint32_t i = 0; i < k; ++i) {
-    if (state->dirty[i] != 0) dirty_cols.push_back(i);
-  }
-  if (dirty_cols.empty()) return 0;
-  const size_t workers =
-      std::min<size_t>(EffectiveThreads(num_threads), dirty_cols.size());
-  ParallelFor(dirty_cols.size(), workers, [&](size_t idx, size_t) {
-    const LandmarkIndex i = dirty_cols[idx];
-    RebuildLabelColumn(g, *labeling, i, &state->columns[i]);
-    state->dirty[i] = 0;
-  });
-  *meta = RebuildMeta(k, *state);
-  return static_cast<uint32_t>(dirty_cols.size());
 }
 
 }  // namespace qbs

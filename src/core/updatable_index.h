@@ -16,25 +16,22 @@
 //          distances hold, only the S^0 masks can gain a witness —
 //          affected iff (S⁻(u) & ~(S⁻(v)|S⁰(v))) | (sym.) != 0.
 //        delete — |d(u)-d(v)| == 1: a parent edge died, distances can
-//          grow — the column is dirty and needs a full rebuild; d(u) ==
-//          d(v): distances hold, affected iff a realized S^0 witness dies:
+//          grow — the column needs a full rebuild; d(u) == d(v):
+//          distances hold, affected iff a realized S^0 witness dies:
 //          (S⁻(u) & S⁰(v)) | (S⁻(v) & S⁰(u)) != 0.
-//   2. Repair (insert-affected, no dirty deletes): a decrease-only
+//   2. Repair (insert-affected, no parent-edge deletes): a decrease-only
 //      multi-source partial BFS on the new graph, seeded from the inserted
 //      edges' shallower endpoints, updates the depth array to exact new
 //      distances; RederiveLabelColumn then recomputes QL, labels,
 //      meta-edges, and masks from those depths — bit-identical to a fresh
 //      BFS, because every derived quantity is a function of exact depths.
-//   3. Consolidation (delete-dirty columns): a full column rebuild
-//      (RebuildLabelColumn). With UpdateOptions::consolidate = false the
-//      rebuild is deferred SVS-style — the column serves stale answers
-//      until Consolidate() runs — so deletion-heavy churn can amortize
-//      rebuilds. QbsIndex::ApplyUpdates defaults to eager consolidation
-//      (the index is exact when it returns).
+//   3. Rebuild (a parent edge died): a full column rebuild
+//      (RebuildLabelColumn) in the same batch.
 //
-// The meta-graph is rebuilt from the per-column meta lists each batch
-// (|R|^2 edges — negligible); with deferred columns in play, conflicting
-// stale weights resolve to the minimum, restored exactly on consolidation.
+// Every column is exact when ApplyNetToLabeling returns, so the index
+// answers every query as a from-scratch build on the new graph would. The
+// meta-graph is rebuilt from the per-column meta lists each batch (|R|^2
+// edges — negligible).
 //
 // Concurrency: nothing here takes a lock, by design. ApplyUpdates mutates
 // the labelling in place and is serialized by the caller — the server
@@ -57,10 +54,6 @@
 namespace qbs {
 
 struct UpdateOptions {
-  /// Rebuild delete-dirty columns in this batch (true, the default: the
-  /// index is exact when ApplyUpdates returns) or defer them SVS-style
-  /// until Consolidate() (false: dirty columns serve stale answers).
-  bool consolidate = true;
   /// Column repair/rebuild threads: 0 = all hardware threads.
   size_t num_threads = 0;
 };
@@ -76,29 +69,17 @@ struct UpdateStats {
   uint64_t invalid_updates = 0;
   /// Columns repaired by partial BFS + rederivation (insert-affected).
   uint32_t repaired_columns = 0;
-  /// Columns rebuilt from scratch (delete-dirty, eager consolidation).
+  /// Columns rebuilt from scratch (a parent edge was deleted).
   uint32_t rebuilt_columns = 0;
-  /// Columns left dirty for a later Consolidate() (consolidate = false).
-  uint32_t deferred_columns = 0;
 
   uint64_t AppliedTotal() const { return applied_inserts + applied_deletes; }
 };
 
 /// Per-column maintenance state: the exact BFS depths + meta-edges of every
-/// landmark column (LabelColumnState) and the dirty flags of columns whose
-/// rebuild was deferred. Owned by QbsIndex once EnableUpdates() has run.
+/// landmark column (LabelColumnState). Owned by QbsIndex once
+/// EnableUpdates() has run.
 struct UpdatableState {
   std::vector<LabelColumnState> columns;
-  /// dirty[i] != 0: column i's labels/masks/meta/depths are stale (a
-  /// deferred delete); every detection short-circuits to "rebuild".
-  std::vector<uint8_t> dirty;
-
-  bool HasDirty() const {
-    for (uint8_t d : dirty) {
-      if (d != 0) return true;
-    }
-    return false;
-  }
 };
 
 /// Initializes `state` for (g, labeling): runs one labelling BFS per column
@@ -118,12 +99,6 @@ UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
                                PathLabeling* labeling, MetaGraph* meta,
                                UpdatableState* state,
                                const UpdateOptions& options);
-
-/// Rebuilds every dirty column against the current graph and rewrites the
-/// meta-graph. Returns the number of columns rebuilt (0 = nothing dirty).
-uint32_t ConsolidateDirtyColumns(const Graph& g, PathLabeling* labeling,
-                                 MetaGraph* meta, UpdatableState* state,
-                                 size_t num_threads);
 
 }  // namespace qbs
 

@@ -274,10 +274,9 @@ QueryClient::RpcStatus QueryClient::QueryWithRetry(const QueryRequest& request,
 }
 
 QueryClient::RpcStatus QueryClient::Update(const GraphDelta& delta,
-                                           UpdateStats* stats,
-                                           uint32_t flags) {
+                                           UpdateStats* stats) {
   Frame reply;
-  if (!RoundTrip(FrameType::kUpdateRequest, EncodeUpdateRequest(delta, flags),
+  if (!RoundTrip(FrameType::kUpdateRequest, EncodeUpdateRequest(delta),
                  &reply)) {
     return RpcStatus::kTransportError;
   }

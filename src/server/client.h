@@ -126,9 +126,9 @@ class QueryClient {
   /// Sends one edit script and blocks for the kUpdateResponse. The server
   /// must be running with updates enabled (`qbs serve --updatable`);
   /// otherwise it answers kError and this returns kRemoteError. `stats`
-  /// (optional) receives the server's apply counters. Flags: kUpdateFlag*.
-  RpcStatus Update(const GraphDelta& delta, UpdateStats* stats = nullptr,
-                   uint32_t flags = 0);
+  /// (optional) receives the server's apply counters. The served index is
+  /// exact for the edited graph once this returns kOk.
+  RpcStatus Update(const GraphDelta& delta, UpdateStats* stats = nullptr);
 
   /// Round-trips a kPing.
   bool Ping();

@@ -210,12 +210,11 @@ bool DecodeError(std::span<const uint8_t> payload, ErrorCode* code,
   return true;
 }
 
-std::vector<uint8_t> EncodeUpdateRequest(const GraphDelta& delta,
-                                         uint32_t flags) {
+std::vector<uint8_t> EncodeUpdateRequest(const GraphDelta& delta) {
   std::vector<uint8_t> out;
   out.reserve(8 + delta.size() * 12);
   Put32(&out, static_cast<uint32_t>(delta.size()));
-  Put32(&out, flags);
+  Put32(&out, 0);  // reserved
   for (const EdgeUpdate& upd : delta.updates()) {
     out.push_back(static_cast<uint8_t>(upd.op));
     out.push_back(0);
@@ -227,12 +226,11 @@ std::vector<uint8_t> EncodeUpdateRequest(const GraphDelta& delta,
   return out;
 }
 
-bool DecodeUpdateRequest(std::span<const uint8_t> payload, GraphDelta* delta,
-                         uint32_t* flags) {
+bool DecodeUpdateRequest(std::span<const uint8_t> payload,
+                         GraphDelta* delta) {
   if (payload.size() < 8) return false;
   const uint32_t count = Get32(payload.data());
-  const uint32_t f = Get32(payload.data() + 4);
-  if ((f & ~kUpdateFlagDefer) != 0) return false;
+  if (Get32(payload.data() + 4) != 0) return false;
   if (payload.size() != 8 + static_cast<size_t>(count) * 12) return false;
   delta->Clear();
   const uint8_t* p = payload.data() + 8;
@@ -242,28 +240,24 @@ bool DecodeUpdateRequest(std::span<const uint8_t> payload, GraphDelta* delta,
     delta->Add(EdgeUpdate{static_cast<EdgeOp>(p[0]), Get32(p + 4),
                           Get32(p + 8)});
   }
-  *flags = f;
   return true;
 }
 
 std::vector<uint8_t> EncodeUpdateResponse(const UpdateStats& stats) {
   std::vector<uint8_t> out;
-  out.reserve(48);
+  out.reserve(40);
   Put64(&out, stats.applied_inserts);
   Put64(&out, stats.applied_deletes);
   Put64(&out, stats.noop_updates);
   Put64(&out, stats.invalid_updates);
   Put32(&out, stats.repaired_columns);
   Put32(&out, stats.rebuilt_columns);
-  Put32(&out, stats.deferred_columns);
-  Put32(&out, 0);  // reserved
   return out;
 }
 
 bool DecodeUpdateResponse(std::span<const uint8_t> payload,
                           UpdateStats* stats) {
-  if (payload.size() != 48) return false;
-  if (Get32(payload.data() + 44) != 0) return false;
+  if (payload.size() != 40) return false;
   *stats = UpdateStats();
   stats->applied_inserts = Get64(payload.data());
   stats->applied_deletes = Get64(payload.data() + 8);
@@ -271,7 +265,6 @@ bool DecodeUpdateResponse(std::span<const uint8_t> payload,
   stats->invalid_updates = Get64(payload.data() + 24);
   stats->repaired_columns = Get32(payload.data() + 32);
   stats->rebuilt_columns = Get32(payload.data() + 36);
-  stats->deferred_columns = Get32(payload.data() + 40);
   return true;
 }
 

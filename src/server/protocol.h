@@ -66,11 +66,6 @@ enum class FrameType : uint8_t {
   kUpdateResponse = 10,
 };
 
-/// Update-request flag: defer delete-dirtied column rebuilds to a later
-/// consolidation instead of rebuilding them in this batch (the index may
-/// serve stale answers until then — opt-in eventual consistency).
-inline constexpr uint32_t kUpdateFlagDefer = 1u << 0;
-
 /// Error payload codes.
 enum class ErrorCode : uint32_t {
   kBadRequest = 1,       // undecodable or malformed request payload
@@ -150,19 +145,18 @@ std::vector<uint8_t> EncodeError(ErrorCode code, const std::string& message);
 bool DecodeError(std::span<const uint8_t> payload, ErrorCode* code,
                  std::string* message);
 
-/// Update request payload: u32 edit count, u32 flags (kUpdateFlag* only;
-/// unknown bits reject), then one 12-byte record per edit — u8 op
-/// (EdgeOp), 3 reserved bytes (must be 0), u32 u, u32 v. Endpoint range
-/// checks happen server-side against |V| (out-of-range edits count as
-/// invalid, they don't poison the frame).
-std::vector<uint8_t> EncodeUpdateRequest(const GraphDelta& delta,
-                                         uint32_t flags = 0);
-bool DecodeUpdateRequest(std::span<const uint8_t> payload, GraphDelta* delta,
-                         uint32_t* flags);
+/// Update request payload: u32 edit count, u32 reserved (must be 0; nonzero
+/// rejects, so the server answers kBadRequest), then one 12-byte record per
+/// edit — u8 op (EdgeOp), 3 reserved bytes (must be 0), u32 u, u32 v.
+/// Endpoint range checks happen server-side against |V| (out-of-range
+/// edits count as invalid, they don't poison the frame). Every update is
+/// applied exactly before its response is sent.
+std::vector<uint8_t> EncodeUpdateRequest(const GraphDelta& delta);
+bool DecodeUpdateRequest(std::span<const uint8_t> payload, GraphDelta* delta);
 
 /// Update response payload: the UpdateStats the apply produced — four u64
-/// counters (applied inserts/deletes, no-ops, invalid) then four u32
-/// fields (repaired, rebuilt, deferred columns, reserved 0). 48 bytes.
+/// counters (applied inserts/deletes, no-ops, invalid) then two u32
+/// fields (repaired, rebuilt columns). 40 bytes.
 std::vector<uint8_t> EncodeUpdateResponse(const UpdateStats& stats);
 bool DecodeUpdateResponse(std::span<const uint8_t> payload,
                           UpdateStats* stats);

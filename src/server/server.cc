@@ -347,13 +347,12 @@ bool QueryServer::HandleFrame(Socket& sock, FaultInjector* injector,
                          "updates not permitted (serve with --updatable)");
       }
       GraphDelta delta;
-      uint32_t flags = 0;
-      if (!DecodeUpdateRequest(frame.payload, &delta, &flags)) {
+      if (!DecodeUpdateRequest(frame.payload, &delta)) {
         bad_requests_.fetch_add(1, std::memory_order_relaxed);
         return SendError(sock, ErrorCode::kBadRequest,
                          "malformed update payload");
       }
-      return ServeUpdate(sock, delta, flags);
+      return ServeUpdate(sock, delta);
     }
     default: {
       // A structurally valid frame the server has no business receiving
@@ -508,8 +507,7 @@ bool QueryServer::ServeDegraded(Socket& sock, const QueryRequest& request) {
   return SendFrame(sock, FrameType::kQueryResponse, payload);
 }
 
-bool QueryServer::ServeUpdate(Socket& sock, const GraphDelta& delta,
-                              uint32_t flags) {
+bool QueryServer::ServeUpdate(Socket& sock, const GraphDelta& delta) {
   if (!index_.updates_enabled()) {
     bad_requests_.fetch_add(1, std::memory_order_relaxed);
     return SendError(sock, ErrorCode::kBadRequest,
@@ -523,9 +521,7 @@ bool QueryServer::ServeUpdate(Socket& sock, const GraphDelta& delta,
     // ApplyUpdates schedules pool work while this is held — legal because
     // the pool ranks (kThreadPool*) sit above kIndex.
     WriterLock write_lock(index_mu_);
-    UpdateOptions opt;
-    opt.consolidate = (flags & kUpdateFlagDefer) == 0;
-    stats = index_.ApplyUpdates(delta, opt);
+    stats = index_.ApplyUpdates(delta);
     if (stats.AppliedTotal() > 0) cache_.Clear();
   }
   updates_.fetch_add(1, std::memory_order_relaxed);

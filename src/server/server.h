@@ -223,7 +223,7 @@ class QueryServer {
   /// Applies one decoded edit script under the writer side of index_mu_
   /// and clears the result cache before releasing it; answers with
   /// kUpdateResponse.
-  bool ServeUpdate(Socket& sock, const GraphDelta& delta, uint32_t flags);
+  bool ServeUpdate(Socket& sock, const GraphDelta& delta);
   bool SendFrame(Socket& sock, FrameType type,
                  std::span<const uint8_t> payload);
   bool SendError(Socket& sock, ErrorCode code, const std::string& message);

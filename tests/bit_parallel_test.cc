@@ -18,7 +18,6 @@
 #include "core/labeling.h"
 #include "core/landmark_selection.h"
 #include "core/qbs_index.h"
-#include "core/serialization.h"
 #include "core/sketch.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
@@ -464,32 +463,30 @@ TEST(BitParallelTest, MaskPruneReducesAllThroughLandmarkScans) {
                                  : 0.0);
 }
 
-// Loading a v1 (QBSIDX01) file with bit_parallel requested cannot invent
-// masks: the index runs mask-less (sound bounds, oracle-exact queries).
-// And force-enabling empty masks on such a scheme must degrade to "no
+// A mask-less index (bit_parallel = false) runs with sound bounds and
+// oracle-exact queries, never short-circuiting on labels. And
+// force-enabling empty masks on a mask-less scheme must degrade to "no
 // witnesses": bounds identical to the mask-less ones, never tighter.
-TEST(BitParallelTest, V1LoadThenQueryWithMasksRequested) {
-  const std::string fixture =
-      std::string(QBS_TEST_DATA_DIR) + "/figure4_v1.qbsidx";
+TEST(BitParallelTest, MasklessSchemeQueriesAndBoundsStaySound) {
   Graph g = testing::Figure4Graph();
   QbsOptions options;
-  options.bit_parallel = true;  // requested, but a v1 file has none
-  auto index = QbsIndex::LoadFromFile(g, fixture, options);
-  ASSERT_TRUE(index.has_value());
-  EXPECT_FALSE(index->labeling().has_bp_masks());
-  EXPECT_EQ(index->BpMaskSizeBytes(), 0u);
+  options.bit_parallel = false;
+  const QbsIndex index =
+      QbsIndex::BuildWithLandmarks(g, testing::Figure4Landmarks(), options);
+  EXPECT_FALSE(index.labeling().has_bp_masks());
+  EXPECT_EQ(index.BpMaskSizeBytes(), 0u);
 
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
     const auto dist = BfsDistances(g, u);
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      const QueryResponse response = index->Query({u, v});
+      const QueryResponse response = index.Query({u, v});
       ASSERT_EQ(response.spg, SpgByDoubleBfs(g, u, v))
           << "u=" << u << " v=" << v;
       EXPECT_EQ(response.stats.label_short_circuits, 0u);
       if (u != v && dist[v] != kUnreachable) {
-        EXPECT_GE(index->DistanceUpperBound(u, v), dist[v]);
+        EXPECT_GE(index.DistanceUpperBound(u, v), dist[v]);
         const LabelBound bound =
-            ComputeLabelBound(index->labeling(), index->meta_graph(), u, v);
+            ComputeLabelBound(index.labeling(), index.meta_graph(), u, v);
         EXPECT_LE(bound.lower, dist[v]);
       }
     }
@@ -499,19 +496,21 @@ TEST(BitParallelTest, V1LoadThenQueryWithMasksRequested) {
   // zeros (what a loader bug would produce). Upper refinement and lower
   // lift both require set bits on both sides, so every bound must equal
   // the mask-less one.
-  auto scheme = LoadLabelingScheme(fixture);
-  ASSERT_TRUE(scheme.has_value());
-  auto empty_masks = LoadLabelingScheme(fixture);
-  ASSERT_TRUE(empty_masks.has_value());
-  empty_masks->labeling.EnableBpMasks();
-  ASSERT_TRUE(empty_masks->labeling.has_bp_masks());
+  LabelingBuildOptions maskless;
+  maskless.bit_parallel = false;
+  const LabelingScheme scheme =
+      BuildLabelingScheme(g, testing::Figure4Landmarks(), maskless);
+  LabelingScheme empty_masks =
+      BuildLabelingScheme(g, testing::Figure4Landmarks(), maskless);
+  empty_masks.labeling.EnableBpMasks();
+  ASSERT_TRUE(empty_masks.labeling.has_bp_masks());
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
       if (u == v) continue;
       const LabelBound plain =
-          ComputeLabelBound(scheme->labeling, scheme->meta, u, v);
+          ComputeLabelBound(scheme.labeling, scheme.meta, u, v);
       const LabelBound with_empty =
-          ComputeLabelBound(empty_masks->labeling, empty_masks->meta, u, v);
+          ComputeLabelBound(empty_masks.labeling, empty_masks.meta, u, v);
       EXPECT_EQ(with_empty.lower, plain.lower) << "u=" << u << " v=" << v;
       EXPECT_EQ(with_empty.upper, plain.upper) << "u=" << u << " v=" << v;
     }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/bfs_oracle.h"
 #include "core/delta_cache.h"
+#include "core/guided_search.h"
 #include "core/labeling.h"
 #include "core/landmark_selection.h"
 #include "gen/generators.h"
@@ -112,6 +114,28 @@ TEST(DeltaCacheTest, MissingPairReturnsNull) {
       DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
   // (0, 0) is not a meta-edge.
   EXPECT_EQ(cache.Lookup(0, 0), nullptr);
+}
+
+// The recover search splices Δ segments: landmark-routed pairs hit the
+// cache, and the spliced answers match the oracle.
+TEST(DeltaCacheTest, RecoverSearchSplicesCachedSegments) {
+  Graph g = BarabasiAlbert(300, 3, 77);
+  const auto scheme = BuildLabelingScheme(
+      g, SelectLandmarks(g, 8, LandmarkStrategy::kHighestDegree, 0));
+  const DeltaCache delta =
+      DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
+  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
+  GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta, delta);
+  uint64_t hits = 0;
+  for (VertexId u = 0; u < 60; u += 3) {
+    for (VertexId v = 100; v < 160; v += 7) {
+      SearchStats stats;
+      ASSERT_EQ(searcher.Query(u, v, &stats), SpgByDoubleBfs(g, u, v))
+          << "u=" << u << " v=" << v;
+      hits += stats.delta_cache_hits;
+    }
+  }
+  EXPECT_GT(hits, 0u);
 }
 
 }  // namespace

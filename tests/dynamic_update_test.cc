@@ -1,8 +1,8 @@
 // The dynamic-index gauntlet: random edit scripts against
 // QbsIndex::ApplyUpdates must leave the index bit-identical to a
 // from-scratch build on the updated graph — labels, bit-parallel masks,
-// meta-graph, and answers (SameAnswer on sampled pairs, including d <= 2
-// pairs that exercise the mask fast path).
+// meta-graph, Δ segments, and answers (SameAnswer on sampled pairs,
+// including d <= 2 pairs that exercise the mask fast path).
 //
 // The labelling is uniquely determined by (G, R) (Lemma 5.2), which is
 // what makes bit-identity a legitimate oracle: same updated graph, same
@@ -104,6 +104,17 @@ void AssertSameScheme(const Graph& g, const QbsIndex& updated,
     }
   }
   ASSERT_EQ(updated.meta_graph().Edges(), fresh.meta_graph().Edges());
+  // Δ sits on every recover path, so its refresh must be exact too.
+  for (const MetaEdge& e : fresh.meta_graph().Edges()) {
+    const std::vector<Edge>* got = updated.delta_cache().Lookup(e.a, e.b);
+    const std::vector<Edge>* want = fresh.delta_cache().Lookup(e.a, e.b);
+    ASSERT_NE(got, nullptr) << "no Δ segment for (" << e.a << ", " << e.b
+                            << ")";
+    ASSERT_NE(want, nullptr);
+    ASSERT_EQ(*got, *want) << "Δ segment mismatch for (" << e.a << ", "
+                           << e.b << ")";
+  }
+  ASSERT_EQ(updated.DeltaSizeBytes(), fresh.DeltaSizeBytes());
 }
 
 // Sampled pairs + adjacent and two-hop pairs (the d <= 2 bit-parallel
@@ -149,7 +160,6 @@ TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
     for (int batch = 0; batch < 3; ++batch) {
       const GraphDelta delta = RandomScript(g, rng, 10);
       index.ApplyUpdates(delta);
-      ASSERT_FALSE(index.HasDirtyColumns());  // eager by default
       QbsIndex fresh = QbsIndex::BuildWithLandmarks(g, landmarks, options);
       AssertSameScheme(g, index, fresh);
       AssertSameAnswers(g, index, fresh, rng);
@@ -157,44 +167,6 @@ TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
         return;  // the printed seed line identifies the failing script
       }
     }
-  }
-}
-
-TEST(DynamicUpdateTest, DeferredConsolidationConvergesToEager) {
-  for (const uint64_t seed : {3u, 8u, 11u}) {
-    std::mt19937_64 rng(seed);
-    Graph g_eager = MakeFamilyGraph(seed);
-    Graph g_deferred = MakeFamilyGraph(seed);  // identical twin
-    QbsOptions options;
-    options.num_landmarks = 6;
-    options.num_threads = 2;
-    QbsIndex eager = QbsIndex::Build(g_eager, options);
-    eager.EnableUpdates(&g_eager, 2);
-    QbsIndex deferred =
-        QbsIndex::BuildWithLandmarks(g_deferred, eager.landmarks(), options);
-    deferred.EnableUpdates(&g_deferred, 2);
-
-    // Same two-batch script on both; the deferred index leaves its
-    // delete-dirty columns stale between batches.
-    UpdateOptions defer;
-    defer.consolidate = false;
-    defer.num_threads = 2;
-    uint32_t deferred_total = 0;
-    for (int batch = 0; batch < 2; ++batch) {
-      const GraphDelta delta = RandomScript(g_eager, rng, 12);
-      eager.ApplyUpdates(delta);
-      const UpdateStats stats = deferred.ApplyUpdates(delta, defer);
-      deferred_total += stats.deferred_columns;
-    }
-    EXPECT_EQ(deferred.HasDirtyColumns(), deferred_total > 0);
-
-    // Consolidation brings the stale columns back to exact — bit-identical
-    // to the eagerly-maintained twin.
-    deferred.Consolidate(2);
-    EXPECT_FALSE(deferred.HasDirtyColumns());
-    ASSERT_EQ(g_eager.EdgeList(), g_deferred.EdgeList());
-    AssertSameScheme(g_eager, deferred, eager);
-    AssertSameAnswers(g_eager, deferred, eager, rng);
   }
 }
 

@@ -7,9 +7,10 @@
 //   * bounded buffering (the reader's payload cap holds);
 //   * decode → encode → decode is the identity on every payload the
 //     decoder accepts (a decoded value always re-encodes canonically);
-//   * for the fixed-layout request and busy codecs, which have exactly one
-//     layout and reject nonzero padding, decode → encode reproduces the
-//     accepted payload byte for byte.
+//   * for the query-request, busy, update-request and update-response
+//     codecs, which have exactly one layout and reject nonzero padding or
+//     reserved words, decode → encode reproduces the accepted payload byte
+//     for byte.
 //
 // Built two ways: with QBS_FUZZ_LIBFUZZER under clang -fsanitize=fuzzer
 // for real fuzzing, and with a standalone main() that replays the
@@ -58,29 +59,12 @@ void ExerciseCodecs(std::span<const uint8_t> payload) {
     if (!SameBytes(payload, EncodeBusy(retry, depth))) __builtin_trap();
   }
   GraphDelta delta;
-  uint32_t flags = 0;
-  if (DecodeUpdateRequest(payload, &delta, &flags)) {
-    GraphDelta delta2;
-    uint32_t flags2 = 0;
-    if (!DecodeUpdateRequest(EncodeUpdateRequest(delta, flags), &delta2,
-                             &flags2) ||
-        flags2 != flags || !(delta2.updates() == delta.updates())) {
-      __builtin_trap();
-    }
+  if (DecodeUpdateRequest(payload, &delta)) {
+    if (!SameBytes(payload, EncodeUpdateRequest(delta))) __builtin_trap();
   }
   UpdateStats stats;
   if (DecodeUpdateResponse(payload, &stats)) {
-    UpdateStats stats2;
-    if (!DecodeUpdateResponse(EncodeUpdateResponse(stats), &stats2) ||
-        stats2.applied_inserts != stats.applied_inserts ||
-        stats2.applied_deletes != stats.applied_deletes ||
-        stats2.noop_updates != stats.noop_updates ||
-        stats2.invalid_updates != stats.invalid_updates ||
-        stats2.repaired_columns != stats.repaired_columns ||
-        stats2.rebuilt_columns != stats.rebuilt_columns ||
-        stats2.deferred_columns != stats.deferred_columns) {
-      __builtin_trap();
-    }
+    if (!SameBytes(payload, EncodeUpdateResponse(stats))) __builtin_trap();
   }
   ErrorCode code;
   std::string message;

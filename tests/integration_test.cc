@@ -38,7 +38,6 @@ TEST_F(IntegrationTest, AllMethodsAgreeOnDataset) {
   const Graph& g = *graph_;
   QbsOptions options;
   options.num_landmarks = 20;
-  options.precompute_delta = true;
   QbsIndex qbs = QbsIndex::Build(g, options);
   BiBfs bibfs(g);
   auto ppl = PplIndex::Build(g);

@@ -23,13 +23,9 @@ TEST(QbsIndexTest, BuildAndQuerySmoke) {
   QbsIndex index = QbsIndex::Build(g, options);
   EXPECT_EQ(index.landmarks().size(), 10u);
   EXPECT_GT(index.LabelingSizeBytes(), 0u);
-  EXPECT_GT(index.DeltaSizeBytes(), 0u);  // Δ precomputed by default
-
-  QbsOptions no_delta = options;
-  no_delta.precompute_delta = false;
-  QbsIndex lean = QbsIndex::Build(g, no_delta);
-  EXPECT_EQ(lean.DeltaSizeBytes(), 0u);
-  EXPECT_EQ(lean.Query({50, 400}).spg, index.Query({50, 400}).spg);
+  EXPECT_GT(index.DeltaSizeBytes(), 0u);  // every index carries Δ
+  EXPECT_EQ(index.delta_cache().NumSegments(),
+            index.meta_graph().Edges().size());
   EXPECT_EQ(index.Query({50, 400}).spg, SpgByDoubleBfs(g, 50, 400));
 }
 
@@ -135,7 +131,6 @@ TEST(QbsIndexTest, TimingsPopulated) {
   Graph g = BarabasiAlbert(300, 3, 5);
   QbsOptions options;
   options.num_landmarks = 8;
-  options.precompute_delta = true;
   QbsIndex index = QbsIndex::Build(g, options);
   EXPECT_GT(index.timings().labeling_seconds, 0.0);
   EXPECT_GE(index.timings().delta_seconds, 0.0);
@@ -151,15 +146,14 @@ TEST(QbsIndexTest, BuildWithExplicitLandmarks) {
 }
 
 // The central correctness property: QbS answers == oracle answers on every
-// sampled pair, across graph families, landmark counts, strategies, thread
-// counts, and the delta-cache toggle.
+// sampled pair, across graph families, landmark counts, strategies, and
+// thread counts — every instance on the served Δ path.
 struct SweepParam {
   int family;
   uint64_t seed;
   uint32_t num_landmarks;
   LandmarkStrategy strategy;
   size_t threads;
-  bool delta;
 };
 
 class QbsOracleSweep : public ::testing::TestWithParam<SweepParam> {};
@@ -191,7 +185,6 @@ TEST_P(QbsOracleSweep, MatchesOracleEverywhere) {
   options.num_landmarks = p.num_landmarks;
   options.landmark_strategy = p.strategy;
   options.num_threads = p.threads;
-  options.precompute_delta = p.delta;
   options.seed = p.seed;
   QbsIndex index = QbsIndex::Build(g, options);
 
@@ -215,21 +208,21 @@ TEST_P(QbsOracleSweep, MatchesOracleEverywhere) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, QbsOracleSweep,
     ::testing::Values(
-        SweepParam{0, 1, 8, LandmarkStrategy::kHighestDegree, 1, false},
-        SweepParam{0, 2, 8, LandmarkStrategy::kHighestDegree, 4, true},
-        SweepParam{0, 3, 20, LandmarkStrategy::kRandom, 1, false},
-        SweepParam{1, 4, 8, LandmarkStrategy::kHighestDegree, 1, false},
-        SweepParam{1, 5, 20, LandmarkStrategy::kHighestDegree, 4, true},
-        SweepParam{2, 6, 8, LandmarkStrategy::kHighestDegree, 1, false},
-        SweepParam{2, 7, 8, LandmarkStrategy::kRandom, 1, true},
-        SweepParam{3, 8, 8, LandmarkStrategy::kHighestDegree, 1, false},
-        SweepParam{3, 9, 20, LandmarkStrategy::kHighestDegree, 4, false},
-        SweepParam{4, 10, 8, LandmarkStrategy::kHighestDegree, 1, false},
-        SweepParam{4, 11, 8, LandmarkStrategy::kRandom, 1, true},
-        SweepParam{5, 12, 8, LandmarkStrategy::kHighestDegree, 1, false},
-        SweepParam{5, 13, 1, LandmarkStrategy::kHighestDegree, 1, false},
-        SweepParam{0, 14, 2, LandmarkStrategy::kHighestDegree, 1, false},
-        SweepParam{2, 15, 50, LandmarkStrategy::kHighestDegree, 4, true}));
+        SweepParam{0, 1, 8, LandmarkStrategy::kHighestDegree, 1},
+        SweepParam{0, 2, 8, LandmarkStrategy::kHighestDegree, 4},
+        SweepParam{0, 3, 20, LandmarkStrategy::kRandom, 1},
+        SweepParam{1, 4, 8, LandmarkStrategy::kHighestDegree, 1},
+        SweepParam{1, 5, 20, LandmarkStrategy::kHighestDegree, 4},
+        SweepParam{2, 6, 8, LandmarkStrategy::kHighestDegree, 1},
+        SweepParam{2, 7, 8, LandmarkStrategy::kRandom, 1},
+        SweepParam{3, 8, 8, LandmarkStrategy::kHighestDegree, 1},
+        SweepParam{3, 9, 20, LandmarkStrategy::kHighestDegree, 4},
+        SweepParam{4, 10, 8, LandmarkStrategy::kHighestDegree, 1},
+        SweepParam{4, 11, 8, LandmarkStrategy::kRandom, 1},
+        SweepParam{5, 12, 8, LandmarkStrategy::kHighestDegree, 1},
+        SweepParam{5, 13, 1, LandmarkStrategy::kHighestDegree, 1},
+        SweepParam{0, 14, 2, LandmarkStrategy::kHighestDegree, 1},
+        SweepParam{2, 15, 50, LandmarkStrategy::kHighestDegree, 4}));
 
 // Pair coverage classification agrees with a brute-force landmark check.
 TEST(QbsIndexTest, CoverageClassificationMatchesBruteForce) {

@@ -313,30 +313,32 @@ TEST_F(SerializationTest, MissingFile) {
   EXPECT_FALSE(LoadLabelingScheme("/nonexistent/index.qbs").has_value());
 }
 
-// The committed fixture was written by the v1 (QBSIDX01) writer, before the
-// bit-parallel mask section existed. The v2 loader must still read it:
-// identical labels and meta-graph, masks disabled.
-TEST_F(SerializationTest, LoadsV1FormatFixture) {
-  const std::string fixture =
-      std::string(QBS_TEST_DATA_DIR) + "/figure4_v1.qbsidx";
-  auto loaded = LoadLabelingScheme(fixture);
+// A mask-less scheme (built with bit_parallel = false) round-trips through
+// a file into a working index: identical labels and meta-graph, masks
+// disabled, and queries that agree with the oracle without any label
+// short-circuit. The same scheme in the retired QBSIDX01 layout (no
+// bit-parallel flag byte, "QBSIDX01" magic) is rejected, not misread.
+TEST_F(SerializationTest, MasklessSchemeLoadsAndV1FileIsRejected) {
+  Graph g = testing::Figure4Graph();
+  LabelingBuildOptions maskless;
+  maskless.bit_parallel = false;
+  const LabelingScheme fresh =
+      BuildLabelingScheme(g, testing::Figure4Landmarks(), maskless);
+  ASSERT_TRUE(SaveLabelingScheme(fresh, path_));
+  auto loaded = LoadLabelingScheme(path_);
   ASSERT_TRUE(loaded.has_value());
   EXPECT_FALSE(loaded->labeling.has_bp_masks());
-
-  Graph g = testing::Figure4Graph();
-  const auto fresh = BuildLabelingScheme(g, testing::Figure4Landmarks());
   ASSERT_EQ(loaded->labeling.landmarks(), fresh.labeling.landmarks());
+  const uint32_t k = fresh.labeling.num_landmarks();
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    for (LandmarkIndex i = 0; i < fresh.labeling.num_landmarks(); ++i) {
+    for (LandmarkIndex i = 0; i < k; ++i) {
       EXPECT_EQ(loaded->labeling.Get(v, i), fresh.labeling.Get(v, i))
           << "v=" << v << " i=" << i;
     }
   }
   EXPECT_EQ(loaded->meta.Edges(), fresh.meta.Edges());
 
-  // A v1 file still finishes into a working index: queries agree with the
-  // oracle (falling back to the sketch-guided search, no masks).
-  auto index = QbsIndex::LoadFromFile(g, fixture);
+  auto index = QbsIndex::LoadFromFile(g, path_);
   ASSERT_TRUE(index.has_value());
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
     for (VertexId v = 0; v < g.NumVertices(); ++v) {
@@ -346,6 +348,17 @@ TEST_F(SerializationTest, LoadsV1FormatFixture) {
       ASSERT_EQ(response.stats.label_short_circuits, 0u);
     }
   }
+
+  std::string bytes = ReadFileBytes(path_);
+  const size_t bp_flag_at = sizeof(uint64_t) + 2 * sizeof(uint32_t) +
+                            k * sizeof(VertexId) +
+                            size_t{g.NumVertices()} * k * sizeof(DistT);
+  ASSERT_EQ(bytes[bp_flag_at], 0);
+  bytes.erase(bp_flag_at, 1);
+  bytes.replace(0, 8, "QBSIDX01");
+  WriteFileBytes(path_, bytes);
+  EXPECT_FALSE(LoadLabelingScheme(path_).has_value());
+  EXPECT_FALSE(QbsIndex::LoadFromFile(g, path_).has_value());
 }
 
 // A freshly saved (v2) file round-trips the mask section; disabling masks

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,7 +19,9 @@
 #include "gen/generators.h"
 #include "graph/graph_delta.h"
 #include "server/client.h"
+#include "server/protocol.h"
 #include "server/server.h"
+#include "server/socket.h"
 
 namespace qbs::server {
 namespace {
@@ -133,34 +136,41 @@ TEST_F(ServerUpdateTest, UpdatesRejectedWhenNotEnabled) {
 
 TEST_F(ServerUpdateTest, MalformedUpdatePayloadRejected) {
   auto server = StartUpdatable();
-  QueryClient client = ConnectTo(*server);
+  // A nonzero reserved word (payload bytes 4..7) is a malformed payload,
+  // not a crash: answered kBadRequest, nothing applied, and the connection
+  // still answers the ping pipelined behind it.
   GraphDelta delta;
-  delta.Insert(0, 1);
-  // An unknown flag bit is a malformed payload, not a crash.
-  EXPECT_EQ(client.Update(delta, nullptr, 0x80000000u),
-            QueryClient::RpcStatus::kRemoteError);
-  EXPECT_EQ(client.last_error_code(), ErrorCode::kBadRequest);
-  EXPECT_TRUE(client.Ping());
-}
+  delta.Insert(0, 399);
+  std::vector<uint8_t> payload = EncodeUpdateRequest(delta);
+  payload[7] = 0x80;
+  std::vector<uint8_t> wire;
+  AppendFrame(&wire, FrameType::kUpdateRequest, payload);
+  AppendFrame(&wire, FrameType::kPing, {});
+  std::string error;
+  Socket raw = Socket::ConnectTcp("127.0.0.1", server->port(), &error);
+  ASSERT_TRUE(raw.valid()) << error;
+  ASSERT_EQ(raw.SendAll(wire, 1000), IoStatus::kOk);
 
-TEST_F(ServerUpdateTest, DeferredUpdateReportsDeferredColumns) {
-  auto server = StartUpdatable();
-  QueryClient client = ConnectTo(*server);
-  // Delete a parent-ish edge under the defer flag: affected columns are
-  // tombstoned for later consolidation instead of rebuilt inline.
-  GraphDelta delta;
-  const Edge victim = g_.EdgeList().front();
-  delta.Delete(victim.u, victim.v);
-  UpdateStats stats;
-  ASSERT_EQ(client.Update(delta, &stats, kUpdateFlagDefer),
-            QueryClient::RpcStatus::kOk);
-  EXPECT_EQ(stats.applied_deletes, 1u);
-  EXPECT_EQ(stats.rebuilt_columns, 0u);
-  // A follow-up eager (empty-net) update consolidates the dirty columns.
-  GraphDelta none;
-  none.Delete(victim.u, victim.v);  // already gone: no-op net
-  ASSERT_EQ(client.Update(none, &stats), QueryClient::RpcStatus::kOk);
-  EXPECT_FALSE(index_->HasDirtyColumns());
+  FrameReader reader;
+  std::vector<Frame> frames;
+  uint8_t buf[512];
+  while (frames.size() < 2) {
+    Frame frame;
+    if (reader.Next(&frame) == FrameReader::Status::kFrame) {
+      frames.push_back(std::move(frame));
+      continue;
+    }
+    size_t n = 0;
+    ASSERT_EQ(raw.RecvSome(buf, sizeof(buf), &n, 5000), IoStatus::kOk);
+    reader.Feed(std::span<const uint8_t>(buf, n));
+  }
+  ASSERT_EQ(frames[0].type, FrameType::kError);
+  ErrorCode code = ErrorCode::kInternal;
+  std::string message;
+  ASSERT_TRUE(DecodeError(frames[0].payload, &code, &message));
+  EXPECT_EQ(code, ErrorCode::kBadRequest) << message;
+  EXPECT_EQ(frames[1].type, FrameType::kPong);
+  EXPECT_EQ(server->GetStats().updates, 0u);
 }
 
 // Query + update churn: reader/writer locking must keep every served

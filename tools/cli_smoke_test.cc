@@ -34,19 +34,25 @@ std::string Quoted(const std::string& arg) {
   return out;
 }
 
+// Runs `cmd`, captures stdout and stderr into *out, and returns the
+// pclose() status.
+int RunCapture(const std::string& cmd, std::string* out) {
+  FILE* pipe = popen((cmd + " 2>&1").c_str(), "r");
+  EXPECT_NE(pipe, nullptr) << "popen failed for: " << cmd;
+  if (pipe == nullptr) return -1;
+  std::array<char, 4096> buf;
+  size_t n;
+  while ((n = fread(buf.data(), 1, buf.size(), pipe)) > 0) {
+    out->append(buf.data(), n);
+  }
+  return pclose(pipe);
+}
+
 // Runs `cmd`, captures stdout, and returns it; fails the test on a non-zero
 // exit status.
 std::string RunOk(const std::string& cmd) {
   std::string out;
-  FILE* pipe = popen((cmd + " 2>&1").c_str(), "r");
-  EXPECT_NE(pipe, nullptr) << "popen failed for: " << cmd;
-  if (pipe == nullptr) return out;
-  std::array<char, 4096> buf;
-  size_t n;
-  while ((n = fread(buf.data(), 1, buf.size(), pipe)) > 0) {
-    out.append(buf.data(), n);
-  }
-  const int status = pclose(pipe);
+  const int status = RunCapture(cmd, &out);
   EXPECT_EQ(status, 0) << "command failed: " << cmd << "\noutput:\n" << out;
   return out;
 }
@@ -209,6 +215,37 @@ TEST_F(CliSmokeTest, ServeAndLoadRoundTrip) {
   const int status = pclose(server);
   ASSERT_TRUE(WIFEXITED(status));
   EXPECT_EQ(WEXITSTATUS(status), 0);
+}
+
+// An edit line whose endpoint is not a whole decimal id below 2^32 fails
+// before any connection is made (port 1 has no server): nothing may wrap
+// to another vertex, read as 0, or ignore trailing junk.
+TEST_F(CliSmokeTest, UpdateRejectsBadVertexIds) {
+  const std::string edits = Path("bad.txt");
+  const struct {
+    const char* line;
+    const char* message;
+  } cases[] = {
+      {"i 4294967297 5", ":1: bad vertex id '4294967297'"},
+      {"d 3 x", ":1: bad vertex id 'x'"},
+      {"i 1 2 junk", ":1: bad vertex id '2 junk'"},
+  };
+  for (const auto& c : cases) {
+    FILE* f = fopen(edits.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(f, "%s\n", c.line);
+    fclose(f);
+    std::string out;
+    const int status = RunCapture(Quoted(g_cli_path) +
+                               " update 127.0.0.1 1 --file " + Quoted(edits),
+                           &out);
+    ASSERT_TRUE(WIFEXITED(status)) << c.line;
+    EXPECT_NE(WEXITSTATUS(status), 0) << c.line;
+    EXPECT_NE(out.find(edits + c.message), std::string::npos)
+        << c.line << " printed:\n"
+        << out;
+    EXPECT_EQ(out.find("connect failed"), std::string::npos) << out;
+  }
 }
 
 TEST_F(CliSmokeTest, UsageOnBadInvocation) {

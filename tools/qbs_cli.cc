@@ -23,8 +23,7 @@
 //   dataset <ABBREV> [scale]    Table 1 stand-in (DO, DB, ..., CW)
 //
 // build options: --landmarks K (default 20), --threads T (default all),
-//                --strategy degree|random|deg-weighted|closeness,
-//                --no-delta
+//                --strategy degree|random|deg-weighted|closeness
 //
 // query: pass '-' as the index path to build one in memory on the fly.
 // Pairs come either positionally (u v u v ...) or from --requests FILE
@@ -39,6 +38,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -47,6 +47,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -76,7 +77,7 @@ int Usage() {
       "usage: qbs generate <family> <out.edges> [args...]\n"
       "       qbs stats <graph>\n"
       "       qbs build <graph> <out.qbs> [--landmarks K] "
-      "[--threads T] [--strategy S] [--no-delta]\n"
+      "[--threads T] [--strategy S]\n"
       "       qbs query <graph> <index.qbs|-> [u v ...] "
       "[--requests FILE|-] [--mode spg|distance] [--budget N]\n"
       "                 [--format human|tsv|jsonl] [--threads T]\n"
@@ -92,7 +93,7 @@ int Usage() {
       "[--burst F] [--deadline-ms MS]\n"
       "                 [--no-cache] [--shutdown]\n"
       "       qbs update <host> <port> [--insert U V]... [--delete U V]... "
-      "[--file F|-] [--defer]\n"
+      "[--file F|-]\n"
       "       qbs datasets\n"
       "<graph>: an edge-list path (.gz ok) or dataset:<name> "
       "(see `qbs datasets`)\n");
@@ -212,8 +213,6 @@ bool ParseBuildOptions(int argc, char** argv, qbs::QbsOptions* options) {
       options->num_landmarks = static_cast<uint32_t>(ArgU64(argv[++i]));
     } else if (a == "--threads" && i + 1 < argc) {
       options->num_threads = static_cast<size_t>(ArgU64(argv[++i]));
-    } else if (a == "--no-delta") {
-      options->precompute_delta = false;
     } else if (a == "--strategy" && i + 1 < argc) {
       const std::string s = argv[++i];
       if (s == "degree") {
@@ -632,6 +631,21 @@ int Serve(int argc, char** argv) {
   return 0;
 }
 
+// Parses a whole decimal vertex id below 2^32. Signs, blanks, trailing
+// characters and wider values are rejected rather than truncated, so an
+// edit never lands on a different edge than the one written.
+bool ParseVertexId(const std::string& tok, qbs::VertexId* out) {
+  uint64_t value = 0;
+  const char* end = tok.data() + tok.size();
+  const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
+  if (ec != std::errc() || ptr != end ||
+      value > std::numeric_limits<qbs::VertexId>::max()) {
+    return false;
+  }
+  *out = static_cast<qbs::VertexId>(value);
+  return true;
+}
+
 // Parses one edit per line: "i u v" / "insert u v" adds an edge,
 // "d u v" / "delete u v" removes one. Blank lines and '#' comments skip.
 bool ParseEditLine(const std::string& line, qbs::GraphDelta* delta,
@@ -642,8 +656,19 @@ bool ParseEditLine(const std::string& line, qbs::GraphDelta* delta,
     *error = "expected 'i|d u v'";
     return false;
   }
-  const auto u = static_cast<qbs::VertexId>(ArgU64(u_tok.c_str()));
-  const auto v = static_cast<qbs::VertexId>(ArgU64(v_tok.c_str()));
+  // Anything after the third token joins v's, so "2 junk" is no vertex id.
+  std::string rest;
+  std::getline(in, rest);
+  rest.erase(rest.find_last_not_of(" \t\r") + 1);
+  v_tok += rest;
+  auto bad_id = [error](const std::string& tok) {
+    *error = "bad vertex id '" + tok + "'";
+    return false;
+  };
+  qbs::VertexId u = 0;
+  qbs::VertexId v = 0;
+  if (!ParseVertexId(u_tok, &u)) return bad_id(u_tok);
+  if (!ParseVertexId(v_tok, &v)) return bad_id(v_tok);
   if (op_tok == "i" || op_tok == "insert") {
     delta->Insert(u, v);
   } else if (op_tok == "d" || op_tok == "delete") {
@@ -661,22 +686,24 @@ int Update(int argc, char** argv) {
   const auto port = static_cast<uint16_t>(ArgU64(argv[1]));
   qbs::GraphDelta delta;
   std::string file_path;
-  uint32_t flags = 0;
   for (int i = 2; i < argc; ++i) {
     std::string a = argv[i];
     std::replace(a.begin(), a.end(), '_', '-');
-    if (a == "--insert" && i + 2 < argc) {
-      const auto u = static_cast<qbs::VertexId>(ArgU64(argv[++i]));
-      const auto v = static_cast<qbs::VertexId>(ArgU64(argv[++i]));
-      delta.Insert(u, v);
-    } else if (a == "--delete" && i + 2 < argc) {
-      const auto u = static_cast<qbs::VertexId>(ArgU64(argv[++i]));
-      const auto v = static_cast<qbs::VertexId>(ArgU64(argv[++i]));
-      delta.Delete(u, v);
+    if ((a == "--insert" || a == "--delete") && i + 2 < argc) {
+      qbs::VertexId ends[2];
+      for (qbs::VertexId& end : ends) {
+        if (!ParseVertexId(argv[++i], &end)) {
+          std::fprintf(stderr, "qbs update: bad vertex id '%s'\n", argv[i]);
+          return 1;
+        }
+      }
+      if (a == "--insert") {
+        delta.Insert(ends[0], ends[1]);
+      } else {
+        delta.Delete(ends[0], ends[1]);
+      }
     } else if (a == "--file" && i + 1 < argc) {
       file_path = argv[++i];
-    } else if (a == "--defer") {
-      flags |= qbs::server::kUpdateFlagDefer;
     } else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
       return 2;
@@ -720,7 +747,7 @@ int Update(int argc, char** argv) {
   }
   qbs::UpdateStats stats;
   qbs::WallTimer timer;
-  const auto status = client.Update(delta, &stats, flags);
+  const auto status = client.Update(delta, &stats);
   if (status != qbs::server::QueryClient::RpcStatus::kOk) {
     std::fprintf(stderr, "qbs update: %s\n", client.last_error().c_str());
     return 1;
@@ -733,9 +760,8 @@ int Update(int argc, char** argv) {
       static_cast<unsigned long long>(stats.noop_updates),
       static_cast<unsigned long long>(stats.invalid_updates),
       timer.ElapsedMillis());
-  std::printf("  columns: %u repaired, %u rebuilt, %u deferred\n",
-              stats.repaired_columns, stats.rebuilt_columns,
-              stats.deferred_columns);
+  std::printf("  columns: %u repaired, %u rebuilt\n", stats.repaired_columns,
+              stats.rebuilt_columns);
   return 0;
 }
 
