@@ -79,68 +79,6 @@ void Run() {
   table.Footer();
 }
 
-// Bit-parallel mask ablation: the same index built with and without masks.
-// Reports both construction times ("(s)" columns, so the CI bench_compare
-// gate watches them), per-query latency with and without masks, the label
-// fast-path hit rate, the frontier vertices the mask-guided lower bound
-// pruned per query, and the mask matrix size — the full price/benefit
-// picture of the feature.
-void RunBitParallelAblation() {
-  std::printf("Bit-parallel label masks: on vs off, |R| = 20, %zu pairs\n",
-              EnvPairs());
-  TablePrinter table("Bit-parallel ablation",
-                     {"Dataset", "b.bp(s)", "b.nobp(s)", "q.bp(ms)",
-                      "q.nobp(ms)", "spdup", "hit2(%)", "prune/q", "size.BP"},
-                     {12, 10, 10, 10, 11, 7, 8, 9, 10});
-  for (const auto& ref : SelectedBenchDatasets()) {
-    const LoadedDataset d = LoadDataset(ref);
-    const Graph& g = d.graph;
-
-    QbsOptions on;
-    on.num_landmarks = 20;
-    on.num_threads = EnvThreads();
-    QbsOptions off = on;
-    off.bit_parallel = false;
-    QbsIndex qbs_on = QbsIndex::Build(g, on);
-    QbsIndex qbs_off = QbsIndex::Build(g, off);
-
-    // Untimed warmup per index so neither configuration is charged for
-    // cold caches.
-    const size_t warmup = std::min<size_t>(d.pairs.size(), 128);
-    for (size_t i = 0; i < warmup; ++i) {
-      qbs_on.Query({d.pairs[i].u, d.pairs[i].v});
-    }
-    SearchStats agg;
-    WallTimer timer;
-    for (const auto& [u, v] : d.pairs) {
-      agg.Accumulate(qbs_on.Query({u, v}).stats);
-    }
-    const double q_on = timer.ElapsedMillis() / d.pairs.size();
-
-    for (size_t i = 0; i < warmup; ++i) {
-      qbs_off.Query({d.pairs[i].u, d.pairs[i].v});
-    }
-    timer.Reset();
-    for (const auto& [u, v] : d.pairs) qbs_off.Query({u, v});
-    const double q_off = timer.ElapsedMillis() / d.pairs.size();
-
-    const double hit2 =
-        100.0 * static_cast<double>(agg.label_short_circuits) /
-        static_cast<double>(d.pairs.size());
-    table.Row({d.spec.abbrev,
-               FormatSeconds(qbs_on.timings().labeling_seconds),
-               FormatSeconds(qbs_off.timings().labeling_seconds),
-               FormatMs(q_on), FormatMs(q_off),
-               FormatDouble(q_on > 0 ? q_off / q_on : 0.0, 2),
-               FormatDouble(hit2, 1),
-               FormatDouble(static_cast<double>(agg.lb_prunes) /
-                                static_cast<double>(d.pairs.size()),
-                            1),
-               HumanBytes(qbs_on.BpMaskSizeBytes())});
-  }
-  table.Footer();
-}
-
 // Label-scan kernel ablation: the per-query fused row merge (the dense
 // O(|R|) inner loop of ComputeLabelBound) timed per kernel — scalar
 // reference and the SIMD kernel the dispatcher picked for this CPU.
@@ -189,8 +127,8 @@ void RunLabelScanKernelAblation() {
       WallTimer timer;
       for (size_t r = 0; r < reps; ++r) {
         for (size_t i = 0; i < us.size(); ++i) {
-          const LabelBound b = ComputeLabelBoundRows(l, us[i], vs[i],
-                                                     kUnreachable, *kernels[k]);
+          const LabelBound b =
+              ComputeLabelBoundRows(l, us[i], vs[i], *kernels[k]);
           sink[k] += b.lower + b.upper;
         }
       }
@@ -263,7 +201,6 @@ void RunFrontierAblation() {
 int main(int argc, char** argv) {
   qbs::bench::InitBenchArgs(argc, argv);
   qbs::bench::Run();
-  qbs::bench::RunBitParallelAblation();
   qbs::bench::RunLabelScanKernelAblation();
   qbs::bench::RunFrontierAblation();
 }

@@ -106,8 +106,8 @@ void BM_OracleQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleQuery);
 
-// The index file half of a restart: one QBSIDX02 load of the fixture's
-// |R| = 20 index (labels, masks, meta-graph; Δ is not stored).
+// The index file half of a restart: one load of the fixture's |R| = 20
+// index (labels, meta-graph, checksum; Δ is not stored).
 void BM_LoadLabelingScheme(benchmark::State& state) {
   auto& f = GetFixture();
   const std::string path =

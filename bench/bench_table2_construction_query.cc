@@ -39,9 +39,8 @@ void Run() {
   TablePrinter table(
       "Table 2",
       {"Dataset", "QbS-P(s)", "QbS(s)", "PPL(s)", "PPPL(s)", "qQbS(ms)",
-       "qNoBP(ms)", "q2bp(ms)", "q2no(ms)", "hit2(%)", "qBatch(ms)",
-       "qPPL(ms)", "qPPPL(ms)", "qBiBFS(ms)"},
-      {12, 9, 9, 9, 9, 10, 10, 10, 10, 8, 10, 10, 10, 10});
+       "qBatch(ms)", "qPPL(ms)", "qPPPL(ms)", "qBiBFS(ms)"},
+      {12, 9, 9, 9, 9, 10, 10, 10, 10, 10});
 
   for (const auto& ref : SelectedBenchDatasets()) {
     const LoadedDataset d = LoadDataset(ref);
@@ -61,12 +60,6 @@ void Run() {
     QbsIndex qbs = QbsIndex::Build(g, seq_options);
     const double qbs_seconds = qbs.timings().labeling_seconds;
 
-    // Ablation twin: the same index without bit-parallel masks, so the
-    // table reports the label fast path's query effect side by side.
-    QbsOptions nobp_options = seq_options;
-    nobp_options.bit_parallel = false;
-    QbsIndex qbs_nobp = QbsIndex::Build(g, nobp_options);
-
     // PPL / ParentPPL under budget.
     PplBuildOptions budget;
     budget.time_budget_seconds = EnvBudgetSeconds();
@@ -80,50 +73,15 @@ void Run() {
     auto pppl = ParentPplIndex::Build(g, budget, &pppl_status);
     const double pppl_seconds = timer.ElapsedSeconds();
 
-    // Query timings. Each index gets an untimed warmup pass over a pair
-    // prefix first, so neither measurement charges cold caches to its
-    // configuration. Besides the overall average, each loop splits out the
-    // d <= 2 class (classified by the returned distance, identical in both
-    // configurations) — the pairs the bit-parallel fast path targets;
-    // random pairs on a small-world graph are dominated by d >= 3, so the
-    // class column is where the label-only answering shows. The masks-on
-    // pass also counts label short circuits.
+    // Query timing, after an untimed warmup pass over a pair prefix so
+    // cold caches are not charged to the measurement.
     const size_t warmup = std::min<size_t>(d.pairs.size(), 128);
-    struct SplitTiming {
-      double total_ms = 0.0;
-      double close_ms = 0.0;
-      size_t close = 0;
-    };
-    const auto timed_pass = [&](const QbsIndex& index, SearchStats* agg) {
-      for (size_t i = 0; i < warmup; ++i) {
-        index.Query({d.pairs[i].u, d.pairs[i].v});
-      }
-      SplitTiming t;
-      for (const auto& [u, v] : d.pairs) {
-        WallTimer qt;
-        const QueryResponse response = index.Query({u, v});
-        const double ms = qt.ElapsedMillis();
-        t.total_ms += ms;
-        if (response.distance() <= 2) {
-          t.close_ms += ms;
-          ++t.close;
-        }
-        if (agg != nullptr) agg->Accumulate(response.stats);
-      }
-      return t;
-    };
-    SearchStats agg;
-    const SplitTiming bp = timed_pass(qbs, &agg);
-    const SplitTiming nobp = timed_pass(qbs_nobp, nullptr);
-    const double q_qbs = bp.total_ms / d.pairs.size();
-    const double q_nobp = nobp.total_ms / d.pairs.size();
-    const std::string q2_bp =
-        bp.close > 0 ? FormatMs(bp.close_ms / bp.close) : "-";
-    const std::string q2_nobp =
-        nobp.close > 0 ? FormatMs(nobp.close_ms / nobp.close) : "-";
-    const double hit2 =
-        100.0 * static_cast<double>(agg.label_short_circuits) /
-        static_cast<double>(d.pairs.size());
+    for (size_t i = 0; i < warmup; ++i) {
+      qbs.Query({d.pairs[i].u, d.pairs[i].v});
+    }
+    WallTimer qtimer;
+    for (const auto& [u, v] : d.pairs) qbs.Query({u, v});
+    const double q_qbs = qtimer.ElapsedMillis() / d.pairs.size();
 
     // Parallel batch path: QueryBatch in batch_size chunks on the QbS-P
     // index (per-thread searcher pool + work-stealing ParallelFor).
@@ -134,7 +92,7 @@ void Run() {
     batch_options.num_threads = EnvThreads();
     batch_options.grain = EnvGrain();
     const size_t batch_size = EnvBatchSize();
-    WallTimer qtimer;
+    qtimer.Reset();
     for (size_t off = 0; off < batch_requests.size(); off += batch_size) {
       const size_t end = std::min(off + batch_size, batch_requests.size());
       const std::vector<QueryRequest> chunk(batch_requests.begin() + off,
@@ -167,8 +125,7 @@ void Run() {
                                : StatusString(ppl_status),
                pppl.has_value() ? FormatSeconds(pppl_seconds)
                                 : StatusString(pppl_status),
-               FormatMs(q_qbs), FormatMs(q_nobp), q2_bp, q2_nobp,
-               FormatDouble(hit2, 1), FormatMs(q_batch), q_ppl, q_pppl,
+               FormatMs(q_qbs), FormatMs(q_batch), q_ppl, q_pppl,
                FormatMs(q_bibfs)});
   }
   table.Footer();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "core/label_scan.h"
 #include "util/check.h"
 
 namespace qbs {
@@ -30,37 +29,15 @@ GuidedSearcher::GuidedSearcher(const Graph& g, const Graph& sparsified,
 ShortestPathGraph GuidedSearcher::Query(VertexId u, VertexId v,
                                         SearchStats* stats,
                                         const LabelBound* certify) {
-  if (u != v && labeling_.has_bp_masks()) {
-    // Certify-level bound: handed in by a caller that timed it separately,
-    // or one kernel-dispatched fused row scan here. Certified pairs finish
-    // without ever scanning candidates.
-    const LabelBound bound =
-        certify != nullptr
-            ? *certify
-            : ComputeLabelBound(labeling_, meta_, u, v, /*refine_cutoff=*/2);
+  if (u != v) {
+    // Certify bound: handed in by a caller that timed it separately, or one
+    // kernel-dispatched fused row scan here. Certified pairs finish
+    // without a sketch.
+    const LabelBound bound = certify != nullptr
+                                 ? *certify
+                                 : ComputeLabelBound(labeling_, meta_, u, v);
     ShortestPathGraph result;
     if (TryLabelFastPath(u, v, bound, stats, &result)) return result;
-    ComputeAnchorCandidatesInto(labeling_, u, &sketch_buffers_.cu);
-    ComputeAnchorCandidatesInto(labeling_, v, &sketch_buffers_.cv);
-    ComputeSketchInto(labeling_, meta_, u, v, &sketch_scratch_,
-                      &sketch_buffers_, /*with_meta_edges=*/false,
-                      /*reuse_candidates=*/true);
-    const uint32_t d_top = sketch_scratch_.d_top;
-    if (mask_prune_ && d_top != kUnreachable &&
-        d_top >= kMaskPruneMinBudget && !labeling_.IsLandmark(u) &&
-        !labeling_.IsLandmark(v)) {
-      // Refined bound for a long-range search the fast path could not
-      // avoid: the refined upper caps the stage-1 budget below d⊤ when a
-      // mask witness shortens the best landmark route. Cutoff d⊤ - 1 keeps
-      // the mask cache lines untouched for any landmark whose route cannot
-      // undercut the sketch bound, and the d⊤ gate skips the whole merge
-      // for short searches, whose few small levels cost less than the
-      // bound — those run the PR 3 query path unchanged.
-      query_bound_ = ComputeLabelBoundRows(labeling_, u, v, d_top - 1);
-      have_query_bound_ = true;
-    }
-    lazy_sketch_ = true;
-    return QueryWithSketch(u, v, sketch_scratch_, stats);
   }
   ComputeSketchInto(labeling_, meta_, u, v, &sketch_scratch_,
                     &sketch_buffers_, /*with_meta_edges=*/false);
@@ -132,12 +109,11 @@ bool GuidedSearcher::TryLabelFastPath(VertexId u, VertexId v,
                                       ShortestPathGraph* result) {
   QBS_CHECK_LT(u, g_.NumVertices());
   QBS_CHECK_LT(v, g_.NumVertices());
-  // `bound` carries only certify-level refinement (cutoff 2): landmarks
-  // whose unrefined candidate cannot reach 2 skipped their mask cache
-  // lines, so far pairs paid one fused row scan and nothing else.
   if (stats != nullptr) stats->d_label_upper = bound.upper;
   if (bound.upper > 2) return false;  // not certified: run the guided search
-  QBS_DCHECK(bound.upper >= 1);       // upper == 0 would force u == v
+  // upper == 0 would force u == v. upper == 1 only arises with a landmark
+  // endpoint (virtual entry 0 + label 1) or an adjacent landmark pair.
+  QBS_DCHECK(bound.upper >= 1);
 
   SearchStats local_stats;
   SearchStats* s = stats != nullptr ? stats : &local_stats;
@@ -178,46 +154,17 @@ int GuidedSearcher::PickSide(const Sketch& sketch, const uint32_t d[2]) const {
   return levels_[0].TotalSize() <= levels_[1].TotalSize() ? 0 : 1;
 }
 
-bool GuidedSearcher::LabelLowerBoundExceeds(VertexId x, VertexId other,
-                                            uint32_t threshold) const {
-  // Kernel-dispatched: the AVX2 variant compares 16 lanes per step and
-  // only reads mask cache lines for lanes sitting exactly at the
-  // threshold, matching this check's scalar access pattern.
-  return RowLowerBoundExceeds(labeling_, x, other, threshold,
-                              ActiveScanOps());
-}
-
 void GuidedSearcher::ExpandLevel(int t, SearchStats* stats) {
   const int o = 1 - t;
   const uint32_t next_depth = static_cast<uint32_t>(levels_[t].NumLevels());
-  // A vertex at this depth only matters if some u–v path of length <=
-  // budget runs through it, which needs lb(x, far endpoint) <= budget -
-  // depth; anything the labels certify farther is skipped whole-adjacency.
-  // Sound because a vertex on any length-<= budget G⁻ path always passes
-  // the test (lb never exceeds the true distance), so every meet and every
-  // reverse/Z-walk parent the later stages read is still discovered at its
-  // true depth.
-  const uint32_t cur_depth = next_depth - 1;
-  const bool prune = prune_active_ && prune_budget_ != kUnreachable &&
-                     prune_budget_ >= cur_depth;
-  const uint32_t threshold = prune_budget_ - cur_depth;
   // Open the next level first so the current level's bounds are frozen,
   // then iterate by index: Push may reallocate the flat buffer.
   levels_[t].BeginLevel();
   crossing_[t].BeginLevel();  // pairs (x @ next_depth-1, w @ next_depth)
   const size_t begin = levels_[t].LevelBegin(next_depth - 1);
   const size_t end = levels_[t].LevelEnd(next_depth - 1);
-  // The row check costs O(|R|); it can only pay for vertices whose
-  // adjacency scan is at least comparable, so low-degree vertices expand
-  // unchecked.
-  const uint32_t min_check_degree = (labeling_.num_landmarks() + 1) / 2;
   for (size_t idx = begin; idx < end; ++idx) {
     const VertexId x = levels_[t].At(idx);
-    if (prune && gminus_.Degree(x) >= min_check_degree &&
-        LabelLowerBoundExceeds(x, prune_other_[t], threshold)) {
-      ++stats->lb_prunes;
-      continue;
-    }
     stats->edges_scanned_search += gminus_.Degree(x);
     stats->landmark_edges_skipped += g_.Degree(x) - gminus_.Degree(x);
     for (VertexId w : gminus_.Neighbors(x)) {
@@ -297,17 +244,9 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
   QBS_CHECK_LT(v, g_.NumVertices());
   const bool lazy_sketch = lazy_sketch_;
   lazy_sketch_ = false;
-  // Label bound handed over by Query(); direct callers get the neutral
-  // default (upper = ∞, lower = 0), i.e. the unpruned search.
-  const LabelBound label_bound =
-      have_query_bound_ ? query_bound_ : LabelBound{};
-  have_query_bound_ = false;
   SearchStats local_stats;
   if (stats == nullptr) stats = &local_stats;
   stats->d_top = sketch.d_top;
-  if (label_bound.upper != kUnreachable) {
-    stats->d_label_upper = label_bound.upper;
-  }
 
   ShortestPathGraph result;
   result.u = u;
@@ -347,23 +286,8 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
   uint32_t d[2] = {0, 0};
   bool meet = false;
   if (!u_lm && !v_lm) {
-    // Search budget: meets beyond it cannot change the answer. The refined
-    // label upper bound can undercut d⊤ (a mask witness shortens the best
-    // landmark route by up to 2); then d_G < d⊤, so no shortest path
-    // crosses a landmark (Corollary 4.6 is tight for landmark-crossing
-    // pairs), d_G⁻ = d_G <= budget, and the meet still happens in budget.
-    const uint32_t budget = std::min(sketch.d_top, label_bound.upper);
-    // Per-vertex pruning is gated on the masks (like the d <= 2 direct
-    // emission below) so bit_parallel = false reproduces the pre-mask
-    // traversal exactly, and on a long-range budget (kMaskPruneMinBudget):
-    // on small-diameter budgets every vertex sits within a landmark hop or
-    // two of both endpoints, |δ_x - δ_o| never clears the threshold, and
-    // the O(|R|) row check per frontier vertex would be pure overhead.
-    prune_active_ = mask_prune_ && labeling_.has_bp_masks() &&
-                    budget != kUnreachable && budget >= kMaskPruneMinBudget;
-    prune_budget_ = budget;
-    prune_other_[0] = v;
-    prune_other_[1] = u;
+    // Search budget: meets beyond d⊤ cannot change the answer.
+    const uint32_t budget = sketch.d_top;
     const bool bounded = budget != kUnreachable;
     while (!bounded || d[0] + d[1] < budget) {
       if (levels_[0].LevelSize(d[0]) == 0 || levels_[1].LevelSize(d[1]) == 0) {
@@ -377,7 +301,6 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
         break;
       }
     }
-    prune_active_ = false;
   }
 
   const uint32_t d_minus = meet ? d[0] + d[1] : kUnreachable;
@@ -399,9 +322,7 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
   // recover stages: with the distance now known to be 1 or 2, the exact
   // SPG is a direct edge / common-neighbour emission, so d <= 2 queries
   // never scan a reverse or recover edge regardless of certification.
-  // Gated on the masks so bit_parallel = false reproduces the pre-mask
-  // query path exactly (the ablation baseline).
-  if (result.distance <= 2 && labeling_.has_bp_masks()) {
+  if (result.distance <= 2) {
     EmitShortSpgEdges(u, v, result.distance, stats, &result);
     return result;
   }

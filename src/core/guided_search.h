@@ -32,14 +32,6 @@
 
 namespace qbs {
 
-// Minimum sketch bound d⊤ for the mask-guided search machinery (refined
-// budget + per-vertex lower-bound pruning) to engage. Short-budget
-// searches expand a handful of small levels; the O(|R|) bound merge, its
-// mask cache lines, and the per-frontier-vertex row checks would cost more
-// than the scans they could save. Long budgets are where frontiers balloon
-// and label rows genuinely discriminate.
-inline constexpr uint32_t kMaskPruneMinBudget = 6;
-
 // Executes guided searches against a fixed labelling scheme. Holds scratch
 // state sized to the graph, so construct once and reuse; NOT thread-safe —
 // use one searcher per thread.
@@ -54,15 +46,15 @@ class GuidedSearcher {
                  const PathLabeling& labeling, const MetaGraph& meta,
                  const DeltaCache& delta);
 
-  // Answers SPG(u, v). When the labelling carries bit-parallel masks, d <= 2
-  // pairs resolve on a label-guided fast path (ComputeLabelBound + an edge
-  // probe / common-neighbour intersection) with zero search, reverse, or
-  // recover edge scans; everything else computes the sketch internally and
-  // runs the guided search. `stats`, if non-null, receives the per-query
-  // counters. `certify`, if non-null, must be
-  // ComputeLabelBound(labeling, meta, u, v, /*refine_cutoff=*/2) for this
-  // exact pair; callers that time the certify scan on its own pass it in
-  // so it is not scanned twice.
+  // Answers SPG(u, v). Pairs whose label upper bound is <= 2 (landmark
+  // endpoints and two neighbours of one landmark) resolve on a label-guided
+  // fast path (ComputeLabelBound + an edge probe / common-neighbour
+  // intersection) with zero search, reverse, or recover edge scans;
+  // everything else computes the sketch internally and runs the guided
+  // search. `stats`, if non-null, receives the per-query counters.
+  // `certify`, if non-null, must be ComputeLabelBound(labeling, meta, u, v)
+  // for this exact pair; callers that time the certify scan on its own
+  // pass it in so it is not scanned twice.
   ShortestPathGraph Query(VertexId u, VertexId v, SearchStats* stats = nullptr,
                           const LabelBound* certify = nullptr);
 
@@ -72,19 +64,11 @@ class GuidedSearcher {
                                     const Sketch& sketch,
                                     SearchStats* stats = nullptr);
 
-  // Enables/disables the mask-guided search pruning (on by default): the
-  // refined label upper bound caps the bi-directional search budget below
-  // d⊤, and frontier vertices whose depth plus mask-lifted label lower
-  // bound to the far endpoint exceed that budget are not expanded. Off
-  // reproduces the unpruned traversal exactly (the ablation baseline);
-  // answers are identical either way.
-  void set_mask_prune(bool enabled) { mask_prune_ = enabled; }
-
  private:
   // The label-certified d <= 2 fast path. `bound` is the pair's certify
-  // bound (refine_cutoff 2), computed by Query() or handed in by the
-  // caller. Returns true and fills *result (an exact SPG) when it
-  // certifies d(u, v) <= 2; the SPG is then a single edge probe or a
+  // bound, computed by Query() or handed in by the caller. Returns true
+  // and fills *result (an exact SPG) when it certifies d(u, v) <= 2 (the
+  // bound's du + dv is the length of a real path); the SPG is then a single edge probe or a
   // sorted-adjacency intersection away — no sketch, search, reverse, or
   // recover work at all. Returns false — leaving *result untouched — when
   // the labels cannot certify it (the guided search then resolves the
@@ -112,14 +96,6 @@ class GuidedSearcher {
 
   // Marks `w` as on-path: a start of the backward walk on side t.
   void AddBackwardStart(int t, VertexId w);
-
-  // True iff the label rows of x and `other` certify d_G(x, other) >
-  // threshold: max over shared landmarks of |δ_x - δ_other|, lifted by one
-  // where a bit-parallel mask witness pins a selected neighbour's exact
-  // distances (BpMaskLowerLift). One O(|R|) row scan; masks are only read
-  // for landmarks sitting exactly at the threshold.
-  bool LabelLowerBoundExceeds(VertexId x, VertexId other,
-                              uint32_t threshold) const;
 
   // Serial identifying the current query's walk session for landmark r;
   // walk-mark slots holding it are "visited for r in this query".
@@ -171,20 +147,6 @@ class GuidedSearcher {
   // deferred; QueryWithSketch then completes it only if the recover search
   // actually runs (most queries never read the meta-edges).
   bool lazy_sketch_ = false;
-
-  // Mask-guided search pruning (see set_mask_prune). query_bound_ holds the
-  // fully refined label bound Query() computed for the pair now in flight;
-  // have_query_bound_ is the handoff flag to QueryWithSketch (mirroring
-  // lazy_sketch_), so direct QueryWithSketch callers never see stale
-  // bounds. prune_other_/prune_budget_ parameterize the frontier prune
-  // while the stage-1 search runs (ExpandLevel derives each level's
-  // threshold as budget - depth).
-  bool mask_prune_ = true;
-  LabelBound query_bound_;
-  bool have_query_bound_ = false;
-  bool prune_active_ = false;
-  VertexId prune_other_[2] = {0, 0};  // far endpoint per search side
-  uint32_t prune_budget_ = kUnreachable;
 };
 
 // Materializes the sparsified graph G[V \ R]: same vertex ids, only the

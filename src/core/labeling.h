@@ -12,17 +12,6 @@
 // Lemma 5.2: the scheme is uniquely determined by (G, R), independent of
 // landmark order, so construction parallelizes per landmark with no
 // coordination (QbS-P).
-//
-// Bit-parallel extension (Akiba, Iwata & Yoshida, SIGMOD'13 §4.2): each
-// landmark r additionally selects S_r, its first <= 64 non-landmark
-// neighbours, and every vertex v stores two 64-bit masks relative to
-// d_G(r, v):
-//   S_r^{-1}(v) = { u in S_r : d_G(u, v) = d_G(r, v) - 1 }
-//   S_r^{ 0}(v) = { u in S_r : d_G(u, v) = d_G(r, v)     }
-// A query pair (s, t) with labels for r then refines the landmark route
-// d(s,r) + d(r,t) by -2 (common S^{-1} witness) or -1 (S^{-1}/S^0 cross
-// witness) without touching the graph, which certifies most d <= 2 pairs
-// straight from the labelling (core/sketch.h ComputeLabelBound).
 
 #ifndef QBS_CORE_LABELING_H_
 #define QBS_CORE_LABELING_H_
@@ -43,22 +32,11 @@ namespace qbs {
 /// with full-width aligned loads and no tail loop. Padding lanes always
 /// hold kInfDist — the "entry absent" sentinel — so every kernel can scan
 /// the padded width blindly: an absent lane contributes nothing to any
-/// bound, candidate list, or witness check.
+/// bound or candidate list.
 inline constexpr uint32_t kLabelRowLaneAlign = 16;
 
 /// The dense label matrix storage: 32-byte aligned for the SIMD kernels.
 using LabelMatrix = std::vector<DistT, AlignedAllocator<DistT, 32>>;
-
-/// Per-(vertex, landmark) bit-parallel masks over the landmark's selected
-/// neighbour set S_r (bit j = j-th entry of BpSelected(r)).
-struct BpMask {
-  uint64_t s_minus = 0;  // selected neighbours at distance d_G(r, v) - 1
-  uint64_t s_zero = 0;   // selected neighbours at distance d_G(r, v)
-
-  friend bool operator==(const BpMask& a, const BpMask& b) {
-    return a.s_minus == b.s_minus && a.s_zero == b.s_zero;
-  }
-};
 
 class PathLabeling {
  public:
@@ -127,57 +105,12 @@ class PathLabeling {
            sizeof(DistT);
   }
 
-  /// --- Bit-parallel masks (optional; empty unless enabled at build). ---
-
-  bool has_bp_masks() const { return !bp_.empty(); }
-
-  /// Allocates the mask matrix and the per-landmark selected-neighbour slots.
-  /// Idempotent shape-wise; called by construction and the loader.
-  void EnableBpMasks();
-
-  BpMask GetBpMask(VertexId v, LandmarkIndex i) const {
-    return bp_[static_cast<size_t>(v) * num_landmarks() + i];
-  }
-  void SetBpMask(VertexId v, LandmarkIndex i, const BpMask& m) {
-    bp_[static_cast<size_t>(v) * num_landmarks() + i] = m;
-  }
-
-  /// The mask row of v (num_landmarks() entries, unpadded — the kernels
-  /// only gather masks for the few lanes that pass the refine gate).
-  /// Only valid when has_bp_masks().
-  const BpMask* BpRow(VertexId v) const {
-    return bp_.data() + static_cast<size_t>(v) * num_landmarks();
-  }
-
-  /// S_r of landmark i: the selected non-landmark neighbours, in the bit
-  /// order the masks use. Empty when masks are disabled.
-  const std::vector<VertexId>& BpSelected(LandmarkIndex i) const {
-    return bp_selected_[i];
-  }
-  void SetBpSelected(LandmarkIndex i, std::vector<VertexId> selected);
-
-  /// Bulk-fills the mask matrix from a landmark-major buffer, mirroring
-  /// AssignFromColumns.
-  void AssignBpFromColumns(const std::vector<BpMask>& cols);
-
-  /// Adopts a whole mask state, enabling masks: S_r per landmark (<= 64
-  /// each) and the vertex-major |V| x |R| mask matrix, which is the index
-  /// file's layout and is moved in as is.
-  void AssignBpMasks(std::vector<std::vector<VertexId>> selected,
-                     std::vector<BpMask> masks);
-
-  /// Bytes of the bit-parallel mask matrix (reported separately from
-  /// size(L) to keep the Table 3 quantity paper-comparable).
-  uint64_t BpSizeBytes() const { return bp_.size() * sizeof(BpMask); }
-
  private:
   VertexId num_vertices_ = 0;
   uint32_t stride_ = 0;  // row lanes: |R| rounded up to kLabelRowLaneAlign
   std::vector<VertexId> landmarks_;
   std::vector<int32_t> landmark_rank_;
   LabelMatrix dist_;  // |V| x stride_, 32-byte aligned, padding = kInfDist
-  std::vector<BpMask> bp_;  // vertex-major |V| x |R|; empty = disabled
-  std::vector<std::vector<VertexId>> bp_selected_;  // S_r per landmark
 };
 
 struct LabelingScheme {
@@ -189,18 +122,6 @@ struct LabelingBuildOptions {
   /// 1 = sequential (paper's QbS); 0 = hardware concurrency (QbS-P);
   /// otherwise the exact thread count.
   size_t num_threads = 1;
-  /// Build the Akiba-style bit-parallel masks alongside the labels. Costs
-  /// 16 bytes per label slot; buys label-only d <= 2 answers and tighter
-  /// distance bounds at query time.
-  bool bit_parallel = true;
-  /// Fuse the S^{-1} mask propagation into the labelling BFS itself:
-  /// top-down levels OR parent masks along the edges the expansion scans
-  /// anyway, and bottom-up levels collect them during the (full-adjacency)
-  /// pull, so only the S^0 sweep replays the settle order afterwards —
-  /// one post-BFS sweep per landmark instead of two. Off = the reference
-  /// two-sweep replay (kept for the bit-identity equivalence tests and the
-  /// fused-vs-replay ablation). Masks are identical either way.
-  bool bp_fused = true;
 };
 
 /// Runs Algorithm 2: one two-queue level-synchronous BFS per landmark.
@@ -225,22 +146,19 @@ struct LabelColumnState {
   std::vector<MetaEdge> meta;
 };
 
-/// Rebuilds landmark column i from scratch against `g`: refreshes S_r when
-/// masks are enabled, runs the labelling BFS, fills the mask column, writes
-/// the column into `labeling` (labels + masks, vertex-major), and captures
-/// the exact depth array + meta-edges into `state`. Equivalent to the slice
-/// of BuildLabelingScheme for this landmark — bit-identical labels/masks.
+/// Rebuilds landmark column i from scratch against `g`: runs the labelling
+/// BFS, writes the column into `labeling`, and captures the exact depth
+/// array + meta-edges into `state`. Equivalent to the slice of
+/// BuildLabelingScheme for this landmark — bit-identical labels.
 void RebuildLabelColumn(const Graph& g, PathLabeling& labeling,
                         LandmarkIndex i, LabelColumnState* state);
 
-/// Rederives landmark column i's labels, meta-edges, and masks from an
+/// Rederives landmark column i's labels and meta-edges from an
 /// already-exact depth array in state->depth (e.g. after a partial BFS
 /// repair against the updated graph): recomputes the QL classification
-/// level by level and replays the mask sweeps. Bit-identical to
-/// RebuildLabelColumn(g, ...) whenever state->depth matches the BFS depths
-/// on `g` — the QL rule and both mask recurrences depend only on exact
-/// depths, not on traversal order. state->meta is rewritten; S_r is
-/// refreshed from `g`'s adjacency when masks are enabled.
+/// level by level. Bit-identical to RebuildLabelColumn(g, ...) whenever
+/// state->depth matches the BFS depths on `g` — the QL rule depends only
+/// on exact depths, not on traversal order. state->meta is rewritten.
 void RederiveLabelColumn(const Graph& g, PathLabeling& labeling,
                          LandmarkIndex i, LabelColumnState* state);
 

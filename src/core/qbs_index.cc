@@ -27,7 +27,6 @@ QbsIndex QbsIndex::BuildWithLandmarks(const Graph& g,
   WallTimer timer;
   LabelingBuildOptions build_options;
   build_options.num_threads = options.num_threads;
-  build_options.bit_parallel = options.bit_parallel;
   index.scheme_ = std::make_unique<LabelingScheme>(
       BuildLabelingScheme(g, landmarks, build_options));
   index.timings_.labeling_seconds = timer.ElapsedSeconds();
@@ -175,10 +174,9 @@ UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta,
   stats.invalid_updates = net.invalid;
   if (net.EmptyNet()) return stats;  // nothing changes in the graph
   Graph new_graph = ApplyNetChanges(*g_, net);
-  // Classification reads the OLD depths/masks (still held in updatable_
-  // and the labelling), never the old adjacency — so the graph swaps in
-  // first. Move-assignment keeps *g_'s address stable, which every live
-  // searcher references.
+  // Classification reads the OLD depths (still held in updatable_), never
+  // the old adjacency — so the graph swaps in first. Move-assignment keeps
+  // *g_'s address stable, which every live searcher references.
   *mutable_g_ = std::move(new_graph);
   const UpdateStats col =
       ApplyNetToLabeling(*g_, net, &scheme_->labeling, &scheme_->meta,
@@ -201,11 +199,7 @@ uint32_t QbsIndex::DistanceUpperBound(VertexId u, VertexId v) const {
   QBS_CHECK_LT(u, g_->NumVertices());
   QBS_CHECK_LT(v, g_->NumVertices());
   if (u == v) return 0;
-  const uint32_t d_top =
-      ComputeSketch(scheme_->labeling, scheme_->meta, u, v).d_top;
-  if (!scheme_->labeling.has_bp_masks()) return d_top;
-  return std::min(
-      d_top, ComputeLabelBound(scheme_->labeling, scheme_->meta, u, v).upper);
+  return ComputeSketch(scheme_->labeling, scheme_->meta, u, v).d_top;
 }
 
 }  // namespace qbs

@@ -50,12 +50,6 @@ struct QbsOptions {
   /// Labelling construction threads: 1 = sequential QbS, 0 = all hardware
   /// threads (QbS-P), otherwise the exact count.
   size_t num_threads = 1;
-  /// Build Akiba-style bit-parallel masks (the 64 nearest non-landmark
-  /// neighbours of each landmark) alongside the labels. Queries then answer
-  /// d(s, t) <= 2 pairs straight from the labelling — no sketch, search, or
-  /// recover work — and DistanceUpperBound() tightens. Costs 16 bytes per
-  /// label slot plus one extra adjacency sweep per landmark at build.
-  bool bit_parallel = true;
 };
 
 struct QbsBuildTimings {
@@ -120,11 +114,11 @@ class QbsIndex {
   /// SearcherLease); the primitive Query() and QueryBatch are built on.
   /// Thread-safe as long as each searcher is used by one thread at a time.
   /// `certify`, if non-null, is the request pair's precomputed certify
-  /// bound — ComputeLabelBound(labeling, meta, u, v, 2) — used in place of
+  /// bound — ComputeLabelBound(labeling, meta, u, v) — used in place of
   /// the searcher's own label scan. Query() and QueryBatch pass null and
-  /// scan once inside GuidedSearcher::Query; the parameter exists so a
-  /// profiler (bench_e2e) can time the certify scan apart from the rest of
-  /// the query.
+  /// scan once inside GuidedSearcher::Query; the parameter is kept because
+  /// bench_e2e (frozen by BENCHMARK.json) reads it, to time the certify
+  /// scan apart from the rest of the query.
   QueryResponse Execute(GuidedSearcher& searcher, const QueryRequest& request,
                         const LabelBound* certify = nullptr) const;
 
@@ -178,18 +172,15 @@ class QbsIndex {
   UpdateStats ApplyUpdates(const GraphDelta& delta,
                            const UpdateOptions& options = {});
 
-  /// An upper bound on d_G(u, v): the sketch bound d⊤ (Eq. 3) — tight
-  /// whenever a shortest path crosses a landmark — further tightened by the
-  /// bit-parallel label bound when masks are present (tight whenever a
-  /// shortest path crosses a landmark's selected neighbourhood). O(|R|^2),
-  /// no search.
+  /// An upper bound on d_G(u, v): the sketch bound d⊤ (Eq. 3), tight
+  /// whenever a shortest path crosses a landmark. It is never above the
+  /// label bound min δu + δv, whose r = r' routes it includes. O(|R|^2), no
+  /// search.
   uint32_t DistanceUpperBound(VertexId u, VertexId v) const;
 
-  /// size(BP): bytes of the bit-parallel mask matrix (0 when built with
-  /// bit_parallel = false).
-  uint64_t BpMaskSizeBytes() const {
-    return scheme_->labeling.BpSizeBytes();
-  }
+  /// Always 0: the index stores no bit-parallel masks. Kept because
+  /// bench_e2e (frozen by BENCHMARK.json) reads it.
+  uint64_t BpMaskSizeBytes() const { return 0; }
 
   /// The graph the index was built on (read-only; useful for request
   /// validation in serving layers).

@@ -37,24 +37,25 @@ struct SearchStats {
   uint64_t edges_scanned_recover = 0;
   // Segments served from the precomputed Δ cache.
   uint64_t delta_cache_hits = 0;
-  // Adjacency entries scanned by the label-guided d <= 2 direct resolution
-  // (edge probe + common-neighbour intersection). These scans replace the
-  // sketch + search machinery entirely for close pairs.
+  // Adjacency entries scanned by the d <= 2 direct resolution (edge probe +
+  // common-neighbour intersection), on the label fast path or after the
+  // search fixed the distance. Kept as a field because bench_e2e (frozen
+  // by BENCHMARK.json) reads it.
   uint64_t edges_scanned_direct = 0;
-  // Queries resolved by the bit-parallel label fast path: distance and the
-  // full SPG produced with zero search/reverse/recover edge scans.
+  // Queries resolved by the label fast path (label upper bound <= 2):
+  // distance and the full SPG produced with zero search/reverse/recover
+  // edge scans. Kept as a field because bench_e2e (frozen by
+  // BENCHMARK.json) reads it.
   uint64_t label_short_circuits = 0;
-  // Frontier vertices the mask-lifted label lower bound pruned from the
-  // sketch-guided search: their depth plus a certified lower bound to the
-  // far endpoint already exceeded the search budget, so their adjacency
-  // was never scanned.
+  // Always 0: nothing prunes the search by label bounds. Kept because
+  // bench_e2e (frozen by BENCHMARK.json) reads it.
   uint64_t lb_prunes = 0;
 
   uint32_t d_top = kUnreachable;         // sketch upper bound d⊤
   uint32_t d_sparsified = kUnreachable;  // d_G⁻(u, v) when determined
-  // Bit-parallel label upper bound for this query (core/sketch.h
-  // ComputeLabelBound); kUnreachable when masks are disabled or no landmark
-  // is shared. Never smaller than the true distance.
+  // Label upper bound min δu + δv for this query (core/sketch.h
+  // ComputeLabelBound); kUnreachable when no landmark is shared. Never
+  // smaller than the true distance.
   uint32_t d_label_upper = kUnreachable;
   PairCoverage coverage = PairCoverage::kDisconnected;
 

@@ -1,26 +1,25 @@
 // Binary persistence for the labelling scheme, so the offline phase runs
 // once and query servers load the precomputed index at startup.
 //
-// Current format (version QBSIDX02, little-endian, host-endianness — the
+// Current format (version QBSIDX03, little-endian, host-endianness — the
 // index is a single-machine artifact like the paper's):
-//   u64  magic 'QBSIDX02'
+//   u64  magic 'QBSIDX03'
 //   u32  num_vertices
 //   u32  num_landmarks k
 //   u32  landmarks[k]            (vertex ids)
 //   u16  labels[num_vertices*k]  (kInfDist = absent)
-//   u8   has_bp_masks            (0 or 1)
-//   if has_bp_masks:
-//     per landmark: u32 count (<= 64), u32 selected[count]  (vertex ids)
-//     (u64 s_minus, u64 s_zero) * num_vertices*k            (vertex-major)
 //   u64  num_meta_edges
 //   (u32 a, u32 b, u32 weight) * num_meta_edges
+//   u64  checksum                (Checksum64 of every preceding byte)
 //
 // This is the only format the loader reads; files with any other magic
-// (including the older QBSIDX01) are rejected.
+// (including the two older versions) are rejected.
 //
-// Each section moves with one stream call. Counts are checked against the
-// file's size before they size an allocation; duplicate landmarks,
-// conflicting meta-edge weights and trailing bytes are rejected too.
+// Each section moves with one stream call and is folded into the checksum
+// from its in-memory buffer. Counts are checked against the file's size
+// before they size an allocation; a checksum mismatch, duplicate
+// landmarks, conflicting meta-edge weights and trailing bytes are rejected
+// too.
 //
 // The Δ cache is intentionally not stored: rebuilding it from the loaded
 // labels is a fast parallel pass, and skipping it keeps files small.

@@ -38,8 +38,7 @@ Sketch ComputeSketch(const PathLabeling& labeling, const MetaGraph& meta,
 
 void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
                        VertexId u, VertexId v, Sketch* sketch,
-                       SketchScratch* scratch, bool with_meta_edges,
-                       bool reuse_candidates) {
+                       SketchScratch* scratch, bool with_meta_edges) {
   QBS_DCHECK(meta.finalized());
   sketch->d_top = kUnreachable;
   sketch->u_anchors.clear();
@@ -48,10 +47,8 @@ void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
   sketch->d_star_u = 0;
   sketch->d_star_v = 0;
 
-  if (!reuse_candidates) {
-    ComputeAnchorCandidatesInto(labeling, u, &scratch->cu);
-    ComputeAnchorCandidatesInto(labeling, v, &scratch->cv);
-  }
+  ComputeAnchorCandidatesInto(labeling, u, &scratch->cu);
+  ComputeAnchorCandidatesInto(labeling, v, &scratch->cv);
 
   // Pass 1: d⊤ = min over candidate pairs (Eq. 3). Pairs with r == r'
   // (single common landmark) are included: d_M(r, r) = 0.
@@ -103,17 +100,8 @@ void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
 }
 
 LabelBound ComputeLabelBoundFromCandidates(
-    const PathLabeling& labeling, const std::vector<SketchAnchor>& cu,
-    const std::vector<SketchAnchor>& cv, VertexId u, VertexId v,
-    uint32_t refine_cutoff) {
-  QBS_DCHECK(u != v);
+    const std::vector<SketchAnchor>& cu, const std::vector<SketchAnchor>& cv) {
   LabelBound bound;
-  const bool bp = labeling.has_bp_masks();
-  // Refinement subtracts at most 2, so candidates above this line cannot
-  // land at or below refine_cutoff; saturate so the default refines all.
-  const uint32_t max_refinable = refine_cutoff > kUnreachable - 2
-                                     ? kUnreachable
-                                     : refine_cutoff + 2;
   // Sorted merge on landmark index (both rows ascend by construction).
   size_t iu = 0;
   size_t iv = 0;
@@ -126,77 +114,25 @@ LabelBound ComputeLabelBoundFromCandidates(
       ++iv;
       continue;
     }
-    const LandmarkIndex i = cu[iu].landmark;
     const DistT du = cu[iu].delta;
     const DistT dv = cv[iv].delta;
     ++iu;
     ++iv;
-    const uint32_t base = du > dv ? du - dv : dv - du;
-    bound.lower = std::max<uint32_t>(bound.lower, base);
-    uint32_t cand = static_cast<uint32_t>(du) + dv;
-    if (bp && cand <= max_refinable) {
-      const BpMask mu = labeling.GetBpMask(u, i);
-      const BpMask mv = labeling.GetBpMask(v, i);
-      if ((mu.s_minus & mv.s_minus) != 0) {
-        cand -= 2;
-      } else if ((mu.s_minus & mv.s_zero) != 0 ||
-                 (mu.s_zero & mv.s_minus) != 0) {
-        cand -= 1;
-      }
-      if (base >= bound.lower && BpMaskLowerLift(mu, mv, du, dv)) {
-        bound.lower = base + 1;
-      }
-    }
-    bound.upper = std::min(bound.upper, cand);
+    bound.lower = std::max<uint32_t>(bound.lower, du > dv ? du - dv : dv - du);
+    bound.upper = std::min(bound.upper, static_cast<uint32_t>(du) + dv);
   }
   return bound;
 }
-
-namespace {
-
-// A (landmark, non-landmark) pair shares at most the landmark's own lane:
-// its virtual (rank, 0) entry against the other side's stored label. One
-// scalar lane of the candidate merge — no vectors, no row scan.
-LabelBound OneLandmarkLabelBound(const PathLabeling& labeling, VertexId u,
-                                 VertexId v, int32_t rank_u, int32_t rank_v,
-                                 uint32_t refine_cutoff) {
-  LabelBound bound;
-  const LandmarkIndex i =
-      static_cast<LandmarkIndex>(rank_u >= 0 ? rank_u : rank_v);
-  const DistT du = rank_u >= 0 ? DistT{0} : labeling.Get(u, i);
-  const DistT dv = rank_v >= 0 ? DistT{0} : labeling.Get(v, i);
-  if (du == kInfDist || dv == kInfDist) return bound;
-  const uint32_t max_refinable = refine_cutoff > kUnreachable - 2
-                                     ? kUnreachable
-                                     : refine_cutoff + 2;
-  const uint32_t base = du > dv ? du - dv : dv - du;
-  bound.lower = base;
-  uint32_t cand = static_cast<uint32_t>(du) + dv;
-  if (labeling.has_bp_masks() && cand <= max_refinable) {
-    const BpMask mu = labeling.GetBpMask(u, i);
-    const BpMask mv = labeling.GetBpMask(v, i);
-    if ((mu.s_minus & mv.s_minus) != 0) {
-      cand -= 2;
-    } else if ((mu.s_minus & mv.s_zero) != 0 || (mu.s_zero & mv.s_minus) != 0) {
-      cand -= 1;
-    }
-    if (BpMaskLowerLift(mu, mv, du, dv)) bound.lower = base + 1;
-  }
-  bound.upper = std::min(bound.upper, cand);
-  return bound;
-}
-
-}  // namespace
 
 LabelBound ComputeLabelBound(const PathLabeling& labeling,
                              const MetaGraph& meta, VertexId u, VertexId v,
-                             uint32_t refine_cutoff) {
+                             uint32_t /*unused*/) {
   QBS_DCHECK(u != v);
   const int32_t rank_u = labeling.LandmarkRank(u);
   const int32_t rank_v = labeling.LandmarkRank(v);
+  LabelBound bound;
   if (rank_u >= 0 && rank_v >= 0) {
     // Landmark pair: d_M is the exact distance (Corollary 4.6).
-    LabelBound bound;
     const uint32_t d = meta.Distance(static_cast<LandmarkIndex>(rank_u),
                                      static_cast<LandmarkIndex>(rank_v));
     bound.upper = d;
@@ -204,12 +140,17 @@ LabelBound ComputeLabelBound(const PathLabeling& labeling,
     return bound;
   }
   if (rank_u >= 0 || rank_v >= 0) {
-    return OneLandmarkLabelBound(labeling, u, v, rank_u, rank_v,
-                                 refine_cutoff);
+    // A (landmark, non-landmark) pair shares at most the landmark's own
+    // lane: its virtual (rank, 0) entry against the other side's label,
+    // which is then the exact distance.
+    const auto i = static_cast<LandmarkIndex>(rank_u >= 0 ? rank_u : rank_v);
+    const DistT d = labeling.Get(rank_u >= 0 ? v : u, i);
+    if (d != kInfDist) bound = LabelBound{d, d};
+    return bound;
   }
   // Non-landmark pair: the kernel-dispatched fused row scan, bit-identical
   // to the candidate merge over the same rows.
-  return ComputeLabelBoundRows(labeling, u, v, refine_cutoff);
+  return ComputeLabelBoundRows(labeling, u, v);
 }
 
 void ComputeSketchMetaEdges(const MetaGraph& meta, Sketch* sketch,

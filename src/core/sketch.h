@@ -76,15 +76,10 @@ Sketch ComputeSketch(const PathLabeling& labeling, const MetaGraph& meta,
 /// part) is skipped and sketch->meta_edges stays empty; call
 /// ComputeSketchMetaEdges later to fill it. The guided search defers the
 /// sweep this way because most queries resolve entirely inside the
-/// sparsified graph and never read the meta-edges. With reuse_candidates =
-/// true, scratch->cu / scratch->cv are taken as already filled (by
-/// ComputeAnchorCandidatesInto for the same u, v) instead of re-scanning
-/// the label rows — the guided search shares one scan between the label
-/// bound check and the sketch.
+/// sparsified graph and never read the meta-edges.
 void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
                        VertexId u, VertexId v, Sketch* sketch,
-                       SketchScratch* scratch, bool with_meta_edges = true,
-                       bool reuse_candidates = false);
+                       SketchScratch* scratch, bool with_meta_edges = true);
 
 /// Allocation-free AnchorCandidates: clears and refills *out with the label
 /// entries of `t` in ascending landmark order (or the single virtual entry
@@ -103,37 +98,15 @@ void ComputeSketchMetaEdges(const MetaGraph& meta, Sketch* sketch,
 std::vector<SketchAnchor> AnchorCandidates(const PathLabeling& labeling,
                                            VertexId t);
 
-/// True iff the bit-parallel masks of a shared landmark witness a per-
-/// neighbour lower bound one above |du - dv|: a bit j set on both sides pins
-/// d(u_j, u) and d(u_j, v) exactly (S^{-1} = delta - 1, S^0 = delta), and
-/// the pinned distances disagree hardest when the smaller-delta side holds
-/// the S^{-1} bit and the larger-delta side the S^0 bit (or the deltas tie
-/// and any S^{-1}/S^0 cross bit exists). Bits unset on either side pin
-/// nothing, so all-zero masks (e.g. a v1 load that never built them) can
-/// never lift the bound — the refinement degrades to "no witnesses".
-inline bool BpMaskLowerLift(const BpMask& mu, const BpMask& mv, DistT du,
-                            DistT dv) {
-  if (du == dv) {
-    return ((mu.s_minus & mv.s_zero) | (mu.s_zero & mv.s_minus)) != 0;
-  }
-  if (du > dv) return (mu.s_zero & mv.s_minus) != 0;
-  return (mu.s_minus & mv.s_zero) != 0;
-}
-
 /// Distance bounds on d_G(u, v) read from the labelling alone — one fused
 /// scan of the two label rows, O(|R|), no graph access.
 struct LabelBound {
   /// max |δ_{u,r} - δ_{v,r}| over landmarks present in both labels (triangle
-  /// inequality), lifted by one per landmark when a bit-parallel mask
-  /// witness (BpMaskLowerLift) pins a selected neighbour's exact distances
-  /// harder than the deltas alone; 0 when the labels share no landmark.
+  /// inequality); 0 when the labels share no landmark.
   uint32_t lower = 0;
-  /// min over shared landmarks of δ_{u,r} + δ_{v,r}, refined by the
-  /// bit-parallel masks when present: a common S_r^{-1} witness subtracts 2
-  /// (the path u .. w .. v through the witness w skips r on both sides), an
-  /// S^{-1}/S^0 cross witness subtracts 1. Every refined value is realized
-  /// by an actual path, so this is a sound upper bound; kUnreachable when no
-  /// landmark is shared.
+  /// min over shared landmarks of δ_{u,r} + δ_{v,r}: the length of an actual
+  /// u..r..v walk, so a sound upper bound; kUnreachable when no landmark is
+  /// shared.
   uint32_t upper = kUnreachable;
 };
 
@@ -143,16 +116,11 @@ struct LabelBound {
 /// Corollary 4.6 — the endpoints are landmarks on every path). Requires
 /// u != v.
 ///
-/// `refine_cutoff` bounds the mask work: a landmark's masks are only
-/// consulted when the unrefined candidate could drop to <= refine_cutoff
-/// (refinement subtracts at most 2). The query hot path passes 2 — it only
-/// acts on a certified d <= 2 — which skips the mask cache lines for every
-/// farther landmark; the default refines everything (tightest bound). The
-/// lower-bound lift rides the same gate: only landmarks whose masks are
-/// read for the upper refinement can lift `lower`.
+/// The trailing parameter is ignored; kept because bench_e2e (frozen by
+/// BENCHMARK.json) reads it.
 LabelBound ComputeLabelBound(const PathLabeling& labeling,
                              const MetaGraph& meta, VertexId u, VertexId v,
-                             uint32_t refine_cutoff = kUnreachable);
+                             uint32_t /*unused*/ = 0);
 
 /// As ComputeLabelBound for non-landmark-pair queries, over candidate rows
 /// already produced by ComputeAnchorCandidatesInto(u) / (v) — a sorted
@@ -160,9 +128,7 @@ LabelBound ComputeLabelBound(const PathLabeling& labeling,
 /// its single virtual entry; a landmark *pair* never shares a candidate, so
 /// callers handle that case via MetaGraph::Distance first.)
 LabelBound ComputeLabelBoundFromCandidates(
-    const PathLabeling& labeling, const std::vector<SketchAnchor>& cu,
-    const std::vector<SketchAnchor>& cv, VertexId u, VertexId v,
-    uint32_t refine_cutoff = kUnreachable);
+    const std::vector<SketchAnchor>& cu, const std::vector<SketchAnchor>& cv);
 
 }  // namespace qbs
 

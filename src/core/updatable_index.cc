@@ -15,57 +15,26 @@ enum class ColumnImpact : uint8_t {
   kRebuild = 2,     // a parent edge died: full column rebuild
 };
 
-// Classifies column i against its OLD exact depths and masks (see the
-// header for the per-edge rules and why they are sound for whole batches:
-// every individually-"unaffected" edit provably changes no depth, label,
-// meta-edge, or mask bit, so their composition changes none either).
-ColumnImpact ClassifyColumn(const PathLabeling& labeling, LandmarkIndex i,
-                            const LabelColumnState& state,
+// Classifies column i against its OLD exact depths (see the header for
+// the per-edge rules and why they are sound for whole batches: every
+// individually-"unaffected" edit provably changes no depth, label, or
+// meta-edge, so their composition changes none either).
+ColumnImpact ClassifyColumn(const LabelColumnState& state,
                             const NetChanges& net) {
-  const bool bp = labeling.has_bp_masks();
   const auto& depth = state.depth;
-  bool repair = false;
   for (const Edge& e : net.deletes) {
-    const uint32_t du = depth[e.u];
-    const uint32_t dv = depth[e.v];
-    if (du == kUnreachable && dv == kUnreachable) continue;
     // An existing edge has |du - dv| <= 1 with both ends reachable or
-    // neither; anything else (defensively) rebuilds too.
-    if (du != dv) return ColumnImpact::kRebuild;
-    if (!bp) continue;
-    // Same-level delete: distances hold; only a realized S^0 witness can
-    // die. S⁻(u) & S⁰(v) is exact — any bit u contributed to v's S^0
-    // through this edge is in both.
-    const BpMask mu = labeling.GetBpMask(e.u, i);
-    const BpMask mv = labeling.GetBpMask(e.v, i);
-    if (((mu.s_minus & mv.s_zero) | (mv.s_minus & mu.s_zero)) != 0) {
-      repair = true;
-    }
+    // neither; anything else (defensively) rebuilds too. Same-level
+    // deletes (both unreachable included) remove no parent edge.
+    if (depth[e.u] != depth[e.v]) return ColumnImpact::kRebuild;
   }
   for (const Edge& e : net.inserts) {
-    const uint32_t du = depth[e.u];
-    const uint32_t dv = depth[e.v];
-    // Both ends unreachable from r: the new edge lives entirely in the
-    // unreachable region and cannot connect it to r.
-    if (du == kUnreachable && dv == kUnreachable) continue;
-    if (du == dv) {
-      // Same-level insert: distances and parent edges hold; only the S^0
-      // masks can gain a witness (a bit of one side's S⁻ the other side
-      // doesn't already carry in S⁻ or S⁰).
-      if (!bp) continue;
-      const BpMask mu = labeling.GetBpMask(e.u, i);
-      const BpMask mv = labeling.GetBpMask(e.v, i);
-      if (((mu.s_minus & ~(mv.s_minus | mv.s_zero)) |
-           (mv.s_minus & ~(mu.s_minus | mu.s_zero))) != 0) {
-        repair = true;
-      }
-      continue;
-    }
-    // One end unreachable, or depths differ: distances shrink and/or a new
+    // Same-level inserts (both unreachable included) add no parent edge
+    // and shorten no distance. Otherwise distances shrink and/or a new
     // parent edge appears — both decrease-only, hence repairable.
-    repair = true;
+    if (depth[e.u] != depth[e.v]) return ColumnImpact::kRepair;
   }
-  return repair ? ColumnImpact::kRepair : ColumnImpact::kUnaffected;
+  return ColumnImpact::kUnaffected;
 }
 
 // Decrease-only multi-source partial BFS on the NEW graph: seeds every
@@ -155,17 +124,16 @@ UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
   const size_t workers =
       std::min<size_t>(EffectiveThreads(options.num_threads), k);
 
-  // Phase 1: classify every column against its old depths/masks. Read-only
+  // Phase 1: classify every column against its old depths. Read-only
   // over the pre-edit state, so no ordering hazards with phase 2.
   std::vector<ColumnImpact> impact(k, ColumnImpact::kUnaffected);
   ParallelFor(k, workers, [&](size_t i, size_t) {
-    impact[i] = ClassifyColumn(*labeling, static_cast<LandmarkIndex>(i),
-                               state->columns[i], net);
+    impact[i] = ClassifyColumn(state->columns[i], net);
   });
 
   // Phase 2: repair / rebuild affected columns against the new graph.
   // Columns are independent (Lemma 5.2), and every write — label column,
-  // mask column, S_r slot, LabelColumnState — is column-private.
+  // LabelColumnState — is column-private.
   ParallelFor(k, workers, [&](size_t i, size_t) {
     const auto li = static_cast<LandmarkIndex>(i);
     switch (impact[i]) {

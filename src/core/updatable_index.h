@@ -2,29 +2,29 @@
 //
 // The labelling is uniquely determined by (G, R) (Lemma 5.2), so dynamism
 // reduces to: given a batch of net edge changes, bring every landmark
-// column — labels, bit-parallel masks, meta-edges — to exactly what a
-// from-scratch build on the new graph would produce. The machinery here
-// does that column by column:
+// column — labels and meta-edges — to exactly what a from-scratch build on
+// the new graph would produce. The machinery here does that column by
+// column:
 //
 //   1. Detection. Each column keeps its exact BFS depth array
-//      (LabelColumnState, captured at EnableUpdates / rebuild time). An
+//      (LabelColumnState, captured at EnableUpdates / rebuild time). A
+//      column's labels and meta-edges are a function of its depths and of
+//      its parent edges (edges joining depth d - 1 to depth d), so an
 //      edited edge (u, v) can only affect column r if the stored depths
-//      (and, for same-level edits, the stored masks) say so:
-//        insert — both endpoints unreachable from r: nothing changes; one
-//          unreachable or |d(u)-d(v)| >= 2: distances shrink; |diff| == 1:
-//          a new parent edge (QL / mask flow changes); d(u) == d(v):
-//          distances hold, only the S^0 masks can gain a witness —
-//          affected iff (S⁻(u) & ~(S⁻(v)|S⁰(v))) | (sym.) != 0.
-//        delete — |d(u)-d(v)| == 1: a parent edge died, distances can
-//          grow — the column needs a full rebuild; d(u) == d(v):
-//          distances hold, affected iff a realized S^0 witness dies:
-//          (S⁻(u) & S⁰(v)) | (S⁻(v) & S⁰(u)) != 0.
+//      say so:
+//        d(u) == d(v) (both unreachable included) — insert or delete, no
+//          distance and no parent edge changes: the column is untouched;
+//        insert, otherwise — one end unreachable or |d(u)-d(v)| >= 2:
+//          distances shrink; |diff| == 1: a new parent edge (QL changes) —
+//          both decrease-only, hence repairable;
+//        delete, otherwise (|d(u)-d(v)| == 1) — a parent edge died,
+//          distances can grow: the column needs a full rebuild.
 //   2. Repair (insert-affected, no parent-edge deletes): a decrease-only
 //      multi-source partial BFS on the new graph, seeded from the inserted
 //      edges' shallower endpoints, updates the depth array to exact new
-//      distances; RederiveLabelColumn then recomputes QL, labels,
-//      meta-edges, and masks from those depths — bit-identical to a fresh
-//      BFS, because every derived quantity is a function of exact depths.
+//      distances; RederiveLabelColumn then recomputes QL, labels, and
+//      meta-edges from those depths — bit-identical to a fresh BFS,
+//      because every derived quantity is a function of exact depths.
 //   3. Rebuild (a parent edge died): a full column rebuild
 //      (RebuildLabelColumn) in the same batch.
 //
@@ -83,7 +83,7 @@ struct UpdatableState {
 };
 
 /// Initializes `state` for (g, labeling): runs one labelling BFS per column
-/// to capture exact depths and meta-edges, rewriting the labels/masks
+/// to capture exact depths and meta-edges, rewriting the labels
 /// bit-identically in passing (so it is safe after LoadFromFile too).
 /// Costs about one labelling build.
 void InitUpdatableState(const Graph& g, PathLabeling& labeling,
@@ -91,7 +91,7 @@ void InitUpdatableState(const Graph& g, PathLabeling& labeling,
 
 /// Applies an already-computed net change set to the labelling. `new_graph`
 /// must be the post-edit graph (ApplyNetChanges); detection reads the OLD
-/// depths/masks still held in `state`/`labeling`. Repairs or rebuilds every
+/// depths still held in `state`. Repairs or rebuilds every
 /// affected column in parallel, rewrites the meta-graph, and updates
 /// `state` in place. Returns the column-level stats (the applied/noop
 /// script counters are the caller's, from ComputeNetChanges).

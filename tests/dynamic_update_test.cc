@@ -1,8 +1,8 @@
 // The dynamic-index gauntlet: random edit scripts against
 // QbsIndex::ApplyUpdates must leave the index bit-identical to a
-// from-scratch build on the updated graph — labels, bit-parallel masks,
-// meta-graph, Δ segments, and answers (SameAnswer on sampled pairs,
-// including d <= 2 pairs that exercise the mask fast path).
+// from-scratch build on the updated graph — labels, meta-graph, Δ
+// segments, and answers (SameAnswer on sampled pairs, including d <= 2
+// pairs that exercise the label fast path and direct emission).
 //
 // The labelling is uniquely determined by (G, R) (Lemma 5.2), which is
 // what makes bit-identity a legitimate oracle: same updated graph, same
@@ -13,6 +13,7 @@
 // default to 1..16 locally. Every seed is printed, so any failure line is
 // directly replayable with QBS_DYNAMIC_SEEDS=<seed>.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -26,6 +27,7 @@
 #include "baselines/bfs_oracle.h"
 #include "core/qbs_index.h"
 #include "gen/generators.h"
+#include "graph/bfs.h"
 #include "graph/graph_delta.h"
 #include "workload/query_workload.h"
 
@@ -91,16 +93,11 @@ void AssertSameScheme(const Graph& g, const QbsIndex& updated,
   const PathLabeling& a = updated.labeling();
   const PathLabeling& b = fresh.labeling();
   ASSERT_EQ(a.landmarks(), b.landmarks());
-  ASSERT_EQ(a.has_bp_masks(), b.has_bp_masks());
   const uint32_t k = a.num_landmarks();
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
     for (uint32_t i = 0; i < k; ++i) {
       ASSERT_EQ(a.Get(v, i), b.Get(v, i))
           << "label mismatch at v=" << v << " landmark=" << i;
-      if (a.has_bp_masks()) {
-        ASSERT_EQ(a.GetBpMask(v, i), b.GetBpMask(v, i))
-            << "bp mask mismatch at v=" << v << " landmark=" << i;
-      }
     }
   }
   ASSERT_EQ(updated.meta_graph().Edges(), fresh.meta_graph().Edges());
@@ -117,8 +114,8 @@ void AssertSameScheme(const Graph& g, const QbsIndex& updated,
   ASSERT_EQ(updated.DeltaSizeBytes(), fresh.DeltaSizeBytes());
 }
 
-// Sampled pairs + adjacent and two-hop pairs (the d <= 2 bit-parallel
-// fast path must stay bit-identical too).
+// Sampled pairs + adjacent and two-hop pairs (the d <= 2 label fast path
+// and direct emission must stay bit-identical too).
 std::vector<QueryPair> ProbePairs(const Graph& g, std::mt19937_64& rng) {
   std::vector<QueryPair> pairs = SampleQueryPairs(g, 25, rng());
   for (int i = 0; i < 10; ++i) {
@@ -150,9 +147,8 @@ TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
     QbsOptions options;
     options.num_landmarks = 8;
     options.num_threads = 2;
-    options.bit_parallel = seed % 2 == 0;
-    std::printf("[gauntlet] seed=%" PRIu64 " family=%" PRIu64 " bp=%d\n",
-                seed, seed % 3, options.bit_parallel ? 1 : 0);
+    std::printf("[gauntlet] seed=%" PRIu64 " family=%" PRIu64 "\n", seed,
+                seed % 3);
     QbsIndex index = QbsIndex::Build(g, options);
     index.EnableUpdates(&g, 2);
     const std::vector<VertexId> landmarks = index.landmarks();
@@ -166,6 +162,63 @@ TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
       if (::testing::Test::HasFatalFailure()) {
         return;  // the printed seed line identifies the failing script
       }
+    }
+  }
+}
+
+// An edge between two vertices at equal depth in every landmark column
+// changes no distance and no parent edge, so editing it touches no column:
+// a same-level insert, then a same-level delete, each leave the index
+// bit-identical to a fresh build with nothing repaired or rebuilt.
+TEST(DynamicUpdateTest, SameLevelEditsTouchNoColumn) {
+  Graph g = BarabasiAlbert(300, 3, 17);
+  QbsOptions options;
+  options.num_landmarks = 3;
+  QbsIndex index = QbsIndex::Build(g, options);
+  index.EnableUpdates(&g, 2);
+  const std::vector<VertexId> landmarks = index.landmarks();
+  std::vector<std::vector<uint32_t>> depth;
+  for (const VertexId r : landmarks) depth.push_back(BfsDistances(g, r));
+  const auto same_level = [&](VertexId a, VertexId b) {
+    for (const auto& d : depth) {
+      if (d[a] != d[b]) return false;
+    }
+    return true;
+  };
+  // Pick the delete before the insert so it is an edge of the original
+  // graph, not the one just added.
+  const std::vector<Edge> edges = g.EdgeList();
+  const auto doomed = std::find_if(edges.begin(), edges.end(),
+                                   [&](const Edge& e) {
+                                     return same_level(e.u, e.v);
+                                   });
+  ASSERT_NE(doomed, edges.end()) << "no same-level edge in the graph";
+  Edge added{0, 0};
+  for (VertexId a = 0; a < g.NumVertices() && added.u == added.v; ++a) {
+    for (VertexId b = a + 1; b < g.NumVertices(); ++b) {
+      if (!g.HasEdge(a, b) && same_level(a, b)) {
+        added = Edge{a, b};
+        break;
+      }
+    }
+  }
+  ASSERT_NE(added.u, added.v) << "no same-level non-edge in the graph";
+
+  std::mt19937_64 rng(17);
+  GraphDelta insert;
+  insert.Insert(added.u, added.v);
+  GraphDelta erase;
+  erase.Delete(doomed->u, doomed->v);
+  for (const GraphDelta& delta : {insert, erase}) {
+    const UpdateStats stats = index.ApplyUpdates(delta);
+    EXPECT_EQ(stats.AppliedTotal(), 1u);
+    EXPECT_EQ(stats.repaired_columns, 0u);
+    EXPECT_EQ(stats.rebuilt_columns, 0u);
+    const QbsIndex fresh = QbsIndex::BuildWithLandmarks(g, landmarks, options);
+    AssertSameScheme(g, index, fresh);
+    AssertSameAnswers(g, index, fresh, rng);
+    for (size_t i = 0; i < landmarks.size(); ++i) {
+      ASSERT_EQ(BfsDistances(g, landmarks[i]), depth[i]);  // depths held
     }
   }
 }

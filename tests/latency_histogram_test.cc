@@ -66,14 +66,16 @@ TEST(LatencyHistogramTest, ConcurrentSnapshotsNeverOvercountTotal) {
   uint64_t last_count = 0;
   uint64_t snapshots_taken = 0;
   std::thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
+    // do-while: on a loaded host the writers can finish before this thread
+    // is first scheduled, and the reader must still take a snapshot.
+    do {
       const auto snap = h.GetSnapshot();
       ASSERT_LE(snap.total_nanos, snap.count * kSample);
       // Counts are monotone across snapshots from one reader.
       ASSERT_GE(snap.count, last_count);
       last_count = snap.count;
       ++snapshots_taken;
-    }
+    } while (!done.load(std::memory_order_acquire));
   });
 
   for (auto& w : writers) w.join();

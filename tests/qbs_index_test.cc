@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/bfs_oracle.h"
+#include "core/label_scan.h"
 #include "core/qbs_index.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
@@ -15,6 +16,8 @@
 
 namespace qbs {
 namespace {
+
+using testing::ScopedScanKernel;
 
 TEST(QbsIndexTest, BuildAndQuerySmoke) {
   Graph g = BarabasiAlbert(500, 3, 1);
@@ -264,6 +267,171 @@ TEST(QbsIndexTest, CoverageClassificationMatchesBruteForce) {
         break;
       case PairCoverage::kDisconnected:
         FAIL();
+    }
+  }
+}
+
+// --- The label fast path: pairs whose label upper bound min δu + δv is
+// <= 2 are answered from the labels plus one edge probe / common-neighbour
+// intersection, for every compiled scan kernel. ---
+
+struct FastPathParam {
+  int family;
+  uint64_t seed;
+  uint32_t k;
+};
+
+class LabelFastPath : public ::testing::TestWithParam<FastPathParam> {};
+
+// d <= 2 queries never scan a reverse or recover edge: certified pairs
+// (label upper <= 2) short-circuit with zero search scans, uncertified
+// close pairs emit their SPG directly once the search fixes the distance,
+// and d >= 3 pairs never short-circuit. Two non-landmark neighbours of
+// one landmark r both carry (r, 1), so every such pair is certified.
+TEST_P(LabelFastPath, ShortDistancesAnsweredFromLabels) {
+  const auto& p = GetParam();
+  Graph g = testing::SmallFamilyGraph(p.family, p.seed);
+  QbsOptions options;
+  options.num_landmarks = p.k;
+  const QbsIndex index = QbsIndex::Build(g, options);
+  const PathLabeling& l = index.labeling();
+
+  std::vector<VertexId> sources = index.landmarks();
+  for (VertexId s = 0; s < g.NumVertices(); s += g.NumVertices() / 6 + 1) {
+    sources.push_back(s);
+  }
+  for (const ScanKernel kernel : SupportedScanKernels()) {
+    ScopedScanKernel scoped(kernel);
+    const char* kname = ScanOpsFor(kernel).name;
+    size_t checked_close = 0;
+    size_t checked_far = 0;
+    size_t certified = 0;
+    for (const VertexId s : sources) {
+      const auto dist = BfsDistances(g, s);
+      for (VertexId t = 0; t < g.NumVertices(); ++t) {
+        const bool close = dist[t] <= 2;
+        if (close && checked_close > 600) continue;
+        if (!close && checked_far > 200) continue;
+        const QueryResponse response = index.Query({s, t});
+        const SearchStats& stats = response.stats;
+        ASSERT_EQ(response.spg, SpgByDoubleBfs(g, s, t))
+            << kname << " s=" << s << " t=" << t;
+        if (!close) {
+          ++checked_far;
+          EXPECT_EQ(stats.label_short_circuits, 0u)
+              << kname << " s=" << s << " t=" << t << " d=" << dist[t];
+          continue;
+        }
+        ++checked_close;
+        EXPECT_EQ(stats.edges_scanned_reverse, 0u) << kname << " s=" << s;
+        EXPECT_EQ(stats.edges_scanned_recover, 0u) << kname << " s=" << s;
+        EXPECT_EQ(stats.delta_cache_hits, 0u) << kname << " s=" << s;
+        if (s != t && stats.d_label_upper <= 2) {
+          ++certified;
+          EXPECT_EQ(stats.label_short_circuits, 1u)
+              << kname << " s=" << s << " t=" << t << " d=" << dist[t];
+          EXPECT_EQ(stats.edges_scanned_search, 0u)
+              << kname << " s=" << s << " t=" << t;
+        }
+      }
+    }
+    EXPECT_GT(checked_close, 0u) << kname;
+    EXPECT_GT(checked_far, 0u) << kname;
+    EXPECT_GT(certified, 0u) << kname;
+
+    // Landmark-neighbour pairs: up to 4 non-landmark neighbours of each
+    // landmark, every pair of them certified.
+    size_t neighbour_pairs = 0;
+    for (const VertexId r : index.landmarks()) {
+      std::vector<VertexId> nbrs;
+      for (const VertexId w : g.Neighbors(r)) {
+        if (!l.IsLandmark(w) && nbrs.size() < 4) nbrs.push_back(w);
+      }
+      for (size_t a = 0; a < nbrs.size(); ++a) {
+        for (size_t b = a + 1; b < nbrs.size(); ++b) {
+          const QueryResponse response = index.Query({nbrs[a], nbrs[b]});
+          ASSERT_EQ(response.spg, SpgByDoubleBfs(g, nbrs[a], nbrs[b]))
+              << kname << " r=" << r;
+          EXPECT_LE(response.stats.d_label_upper, 2u) << kname << " r=" << r;
+          EXPECT_EQ(response.stats.label_short_circuits, 1u) << kname;
+          EXPECT_EQ(response.stats.edges_scanned_search, 0u) << kname;
+          ++neighbour_pairs;
+        }
+      }
+    }
+    EXPECT_GT(neighbour_pairs, 0u) << kname;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, LabelFastPath,
+                         ::testing::Values(FastPathParam{0, 21, 8},
+                                           FastPathParam{1, 22, 10},
+                                           FastPathParam{2, 23, 6},
+                                           FastPathParam{3, 24, 5},
+                                           FastPathParam{0, 25, 20}));
+
+// Landmark endpoints: (landmark, x) pairs at d <= 2 never reach the
+// reverse or recover stage, and certified ones never search.
+TEST(LabelFastPathTest, LandmarkEndpointsShortCircuit) {
+  Graph g = testing::Figure4Graph();
+  const QbsIndex index =
+      QbsIndex::BuildWithLandmarks(g, testing::Figure4Landmarks(), {});
+  for (const ScanKernel kernel : SupportedScanKernels()) {
+    ScopedScanKernel scoped(kernel);
+    const char* kname = ScanOpsFor(kernel).name;
+    size_t certified = 0;
+    for (const VertexId r : index.landmarks()) {
+      const auto dist = BfsDistances(g, r);
+      for (VertexId t = 0; t < g.NumVertices(); ++t) {
+        const QueryResponse response = index.Query({r, t});
+        const SearchStats& stats = response.stats;
+        ASSERT_EQ(response.spg, SpgByDoubleBfs(g, r, t))
+            << kname << " r=" << r << " t=" << t;
+        if (r == t || dist[t] > 2) continue;
+        EXPECT_EQ(stats.edges_scanned_recover, 0u) << kname << " t=" << t;
+        EXPECT_EQ(stats.edges_scanned_reverse, 0u) << kname << " t=" << t;
+        if (stats.d_label_upper <= 2) {
+          ++certified;
+          EXPECT_EQ(stats.label_short_circuits, 1u) << kname << " t=" << t;
+          EXPECT_EQ(stats.edges_scanned_search, 0u) << kname << " t=" << t;
+        }
+      }
+    }
+    EXPECT_GT(certified, 0u) << kname;
+  }
+}
+
+// QueryBatch runs the same fast path through the pooled searchers.
+TEST(LabelFastPathTest, QueryBatchAgreesWithSerialQueries) {
+  Graph g = BarabasiAlbert(500, 4, 31);
+  QbsOptions options;
+  options.num_landmarks = 16;
+  const QbsIndex index = QbsIndex::Build(g, options);
+  std::vector<QueryRequest> requests;
+  for (const auto& [u, v] : SampleQueryPairs(g, 200, 31)) {
+    requests.emplace_back(u, v);
+  }
+  // Mix in adjacent pairs and landmark-neighbour pairs so the batch
+  // exercises the short circuit.
+  for (VertexId u = 0; u < 20; ++u) {
+    requests.emplace_back(u, g.Neighbors(u).front());
+  }
+  for (const VertexId r : index.landmarks()) {
+    const auto nr = g.Neighbors(r);
+    requests.emplace_back(nr.front(), nr.back());
+  }
+  QbsIndex::BatchOptions four;
+  four.num_threads = 4;
+  for (const ScanKernel kernel : SupportedScanKernels()) {
+    ScopedScanKernel scoped(kernel);
+    const auto batch = index.QueryBatch(requests, four);
+    ASSERT_EQ(batch.size(), requests.size());
+    for (size_t i = 0; i < requests.size(); ++i) {
+      ASSERT_EQ(batch[i].spg, index.Query({requests[i].u, requests[i].v}).spg)
+          << ScanOpsFor(kernel).name << " pair " << i;
+      ASSERT_EQ(batch[i].spg,
+                SpgByDoubleBfs(g, requests[i].u, requests[i].v))
+          << ScanOpsFor(kernel).name << " pair " << i;
     }
   }
 }

@@ -11,6 +11,7 @@
 #include "core/serialization.h"
 #include "gen/generators.h"
 #include "tests/test_util.h"
+#include "util/binary_io.h"
 #include "workload/query_workload.h"
 
 namespace qbs {
@@ -32,52 +33,47 @@ void Put(std::string* bytes, const T& value) {
   bytes->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-constexpr uint64_t kMagicV2 = 0x3230584449534251ull;  // "QBSIDX02"
+constexpr uint64_t kMagic = 0x3330584449534251ull;  // "QBSIDX03"
 
-// A hand-made QBSIDX02 file over 3 vertices: the given landmarks, every
-// label absent, no masks, and the given meta-edges.
+// Appends the Checksum64 of everything before it, as the writer does.
+void AppendChecksum(std::string* bytes) {
+  Checksum64 sum;
+  sum.Update(bytes->data(), bytes->size());
+  Put(bytes, sum.Digest());
+}
+
+// A hand-made index file over 3 vertices: the given landmarks, every
+// label absent, the given meta-edges, and a valid checksum.
 std::string CraftIndex(const std::vector<VertexId>& landmarks,
                        const std::vector<MetaEdge>& edges) {
   constexpr VertexId kVertices = 3;
   std::string bytes;
-  Put(&bytes, kMagicV2);
+  Put(&bytes, kMagic);
   Put(&bytes, kVertices);
   Put(&bytes, static_cast<uint32_t>(landmarks.size()));
   for (const VertexId r : landmarks) Put(&bytes, r);
   for (size_t i = 0; i < kVertices * landmarks.size(); ++i) {
     Put(&bytes, kInfDist);
   }
-  Put(&bytes, uint8_t{0});
   Put(&bytes, static_cast<uint64_t>(edges.size()));
   for (const MetaEdge& e : edges) {
     Put(&bytes, e.a);
     Put(&bytes, e.b);
     Put(&bytes, e.weight);
   }
+  AppendChecksum(&bytes);
   return bytes;
 }
 
-// Everything a QBSIDX02 file stores must match, bit for bit.
+// Everything an index file stores must match, bit for bit.
 void ExpectSameScheme(const LabelingScheme& a, const LabelingScheme& b) {
   const PathLabeling& la = a.labeling;
   const PathLabeling& lb = b.labeling;
   ASSERT_EQ(la.num_vertices(), lb.num_vertices());
   ASSERT_EQ(la.landmarks(), lb.landmarks());
-  ASSERT_EQ(la.has_bp_masks(), lb.has_bp_masks());
   for (VertexId v = 0; v < la.num_vertices(); ++v) {
     for (LandmarkIndex i = 0; i < la.row_stride(); ++i) {
       ASSERT_EQ(la.Row(v)[i], lb.Row(v)[i]) << "v=" << v << " lane=" << i;
-    }
-  }
-  if (la.has_bp_masks()) {
-    for (LandmarkIndex i = 0; i < la.num_landmarks(); ++i) {
-      ASSERT_EQ(la.BpSelected(i), lb.BpSelected(i)) << "i=" << i;
-    }
-    for (VertexId v = 0; v < la.num_vertices(); ++v) {
-      for (LandmarkIndex i = 0; i < la.num_landmarks(); ++i) {
-        ASSERT_EQ(la.GetBpMask(v, i), lb.GetBpMask(v, i))
-            << "v=" << v << " i=" << i;
-      }
     }
   }
   ASSERT_EQ(a.meta.Edges(), b.meta.Edges());
@@ -90,14 +86,16 @@ class SerializationTest : public ::testing::Test {
   std::string path_;
 };
 
-// The committed QBSIDX02 fixture was written by the element-wise writer
-// that predates the bulk section I/O, from BA(200, 2, seed 12), |R| = 6,
-// masks on. Today's writer must reproduce it byte for byte, and the loader
-// must read it back into exactly the scheme a fresh build produces.
-class V2FixtureTest : public SerializationTest {
+// The committed fixture holds BA(200, 2, seed 12) with |R| = 6. It was
+// made outside the C++ writer — converted from the previous version's
+// fixture by a separate implementation of this layout and of Checksum64 —
+// so it pins the layout and the checksum function both: today's writer
+// must reproduce it byte for byte, and the loader must read it back into
+// exactly the scheme a fresh build produces.
+class V3FixtureTest : public SerializationTest {
  protected:
   static std::string FixturePath() {
-    return std::string(QBS_TEST_DATA_DIR) + "/ba200_r6_v2.qbsidx";
+    return std::string(QBS_TEST_DATA_DIR) + "/ba200_r6_v3.qbsidx";
   }
   static QbsIndex BuildFixtureIndex(const Graph& g) {
     QbsOptions options;
@@ -106,17 +104,16 @@ class V2FixtureTest : public SerializationTest {
   }
 };
 
-TEST_F(V2FixtureTest, WriterReproducesFixtureBytes) {
+TEST_F(V3FixtureTest, WriterReproducesFixtureBytes) {
   const Graph g = BarabasiAlbert(200, 2, 12);
   const QbsIndex built = BuildFixtureIndex(g);
-  ASSERT_TRUE(built.labeling().has_bp_masks());
   ASSERT_TRUE(built.Save(path_));
   const std::string fixture = ReadFileBytes(FixturePath());
   ASSERT_FALSE(fixture.empty());
   EXPECT_TRUE(ReadFileBytes(path_) == fixture);
 }
 
-TEST_F(V2FixtureTest, LoaderReadsFixtureBitIdentically) {
+TEST_F(V3FixtureTest, LoaderReadsFixtureBitIdentically) {
   const Graph g = BarabasiAlbert(200, 2, 12);
   const QbsIndex built = BuildFixtureIndex(g);
   auto loaded = LoadLabelingScheme(FixturePath());
@@ -130,32 +127,26 @@ TEST_F(V2FixtureTest, LoaderReadsFixtureBitIdentically) {
 
 // Cutting the file at any section boundary, or one byte either side of
 // it, must be rejected: no section may be silently short or absent.
-TEST_F(V2FixtureTest, TruncationAtEverySectionBoundaryIsRejected) {
+TEST_F(V3FixtureTest, TruncationAtEverySectionBoundaryIsRejected) {
   const std::string bytes = ReadFileBytes(FixturePath());
   auto loaded = LoadLabelingScheme(FixturePath());
   ASSERT_TRUE(loaded.has_value());
-  const PathLabeling& l = loaded->labeling;
-  const size_t n = l.num_vertices();
-  const size_t k = l.num_landmarks();
+  const size_t n = loaded->labeling.num_vertices();
+  const size_t k = loaded->labeling.num_landmarks();
   std::vector<size_t> boundaries;
   size_t at = 0;
   const auto section = [&](size_t size) {
     boundaries.push_back(at);
     at += size;
   };
-  section(8);                       // magic
-  section(4);                       // |V|
-  section(4);                       // |R|
-  section(4 * k);                   // landmarks
-  section(2 * n * k);               // labels
-  section(1);                       // mask flag
-  for (size_t i = 0; i < k; ++i) {  // S_r: count, then ids
-    section(4);
-    section(4 * l.BpSelected(i).size());
-  }
-  section(16 * n * k);  // masks
-  section(8);           // meta-edge count
+  section(8);          // magic
+  section(4);          // |V|
+  section(4);          // |R|
+  section(4 * k);      // landmarks
+  section(2 * n * k);  // labels
+  section(8);          // meta-edge count
   section(12 * loaded->meta.Edges().size());
+  section(8);  // checksum
   ASSERT_EQ(at, bytes.size());  // the map covers the whole file
   boundaries.push_back(at);
   for (const size_t b : boundaries) {
@@ -168,6 +159,28 @@ TEST_F(V2FixtureTest, TruncationAtEverySectionBoundaryIsRejected) {
   // Bytes past the end of the layout are corruption too.
   WriteFileBytes(path_, bytes + '\0');
   EXPECT_FALSE(LoadLabelingScheme(path_).has_value());
+}
+
+// Corrupting any single byte of the fixture — header, landmarks, labels,
+// meta-edges or the checksum itself — must be rejected, never loaded.
+TEST_F(V3FixtureTest, EveryFlippedByteIsRejected) {
+  const Graph g = BarabasiAlbert(200, 2, 12);
+  const std::string bytes = ReadFileBytes(FixturePath());
+  ASSERT_FALSE(bytes.empty());
+  for (size_t at = 0; at < bytes.size(); ++at) {
+    std::string corrupt = bytes;
+    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x01);
+    WriteFileBytes(path_, corrupt);
+    ASSERT_FALSE(LoadLabelingScheme(path_).has_value()) << "byte " << at;
+  }
+  // Any other bit of a byte too, through the index-level loader.
+  for (size_t at = 0; at < bytes.size(); at += 97) {
+    std::string corrupt = bytes;
+    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x80);
+    WriteFileBytes(path_, corrupt);
+    ASSERT_FALSE(QbsIndex::LoadFromFile(g, path_).has_value())
+        << "byte " << at;
+  }
 }
 
 // Crafted files: the loader must turn bad bytes into nullopt, never into
@@ -195,7 +208,7 @@ TEST_F(SerializationTest, MetaEdgeWithTwoWeightsIsRejected) {
 // allocation, so a corrupt count is a clean rejection, not bad_alloc.
 TEST_F(SerializationTest, HeaderCountsLargerThanTheFileAreRejected) {
   std::string huge_vertices;
-  Put(&huge_vertices, kMagicV2);
+  Put(&huge_vertices, kMagic);
   Put(&huge_vertices, VertexId{1} << 31);
   Put(&huge_vertices, uint32_t{1});
   Put(&huge_vertices, VertexId{0});
@@ -204,7 +217,7 @@ TEST_F(SerializationTest, HeaderCountsLargerThanTheFileAreRejected) {
   EXPECT_FALSE(LoadLabelingScheme(path_).has_value());
 
   std::string huge_landmarks;
-  Put(&huge_landmarks, kMagicV2);
+  Put(&huge_landmarks, kMagic);
   Put(&huge_landmarks, VertexId{4});
   Put(&huge_landmarks, uint32_t{0xFFFFFFFF});
   huge_landmarks.resize(64, '\0');
@@ -213,8 +226,9 @@ TEST_F(SerializationTest, HeaderCountsLargerThanTheFileAreRejected) {
 
   // A valid body whose meta-edge count claims 2^60 records.
   std::string huge_meta = CraftIndex({0, 2}, {});
-  huge_meta.resize(huge_meta.size() - sizeof(uint64_t));
+  huge_meta.resize(huge_meta.size() - 2 * sizeof(uint64_t));
   Put(&huge_meta, uint64_t{1} << 60);
+  AppendChecksum(&huge_meta);
   WriteFileBytes(path_, huge_meta);
   EXPECT_FALSE(LoadLabelingScheme(path_).has_value());
 }
@@ -223,11 +237,11 @@ TEST_F(SerializationTest, HeaderCountsLargerThanTheFileAreRejected) {
 // expected |V| can bound the header's before the labelling is allocated.
 TEST_F(SerializationTest, ExpectedVertexCountBoundsLandmarkFreeFiles) {
   std::string huge_vertices;
-  Put(&huge_vertices, kMagicV2);
+  Put(&huge_vertices, kMagic);
   Put(&huge_vertices, VertexId{1} << 31);
   Put(&huge_vertices, uint32_t{0});
-  Put(&huge_vertices, uint8_t{0});
   Put(&huge_vertices, uint64_t{0});
+  AppendChecksum(&huge_vertices);
   WriteFileBytes(path_, huge_vertices);
   EXPECT_FALSE(LoadLabelingScheme(path_, 3).has_value());
 
@@ -313,68 +327,31 @@ TEST_F(SerializationTest, MissingFile) {
   EXPECT_FALSE(LoadLabelingScheme("/nonexistent/index.qbs").has_value());
 }
 
-// A mask-less scheme (built with bit_parallel = false) round-trips through
-// a file into a working index: identical labels and meta-graph, masks
-// disabled, and queries that agree with the oracle without any label
-// short-circuit. The same scheme in the retired QBSIDX01 layout (no
-// bit-parallel flag byte, "QBSIDX01" magic) is rejected, not misread.
-TEST_F(SerializationTest, MasklessSchemeLoadsAndV1FileIsRejected) {
+// The same scheme in either retired layout is rejected, not misread:
+// version 2 (a mask-flag byte after the labels, no checksum) and version 1
+// (neither), each under its own magic — and also under today's magic.
+TEST_F(SerializationTest, OlderFormatsAreRejected) {
   Graph g = testing::Figure4Graph();
-  LabelingBuildOptions maskless;
-  maskless.bit_parallel = false;
   const LabelingScheme fresh =
-      BuildLabelingScheme(g, testing::Figure4Landmarks(), maskless);
+      BuildLabelingScheme(g, testing::Figure4Landmarks());
   ASSERT_TRUE(SaveLabelingScheme(fresh, path_));
-  auto loaded = LoadLabelingScheme(path_);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_FALSE(loaded->labeling.has_bp_masks());
-  ASSERT_EQ(loaded->labeling.landmarks(), fresh.labeling.landmarks());
-  const uint32_t k = fresh.labeling.num_landmarks();
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    for (LandmarkIndex i = 0; i < k; ++i) {
-      EXPECT_EQ(loaded->labeling.Get(v, i), fresh.labeling.Get(v, i))
-          << "v=" << v << " i=" << i;
-    }
-  }
-  EXPECT_EQ(loaded->meta.Edges(), fresh.meta.Edges());
+  const std::string v3 = ReadFileBytes(path_);
+  ASSERT_TRUE(LoadLabelingScheme(path_).has_value());
 
-  auto index = QbsIndex::LoadFromFile(g, path_);
-  ASSERT_TRUE(index.has_value());
-  for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      const QueryResponse response = index->Query({u, v});
-      ASSERT_EQ(response.spg, SpgByDoubleBfs(g, u, v))
-          << "u=" << u << " v=" << v;
-      ASSERT_EQ(response.stats.label_short_circuits, 0u);
-    }
-  }
-
-  std::string bytes = ReadFileBytes(path_);
-  const size_t bp_flag_at = sizeof(uint64_t) + 2 * sizeof(uint32_t) +
-                            k * sizeof(VertexId) +
-                            size_t{g.NumVertices()} * k * sizeof(DistT);
-  ASSERT_EQ(bytes[bp_flag_at], 0);
-  bytes.erase(bp_flag_at, 1);
-  bytes.replace(0, 8, "QBSIDX01");
-  WriteFileBytes(path_, bytes);
-  EXPECT_FALSE(LoadLabelingScheme(path_).has_value());
-  EXPECT_FALSE(QbsIndex::LoadFromFile(g, path_).has_value());
-}
-
-// A freshly saved (v2) file round-trips the mask section; disabling masks
-// at build keeps the section empty and the loader agrees.
-TEST_F(SerializationTest, V2RoundTripWithoutMasks) {
-  Graph g = BarabasiAlbert(200, 2, 13);
-  QbsOptions options;
-  options.num_landmarks = 6;
-  options.bit_parallel = false;
-  QbsIndex built = QbsIndex::Build(g, options);
-  ASSERT_TRUE(built.Save(path_));
-  auto loaded = QbsIndex::LoadFromFile(g, path_, options);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_FALSE(loaded->labeling().has_bp_masks());
-  for (const auto& [u, v] : SampleQueryPairs(g, 30, 13)) {
-    ASSERT_EQ(loaded->Query({u, v}).spg, built.Query({u, v}).spg);
+  const size_t k = fresh.labeling.num_landmarks();
+  const size_t flag_at = sizeof(uint64_t) + 2 * sizeof(uint32_t) +
+                         k * sizeof(VertexId) +
+                         size_t{g.NumVertices()} * k * sizeof(DistT);
+  std::string v1 = v3.substr(0, v3.size() - sizeof(uint64_t));
+  std::string v2 = v1;
+  v2.insert(flag_at, 1, '\0');  // "no masks"
+  for (std::string* old : {&v1, &v2}) {
+    WriteFileBytes(path_, *old);
+    EXPECT_FALSE(LoadLabelingScheme(path_).has_value());
+    (*old)[7] = old == &v1 ? '1' : '2';  // the version digit of the magic
+    WriteFileBytes(path_, *old);
+    EXPECT_FALSE(LoadLabelingScheme(path_).has_value());
+    EXPECT_FALSE(QbsIndex::LoadFromFile(g, path_).has_value());
   }
 }
 

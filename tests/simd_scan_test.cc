@@ -1,8 +1,7 @@
 // Differential-testing harness for the SIMD label-scan kernels
 // (core/label_scan.h): every compiled kernel must produce BIT-IDENTICAL
-// results to the scalar reference — aggregates, gate words, candidate
-// lists, lower-bound witnesses, and the final LabelBound — on generated
-// label-row families chosen to hit the kernels' edge lanes: all-absent
+// results to the scalar reference — the raw row bound, candidate lists,
+// and the final LabelBound — on generated label-row families chosen to hit the kernels' edge lanes: all-absent
 // rows, single-present lanes, strides straddling the 16-lane block
 // boundary (|R| in {1, 7, 8, 31, 32, 33, 64, 257}), and saturating
 // distances near the kInfDist sentinel. Also covers the runtime dispatch
@@ -25,31 +24,17 @@
 #include "core/serialization.h"
 #include "core/sketch.h"
 #include "gen/generators.h"
+#include "tests/test_util.h"
 #include "workload/query_workload.h"
 
 namespace qbs {
 namespace {
 
-// Restores the process-wide active kernel on scope exit, so tests that
-// flip it can never leak the override into later tests.
-class ScopedScanKernel {
- public:
-  explicit ScopedScanKernel(ScanKernel kernel)
-      : saved_(ActiveScanKernel()) {
-    SetActiveScanKernel(kernel);
-  }
-  ~ScopedScanKernel() { SetActiveScanKernel(saved_); }
-  ScopedScanKernel(const ScopedScanKernel&) = delete;
-  ScopedScanKernel& operator=(const ScopedScanKernel&) = delete;
-
- private:
-  ScanKernel saved_;
-};
+using testing::ScopedScanKernel;
 
 // Label-row families the generator draws from. Values stay in
 // [1, 0xFFFE]: a stored label of a non-landmark vertex is never 0 (that
-// would make the vertex the landmark itself), and the scalar reference's
-// unchecked -2 refinement assumes sums >= 2.
+// would make the vertex the landmark itself).
 enum class RowFamily {
   kAllUnreachable,   // every lane absent
   kSingleLandmark,   // exactly one present lane
@@ -100,29 +85,14 @@ void FillRow(PathLabeling* labeling, VertexId t, RowFamily family,
       }
       break;
   }
-  if (labeling->has_bp_masks()) {
-    for (LandmarkIndex i = 0; i < k; ++i) {
-      // ~25% bit density; occasionally all-zero (the "masks never built"
-      // degradation the refinement must tolerate).
-      BpMask m;
-      if (pct(*rng) >= 10) {
-        m.s_minus = (*rng)() & (*rng)();
-        m.s_zero = (*rng)() & (*rng)();
-      }
-      labeling->SetBpMask(t, i, m);
-    }
-  }
 }
 
 // A labelling whose first k vertices are the landmarks and whose
 // remaining `extra` vertices carry synthetic rows (filled by the caller).
-PathLabeling MakeSyntheticLabeling(uint32_t k, VertexId extra,
-                                   bool with_masks) {
+PathLabeling MakeSyntheticLabeling(uint32_t k, VertexId extra) {
   std::vector<VertexId> landmarks(k);
   for (uint32_t i = 0; i < k; ++i) landmarks[i] = i;
-  PathLabeling labeling(k + extra, std::move(landmarks));
-  if (with_masks) labeling.EnableBpMasks();
-  return labeling;
+  return PathLabeling(k + extra, std::move(landmarks));
 }
 
 // The pre-kernel scalar loops, kept alive here as independent references
@@ -138,29 +108,10 @@ std::vector<SketchAnchor> ReferenceCandidates(const PathLabeling& labeling,
   return out;
 }
 
-bool ReferenceLowerExceeds(const PathLabeling& labeling, VertexId x,
-                           VertexId other, uint32_t threshold) {
-  for (LandmarkIndex i = 0; i < labeling.num_landmarks(); ++i) {
-    const DistT dx = labeling.Get(x, i);
-    if (dx == kInfDist) continue;
-    const DistT dother = labeling.Get(other, i);
-    if (dother == kInfDist) continue;
-    const uint32_t base = dx > dother ? dx - dother : dother - dx;
-    if (base > threshold) return true;
-    if (base == threshold &&
-        BpMaskLowerLift(labeling.GetBpMask(x, i),
-                        labeling.GetBpMask(other, i), dx, dother)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 LabelBound ReferenceBound(const PathLabeling& labeling, VertexId u,
-                          VertexId v, uint32_t refine_cutoff) {
-  return ComputeLabelBoundFromCandidates(labeling, ReferenceCandidates(labeling, u),
-                                         ReferenceCandidates(labeling, v), u, v,
-                                         refine_cutoff);
+                          VertexId v) {
+  return ComputeLabelBoundFromCandidates(ReferenceCandidates(labeling, u),
+                                         ReferenceCandidates(labeling, v));
 }
 
 std::string KernelName(ScanKernel kernel) {
@@ -208,7 +159,6 @@ TEST(SimdScanDispatch, SupportedKernelsAlwaysIncludeScalar) {
   for (const ScanKernel kernel : kernels) {
     EXPECT_NE(ScanOpsFor(kernel).row_bound, nullptr);
     EXPECT_NE(ScanOpsFor(kernel).row_candidates, nullptr);
-    EXPECT_NE(ScanOpsFor(kernel).lower_exceeds, nullptr);
   }
 }
 
@@ -249,91 +199,62 @@ TEST(SimdScanDispatch, ScalarFallbackServesIdenticalQueries) {
 class SimdScanDifferential : public ::testing::TestWithParam<uint32_t> {};
 
 // The full wrapper path: ComputeLabelBoundRows must equal the candidate-
-// merge reference for every kernel, family pair, cutoff, and mask state.
+// merge reference for every kernel and family pair.
 TEST_P(SimdScanDifferential, RowBoundMatchesReferenceEverywhere) {
   const uint32_t k = GetParam();
   const auto kernels = SupportedScanKernels();
-  const uint32_t cutoffs[] = {0, 2, 5, kUnreachable - 1, kUnreachable};
-  for (const bool with_masks : {false, true}) {
-    for (const RowFamily fu : kFamilies) {
-      for (const RowFamily fv : kFamilies) {
-        for (uint64_t seed = 1; seed <= 3; ++seed) {
-          std::mt19937_64 rng(seed * 7919 + k * 31 +
-                              static_cast<uint64_t>(fu) * 131 +
-                              static_cast<uint64_t>(fv) * 1031 + with_masks);
-          PathLabeling labeling = MakeSyntheticLabeling(k, 2, with_masks);
-          const VertexId u = k;
-          const VertexId v = k + 1;
-          FillRow(&labeling, u, fu, &rng);
-          FillRow(&labeling, v, fv, &rng);
-          for (const uint32_t cutoff : cutoffs) {
-            const LabelBound want = ReferenceBound(labeling, u, v, cutoff);
-            for (const ScanKernel kernel : kernels) {
-              const LabelBound got = ComputeLabelBoundRows(
-                  labeling, u, v, cutoff, ScanOpsFor(kernel));
-              ASSERT_EQ(got.lower, want.lower)
-                  << KernelName(kernel) << " k=" << k << " seed=" << seed
-                  << " fu=" << static_cast<int>(fu)
-                  << " fv=" << static_cast<int>(fv) << " cutoff=" << cutoff
-                  << " masks=" << with_masks;
-              ASSERT_EQ(got.upper, want.upper)
-                  << KernelName(kernel) << " k=" << k << " seed=" << seed
-                  << " fu=" << static_cast<int>(fu)
-                  << " fv=" << static_cast<int>(fv) << " cutoff=" << cutoff
-                  << " masks=" << with_masks;
-            }
-          }
+  for (const RowFamily fu : kFamilies) {
+    for (const RowFamily fv : kFamilies) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        std::mt19937_64 rng(seed * 7919 + k * 31 +
+                            static_cast<uint64_t>(fu) * 131 +
+                            static_cast<uint64_t>(fv) * 1031);
+        PathLabeling labeling = MakeSyntheticLabeling(k, 2);
+        const VertexId u = k;
+        const VertexId v = k + 1;
+        FillRow(&labeling, u, fu, &rng);
+        FillRow(&labeling, v, fv, &rng);
+        const LabelBound want = ReferenceBound(labeling, u, v);
+        for (const ScanKernel kernel : kernels) {
+          const LabelBound got =
+              ComputeLabelBoundRows(labeling, u, v, ScanOpsFor(kernel));
+          ASSERT_EQ(got.lower, want.lower)
+              << KernelName(kernel) << " k=" << k << " seed=" << seed
+              << " fu=" << static_cast<int>(fu)
+              << " fv=" << static_cast<int>(fv);
+          ASSERT_EQ(got.upper, want.upper)
+              << KernelName(kernel) << " k=" << k << " seed=" << seed
+              << " fu=" << static_cast<int>(fu)
+              << " fv=" << static_cast<int>(fv);
         }
       }
     }
   }
 }
 
-// One level deeper than the wrapper: the raw kernel outputs — RowAgg
-// fields AND the refine-gate bitmask — must match the scalar kernel bit
-// for bit (the gate over-approximation is part of the contract: scalar
-// and vector kernels share the same saturating formula).
-TEST_P(SimdScanDifferential, RawAggregatesAndGateWordsBitIdentical) {
+// One level deeper than the wrapper: the raw row_bound output of every
+// kernel must match the scalar kernel bit for bit (including the exact
+// 32-bit upper bound the vector kernel recomputes on saturation).
+TEST_P(SimdScanDifferential, RawAggregatesBitIdentical) {
   const uint32_t k = GetParam();
   const auto kernels = SupportedScanKernels();
-  const uint16_t gate_limits[] = {0, 4, 41, 0xFFF0, 0xFFFF};
   for (const RowFamily fu : kFamilies) {
     for (const RowFamily fv : kFamilies) {
       std::mt19937_64 rng(k * 97 + static_cast<uint64_t>(fu) * 11 +
                           static_cast<uint64_t>(fv));
-      PathLabeling labeling = MakeSyntheticLabeling(k, 2, /*with_masks=*/true);
+      PathLabeling labeling = MakeSyntheticLabeling(k, 2);
       const VertexId u = k;
       const VertexId v = k + 1;
       FillRow(&labeling, u, fu, &rng);
       FillRow(&labeling, v, fv, &rng);
       const uint32_t lanes = labeling.row_stride();
-      const size_t nwords = (lanes + 63) / 64;
-      for (const uint16_t gate_limit : gate_limits) {
-        RowAgg want_agg;
-        std::vector<uint64_t> want_words(nwords, 0);
-        ScalarScanOps().row_bound(labeling.Row(u), labeling.Row(v), lanes,
-                                  gate_limit, &want_agg, want_words.data());
-        for (const ScanKernel kernel : kernels) {
-          RowAgg agg;
-          std::vector<uint64_t> words(nwords, 0);
-          ScanOpsFor(kernel).row_bound(labeling.Row(u), labeling.Row(v),
-                                       lanes, gate_limit, &agg, words.data());
-          ASSERT_EQ(agg.any, want_agg.any) << KernelName(kernel) << " k=" << k;
-          ASSERT_EQ(agg.base_max, want_agg.base_max)
-              << KernelName(kernel) << " k=" << k << " gate=" << gate_limit;
-          ASSERT_EQ(agg.sum_min, want_agg.sum_min)
-              << KernelName(kernel) << " k=" << k << " gate=" << gate_limit;
-          ASSERT_EQ(words, want_words)
-              << KernelName(kernel) << " k=" << k << " gate=" << gate_limit;
-          // The no-gate variant (null gate_words) must agree on the aggs.
-          RowAgg agg_nogate;
-          ScanOpsFor(kernel).row_bound(labeling.Row(u), labeling.Row(v),
-                                       lanes, gate_limit, &agg_nogate,
-                                       nullptr);
-          ASSERT_EQ(agg_nogate.base_max, want_agg.base_max);
-          ASSERT_EQ(agg_nogate.sum_min, want_agg.sum_min);
-          ASSERT_EQ(agg_nogate.any, want_agg.any);
-        }
+      const LabelBound want =
+          ScalarScanOps().row_bound(labeling.Row(u), labeling.Row(v), lanes);
+      for (const ScanKernel kernel : kernels) {
+        const LabelBound got = ScanOpsFor(kernel).row_bound(
+            labeling.Row(u), labeling.Row(v), lanes);
+        ASSERT_EQ(got.lower, want.lower) << KernelName(kernel) << " k=" << k;
+        ASSERT_EQ(got.upper, want.upper) << KernelName(kernel) << " k=" << k;
       }
     }
   }
@@ -345,8 +266,7 @@ TEST_P(SimdScanDifferential, CandidateExtractionBitIdentical) {
   for (const RowFamily family : kFamilies) {
     for (uint64_t seed = 1; seed <= 4; ++seed) {
       std::mt19937_64 rng(seed * 131 + k + static_cast<uint64_t>(family));
-      PathLabeling labeling =
-          MakeSyntheticLabeling(k, 1, /*with_masks=*/false);
+      PathLabeling labeling = MakeSyntheticLabeling(k, 1);
       const VertexId t = k;
       FillRow(&labeling, t, family, &rng);
       const std::vector<SketchAnchor> want = ReferenceCandidates(labeling, t);
@@ -357,49 +277,6 @@ TEST_P(SimdScanDifferential, CandidateExtractionBitIdentical) {
         ASSERT_EQ(got, want) << KernelName(kernel) << " k=" << k
                              << " family=" << static_cast<int>(family)
                              << " seed=" << seed;
-      }
-    }
-  }
-}
-
-TEST_P(SimdScanDifferential, LowerExceedsWitnessesBitIdentical) {
-  const uint32_t k = GetParam();
-  const auto kernels = SupportedScanKernels();
-  for (const RowFamily fu : kFamilies) {
-    for (const RowFamily fv : kFamilies) {
-      std::mt19937_64 rng(k * 1301 + static_cast<uint64_t>(fu) * 17 +
-                          static_cast<uint64_t>(fv) * 257);
-      PathLabeling labeling = MakeSyntheticLabeling(k, 2, /*with_masks=*/true);
-      const VertexId u = k;
-      const VertexId v = k + 1;
-      FillRow(&labeling, u, fu, &rng);
-      FillRow(&labeling, v, fv, &rng);
-      // Thresholds bracketing the true base maximum, plus the extremes
-      // (0xFFFE is the largest base two finite labels can produce, and
-      // anything above must return false through the clamp).
-      RowAgg agg;
-      ScalarScanOps().row_bound(labeling.Row(u), labeling.Row(v),
-                                labeling.row_stride(), 0, &agg, nullptr);
-      std::vector<uint32_t> thresholds = {0, 1, 2, 3, 0xFFFE, 0xFFFF,
-                                          kUnreachable};
-      if (agg.any) {
-        if (agg.base_max > 0) thresholds.push_back(agg.base_max - 1);
-        thresholds.push_back(agg.base_max);
-        thresholds.push_back(agg.base_max + 1);
-      }
-      for (const uint32_t threshold : thresholds) {
-        const bool want =
-            threshold > 0xFFFEu
-                ? false
-                : ReferenceLowerExceeds(labeling, u, v, threshold);
-        for (const ScanKernel kernel : kernels) {
-          ASSERT_EQ(RowLowerBoundExceeds(labeling, u, v, threshold,
-                                         ScanOpsFor(kernel)),
-                    want)
-              << KernelName(kernel) << " k=" << k
-              << " threshold=" << threshold << " fu=" << static_cast<int>(fu)
-              << " fv=" << static_cast<int>(fv);
-        }
       }
     }
   }

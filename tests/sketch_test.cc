@@ -1,7 +1,11 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "core/label_scan.h"
 #include "core/labeling.h"
 #include "core/landmark_selection.h"
+#include "core/qbs_index.h"
 #include "core/sketch.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
@@ -14,6 +18,7 @@ namespace {
 
 using testing::Figure4Graph;
 using testing::Figure4Landmarks;
+using testing::ScopedScanKernel;
 
 class SketchFigure4Test : public ::testing::Test {
  protected:
@@ -131,6 +136,107 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(BoundParam{0, 1, 5}, BoundParam{0, 2, 10},
                       BoundParam{1, 3, 5}, BoundParam{1, 4, 10},
                       BoundParam{2, 5, 5}, BoundParam{2, 6, 10}));
+
+// --- ComputeLabelBound: lower = max |δu - δv|, upper = min δu + δv. ---
+
+class LabelBoundProperty : public ::testing::TestWithParam<BoundParam> {};
+
+// The label bounds never disagree with BfsDistances: lower <= d <= upper
+// for every sampled pair, and DistanceUpperBound() >= d — for EVERY
+// compiled scan kernel (scalar, AVX2), which must also agree with each
+// other bit for bit.
+TEST_P(LabelBoundProperty, LabelBoundsNeverDisagreeWithBfs) {
+  const auto& p = GetParam();
+  Graph g = testing::SmallFamilyGraph(p.family, p.seed);
+  QbsOptions options;
+  options.num_landmarks = p.k;
+  const QbsIndex index = QbsIndex::Build(g, options);
+
+  std::vector<QueryPair> pairs;
+  std::vector<uint32_t> dists;
+  for (const auto& [u, v] : SampleQueryPairs(g, 120, p.seed)) {
+    if (u == v) continue;
+    pairs.push_back({u, v});
+    dists.push_back(BfsDistances(g, u)[v]);
+  }
+
+  std::vector<LabelBound> first_kernel_bounds;
+  for (const ScanKernel kernel : SupportedScanKernels()) {
+    ScopedScanKernel scoped(kernel);
+    const char* kname = ScanOpsFor(kernel).name;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      const auto [u, v] = pairs[i];
+      const uint32_t d = dists[i];
+      const LabelBound bound =
+          ComputeLabelBound(index.labeling(), index.meta_graph(), u, v);
+      if (d != kUnreachable) {
+        EXPECT_LE(bound.lower, d) << kname << " u=" << u << " v=" << v;
+        EXPECT_GE(index.DistanceUpperBound(u, v), d) << kname;
+      }
+      if (bound.upper != kUnreachable) {
+        EXPECT_GE(bound.upper, d) << kname << " u=" << u << " v=" << v;
+      }
+      // Every kernel agrees with the first (scalar).
+      if (kernel == SupportedScanKernels().front()) {
+        first_kernel_bounds.push_back(bound);
+      } else {
+        ASSERT_EQ(bound.lower, first_kernel_bounds[i].lower)
+            << kname << " u=" << u << " v=" << v;
+        ASSERT_EQ(bound.upper, first_kernel_bounds[i].upper)
+            << kname << " u=" << u << " v=" << v;
+      }
+    }
+  }
+}
+
+// Every pair reachable from a spread of sources, landmarks included:
+// lower never exceeds the true distance and upper never undercuts it;
+// disconnected pairs share no landmark. The bound is tight somewhere: a
+// landmark endpoint reads the exact distance off the other side's label.
+TEST_P(LabelBoundProperty, LowerBoundNeverExceedsBfsDistances) {
+  const auto& p = GetParam();
+  Graph g = testing::SmallFamilyGraph(p.family, p.seed);
+  QbsOptions options;
+  options.num_landmarks = p.k;
+  const QbsIndex index = QbsIndex::Build(g, options);
+  const PathLabeling& l = index.labeling();
+
+  std::vector<VertexId> sources = index.landmarks();
+  for (VertexId s = 0; s < g.NumVertices(); s += g.NumVertices() / 8 + 1) {
+    sources.push_back(s);
+  }
+  for (const ScanKernel kernel : SupportedScanKernels()) {
+    ScopedScanKernel scoped(kernel);
+    const char* kname = ScanOpsFor(kernel).name;
+    size_t tight = 0;
+    for (const VertexId s : sources) {
+      const auto dist = BfsDistances(g, s);
+      for (VertexId t = 0; t < g.NumVertices(); ++t) {
+        if (s == t) continue;
+        const LabelBound bound = ComputeLabelBound(l, index.meta_graph(), s, t);
+        if (dist[t] != kUnreachable) {
+          ASSERT_LE(bound.lower, dist[t]) << kname << " s=" << s << " t=" << t;
+          if (bound.upper != kUnreachable) {
+            ASSERT_GE(bound.upper, dist[t])
+                << kname << " s=" << s << " t=" << t;
+          }
+        } else {
+          ASSERT_EQ(bound.lower, 0u) << kname;
+          ASSERT_EQ(bound.upper, kUnreachable) << kname;
+        }
+        if (bound.lower > 0 && bound.lower == dist[t]) ++tight;
+      }
+    }
+    EXPECT_GT(tight, 0u) << kname;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, LabelBoundProperty,
+                         ::testing::Values(BoundParam{0, 21, 8},
+                                           BoundParam{1, 22, 10},
+                                           BoundParam{2, 23, 6},
+                                           BoundParam{3, 24, 5},
+                                           BoundParam{0, 25, 20}));
 
 }  // namespace
 }  // namespace qbs

@@ -8,8 +8,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/label_scan.h"
 #include "core/labeling.h"
+#include "gen/generators.h"
 #include "graph/bfs.h"
+#include "graph/components.h"
 #include "graph/graph.h"
 #include "graph/spg.h"
 
@@ -173,6 +176,37 @@ inline bool VerifyLabelingDefinition(const Graph& g,
   }
   return true;
 }
+
+// Four small graph families for the label-bound and fast-path sweeps:
+// 0 = BA (hubs), 1 = connected ER, 2 = small-world ring, 3 = 10 x 12 grid.
+inline Graph SmallFamilyGraph(int family, uint64_t seed) {
+  switch (family) {
+    case 0:
+      return BarabasiAlbert(150, 3, seed);
+    case 1:
+      return LargestComponent(ErdosRenyi(150, 320, seed)).graph;
+    case 2:
+      return WattsStrogatz(150, 4, 0.2, seed);
+    default:
+      return GridGraph(10, 12);
+  }
+}
+
+// Sets the process-wide label-scan kernel and restores the previous one
+// on scope exit, so a test that flips it can never leak the override into
+// later tests.
+class ScopedScanKernel {
+ public:
+  explicit ScopedScanKernel(ScanKernel kernel) : saved_(ActiveScanKernel()) {
+    SetActiveScanKernel(kernel);
+  }
+  ~ScopedScanKernel() { SetActiveScanKernel(saved_); }
+  ScopedScanKernel(const ScopedScanKernel&) = delete;
+  ScopedScanKernel& operator=(const ScopedScanKernel&) = delete;
+
+ private:
+  ScanKernel saved_;
+};
 
 }  // namespace qbs::testing
 
