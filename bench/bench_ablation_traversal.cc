@@ -14,7 +14,6 @@
 
 #include "baselines/bibfs.h"
 #include "bench/bench_common.h"
-#include "core/label_scan.h"
 #include "core/qbs_index.h"
 #include "graph/frontier.h"
 #include "util/timer.h"
@@ -79,77 +78,6 @@ void Run() {
   table.Footer();
 }
 
-// Label-scan kernel ablation: the per-query fused row merge (the dense
-// O(|R|) inner loop of ComputeLabelBound) timed per kernel — scalar
-// reference and the SIMD kernel the dispatcher picked for this CPU.
-// Reports ms per bound (both "(ms)" columns ride the CI bench_compare
-// gate) and ns per row scanned. The checksums double as a free
-// differential check: the kernels are bit-identical by contract, so any
-// mismatch is printed loudly.
-void RunLabelScanKernelAblation() {
-  std::printf("Label-scan kernels: scalar vs %s row scan, "
-              "|R| = 20, %zu pairs\n",
-              ScanOpsFor(ScanKernel::kAvx2).name, EnvPairs());
-  TablePrinter table("Label-scan kernels",
-                     {"Dataset", "scal(ms)", "simd(ms)", "spdup", "ns/r.s",
-                      "ns/r.v"},
-                     {12, 10, 10, 7, 8, 8});
-  for (const auto& ref : SelectedBenchDatasets()) {
-    const LoadedDataset d = LoadDataset(ref);
-    const Graph& g = d.graph;
-
-    QbsOptions options;
-    options.num_landmarks = 20;
-    options.num_threads = EnvThreads();
-    QbsIndex index = QbsIndex::Build(g, options);
-    const PathLabeling& l = index.labeling();
-
-    // The row kernels serve non-landmark pairs; landmark endpoints take
-    // the scalar special cases and are excluded here.
-    std::vector<VertexId> us;
-    std::vector<VertexId> vs;
-    for (const auto& [u, v] : d.pairs) {
-      if (u == v || l.IsLandmark(u) || l.IsLandmark(v)) continue;
-      us.push_back(u);
-      vs.push_back(v);
-    }
-    if (us.empty()) continue;
-    // Repeat small pair sets so every cell aggregates >= ~200k bounds.
-    const size_t reps = std::max<size_t>(1, 200000 / us.size());
-    const double calls = static_cast<double>(reps * us.size());
-    const double rows = calls * 2.0;
-
-    const ScanOps* kernels[2] = {&ScalarScanOps(),
-                                 &ScanOpsFor(ScanKernel::kAvx2)};
-    double ms[2] = {0.0, 0.0};
-    uint64_t sink[2] = {0, 0};
-    for (int k = 0; k < 2; ++k) {
-      WallTimer timer;
-      for (size_t r = 0; r < reps; ++r) {
-        for (size_t i = 0; i < us.size(); ++i) {
-          const LabelBound b =
-              ComputeLabelBoundRows(l, us[i], vs[i], *kernels[k]);
-          sink[k] += b.lower + b.upper;
-        }
-      }
-      ms[k] = timer.ElapsedMillis();
-    }
-
-    if (sink[0] != sink[1]) {
-      std::printf("  WARNING: kernel checksum mismatch on %s "
-                  "(scalar %llu, simd %llu)\n",
-                  d.spec.abbrev.c_str(),
-                  static_cast<unsigned long long>(sink[0]),
-                  static_cast<unsigned long long>(sink[1]));
-    }
-    table.Row({d.spec.abbrev, FormatMs(ms[0] / calls), FormatMs(ms[1] / calls),
-               FormatDouble(ms[1] > 0 ? ms[0] / ms[1] : 0.0, 2),
-               FormatDouble(ms[0] * 1e6 / rows, 1),
-               FormatDouble(ms[1] * 1e6 / rows, 1)});
-  }
-  table.Footer();
-}
-
 // Direction-switching ablation: a full-graph BFS from the 5 highest-degree
 // vertices, top-down versus direction-optimizing, with the engine's scan
 // counters. This is the per-landmark kernel of Algorithm 2 construction.
@@ -201,6 +129,5 @@ void RunFrontierAblation() {
 int main(int argc, char** argv) {
   qbs::bench::InitBenchArgs(argc, argv);
   qbs::bench::Run();
-  qbs::bench::RunLabelScanKernelAblation();
   qbs::bench::RunFrontierAblation();
 }

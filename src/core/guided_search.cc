@@ -31,8 +31,7 @@ ShortestPathGraph GuidedSearcher::Query(VertexId u, VertexId v,
                                         const LabelBound* certify) {
   if (u != v) {
     // Certify bound: handed in by a caller that timed it separately, or one
-    // kernel-dispatched fused row scan here. Certified pairs finish
-    // without a sketch.
+    // fused row scan here. Certified pairs finish without a sketch.
     const LabelBound bound = certify != nullptr
                                  ? *certify
                                  : ComputeLabelBound(labeling_, meta_, u, v);

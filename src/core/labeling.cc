@@ -156,9 +156,9 @@ PathLabeling::PathLabeling(VertexId num_vertices,
     QBS_CHECK_EQ(landmark_rank_[landmarks_[i]], -1);  // distinct
     landmark_rank_[landmarks_[i]] = static_cast<int32_t>(i);
   }
-  // Rows are padded to the SIMD lane width; padding lanes hold kInfDist
-  // forever (Set never writes past |R|), which is what lets the row
-  // kernels scan the full stride without a tail loop.
+  // Rows are padded to kLabelRowLaneAlign lanes; padding lanes hold
+  // kInfDist forever (Set never writes past |R|), which is what lets the
+  // row scans cover the full stride.
   stride_ = (static_cast<uint32_t>(landmarks_.size()) + kLabelRowLaneAlign -
              1) /
             kLabelRowLaneAlign * kLabelRowLaneAlign;

@@ -26,16 +26,20 @@
 
 namespace qbs {
 
-/// Label rows are padded to a multiple of this many DistT lanes (16 lanes
-/// x 2 bytes = one 32-byte AVX2 vector) and the matrix storage is 32-byte
-/// aligned, so the SIMD row kernels (core/label_scan.h) scan whole rows
-/// with full-width aligned loads and no tail loop. Padding lanes always
-/// hold kInfDist — the "entry absent" sentinel — so every kernel can scan
-/// the padded width blindly: an absent lane contributes nothing to any
-/// bound or candidate list.
+/// Label rows are padded to a multiple of this many DistT lanes (32 bytes)
+/// and the matrix storage is 32-byte aligned. Padding lanes always hold
+/// kInfDist — the "entry absent" sentinel — so the row scans in
+/// core/sketch.cc run over the padded width blindly: an absent lane
+/// contributes nothing to any bound or candidate list.
+///
+/// The padding is kept for a measured reason, not for vector loads.
+/// Unpadded rows shrink the matrix (7 MB -> 4.4 MB at |R| = 20 on
+/// bench_e2e's TW x4) across glibc's dynamic mmap threshold: setup time
+/// rose ~20% with no extra work, graph loading included, and pinning
+/// glibc.malloc.mmap_threshold on both sides removed the gap.
 inline constexpr uint32_t kLabelRowLaneAlign = 16;
 
-/// The dense label matrix storage: 32-byte aligned for the SIMD kernels.
+/// The dense label matrix storage, 32-byte aligned (util/aligned.h).
 using LabelMatrix = std::vector<DistT, AlignedAllocator<DistT, 32>>;
 
 class PathLabeling {
@@ -74,7 +78,8 @@ class PathLabeling {
 
   /// The label row of v: `row_stride()` DistT lanes, 32-byte aligned.
   /// Lanes [num_landmarks(), row_stride()) are padding and always hold
-  /// kInfDist (see kLabelRowLaneAlign) — kernels scan the full stride.
+  /// kInfDist (see kLabelRowLaneAlign) — the row scans cover the full
+  /// stride.
   const DistT* Row(VertexId v) const {
     return dist_.data() + static_cast<size_t>(v) * stride_;
   }

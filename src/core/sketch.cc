@@ -2,10 +2,37 @@
 
 #include <algorithm>
 
-#include "core/label_scan.h"
 #include "util/check.h"
 
 namespace qbs {
+namespace {
+
+// The fused two-row bound: max |du - dv| and min du + dv over the lanes
+// present in both rows ({0, kUnreachable} when none is).
+LabelBound RowBoundScalar(const DistT* ru, const DistT* rv, uint32_t lanes) {
+  LabelBound bound;
+  for (uint32_t i = 0; i < lanes; ++i) {
+    const DistT du = ru[i];
+    const DistT dv = rv[i];
+    if (du == kInfDist || dv == kInfDist) continue;
+    const uint32_t base = du > dv ? du - dv : dv - du;
+    if (base > bound.lower) bound.lower = base;
+    const uint32_t sum = static_cast<uint32_t>(du) + dv;
+    if (sum < bound.upper) bound.upper = sum;
+  }
+  return bound;
+}
+
+// Appends SketchAnchor{i, row[i]} for every present lane, ascending i.
+void RowCandidatesScalar(const DistT* row, uint32_t lanes,
+                         std::vector<SketchAnchor>* out) {
+  for (uint32_t i = 0; i < lanes; ++i) {
+    const DistT d = row[i];
+    if (d != kInfDist) out->push_back(SketchAnchor{i, d});
+  }
+}
+
+}  // namespace
 
 void ComputeAnchorCandidatesInto(const PathLabeling& labeling, VertexId t,
                                  std::vector<SketchAnchor>* out) {
@@ -15,10 +42,9 @@ void ComputeAnchorCandidatesInto(const PathLabeling& labeling, VertexId t,
     out->push_back(SketchAnchor{static_cast<LandmarkIndex>(rank), 0});
     return;
   }
-  // Kernel-dispatched present-lane extraction; padding lanes are kInfDist
-  // and contribute nothing, so scanning the full stride is equivalent to
-  // the per-landmark loop.
-  ActiveScanOps().row_candidates(labeling.Row(t), labeling.row_stride(), out);
+  // Padding lanes are kInfDist and contribute nothing, so scanning the
+  // full stride is equivalent to the per-landmark loop.
+  RowCandidatesScalar(labeling.Row(t), labeling.row_stride(), out);
 }
 
 std::vector<SketchAnchor> AnchorCandidates(const PathLabeling& labeling,
@@ -148,9 +174,10 @@ LabelBound ComputeLabelBound(const PathLabeling& labeling,
     if (d != kInfDist) bound = LabelBound{d, d};
     return bound;
   }
-  // Non-landmark pair: the kernel-dispatched fused row scan, bit-identical
-  // to the candidate merge over the same rows.
-  return ComputeLabelBoundRows(labeling, u, v);
+  // Non-landmark pair: the fused row scan, equal to the candidate merge
+  // over the same rows.
+  return RowBoundScalar(labeling.Row(u), labeling.Row(v),
+                        labeling.row_stride());
 }
 
 void ComputeSketchMetaEdges(const MetaGraph& meta, Sketch* sketch,

@@ -1,11 +1,12 @@
 // A minimal over-aligned allocator for STL containers.
 //
-// The SIMD label-scan kernels (core/label_scan.h) load label rows with
-// full-width aligned vector loads; PathLabeling therefore keeps its dense
-// matrix in a std::vector<DistT, AlignedAllocator<DistT, 32>> whose
-// storage starts on a 32-byte boundary. Combined with the padded row
-// stride (a multiple of 16 DistT lanes = 32 bytes), every row starts
-// aligned.
+// PathLabeling keeps its dense label matrix in a
+// std::vector<DistT, AlignedAllocator<DistT, 32>> whose storage starts on
+// a 32-byte boundary; with the padded row stride (a multiple of 16 DistT
+// lanes = 32 bytes) every row starts aligned. The layout is kept because
+// shrinking it moves the matrix across glibc's dynamic mmap threshold and
+// slows loading (see kLabelRowLaneAlign in core/labeling.h), not for any
+// vector load.
 
 #ifndef QBS_UTIL_ALIGNED_H_
 #define QBS_UTIL_ALIGNED_H_

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "baselines/bfs_oracle.h"
-#include "core/label_scan.h"
 #include "core/qbs_index.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
@@ -17,7 +16,6 @@
 namespace qbs {
 namespace {
 
-using testing::ScopedScanKernel;
 
 TEST(QbsIndexTest, BuildAndQuerySmoke) {
   Graph g = BarabasiAlbert(500, 3, 1);
@@ -273,7 +271,7 @@ TEST(QbsIndexTest, CoverageClassificationMatchesBruteForce) {
 
 // --- The label fast path: pairs whose label upper bound min δu + δv is
 // <= 2 are answered from the labels plus one edge probe / common-neighbour
-// intersection, for every compiled scan kernel. ---
+// intersection. ---
 
 struct FastPathParam {
   int family;
@@ -300,67 +298,62 @@ TEST_P(LabelFastPath, ShortDistancesAnsweredFromLabels) {
   for (VertexId s = 0; s < g.NumVertices(); s += g.NumVertices() / 6 + 1) {
     sources.push_back(s);
   }
-  for (const ScanKernel kernel : SupportedScanKernels()) {
-    ScopedScanKernel scoped(kernel);
-    const char* kname = ScanOpsFor(kernel).name;
-    size_t checked_close = 0;
-    size_t checked_far = 0;
-    size_t certified = 0;
-    for (const VertexId s : sources) {
-      const auto dist = BfsDistances(g, s);
-      for (VertexId t = 0; t < g.NumVertices(); ++t) {
-        const bool close = dist[t] <= 2;
-        if (close && checked_close > 600) continue;
-        if (!close && checked_far > 200) continue;
-        const QueryResponse response = index.Query({s, t});
-        const SearchStats& stats = response.stats;
-        ASSERT_EQ(response.spg, SpgByDoubleBfs(g, s, t))
-            << kname << " s=" << s << " t=" << t;
-        if (!close) {
-          ++checked_far;
-          EXPECT_EQ(stats.label_short_circuits, 0u)
-              << kname << " s=" << s << " t=" << t << " d=" << dist[t];
-          continue;
-        }
-        ++checked_close;
-        EXPECT_EQ(stats.edges_scanned_reverse, 0u) << kname << " s=" << s;
-        EXPECT_EQ(stats.edges_scanned_recover, 0u) << kname << " s=" << s;
-        EXPECT_EQ(stats.delta_cache_hits, 0u) << kname << " s=" << s;
-        if (s != t && stats.d_label_upper <= 2) {
-          ++certified;
-          EXPECT_EQ(stats.label_short_circuits, 1u)
-              << kname << " s=" << s << " t=" << t << " d=" << dist[t];
-          EXPECT_EQ(stats.edges_scanned_search, 0u)
-              << kname << " s=" << s << " t=" << t;
-        }
+  size_t checked_close = 0;
+  size_t checked_far = 0;
+  size_t certified = 0;
+  for (const VertexId s : sources) {
+    const auto dist = BfsDistances(g, s);
+    for (VertexId t = 0; t < g.NumVertices(); ++t) {
+      const bool close = dist[t] <= 2;
+      if (close && checked_close > 600) continue;
+      if (!close && checked_far > 200) continue;
+      const QueryResponse response = index.Query({s, t});
+      const SearchStats& stats = response.stats;
+      ASSERT_EQ(response.spg, SpgByDoubleBfs(g, s, t))
+          << "s=" << s << " t=" << t;
+      if (!close) {
+        ++checked_far;
+        EXPECT_EQ(stats.label_short_circuits, 0u)
+            << "s=" << s << " t=" << t << " d=" << dist[t];
+        continue;
+      }
+      ++checked_close;
+      EXPECT_EQ(stats.edges_scanned_reverse, 0u) << "s=" << s;
+      EXPECT_EQ(stats.edges_scanned_recover, 0u) << "s=" << s;
+      EXPECT_EQ(stats.delta_cache_hits, 0u) << "s=" << s;
+      if (s != t && stats.d_label_upper <= 2) {
+        ++certified;
+        EXPECT_EQ(stats.label_short_circuits, 1u)
+            << "s=" << s << " t=" << t << " d=" << dist[t];
+        EXPECT_EQ(stats.edges_scanned_search, 0u) << "s=" << s << " t=" << t;
       }
     }
-    EXPECT_GT(checked_close, 0u) << kname;
-    EXPECT_GT(checked_far, 0u) << kname;
-    EXPECT_GT(certified, 0u) << kname;
-
-    // Landmark-neighbour pairs: up to 4 non-landmark neighbours of each
-    // landmark, every pair of them certified.
-    size_t neighbour_pairs = 0;
-    for (const VertexId r : index.landmarks()) {
-      std::vector<VertexId> nbrs;
-      for (const VertexId w : g.Neighbors(r)) {
-        if (!l.IsLandmark(w) && nbrs.size() < 4) nbrs.push_back(w);
-      }
-      for (size_t a = 0; a < nbrs.size(); ++a) {
-        for (size_t b = a + 1; b < nbrs.size(); ++b) {
-          const QueryResponse response = index.Query({nbrs[a], nbrs[b]});
-          ASSERT_EQ(response.spg, SpgByDoubleBfs(g, nbrs[a], nbrs[b]))
-              << kname << " r=" << r;
-          EXPECT_LE(response.stats.d_label_upper, 2u) << kname << " r=" << r;
-          EXPECT_EQ(response.stats.label_short_circuits, 1u) << kname;
-          EXPECT_EQ(response.stats.edges_scanned_search, 0u) << kname;
-          ++neighbour_pairs;
-        }
-      }
-    }
-    EXPECT_GT(neighbour_pairs, 0u) << kname;
   }
+  EXPECT_GT(checked_close, 0u);
+  EXPECT_GT(checked_far, 0u);
+  EXPECT_GT(certified, 0u);
+
+  // Landmark-neighbour pairs: up to 4 non-landmark neighbours of each
+  // landmark, every pair of them certified.
+  size_t neighbour_pairs = 0;
+  for (const VertexId r : index.landmarks()) {
+    std::vector<VertexId> nbrs;
+    for (const VertexId w : g.Neighbors(r)) {
+      if (!l.IsLandmark(w) && nbrs.size() < 4) nbrs.push_back(w);
+    }
+    for (size_t a = 0; a < nbrs.size(); ++a) {
+      for (size_t b = a + 1; b < nbrs.size(); ++b) {
+        const QueryResponse response = index.Query({nbrs[a], nbrs[b]});
+        ASSERT_EQ(response.spg, SpgByDoubleBfs(g, nbrs[a], nbrs[b]))
+            << "r=" << r;
+        EXPECT_LE(response.stats.d_label_upper, 2u) << "r=" << r;
+        EXPECT_EQ(response.stats.label_short_circuits, 1u);
+        EXPECT_EQ(response.stats.edges_scanned_search, 0u);
+        ++neighbour_pairs;
+      }
+    }
+  }
+  EXPECT_GT(neighbour_pairs, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LabelFastPath,
@@ -376,29 +369,25 @@ TEST(LabelFastPathTest, LandmarkEndpointsShortCircuit) {
   Graph g = testing::Figure4Graph();
   const QbsIndex index =
       QbsIndex::BuildWithLandmarks(g, testing::Figure4Landmarks(), {});
-  for (const ScanKernel kernel : SupportedScanKernels()) {
-    ScopedScanKernel scoped(kernel);
-    const char* kname = ScanOpsFor(kernel).name;
-    size_t certified = 0;
-    for (const VertexId r : index.landmarks()) {
-      const auto dist = BfsDistances(g, r);
-      for (VertexId t = 0; t < g.NumVertices(); ++t) {
-        const QueryResponse response = index.Query({r, t});
-        const SearchStats& stats = response.stats;
-        ASSERT_EQ(response.spg, SpgByDoubleBfs(g, r, t))
-            << kname << " r=" << r << " t=" << t;
-        if (r == t || dist[t] > 2) continue;
-        EXPECT_EQ(stats.edges_scanned_recover, 0u) << kname << " t=" << t;
-        EXPECT_EQ(stats.edges_scanned_reverse, 0u) << kname << " t=" << t;
-        if (stats.d_label_upper <= 2) {
-          ++certified;
-          EXPECT_EQ(stats.label_short_circuits, 1u) << kname << " t=" << t;
-          EXPECT_EQ(stats.edges_scanned_search, 0u) << kname << " t=" << t;
-        }
+  size_t certified = 0;
+  for (const VertexId r : index.landmarks()) {
+    const auto dist = BfsDistances(g, r);
+    for (VertexId t = 0; t < g.NumVertices(); ++t) {
+      const QueryResponse response = index.Query({r, t});
+      const SearchStats& stats = response.stats;
+      ASSERT_EQ(response.spg, SpgByDoubleBfs(g, r, t))
+          << "r=" << r << " t=" << t;
+      if (r == t || dist[t] > 2) continue;
+      EXPECT_EQ(stats.edges_scanned_recover, 0u) << "t=" << t;
+      EXPECT_EQ(stats.edges_scanned_reverse, 0u) << "t=" << t;
+      if (stats.d_label_upper <= 2) {
+        ++certified;
+        EXPECT_EQ(stats.label_short_circuits, 1u) << "t=" << t;
+        EXPECT_EQ(stats.edges_scanned_search, 0u) << "t=" << t;
       }
     }
-    EXPECT_GT(certified, 0u) << kname;
   }
+  EXPECT_GT(certified, 0u);
 }
 
 // QueryBatch runs the same fast path through the pooled searchers.
@@ -422,17 +411,13 @@ TEST(LabelFastPathTest, QueryBatchAgreesWithSerialQueries) {
   }
   QbsIndex::BatchOptions four;
   four.num_threads = 4;
-  for (const ScanKernel kernel : SupportedScanKernels()) {
-    ScopedScanKernel scoped(kernel);
-    const auto batch = index.QueryBatch(requests, four);
-    ASSERT_EQ(batch.size(), requests.size());
-    for (size_t i = 0; i < requests.size(); ++i) {
-      ASSERT_EQ(batch[i].spg, index.Query({requests[i].u, requests[i].v}).spg)
-          << ScanOpsFor(kernel).name << " pair " << i;
-      ASSERT_EQ(batch[i].spg,
-                SpgByDoubleBfs(g, requests[i].u, requests[i].v))
-          << ScanOpsFor(kernel).name << " pair " << i;
-    }
+  const auto batch = index.QueryBatch(requests, four);
+  ASSERT_EQ(batch.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(batch[i].spg, index.Query({requests[i].u, requests[i].v}).spg)
+        << "pair " << i;
+    ASSERT_EQ(batch[i].spg, SpgByDoubleBfs(g, requests[i].u, requests[i].v))
+        << "pair " << i;
   }
 }
 

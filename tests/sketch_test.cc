@@ -1,11 +1,15 @@
+#include <cstdint>
+#include <cstdio>
+#include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/label_scan.h"
 #include "core/labeling.h"
 #include "core/landmark_selection.h"
 #include "core/qbs_index.h"
+#include "core/serialization.h"
 #include "core/sketch.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
@@ -18,7 +22,6 @@ namespace {
 
 using testing::Figure4Graph;
 using testing::Figure4Landmarks;
-using testing::ScopedScanKernel;
 
 class SketchFigure4Test : public ::testing::Test {
  protected:
@@ -142,9 +145,7 @@ INSTANTIATE_TEST_SUITE_P(
 class LabelBoundProperty : public ::testing::TestWithParam<BoundParam> {};
 
 // The label bounds never disagree with BfsDistances: lower <= d <= upper
-// for every sampled pair, and DistanceUpperBound() >= d — for EVERY
-// compiled scan kernel (scalar, AVX2), which must also agree with each
-// other bit for bit.
+// for every sampled pair, and DistanceUpperBound() >= d.
 TEST_P(LabelBoundProperty, LabelBoundsNeverDisagreeWithBfs) {
   const auto& p = GetParam();
   Graph g = testing::SmallFamilyGraph(p.family, p.seed);
@@ -160,31 +161,17 @@ TEST_P(LabelBoundProperty, LabelBoundsNeverDisagreeWithBfs) {
     dists.push_back(BfsDistances(g, u)[v]);
   }
 
-  std::vector<LabelBound> first_kernel_bounds;
-  for (const ScanKernel kernel : SupportedScanKernels()) {
-    ScopedScanKernel scoped(kernel);
-    const char* kname = ScanOpsFor(kernel).name;
-    for (size_t i = 0; i < pairs.size(); ++i) {
-      const auto [u, v] = pairs[i];
-      const uint32_t d = dists[i];
-      const LabelBound bound =
-          ComputeLabelBound(index.labeling(), index.meta_graph(), u, v);
-      if (d != kUnreachable) {
-        EXPECT_LE(bound.lower, d) << kname << " u=" << u << " v=" << v;
-        EXPECT_GE(index.DistanceUpperBound(u, v), d) << kname;
-      }
-      if (bound.upper != kUnreachable) {
-        EXPECT_GE(bound.upper, d) << kname << " u=" << u << " v=" << v;
-      }
-      // Every kernel agrees with the first (scalar).
-      if (kernel == SupportedScanKernels().front()) {
-        first_kernel_bounds.push_back(bound);
-      } else {
-        ASSERT_EQ(bound.lower, first_kernel_bounds[i].lower)
-            << kname << " u=" << u << " v=" << v;
-        ASSERT_EQ(bound.upper, first_kernel_bounds[i].upper)
-            << kname << " u=" << u << " v=" << v;
-      }
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    const auto [u, v] = pairs[i];
+    const uint32_t d = dists[i];
+    const LabelBound bound =
+        ComputeLabelBound(index.labeling(), index.meta_graph(), u, v);
+    if (d != kUnreachable) {
+      EXPECT_LE(bound.lower, d) << "u=" << u << " v=" << v;
+      EXPECT_GE(index.DistanceUpperBound(u, v), d);
+    }
+    if (bound.upper != kUnreachable) {
+      EXPECT_GE(bound.upper, d) << "u=" << u << " v=" << v;
     }
   }
 }
@@ -205,30 +192,25 @@ TEST_P(LabelBoundProperty, LowerBoundNeverExceedsBfsDistances) {
   for (VertexId s = 0; s < g.NumVertices(); s += g.NumVertices() / 8 + 1) {
     sources.push_back(s);
   }
-  for (const ScanKernel kernel : SupportedScanKernels()) {
-    ScopedScanKernel scoped(kernel);
-    const char* kname = ScanOpsFor(kernel).name;
-    size_t tight = 0;
-    for (const VertexId s : sources) {
-      const auto dist = BfsDistances(g, s);
-      for (VertexId t = 0; t < g.NumVertices(); ++t) {
-        if (s == t) continue;
-        const LabelBound bound = ComputeLabelBound(l, index.meta_graph(), s, t);
-        if (dist[t] != kUnreachable) {
-          ASSERT_LE(bound.lower, dist[t]) << kname << " s=" << s << " t=" << t;
-          if (bound.upper != kUnreachable) {
-            ASSERT_GE(bound.upper, dist[t])
-                << kname << " s=" << s << " t=" << t;
-          }
-        } else {
-          ASSERT_EQ(bound.lower, 0u) << kname;
-          ASSERT_EQ(bound.upper, kUnreachable) << kname;
+  size_t tight = 0;
+  for (const VertexId s : sources) {
+    const auto dist = BfsDistances(g, s);
+    for (VertexId t = 0; t < g.NumVertices(); ++t) {
+      if (s == t) continue;
+      const LabelBound bound = ComputeLabelBound(l, index.meta_graph(), s, t);
+      if (dist[t] != kUnreachable) {
+        ASSERT_LE(bound.lower, dist[t]) << "s=" << s << " t=" << t;
+        if (bound.upper != kUnreachable) {
+          ASSERT_GE(bound.upper, dist[t]) << "s=" << s << " t=" << t;
         }
-        if (bound.lower > 0 && bound.lower == dist[t]) ++tight;
+      } else {
+        ASSERT_EQ(bound.lower, 0u);
+        ASSERT_EQ(bound.upper, kUnreachable);
       }
+      if (bound.lower > 0 && bound.lower == dist[t]) ++tight;
     }
-    EXPECT_GT(tight, 0u) << kname;
   }
+  EXPECT_GT(tight, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, LabelBoundProperty,
@@ -237,6 +219,173 @@ INSTANTIATE_TEST_SUITE_P(Sweep, LabelBoundProperty,
                                            BoundParam{2, 23, 6},
                                            BoundParam{3, 24, 5},
                                            BoundParam{0, 25, 20}));
+
+
+// --- The row scans against the per-landmark reference. ---
+
+// Label-row families the generator draws from. Values stay in
+// [1, 0xFFFE]: a stored label of a non-landmark vertex is never 0 (that
+// would make the vertex the landmark itself).
+enum class RowFamily {
+  kAllUnreachable,   // every lane absent
+  kSingleLandmark,   // exactly one present lane
+  kSparse,           // ~30% present, small distances
+  kDenseSmall,       // every lane present, small distances
+  kRandomWide,       // ~70% present, values across the full range
+  kSaturating,       // present values within 16 of the sentinel
+};
+
+constexpr RowFamily kFamilies[] = {
+    RowFamily::kAllUnreachable, RowFamily::kSingleLandmark,
+    RowFamily::kSparse,         RowFamily::kDenseSmall,
+    RowFamily::kRandomWide,     RowFamily::kSaturating,
+};
+
+void FillRow(PathLabeling* labeling, VertexId t, RowFamily family,
+             std::mt19937_64* rng) {
+  const uint32_t k = labeling->num_landmarks();
+  std::uniform_int_distribution<uint32_t> small(1, 40);
+  std::uniform_int_distribution<uint32_t> wide(1, 0xFFFE);
+  std::uniform_int_distribution<uint32_t> sat(0xFFF0, 0xFFFE);
+  std::uniform_int_distribution<uint32_t> pct(0, 99);
+  switch (family) {
+    case RowFamily::kAllUnreachable:
+      break;  // rows start all-kInfDist
+    case RowFamily::kSingleLandmark:
+      labeling->Set(t, static_cast<LandmarkIndex>((*rng)() % k),
+                    static_cast<DistT>(small(*rng)));
+      break;
+    case RowFamily::kSparse:
+      for (LandmarkIndex i = 0; i < k; ++i) {
+        if (pct(*rng) < 30) {
+          labeling->Set(t, i, static_cast<DistT>(small(*rng)));
+        }
+      }
+      break;
+    case RowFamily::kDenseSmall:
+      for (LandmarkIndex i = 0; i < k; ++i) {
+        labeling->Set(t, i, static_cast<DistT>(small(*rng)));
+      }
+      break;
+    case RowFamily::kRandomWide:
+      for (LandmarkIndex i = 0; i < k; ++i) {
+        if (pct(*rng) < 70) labeling->Set(t, i, static_cast<DistT>(wide(*rng)));
+      }
+      break;
+    case RowFamily::kSaturating:
+      for (LandmarkIndex i = 0; i < k; ++i) {
+        if (pct(*rng) < 80) labeling->Set(t, i, static_cast<DistT>(sat(*rng)));
+      }
+      break;
+  }
+}
+
+// A labelling whose first k vertices are the landmarks and whose
+// remaining `extra` vertices carry synthetic rows (filled by the caller).
+PathLabeling MakeSyntheticLabeling(uint32_t k, VertexId extra) {
+  std::vector<VertexId> landmarks(k);
+  for (uint32_t i = 0; i < k; ++i) landmarks[i] = i;
+  return PathLabeling(k + extra, std::move(landmarks));
+}
+
+// A per-landmark loop over Get(), independent of the row scans in
+// core/sketch.cc, so a bug there cannot propagate into the reference.
+std::vector<SketchAnchor> ReferenceCandidates(const PathLabeling& labeling,
+                                              VertexId t) {
+  std::vector<SketchAnchor> out;
+  for (LandmarkIndex i = 0; i < labeling.num_landmarks(); ++i) {
+    const DistT d = labeling.Get(t, i);
+    if (d != kInfDist) out.push_back(SketchAnchor{i, d});
+  }
+  return out;
+}
+
+class RowScanReference : public ::testing::TestWithParam<uint32_t> {};
+
+// Every family pair at |R| straddling the 16-lane padding (all-absent
+// rows, single lanes, near-sentinel sums that exceed 16 bits):
+// ComputeLabelBound and ComputeAnchorCandidatesInto equal the reference.
+TEST_P(RowScanReference, BoundAndCandidatesMatchReference) {
+  const uint32_t k = GetParam();
+  const MetaGraph meta(k);  // unused for a non-landmark pair
+  std::vector<SketchAnchor> got;
+  for (const RowFamily fu : kFamilies) {
+    for (const RowFamily fv : kFamilies) {
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        std::mt19937_64 rng(seed * 7919 + k * 31 +
+                            static_cast<uint64_t>(fu) * 131 +
+                            static_cast<uint64_t>(fv) * 1031);
+        PathLabeling labeling = MakeSyntheticLabeling(k, 2);
+        const VertexId u = k;
+        const VertexId v = k + 1;
+        FillRow(&labeling, u, fu, &rng);
+        FillRow(&labeling, v, fv, &rng);
+        const std::string where =
+            "k=" + std::to_string(k) + " seed=" + std::to_string(seed) +
+            " fu=" + std::to_string(static_cast<int>(fu)) +
+            " fv=" + std::to_string(static_cast<int>(fv));
+        const auto want_u = ReferenceCandidates(labeling, u);
+        const auto want_v = ReferenceCandidates(labeling, v);
+        ComputeAnchorCandidatesInto(labeling, u, &got);
+        ASSERT_EQ(got, want_u) << where;
+        ComputeAnchorCandidatesInto(labeling, v, &got);
+        ASSERT_EQ(got, want_v) << where;
+        const LabelBound want = ComputeLabelBoundFromCandidates(want_u, want_v);
+        const LabelBound bound = ComputeLabelBound(labeling, meta, u, v);
+        ASSERT_EQ(bound.lower, want.lower) << where;
+        ASSERT_EQ(bound.upper, want.upper) << where;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Strides, RowScanReference,
+                         ::testing::Values(1u, 7u, 8u, 31u, 32u, 33u, 64u,
+                                           257u));
+
+// --- The row padding/alignment invariant, through build and load. ---
+
+void CheckPaddingInvariant(const PathLabeling& labeling) {
+  const uint32_t k = labeling.num_landmarks();
+  const uint32_t stride = labeling.row_stride();
+  EXPECT_EQ(stride, (k + kLabelRowLaneAlign - 1) / kLabelRowLaneAlign *
+                        kLabelRowLaneAlign);
+  for (VertexId v = 0; v < labeling.num_vertices(); ++v) {
+    const DistT* row = labeling.Row(v);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(row) % 32, 0u) << "v=" << v;
+    for (uint32_t i = k; i < stride; ++i) {
+      ASSERT_EQ(row[i], kInfDist) << "padding lane " << i << " of v=" << v;
+    }
+  }
+  // Padding must not leak into the paper-facing size(L).
+  EXPECT_EQ(labeling.SizeBytes(),
+            static_cast<uint64_t>(labeling.num_vertices()) * k * sizeof(DistT));
+}
+
+TEST(LabelRowPadding, RowsPaddedAndAlignedAfterBuildAndLoad) {
+  Graph g = BarabasiAlbert(200, 3, 5);
+  // k = 20 -> stride 32: a non-trivial pad of 12 lanes.
+  const auto landmarks =
+      SelectLandmarks(g, 20, LandmarkStrategy::kHighestDegree, 5);
+  const auto scheme = BuildLabelingScheme(g, landmarks);
+  CheckPaddingInvariant(scheme.labeling);
+
+  // The serialization round trip rebuilds the padded, aligned matrix via
+  // the constructor + Set path: the invariant must survive a load.
+  const std::string path =
+      ::testing::TempDir() + "/label_row_padding_roundtrip.qbs";
+  ASSERT_TRUE(SaveLabelingScheme(scheme, path));
+  auto loaded = LoadLabelingScheme(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(loaded.has_value());
+  CheckPaddingInvariant(loaded->labeling);
+  ASSERT_EQ(loaded->labeling.num_landmarks(), scheme.labeling.num_landmarks());
+  for (VertexId v = 0; v < scheme.labeling.num_vertices(); ++v) {
+    for (LandmarkIndex i = 0; i < scheme.labeling.num_landmarks(); ++i) {
+      ASSERT_EQ(loaded->labeling.Get(v, i), scheme.labeling.Get(v, i));
+    }
+  }
+}
 
 }  // namespace
 }  // namespace qbs

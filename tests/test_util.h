@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/label_scan.h"
 #include "core/labeling.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
@@ -191,22 +190,6 @@ inline Graph SmallFamilyGraph(int family, uint64_t seed) {
       return GridGraph(10, 12);
   }
 }
-
-// Sets the process-wide label-scan kernel and restores the previous one
-// on scope exit, so a test that flips it can never leak the override into
-// later tests.
-class ScopedScanKernel {
- public:
-  explicit ScopedScanKernel(ScanKernel kernel) : saved_(ActiveScanKernel()) {
-    SetActiveScanKernel(kernel);
-  }
-  ~ScopedScanKernel() { SetActiveScanKernel(saved_); }
-  ScopedScanKernel(const ScopedScanKernel&) = delete;
-  ScopedScanKernel& operator=(const ScopedScanKernel&) = delete;
-
- private:
-  ScanKernel saved_;
-};
 
 }  // namespace qbs::testing
 

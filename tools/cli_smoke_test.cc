@@ -248,11 +248,62 @@ TEST_F(CliSmokeTest, UpdateRejectsBadVertexIds) {
   }
 }
 
+// An unknown verb fails. A numeric argument that is not a whole decimal
+// in its destination's range is a usage error (exit 2) naming the
+// argument: nothing may truncate to another vertex or landmark count, or
+// read as 0. A bad request-file line is a line error (exit 1).
 TEST_F(CliSmokeTest, UsageOnBadInvocation) {
-  FILE* pipe = popen((Quoted(g_cli_path) + " bogus 2>/dev/null").c_str(), "r");
+  const std::string cli = Quoted(g_cli_path);
+  FILE* pipe = popen((cli + " bogus 2>/dev/null").c_str(), "r");
   ASSERT_NE(pipe, nullptr);
-  const int status = pclose(pipe);
-  EXPECT_NE(status, 0);
+  EXPECT_NE(pclose(pipe), 0);
+
+  const std::string edges = Quoted(Path("g.edges"));
+  const std::string index = Quoted(Path("g.qbs"));
+  RunOk(cli + " generate ba " + edges + " 300 3 7");
+  RunOk(cli + " build " + edges + " " + index + " --landmarks 8");
+  const std::string requests = Path("requests.txt");
+  {
+    FILE* f = fopen(requests.c_str(), "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs("0 17\n4294967296 17\n", f);
+    fclose(f);
+  }
+  const struct {
+    std::string args;
+    int exit_code;
+    std::string message;
+  } cases[] = {
+      {" query " + edges + " " + index + " 4294967296 17", 2,
+       "bad value '4294967296' for vertex id"},
+      {" query " + edges + " " + index + " abc 17", 2,
+       "bad value 'abc' for vertex id"},
+      {" query " + edges + " " + index + " 0 17 --budget -1", 2,
+       "bad value '-1' for --budget"},
+      {" build " + edges + " " + Quoted(Path("h.qbs")) +
+           " --landmarks 4294967304",
+       2, "bad value '4294967304' for --landmarks"},
+      // The trailing unknown option stops a daemon from starting, and
+      // blocking the test, if --port ever stops being checked.
+      {" serve " + edges + " " + index + " --port 70000 --no-such-option", 2,
+       "bad value '70000' for --port"},
+      {" generate ba " + Quoted(Path("h.edges")) + " 300 3x", 2,
+       "bad value '3x' for m"},
+      {" query " + edges + " " + index + " --requests " + Quoted(requests), 1,
+       requests + ":2: bad vertex id '4294967296'"},
+  };
+  for (const auto& c : cases) {
+    std::string out;
+    const int status = RunCapture(cli + c.args, &out);
+    ASSERT_TRUE(WIFEXITED(status)) << c.args;
+    EXPECT_EQ(WEXITSTATUS(status), c.exit_code) << c.args << "\n" << out;
+    EXPECT_NE(out.find(c.message), std::string::npos)
+        << c.args << " printed:\n"
+        << out;
+    EXPECT_EQ(out.find("SPG("), std::string::npos) << c.args << "\n" << out;
+  }
+  EXPECT_FALSE(std::filesystem::exists(Path("h.qbs")));
+  EXPECT_FALSE(std::filesystem::exists(Path("h.edges")));
 }
 
 }  // namespace

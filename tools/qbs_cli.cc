@@ -42,7 +42,6 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -51,7 +50,9 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "core/qbs_index.h"
@@ -146,36 +147,89 @@ int Datasets() {
   return 0;
 }
 
-uint64_t ArgU64(const char* s) { return std::strtoull(s, nullptr, 10); }
+// Parses a whole decimal number that fits T. Blanks, trailing
+// characters, signs on an unsigned T and values outside T's range are
+// rejected rather than truncated or read as 0, so no argument lands on a
+// different vertex, edge or size than the one written.
+template <typename T>
+bool ParseNumber(std::string_view tok, T* out) {
+  const char* end = tok.data() + tok.size();
+  if constexpr (std::is_floating_point_v<T>) {
+    T value = 0;
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
+    if (ec != std::errc() || ptr != end) return false;
+    *out = value;
+  } else {
+    static_assert(std::is_unsigned_v<T>);
+    uint64_t value = 0;
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
+    if (ec != std::errc() || ptr != end ||
+        value > std::numeric_limits<T>::max()) {
+      return false;
+    }
+    *out = static_cast<T>(value);
+  }
+  return true;
+}
+
+// ParseNumber for a command-line argument: a bad value is reported by the
+// argument's name, and the caller exits 2.
+template <typename T>
+bool ParseArg(const char* name, const char* tok, T* out) {
+  if (ParseNumber(tok, out)) return true;
+  std::fprintf(stderr, "bad value '%s' for %s\n", tok, name);
+  return false;
+}
 
 int Generate(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string family = argv[0];
   const std::string out = argv[1];
+  // Every family takes an optional trailing seed (default 1).
+  uint64_t seed = 1;
+  auto seed_at = [&](int i) {
+    return argc <= i || ParseArg("seed", argv[i], &seed);
+  };
   qbs::Graph g;
   if (family == "ba" && argc >= 4) {
-    g = qbs::BarabasiAlbert(static_cast<qbs::VertexId>(ArgU64(argv[2])),
-                            static_cast<uint32_t>(ArgU64(argv[3])),
-                            argc > 4 ? ArgU64(argv[4]) : 1);
+    qbs::VertexId n = 0;
+    uint32_t m = 0;
+    if (!ParseArg("n", argv[2], &n) || !ParseArg("m", argv[3], &m) ||
+        !seed_at(4)) {
+      return 2;
+    }
+    g = qbs::BarabasiAlbert(n, m, seed);
   } else if (family == "er" && argc >= 4) {
-    g = qbs::LargestComponent(
-            qbs::ErdosRenyi(static_cast<qbs::VertexId>(ArgU64(argv[2])),
-                            ArgU64(argv[3]), argc > 4 ? ArgU64(argv[4]) : 1))
-            .graph;
+    qbs::VertexId n = 0;
+    uint64_t edges = 0;
+    if (!ParseArg("n", argv[2], &n) || !ParseArg("edges", argv[3], &edges) ||
+        !seed_at(4)) {
+      return 2;
+    }
+    g = qbs::LargestComponent(qbs::ErdosRenyi(n, edges, seed)).graph;
   } else if (family == "ws" && argc >= 5) {
-    g = qbs::WattsStrogatz(static_cast<qbs::VertexId>(ArgU64(argv[2])),
-                           static_cast<uint32_t>(ArgU64(argv[3])),
-                           std::atof(argv[4]),
-                           argc > 5 ? ArgU64(argv[5]) : 1);
+    qbs::VertexId n = 0;
+    uint32_t k = 0;
+    double beta = 0;
+    if (!ParseArg("n", argv[2], &n) || !ParseArg("k", argv[3], &k) ||
+        !ParseArg("beta", argv[4], &beta) || !seed_at(5)) {
+      return 2;
+    }
+    g = qbs::WattsStrogatz(n, k, beta, seed);
   } else if (family == "rmat" && argc >= 4) {
+    uint32_t scale = 0;
+    uint32_t edge_factor = 0;
+    if (!ParseArg("scale", argv[2], &scale) ||
+        !ParseArg("ef", argv[3], &edge_factor) || !seed_at(4)) {
+      return 2;
+    }
     g = qbs::LargestComponent(
-            qbs::RMat(static_cast<uint32_t>(ArgU64(argv[2])),
-                      static_cast<uint32_t>(ArgU64(argv[3])), 0.57, 0.19,
-                      0.19, argc > 4 ? ArgU64(argv[4]) : 1))
+            qbs::RMat(scale, edge_factor, 0.57, 0.19, 0.19, seed))
             .graph;
   } else if (family == "dataset" && argc >= 3) {
-    g = qbs::MakeDataset(qbs::DatasetByAbbrev(argv[2]),
-                         argc > 3 ? std::atof(argv[3]) : 1.0);
+    double scale = 1.0;
+    if (argc > 3 && !ParseArg("scale", argv[3], &scale)) return 2;
+    g = qbs::MakeDataset(qbs::DatasetByAbbrev(argv[2]), scale);
   } else {
     return Usage();
   }
@@ -210,9 +264,13 @@ bool ParseBuildOptions(int argc, char** argv, qbs::QbsOptions* options) {
   for (int i = 0; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--landmarks" && i + 1 < argc) {
-      options->num_landmarks = static_cast<uint32_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--landmarks", argv[++i], &options->num_landmarks)) {
+        return false;
+      }
     } else if (a == "--threads" && i + 1 < argc) {
-      options->num_threads = static_cast<size_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--threads", argv[++i], &options->num_threads)) {
+        return false;
+      }
     } else if (a == "--strategy" && i + 1 < argc) {
       const std::string s = argv[++i];
       if (s == "degree") {
@@ -291,17 +349,21 @@ bool ParseRequestLine(const std::string& line,
     *error = "expected 'u v [spg|distance] [budget]'";
     return false;
   }
+  auto bad = [error](const char* what, const std::string& tok) {
+    *error = std::string("bad ") + what + " '" + tok + "'";
+    return false;
+  };
   *out = defaults;
-  out->u = static_cast<qbs::VertexId>(ArgU64(u_tok.c_str()));
-  out->v = static_cast<qbs::VertexId>(ArgU64(v_tok.c_str()));
+  if (!ParseNumber(u_tok, &out->u)) return bad("vertex id", u_tok);
+  if (!ParseNumber(v_tok, &out->v)) return bad("vertex id", v_tok);
   if (in >> mode_tok) {
     if (!ParseMode(mode_tok, &out->mode)) {
       *error = "unknown mode '" + mode_tok + "'";
       return false;
     }
   }
-  if (in >> budget_tok) {
-    out->budget = static_cast<uint32_t>(ArgU64(budget_tok.c_str()));
+  if (in >> budget_tok && !ParseNumber(budget_tok, &out->budget)) {
+    return bad("budget", budget_tok);
   }
   return true;
 }
@@ -409,9 +471,9 @@ int Query(int argc, char** argv) {
         return 2;
       }
     } else if (a == "--budget" && i + 1 < argc) {
-      defaults.budget = static_cast<uint32_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--budget", argv[++i], &defaults.budget)) return 2;
     } else if (a == "--threads" && i + 1 < argc) {
-      threads = static_cast<size_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--threads", argv[++i], &threads)) return 2;
     } else if (a == "--format" && i + 1 < argc) {
       const std::string f = argv[++i];
       if (f == "human") {
@@ -428,7 +490,9 @@ int Query(int argc, char** argv) {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
       return 2;
     } else {
-      positional.push_back(static_cast<qbs::VertexId>(ArgU64(argv[i])));
+      qbs::VertexId id = 0;
+      if (!ParseArg("vertex id", argv[i], &id)) return 2;
+      positional.push_back(id);
     }
   }
   if (!requests_path.empty() && !positional.empty()) {
@@ -532,28 +596,46 @@ int Serve(int argc, char** argv) {
     if (a == "--host" && i + 1 < argc) {
       options.host = argv[++i];
     } else if (a == "--port" && i + 1 < argc) {
-      options.port = static_cast<uint16_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--port", argv[++i], &options.port)) return 2;
     } else if (a == "--max-inflight" && i + 1 < argc) {
-      options.max_inflight = static_cast<size_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--max-inflight", argv[++i], &options.max_inflight)) {
+        return 2;
+      }
     } else if (a == "--max-queue" && i + 1 < argc) {
-      options.max_queue = static_cast<size_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--max-queue", argv[++i], &options.max_queue)) return 2;
     } else if (a == "--max-conns" && i + 1 < argc) {
-      options.max_connections = static_cast<size_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--max-conns", argv[++i], &options.max_connections)) {
+        return 2;
+      }
     } else if (a == "--cache-mb" && i + 1 < argc) {
-      options.cache_bytes = static_cast<size_t>(ArgU64(argv[++i])) << 20;
+      // 32 bits of MiB: the byte count cannot overflow the shift.
+      uint32_t mib = 0;
+      if (!ParseArg("--cache-mb", argv[++i], &mib)) return 2;
+      options.cache_bytes = static_cast<size_t>(mib) << 20;
     } else if (a == "--no-remote-shutdown") {
       options.allow_remote_shutdown = false;
     } else if (a == "--updatable") {
       updatable = true;
     } else if (a == "--read-timeout-ms" && i + 1 < argc) {
-      options.read_timeout_ms = static_cast<uint32_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--read-timeout-ms", argv[++i],
+                    &options.read_timeout_ms)) {
+        return 2;
+      }
     } else if (a == "--idle-timeout-ms" && i + 1 < argc) {
-      options.idle_timeout_ms = static_cast<uint32_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--idle-timeout-ms", argv[++i],
+                    &options.idle_timeout_ms)) {
+        return 2;
+      }
     } else if (a == "--write-timeout-ms" && i + 1 < argc) {
-      options.write_timeout_ms = static_cast<uint32_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--write-timeout-ms", argv[++i],
+                    &options.write_timeout_ms)) {
+        return 2;
+      }
     } else if (a == "--degrade-after-inflight" && i + 1 < argc) {
-      options.degrade_after_inflight =
-          static_cast<size_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--degrade-after-inflight", argv[++i],
+                    &options.degrade_after_inflight)) {
+        return 2;
+      }
     } else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
       return 2;
@@ -631,21 +713,6 @@ int Serve(int argc, char** argv) {
   return 0;
 }
 
-// Parses a whole decimal vertex id below 2^32. Signs, blanks, trailing
-// characters and wider values are rejected rather than truncated, so an
-// edit never lands on a different edge than the one written.
-bool ParseVertexId(const std::string& tok, qbs::VertexId* out) {
-  uint64_t value = 0;
-  const char* end = tok.data() + tok.size();
-  const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
-  if (ec != std::errc() || ptr != end ||
-      value > std::numeric_limits<qbs::VertexId>::max()) {
-    return false;
-  }
-  *out = static_cast<qbs::VertexId>(value);
-  return true;
-}
-
 // Parses one edit per line: "i u v" / "insert u v" adds an edge,
 // "d u v" / "delete u v" removes one. Blank lines and '#' comments skip.
 bool ParseEditLine(const std::string& line, qbs::GraphDelta* delta,
@@ -667,8 +734,8 @@ bool ParseEditLine(const std::string& line, qbs::GraphDelta* delta,
   };
   qbs::VertexId u = 0;
   qbs::VertexId v = 0;
-  if (!ParseVertexId(u_tok, &u)) return bad_id(u_tok);
-  if (!ParseVertexId(v_tok, &v)) return bad_id(v_tok);
+  if (!ParseNumber(u_tok, &u)) return bad_id(u_tok);
+  if (!ParseNumber(v_tok, &v)) return bad_id(v_tok);
   if (op_tok == "i" || op_tok == "insert") {
     delta->Insert(u, v);
   } else if (op_tok == "d" || op_tok == "delete") {
@@ -683,7 +750,8 @@ bool ParseEditLine(const std::string& line, qbs::GraphDelta* delta,
 int Update(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string host = argv[0];
-  const auto port = static_cast<uint16_t>(ArgU64(argv[1]));
+  uint16_t port = 0;
+  if (!ParseArg("port", argv[1], &port)) return 2;
   qbs::GraphDelta delta;
   std::string file_path;
   for (int i = 2; i < argc; ++i) {
@@ -692,7 +760,7 @@ int Update(int argc, char** argv) {
     if ((a == "--insert" || a == "--delete") && i + 2 < argc) {
       qbs::VertexId ends[2];
       for (qbs::VertexId& end : ends) {
-        if (!ParseVertexId(argv[++i], &end)) {
+        if (!ParseNumber(argv[++i], &end)) {
           std::fprintf(stderr, "qbs update: bad vertex id '%s'\n", argv[i]);
           return 1;
         }
@@ -774,28 +842,35 @@ int Load(int argc, char** argv) {
     std::string a = argv[i];
     std::replace(a.begin(), a.end(), '_', '-');
     if (a == "--queries" && i + 1 < argc) {
-      workload.num_queries = static_cast<size_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--queries", argv[++i], &workload.num_queries)) return 2;
     } else if (a == "--pairs" && i + 1 < argc) {
-      workload.num_distinct_pairs = static_cast<size_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--pairs", argv[++i], &workload.num_distinct_pairs)) {
+        return 2;
+      }
     } else if (a == "--zipf" && i + 1 < argc) {
-      workload.zipf_s = std::atof(argv[++i]);
+      if (!ParseArg("--zipf", argv[++i], &workload.zipf_s)) return 2;
     } else if (a == "--seed" && i + 1 < argc) {
-      workload.seed = ArgU64(argv[++i]);
+      if (!ParseArg("--seed", argv[++i], &workload.seed)) return 2;
     } else if (a == "--conns" && i + 1 < argc) {
-      conns = std::max<size_t>(1, static_cast<size_t>(ArgU64(argv[++i])));
+      if (!ParseArg("--conns", argv[++i], &conns)) return 2;
+      conns = std::max<size_t>(1, conns);
     } else if (a == "--mode" && i + 1 < argc) {
       if (!ParseMode(argv[++i], &workload.mode)) {
         std::fprintf(stderr, "unknown mode %s\n", argv[i]);
         return 2;
       }
     } else if (a == "--budget" && i + 1 < argc) {
-      workload.budget = static_cast<uint32_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--budget", argv[++i], &workload.budget)) return 2;
     } else if (a == "--rate" && i + 1 < argc) {
-      workload.arrival_rate_qps = std::atof(argv[++i]);
+      if (!ParseArg("--rate", argv[++i], &workload.arrival_rate_qps)) {
+        return 2;
+      }
     } else if (a == "--burst" && i + 1 < argc) {
-      workload.burst_factor = std::atof(argv[++i]);
+      if (!ParseArg("--burst", argv[++i], &workload.burst_factor)) return 2;
     } else if (a == "--deadline-ms" && i + 1 < argc) {
-      workload.deadline_ms = static_cast<uint32_t>(ArgU64(argv[++i]));
+      if (!ParseArg("--deadline-ms", argv[++i], &workload.deadline_ms)) {
+        return 2;
+      }
     } else if (a == "--no-cache") {
       workload.flags |= qbs::kQueryFlagNoCache;
     } else if (a == "--shutdown") {
@@ -806,7 +881,8 @@ int Load(int argc, char** argv) {
     }
   }
   const std::string host = argv[1];
-  const auto port = static_cast<uint16_t>(ArgU64(argv[2]));
+  uint16_t port = 0;
+  if (!ParseArg("port", argv[2], &port)) return 2;
 
   auto g = LoadGraphArg(argv[0]);
   if (!g.has_value()) return 1;
