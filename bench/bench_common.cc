@@ -14,7 +14,7 @@ namespace {
 
 // Flag overrides (from InitBenchArgs); empty string = not set.
 struct FlagOverrides {
-  std::string scale, pairs, budget, threads, datasets, batch_size, grain;
+  std::string scale, pairs, budget, threads, datasets, batch_size;
   std::string dataset, data_dir;
 };
 FlagOverrides g_flags;
@@ -38,7 +38,6 @@ void InitBenchArgs(int argc, char** argv) {
                {"--threads=", &g_flags.threads},
                {"--datasets=", &g_flags.datasets},
                {"--batch_size=", &g_flags.batch_size},
-               {"--grain=", &g_flags.grain},
                {"--dataset=", &g_flags.dataset},
                {"--data_dir=", &g_flags.data_dir}};
   for (int i = 1; i < argc; ++i) {
@@ -56,7 +55,7 @@ void InitBenchArgs(int argc, char** argv) {
       std::fprintf(stderr,
                    "unknown flag: %s\nusage: %s [--scale=F] [--pairs=N] "
                    "[--budget=S] [--threads=N] [--datasets=DO,DB,...] "
-                   "[--batch_size=N] [--grain=N] "
+                   "[--batch_size=N] "
                    "[--dataset=dblp,epinions,...] [--data_dir=PATH]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
@@ -86,10 +85,6 @@ size_t EnvBatchSize() {
   const double v =
       ToDouble(g_flags.batch_size, "QBS_BENCH_BATCH_SIZE", 256);
   return v > 0 ? static_cast<size_t>(v) : 256;
-}
-
-size_t EnvGrain() {
-  return static_cast<size_t>(ToDouble(g_flags.grain, "QBS_BENCH_GRAIN", 0));
 }
 
 std::vector<DatasetSpec> SelectedDatasets() {

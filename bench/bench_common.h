@@ -10,7 +10,6 @@
 //   QBS_BENCH_DATASETS   comma-separated abbreviations to run (default all,
 //                        e.g. "DO,DB,YT")
 //   QBS_BENCH_BATCH_SIZE queries per QueryBatch call (default 256)
-//   QBS_BENCH_GRAIN      ParallelFor grain for QueryBatch (default 0 = auto)
 //   QBS_BENCH_DATASET    comma-separated *real* dataset names (or Table 1
 //                        abbreviations) to run against downloaded data,
 //                        e.g. "dblp,epinions" (see workload/datasets.h);
@@ -19,7 +18,7 @@
 //
 // Command-line flags override the environment: pass argc/argv to
 // InitBenchArgs and use --scale=, --pairs=, --budget=, --threads=,
-// --datasets=, --batch_size=, --grain=, --dataset=, --data_dir=.
+// --datasets=, --batch_size=, --dataset=, --data_dir=.
 
 #ifndef QBS_BENCH_BENCH_COMMON_H_
 #define QBS_BENCH_BENCH_COMMON_H_
@@ -42,10 +41,8 @@ double EnvScale();
 size_t EnvPairs();
 double EnvBudgetSeconds();
 size_t EnvThreads();
-// Batch-query knobs (ROADMAP "Parallel QueryBatch tuning"): queries per
-// QueryBatch call and the work-stealing chunk size inside a batch.
+// Queries per QueryBatch call.
 size_t EnvBatchSize();
-size_t EnvGrain();
 
 // Data directory for real datasets: --data_dir flag, else QBS_DATA_DIR,
 // else "data".

@@ -32,10 +32,8 @@ std::string StatusString(BuildStatus status) {
 
 void Run() {
   std::printf("Table 2: construction time (s) and average query time (ms); "
-              "%zu pairs, budget %.1fs, %zu threads, batch_size %zu, "
-              "grain %zu\n",
-              EnvPairs(), EnvBudgetSeconds(), EnvThreads(), EnvBatchSize(),
-              EnvGrain());
+              "%zu pairs, budget %.1fs, %zu threads, batch_size %zu\n",
+              EnvPairs(), EnvBudgetSeconds(), EnvThreads(), EnvBatchSize());
   TablePrinter table(
       "Table 2",
       {"Dataset", "QbS-P(s)", "QbS(s)", "PPL(s)", "PPPL(s)", "qQbS(ms)",
@@ -84,13 +82,12 @@ void Run() {
     const double q_qbs = qtimer.ElapsedMillis() / d.pairs.size();
 
     // Parallel batch path: QueryBatch in batch_size chunks on the QbS-P
-    // index (per-thread searcher pool + work-stealing ParallelFor).
+    // index (per-thread searcher pool + shared-cursor ParallelFor).
     std::vector<QueryRequest> batch_requests;
     batch_requests.reserve(d.pairs.size());
     for (const auto& [u, v] : d.pairs) batch_requests.emplace_back(u, v);
     QbsIndex::BatchOptions batch_options;
     batch_options.num_threads = EnvThreads();
-    batch_options.grain = EnvGrain();
     const size_t batch_size = EnvBatchSize();
     qtimer.Reset();
     for (size_t off = 0; off < batch_requests.size(); off += batch_size) {

@@ -149,10 +149,7 @@ std::vector<QueryResponse> QbsIndex::QueryBatch(
   // returns every searcher when a query throws mid-batch, so the pool
   // never shrinks across failed batches.
   SearcherLease lease(*this, workers);
-  ParallelForOptions pf;
-  pf.num_threads = workers;
-  pf.grain = options.grain;
-  ParallelFor(requests.size(), pf, [&](size_t i, size_t worker) {
+  ParallelFor(requests.size(), workers, [&](size_t i, size_t worker) {
     results[i] = Execute(lease[worker], requests[i]);
   });
   return results;

@@ -92,10 +92,6 @@ class QbsIndex {
   struct BatchOptions {
     /// 0 = all hardware threads.
     size_t num_threads = 0;
-    /// Queries handed to a worker per grab from the shared cursor (the
-    /// ParallelFor grain); 0 picks requests/(threads*8). Smaller values
-    /// rebalance skewed query costs better.
-    size_t grain = 0;
   };
 
   /// Answers many requests in parallel. Workers share the index's
@@ -124,8 +120,8 @@ class QbsIndex {
 
   /// RAII checkout of `count` searchers from the index's pool, topping
   /// the pool up with freshly constructed ones as needed. The destructor
-  /// returns every searcher, so a query that throws mid-batch (e.g. an
-  /// allocation failure surfacing through ParallelFor's inline worker)
+  /// returns every searcher, so a query that throws mid-batch (ParallelFor
+  /// rethrows it on the calling thread once every worker has stopped)
   /// unwinds without shrinking the pool.
   class SearcherLease {
    public:

@@ -518,8 +518,8 @@ bool QueryServer::ServeUpdate(Socket& sock, const GraphDelta& delta) {
     // Writer side: queries drain, the delta applies, and the cache is
     // cleared before any reader can run again — so no answer computed (or
     // cached) against the pre-update index is ever served afterwards.
-    // ApplyUpdates schedules pool work while this is held — legal because
-    // the pool ranks (kThreadPool*) sit above kIndex.
+    // ApplyUpdates runs ParallelFor while this is held — legal because
+    // the pool rank (kThreadPool) sits above kIndex.
     WriterLock write_lock(index_mu_);
     stats = index_.ApplyUpdates(delta);
     if (stats.AppliedTotal() > 0) cache_.Clear();

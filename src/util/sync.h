@@ -110,11 +110,12 @@ namespace qbs {
 ///                                    lock while leasing a searcher)
 ///   * kIndex → kResultCacheShard   (cache lookup/insert/clear run inside
 ///                                    the index reader/writer section)
-///   * kIndex → kThreadPool/kThreadPoolQueue
-///                                  (ApplyUpdates runs ParallelFor — and
-///                                    thus pool scheduling — under the
-///                                    index writer lock)
-/// Corollary: thread-pool tasks must only acquire ranks above kIndex.
+///   * kIndex → kThreadPool         (ApplyUpdates runs ParallelFor — and
+///                                    thus the pool's job queue — under
+///                                    the index writer lock)
+/// Corollary: ParallelFor iterations must only acquire ranks above kIndex
+/// (the caller runs them as worker 0 under whatever it holds); the pool
+/// lock itself is never held while an iteration runs.
 enum class LockRank : int {
   /// Exempt from ordering checks (re-entrancy is still checked). For
   /// tests and short-lived local mutexes that never nest with ranked ones.
@@ -131,10 +132,9 @@ enum class LockRank : int {
   kSearcherPool = 40,
   /// ResultCache::Shard::mu — one shard's LRU list/map/byte budget.
   kResultCacheShard = 50,
-  /// ThreadPool::mu_ — scheduling counters and sleep/wake signalling.
+  /// thread_pool.cc's pool lock — the job queue, helper shutdown and each
+  /// ParallelFor call's worker hand-out, join count and first exception.
   kThreadPool = 60,
-  /// ThreadPool::WorkerQueue::mu — one worker's task deque.
-  kThreadPoolQueue = 70,
 };
 
 /// Stable diagnostic name for a rank (abort messages name both sides of
@@ -155,8 +155,6 @@ constexpr const char* LockRankName(LockRank rank) {
       return "kResultCacheShard";
     case LockRank::kThreadPool:
       return "kThreadPool";
-    case LockRank::kThreadPoolQueue:
-      return "kThreadPoolQueue";
   }
   return "k<invalid>";
 }

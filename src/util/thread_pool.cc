@@ -2,214 +2,142 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
+#include <deque>
+#include <exception>
+#include <thread>
+#include <vector>
 
-#include "util/check.h"
+#include "util/sync.h"
 
 namespace qbs {
 namespace {
 
-// Identifies the pool (and worker slot) the current thread belongs to, so
-// Schedule can push to the local deque and stealing can skip it.
-struct TlsWorker {
-  ThreadPool* pool = nullptr;
-  size_t index = 0;
-};
-thread_local TlsWorker tls_worker;
+using Body = std::function<void(size_t index, size_t worker)>;
 
-constexpr size_t kNoHome = static_cast<size_t>(-1);
+// The pool's one lock. It guards the job queue, the shutdown flag and every
+// job's bookkeeping, and is never held while `fn` runs. ApplyUpdates calls
+// ParallelFor under the index writer lock, so it ranks above kIndex.
+Mutex pool_mu{LockRank::kThreadPool};
+// Wakes helpers (a job queued, shutdown) and callers (their last helper done).
+CondVar pool_cv;
+
+// One ParallelFor call. It lives on the caller's stack: the caller takes it
+// off the queue before waiting for the helpers that joined, so no helper
+// can reach it once the call returns.
+struct Job {
+  Job(size_t count, size_t workers, const Body& fn)
+      : count(count),
+        workers(workers),
+        grain(std::max<size_t>(1, count / (workers * 8))),
+        fn(fn) {}
+
+  // Runs chunks as `worker` until the cursor is spent. The first exception
+  // spends the cursor, so no more chunks go out, and is kept for the caller.
+  void Drain(size_t worker) {
+    try {
+      for (;;) {
+        const size_t begin = cursor.fetch_add(grain, std::memory_order_relaxed);
+        if (begin >= count) return;
+        const size_t end = std::min(begin + grain, count);
+        for (size_t i = begin; i < end; ++i) fn(i, worker);
+      }
+    } catch (...) {
+      cursor.store(count, std::memory_order_relaxed);
+      MutexLock lock(pool_mu);
+      if (!error) error = std::current_exception();
+    }
+  }
+
+  const size_t count;
+  const size_t workers;
+  const size_t grain;
+  const Body& fn;
+  std::atomic<size_t> cursor{0};
+  size_t next_worker QBS_GUARDED_BY(pool_mu) = 1;  // the caller is 0
+  size_t running QBS_GUARDED_BY(pool_mu) = 0;  // helpers joined, not done
+  std::exception_ptr error QBS_GUARDED_BY(pool_mu);
+};
+
+// Jobs with worker indices left to hand out, oldest first.
+std::deque<Job*> pool_queue QBS_GUARDED_BY(pool_mu);
+bool pool_shutdown QBS_GUARDED_BY(pool_mu) = false;
+
+void HelperLoop() {
+  for (;;) {
+    Job* job = nullptr;
+    size_t worker = 0;
+    {
+      MutexLock lock(pool_mu);
+      while (pool_queue.empty() && !pool_shutdown) pool_cv.Wait(pool_mu);
+      if (pool_queue.empty()) return;
+      job = pool_queue.front();
+      worker = job->next_worker++;
+      if (job->next_worker == job->workers) pool_queue.pop_front();
+      ++job->running;
+    }
+    job->Drain(worker);
+    {
+      MutexLock lock(pool_mu);
+      // At 0 the caller may return and `job` dies: it is not touched again.
+      if (--job->running != 0) continue;
+    }
+    pool_cv.NotifyAll();
+  }
+}
+
+// Persistent helpers: started by the first parallel call, joined at exit.
+class Helpers {
+ public:
+  Helpers() {
+    const size_t n = EffectiveThreads(0);
+    for (size_t i = 0; i < n; ++i) threads_.emplace_back(HelperLoop);
+  }
+  ~Helpers() {
+    {
+      MutexLock lock(pool_mu);
+      pool_shutdown = true;
+    }
+    pool_cv.NotifyAll();
+    for (auto& t : threads_) t.join();
+  }
+  Helpers(const Helpers&) = delete;
+  Helpers& operator=(const Helpers&) = delete;
+
+ private:
+  std::vector<std::thread> threads_;
+};
 
 }  // namespace
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
-  queues_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    queues_.push_back(std::make_unique<WorkerQueue>());
-  }
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
-}
-
-ThreadPool::~ThreadPool() {
-  {
-    MutexLock lock(mu_);
-    shutdown_ = true;
-  }
-  wake_.NotifyAll();
-  for (auto& w : workers_) {
-    w.join();
-  }
-}
-
-void ThreadPool::Schedule(std::function<void()> task) {
-  size_t target;
-  {
-    MutexLock lock(mu_);
-    QBS_CHECK(!shutdown_);
-    ++queued_;
-    ++pending_;
-    target = next_queue_++ % queues_.size();
-  }
-  const bool local =
-      tls_worker.pool == this && tls_worker.index < queues_.size();
-  if (local) target = tls_worker.index;
-  {
-    WorkerQueue& queue = *queues_[target];
-    MutexLock qlock(queue.mu);
-    if (local) {
-      queue.tasks.push_front(std::move(task));  // LIFO for owner
-    } else {
-      queue.tasks.push_back(std::move(task));
-    }
-  }
-  wake_.NotifyOne();
-  event_.NotifyAll();
-}
-
-bool ThreadPool::PopOrSteal(size_t home, std::function<void()>* task) {
-  const size_t n = queues_.size();
-  // Own deque first, LIFO: the task most recently pushed here is the
-  // cache-warmest.
-  if (home != kNoHome) {
-    WorkerQueue& queue = *queues_[home];
-    MutexLock qlock(queue.mu);
-    if (!queue.tasks.empty()) {
-      *task = std::move(queue.tasks.front());
-      queue.tasks.pop_front();
-      return true;
-    }
-  }
-  // Steal FIFO from a victim, scanning from the next slot over.
-  for (size_t off = 0; off < n; ++off) {
-    const size_t victim = home == kNoHome ? off : (home + 1 + off) % n;
-    if (victim == home) continue;
-    WorkerQueue& queue = *queues_[victim];
-    MutexLock qlock(queue.mu);
-    if (!queue.tasks.empty()) {
-      *task = std::move(queue.tasks.back());
-      queue.tasks.pop_back();
-      return true;
-    }
-  }
-  return false;
-}
-
-void ThreadPool::RunTask(std::function<void()>* task) {
-  {
-    MutexLock lock(mu_);
-    --queued_;
-  }
-  (*task)();
-  {
-    MutexLock lock(mu_);
-    --pending_;
-  }
-  event_.NotifyAll();
-}
-
-void ThreadPool::WorkerLoop(size_t index) {
-  tls_worker = TlsWorker{this, index};
-  for (;;) {
-    std::function<void()> task;
-    if (PopOrSteal(index, &task)) {
-      RunTask(&task);
-      continue;
-    }
-    MutexLock lock(mu_);
-    while (!shutdown_ && queued_ == 0) wake_.Wait(mu_);
-    if (shutdown_ && queued_ == 0) return;
-  }
-}
-
-bool ThreadPool::TryRunOne() {
-  const size_t home =
-      tls_worker.pool == this ? tls_worker.index : kNoHome;
-  std::function<void()> task;
-  if (!PopOrSteal(home, &task)) return false;
-  RunTask(&task);
-  return true;
-}
-
-void ThreadPool::HelpWhile(const std::function<bool()>& done) {
-  while (!done()) {
-    if (TryRunOne()) continue;
-    MutexLock lock(mu_);
-    // Park until a task is queued or finishes; the deadline re-checks
-    // `done` in case its state changed without a pool event.
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::milliseconds(1);
-    while (queued_ == 0 && !shutdown_) {
-      if (!event_.WaitUntil(mu_, deadline)) break;
-    }
-  }
-}
-
-void ThreadPool::Wait() {
-  MutexLock lock(mu_);
-  while (pending_ != 0) event_.Wait(mu_);
-}
-
-ThreadPool& ThreadPool::Shared() {
-  static ThreadPool pool(0);
-  return pool;
-}
-
 size_t EffectiveThreads(size_t num_threads) {
-  if (num_threads == 0) {
-    num_threads = std::thread::hardware_concurrency();
-    if (num_threads == 0) num_threads = 1;
-  }
-  return num_threads;
+  if (num_threads != 0) return num_threads;
+  return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 
-void ParallelFor(size_t count, const ParallelForOptions& options,
-                 const std::function<void(size_t index, size_t worker)>& fn) {
+void ParallelFor(size_t count, size_t num_threads, const Body& fn) {
   if (count == 0) return;
-  size_t workers = EffectiveThreads(options.num_threads);
-  if (workers > count) workers = count;
+  const size_t workers = std::min(EffectiveThreads(num_threads), count);
   if (workers == 1) {
     for (size_t i = 0; i < count; ++i) fn(i, 0);
     return;
   }
-  size_t grain = options.grain;
-  if (grain == 0) grain = std::max<size_t>(1, count / (workers * 8));
-
-  std::atomic<size_t> cursor{0};
-  std::atomic<size_t> live{workers - 1};
-  const auto run = [&cursor, &fn, count, grain](size_t w) {
-    for (;;) {
-      const size_t begin = cursor.fetch_add(grain, std::memory_order_relaxed);
-      if (begin >= count) return;
-      const size_t end = std::min(begin + grain, count);
-      for (size_t i = begin; i < end; ++i) fn(i, w);
-    }
-  };
-
-  ThreadPool& pool = ThreadPool::Shared();
-  for (size_t w = 1; w < workers; ++w) {
-    pool.Schedule([&run, &live, w] {
-      run(w);
-      live.fetch_sub(1, std::memory_order_acq_rel);
-    });
+  static Helpers helpers;
+  Job job(count, workers, fn);
+  {
+    MutexLock lock(pool_mu);
+    pool_queue.push_back(&job);
   }
-  run(0);
-  // Keep draining pool tasks while the scheduled participants finish; this
-  // also makes nested ParallelFor calls deadlock-free.
-  pool.HelpWhile(
-      [&live] { return live.load(std::memory_order_acquire) == 0; });
-}
-
-void ParallelFor(size_t count, size_t num_threads,
-                 const std::function<void(size_t index, size_t worker)>& fn) {
-  ParallelForOptions options;
-  options.num_threads = num_threads;
-  ParallelFor(count, options, fn);
+  pool_cv.NotifyAll();
+  job.Drain(0);
+  std::exception_ptr error;
+  {
+    MutexLock lock(pool_mu);
+    // No helper joins from here on: `job` dies with this call.
+    std::erase(pool_queue, &job);
+    while (job.running != 0) pool_cv.Wait(pool_mu);
+    error = job.error;
+  }
+  if (error) std::rethrow_exception(error);
 }
 
 }  // namespace qbs

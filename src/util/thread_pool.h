@@ -1,118 +1,29 @@
-// A work-stealing thread pool plus a chunked dynamic ParallelFor.
+// ParallelFor: a chunked, dynamically balanced loop over persistent helpers.
 //
-// Workers own per-thread deques: a worker pushes and pops its own deque
-// LIFO (cache-warm) and steals FIFO from a victim when empty, so skewed
-// task costs (one landmark BFS dominating, one heavy query in a batch)
-// rebalance automatically instead of serializing behind a FIFO queue.
-//
-// ParallelFor hands out index chunks of `grain` iterations from a shared
-// cursor — dynamic load balancing at chunk granularity — and runs on a
-// process-wide shared pool, so repeated batch calls (QueryBatch) pay no
-// thread-spawn cost. The calling thread participates as worker 0 and helps
-// drain pool tasks while waiting, which makes nested ParallelFor calls
-// deadlock-free.
+// Iterations are handed out in chunks from one shared cursor, so skewed
+// iteration costs (one landmark BFS dominating, one heavy query in a batch)
+// rebalance by themselves. The helpers are process-wide persistent threads,
+// so repeated calls (QueryBatch) pay no thread-spawn cost. The caller runs
+// as worker 0 and drains the cursor itself, then waits only for helpers
+// that joined, so nested and concurrent calls cannot deadlock.
 
 #ifndef QBS_UTIL_THREAD_POOL_H_
 #define QBS_UTIL_THREAD_POOL_H_
 
 #include <cstddef>
-#include <deque>
 #include <functional>
-#include <memory>
-#include <thread>
-#include <vector>
-
-#include "util/sync.h"
 
 namespace qbs {
 
-// Fixed-size pool of workers with per-worker work-stealing deques.
-class ThreadPool {
- public:
-  // Creates a pool with `num_threads` workers; 0 means
-  // std::thread::hardware_concurrency().
-  explicit ThreadPool(size_t num_threads);
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  // Blocks until all scheduled tasks finish.
-  ~ThreadPool();
-
-  // Schedules `task` for execution on some worker. Called from a pool
-  // worker, the task lands on that worker's own deque (LIFO); otherwise it
-  // is distributed round-robin.
-  void Schedule(std::function<void()> task);
-
-  // Blocks until every scheduled task has finished. Call from outside the
-  // pool only.
-  void Wait();
-
-  // Runs pool tasks on the calling thread until `done` returns true,
-  // parking when no task is runnable. This is how ParallelFor joins: the
-  // caller keeps stealing work instead of blocking, so a ParallelFor
-  // issued from inside a pool task cannot deadlock the pool.
-  void HelpWhile(const std::function<bool()>& done);
-
-  // Pops or steals one task and runs it. Returns false if every deque was
-  // empty.
-  bool TryRunOne();
-
-  size_t num_threads() const { return workers_.size(); }
-
-  // Process-wide pool (hardware-concurrency workers, created on first use)
-  // backing ParallelFor.
-  static ThreadPool& Shared();
-
- private:
-  struct WorkerQueue {
-    Mutex mu{LockRank::kThreadPoolQueue};
-    std::deque<std::function<void()>> tasks QBS_GUARDED_BY(mu);
-  };
-
-  void WorkerLoop(size_t index);
-  bool PopOrSteal(size_t home, std::function<void()>* task);
-  void RunTask(std::function<void()>* task);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-
-  // Guards sleep/wake and completion signalling; counters are read under it
-  // in wait loops. Pool locks are leaves of the lock order (tasks execute
-  // with no pool lock held, and callers — notably ApplyUpdates under the
-  // index writer lock — reach Schedule/HelpWhile with lower-ranked locks
-  // held), so pool tasks must only acquire ranks above kIndex.
-  Mutex mu_{LockRank::kThreadPool};
-  CondVar wake_;   // workers: new task or shutdown
-  CondVar event_;  // waiters: task completed or scheduled
-  size_t queued_ QBS_GUARDED_BY(mu_) = 0;   // tasks sitting in deques
-  size_t pending_ QBS_GUARDED_BY(mu_) = 0;  // scheduled but not yet finished
-  // Round-robin cursor for external pushes.
-  size_t next_queue_ QBS_GUARDED_BY(mu_) = 0;
-  bool shutdown_ QBS_GUARDED_BY(mu_) = false;
-};
-
-struct ParallelForOptions {
-  // 0 = hardware concurrency, 1 = inline on the calling thread, otherwise
-  // the exact worker count (worker indices are [0, count)).
-  size_t num_threads = 0;
-  // Iterations handed out per grab from the shared cursor; 0 picks
-  // count / (workers * 8), clamped to >= 1. Smaller grains rebalance skew
-  // better, larger grains amortize the cursor more.
-  size_t grain = 0;
-};
-
-// Runs fn(i, worker_index) for every i in [0, count), distributed over the
-// shared pool in dynamically-balanced chunks. `worker_index` is in
-// [0, effective_threads) and lets callers keep per-worker scratch state
-// (e.g. a reusable BFS depth array); each worker index is used by exactly
-// one thread at a time.
+// Runs fn(i, worker_index) for every i in [0, count) and blocks until all
+// iterations complete. `num_threads`: 0 = hardware concurrency, 1 = inline
+// on the calling thread, otherwise the exact worker count. `worker_index`
+// is in [0, min(EffectiveThreads(num_threads), count)) and lets callers
+// keep per-worker scratch state (e.g. a reusable BFS depth array); two
+// iterations with the same worker index never run at the same time.
 //
-// Blocks until all iterations complete.
-void ParallelFor(size_t count, const ParallelForOptions& options,
-                 const std::function<void(size_t index, size_t worker)>& fn);
-
-// Back-compat convenience: ParallelFor with the default grain.
+// If an iteration throws, no further chunks are handed out; once every
+// worker has returned, the first exception is rethrown to the caller.
 void ParallelFor(size_t count, size_t num_threads,
                  const std::function<void(size_t index, size_t worker)>& fn);
 

@@ -163,7 +163,7 @@ TEST(SyncTest, AscendingRankAcquisitionIsClean) {
 
 TEST(SyncTest, LockRankNamesAreStable) {
   EXPECT_STREQ(LockRankName(LockRank::kIndex), "kIndex");
-  EXPECT_STREQ(LockRankName(LockRank::kThreadPoolQueue), "kThreadPoolQueue");
+  EXPECT_STREQ(LockRankName(LockRank::kThreadPool), "kThreadPool");
 }
 
 // ---- Death tests: the lock-rank checker must abort, naming both ranks.

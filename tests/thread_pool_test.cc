@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -10,66 +11,10 @@
 namespace qbs {
 namespace {
 
-// Work stealing under skewed task costs: a few heavy tasks scheduled first
-// must not serialize the many light ones behind them, and every task must
-// run exactly once.
-TEST(ThreadPoolStressTest, SkewedTaskCosts) {
-  constexpr int kTasks = 400;
-  std::vector<std::atomic<int>> runs(kTasks);
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < kTasks; ++i) {
-      pool.Schedule([&runs, i] {
-        if (i % 97 == 0) {
-          // Heavy outlier: ~100x the cost of a light task.
-          std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        }
-        runs[i].fetch_add(1);
-      });
-    }
-    pool.Wait();
-  }
-  for (int i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(runs[i].load(), 1) << "task " << i;
-  }
-}
-
-TEST(ThreadPoolStressTest, ScheduleFromInsideTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 20; ++i) {
-      pool.Schedule([&pool, &count] {
-        count.fetch_add(1);
-        for (int j = 0; j < 5; ++j) {
-          pool.Schedule([&count] { count.fetch_add(1); });
-        }
-      });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), 20 * 6);
-  }
-}
-
-TEST(ThreadPoolStressTest, ManyWaitCycles) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 50; ++round) {
-    for (int i = 0; i < 8; ++i) {
-      pool.Schedule([&count] { count.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), (round + 1) * 8);
-  }
-}
-
 TEST(ParallelForGrainTest, SkewedIterationCostsCoverAllIndices) {
   constexpr size_t kCount = 1000;
   std::vector<std::atomic<int>> hits(kCount);
-  ParallelForOptions options;
-  options.num_threads = 6;
-  options.grain = 4;  // small grain so the skew rebalances across chunks
-  ParallelFor(kCount, options, [&](size_t i, size_t worker) {
+  ParallelFor(kCount, 6, [&](size_t i, size_t worker) {
     ASSERT_LT(worker, 6u);
     if (i == 0) std::this_thread::sleep_for(std::chrono::milliseconds(10));
     hits[i].fetch_add(1);
@@ -77,16 +22,6 @@ TEST(ParallelForGrainTest, SkewedIterationCostsCoverAllIndices) {
   for (size_t i = 0; i < kCount; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
-}
-
-TEST(ParallelForGrainTest, GrainLargerThanCount) {
-  std::vector<std::atomic<int>> hits(10);
-  ParallelForOptions options;
-  options.num_threads = 4;
-  options.grain = 100;
-  ParallelFor(hits.size(), options,
-              [&](size_t i, size_t) { hits[i].fetch_add(1); });
-  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ParallelForGrainTest, NestedParallelForDoesNotDeadlock) {
@@ -100,13 +35,11 @@ TEST(ParallelForGrainTest, NestedParallelForDoesNotDeadlock) {
 TEST(ParallelForGrainTest, WorkerIndicesAreExclusive) {
   // Two iterations sharing a worker index must never run concurrently:
   // per-worker scratch (BFS depth arrays, batch searchers) relies on it.
+  // 30 iterations on 4 workers make the automatic grain 1.
   constexpr size_t kWorkers = 4;
   std::atomic<int> in_flight[kWorkers] = {};
   std::atomic<bool> ok{true};
-  ParallelForOptions options;
-  options.num_threads = kWorkers;
-  options.grain = 1;
-  ParallelFor(200, options, [&](size_t, size_t worker) {
+  ParallelFor(30, kWorkers, [&](size_t, size_t worker) {
     if (in_flight[worker].fetch_add(1) != 0) ok = false;
     std::this_thread::yield();
     in_flight[worker].fetch_sub(1);
@@ -124,6 +57,57 @@ TEST(ParallelForGrainTest, ConcurrentCallersShareThePool) {
   }
   for (auto& t : callers) t.join();
   EXPECT_EQ(total.load(), 300);
+}
+
+// The caller's own iteration throws while helpers still hold claimed
+// chunks: the exception must reach the caller only after every helper has
+// left the call, and no chunk may be handed out after the throw.
+TEST(ParallelForGrainTest, ThrowOnCallerReachesCaller) {
+  constexpr size_t kCount = 200;  // automatic grain 6 on 4 workers
+  std::atomic<bool> thrown{false};
+  std::atomic<int> in_flight{0};
+  std::atomic<size_t> ran{0};
+  try {
+    ParallelFor(kCount, 4, [&](size_t, size_t worker) {
+      if (worker == 0) {
+        while (in_flight.load() == 0) std::this_thread::yield();
+        thrown = true;
+        throw std::runtime_error("caller");
+      }
+      in_flight.fetch_add(1);
+      while (!thrown.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+      ran.fetch_add(1);
+      in_flight.fetch_sub(1);
+    });
+    ADD_FAILURE() << "no exception reached the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "caller");
+  }
+  EXPECT_EQ(in_flight.load(), 0);
+  EXPECT_LT(ran.load(), kCount);
+}
+
+// A helper's iteration throws: the exception must reach the caller instead
+// of escaping the helper thread.
+TEST(ParallelForGrainTest, ThrowOnHelperReachesCaller) {
+  std::atomic<bool> thrown{false};
+  try {
+    ParallelFor(64, 4, [&](size_t, size_t worker) {
+      if (worker != 0) {
+        thrown = true;
+        throw std::runtime_error("helper");
+      }
+      while (!thrown.load()) std::this_thread::yield();
+    });
+    ADD_FAILURE() << "no exception reached the caller";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "helper");
+  }
+  // The pool still serves calls afterwards.
+  std::atomic<int> total{0};
+  ParallelFor(100, 4, [&](size_t, size_t) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), 100);
 }
 
 }  // namespace

@@ -106,18 +106,6 @@ TEST(EpochArrayTest, ManyResetCycles) {
   }
 }
 
-TEST(ThreadPoolTest, RunsAllTasks) {
-  std::atomic<int> count{0};
-  {
-    ThreadPool pool(4);
-    for (int i = 0; i < 100; ++i) {
-      pool.Schedule([&count] { count.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(count.load(), 100);
-  }
-}
-
 TEST(ParallelForTest, CoversAllIndicesOnce) {
   std::vector<std::atomic<int>> hits(257);
   ParallelFor(hits.size(), 8,
