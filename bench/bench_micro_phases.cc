@@ -124,7 +124,7 @@ void BM_LoadLabelingScheme(benchmark::State& state) {
 }
 BENCHMARK(BM_LoadLabelingScheme)->Unit(benchmark::kMillisecond);
 
-// G⁻ = G[V \ R], rebuilt at every build, load and churn edit.
+// G⁻ = G[V \ R], filtered at every build and load (a churn edit splices it).
 void BM_MakeSparsifiedGraph(benchmark::State& state) {
   auto& f = GetFixture();
   const PathLabeling& labeling = f.index->labeling();

@@ -1,6 +1,7 @@
 #include "core/guided_search.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "util/check.h"
 
@@ -8,6 +9,19 @@ namespace qbs {
 
 Graph MakeSparsifiedGraph(const Graph& g, const PathLabeling& labeling) {
   return g.WithoutEdgesAt(labeling.landmarks());
+}
+
+Graph PatchSparsifiedGraph(const Graph& gminus, const NetChanges& net,
+                           const PathLabeling& labeling) {
+  NetChanges kept;
+  auto no_landmark = [&](const Edge& e) {
+    return !labeling.IsLandmark(e.u) && !labeling.IsLandmark(e.v);
+  };
+  std::copy_if(net.inserts.begin(), net.inserts.end(),
+               std::back_inserter(kept.inserts), no_landmark);
+  std::copy_if(net.deletes.begin(), net.deletes.end(),
+               std::back_inserter(kept.deletes), no_landmark);
+  return ApplyNetChanges(gminus, kept);
 }
 
 GuidedSearcher::GuidedSearcher(const Graph& g, const Graph& sparsified,

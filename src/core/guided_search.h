@@ -27,6 +27,7 @@
 #include "core/sketch.h"
 #include "graph/frontier.h"
 #include "graph/graph.h"
+#include "graph/graph_delta.h"
 #include "graph/spg.h"
 #include "util/epoch_array.h"
 
@@ -152,6 +153,14 @@ class GuidedSearcher {
 // Materializes the sparsified graph G[V \ R]: same vertex ids, only the
 // edges with neither endpoint a landmark.
 Graph MakeSparsifiedGraph(const Graph& g, const PathLabeling& labeling);
+
+// The sparsified graph of an edited graph, from the old one: `gminus` is
+// MakeSparsifiedGraph(g, labeling) and `net` takes g to the edited graph.
+// Only the edits with no landmark endpoint reach G⁻, and ApplyNetChanges
+// splices exactly those, so the result equals MakeSparsifiedGraph on the
+// edited graph without filtering all of its edges again.
+Graph PatchSparsifiedGraph(const Graph& gminus, const NetChanges& net,
+                           const PathLabeling& labeling);
 
 }  // namespace qbs
 

@@ -239,71 +239,94 @@ void RebuildLabelColumn(const Graph& g, PathLabeling& labeling,
   state->meta = std::move(meta);
 }
 
-void RederiveLabelColumn(const Graph& g, PathLabeling& labeling,
-                         LandmarkIndex i, LabelColumnState* state) {
-  const VertexId n = g.NumVertices();
+bool RederiveLabelsAt(const Graph& g, PathLabeling& labeling,
+                      LandmarkIndex i, const std::vector<VertexId>& candidates,
+                      LabelColumnState* state) {
   const std::vector<uint32_t>& depth = state->depth;
-  QBS_CHECK_EQ(depth.size(), static_cast<size_t>(n));
-
-  // Level-sorted settle order via counting sort (ascending id within each
-  // level). Any level-sorted order derives identical labels: the QL rule
-  // only compares depths across edges.
-  uint32_t max_depth = 0;
-  size_t reached = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    if (depth[v] == kUnreachable) continue;
-    ++reached;
-    max_depth = std::max(max_depth, depth[v]);
-  }
-  QBS_CHECK_LT(max_depth, static_cast<uint32_t>(kInfDist));
-  std::vector<size_t> level_begin(static_cast<size_t>(max_depth) + 2, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    if (depth[v] != kUnreachable) ++level_begin[depth[v] + 1];
-  }
-  for (size_t d = 1; d < level_begin.size(); ++d) {
-    level_begin[d] += level_begin[d - 1];
-  }
-  std::vector<VertexId> order(reached);
-  std::vector<size_t> cursor(level_begin.begin(), level_begin.end() - 1);
-  for (VertexId v = 0; v < n; ++v) {
-    if (depth[v] != kUnreachable) order[cursor[depth[v]]++] = v;
-  }
-
-  // QL reclassification in level order: the root seeds QL; a vertex is QL
-  // iff some depth-(d-1) parent is QL and it is not itself a landmark.
-  // Non-landmark QL vertices carry the label; landmarks first reached via a
-  // QL parent produce the meta-edge — exactly Settle()'s rule, driven by
-  // exact depths instead of discovery order.
-  for (VertexId v = 0; v < n; ++v) labeling.Set(v, i, kInfDist);
-  std::vector<MetaEdge> meta;
-  std::vector<uint8_t> ql(n, 0);
-  for (const VertexId v : order) {
+  QBS_CHECK_EQ(depth.size(), static_cast<size_t>(g.NumVertices()));
+  const VertexId root = labeling.LandmarkVertex(i);
+  // QL membership read back from the column: the root, and every
+  // non-landmark that carries a label.
+  auto in_ql = [&](VertexId w) {
+    return w == root ||
+           (!labeling.IsLandmark(w) && labeling.Get(w, i) != kInfDist);
+  };
+  // Candidates by new depth. A vertex's QL status depends only on its
+  // depth-(d-1) parents, so re-deriving level by level reads every parent
+  // after its own re-derivation.
+  std::vector<std::vector<VertexId>> levels;
+  std::vector<VertexId> unreached;
+  auto enqueue = [&](VertexId v) {
     const uint32_t d = depth[v];
-    if (d == 0) {
-      ql[v] = 1;  // the root joins QL even though it is a landmark
-      continue;
+    if (d == kUnreachable) {
+      unreached.push_back(v);
+      return;
     }
-    bool via_l = false;
-    for (VertexId w : g.Neighbors(v)) {
-      // depth[w] + 1 wraps to 0 for unreached w; d >= 1 here, so no match.
-      if (depth[w] + 1 == d && ql[w] != 0) {
-        via_l = true;
-        break;
+    if (levels.size() <= d) levels.resize(static_cast<size_t>(d) + 1);
+    levels[d].push_back(v);
+  };
+  for (const VertexId v : candidates) enqueue(v);
+
+  bool changed = false;
+  // The column holds at most one meta-edge per landmark: replaces the one
+  // to `rank` by weight d, or removes it when d is kUnreachable.
+  auto set_meta = [&](LandmarkIndex rank, uint32_t d) {
+    auto& meta = state->meta;
+    const auto old =
+        std::find_if(meta.begin(), meta.end(),
+                     [&](const MetaEdge& e) { return e.b == rank; });
+    const uint32_t had = old == meta.end() ? kUnreachable : old->weight;
+    if (had == d) return;
+    changed = true;
+    if (old != meta.end()) meta.erase(old);
+    if (d != kUnreachable) meta.push_back(MetaEdge{i, rank, d});
+  };
+
+  // Depth 0 is the root alone, QL by definition.
+  for (size_t d = 1; d < levels.size(); ++d) {
+    // Moved out: enqueueing children may grow `levels`.
+    std::vector<VertexId> level = std::move(levels[d]);
+    std::sort(level.begin(), level.end());
+    level.erase(std::unique(level.begin(), level.end()), level.end());
+    for (const VertexId v : level) {
+      bool via_l = false;
+      for (const VertexId w : g.Neighbors(v)) {
+        // depth[w] + 1 wraps to 0 for unreached w; d >= 1 here.
+        if (depth[w] + 1 == d && in_ql(w)) {
+          via_l = true;
+          break;
+        }
+      }
+      const int32_t rank = labeling.LandmarkRank(v);
+      if (rank >= 0) {
+        set_meta(static_cast<LandmarkIndex>(rank),
+                 via_l ? static_cast<uint32_t>(d) : kUnreachable);
+        continue;
+      }
+      const DistT want = via_l ? static_cast<DistT>(d) : kInfDist;
+      const DistT had = labeling.Get(v, i);
+      if (had == want) continue;
+      changed = true;
+      labeling.Set(v, i, want);
+      if ((had != kInfDist) != via_l) {
+        // v joined or left QL: its children may follow.
+        for (const VertexId w : g.Neighbors(v)) {
+          if (depth[w] == d + 1) enqueue(w);
+        }
       }
     }
+  }
+  for (const VertexId v : unreached) {
     const int32_t rank = labeling.LandmarkRank(v);
     if (rank >= 0) {
-      if (via_l) {
-        meta.push_back(MetaEdge{i, static_cast<LandmarkIndex>(rank), d});
-      }
-    } else if (via_l) {
-      ql[v] = 1;
-      labeling.Set(v, i, static_cast<DistT>(d));
+      set_meta(static_cast<LandmarkIndex>(rank), kUnreachable);
+    } else if (labeling.Get(v, i) != kInfDist) {
+      changed = true;
+      labeling.Set(v, i, kInfDist);
     }
   }
-
-  std::sort(meta.begin(), meta.end());
-  state->meta = std::move(meta);
+  if (changed) std::sort(state->meta.begin(), state->meta.end());
+  return changed;
 }
 
 }  // namespace qbs

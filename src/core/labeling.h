@@ -140,9 +140,9 @@ LabelingScheme BuildLabelingScheme(const Graph& g,
 
 /// --- Incremental maintenance entry points (core/updatable_index.h). ---
 
-/// Exact BFS state of one landmark column, captured at (re)build time so
-/// incremental maintenance can detect affected columns from stored depths
-/// and rederive labels after partial repairs. depth[v] = d_G(r_i, v) for
+/// Exact BFS state of one landmark column, captured at build time and kept
+/// exact by incremental maintenance, which repairs depths and re-derives
+/// labels only where an edit changed them. depth[v] = d_G(r_i, v) for
 /// every vertex (kUnreachable when disconnected — unlike the label matrix,
 /// which only keeps pruned entries); meta holds the column's meta-edges
 /// (a = this column's landmark index), sorted.
@@ -158,14 +158,20 @@ struct LabelColumnState {
 void RebuildLabelColumn(const Graph& g, PathLabeling& labeling,
                         LandmarkIndex i, LabelColumnState* state);
 
-/// Rederives landmark column i's labels and meta-edges from an
-/// already-exact depth array in state->depth (e.g. after a partial BFS
-/// repair against the updated graph): recomputes the QL classification
-/// level by level. Bit-identical to RebuildLabelColumn(g, ...) whenever
-/// state->depth matches the BFS depths on `g` — the QL rule depends only
-/// on exact depths, not on traversal order. state->meta is rewritten.
-void RederiveLabelColumn(const Graph& g, PathLabeling& labeling,
-                         LandmarkIndex i, LabelColumnState* state);
+/// Re-derives landmark column i's labels and meta-edges at `candidates`,
+/// given state->depth already exact on `g` (e.g. after a partial depth
+/// repair). Candidates are re-derived in depth order with the build's rule
+/// — a vertex is QL iff some depth-(d-1) neighbour is QL — reading QL back
+/// from the column (the root, or a non-landmark with a label); a vertex
+/// that joins or leaves QL adds its children. The result is bit-identical
+/// to RebuildLabelColumn(g, ...) as long as the candidates cover every
+/// vertex whose QL status can have changed: the vertices whose depth
+/// changed, the endpoints of every edited edge, and the old and new
+/// children of every vertex whose depth changed. Duplicates are allowed.
+/// Returns true iff a label or meta-edge changed.
+bool RederiveLabelsAt(const Graph& g, PathLabeling& labeling,
+                      LandmarkIndex i, const std::vector<VertexId>& candidates,
+                      LabelColumnState* state);
 
 }  // namespace qbs
 

@@ -162,6 +162,12 @@ void QbsIndex::EnableUpdates(Graph* mutable_graph, size_t num_threads) {
   InitUpdatableState(*g_, scheme_->labeling, updatable_.get(), num_threads);
 }
 
+std::span<const uint32_t> QbsIndex::ColumnDepthsForTesting(
+    LandmarkIndex i) const {
+  QBS_CHECK(updatable_ != nullptr);  // EnableUpdates() first
+  return updatable_->columns.at(i).depth;
+}
+
 UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta,
                                    const UpdateOptions& options) {
   QBS_CHECK(updatable_ != nullptr);  // EnableUpdates() first
@@ -171,9 +177,10 @@ UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta,
   stats.invalid_updates = net.invalid;
   if (net.EmptyNet()) return stats;  // nothing changes in the graph
   Graph new_graph = ApplyNetChanges(*g_, net);
-  // Classification reads the OLD depths (still held in updatable_), never
-  // the old adjacency — so the graph swaps in first. Move-assignment keeps
-  // *g_'s address stable, which every live searcher references.
+  // The repair starts from the OLD depths (still held in updatable_) and
+  // never reads the old adjacency — so the graph swaps in first.
+  // Move-assignment keeps *g_'s address stable, which every live searcher
+  // references.
   *mutable_g_ = std::move(new_graph);
   const UpdateStats col =
       ApplyNetToLabeling(*g_, net, &scheme_->labeling, &scheme_->meta,
@@ -181,15 +188,14 @@ UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta,
   stats.applied_inserts = col.applied_inserts;
   stats.applied_deletes = col.applied_deletes;
   stats.repaired_columns = col.repaired_columns;
-  stats.rebuilt_columns = col.rebuilt_columns;
-  RefreshDerived(options.num_threads);
+  RefreshDerived(net, options.num_threads);
   return stats;
 }
 
-void QbsIndex::RefreshDerived(size_t num_threads) {
+void QbsIndex::RefreshDerived(const NetChanges& net, size_t num_threads) {
   *delta_ =
       DeltaCache::Build(*g_, scheme_->labeling, scheme_->meta, num_threads);
-  *sparsified_ = MakeSparsifiedGraph(*g_, scheme_->labeling);
+  *sparsified_ = PatchSparsifiedGraph(*sparsified_, net, scheme_->labeling);
 }
 
 uint32_t QbsIndex::DistanceUpperBound(VertexId u, VertexId v) const {

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -157,11 +158,17 @@ class QbsIndex {
 
   bool updates_enabled() const { return updatable_ != nullptr; }
 
-  /// Applies an edit script: computes the net edge changes, swaps in the
-  /// updated graph, repairs/rebuilds exactly the affected label columns,
-  /// and refreshes the meta-graph, Δ cache, and sparsified graph. When this
-  /// returns, the index answers every query exactly as a from-scratch build
-  /// on the new graph would — bit-identically. Requires EnableUpdates().
+  /// Landmark column i's stored BFS depths (kUnreachable when
+  /// disconnected), kept exact across ApplyUpdates. A test hook: lets the
+  /// dynamic tests hold the repair to a fresh BFS. Requires EnableUpdates().
+  std::span<const uint32_t> ColumnDepthsForTesting(LandmarkIndex i) const;
+
+  /// Applies an edit script: computes the net edge changes, splices them
+  /// into the graph, repairs every label column over its changed region
+  /// only, and refreshes the meta-graph, Δ cache, and sparsified graph.
+  /// When this returns, the index answers every query exactly as a
+  /// from-scratch build on the new graph would — bit-identically. Requires
+  /// EnableUpdates().
   /// NOT thread-safe against concurrent queries: callers must quiesce query
   /// traffic (the server wraps this in a writer lock) — searcher scratch is
   /// per-query, but the labelling and graph mutate in place here.
@@ -212,10 +219,10 @@ class QbsIndex {
   /// cache and the sparsified graph.
   void FinishFromScheme(const QbsOptions& options);
 
-  /// Rebuilds the structures derived from (graph, labelling, meta) after a
-  /// mutation: the Δ cache and the sparsified graph, both move-assigned in
-  /// place so searcher references stay valid.
-  void RefreshDerived(size_t num_threads);
+  /// Refreshes the structures derived from (graph, labelling, meta) after
+  /// the edits `net`: rebuilds the Δ cache and patches the sparsified
+  /// graph, both move-assigned in place so searcher references stay valid.
+  void RefreshDerived(const NetChanges& net, size_t num_threads);
 
   const Graph* g_ = nullptr;  // not owned
   /// Heap-allocated so GuidedSearcher's references survive moves.

@@ -9,66 +9,152 @@
 namespace qbs {
 namespace {
 
-enum class ColumnImpact : uint8_t {
-  kUnaffected = 0,  // nothing in this batch touches the column
-  kRepair = 1,      // decrease-only depth repair + rederivation suffices
-  kRebuild = 2,     // a parent edge died: full column rebuild
+// A vertex whose depth a repair changed, with its depth before the batch.
+struct DepthChange {
+  VertexId v;
+  uint32_t old_depth;
 };
 
-// Classifies column i against its OLD exact depths (see the header for
-// the per-edge rules and why they are sound for whole batches: every
-// individually-"unaffected" edit provably changes no depth, label, or
-// meta-edge, so their composition changes none either).
-ColumnImpact ClassifyColumn(const LabelColumnState& state,
-                            const NetChanges& net) {
-  const auto& depth = state.depth;
-  for (const Edge& e : net.deletes) {
-    // An existing edge has |du - dv| <= 1 with both ends reachable or
-    // neither; anything else (defensively) rebuilds too. Same-level
-    // deletes (both unreachable included) remove no parent edge.
-    if (depth[e.u] != depth[e.v]) return ColumnImpact::kRebuild;
-  }
-  for (const Edge& e : net.inserts) {
-    // Same-level inserts (both unreachable included) add no parent edge
-    // and shorten no distance. Otherwise distances shrink and/or a new
-    // parent edge appears — both decrease-only, hence repairable.
-    if (depth[e.u] != depth[e.v]) return ColumnImpact::kRepair;
-  }
-  return ColumnImpact::kUnaffected;
-}
-
-// Decrease-only multi-source partial BFS on the NEW graph: seeds every
-// inserted edge's deeper endpoint from the shallower one, then propagates
-// improvements in depth order through a bucket queue. Exact for
-// insert-only depth change (a vertex whose distance shrinks lies past an
-// inserted edge; induction on the new distance), and for mixed batches
-// whose deletes are all same-level under the old depths (those deletes
-// change no distance, so "old depths on the new graph" is a valid
-// overestimate to relax from). Touches only the shrinking region — the
-// bounded partial BFS of the ROADMAP item.
-void RepairColumnDepths(const Graph& g, const std::vector<Edge>& inserts,
-                        std::vector<uint32_t>* depth_io) {
+// Repairs one column's depths on the NEW graph after the batch `net`, in
+// two passes over the changed region only, and returns the vertices whose
+// depth changed.
+//
+// Deletes (Ramalingam-Reps style): a vertex keeps its old depth d if some
+// neighbour on the new graph kept its old depth d - 1 ("supported").
+// Support can only be lost below the deeper endpoint of a deleted parent
+// edge, so those endpoints are checked first, in increasing old depth, and
+// the children of every vertex that loses support are checked after it.
+// Every unchecked or supported vertex has a path of its old length on the
+// new graph, so the old depths stay valid upper bounds there.
+//
+// Then one decrease-only bucket-queue pass restores exactness: the
+// vertices that lost support restart unreached and are seeded from their
+// reached neighbours, each inserted edge seeds its far endpoint, and
+// improvements propagate in depth order. Starting from upper bounds with
+// every inconsistent edge seeded, this ends at the exact BFS depths;
+// vertices no path reaches end at kUnreachable. A depth the labels cannot
+// hold fails the build's QBS_CHECK.
+std::vector<DepthChange> RepairColumnDepths(const Graph& g,
+                                            const NetChanges& net,
+                                            std::vector<uint32_t>* depth_io) {
   auto& depth = *depth_io;
-  std::vector<std::vector<VertexId>> buckets;
+  std::vector<DepthChange> changes;
+
+  // Lost support is marked in the high bit while old depths are still
+  // read: a marked vertex then matches no depth d - 1, and depths stay
+  // below kInfDist, far from the bit.
+  constexpr uint32_t kLost = 0x80000000u;
+  std::vector<std::vector<VertexId>> check;  // by old depth
+  auto to_check = [&](VertexId v) {
+    const uint32_t d = depth[v];
+    if (check.size() <= d) check.resize(static_cast<size_t>(d) + 1);
+    check[d].push_back(v);
+  };
+  for (const Edge& e : net.deletes) {
+    // A deleted edge joins equal depths (a same-level edge, or both ends
+    // unreached) or is a parent edge one level apart.
+    if (depth[e.u] != depth[e.v]) to_check(depth[e.u] < depth[e.v] ? e.v : e.u);
+  }
+  for (size_t d = 1; d < check.size(); ++d) {
+    const std::vector<VertexId> level = std::move(check[d]);
+    for (const VertexId v : level) {
+      if (depth[v] != d) continue;  // already lost
+      bool supported = false;
+      for (const VertexId w : g.Neighbors(v)) {
+        // depth[w] + 1 wraps to 0 for unreached w; d >= 1 here.
+        if (depth[w] + 1 == d) {
+          supported = true;
+          break;
+        }
+      }
+      if (supported) continue;
+      changes.push_back({v, static_cast<uint32_t>(d)});
+      depth[v] = static_cast<uint32_t>(d) | kLost;
+      for (const VertexId w : g.Neighbors(v)) {
+        if (depth[w] == d + 1) to_check(w);
+      }
+    }
+  }
+  const size_t lost = changes.size();
+  for (size_t c = 0; c < lost; ++c) depth[changes[c].v] = kUnreachable;
+
+  std::vector<std::vector<VertexId>> buckets;  // by new depth
   auto relax = [&](VertexId v, uint32_t nd) {
     if (nd >= depth[v]) return;
+    QBS_CHECK_LT(nd, static_cast<uint32_t>(kInfDist));
+    changes.push_back({v, depth[v]});
     depth[v] = nd;
-    if (buckets.size() <= nd) buckets.resize(nd + 1);
+    if (buckets.size() <= nd) buckets.resize(static_cast<size_t>(nd) + 1);
     buckets[nd].push_back(v);
   };
-  for (const Edge& e : inserts) {
+  for (size_t c = 0; c < lost; ++c) {
+    const VertexId v = changes[c].v;
+    for (const VertexId w : g.Neighbors(v)) {
+      if (depth[w] != kUnreachable) relax(v, depth[w] + 1);
+    }
+  }
+  for (const Edge& e : net.inserts) {
     if (depth[e.u] != kUnreachable) relax(e.v, depth[e.u] + 1);
     if (depth[e.v] != kUnreachable) relax(e.u, depth[e.v] + 1);
   }
   for (size_t d = 0; d < buckets.size(); ++d) {
-    for (size_t idx = 0; idx < buckets[d].size(); ++idx) {
-      const VertexId u = buckets[d][idx];
+    const std::vector<VertexId> level = std::move(buckets[d]);
+    for (const VertexId u : level) {
       if (depth[u] != d) continue;  // superseded by a later improvement
-      for (VertexId w : g.Neighbors(u)) {
+      for (const VertexId w : g.Neighbors(u)) {
         relax(w, static_cast<uint32_t>(d) + 1);
       }
     }
   }
+
+  // One entry per vertex, its first: the lost vertices were logged before
+  // any relaxation, and a relaxed one's first log holds its old depth.
+  // A vertex that came back to its old depth did not change.
+  std::stable_sort(changes.begin(), changes.end(),
+                   [](const DepthChange& a, const DepthChange& b) {
+                     return a.v < b.v;
+                   });
+  size_t out = 0;
+  for (size_t c = 0; c < changes.size(); ++c) {
+    if (c > 0 && changes[c].v == changes[c - 1].v) continue;
+    if (depth[changes[c].v] != changes[c].old_depth) {
+      changes[out++] = changes[c];
+    }
+  }
+  changes.resize(out);
+  return changes;
+}
+
+// Repairs column i after the batch `net` on the new graph: depths first,
+// then labels and meta-edges at every vertex whose QL status can have
+// changed (see RederiveLabelsAt). Returns true iff anything changed.
+bool RepairColumn(const Graph& g, const NetChanges& net,
+                  PathLabeling& labeling, LandmarkIndex i,
+                  LabelColumnState* state) {
+  const std::vector<DepthChange> changes =
+      RepairColumnDepths(g, net, &state->depth);
+  const std::vector<uint32_t>& depth = state->depth;
+  std::vector<VertexId> candidates;
+  for (const std::vector<Edge>* edits : {&net.inserts, &net.deletes}) {
+    for (const Edge& e : *edits) {
+      candidates.push_back(e.u);
+      candidates.push_back(e.v);
+    }
+  }
+  for (const DepthChange& c : changes) {
+    candidates.push_back(c.v);
+    // Old children lost a parent, new children gained one. Comparing the
+    // OLD depth to the children's new depths is enough: an old child whose
+    // depth changed is a candidate already.
+    for (const uint32_t parent : {c.old_depth, depth[c.v]}) {
+      if (parent == kUnreachable) continue;
+      for (const VertexId w : g.Neighbors(c.v)) {
+        if (depth[w] == parent + 1) candidates.push_back(w);
+      }
+    }
+  }
+  const bool relabelled = RederiveLabelsAt(g, labeling, i, candidates, state);
+  return relabelled || !changes.empty();
 }
 
 // Rebuilds the meta-graph from the per-column meta lists. Each meta-edge
@@ -123,35 +209,15 @@ UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
   }
   const size_t workers =
       std::min<size_t>(EffectiveThreads(options.num_threads), k);
-
-  // Phase 1: classify every column against its old depths. Read-only
-  // over the pre-edit state, so no ordering hazards with phase 2.
-  std::vector<ColumnImpact> impact(k, ColumnImpact::kUnaffected);
-  ParallelFor(k, workers, [&](size_t i, size_t) {
-    impact[i] = ClassifyColumn(state->columns[i], net);
-  });
-
-  // Phase 2: repair / rebuild affected columns against the new graph.
   // Columns are independent (Lemma 5.2), and every write — label column,
   // LabelColumnState — is column-private.
+  std::vector<uint8_t> changed(k, 0);
   ParallelFor(k, workers, [&](size_t i, size_t) {
-    const auto li = static_cast<LandmarkIndex>(i);
-    switch (impact[i]) {
-      case ColumnImpact::kUnaffected:
-        break;
-      case ColumnImpact::kRepair:
-        RepairColumnDepths(new_graph, net.inserts, &state->columns[i].depth);
-        RederiveLabelColumn(new_graph, *labeling, li, &state->columns[i]);
-        break;
-      case ColumnImpact::kRebuild:
-        RebuildLabelColumn(new_graph, *labeling, li, &state->columns[i]);
-        break;
-    }
+    changed[i] = RepairColumn(new_graph, net, *labeling,
+                              static_cast<LandmarkIndex>(i),
+                              &state->columns[i]);
   });
-  for (uint32_t i = 0; i < k; ++i) {
-    if (impact[i] == ColumnImpact::kRepair) ++stats.repaired_columns;
-    if (impact[i] == ColumnImpact::kRebuild) ++stats.rebuilt_columns;
-  }
+  for (uint32_t i = 0; i < k; ++i) stats.repaired_columns += changed[i];
 
   *meta = RebuildMeta(k, *state);
   return stats;

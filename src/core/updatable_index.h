@@ -3,35 +3,35 @@
 // The labelling is uniquely determined by (G, R) (Lemma 5.2), so dynamism
 // reduces to: given a batch of net edge changes, bring every landmark
 // column — labels and meta-edges — to exactly what a from-scratch build on
-// the new graph would produce. The machinery here does that column by
-// column:
+// the new graph would produce, at a cost proportional to what the batch
+// changes rather than to |V| + |E|. Each column keeps its exact BFS depth
+// array (LabelColumnState, captured by EnableUpdates). A column's labels
+// and meta-edges are a function of those depths and of its parent edges
+// (edges joining depth d - 1 to depth d), so every column is repaired in
+// place, in parallel, in two steps:
 //
-//   1. Detection. Each column keeps its exact BFS depth array
-//      (LabelColumnState, captured at EnableUpdates / rebuild time). A
-//      column's labels and meta-edges are a function of its depths and of
-//      its parent edges (edges joining depth d - 1 to depth d), so an
-//      edited edge (u, v) can only affect column r if the stored depths
-//      say so:
-//        d(u) == d(v) (both unreachable included) — insert or delete, no
-//          distance and no parent edge changes: the column is untouched;
-//        insert, otherwise — one end unreachable or |d(u)-d(v)| >= 2:
-//          distances shrink; |diff| == 1: a new parent edge (QL changes) —
-//          both decrease-only, hence repairable;
-//        delete, otherwise (|d(u)-d(v)| == 1) — a parent edge died,
-//          distances can grow: the column needs a full rebuild.
-//   2. Repair (insert-affected, no parent-edge deletes): a decrease-only
-//      multi-source partial BFS on the new graph, seeded from the inserted
-//      edges' shallower endpoints, updates the depth array to exact new
-//      distances; RederiveLabelColumn then recomputes QL, labels, and
-//      meta-edges from those depths — bit-identical to a fresh BFS,
-//      because every derived quantity is a function of exact depths.
-//   3. Rebuild (a parent edge died): a full column rebuild
-//      (RebuildLabelColumn) in the same batch.
+//   1. Depths. Deletes first, an affected-subtree pass in the style of
+//      Ramalingam and Reps: only the subtree below a deleted parent edge
+//      can lose its depth, and a vertex keeps it when a neighbour on the
+//      new graph kept depth d - 1. The vertices that lose support are
+//      recomputed together with the inserts' decrease-only repair, one
+//      bucket-queue pass from the unaffected boundary in depth order. An
+//      edge between equal depths (both unreached included) is neither a
+//      parent edge nor a shortcut, so it changes nothing here.
+//   2. Labels. QL status is read back from the labels themselves (the
+//      root, or a non-landmark with a label), so no extra state is kept.
+//      Labels and meta-edges are re-derived in new-depth order only where
+//      they can change: at vertices whose depth changed, at the endpoints
+//      of every edited edge, at the old and new children of every vertex
+//      whose depth changed, and below every vertex that joins or leaves
+//      QL. Every other vertex has the same depth and the same parents, so
+//      the same label.
 //
 // Every column is exact when ApplyNetToLabeling returns, so the index
 // answers every query as a from-scratch build on the new graph would. The
 // meta-graph is rebuilt from the per-column meta lists each batch (|R|^2
-// edges — negligible).
+// edges — negligible). The graph and the sparsified graph are spliced
+// (ApplyNetChanges, PatchSparsifiedGraph) and Δ is rebuilt, by the caller.
 //
 // Concurrency: nothing here takes a lock, by design. ApplyUpdates mutates
 // the labelling in place and is serialized by the caller — the server
@@ -54,7 +54,7 @@
 namespace qbs {
 
 struct UpdateOptions {
-  /// Column repair/rebuild threads: 0 = all hardware threads.
+  /// Column repair threads: 0 = all hardware threads.
   size_t num_threads = 0;
 };
 
@@ -67,9 +67,11 @@ struct UpdateStats {
   /// out-of-range endpoint), skipped.
   uint64_t noop_updates = 0;
   uint64_t invalid_updates = 0;
-  /// Columns repaired by partial BFS + rederivation (insert-affected).
+  /// Columns whose depths, labels or meta-edges the batch changed.
   uint32_t repaired_columns = 0;
-  /// Columns rebuilt from scratch (a parent edge was deleted).
+  /// Always 0: every column is repaired in place, none is rebuilt. Kept
+  /// because bench_e2e (frozen by BENCHMARK.json) and the update response
+  /// (server/protocol.h) carry it.
   uint32_t rebuilt_columns = 0;
 
   uint64_t AppliedTotal() const { return applied_inserts + applied_deletes; }
@@ -90,11 +92,11 @@ void InitUpdatableState(const Graph& g, PathLabeling& labeling,
                         UpdatableState* state, size_t num_threads);
 
 /// Applies an already-computed net change set to the labelling. `new_graph`
-/// must be the post-edit graph (ApplyNetChanges); detection reads the OLD
-/// depths still held in `state`. Repairs or rebuilds every
-/// affected column in parallel, rewrites the meta-graph, and updates
-/// `state` in place. Returns the column-level stats (the applied/noop
-/// script counters are the caller's, from ComputeNetChanges).
+/// must be the post-edit graph (ApplyNetChanges); the repair starts from
+/// the OLD depths still held in `state`. Repairs every column in parallel,
+/// rewrites the meta-graph, and updates `state` in place. Returns the
+/// column-level stats (the applied/noop script counters are the caller's,
+/// from ComputeNetChanges).
 UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
                                PathLabeling* labeling, MetaGraph* meta,
                                UpdatableState* state,

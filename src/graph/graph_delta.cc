@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <map>
 
+#include "util/check.h"
+
 namespace qbs {
 
 NetChanges ComputeNetChanges(const Graph& base, const GraphDelta& delta) {
@@ -47,22 +49,69 @@ NetChanges ComputeNetChanges(const Graph& base, const GraphDelta& delta) {
 }
 
 Graph ApplyNetChanges(const Graph& base, const NetChanges& net) {
-  std::vector<Edge> edges = base.EdgeList();
-  if (!net.deletes.empty()) {
-    // Both lists are normalized + sorted, so one merge pass filters the
-    // deletions out.
-    std::vector<Edge> kept;
-    kept.reserve(edges.size());
-    auto del = net.deletes.begin();
-    for (const Edge& e : edges) {
-      while (del != net.deletes.end() && *del < e) ++del;
-      if (del != net.deletes.end() && *del == e) continue;
-      kept.push_back(e);
+  // Both directions of every edit, sorted by (source, target): the edits
+  // of vertex v form one run, in the order they merge into v's list.
+  struct HalfEdge {
+    VertexId from;
+    VertexId to;
+    bool insert;
+    bool operator<(const HalfEdge& o) const {
+      return from != o.from ? from < o.from : to < o.to;
     }
-    edges = std::move(kept);
+  };
+  std::vector<HalfEdge> halves;
+  halves.reserve(2 * (net.inserts.size() + net.deletes.size()));
+  for (const Edge& e : net.inserts) {
+    halves.push_back({e.u, e.v, true});
+    halves.push_back({e.v, e.u, true});
   }
-  edges.insert(edges.end(), net.inserts.begin(), net.inserts.end());
-  return Graph::FromEdges(base.NumVertices(), std::move(edges));
+  for (const Edge& e : net.deletes) {
+    halves.push_back({e.u, e.v, false});
+    halves.push_back({e.v, e.u, false});
+  }
+  std::sort(halves.begin(), halves.end());
+
+  const VertexId n = base.NumVertices();
+  if (n == 0) return Graph::FromEdges(0, {});  // no vertex, so no edit
+  const auto old_off = base.RawOffsets();
+  const auto old_adj = base.RawAdjacency();
+  std::vector<uint64_t> offsets(old_off.size());
+  std::vector<VertexId> adjacency;
+  adjacency.reserve(old_adj.size() + 2 * net.inserts.size());
+  // Copies the untouched vertices [from, to) as one block: their lists are
+  // unchanged and their offsets shift by what the edits so far added.
+  VertexId copied = 0;
+  auto copy_until = [&](VertexId to) {
+    const uint64_t start = adjacency.size();
+    adjacency.insert(adjacency.end(), old_adj.begin() + old_off[copied],
+                     old_adj.begin() + old_off[to]);
+    for (VertexId v = copied; v < to; ++v) {
+      offsets[v + 1] = start + (old_off[v + 1] - old_off[copied]);
+    }
+    copied = to;
+  };
+  for (size_t h = 0; h < halves.size();) {
+    const VertexId v = halves[h].from;
+    copy_until(v);
+    // Merge v's sorted list with its sorted run of edits.
+    const auto nbrs = base.Neighbors(v);
+    auto it = nbrs.begin();
+    for (; h < halves.size() && halves[h].from == v; ++h) {
+      const HalfEdge& edit = halves[h];
+      while (it != nbrs.end() && *it < edit.to) adjacency.push_back(*it++);
+      if (edit.insert) {
+        adjacency.push_back(edit.to);
+      } else {
+        QBS_CHECK(it != nbrs.end() && *it == edit.to);  // deletes are present
+        ++it;
+      }
+    }
+    adjacency.insert(adjacency.end(), it, nbrs.end());
+    offsets[v + 1] = adjacency.size();
+    copied = v + 1;
+  }
+  copy_until(n);
+  return Graph::FromCsr(std::move(offsets), std::move(adjacency));
 }
 
 }  // namespace qbs

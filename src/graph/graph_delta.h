@@ -5,7 +5,7 @@
 // a batch layer instead of per-edge mutation: callers record an ordered
 // script of edge insertions and deletions in a GraphDelta, the net effect
 // against a concrete base graph is computed with set semantics
-// (ComputeNetChanges), and a fresh CSR is materialized once per batch
+// (ComputeNetChanges), and a fresh CSR is spliced once per batch
 // (ApplyNetChanges). QbsIndex::ApplyUpdates drives this to repair its
 // labelling incrementally — see core/updatable_index.h.
 //
@@ -91,8 +91,13 @@ struct NetChanges {
 NetChanges ComputeNetChanges(const Graph& base, const GraphDelta& delta);
 
 /// Materializes the updated graph: base edges minus `net.deletes` plus
-/// `net.inserts`, same vertex count, rebuilt as a packed CSR via
-/// Graph::FromEdges. O(|E| log |E|) — batched, not per-edge.
+/// `net.inserts`, same vertex count. Splices the CSR: untouched vertices'
+/// lists are copied as blocks and each edited vertex's sorted list is
+/// merged with its sorted edits, so the cost is one O(|V| + |E|) copy plus
+/// O(k log k) for k edits — nothing is re-sorted. Bit-identical to
+/// Graph::FromEdges on the edited edge list. Every delete must be an edge
+/// of `base` and every insert a non-edge (as ComputeNetChanges returns
+/// them; CHECK-enforced, with FromCsr's invariant checks on the result).
 Graph ApplyNetChanges(const Graph& base, const NetChanges& net);
 
 }  // namespace qbs

@@ -156,7 +156,9 @@ bool DecodeUpdateRequest(std::span<const uint8_t> payload, GraphDelta* delta);
 
 /// Update response payload: the UpdateStats the apply produced — four u64
 /// counters (applied inserts/deletes, no-ops, invalid) then two u32
-/// fields (repaired, rebuilt columns). 40 bytes.
+/// fields (repaired, rebuilt columns). 40 bytes. The rebuilt field always
+/// carries 0 (no column is rebuilt any more); it stays so the layout and
+/// bench_e2e, which reads it, are unchanged.
 std::vector<uint8_t> EncodeUpdateResponse(const UpdateStats& stats);
 bool DecodeUpdateResponse(std::span<const uint8_t> payload,
                           UpdateStats* stats);

@@ -8,10 +8,14 @@
 // what makes bit-identity a legitimate oracle: same updated graph, same
 // landmarks, same bits.
 //
+// Every column's stored depths must also equal a fresh BFS after every
+// batch: the repair keeps them exact, and everything else derives from
+// them.
+//
 // Seeds come from QBS_DYNAMIC_SEEDS (comma-separated) when set — the CI
 // dynamic-gauntlet job passes 16 fresh seeds per run and logs them — and
-// default to 1..16 locally. Every seed is printed, so any failure line is
-// directly replayable with QBS_DYNAMIC_SEEDS=<seed>.
+// default to 1..16 locally (testing::DynamicSeeds). Every seed is printed,
+// so any failure line is directly replayable with QBS_DYNAMIC_SEEDS=<seed>.
 
 #include <algorithm>
 #include <cinttypes>
@@ -29,29 +33,11 @@
 #include "gen/generators.h"
 #include "graph/bfs.h"
 #include "graph/graph_delta.h"
+#include "tests/test_util.h"
 #include "workload/query_workload.h"
 
 namespace qbs {
 namespace {
-
-std::vector<uint64_t> GauntletSeeds() {
-  std::vector<uint64_t> seeds;
-  if (const char* env = std::getenv("QBS_DYNAMIC_SEEDS")) {
-    const std::string s(env);
-    size_t pos = 0;
-    while (pos < s.size()) {
-      size_t end = s.find(',', pos);
-      if (end == std::string::npos) end = s.size();
-      const std::string tok = s.substr(pos, end - pos);
-      if (!tok.empty()) seeds.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-      pos = end + 1;
-    }
-  }
-  if (seeds.empty()) {
-    for (uint64_t i = 1; i <= 16; ++i) seeds.push_back(i);
-  }
-  return seeds;
-}
 
 Graph MakeFamilyGraph(uint64_t seed) {
   switch (seed % 3) {
@@ -64,6 +50,21 @@ Graph MakeFamilyGraph(uint64_t seed) {
       // paths of detection and repair.
       return ErdosRenyi(200, 380, seed);
   }
+}
+
+// A deep family: a long path with sparse chords, all in its first two
+// thirds. Deleting a path edge under a chord raises the depth of a long
+// stretch; deleting one in the chord-free tail disconnects the rest.
+Graph DeepFamilyGraph(uint64_t seed) {
+  constexpr VertexId kN = 240;
+  std::mt19937_64 rng(seed);
+  std::vector<Edge> edges;
+  for (VertexId v = 0; v + 1 < kN; ++v) edges.emplace_back(v, v + 1);
+  for (int c = 0; c < 8; ++c) {
+    const auto a = static_cast<VertexId>(rng() % (2 * kN / 3 - 30));
+    edges.emplace_back(a, a + 2 + static_cast<VertexId>(rng() % 28));
+  }
+  return Graph::FromEdges(kN, std::move(edges));
 }
 
 // A script mixing fresh inserts, deletions of existing edges, likely
@@ -114,6 +115,19 @@ void AssertSameScheme(const Graph& g, const QbsIndex& updated,
   ASSERT_EQ(updated.DeltaSizeBytes(), fresh.DeltaSizeBytes());
 }
 
+// The stored depths of every column equal a fresh BFS on the current graph.
+void AssertDepthsMatchBfs(const Graph& g, const QbsIndex& index) {
+  const std::vector<VertexId>& landmarks = index.landmarks();
+  for (size_t i = 0; i < landmarks.size(); ++i) {
+    const auto stored =
+        index.ColumnDepthsForTesting(static_cast<LandmarkIndex>(i));
+    const std::vector<uint32_t> want = BfsDistances(g, landmarks[i]);
+    ASSERT_TRUE(std::equal(stored.begin(), stored.end(), want.begin(),
+                           want.end()))
+        << "stored depths diverge from BFS in column " << i;
+  }
+}
+
 // Sampled pairs + adjacent and two-hop pairs (the d <= 2 label fast path
 // and direct emission must stay bit-identical too).
 std::vector<QueryPair> ProbePairs(const Graph& g, std::mt19937_64& rng) {
@@ -141,7 +155,7 @@ void AssertSameAnswers(const Graph& g, const QbsIndex& updated,
 }
 
 TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
-  for (const uint64_t seed : GauntletSeeds()) {
+  for (const uint64_t seed : testing::DynamicSeeds()) {
     std::mt19937_64 rng(seed);
     Graph g = MakeFamilyGraph(seed);
     QbsOptions options;
@@ -157,6 +171,7 @@ TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
       const GraphDelta delta = RandomScript(g, rng, 10);
       index.ApplyUpdates(delta);
       QbsIndex fresh = QbsIndex::BuildWithLandmarks(g, landmarks, options);
+      AssertDepthsMatchBfs(g, index);
       AssertSameScheme(g, index, fresh);
       AssertSameAnswers(g, index, fresh, rng);
       if (::testing::Test::HasFatalFailure()) {
@@ -164,6 +179,90 @@ TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
       }
     }
   }
+}
+
+// The churn shape of a serving daemon: one edge per batch, alternating
+// insert and delete, on the deep family, where a delete can push a long
+// stretch deeper or cut it off and an insert can pull it back. After every
+// batch the index must equal a fresh build.
+TEST(DynamicUpdateTest, DeepFamilyChurnMatchesFreshBuild) {
+  for (const uint64_t seed : testing::DynamicSeeds()) {
+    std::mt19937_64 rng(seed);
+    Graph g = DeepFamilyGraph(seed);
+    QbsOptions options;
+    options.num_landmarks = 6;
+    options.num_threads = 2;
+    std::printf("[deep churn] seed=%" PRIu64 "\n", seed);
+    QbsIndex index = QbsIndex::Build(g, options);
+    index.EnableUpdates(&g, 2);
+    const std::vector<VertexId> landmarks = index.landmarks();
+    const VertexId n = g.NumVertices();
+
+    for (int batch = 0; batch < 120; ++batch) {
+      GraphDelta delta;
+      if (batch % 2 == 0) {
+        // Mostly short chords, so the graph stays deep; now and then any
+        // pair, which can reconnect a cut-off tail.
+        const auto a = static_cast<VertexId>(rng() % n);
+        const auto hop = static_cast<VertexId>(2 + rng() % 20);
+        const VertexId b = rng() % 4 == 0 ? static_cast<VertexId>(rng() % n)
+                                          : std::min<VertexId>(n - 1, a + hop);
+        delta.Insert(a, b);
+      } else {
+        const std::vector<Edge> edges = g.EdgeList();
+        const Edge& e = edges[rng() % edges.size()];
+        delta.Delete(e.u, e.v);
+      }
+      const UpdateStats stats = index.ApplyUpdates(delta);
+      ASSERT_LE(stats.AppliedTotal(), 1u);
+      EXPECT_EQ(stats.rebuilt_columns, 0u);
+      ASSERT_LE(stats.repaired_columns, landmarks.size());
+      QbsIndex fresh = QbsIndex::BuildWithLandmarks(g, landmarks, options);
+      AssertDepthsMatchBfs(g, index);
+      AssertSameScheme(g, index, fresh);
+      AssertSameAnswers(g, index, fresh, rng);
+      if (::testing::Test::HasFatalFailure()) {
+        std::printf("[deep churn] failed at batch %d\n", batch);
+        return;
+      }
+    }
+  }
+}
+
+// Deleting one ring edge next to a landmark moves half the ring deeper:
+// the vertex beside the cut goes from depth 1 to n - 1, and the arc behind
+// the other landmark loses its labels. The other column keeps every depth
+// and label (its landmark still reaches both ends of the cut), so exactly
+// one column changes. Re-inserting the edge must bring every depth back.
+TEST(DynamicUpdateTest, RingDeleteRaisesLongArcAndInsertRestoresIt) {
+  Graph g = CycleGraph(64);
+  QbsOptions options;
+  options.num_landmarks = 2;
+  QbsIndex index = QbsIndex::BuildWithLandmarks(g, {0, 32}, options);
+  index.EnableUpdates(&g);
+  const std::vector<uint32_t> before(index.ColumnDepthsForTesting(0).begin(),
+                                     index.ColumnDepthsForTesting(0).end());
+  std::mt19937_64 rng(64);
+
+  GraphDelta cut;
+  cut.Delete(0, 1);
+  UpdateStats stats = index.ApplyUpdates(cut);
+  EXPECT_EQ(stats.repaired_columns, 1u);
+  EXPECT_EQ(index.ColumnDepthsForTesting(0)[1], 63u);
+  AssertDepthsMatchBfs(g, index);
+  AssertSameScheme(g, index,
+                   QbsIndex::BuildWithLandmarks(g, {0, 32}, options));
+  AssertSameAnswers(g, index,
+                    QbsIndex::BuildWithLandmarks(g, {0, 32}, options), rng);
+
+  GraphDelta heal;
+  heal.Insert(1, 0);
+  stats = index.ApplyUpdates(heal);
+  EXPECT_EQ(stats.repaired_columns, 1u);
+  EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                         index.ColumnDepthsForTesting(0).begin()));
+  AssertSameScheme(g, index,
+                   QbsIndex::BuildWithLandmarks(g, {0, 32}, options));
 }
 
 // An edge between two vertices at equal depth in every landmark column

@@ -4,7 +4,10 @@
 #ifndef QBS_TESTS_TEST_UTIL_H_
 #define QBS_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -189,6 +192,31 @@ inline Graph SmallFamilyGraph(int family, uint64_t seed) {
     default:
       return GridGraph(10, 12);
   }
+}
+
+// Seeds of the edit-script property tests (label `dynamic`): the
+// comma-separated QBS_DYNAMIC_SEEDS when set — the CI gauntlet job passes
+// 16 fresh seeds per run and logs them — else 1..16. Tests print every
+// seed, so a failure replays with QBS_DYNAMIC_SEEDS=<seed>.
+inline std::vector<uint64_t> DynamicSeeds() {
+  std::vector<uint64_t> seeds;
+  if (const char* env = std::getenv("QBS_DYNAMIC_SEEDS")) {
+    const std::string s(env);
+    size_t pos = 0;
+    while (pos < s.size()) {
+      size_t end = s.find(',', pos);
+      if (end == std::string::npos) end = s.size();
+      const std::string tok = s.substr(pos, end - pos);
+      if (!tok.empty()) {
+        seeds.push_back(std::strtoull(tok.c_str(), nullptr, 10));
+      }
+      pos = end + 1;
+    }
+  }
+  if (seeds.empty()) {
+    for (uint64_t i = 1; i <= 16; ++i) seeds.push_back(i);
+  }
+  return seeds;
 }
 
 }  // namespace qbs::testing

@@ -828,8 +828,7 @@ int Update(int argc, char** argv) {
       static_cast<unsigned long long>(stats.noop_updates),
       static_cast<unsigned long long>(stats.invalid_updates),
       timer.ElapsedMillis());
-  std::printf("  columns: %u repaired, %u rebuilt\n", stats.repaired_columns,
-              stats.rebuilt_columns);
+  std::printf("  columns: %u repaired\n", stats.repaired_columns);
   return 0;
 }
 
