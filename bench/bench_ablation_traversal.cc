@@ -24,19 +24,19 @@ namespace {
 void Run() {
   std::printf("Ablation (Section 6.5): edges traversed and design-choice "
               "effects, |R| = 20, %zu pairs\n",
-              EnvPairs());
+              Args().pairs);
   TablePrinter table("Ablation",
                      {"Dataset", "scan.BiBFS", "scan.QbS", "ratio",
                       "skipped", "q.QbS", "q.randomLm"},
                      {12, 11, 11, 7, 11, 10, 11});
 
-  for (const auto& ref : SelectedBenchDatasets()) {
+  for (const auto& ref : Args().datasets) {
     const LoadedDataset d = LoadDataset(ref);
     const Graph& g = d.graph;
 
     QbsOptions options;
     options.num_landmarks = 20;
-    options.num_threads = EnvThreads();
+    options.num_threads = Args().threads;
     QbsIndex qbs = QbsIndex::Build(g, options);
 
     QbsOptions random_options = options;
@@ -88,7 +88,7 @@ void RunFrontierAblation() {
                      {"Dataset", "td(ms)", "auto(ms)", "speedup",
                       "scan.td", "scan.auto", "bu.levels"},
                      {12, 9, 9, 8, 12, 12, 9});
-  for (const auto& ref : SelectedBenchDatasets()) {
+  for (const auto& ref : Args().datasets) {
     const LoadedDataset d = LoadDataset(ref);
     const Graph& g = d.graph;
     std::vector<VertexId> sources(g.NumVertices());

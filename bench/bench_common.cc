@@ -1,9 +1,10 @@
 #include "bench/bench_common.h"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 #include <thread>
 #include <utility>
 
@@ -12,46 +13,134 @@
 namespace qbs::bench {
 namespace {
 
-// Flag overrides (from InitBenchArgs); empty string = not set.
-struct FlagOverrides {
-  std::string scale, pairs, budget, threads, datasets, batch_size;
-  std::string dataset, data_dir;
-};
-FlagOverrides g_flags;
+BenchArgs g_args;
 
-double ToDouble(const std::string& flag, const char* env_name,
-                double fallback) {
-  if (!flag.empty()) return std::atof(flag.c_str());
-  const char* s = std::getenv(env_name);
-  return s == nullptr ? fallback : std::atof(s);
+[[noreturn]] void BadValue(const std::string& flag, const std::string& value,
+                           const char* expected) {
+  std::fprintf(stderr, "%s: bad value '%s' (expected %s)\n", flag.c_str(),
+               value.c_str(), expected);
+  std::exit(2);
+}
+
+// A whole number > 0: signs, blanks, trailing characters and values past
+// size_t exit 2 instead of being truncated or read as 0.
+size_t PositiveCount(const std::string& flag, const std::string& value) {
+  const char* end = value.data() + value.size();
+  size_t v = 0;
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end || v == 0) {
+    BadValue(flag, value, "a positive integer");
+  }
+  return v;
+}
+
+// A finite number > 0, with nothing after it.
+double PositiveReal(const std::string& flag, const std::string& value) {
+  const char* end = value.data() + value.size();
+  double v = 0;
+  const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+  if (ec != std::errc() || ptr != end || !std::isfinite(v) || !(v > 0)) {
+    BadValue(flag, value, "a positive number");
+  }
+  return v;
+}
+
+// Splits "a,b,c"; empty items are kept so that they fail the name lookup.
+std::vector<std::string> SplitList(const std::string& value) {
+  std::vector<std::string> items;
+  size_t start = 0;
+  for (size_t comma; (comma = value.find(',', start)) != std::string::npos;
+       start = comma + 1) {
+    items.push_back(value.substr(start, comma - start));
+  }
+  items.push_back(value.substr(start));
+  return items;
+}
+
+// The stand-ins named in `list`, or all 12 when it is empty.
+std::vector<BenchDatasetRef> StandInRefs(const std::string& list) {
+  const auto& all = PaperDatasets();
+  std::vector<BenchDatasetRef> refs;
+  if (list.empty()) {
+    for (const DatasetSpec& spec : all) {
+      refs.push_back({.id = spec.abbrev, .real = false, .spec = spec});
+    }
+    return refs;
+  }
+  for (const std::string& item : SplitList(list)) {
+    const auto it = std::find_if(all.begin(), all.end(), [&](const auto& s) {
+      return s.abbrev == item;
+    });
+    if (it == all.end()) {
+      std::string names;
+      for (const DatasetSpec& s : all) {
+        names += (names.empty() ? "" : ", ") + s.abbrev;
+      }
+      std::fprintf(stderr,
+                   "--datasets: unknown abbreviation '%s'. Available: %s\n",
+                   item.c_str(), names.c_str());
+      std::exit(2);
+    }
+    refs.push_back({.id = it->abbrev, .real = false, .spec = *it});
+  }
+  return refs;
+}
+
+std::vector<BenchDatasetRef> RealRefs(const std::string& list) {
+  std::vector<BenchDatasetRef> refs;
+  for (const std::string& item : SplitList(list)) {
+    if (FindRealDataset(item) == nullptr) {
+      std::fprintf(stderr,
+                   "--dataset: unknown dataset '%s'. Available: %s\n",
+                   item.c_str(), AvailableDatasetNames().c_str());
+      std::exit(2);
+    }
+    refs.push_back({.id = item, .real = true, .spec = {}});
+  }
+  return refs;
+}
+
+std::string NonEmpty(const std::string& flag, const std::string& value) {
+  if (value.empty()) BadValue(flag, value, "a value");
+  return value;
+}
+
+// Sets one --flag=value into g_args (the dataset lists into *stand_ins and
+// *real, resolved once every flag is read); false for an unknown flag.
+bool SetFlag(const std::string& flag, const std::string& value,
+             std::string* stand_ins, std::string* real) {
+  if (flag == "--scale") {
+    g_args.scale = PositiveReal(flag, value);
+  } else if (flag == "--pairs") {
+    g_args.pairs = PositiveCount(flag, value);
+  } else if (flag == "--budget") {
+    g_args.budget_seconds = PositiveReal(flag, value);
+  } else if (flag == "--threads") {
+    g_args.threads = PositiveCount(flag, value);
+  } else if (flag == "--batch_size") {
+    g_args.batch_size = PositiveCount(flag, value);
+  } else if (flag == "--datasets") {
+    *stand_ins = NonEmpty(flag, value);
+  } else if (flag == "--dataset") {
+    *real = NonEmpty(flag, value);
+  } else if (flag == "--data_dir") {
+    g_args.data_dir = NonEmpty(flag, value);
+  } else {
+    return false;
+  }
+  return true;
 }
 
 }  // namespace
 
 void InitBenchArgs(int argc, char** argv) {
-  const struct {
-    const char* name;
-    std::string* slot;
-  } known[] = {{"--scale=", &g_flags.scale},
-               {"--pairs=", &g_flags.pairs},
-               {"--budget=", &g_flags.budget},
-               {"--threads=", &g_flags.threads},
-               {"--datasets=", &g_flags.datasets},
-               {"--batch_size=", &g_flags.batch_size},
-               {"--dataset=", &g_flags.dataset},
-               {"--data_dir=", &g_flags.data_dir}};
+  std::string stand_ins, real;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    bool matched = false;
-    for (const auto& k : known) {
-      const std::string prefix(k.name);
-      if (arg.rfind(prefix, 0) == 0) {
-        *k.slot = arg.substr(prefix.size());
-        matched = true;
-        break;
-      }
-    }
-    if (!matched) {
+    const size_t eq = arg.find('=');
+    const std::string value =
+        eq == std::string::npos ? "" : arg.substr(eq + 1);
+    if (!SetFlag(arg.substr(0, eq), value, &stand_ins, &real)) {
       std::fprintf(stderr,
                    "unknown flag: %s\nusage: %s [--scale=F] [--pairs=N] "
                    "[--budget=S] [--threads=N] [--datasets=DO,DB,...] "
@@ -61,120 +150,45 @@ void InitBenchArgs(int argc, char** argv) {
       std::exit(2);
     }
   }
-}
-
-double EnvScale() { return ToDouble(g_flags.scale, "QBS_BENCH_SCALE", 1.0); }
-
-size_t EnvPairs() {
-  return static_cast<size_t>(ToDouble(g_flags.pairs, "QBS_BENCH_PAIRS", 500));
-}
-
-double EnvBudgetSeconds() {
-  return ToDouble(g_flags.budget, "QBS_BENCH_BUDGET", 10.0);
-}
-
-size_t EnvThreads() {
-  const double v = ToDouble(g_flags.threads, "QBS_BENCH_THREADS", 0);
-  if (v > 0) return static_cast<size_t>(v);
-  const size_t hw = std::thread::hardware_concurrency();
-  // The paper parallelizes QbS-P with up to 12 threads.
-  return std::min<size_t>(hw == 0 ? 1 : hw, 12);
-}
-
-size_t EnvBatchSize() {
-  const double v =
-      ToDouble(g_flags.batch_size, "QBS_BENCH_BATCH_SIZE", 256);
-  return v > 0 ? static_cast<size_t>(v) : 256;
-}
-
-std::vector<DatasetSpec> SelectedDatasets() {
-  std::vector<DatasetSpec> result;
-  std::string s = g_flags.datasets;
-  if (s.empty()) {
-    const char* filter = std::getenv("QBS_BENCH_DATASETS");
-    if (filter == nullptr) return PaperDatasets();
-    s = filter;
+  if (g_args.threads == 0) {
+    // The paper parallelizes QbS-P with up to 12 threads.
+    const size_t hw = std::thread::hardware_concurrency();
+    g_args.threads = std::min<size_t>(hw == 0 ? 1 : hw, 12);
   }
-  std::stringstream ss(s);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    for (const auto& spec : PaperDatasets()) {
-      if (spec.abbrev == item) result.push_back(spec);
-    }
-  }
-  return result;
+  if (g_args.data_dir.empty()) g_args.data_dir = DefaultDataDir();
+  g_args.datasets = real.empty() ? StandInRefs(stand_ins) : RealRefs(real);
 }
 
-LoadedDataset LoadDataset(const DatasetSpec& spec) {
-  LoadedDataset d;
-  d.spec = spec;
-  d.graph = MakeDataset(spec, EnvScale());
-  d.pairs = SampleQueryPairs(d.graph, EnvPairs(), /*seed=*/20210402);
-  return d;
-}
-
-std::string EnvDataDir() {
-  if (!g_flags.data_dir.empty()) return g_flags.data_dir;
-  return DefaultDataDir();  // honors QBS_DATA_DIR
-}
-
-std::vector<BenchDatasetRef> SelectedBenchDatasets() {
-  std::string real = g_flags.dataset;
-  if (real.empty()) {
-    const char* env = std::getenv("QBS_BENCH_DATASET");
-    if (env != nullptr) real = env;
-  }
-  std::vector<BenchDatasetRef> refs;
-  if (real.empty()) {
-    for (const DatasetSpec& spec : SelectedDatasets()) {
-      BenchDatasetRef ref;
-      ref.id = spec.abbrev;
-      ref.spec = spec;
-      refs.push_back(std::move(ref));
-    }
-    return refs;
-  }
-  std::stringstream ss(real);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    if (item.empty()) continue;
-    if (FindRealDataset(item) == nullptr) {
-      std::fprintf(stderr,
-                   "--dataset: unknown dataset '%s'. Available: %s\n",
-                   item.c_str(), AvailableDatasetNames().c_str());
-      std::exit(2);
-    }
-    BenchDatasetRef ref;
-    ref.id = item;
-    ref.real = true;
-    refs.push_back(std::move(ref));
-  }
-  return refs;
-}
+const BenchArgs& Args() { return g_args; }
 
 LoadedDataset LoadDataset(const BenchDatasetRef& ref) {
-  if (!ref.real) return LoadDataset(ref.spec);
-  auto resolved = ResolveDataset(ref.id, EnvDataDir(), EnvScale());
-  if (!resolved.has_value()) {
-    // ResolveDataset already printed the reason + the available list.
-    std::exit(2);
-  }
   LoadedDataset d;
-  d.source = resolved->source == "stand-in" ? "stand-in*" : resolved->source;
-  d.spec.name = resolved->name;
-  d.spec.abbrev =
-      resolved->abbrev.empty() ? resolved->name : resolved->abbrev;
-  d.spec.paper_vertices_m = resolved->paper_vertices_m;
-  d.spec.paper_edges_m = resolved->paper_edges_m;
-  if (!resolved->abbrev.empty()) {
-    // The avg-degree / avg-distance reference columns live on the
-    // stand-in spec.
-    const DatasetSpec& standin = DatasetByAbbrev(resolved->abbrev);
-    d.spec.paper_avg_deg = standin.paper_avg_deg;
-    d.spec.paper_avg_dist = standin.paper_avg_dist;
+  if (!ref.real) {
+    d.spec = ref.spec;
+    d.graph = MakeDataset(ref.spec, g_args.scale);
+  } else {
+    auto resolved = ResolveDataset(ref.id, g_args.data_dir, g_args.scale);
+    if (!resolved.has_value()) {
+      // ResolveDataset already printed the reason + the available list.
+      std::exit(2);
+    }
+    d.source =
+        resolved->source == "stand-in" ? "stand-in*" : resolved->source;
+    d.spec.name = resolved->name;
+    d.spec.abbrev =
+        resolved->abbrev.empty() ? resolved->name : resolved->abbrev;
+    d.spec.paper_vertices_m = resolved->paper_vertices_m;
+    d.spec.paper_edges_m = resolved->paper_edges_m;
+    if (!resolved->abbrev.empty()) {
+      // The avg-degree / avg-distance reference columns live on the
+      // stand-in spec.
+      const DatasetSpec& standin = DatasetByAbbrev(resolved->abbrev);
+      d.spec.paper_avg_deg = standin.paper_avg_deg;
+      d.spec.paper_avg_dist = standin.paper_avg_dist;
+    }
+    d.graph = std::move(resolved->graph);
   }
-  d.graph = std::move(resolved->graph);
-  d.pairs = SampleQueryPairs(d.graph, EnvPairs(), /*seed=*/20210402);
+  d.pairs = SampleQueryPairs(d.graph, g_args.pairs, /*seed=*/20210402);
   return d;
 }
 

@@ -1,27 +1,24 @@
 // Shared harness for the per-table / per-figure benchmark binaries.
 //
-// Environment knobs (all optional):
-//   QBS_BENCH_SCALE      dataset size multiplier (default 1.0)
-//   QBS_BENCH_PAIRS      query pairs per dataset (default 500; paper: 10,000)
-//   QBS_BENCH_BUDGET     PPL/ParentPPL construction budget in seconds
-//                        (default 10; the paper's cutoff is 24 h => DNF)
-//   QBS_BENCH_THREADS    threads for QbS-P / QueryBatch (default min(12,
-//                        hardware), mirroring the paper's 12-thread setup)
-//   QBS_BENCH_DATASETS   comma-separated abbreviations to run (default all,
-//                        e.g. "DO,DB,YT")
-//   QBS_BENCH_BATCH_SIZE queries per QueryBatch call (default 256)
-//   QBS_BENCH_DATASET    comma-separated *real* dataset names (or Table 1
-//                        abbreviations) to run against downloaded data,
-//                        e.g. "dblp,epinions" (see workload/datasets.h);
-//                        missing data falls back to the stand-in
-//   QBS_DATA_DIR         data directory for real datasets (default "data")
-//
-// Command-line flags override the environment: pass argc/argv to
-// InitBenchArgs and use --scale=, --pairs=, --budget=, --threads=,
-// --datasets=, --batch_size=, --dataset=, --data_dir=.
+// Flags (all optional; InitBenchArgs checks them):
+//   --scale=F        dataset size multiplier (default 1.0)
+//   --pairs=N        query pairs per dataset (default 500; paper: 10,000)
+//   --budget=S       PPL/ParentPPL construction budget in seconds
+//                    (default 10; the paper's cutoff is 24 h => DNF)
+//   --threads=N      threads for QbS-P / QueryBatch (default min(12,
+//                    hardware), mirroring the paper's 12-thread setup)
+//   --datasets=A,B   Table 1 stand-in abbreviations to run (default all,
+//                    e.g. "DO,DB,YT")
+//   --batch_size=N   queries per QueryBatch call (default 256)
+//   --dataset=a,b    *real* dataset names (or Table 1 abbreviations) to
+//                    run against downloaded data, e.g. "dblp,epinions"
+//                    (see workload/datasets.h); missing data falls back to
+//                    the stand-in. Takes precedence over --datasets.
+//   --data_dir=PATH  data directory for real datasets (default:
+//                    QBS_DATA_DIR, else "data")
 
-#ifndef QBS_BENCH_BENCH_COMMON_H_
-#define QBS_BENCH_BENCH_COMMON_H_
+#ifndef BENCH_BENCH_COMMON_H_
+#define BENCH_BENCH_COMMON_H_
 
 #include <cstdint>
 #include <string>
@@ -33,23 +30,32 @@
 
 namespace qbs::bench {
 
-// Parses --key=value flags into overrides consulted by the Env*() getters.
-// Unknown flags abort with a usage message. Call first in main().
+// One entry of the benchmark's dataset sweep: either a synthetic Table 1
+// stand-in (--datasets) or a real downloaded dataset (--dataset).
+struct BenchDatasetRef {
+  std::string id;    // stand-in abbreviation, or real-registry name
+  bool real = false;
+  DatasetSpec spec;  // the stand-in spec; only valid when !real
+};
+
+// The parsed flags; see the list at the top of this file.
+struct BenchArgs {
+  double scale = 1.0;
+  size_t pairs = 500;
+  double budget_seconds = 10.0;
+  size_t threads = 0;  // resolved to min(12, hardware) when not given
+  size_t batch_size = 256;
+  std::vector<BenchDatasetRef> datasets;
+  std::string data_dir;
+};
+
+// Parses and checks the --key=value flags. An unknown flag, a value that
+// is not a positive number (a whole one for counts), or an unknown dataset
+// name exits 2 with a message, before any output. Call first in main().
 void InitBenchArgs(int argc, char** argv);
 
-double EnvScale();
-size_t EnvPairs();
-double EnvBudgetSeconds();
-size_t EnvThreads();
-// Queries per QueryBatch call.
-size_t EnvBatchSize();
-
-// Data directory for real datasets: --data_dir flag, else QBS_DATA_DIR,
-// else "data".
-std::string EnvDataDir();
-
-// Registry datasets selected by QBS_BENCH_DATASETS (default: all 12).
-std::vector<DatasetSpec> SelectedDatasets();
+// The flags InitBenchArgs parsed.
+const BenchArgs& Args();
 
 struct LoadedDataset {
   DatasetSpec spec;
@@ -61,33 +67,15 @@ struct LoadedDataset {
   std::string source = "stand-in";
 };
 
-// Generates the dataset at the env scale and samples the env pair count.
-LoadedDataset LoadDataset(const DatasetSpec& spec);
-
-// One entry of the benchmark's dataset sweep: either a synthetic Table 1
-// stand-in (the --datasets/QBS_BENCH_DATASETS path) or a real downloaded
-// dataset (the --dataset/QBS_BENCH_DATASET path).
-struct BenchDatasetRef {
-  std::string id;    // stand-in abbreviation, or real-registry name
-  bool real = false;
-  DatasetSpec spec;  // the stand-in spec; only valid when !real
-};
-
-// The dataset sweep for the headline benches (table 1/2): every --dataset
-// name (real data, loaded through the binary cache, stand-in fallback when
-// data is absent) when given, else the --datasets stand-in selection.
-// Unknown --dataset names abort with the available list.
-std::vector<BenchDatasetRef> SelectedBenchDatasets();
-
-// Loads one sweep entry: real refs resolve through workload/datasets.h
-// (cache -> raw -> stand-in fallback; a non-paper dataset with no local
-// data aborts), synthetic refs generate the stand-in at the env scale.
+// Loads one sweep entry and samples --pairs query pairs from it: real refs
+// resolve through workload/datasets.h (cache -> raw -> stand-in fallback;
+// a non-paper dataset with no local data exits 2), synthetic refs
+// generate the stand-in at --scale.
 LoadedDataset LoadDataset(const BenchDatasetRef& ref);
 
 // Fixed-width aligned table output. Also echoes each row as CSV to make
 // figure series machine-readable (prefix "csv,"); the column names are
-// echoed once as a "csvh," header row so downstream tooling
-// (scripts/bench_compare.py, CI artifacts) is self-describing.
+// echoed once as a "csvh," header row so the CSV is self-describing.
 class TablePrinter {
  public:
   TablePrinter(std::string title, std::vector<std::string> columns,
@@ -109,4 +97,4 @@ std::string FormatSeconds(double seconds);
 
 }  // namespace qbs::bench
 
-#endif  // QBS_BENCH_BENCH_COMMON_H_
+#endif  // BENCH_BENCH_COMMON_H_

@@ -16,7 +16,7 @@ void Run() {
   TablePrinter table("Figure 10",
                      {"Dataset", "|R|", "QbS(s)", "QbS-P(s)"},
                      {12, 5, 10, 10});
-  for (const auto& ref : SelectedBenchDatasets()) {
+  for (const auto& ref : Args().datasets) {
     const LoadedDataset d = LoadDataset(ref);
     for (uint32_t k : {5u, 10u, 15u, 20u, 40u, 60u, 80u, 100u}) {
       QbsOptions seq;
@@ -24,7 +24,7 @@ void Run() {
       seq.num_threads = 1;
       QbsIndex a = QbsIndex::Build(d.graph, seq);
       QbsOptions par = seq;
-      par.num_threads = EnvThreads();
+      par.num_threads = Args().threads;
       QbsIndex b = QbsIndex::Build(d.graph, par);
       table.Row({d.spec.abbrev, std::to_string(k),
                  FormatSeconds(a.timings().labeling_seconds),

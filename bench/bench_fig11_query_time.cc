@@ -15,15 +15,15 @@ namespace {
 void Run() {
   std::printf("Figure 11: QbS average query time (ms) vs number of "
               "landmarks; %zu pairs\n",
-              EnvPairs());
+              Args().pairs);
   TablePrinter table("Figure 11", {"Dataset", "|R|", "query(ms)"},
                      {12, 5, 10});
-  for (const auto& ref : SelectedBenchDatasets()) {
+  for (const auto& ref : Args().datasets) {
     const LoadedDataset d = LoadDataset(ref);
     for (uint32_t k : {5u, 10u, 15u, 20u, 40u, 60u, 80u, 100u}) {
       QbsOptions options;
       options.num_landmarks = k;
-      options.num_threads = EnvThreads();
+      options.num_threads = Args().threads;
       QbsIndex index = QbsIndex::Build(d.graph, options);
       QueryRequest request;
       WallTimer timer;

@@ -12,7 +12,7 @@ namespace {
 
 void Run() {
   std::printf("Figure 7: distance distribution of %zu random pairs\n",
-              EnvPairs());
+              Args().pairs);
   constexpr uint32_t kMaxDistanceColumn = 14;
   std::vector<std::string> columns{"Dataset"};
   std::vector<int> widths{12};
@@ -24,7 +24,7 @@ void Run() {
   widths.push_back(6);
   TablePrinter table("Figure 7 (fraction of pairs per distance)", columns,
                      widths);
-  for (const auto& ref : SelectedBenchDatasets()) {
+  for (const auto& ref : Args().datasets) {
     const LoadedDataset d = LoadDataset(ref);
     const auto dist = ComputeDistanceDistribution(d.graph, d.pairs);
     std::vector<std::string> row{d.spec.abbrev};

@@ -14,16 +14,16 @@ namespace {
 void Run() {
   std::printf("Figure 8: pair coverage ratio (case i: all shortest paths "
               "via landmarks; case ii: some), %zu pairs\n",
-              EnvPairs());
+              Args().pairs);
   TablePrinter table("Figure 8",
                      {"Dataset", "|R|", "all(i)", "some(ii)", "total"},
                      {12, 5, 8, 9, 8});
-  for (const auto& ref : SelectedBenchDatasets()) {
+  for (const auto& ref : Args().datasets) {
     const LoadedDataset d = LoadDataset(ref);
     for (uint32_t k : {20u, 40u, 60u, 80u, 100u}) {
       QbsOptions options;
       options.num_landmarks = k;
-      options.num_threads = EnvThreads();
+      options.num_threads = Args().threads;
       QbsIndex index = QbsIndex::Build(d.graph, options);
       uint64_t all = 0;
       uint64_t some = 0;

@@ -2,11 +2,11 @@
 // degree, average distance over sampled pairs, and the in-memory graph size
 // |G| — alongside the paper's reference values for the real datasets.
 //
-// Default sweep: the 12 synthetic stand-ins. With --dataset=dblp,... (or
-// QBS_BENCH_DATASET) the rows come from the real downloaded graphs via the
-// binary dataset cache (tools/fetch_datasets.py + workload/datasets.h);
-// the source column then reads cache/raw, and the measured |V|/|E| columns
-// reproduce the paper's Table 1 for that dataset.
+// Default sweep: the 12 synthetic stand-ins. With --dataset=dblp,... the
+// rows come from the real downloaded graphs via the binary dataset cache
+// (tools/fetch_datasets.py + workload/datasets.h); the source column then
+// reads cache/raw, and the measured |V|/|E| columns reproduce the paper's
+// Table 1 for that dataset.
 
 #include <cstdio>
 
@@ -19,13 +19,13 @@ namespace {
 void Run() {
   std::printf("Table 1: datasets (stand-ins at scale %.2f; paper values in "
               "the right columns)\n",
-              EnvScale());
+              Args().scale);
   TablePrinter table(
       "Table 1",
       {"Dataset", "source", "|V|", "|E|", "max.deg", "avg.deg", "avg.dist",
        "|G|", "paper|V|", "paper|E|", "paper.deg", "paper.dist"},
       {12, 9, 9, 10, 8, 8, 8, 10, 9, 9, 9, 10});
-  for (const auto& ref : SelectedBenchDatasets()) {
+  for (const auto& ref : Args().datasets) {
     const LoadedDataset d = LoadDataset(ref);
     const auto dist = ComputeDistanceDistribution(d.graph, d.pairs);
     const bool paper = d.spec.paper_vertices_m > 0.0;

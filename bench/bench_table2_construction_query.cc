@@ -1,8 +1,8 @@
 // Regenerates Table 2: construction time (QbS-P, QbS, PPL, ParentPPL) and
 // average query time (QbS, PPL, ParentPPL, Bi-BFS) per dataset.
 //
-// PPL / ParentPPL run under a construction budget (QBS_BENCH_BUDGET,
-// default 10 s — the paper's cutoff is 24 h); exceeding it prints DNF, and
+// PPL / ParentPPL run under a construction budget (--budget, default
+// 10 s — the paper's cutoff is 24 h); exceeding it prints DNF, and
 // exceeding the entry cap prints OOE, reproducing the paper's failure
 // annotations. --dataset=dblp,... swaps the synthetic stand-ins for real
 // downloaded graphs (see bench_table1_datasets.cc). The expected *shape*:
@@ -33,21 +33,22 @@ std::string StatusString(BuildStatus status) {
 void Run() {
   std::printf("Table 2: construction time (s) and average query time (ms); "
               "%zu pairs, budget %.1fs, %zu threads, batch_size %zu\n",
-              EnvPairs(), EnvBudgetSeconds(), EnvThreads(), EnvBatchSize());
+              Args().pairs, Args().budget_seconds, Args().threads,
+              Args().batch_size);
   TablePrinter table(
       "Table 2",
       {"Dataset", "QbS-P(s)", "QbS(s)", "PPL(s)", "PPPL(s)", "qQbS(ms)",
        "qBatch(ms)", "qPPL(ms)", "qPPPL(ms)", "qBiBFS(ms)"},
       {12, 9, 9, 9, 9, 10, 10, 10, 10, 10});
 
-  for (const auto& ref : SelectedBenchDatasets()) {
+  for (const auto& ref : Args().datasets) {
     const LoadedDataset d = LoadDataset(ref);
     const Graph& g = d.graph;
 
     // QbS-P (parallel labelling construction).
     QbsOptions par_options;
     par_options.num_landmarks = 20;
-    par_options.num_threads = EnvThreads();
+    par_options.num_threads = Args().threads;
     QbsIndex qbsp = QbsIndex::Build(g, par_options);
     const double qbsp_seconds = qbsp.timings().labeling_seconds;
 
@@ -60,7 +61,7 @@ void Run() {
 
     // PPL / ParentPPL under budget.
     PplBuildOptions budget;
-    budget.time_budget_seconds = EnvBudgetSeconds();
+    budget.time_budget_seconds = Args().budget_seconds;
     budget.max_label_entries = kMaxLabelEntries;
     WallTimer timer;
     BuildStatus ppl_status;
@@ -87,8 +88,8 @@ void Run() {
     batch_requests.reserve(d.pairs.size());
     for (const auto& [u, v] : d.pairs) batch_requests.emplace_back(u, v);
     QbsIndex::BatchOptions batch_options;
-    batch_options.num_threads = EnvThreads();
-    const size_t batch_size = EnvBatchSize();
+    batch_options.num_threads = Args().threads;
+    const size_t batch_size = Args().batch_size;
     qtimer.Reset();
     for (size_t off = 0; off < batch_requests.size(); off += batch_size) {
       const size_t end = std::min(off + batch_size, batch_requests.size());

@@ -14,20 +14,20 @@ namespace {
 
 void Run() {
   std::printf("Table 3: labelling sizes (|R| = 20; PPL budget %.1fs)\n",
-              EnvBudgetSeconds());
+              Args().budget_seconds);
   TablePrinter table("Table 3",
                      {"Dataset", "QbS size(L)", "QbS size(Delta)", "PPL",
                       "ParentPPL", "|G|"},
                      {12, 12, 15, 12, 12, 10});
-  for (const auto& ref : SelectedBenchDatasets()) {
+  for (const auto& ref : Args().datasets) {
     const LoadedDataset d = LoadDataset(ref);
     QbsOptions options;
     options.num_landmarks = 20;
-    options.num_threads = EnvThreads();
+    options.num_threads = Args().threads;
     QbsIndex index = QbsIndex::Build(d.graph, options);
 
     PplBuildOptions budget;
-    budget.time_budget_seconds = EnvBudgetSeconds();
+    budget.time_budget_seconds = Args().budget_seconds;
     budget.max_label_entries = 80'000'000;
     BuildStatus ppl_status;
     auto ppl = PplIndex::Build(d.graph, budget, &ppl_status);

@@ -1,6 +1,7 @@
 // Blocking client for the `qbs serve` protocol: one TCP connection, one
 // outstanding request at a time. Used by the `qbs load` driver, the CLI's
-// remote query path, bench_serve workers, and the server/chaos tests.
+// remote query path, bench_e2e's serving workloads, and the server/chaos
+// tests.
 //
 // Robustness surface:
 //   * All socket I/O goes through server/socket.h — EINTR-retried,

@@ -14,6 +14,11 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Result-cache LRU shards; more shards, less lock contention on hot pairs.
+constexpr size_t kCacheShards = 16;
+// Advisory retry hint carried in kBusy responses.
+constexpr uint32_t kBusyRetryMs = 50;
+
 uint64_t NowNanos() {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -147,7 +152,7 @@ QueryServer::QueryServer(QbsIndex& index, const ServerOptions& options)
       options_(options),
       num_vertices_(index.graph().NumVertices()),
       cache_({.capacity_bytes = options.cache_bytes,
-              .shards = options.cache_shards}),
+              .shards = kCacheShards}),
       gate_(options.max_inflight == 0
                 ? std::max<size_t>(std::thread::hardware_concurrency(), 1)
                 : options.max_inflight,
@@ -245,7 +250,7 @@ void QueryServer::HandleConnection(int fd, uint64_t conn_id) {
       injector = options_.fault_injector_factory(conn_id);
       sock.set_fault_injector(injector.get());
     }
-    FrameReader reader(options_.max_request_payload);
+    FrameReader reader(kMaxRequestPayload);
     uint8_t buf[64 * 1024];
     bool open = true;
     // The per-frame read deadline starts when a frame's first bytes land
@@ -389,7 +394,7 @@ bool QueryServer::ServeQuery(Socket& sock, FaultInjector* injector,
     case AdmissionGate::Ticket::kRejected: {
       busy_rejections_.fetch_add(1, std::memory_order_relaxed);
       const std::vector<uint8_t> payload =
-          EncodeBusy(options_.busy_retry_ms,
+          EncodeBusy(kBusyRetryMs,
                      static_cast<uint32_t>(std::min<size_t>(
                          queue_depth, std::numeric_limits<uint32_t>::max())));
       return SendFrame(sock, FrameType::kBusy, payload);

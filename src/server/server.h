@@ -115,9 +115,6 @@ struct ServerOptions {
   size_t max_connections = 256;
   /// Hot-pair result cache budget; 0 disables caching entirely.
   size_t cache_bytes = 64u << 20;
-  size_t cache_shards = 16;
-  /// Advisory retry hint carried in kBusy responses.
-  uint32_t busy_retry_ms = 50;
   /// Honor kShutdown frames from clients (on for tests/CI smoke; off for
   /// anything resembling production).
   bool allow_remote_shutdown = true;
@@ -127,8 +124,6 @@ struct ServerOptions {
   /// applies, and the result cache is cleared before any query can read it
   /// again, so a served answer is never stale across an applied delta.
   bool allow_updates = false;
-  /// Per-frame payload cap for request parsing.
-  uint32_t max_request_payload = kMaxRequestPayload;
 
   /// Max milliseconds a started request frame may take to arrive in full
   /// (slowloris defense); 0 = unbounded.

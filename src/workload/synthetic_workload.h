@@ -7,7 +7,8 @@
 // Everything is a pure function of (graph, options) — same seed, same
 // graph, same byte-for-byte request sequence and arrival schedule — so
 // load-test results (and cache hit-rates under a single connection) are
-// exactly reproducible, which bench_serve and the CI smoke test assert.
+// exactly reproducible, which synthetic_workload_test and bench_e2e's
+// smoke test assert.
 
 #ifndef QBS_WORKLOAD_SYNTHETIC_WORKLOAD_H_
 #define QBS_WORKLOAD_SYNTHETIC_WORKLOAD_H_
