@@ -6,6 +6,14 @@
 #include "util/check.h"
 
 namespace qbs {
+namespace {
+
+// High bit of a depth_ slot: the vertex is on a shortest path of the
+// answer. Levels never reach it, and unset slots (kUnreachable) never
+// equal a marked or unmarked level.
+constexpr uint32_t kOnPath = 1u << 31;
+
+}  // namespace
 
 Graph MakeSparsifiedGraph(const Graph& g, const PathLabeling& labeling) {
   return g.WithoutEdgesAt(labeling.landmarks());
@@ -31,10 +39,11 @@ GuidedSearcher::GuidedSearcher(const Graph& g, const Graph& sparsified,
       delta_(delta) {
   QBS_CHECK_EQ(g.NumVertices(), labeling.num_vertices());
   QBS_CHECK_EQ(sparsified.NumVertices(), g.NumVertices());
+  // Depths stay below kOnPath - 1, clear of a masked kUnreachable.
+  QBS_CHECK_LT(g.NumVertices(), kOnPath);
   QBS_CHECK(meta.finalized());
   for (int s = 0; s < 2; ++s) {
     depth_[s].Resize(g.NumVertices(), kUnreachable);
-    back_mark_[s].Resize(g.NumVertices(), 0);
   }
   walk_mark_.assign(g.NumVertices(), 0);
   walk_session_.Resize(labeling.num_landmarks(), 0);
@@ -173,45 +182,73 @@ void GuidedSearcher::ExpandLevel(int t, SearchStats* stats) {
   // Open the next level first so the current level's bounds are frozen,
   // then iterate by index: Push may reallocate the flat buffer.
   levels_[t].BeginLevel();
-  crossing_[t].BeginLevel();  // pairs (x @ next_depth-1, w @ next_depth)
   const size_t begin = levels_[t].LevelBegin(next_depth - 1);
   const size_t end = levels_[t].LevelEnd(next_depth - 1);
+  uint64_t scanned = 0;
   for (size_t idx = begin; idx < end; ++idx) {
     const VertexId x = levels_[t].At(idx);
-    stats->edges_scanned_search += gminus_.Degree(x);
+    scanned += gminus_.Degree(x);
     stats->landmark_edges_skipped += g_.Degree(x) - gminus_.Degree(x);
     for (VertexId w : gminus_.Neighbors(x)) {
-      if (!depth_[t].IsSet(w)) {
-        depth_[t].Set(w, next_depth);
-        levels_[t].Push(w);
-        crossing_[t].Push({x, w});
-        if (depth_[o].IsSet(w)) meet_set_.push_back(w);
-      } else if (depth_[t].Get(w) == next_depth) {
-        // w was already discovered on this level via another parent; the
-        // reverse search needs every parent edge.
-        crossing_[t].Push({x, w});
-      }
+      if (depth_[t].IsSet(w)) continue;
+      depth_[t].Set(w, next_depth);
+      levels_[t].Push(w);
+      if (depth_[o].IsSet(w)) meet_set_.push_back(w);
     }
   }
+  stats->edges_scanned_search += scanned;
+  level_scan_[t].push_back(scanned);
 }
 
 void GuidedSearcher::AddBackwardStart(int t, VertexId w) {
-  if (back_mark_[t].IsSet(w)) return;
-  back_mark_[t].Set(w, 1);
-  QBS_DCHECK(depth_[t].Get(w) != kUnreachable);
+  const uint32_t depth = depth_[t].Get(w);
+  QBS_DCHECK(depth != kUnreachable);
+  if ((depth & kOnPath) != 0) return;
+  depth_[t].Set(w, depth | kOnPath);
+  if (depth >= on_path_[t].size()) on_path_[t].resize(depth + 1);
+  on_path_[t][depth].push_back(w);
 }
 
 void GuidedSearcher::RunBackwardWalk(int t, SearchStats* stats) {
-  // Replay the recorded crossing-edge lists from the deepest level down:
-  // an edge (x, w) with w marked on-path puts x on-path one level lower,
-  // so marks propagate ahead of the scan front.
-  auto& crossing = crossing_[t];
-  for (size_t level = crossing.NumLevels(); level-- > 0;) {
-    stats->edges_scanned_reverse += crossing.LevelSize(level);
-    for (const auto& [x, w] : crossing.Level(level)) {
-      if (!back_mark_[t].IsSet(w)) continue;
-      edges_.emplace_back(w, x);
-      back_mark_[t].Set(x, 1);
+  // From the deepest level down. Level L's on-path set is complete once
+  // level L+1 is done, and every G⁻ edge from it to level L-1 is an answer
+  // edge whose lower end is on-path too. Two exact scans find those edges:
+  //  - top-down: the on-path vertices' own adjacency, keeping neighbours
+  //    at depth L-1, for Σ deg⁻ over them;
+  //  - bottom-up: all of level L-1's adjacency, keeping neighbours marked
+  //    at L, for the level_scan_ its forward expansion already counted.
+  // Each level takes the cheaper, so an on-path hub costs no more than
+  // its parent level and a thin path through wide levels no more than its
+  // own degrees. Both emit the same edges, and side t's reverse scans
+  // never exceed its search scans.
+  for (size_t level = on_path_[t].size(); level-- > 1;) {
+    const std::vector<VertexId>& marked = on_path_[t][level];
+    if (marked.empty()) continue;
+    const uint32_t below = static_cast<uint32_t>(level - 1);
+    uint64_t top_down = 0;
+    for (const VertexId w : marked) top_down += gminus_.Degree(w);
+    const uint64_t bottom_up = level_scan_[t][below];
+    if (top_down <= bottom_up) {
+      stats->edges_scanned_reverse += top_down;
+      for (const VertexId w : marked) {
+        for (const VertexId x : gminus_.Neighbors(w)) {
+          if ((depth_[t].Get(x) & ~kOnPath) != below) continue;
+          edges_.emplace_back(w, x);
+          AddBackwardStart(t, x);  // x's bucket exists: `marked` stays put
+        }
+      }
+    } else {
+      stats->edges_scanned_reverse += bottom_up;
+      const uint32_t marked_depth = static_cast<uint32_t>(level) | kOnPath;
+      for (const VertexId x : levels_[t].Level(below)) {
+        bool on_path_child = false;
+        for (const VertexId w : gminus_.Neighbors(x)) {
+          if (depth_[t].Get(w) != marked_depth) continue;
+          edges_.emplace_back(w, x);
+          on_path_child = true;
+        }
+        if (on_path_child) AddBackwardStart(t, x);
+      }
     }
   }
 }
@@ -273,9 +310,9 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
   // Reset per-query scratch (buffers are reused; only logical clears).
   for (int s = 0; s < 2; ++s) {
     depth_[s].Reset();
-    back_mark_[s].Reset();
     levels_[s].Clear();
-    crossing_[s].Clear();
+    level_scan_[s].clear();
+    for (std::vector<VertexId>& bucket : on_path_[s]) bucket.clear();
   }
   meet_set_.clear();
   walk_session_.Reset();

@@ -88,23 +88,26 @@ class GuidedSearcher {
                                               ShortestPathGraph* result);
 
   // Expands side `t` of the bi-directional search by one level; appends
-  // newly met vertices (already settled by the other side) to meet_set_.
+  // newly met vertices (already settled by the other side) to meet_set_
+  // and the number of G⁻ edges the level scanned to level_scan_[t].
   void ExpandLevel(int t, SearchStats* stats);
 
   // §4.3: prefer the side whose sketch depth guide d* is not yet met,
   // breaking ties toward the smaller traversed set.
   int PickSide(const Sketch& sketch, const uint32_t d[2]) const;
 
-  // Marks `w` as on-path: a start of the backward walk on side t.
+  // Marks `w` as on-path on side t (kOnPath in depth_[t]) and files it in
+  // its level's bucket of on_path_[t]: a start of the backward walk.
   void AddBackwardStart(int t, VertexId w);
 
   // Serial identifying the current query's walk session for landmark r;
   // walk-mark slots holding it are "visited for r in this query".
   uint64_t WalkSerial(LandmarkIndex r);
 
-  // Emits all edges of all shortest chains from the registered start
-  // vertices back to the side-t endpoint, following depth_[t] levels
-  // downward (reverse search; also used to splice Z vertices into paths).
+  // Emits all edges of all shortest chains from the on-path vertices back
+  // to the side-t endpoint, one level at a time from the deepest, each
+  // level from whichever side is cheaper to scan (reverse search; also
+  // used to splice Z vertices into paths).
   void RunBackwardWalk(int t, SearchStats* stats);
 
   // Emits all edges of all landmark-free shortest paths from w to landmark
@@ -118,19 +121,18 @@ class GuidedSearcher {
   const DeltaCache& delta_;
 
   // Per-query scratch (epoch-reset). All traversal state lives in flat
-  // reusable buffers from the shared substrate (graph/frontier.h): BFS
-  // levels are contiguous spans of one buffer per side, the reverse search
-  // walks (depth, vertex) start pairs through two flat buffers, and the
-  // recover-search visited set is a serial-stamped array — no per-query
-  // allocation and no hashing on the query hot path.
+  // buffers that keep their capacity across queries, and the query hot
+  // path hashes nothing. BFS levels are contiguous spans of one buffer per side
+  // (graph/frontier.h). depth_[t] holds each vertex's side-t level, with
+  // kOnPath set once the reverse search puts the vertex on a shortest
+  // path, so one random access reads both. on_path_[t][L] lists the
+  // on-path vertices at level L, and level_scan_[t][L] is the number of G⁻
+  // edges the forward expansion of level L scanned: the exact cost of
+  // walking back into level L bottom-up.
   EpochArray<uint32_t> depth_[2];
-  EpochArray<uint8_t> back_mark_[2];
   LevelStack levels_[2];  // flat BFS levels per side
-  // Level-crossing edges (x at level L, w at level L+1), recorded while the
-  // forward expansion scans them anyway. The reverse search then replays
-  // these lists downward instead of re-scanning walk-vertex adjacencies
-  // with random depth lookups: every parent of an on-path vertex is here.
-  LevelBuffer<std::pair<VertexId, VertexId>> crossing_[2];
+  std::vector<uint64_t> level_scan_[2];
+  std::vector<std::vector<VertexId>> on_path_[2];
   std::vector<VertexId> meet_set_;
   // (landmark, vertex) visited marks for label walks: walk_mark_[v] holds
   // the serial of the last walk session that visited v; sessions are

@@ -30,7 +30,11 @@ struct SearchStats {
   // Adjacency entries skipped because the endpoint is a landmark (the
   // edges sparsification removed).
   uint64_t landmark_edges_skipped = 0;
-  // Edge scans during the reverse search (G⁻ paths).
+  // Edge scans during the reverse search (G⁻ paths). Each level of the
+  // backward walk counts the smaller of its two exact costs: the G⁻
+  // degrees of its on-path vertices (top-down) or the edges the forward
+  // search scanned expanding the level below (bottom-up). Never more than
+  // edges_scanned_search.
   uint64_t edges_scanned_reverse = 0;
   // Edge scans during the recover search (G^L paths), excluding Δ-cache
   // hits.

@@ -52,19 +52,19 @@ class Bitmap {
   std::vector<uint64_t> words_;
 };
 
-// Per-level items stored back-to-back in one buffer. BeginLevel() opens a
-// new level; Push() appends to it. Iterate a level by index (LevelBegin /
-// LevelEnd + At) when pushing into the next level of the same buffer,
-// since Push may reallocate it.
-template <typename T>
-class LevelBuffer {
+// BFS levels: one contiguous span of vertices per level, stored
+// back-to-back in one buffer. BeginLevel() opens a new level; Push()
+// appends to it. Iterate a level by index (LevelBegin / LevelEnd + At)
+// when pushing into the next level of the same buffer, since Push may
+// reallocate it.
+class LevelStack {
  public:
   void Clear() {
     items_.clear();
     offsets_.clear();
   }
   void BeginLevel() { offsets_.push_back(items_.size()); }
-  void Push(const T& item) { items_.push_back(item); }
+  void Push(VertexId v) { items_.push_back(v); }
 
   size_t NumLevels() const { return offsets_.size(); }
   size_t LevelBegin(size_t level) const { return offsets_[level]; }
@@ -74,24 +74,21 @@ class LevelBuffer {
   size_t LevelSize(size_t level) const {
     return LevelEnd(level) - LevelBegin(level);
   }
-  const T& At(size_t index) const { return items_[index]; }
+  VertexId At(size_t index) const { return items_[index]; }
 
   // Stable only until the next Push into this buffer.
-  std::span<const T> Level(size_t level) const {
+  std::span<const VertexId> Level(size_t level) const {
     return {items_.data() + LevelBegin(level),
             items_.data() + LevelEnd(level)};
   }
 
-  // Total items across all levels — the "traversed so far" volume.
+  // Total vertices across all levels — the "traversed so far" volume.
   size_t TotalSize() const { return items_.size(); }
 
  private:
-  std::vector<T> items_;
+  std::vector<VertexId> items_;
   std::vector<size_t> offsets_;
 };
-
-// BFS levels: one contiguous span of vertices per level.
-using LevelStack = LevelBuffer<VertexId>;
 
 // Scratch for repeated rooted traversals that cannot direction-switch
 // because every visit runs a per-vertex pruning decision (the PPL-family

@@ -124,8 +124,8 @@ TEST(FaultPlanTest, ScriptedResetFiresExactlyOnce) {
 
 struct ChaosPlan {
   const char* name;
-  FaultSpec client;         // faults on the client's socket
-  FaultSpec server;         // faults on every server connection socket
+  FaultSpec client{};       // faults on the client's socket
+  FaultSpec server{};       // faults on every server connection socket
   uint32_t deadline_ms = kNoDeadline;
   size_t max_inflight = 4;
   size_t degrade_after_inflight = 0;

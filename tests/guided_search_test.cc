@@ -1,4 +1,6 @@
 #include <algorithm>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -168,6 +170,98 @@ TEST(GuidedSearchTest, PathGraphLongDistances) {
   EXPECT_EQ(searcher.Query(0, 199), SpgByDoubleBfs(g, 0, 199));
   EXPECT_EQ(searcher.Query(50, 150), SpgByDoubleBfs(g, 50, 150));
   EXPECT_EQ(searcher.Query(0, 99), SpgByDoubleBfs(g, 0, 99));
+}
+
+// A searcher and everything it references, over a caller-built graph.
+struct SearchSetup {
+  SearchSetup(Graph graph, const std::vector<VertexId>& landmarks)
+      : g(std::move(graph)),
+        scheme(BuildLabelingScheme(g, landmarks)),
+        gminus(MakeSparsifiedGraph(g, scheme.labeling)),
+        delta(DeltaCache::Build(g, scheme.labeling, scheme.meta, 1)),
+        searcher(g, gminus, scheme.labeling, scheme.meta, delta) {}
+
+  Graph g;
+  LabelingScheme scheme;
+  Graph gminus;
+  DeltaCache delta;
+  GuidedSearcher searcher;
+};
+
+TEST(ReverseWalkTest, HubMeetVertexWalksBottomUp) {
+  // u=0 - a=1 - H=2 - b=3 - v=4 with 200 extra leaves on the non-landmark
+  // hub H. The landmark 5 is isolated, so no sketch bound steers the
+  // search: the sides alternate and meet at H, which sits unexpanded on
+  // both frontiers. Walking back over H's own adjacency would scan
+  // deg⁻(H) = 202 edges; the level below H on each side is one degree-2
+  // vertex.
+  constexpr VertexId kHub = 2;
+  std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 3}, {3, 4}};
+  for (VertexId leaf = 6; leaf < 206; ++leaf) edges.push_back({kHub, leaf});
+  SearchSetup s(Graph::FromEdges(206, std::move(edges)), {5});
+  SearchStats stats;
+  const auto spg = s.searcher.Query(0, 4, &stats);
+  EXPECT_EQ(spg, SpgByDoubleBfs(s.g, 0, 4));
+  EXPECT_EQ(spg.distance, 4u);
+  EXPECT_EQ(stats.coverage, PairCoverage::kNoneThroughLandmarks);
+  EXPECT_LT(stats.edges_scanned_reverse, s.gminus.Degree(kHub));
+}
+
+TEST(ReverseWalkTest, ThinPathThroughWideLevelsWalksTopDown) {
+  // u=0 - 1 - 2 - 3 - v=4, and 50 leaves on each endpoint (5..54 on u,
+  // 55..104 on v), so every search level holds ~50 vertices while the
+  // answer is one path of degree-2 vertices. The landmark 105 hangs off
+  // one of u's leaves (d⊤ = 8). A bottom-up walk rescans each searched
+  // level, which would cost exactly edges_scanned_search.
+  std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {5, 105}};
+  for (VertexId leaf = 5; leaf < 55; ++leaf) edges.push_back({0, leaf});
+  for (VertexId leaf = 55; leaf < 105; ++leaf) edges.push_back({4, leaf});
+  SearchSetup s(Graph::FromEdges(106, std::move(edges)), {105});
+  SearchStats stats;
+  const auto spg = s.searcher.Query(0, 4, &stats);
+  EXPECT_EQ(spg, SpgByDoubleBfs(s.g, 0, 4));
+  EXPECT_EQ(spg.distance, 4u);
+  EXPECT_LT(stats.edges_scanned_reverse, stats.edges_scanned_search);
+}
+
+TEST(ReverseWalkTest, MatchesOracleAndNeverOutscansSearch) {
+  struct Family {
+    const char* name;
+    Graph g;
+  };
+  const Family families[] = {
+      {"rmat", RMat(9, 4, 0.57, 0.19, 0.19, 3)},
+      {"barabasi_albert", BarabasiAlbert(600, 3, 4)},
+      {"erdos_renyi", ErdosRenyi(500, 1500, 5)},
+      {"grid", GridGraph(20, 25)},
+  };
+  for (const Family& family : families) {
+    // Coverage kSomeThroughLandmarks runs both the reverse search and the
+    // Z-pair walks, whose starts can sit below the search horizon.
+    size_t some_through_landmarks = 0;
+    for (const uint32_t k : {1u, 4u, 16u}) {
+      SearchSetup s(family.g, SelectLandmarks(family.g, k,
+                                              LandmarkStrategy::kHighestDegree,
+                                              /*seed=*/k));
+      std::mt19937_64 rng(k);
+      std::uniform_int_distribution<VertexId> pick(
+          0, family.g.NumVertices() - 1);
+      for (int i = 0; i < 150; ++i) {
+        const VertexId u = pick(rng);
+        const VertexId v = pick(rng);
+        SearchStats stats;
+        ASSERT_EQ(s.searcher.Query(u, v, &stats),
+                  SpgByDoubleBfs(family.g, u, v))
+            << family.name << " |R|=" << k << " u=" << u << " v=" << v;
+        ASSERT_LE(stats.edges_scanned_reverse, stats.edges_scanned_search)
+            << family.name << " |R|=" << k << " u=" << u << " v=" << v;
+        if (stats.coverage == PairCoverage::kSomeThroughLandmarks) {
+          ++some_through_landmarks;
+        }
+      }
+    }
+    EXPECT_GT(some_through_landmarks, 0u) << family.name;
+  }
 }
 
 // G⁻ the slow way: keep the landmark-free edges and let FromEdges sort and
