@@ -13,8 +13,8 @@
 #include <cstdio>
 
 #include "baselines/bfs_oracle.h"
+#include "baselines/bibfs.h"
 #include "core/qbs_index.h"
-#include "graph/bfs.h"
 #include "workload/dataset_registry.h"
 #include "workload/query_workload.h"
 
@@ -29,7 +29,7 @@ uint32_t DistanceWithout(const qbs::Graph& g, qbs::VertexId removed,
     if (e.u != removed && e.v != removed) edges.push_back(e);
   }
   const qbs::Graph h = qbs::Graph::FromEdges(g.NumVertices(), edges);
-  return qbs::BiBfsDistance(h, u, v);
+  return qbs::BiBfs(h).Distance(u, v);
 }
 
 }  // namespace

@@ -1,136 +1,61 @@
 #include "baselines/bibfs.h"
 
-#include <algorithm>
-
-#include "graph/bfs.h"
 #include "util/check.h"
 
 namespace qbs {
 
-BiBfs::BiBfs(const Graph& g) : g_(g) {
-  for (int s = 0; s < 2; ++s) {
-    depth_[s].Resize(g.NumVertices(), kUnreachable);
-    back_mark_[s].Resize(g.NumVertices(), 0);
-  }
-}
+BiBfs::BiBfs(const Graph& g) : g_(g), search_(g) {}
 
-void BiBfs::AddBackwardStart(int t, VertexId w) {
-  if (back_mark_[t].IsSet(w)) return;
-  back_mark_[t].Set(w, 1);
-  back_starts_[t].emplace_back(depth_[t].Get(w), w);
-}
-
-void BiBfs::RunBackwardWalk(int t, uint64_t* scans) {
-  auto& starts = back_starts_[t];
-  if (starts.empty()) return;
-  std::sort(starts.begin(), starts.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  size_t si = 0;
-  uint32_t level = starts[0].first;
-  walk_cur_.clear();
-  while (level >= 1) {
-    while (si < starts.size() && starts[si].first == level) {
-      walk_cur_.push_back(starts[si++].second);
+uint32_t BiBfs::Search(VertexId u, VertexId v, uint64_t* scans) {
+  QBS_CHECK_LT(u, g_.NumVertices());
+  QBS_CHECK_LT(v, g_.NumVertices());
+  if (u == v) return 0;
+  search_.Reset();
+  search_.Seed(0, u);
+  search_.Seed(1, v);
+  uint64_t volume[2] = {g_.Degree(u), g_.Degree(v)};
+  uint32_t d[2] = {0, 0};
+  while (search_.meet_set().empty()) {
+    if (search_.levels(0).LevelSize(d[0]) == 0 ||
+        search_.levels(1).LevelSize(d[1]) == 0) {
+      return kUnreachable;  // disconnected
     }
-    if (walk_cur_.empty()) {
-      if (si >= starts.size()) break;
-      level = starts[si].first;  // skip empty levels to the next start
-      continue;
+    const int t = volume[0] <= volume[1] ? 0 : 1;
+    *scans += search_.ExpandLevel(t);
+    ++d[t];
+    volume[t] = 0;
+    for (const VertexId w : search_.levels(t).Level(d[t])) {
+      volume[t] += g_.Degree(w);
     }
-    walk_next_.clear();
-    for (const VertexId x : walk_cur_) {
-      *scans += g_.Degree(x);
-      for (VertexId y : g_.Neighbors(x)) {
-        if (depth_[t].Get(y) != level - 1) continue;
-        edges_.emplace_back(x, y);
-        if (!back_mark_[t].IsSet(y)) {
-          back_mark_[t].Set(y, 1);
-          walk_next_.push_back(y);
-        }
-      }
-    }
-    std::swap(walk_cur_, walk_next_);
-    --level;
   }
+  return d[0] + d[1];
 }
 
 ShortestPathGraph BiBfs::Query(VertexId u, VertexId v,
                                uint64_t* edges_scanned) {
-  QBS_CHECK_LT(u, g_.NumVertices());
-  QBS_CHECK_LT(v, g_.NumVertices());
   uint64_t local_scans = 0;
   uint64_t* scans = edges_scanned != nullptr ? edges_scanned : &local_scans;
-
   ShortestPathGraph result;
   result.u = u;
   result.v = v;
-  if (u == v) {
-    result.distance = 0;
-    return result;
-  }
+  result.distance = Search(u, v, scans);
+  if (result.distance == 0 || result.distance == kUnreachable) return result;
 
-  for (int s = 0; s < 2; ++s) {
-    depth_[s].Reset();
-    back_mark_[s].Reset();
-    levels_[s].Clear();
-    back_starts_[s].clear();
+  for (const VertexId m : search_.meet_set()) {
+    QBS_DCHECK(search_.Depth(0, m) + search_.Depth(1, m) == result.distance);
+    search_.AddBackwardStart(0, m);
+    search_.AddBackwardStart(1, m);
   }
-  meet_set_.clear();
-  edges_.clear();
-
-  const VertexId endpoint[2] = {u, v};
-  uint64_t volume[2] = {g_.Degree(u), g_.Degree(v)};
-  for (int s = 0; s < 2; ++s) {
-    depth_[s].Set(endpoint[s], 0);
-    levels_[s].BeginLevel();
-    levels_[s].Push(endpoint[s]);
+  for (int t = 0; t < 2; ++t) {
+    *scans += search_.RunBackwardWalk(t, &result.edges);
   }
-
-  uint32_t d[2] = {0, 0};
-  bool meet = false;
-  while (!meet) {
-    if (levels_[0].LevelSize(d[0]) == 0 || levels_[1].LevelSize(d[1]) == 0) {
-      result.distance = kUnreachable;
-      return result;  // disconnected
-    }
-    // Expand the side with the smaller frontier volume.
-    const int t = volume[0] <= volume[1] ? 0 : 1;
-    const int o = 1 - t;
-    const uint32_t next_depth = d[t] + 1;
-    uint64_t next_volume = 0;
-    // Open the next level first so this level's bounds are frozen, then
-    // iterate by index: Push may reallocate the flat buffer.
-    levels_[t].BeginLevel();
-    const size_t begin = levels_[t].LevelBegin(d[t]);
-    const size_t end = levels_[t].LevelEnd(d[t]);
-    for (size_t idx = begin; idx < end; ++idx) {
-      const VertexId x = levels_[t].At(idx);
-      for (VertexId w : g_.Neighbors(x)) {
-        ++*scans;
-        if (depth_[t].IsSet(w)) continue;
-        depth_[t].Set(w, next_depth);
-        levels_[t].Push(w);
-        next_volume += g_.Degree(w);
-        if (depth_[o].IsSet(w)) meet_set_.push_back(w);
-      }
-    }
-    volume[t] = next_volume;
-    ++d[t];
-    meet = !meet_set_.empty();
-  }
-
-  result.distance = d[0] + d[1];
-  for (const VertexId m : meet_set_) {
-    QBS_DCHECK(depth_[0].Get(m) + depth_[1].Get(m) == result.distance);
-    AddBackwardStart(0, m);
-    AddBackwardStart(1, m);
-  }
-  RunBackwardWalk(0, scans);
-  RunBackwardWalk(1, scans);
-
-  result.edges = edges_;
   result.Normalize();
   return result;
+}
+
+uint32_t BiBfs::Distance(VertexId u, VertexId v) {
+  uint64_t scans = 0;
+  return Search(u, v, &scans);
 }
 
 }  // namespace qbs

@@ -5,21 +5,19 @@
 // reverse search over the two BFS level sets.
 //
 // This is what QbS's guided search degenerates to with zero landmarks; the
-// paper's Table 2 compares query times against it. Frontiers live on the
-// shared flat traversal substrate (graph/frontier.h), so the baseline and
-// the guided search stay apples-to-apples.
+// paper's Table 2 compares query times against it. Level expansion, the
+// meet set and the reverse walk are the guided search's own engine
+// (BidirectionalSearch, graph/frontier.h), run here over G instead of G⁻,
+// so the two differ only in how they pick the side to expand.
 
 #ifndef QBS_BASELINES_BIBFS_H_
 #define QBS_BASELINES_BIBFS_H_
 
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "graph/frontier.h"
 #include "graph/graph.h"
 #include "graph/spg.h"
-#include "util/epoch_array.h"
 
 namespace qbs {
 
@@ -29,26 +27,24 @@ class BiBfs {
  public:
   explicit BiBfs(const Graph& g);
 
-  // Exact SPG(u, v). `edges_scanned`, if non-null, receives the number of
-  // adjacency entries inspected (search + reverse), for the §6.5 traversal
-  // comparison.
+  // Exact SPG(u, v). `edges_scanned`, if non-null, is increased by the
+  // number of adjacency entries inspected (search + reverse), for the §6.5
+  // traversal comparison.
   ShortestPathGraph Query(VertexId u, VertexId v,
                           uint64_t* edges_scanned = nullptr);
 
+  // d(u, v) by the same search, without the reverse walk; kUnreachable if
+  // u and v are disconnected.
+  uint32_t Distance(VertexId u, VertexId v);
+
  private:
-  void AddBackwardStart(int t, VertexId w);
-  void RunBackwardWalk(int t, uint64_t* scans);
+  // Runs the bidirectional search from u and v until the frontiers meet,
+  // always expanding the side whose frontier has the smaller degree volume.
+  // Returns d(u, v), or kUnreachable; adds the edges scanned to *scans.
+  uint32_t Search(VertexId u, VertexId v, uint64_t* scans);
 
   const Graph& g_;
-  EpochArray<uint32_t> depth_[2];
-  EpochArray<uint8_t> back_mark_[2];
-  LevelStack levels_[2];  // flat BFS levels per side
-  // Reverse-search starts as (depth, vertex); sorted descending and walked
-  // level-by-level through two flat buffers instead of per-depth buckets.
-  std::vector<std::pair<uint32_t, VertexId>> back_starts_[2];
-  std::vector<VertexId> walk_cur_, walk_next_;
-  std::vector<VertexId> meet_set_;
-  std::vector<Edge> edges_;
+  BidirectionalSearch search_;
 };
 
 }  // namespace qbs

@@ -6,14 +6,6 @@
 #include "util/check.h"
 
 namespace qbs {
-namespace {
-
-// High bit of a depth_ slot: the vertex is on a shortest path of the
-// answer. Levels never reach it, and unset slots (kUnreachable) never
-// equal a marked or unmarked level.
-constexpr uint32_t kOnPath = 1u << 31;
-
-}  // namespace
 
 Graph MakeSparsifiedGraph(const Graph& g, const PathLabeling& labeling) {
   return g.WithoutEdgesAt(labeling.landmarks());
@@ -36,15 +28,10 @@ GuidedSearcher::GuidedSearcher(const Graph& g, const Graph& sparsified,
                                const PathLabeling& labeling,
                                const MetaGraph& meta, const DeltaCache& delta)
     : g_(g), gminus_(sparsified), labeling_(labeling), meta_(meta),
-      delta_(delta) {
+      delta_(delta), search_(sparsified) {
   QBS_CHECK_EQ(g.NumVertices(), labeling.num_vertices());
   QBS_CHECK_EQ(sparsified.NumVertices(), g.NumVertices());
-  // Depths stay below kOnPath - 1, clear of a masked kUnreachable.
-  QBS_CHECK_LT(g.NumVertices(), kOnPath);
   QBS_CHECK(meta.finalized());
-  for (int s = 0; s < 2; ++s) {
-    depth_[s].Resize(g.NumVertices(), kUnreachable);
-  }
   walk_mark_.assign(g.NumVertices(), 0);
   walk_session_.Resize(labeling.num_landmarks(), 0);
 }
@@ -173,84 +160,20 @@ int GuidedSearcher::PickSide(const Sketch& sketch, const uint32_t d[2]) const {
   if (want_u != want_v) return want_u ? 0 : 1;
   // Tie: expand the side that has traversed less so far. Flat levels make
   // this a buffer-length read instead of a per-level sum.
-  return levels_[0].TotalSize() <= levels_[1].TotalSize() ? 0 : 1;
+  return search_.levels(0).TotalSize() <= search_.levels(1).TotalSize()
+             ? 0
+             : 1;
 }
 
 void GuidedSearcher::ExpandLevel(int t, SearchStats* stats) {
-  const int o = 1 - t;
-  const uint32_t next_depth = static_cast<uint32_t>(levels_[t].NumLevels());
-  // Open the next level first so the current level's bounds are frozen,
-  // then iterate by index: Push may reallocate the flat buffer.
-  levels_[t].BeginLevel();
-  const size_t begin = levels_[t].LevelBegin(next_depth - 1);
-  const size_t end = levels_[t].LevelEnd(next_depth - 1);
-  uint64_t scanned = 0;
-  for (size_t idx = begin; idx < end; ++idx) {
-    const VertexId x = levels_[t].At(idx);
-    scanned += gminus_.Degree(x);
-    stats->landmark_edges_skipped += g_.Degree(x) - gminus_.Degree(x);
-    for (VertexId w : gminus_.Neighbors(x)) {
-      if (depth_[t].IsSet(w)) continue;
-      depth_[t].Set(w, next_depth);
-      levels_[t].Push(w);
-      if (depth_[o].IsSet(w)) meet_set_.push_back(w);
-    }
-  }
+  const uint64_t scanned = search_.ExpandLevel(t);
   stats->edges_scanned_search += scanned;
-  level_scan_[t].push_back(scanned);
-}
-
-void GuidedSearcher::AddBackwardStart(int t, VertexId w) {
-  const uint32_t depth = depth_[t].Get(w);
-  QBS_DCHECK(depth != kUnreachable);
-  if ((depth & kOnPath) != 0) return;
-  depth_[t].Set(w, depth | kOnPath);
-  if (depth >= on_path_[t].size()) on_path_[t].resize(depth + 1);
-  on_path_[t][depth].push_back(w);
-}
-
-void GuidedSearcher::RunBackwardWalk(int t, SearchStats* stats) {
-  // From the deepest level down. Level L's on-path set is complete once
-  // level L+1 is done, and every G⁻ edge from it to level L-1 is an answer
-  // edge whose lower end is on-path too. Two exact scans find those edges:
-  //  - top-down: the on-path vertices' own adjacency, keeping neighbours
-  //    at depth L-1, for Σ deg⁻ over them;
-  //  - bottom-up: all of level L-1's adjacency, keeping neighbours marked
-  //    at L, for the level_scan_ its forward expansion already counted.
-  // Each level takes the cheaper, so an on-path hub costs no more than
-  // its parent level and a thin path through wide levels no more than its
-  // own degrees. Both emit the same edges, and side t's reverse scans
-  // never exceed its search scans.
-  for (size_t level = on_path_[t].size(); level-- > 1;) {
-    const std::vector<VertexId>& marked = on_path_[t][level];
-    if (marked.empty()) continue;
-    const uint32_t below = static_cast<uint32_t>(level - 1);
-    uint64_t top_down = 0;
-    for (const VertexId w : marked) top_down += gminus_.Degree(w);
-    const uint64_t bottom_up = level_scan_[t][below];
-    if (top_down <= bottom_up) {
-      stats->edges_scanned_reverse += top_down;
-      for (const VertexId w : marked) {
-        for (const VertexId x : gminus_.Neighbors(w)) {
-          if ((depth_[t].Get(x) & ~kOnPath) != below) continue;
-          edges_.emplace_back(w, x);
-          AddBackwardStart(t, x);  // x's bucket exists: `marked` stays put
-        }
-      }
-    } else {
-      stats->edges_scanned_reverse += bottom_up;
-      const uint32_t marked_depth = static_cast<uint32_t>(level) | kOnPath;
-      for (const VertexId x : levels_[t].Level(below)) {
-        bool on_path_child = false;
-        for (const VertexId w : gminus_.Neighbors(x)) {
-          if (depth_[t].Get(w) != marked_depth) continue;
-          edges_.emplace_back(w, x);
-          on_path_child = true;
-        }
-        if (on_path_child) AddBackwardStart(t, x);
-      }
-    }
+  const LevelStack& levels = search_.levels(t);
+  uint64_t full_degree = 0;
+  for (const VertexId x : levels.Level(levels.NumLevels() - 2)) {
+    full_degree += g_.Degree(x);
   }
+  stats->landmark_edges_skipped += full_degree - scanned;
 }
 
 uint64_t GuidedSearcher::WalkSerial(LandmarkIndex r) {
@@ -308,26 +231,14 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
   }
 
   // Reset per-query scratch (buffers are reused; only logical clears).
-  for (int s = 0; s < 2; ++s) {
-    depth_[s].Reset();
-    levels_[s].Clear();
-    level_scan_[s].clear();
-    for (std::vector<VertexId>& bucket : on_path_[s]) bucket.clear();
-  }
-  meet_set_.clear();
+  search_.Reset();
   walk_session_.Reset();
   edges_.clear();
 
   const bool u_lm = labeling_.IsLandmark(u);
   const bool v_lm = labeling_.IsLandmark(v);
-  const VertexId endpoint[2] = {u, v};
-  for (int s = 0; s < 2; ++s) {
-    levels_[s].BeginLevel();
-    if (!labeling_.IsLandmark(endpoint[s])) {
-      depth_[s].Set(endpoint[s], 0);
-      levels_[s].Push(endpoint[s]);
-    }
-  }
+  if (!u_lm) search_.Seed(0, u);
+  if (!v_lm) search_.Seed(1, v);
 
   // Stage 1: sketch-guided bi-directional search on G⁻. A landmark endpoint
   // does not exist in G⁻, so the search is skipped entirely in that case
@@ -340,13 +251,14 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
     const uint32_t budget = sketch.d_top;
     const bool bounded = budget != kUnreachable;
     while (!bounded || d[0] + d[1] < budget) {
-      if (levels_[0].LevelSize(d[0]) == 0 || levels_[1].LevelSize(d[1]) == 0) {
+      if (search_.levels(0).LevelSize(d[0]) == 0 ||
+          search_.levels(1).LevelSize(d[1]) == 0) {
         break;  // G⁻ exhausted on one side: d_G⁻(u, v) = ∞.
       }
       const int t = PickSide(sketch, d);
       ExpandLevel(t, stats);
       ++d[t];
-      if (!meet_set_.empty()) {
+      if (!search_.meet_set().empty()) {
         meet = true;
         break;
       }
@@ -379,13 +291,13 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
 
   // Stage 2: reverse search (G⁻_uv) — runs iff the frontiers met, i.e.
   // d_G⁻(u, v) <= d⊤. Every shortest u–v path in G⁻ crosses the meeting
-  // level at a vertex in meet_set_, so walking depth levels backwards from
-  // the meet set on both sides emits exactly G⁻_uv.
+  // level at a vertex of the meet set, so walking depth levels backwards
+  // from the meet set on both sides emits exactly G⁻_uv.
   if (meet) {
-    for (const VertexId m : meet_set_) {
-      QBS_DCHECK(depth_[0].Get(m) + depth_[1].Get(m) == d_minus);
-      AddBackwardStart(0, m);
-      AddBackwardStart(1, m);
+    for (const VertexId m : search_.meet_set()) {
+      QBS_DCHECK(search_.Depth(0, m) + search_.Depth(1, m) == d_minus);
+      search_.AddBackwardStart(0, m);
+      search_.AddBackwardStart(1, m);
     }
   }
 
@@ -416,12 +328,12 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
         if (anchor.delta == 0) continue;  // endpoint is the landmark itself
         const uint32_t sigma = anchor.delta;
         const uint32_t dm = std::min(sigma - 1, d[t]);
-        QBS_DCHECK(dm < levels_[t].NumLevels());
-        for (const VertexId w : levels_[t].Level(dm)) {
+        QBS_DCHECK(dm < search_.levels(t).NumLevels());
+        for (const VertexId w : search_.levels(t).Level(dm)) {
           const DistT dwr = labeling_.Get(w, anchor.landmark);
           if (dwr == kInfDist || dwr + dm != sigma) continue;
           LabelWalk(w, anchor.landmark, stats);
-          AddBackwardStart(t, w);
+          search_.AddBackwardStart(t, w);
         }
       }
     }
@@ -431,8 +343,9 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
   // sides of recovered paths, sharing marks so overlapping parts are
   // walked once (§4.3: "the search for parts of shortest paths that have
   // already been found in the reversed search can be skipped").
-  RunBackwardWalk(0, stats);
-  RunBackwardWalk(1, stats);
+  for (int t = 0; t < 2; ++t) {
+    stats->edges_scanned_reverse += search_.RunBackwardWalk(t, &edges_);
+  }
 
   // Copy (not move) so edges_ keeps its high-water capacity across queries;
   // the copy is one exact-sized allocation instead of the regrowth churn.

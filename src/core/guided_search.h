@@ -87,28 +87,17 @@ class GuidedSearcher {
                                               SearchStats* stats,
                                               ShortestPathGraph* result);
 
-  // Expands side `t` of the bi-directional search by one level; appends
-  // newly met vertices (already settled by the other side) to meet_set_
-  // and the number of G⁻ edges the level scanned to level_scan_[t].
+  // Expands side `t` of the bi-directional search on G⁻ by one level and
+  // counts its search scans and the landmark edges sparsification spared.
   void ExpandLevel(int t, SearchStats* stats);
 
   // §4.3: prefer the side whose sketch depth guide d* is not yet met,
   // breaking ties toward the smaller traversed set.
   int PickSide(const Sketch& sketch, const uint32_t d[2]) const;
 
-  // Marks `w` as on-path on side t (kOnPath in depth_[t]) and files it in
-  // its level's bucket of on_path_[t]: a start of the backward walk.
-  void AddBackwardStart(int t, VertexId w);
-
   // Serial identifying the current query's walk session for landmark r;
   // walk-mark slots holding it are "visited for r in this query".
   uint64_t WalkSerial(LandmarkIndex r);
-
-  // Emits all edges of all shortest chains from the on-path vertices back
-  // to the side-t endpoint, one level at a time from the deepest, each
-  // level from whichever side is cheaper to scan (reverse search; also
-  // used to splice Z vertices into paths).
-  void RunBackwardWalk(int t, SearchStats* stats);
 
   // Emits all edges of all landmark-free shortest paths from w to landmark
   // `r`, walking label distances down to 1 (recover search).
@@ -120,20 +109,11 @@ class GuidedSearcher {
   const MetaGraph& meta_;
   const DeltaCache& delta_;
 
-  // Per-query scratch (epoch-reset). All traversal state lives in flat
-  // buffers that keep their capacity across queries, and the query hot
-  // path hashes nothing. BFS levels are contiguous spans of one buffer per side
-  // (graph/frontier.h). depth_[t] holds each vertex's side-t level, with
-  // kOnPath set once the reverse search puts the vertex on a shortest
-  // path, so one random access reads both. on_path_[t][L] lists the
-  // on-path vertices at level L, and level_scan_[t][L] is the number of G⁻
-  // edges the forward expansion of level L scanned: the exact cost of
-  // walking back into level L bottom-up.
-  EpochArray<uint32_t> depth_[2];
-  LevelStack levels_[2];  // flat BFS levels per side
-  std::vector<uint64_t> level_scan_[2];
-  std::vector<std::vector<VertexId>> on_path_[2];
-  std::vector<VertexId> meet_set_;
+  // Per-query scratch (epoch-reset), kept at capacity across queries; the
+  // query hot path hashes nothing. The bi-directional search over G⁻, its
+  // levels, meet set and reverse walk are the engine the Bi-BFS baseline
+  // runs too (graph/frontier.h).
+  BidirectionalSearch search_;
   // (landmark, vertex) visited marks for label walks: walk_mark_[v] holds
   // the serial of the last walk session that visited v; sessions are
   // per-(query, landmark) via walk_session_, so clearing is O(1) per query

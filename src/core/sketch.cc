@@ -47,13 +47,6 @@ void ComputeAnchorCandidatesInto(const PathLabeling& labeling, VertexId t,
   RowCandidatesScalar(labeling.Row(t), labeling.row_stride(), out);
 }
 
-std::vector<SketchAnchor> AnchorCandidates(const PathLabeling& labeling,
-                                           VertexId t) {
-  std::vector<SketchAnchor> out;
-  ComputeAnchorCandidatesInto(labeling, t, &out);
-  return out;
-}
-
 Sketch ComputeSketch(const PathLabeling& labeling, const MetaGraph& meta,
                      VertexId u, VertexId v) {
   Sketch sketch;

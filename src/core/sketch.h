@@ -81,9 +81,9 @@ void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
                        VertexId u, VertexId v, Sketch* sketch,
                        SketchScratch* scratch, bool with_meta_edges = true);
 
-/// Allocation-free AnchorCandidates: clears and refills *out with the label
-/// entries of `t` in ascending landmark order (or the single virtual entry
-/// for a landmark).
+/// The label entries of `t` as sketch-anchor candidates: clears and refills
+/// *out with its stored label in ascending landmark order, or with the
+/// single virtual entry {(rank(t), 0)} if t is a landmark.
 void ComputeAnchorCandidatesInto(const PathLabeling& labeling, VertexId t,
                                  std::vector<SketchAnchor>* out);
 
@@ -92,11 +92,6 @@ void ComputeAnchorCandidatesInto(const PathLabeling& labeling, VertexId t,
 /// (which still holds the minimizing pairs).
 void ComputeSketchMetaEdges(const MetaGraph& meta, Sketch* sketch,
                             SketchScratch* scratch);
-
-/// The label entries of `t` as sketch-anchor candidates: its stored label,
-/// or {(rank(t), 0)} if t is a landmark.
-std::vector<SketchAnchor> AnchorCandidates(const PathLabeling& labeling,
-                                           VertexId t);
 
 /// Distance bounds on d_G(u, v) read from the labelling alone — one fused
 /// scan of the two label rows, O(|R|), no graph access.

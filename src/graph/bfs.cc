@@ -1,110 +1,16 @@
 #include "graph/bfs.h"
 
-#include <algorithm>
-
 #include "graph/frontier.h"
-#include "util/check.h"
-#include "util/epoch_array.h"
 
 namespace qbs {
-namespace {
-
-// Per-thread traversal scratch reused by the free-function wrappers, so
-// tight loops of full-graph BFSs (oracle queries, eccentricity sweeps) pay
-// no per-call frontier allocation.
-FrontierEngine& ThreadEngine() {
-  static thread_local FrontierEngine engine;
-  return engine;
-}
-
-// Scratch for BiBfsDistance: epoch-reset depth maps plus flat frontier
-// buffers, so repeated point-to-point probes (the Fig. 7 workload tooling)
-// touch O(traversed) state per call instead of O(|V|).
-struct BiBfsScratch {
-  EpochArray<uint32_t> depth[2];
-  std::vector<VertexId> frontier[2], next;
-};
-
-BiBfsScratch& ThreadBiBfsScratch() {
-  static thread_local BiBfsScratch scratch;
-  return scratch;
-}
-
-}  // namespace
 
 std::vector<uint32_t> BfsDistances(const Graph& g, VertexId source) {
-  return BfsDistancesBounded(g, source, kUnreachable - 1);
-}
-
-std::vector<uint32_t> BfsDistancesBounded(const Graph& g, VertexId source,
-                                          uint32_t max_depth) {
+  // Per-thread traversal scratch, so tight loops of full-graph BFSs
+  // (oracle queries) pay no per-call frontier allocation.
+  static thread_local FrontierEngine engine;
   std::vector<uint32_t> dist;
-  ThreadEngine().Distances(g, source, max_depth, &dist);
+  engine.Distances(g, source, kUnreachable - 1, &dist);
   return dist;
-}
-
-uint32_t BiBfsDistance(const Graph& g, VertexId u, VertexId v) {
-  QBS_CHECK_LT(u, g.NumVertices());
-  QBS_CHECK_LT(v, g.NumVertices());
-  if (u == v) return 0;
-
-  BiBfsScratch& s = ThreadBiBfsScratch();
-  for (int side = 0; side < 2; ++side) {
-    if (s.depth[side].size() != g.NumVertices()) {
-      s.depth[side].Resize(g.NumVertices(), kUnreachable);
-    } else {
-      s.depth[side].Reset();
-    }
-    s.frontier[side].clear();
-  }
-
-  // side 0 = from u, side 1 = from v.
-  s.depth[0].Set(u, 0);
-  s.depth[1].Set(v, 0);
-  s.frontier[0].push_back(u);
-  s.frontier[1].push_back(v);
-  uint32_t depth[2] = {0, 0};
-  uint64_t vol[2] = {g.Degree(u), g.Degree(v)};
-
-  while (!s.frontier[0].empty() && !s.frontier[1].empty()) {
-    // Expand the side whose frontier has the smaller total degree.
-    const int t = vol[0] <= vol[1] ? 0 : 1;
-    const int o = 1 - t;
-
-    // Scan the whole level before concluding: the first crossing edge found
-    // is not necessarily on a shortest path, but the minimum over the level
-    // is (any path of length <= depth[t]+1+depth[o] crosses from this
-    // frontier into a vertex already settled by the other side).
-    uint32_t best = kUnreachable;
-    s.next.clear();
-    uint64_t next_vol = 0;
-    for (VertexId x : s.frontier[t]) {
-      for (VertexId w : g.Neighbors(x)) {
-        if (s.depth[o].IsSet(w)) {
-          best = std::min(best, depth[t] + 1 + s.depth[o].Get(w));
-        }
-        if (!s.depth[t].IsSet(w)) {
-          s.depth[t].Set(w, depth[t] + 1);
-          s.next.push_back(w);
-          next_vol += g.Degree(w);
-        }
-      }
-    }
-    if (best != kUnreachable) return best;
-    ++depth[t];
-    vol[t] = next_vol;
-    std::swap(s.frontier[t], s.next);
-  }
-  return kUnreachable;
-}
-
-uint32_t Eccentricity(const Graph& g, VertexId source) {
-  const auto dist = BfsDistances(g, source);
-  uint32_t ecc = 0;
-  for (uint32_t d : dist) {
-    if (d != kUnreachable) ecc = std::max(ecc, d);
-  }
-  return ecc;
 }
 
 }  // namespace qbs

@@ -1,10 +1,11 @@
-// Breadth-first search primitives shared by indexes, baselines, and the
+// Single-source breadth-first search, shared by indexes, baselines, and the
 // workload tooling.
 //
-// The single-source functions run on the direction-optimizing frontier
-// engine (graph/frontier.h) with per-thread scratch; callers that want to
-// control the traversal mode or reuse buffers explicitly should hold a
-// FrontierEngine themselves.
+// BfsDistances runs on the direction-optimizing frontier engine
+// (graph/frontier.h) with per-thread scratch; callers that want to bound
+// the depth, control the traversal mode or reuse buffers explicitly hold a
+// FrontierEngine themselves. Point-to-point distances and SPGs come from
+// the Bi-BFS baseline (baselines/bibfs.h).
 
 #ifndef QBS_GRAPH_BFS_H_
 #define QBS_GRAPH_BFS_H_
@@ -23,20 +24,6 @@ inline constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
 // Full single-source BFS. Returns the distance array (kUnreachable for
 // vertices not connected to `source`).
 std::vector<uint32_t> BfsDistances(const Graph& g, VertexId source);
-
-// Single-source BFS truncated at `max_depth` (inclusive). Vertices farther
-// than max_depth keep kUnreachable.
-std::vector<uint32_t> BfsDistancesBounded(const Graph& g, VertexId source,
-                                          uint32_t max_depth);
-
-// Point-to-point distance via level-synchronous bidirectional BFS, expanding
-// the side with the smaller frontier volume (sum of degrees). Returns
-// kUnreachable if disconnected. This is the distance kernel of the Bi-BFS
-// baseline [Goldberg & Harrelson 2005] and of the workload tooling (Fig. 7).
-uint32_t BiBfsDistance(const Graph& g, VertexId u, VertexId v);
-
-// Eccentricity of `source`: max finite BFS distance.
-uint32_t Eccentricity(const Graph& g, VertexId source);
 
 }  // namespace qbs
 

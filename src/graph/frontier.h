@@ -1,9 +1,10 @@
 // The shared traversal substrate: flat reusable frontier buffers, a dense
-// visited bitmap, and Beamer-style direction-optimizing BFS over the CSR.
+// visited bitmap, Beamer-style direction-optimizing BFS over the CSR, and
+// the one bidirectional level search behind both SPG searches.
 //
 // Every breadth-first hot path in the library (per-landmark labelling
 // construction, the BFS/Bi-BFS baselines, the guided search) runs on these
-// primitives instead of ad-hoc vector-of-vector frontiers. The two ideas:
+// primitives instead of ad-hoc vector-of-vector frontiers. The ideas:
 //
 //  1. Flat frontiers. A BFS level is a contiguous span of a single reusable
 //     buffer (LevelStack), so per-level allocation disappears and a "how
@@ -21,6 +22,15 @@
 //     almost all their edges in two or three dense levels, which is why
 //     construction (one full BFS per landmark, Fig. 10) is the biggest
 //     winner.
+//
+//  3. One bidirectional search (BidirectionalSearch). QbS's guided search
+//     (Algorithm 4) is the Bi-BFS baseline (§6.1) run on G⁻ with a sketch
+//     choosing the side, so both hold this engine and keep only their own
+//     side rule: level expansion, the meet set and the reverse walk that
+//     recovers every shortest path are the same code. The walk takes, per
+//     level, the cheaper of its top-down and bottom-up exact scans — the
+//     direction choice of idea 2, decided by exact costs instead of a
+//     ratio.
 
 #ifndef QBS_GRAPH_FRONTIER_H_
 #define QBS_GRAPH_FRONTIER_H_
@@ -33,6 +43,7 @@
 
 #include "graph/bfs.h"
 #include "graph/graph.h"
+#include "util/epoch_array.h"
 
 namespace qbs {
 
@@ -193,6 +204,71 @@ class FrontierEngine {
   FrontierStats stats_;
   std::vector<VertexId> cur_, next_;
   Bitmap front_bits_;
+};
+
+// Bidirectional level-synchronous BFS between two endpoints over one graph,
+// plus the reverse walk that emits every shortest path between them. Side
+// 0 grows from the first endpoint, side 1 from the second; the caller picks
+// which side each ExpandLevel advances and when to stop. Holds scratch
+// sized to the graph (construct once, Reset() per query; the per-query
+// cost is O(vertices touched), not O(|V|)). NOT thread-safe.
+class BidirectionalSearch {
+ public:
+  // `g` must outlive the search and have fewer than 2^31 vertices.
+  explicit BidirectionalSearch(const Graph& g);
+
+  // Forgets the previous query: both sides are left with an open, empty
+  // level 0 and the meet set is empty.
+  void Reset();
+
+  // Puts `v` at depth 0 of side t. Call after Reset(), before expanding t.
+  void Seed(int t, VertexId v);
+
+  // Expands side t's deepest level by one BFS step: every unvisited
+  // neighbour joins the next level, and those already settled by the other
+  // side are appended to meet_set(). Returns the edges it scanned (Σ deg
+  // over the expanded level), which the reverse walk also keeps.
+  uint64_t ExpandLevel(int t);
+
+  // Marks `w` (reached by side t) as lying on a shortest path: the reverse
+  // walk of side t starts from it. Idempotent.
+  void AddBackwardStart(int t, VertexId w);
+
+  // Appends to *edges every edge of every shortest chain from the side-t
+  // backward starts down to side t's endpoint, one level at a time from
+  // the deepest, each level from whichever side is cheaper to scan. Every
+  // start must sit on a level side t has reached by ExpandLevel.
+  // Returns the edges it scanned, never more than side t's ExpandLevel
+  // calls scanned.
+  uint64_t RunBackwardWalk(int t, std::vector<Edge>* edges);
+
+  // Side t's depth of v, or kUnreachable if side t has not reached it.
+  uint32_t Depth(int t, VertexId v) const {
+    const uint32_t depth = depth_[t].Get(v);
+    return depth == kUnreachable ? depth : depth & ~kOnPath;
+  }
+  const LevelStack& levels(int t) const { return levels_[t]; }
+  // Vertices an expansion settled that the other side had settled before,
+  // in the order the expansions met them.
+  const std::vector<VertexId>& meet_set() const { return meet_set_; }
+
+ private:
+  // High bit of a depth_ slot: the vertex is on a shortest path. Levels
+  // never reach it, and unset slots (kUnreachable) never equal a marked
+  // or unmarked level.
+  static constexpr uint32_t kOnPath = 1u << 31;
+
+  const Graph& g_;
+  // depth_[t] holds each vertex's side-t level, with kOnPath set once the
+  // reverse walk puts the vertex on a shortest path, so one random access
+  // reads both. on_path_[t][L] lists the on-path vertices at level L, and
+  // level_scan_[t][L] is the number of edges the expansion of level L
+  // scanned: the exact cost of walking back into level L bottom-up.
+  EpochArray<uint32_t> depth_[2];
+  LevelStack levels_[2];
+  std::vector<uint64_t> level_scan_[2];
+  std::vector<std::vector<VertexId>> on_path_[2];
+  std::vector<VertexId> meet_set_;
 };
 
 }  // namespace qbs

@@ -1,6 +1,6 @@
 #include "workload/query_workload.h"
 
-#include "graph/bfs.h"
+#include "baselines/bibfs.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -37,8 +37,9 @@ DistanceDistribution ComputeDistanceDistribution(
     const Graph& g, std::span<const QueryPair> pairs) {
   DistanceDistribution dist;
   dist.total = pairs.size();
+  BiBfs bibfs(g);
   for (const QueryPair& p : pairs) {
-    const uint32_t d = BiBfsDistance(g, p.u, p.v);
+    const uint32_t d = bibfs.Distance(p.u, p.v);
     if (d == kUnreachable) {
       ++dist.disconnected;
       continue;

@@ -2,8 +2,6 @@
 
 #include "gen/generators.h"
 #include "graph/bfs.h"
-#include "graph/components.h"
-#include "workload/query_workload.h"
 
 namespace qbs {
 namespace {
@@ -34,13 +32,6 @@ TEST(BfsTest, DisconnectedIsUnreachable) {
   EXPECT_EQ(d[3], kUnreachable);
 }
 
-TEST(BfsTest, BoundedStopsAtMaxDepth) {
-  Graph g = PathGraph(10);
-  const auto d = BfsDistancesBounded(g, 0, 3);
-  EXPECT_EQ(d[3], 3u);
-  EXPECT_EQ(d[4], kUnreachable);
-}
-
 TEST(BfsTest, GridDistancesAreManhattan) {
   Graph g = GridGraph(4, 5);
   const auto d = BfsDistances(g, 0);
@@ -49,68 +40,6 @@ TEST(BfsTest, GridDistancesAreManhattan) {
       EXPECT_EQ(d[r * 5 + c], r + c);
     }
   }
-}
-
-TEST(BiBfsDistanceTest, TrivialCases) {
-  Graph g = PathGraph(5);
-  EXPECT_EQ(BiBfsDistance(g, 2, 2), 0u);
-  EXPECT_EQ(BiBfsDistance(g, 0, 4), 4u);
-  EXPECT_EQ(BiBfsDistance(g, 1, 2), 1u);
-}
-
-TEST(BiBfsDistanceTest, Disconnected) {
-  Graph g = Graph::FromEdges(4, {{0, 1}, {2, 3}});
-  EXPECT_EQ(BiBfsDistance(g, 0, 3), kUnreachable);
-}
-
-TEST(BiBfsDistanceTest, CycleAntipodes) {
-  Graph g = CycleGraph(10);
-  EXPECT_EQ(BiBfsDistance(g, 0, 5), 5u);
-  EXPECT_EQ(BiBfsDistance(g, 0, 7), 3u);
-}
-
-struct BiBfsSweepParam {
-  int kind;  // 0 = BA, 1 = ER, 2 = WS
-  uint64_t seed;
-};
-
-class BiBfsSweep : public ::testing::TestWithParam<BiBfsSweepParam> {};
-
-// Property: bidirectional distance equals full-BFS distance on random
-// graphs of several families, for many pairs.
-TEST_P(BiBfsSweep, MatchesFullBfs) {
-  const auto& p = GetParam();
-  Graph g;
-  switch (p.kind) {
-    case 0:
-      g = BarabasiAlbert(300, 2, p.seed);
-      break;
-    case 1:
-      g = LargestComponent(ErdosRenyi(300, 500, p.seed)).graph;
-      break;
-    default:
-      g = WattsStrogatz(300, 4, 0.2, p.seed);
-      break;
-  }
-  const auto pairs = SampleQueryPairs(g, 50, p.seed + 1);
-  for (const auto& [u, v] : pairs) {
-    const auto full = BfsDistances(g, u);
-    EXPECT_EQ(BiBfsDistance(g, u, v), full[v]) << "u=" << u << " v=" << v;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Families, BiBfsSweep,
-                         ::testing::Values(BiBfsSweepParam{0, 1},
-                                           BiBfsSweepParam{0, 2},
-                                           BiBfsSweepParam{1, 3},
-                                           BiBfsSweepParam{1, 4},
-                                           BiBfsSweepParam{2, 5},
-                                           BiBfsSweepParam{2, 6}));
-
-TEST(EccentricityTest, PathEndpoints) {
-  Graph g = PathGraph(8);
-  EXPECT_EQ(Eccentricity(g, 0), 7u);
-  EXPECT_EQ(Eccentricity(g, 4), 4u);
 }
 
 }  // namespace

@@ -1,8 +1,11 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/bfs_oracle.h"
 #include "baselines/bibfs.h"
 #include "gen/generators.h"
+#include "graph/bfs.h"
 #include "graph/components.h"
 #include "tests/test_util.h"
 #include "workload/query_workload.h"
@@ -42,6 +45,81 @@ TEST(BiBfsTest, ScansFewerEdgesThanTwoFullBfs) {
   EXPECT_GT(scanned, 0u);
   EXPECT_LT(scanned, 4 * g.NumEdges());
 }
+
+// u - a - H - b - v, where the hub H has 200 extra leaves: the frontiers
+// meet at H. Walking back from H over its own adjacency scans deg(H) =
+// 202 edges per side; walking back bottom-up scans the level below H,
+// which the search scanned already.
+TEST(BiBfsTest, HubMeetVertexWalksBackBottomUp) {
+  constexpr VertexId kU = 0, kA = 1, kHub = 2, kB = 3, kV = 4;
+  std::vector<Edge> edges = {{kU, kA}, {kA, kHub}, {kHub, kB}, {kB, kV}};
+  for (VertexId leaf = 5; leaf < 205; ++leaf) edges.emplace_back(kHub, leaf);
+  Graph g = Graph::FromEdges(205, edges);
+  ASSERT_EQ(g.Degree(kHub), 202u);
+  BiBfs bibfs(g);
+  uint64_t scanned = 0;
+  EXPECT_EQ(bibfs.Query(kU, kV, &scanned), SpgByDoubleBfs(g, kU, kV));
+  EXPECT_LT(scanned, g.Degree(kHub));
+}
+
+TEST(BiBfsDistanceTest, TrivialCases) {
+  Graph g = PathGraph(5);
+  BiBfs bibfs(g);
+  EXPECT_EQ(bibfs.Distance(2, 2), 0u);
+  EXPECT_EQ(bibfs.Distance(0, 4), 4u);
+  EXPECT_EQ(bibfs.Distance(1, 2), 1u);
+}
+
+TEST(BiBfsDistanceTest, Disconnected) {
+  Graph g = Graph::FromEdges(4, {{0, 1}, {2, 3}});
+  EXPECT_EQ(BiBfs(g).Distance(0, 3), kUnreachable);
+}
+
+TEST(BiBfsDistanceTest, CycleAntipodes) {
+  Graph g = CycleGraph(10);
+  BiBfs bibfs(g);
+  EXPECT_EQ(bibfs.Distance(0, 5), 5u);
+  EXPECT_EQ(bibfs.Distance(0, 7), 3u);
+}
+
+struct BiBfsSweepParam {
+  int kind;  // 0 = BA, 1 = ER, 2 = WS
+  uint64_t seed;
+};
+
+class BiBfsSweep : public ::testing::TestWithParam<BiBfsSweepParam> {};
+
+// Property: bidirectional distance equals full-BFS distance on random
+// graphs of several families, for many pairs.
+TEST_P(BiBfsSweep, MatchesFullBfs) {
+  const auto& p = GetParam();
+  Graph g;
+  switch (p.kind) {
+    case 0:
+      g = BarabasiAlbert(300, 2, p.seed);
+      break;
+    case 1:
+      g = LargestComponent(ErdosRenyi(300, 500, p.seed)).graph;
+      break;
+    default:
+      g = WattsStrogatz(300, 4, 0.2, p.seed);
+      break;
+  }
+  BiBfs bibfs(g);
+  const auto pairs = SampleQueryPairs(g, 50, p.seed + 1);
+  for (const auto& [u, v] : pairs) {
+    const auto full = BfsDistances(g, u);
+    EXPECT_EQ(bibfs.Distance(u, v), full[v]) << "u=" << u << " v=" << v;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Families, BiBfsSweep,
+                         ::testing::Values(BiBfsSweepParam{0, 1},
+                                           BiBfsSweepParam{0, 2},
+                                           BiBfsSweepParam{1, 3},
+                                           BiBfsSweepParam{1, 4},
+                                           BiBfsSweepParam{2, 5},
+                                           BiBfsSweepParam{2, 6}));
 
 struct SweepParam {
   int family;

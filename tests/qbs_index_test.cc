@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "baselines/bfs_oracle.h"
+#include "baselines/bibfs.h"
 #include "core/qbs_index.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
@@ -102,9 +103,10 @@ TEST(QbsIndexTest, DistanceUpperBoundIsUpperBound) {
   options.num_landmarks = 8;
   QbsIndex index = QbsIndex::Build(g, options);
   const auto pairs = SampleQueryPairs(g, 100, 17);
+  BiBfs bibfs(g);
   for (const auto& [u, v] : pairs) {
     const uint32_t bound = index.DistanceUpperBound(u, v);
-    EXPECT_GE(bound, BiBfsDistance(g, u, v));
+    EXPECT_GE(bound, bibfs.Distance(u, v));
   }
   EXPECT_EQ(index.DistanceUpperBound(7, 7), 0u);
 }

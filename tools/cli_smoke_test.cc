@@ -287,6 +287,13 @@ TEST_F(CliSmokeTest, UsageOnBadInvocation) {
       // blocking the test, if --port ever stops being checked.
       {" serve " + edges + " " + index + " --port 70000 --no-such-option", 2,
        "bad value '70000' for --port"},
+      {" serve " + edges + " " + index + " --read_timeout_ms 5", 2,
+       "unknown option --read_timeout_ms"},
+      // Both fail while parsing, before the CLI connects to anything.
+      {" update 127.0.0.1 1 --insert abc 2", 2,
+       "bad value 'abc' for --insert"},
+      {" update 127.0.0.1 1 --delete 3 4294967296", 2,
+       "bad value '4294967296' for --delete"},
       {" generate ba " + Quoted(Path("h.edges")) + " 300 3x", 2,
        "bad value '3x' for m"},
       {" query " + edges + " " + index + " --requests " + Quoted(requests), 1,

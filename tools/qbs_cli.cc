@@ -590,9 +590,7 @@ int Serve(int argc, char** argv) {
   qbs::server::ServerOptions options;
   bool updatable = false;
   for (int i = 2; i < argc; ++i) {
-    // Accept underscore spellings too (--read_timeout_ms et al.).
-    std::string a = argv[i];
-    std::replace(a.begin(), a.end(), '_', '-');
+    const std::string a = argv[i];
     if (a == "--host" && i + 1 < argc) {
       options.host = argv[++i];
     } else if (a == "--port" && i + 1 < argc) {
@@ -755,15 +753,11 @@ int Update(int argc, char** argv) {
   qbs::GraphDelta delta;
   std::string file_path;
   for (int i = 2; i < argc; ++i) {
-    std::string a = argv[i];
-    std::replace(a.begin(), a.end(), '_', '-');
+    const std::string a = argv[i];
     if ((a == "--insert" || a == "--delete") && i + 2 < argc) {
       qbs::VertexId ends[2];
       for (qbs::VertexId& end : ends) {
-        if (!ParseNumber(argv[++i], &end)) {
-          std::fprintf(stderr, "qbs update: bad vertex id '%s'\n", argv[i]);
-          return 1;
-        }
+        if (!ParseArg(a.c_str(), argv[++i], &end)) return 2;
       }
       if (a == "--insert") {
         delta.Insert(ends[0], ends[1]);
@@ -838,8 +832,7 @@ int Load(int argc, char** argv) {
   size_t conns = 1;
   bool send_shutdown = false;
   for (int i = 3; i < argc; ++i) {
-    std::string a = argv[i];
-    std::replace(a.begin(), a.end(), '_', '-');
+    const std::string a = argv[i];
     if (a == "--queries" && i + 1 < argc) {
       if (!ParseArg("--queries", argv[++i], &workload.num_queries)) return 2;
     } else if (a == "--pairs" && i + 1 < argc) {
