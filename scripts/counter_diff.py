@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Prints every bench_e2e deterministic counter that differs between two
-builds of bench_e2e.
+"""Compares bench_e2e's deterministic counters.
 
-  counter_diff.py BASE_BINARY HEAD_BINARY
+  counter_diff.py BASE_BINARY HEAD_BINARY   print what differs between builds
+  counter_diff.py --write FILE BINARY       record BINARY's counters in FILE
+  counter_diff.py --expect FILE BINARY      check BINARY against FILE
 
-Runs both binaries with `--workload=all --smoke --seed=1`, traced as in
-bench_e2e/smoke_test.py, and compares the counters that file lists as
+Runs each binary with `--workload=all --smoke --seed=1`, traced as in
+bench_e2e/smoke_test.py, and reads the counters that file lists as
 DETERMINISTIC (edge counts, coverage fractions, byte sizes, column
 counts): a fixed seed repeats them exactly, so any difference is a change
-in behaviour, not noise. Prints only; exits nonzero only if a bench_e2e
-run fails.
+in behaviour, not noise. Every mode prints each counter that differs.
+The two-binary mode exits nonzero only if a bench_e2e run fails;
+--expect also exits 1 when any counter differs from FILE, so a change in
+behaviour ships with its new counter file (written by --write).
 """
 
 import os
@@ -21,6 +24,10 @@ sys.dont_write_bytecode = True  # keep bench_e2e/ free of __pycache__
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
                                 "..", "bench_e2e"))
 from smoke_test import DETERMINISTIC  # noqa: E402
+
+HEADER = ("# bench_e2e deterministic counters: --workload=all --smoke "
+          "--seed=1.\n# Rewrite with: scripts/counter_diff.py --write "
+          "scripts/smoke_counters.tsv BINARY\n")
 
 
 def counters(binary, work_dir):
@@ -39,12 +46,30 @@ def counters(binary, work_dir):
     return values
 
 
-def main():
-    if len(sys.argv) != 3:
-        sys.exit(__doc__)
+def run(binary, name):
     with tempfile.TemporaryDirectory() as work:
-        base = counters(sys.argv[1], os.path.join(work, "base"))
-        head = counters(sys.argv[2], os.path.join(work, "head"))
+        return counters(binary, os.path.join(work, name))
+
+
+def read_file(path):
+    values = {}
+    with open(path) as f:
+        for line in f:
+            if line.startswith("#") or not line.strip():
+                continue
+            workload, name, value = line.rstrip("\n").split("\t")
+            values[(workload, name)] = value
+    return values
+
+
+def write_file(path, values):
+    with open(path, "w") as f:
+        f.write(HEADER)
+        for (workload, name), value in sorted(values.items()):
+            f.write("%s\t%s\t%s\n" % (workload, name, value))
+
+
+def report(base, head):
     changed = [(key, base.get(key, "-"), head.get(key, "-"))
                for key in sorted(set(base) | set(head))
                if base.get(key) != head.get(key)]
@@ -52,6 +77,23 @@ def main():
         print("%-12s %-40s %14s -> %s" % (workload, name, old, new))
     print("counter diff: %d of %d deterministic counters differ"
           % (len(changed), len(set(base) | set(head))))
+    return len(changed)
+
+
+def main():
+    args = sys.argv[1:]
+    if len(args) == 3 and args[0] == "--write":
+        values = run(args[2], "head")
+        write_file(args[1], values)
+        print("wrote %d counters to %s" % (len(values), args[1]))
+    elif len(args) == 3 and args[0] == "--expect":
+        if report(read_file(args[1]), run(args[2], "head")):
+            sys.exit("counters differ from %s; if the change is intended, "
+                     "rewrite it with --write" % args[1])
+    elif len(args) == 2 and not args[0].startswith("--"):
+        report(run(args[0], "base"), run(args[1], "head"))
+    else:
+        sys.exit(__doc__)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,69 @@
 #include "core/labeling.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "graph/bfs.h"
-#include "graph/frontier.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace qbs {
 namespace {
+
+// Dense bitset sized to the vertex space, rebuilt once per bottom-up level.
+class Bitmap {
+ public:
+  void Resize(size_t n) { words_.assign((n + 63) / 64, 0); }
+  void Set(size_t i) { words_[i >> 6] |= 1ull << (i & 63); }
+  bool Test(size_t i) const { return (words_[i >> 6] >> (i & 63)) & 1ull; }
+
+ private:
+  std::vector<uint64_t> words_;
+};
+
+// Direction switching [Beamer, Asanović & Patterson, SC'12]. When the
+// frontier's outgoing edge volume passes 1/alpha of the unexplored edges,
+// expanding it top-down would touch most of the graph; a bottom-up sweep —
+// every unvisited vertex scans its neighbours for a frontier parent and
+// stops at the first hit — turns the dense middle levels of a
+// small-diameter network into roughly O(unvisited vertices). Once the
+// frontier holds fewer than |V| / beta vertices the BFS drops back to
+// top-down. alpha = 15 and beta = 18 are the conventional GAP constants.
+// The caller scouts the degree of every vertex it settles; Step() consumes
+// the scouted volume to pick the next level's direction.
+class DirOptController {
+ public:
+  // The unexplored-volume budget is the 2|E| directed endpoints. Scout the
+  // root's degree before the first Step().
+  DirOptController(size_t num_vertices, uint64_t num_undirected_edges)
+      : num_vertices_(num_vertices),
+        edges_remaining_(2 * num_undirected_edges) {}
+
+  void Scout(uint64_t degree) { scout_count_ += degree; }
+
+  // Call exactly once per level, with the current frontier size.
+  bool Step(size_t frontier_size) {
+    constexpr uint64_t kAlpha = 15;
+    constexpr size_t kBeta = 18;
+    if (!bottom_up_ && scout_count_ > edges_remaining_ / kAlpha) {
+      bottom_up_ = true;
+    } else if (bottom_up_ && frontier_size < num_vertices_ / kBeta) {
+      bottom_up_ = false;
+    }
+    edges_remaining_ -= scout_count_;
+    scout_count_ = 0;
+    return bottom_up_;
+  }
+
+ private:
+  size_t num_vertices_;
+  uint64_t edges_remaining_;
+  uint64_t scout_count_ = 0;
+  bool bottom_up_ = false;
+};
 
 // Per-worker scratch reused across the BFSs this worker runs.
 struct BfsScratch {
@@ -18,7 +72,6 @@ struct BfsScratch {
   std::vector<VertexId> cur_l, cur_n, next_l, next_n;
   // Frontier membership bitmaps, rebuilt only for bottom-up levels.
   Bitmap bits_l, bits_n;
-  DirOptPolicy policy;
 };
 
 // Classifies and enqueues the vertex v, newly reached at `next_depth`.
@@ -63,12 +116,12 @@ void ExpandTopDown(const Graph& g, const PathLabeling& labeling,
 }
 
 // Algorithm 2, one landmark: a level-synchronous BFS from landmarks[i] with
-// two queues (QL / QN) on the shared frontier substrate. QL classification
-// takes priority: a vertex reachable both ways at the same depth counts as
-// QL. Dense middle levels run bottom-up (every unvisited vertex scans its
-// neighbourhood for a QL parent first, then a QN parent), which preserves
-// the priority rule and cuts the per-landmark full-graph sweep — the
-// construction-time hot path (Fig. 10) — to a fraction of its edges.
+// two queues (QL / QN). QL classification takes priority: a vertex
+// reachable both ways at the same depth counts as QL. Dense middle levels
+// run bottom-up (every unvisited vertex scans its neighbourhood for a QL
+// parent first, then a QN parent), which preserves the priority rule and
+// cuts the per-landmark full-graph sweep — the construction-time hot path
+// (Fig. 10) — to a fraction of its edges.
 void LabelFromLandmark(const Graph& g, const PathLabeling& labeling,
                        LandmarkIndex i, DistT* col,
                        std::vector<MetaEdge>* meta_edges, BfsScratch* s) {
@@ -80,7 +133,7 @@ void LabelFromLandmark(const Graph& g, const PathLabeling& labeling,
   s->depth[root] = 0;
   s->cur_l.push_back(root);
 
-  DirOptController dir(s->policy, n, g.NumEdges());
+  DirOptController dir(n, g.NumEdges());
   dir.Scout(g.Degree(root));
 
   uint32_t level = 0;

@@ -3,125 +3,21 @@
 #include <algorithm>
 #include <numeric>
 
-#include "graph/bfs.h"
-#include "util/rng.h"
-
 namespace qbs {
-namespace {
 
-// Sample `count` distinct vertices with probability proportional to degree,
-// via rejection sampling over the adjacency array (each vertex appears
-// deg(v) times among edge endpoints).
-std::vector<VertexId> DegreeWeightedSample(const Graph& g, uint32_t count,
-                                           Rng* rng) {
-  std::vector<VertexId> picks;
-  std::vector<bool> picked(g.NumVertices(), false);
-  // Flatten endpoints lazily: choose a random edge and endpoint.
-  const uint64_t num_edges = g.NumEdges();
-  std::vector<Edge> edges = g.EdgeList();
-  uint64_t attempts = 0;
-  const uint64_t max_attempts = 64ull * count + 1024;
-  while (picks.size() < count && num_edges > 0 && attempts < max_attempts) {
-    ++attempts;
-    const Edge& e = edges[rng->UniformInt(num_edges)];
-    const VertexId v = rng->Bernoulli(0.5) ? e.u : e.v;
-    if (!picked[v]) {
-      picked[v] = true;
-      picks.push_back(v);
-    }
-  }
-  // Degenerate graphs (few non-isolated vertices): top up deterministically.
-  for (VertexId v = 0; picks.size() < count; ++v) {
-    if (!picked[v]) {
-      picked[v] = true;
-      picks.push_back(v);
-    }
-  }
-  return picks;
-}
-
-// Approximate closeness centrality: BFS from a few sampled sources; rank
-// vertices by total distance to the samples (ascending = most central).
-// Costs O(samples * |E|); a practical instantiation of the paper's §8
-// future-work item on landmark selection strategies.
-std::vector<VertexId> ApproxClosenessSelect(const Graph& g, uint32_t count,
-                                            uint64_t seed) {
-  constexpr uint32_t kSamples = 8;
-  Rng rng(seed);
-  std::vector<uint64_t> total(g.NumVertices(), 0);
-  for (uint32_t s = 0; s < kSamples; ++s) {
-    const auto source = static_cast<VertexId>(rng.UniformInt(g.NumVertices()));
-    const auto dist = BfsDistances(g, source);
-    for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      // Penalize unreachability strongly so central vertices stay in the
-      // giant component.
-      total[v] += dist[v] == kUnreachable ? g.NumVertices() : dist[v];
-    }
-  }
-  std::vector<VertexId> vertices(g.NumVertices());
-  std::iota(vertices.begin(), vertices.end(), 0);
-  std::partial_sort(vertices.begin(), vertices.begin() + count,
-                    vertices.end(), [&](VertexId a, VertexId b) {
-                      return total[a] != total[b] ? total[a] < total[b]
-                                                  : a < b;
-                    });
-  vertices.resize(count);
-  return vertices;
-}
-
-}  // namespace
-
-std::vector<VertexId> SelectLandmarks(const Graph& g, uint32_t count,
-                                      LandmarkStrategy strategy,
-                                      uint64_t seed) {
+std::vector<VertexId> SelectLandmarks(const Graph& g, uint32_t count) {
   const VertexId n = g.NumVertices();
   if (count > n) count = n;
   std::vector<VertexId> vertices(n);
   std::iota(vertices.begin(), vertices.end(), 0);
-
-  switch (strategy) {
-    case LandmarkStrategy::kHighestDegree:
-      std::partial_sort(vertices.begin(), vertices.begin() + count,
-                        vertices.end(), [&g](VertexId a, VertexId b) {
-                          const uint32_t da = g.Degree(a);
-                          const uint32_t db = g.Degree(b);
-                          return da != db ? da > db : a < b;
-                        });
-      break;
-    case LandmarkStrategy::kRandom: {
-      Rng rng(seed);
-      // Partial Fisher-Yates: draw `count` distinct vertices.
-      for (uint32_t i = 0; i < count; ++i) {
-        const size_t j =
-            i + static_cast<size_t>(rng.UniformInt(n - i));
-        std::swap(vertices[i], vertices[j]);
-      }
-      break;
-    }
-    case LandmarkStrategy::kDegreeWeightedRandom: {
-      Rng rng(seed);
-      return DegreeWeightedSample(g, count, &rng);
-    }
-    case LandmarkStrategy::kApproxCloseness:
-      if (n == 0) return {};
-      return ApproxClosenessSelect(g, count, seed);
-  }
+  std::partial_sort(vertices.begin(), vertices.begin() + count,
+                    vertices.end(), [&g](VertexId a, VertexId b) {
+                      const uint32_t da = g.Degree(a);
+                      const uint32_t db = g.Degree(b);
+                      return da != db ? da > db : a < b;
+                    });
   vertices.resize(count);
   return vertices;
-}
-
-const char* LandmarkStrategyName(LandmarkStrategy strategy) {
-  switch (strategy) {
-    case LandmarkStrategy::kHighestDegree:
-      return "degree";
-    case LandmarkStrategy::kRandom:
-      return "random";
-    case LandmarkStrategy::kDegreeWeightedRandom:
-      return "deg-weighted";
-    case LandmarkStrategy::kApproxCloseness:
-      return "closeness";
-  }
-  return "unknown";
 }
 
 }  // namespace qbs

@@ -1,10 +1,9 @@
-// Landmark selection strategies (§6.1 "Landmarks").
+// Landmark selection (§6.1 "Landmarks").
 //
 // The paper selects the |R| highest-degree vertices: removing them sparsifies
 // the graph the most, and distances through high-degree hubs estimate true
-// distances well [Potamias et al. 2009]. A random strategy is provided as the
-// natural ablation and as a hook for the future-work item on selection
-// strategies (§8).
+// distances well [Potamias et al. 2009]. Any other set goes through
+// QbsIndex::BuildWithLandmarks.
 
 #ifndef QBS_CORE_LANDMARK_SELECTION_H_
 #define QBS_CORE_LANDMARK_SELECTION_H_
@@ -16,22 +15,9 @@
 
 namespace qbs {
 
-enum class LandmarkStrategy {
-  kHighestDegree,         // paper default: top-|R| by degree
-  kRandom,                // uniform random (ablation)
-  kDegreeWeightedRandom,  // sample proportionally to degree
-  kApproxCloseness,       // most-central by sampled-BFS closeness (§8 hook)
-};
-
-// Returns `count` distinct landmark vertex ids. kHighestDegree and
-// kApproxCloseness are deterministic given (g, seed); kRandom and
-// kDegreeWeightedRandom depend on `seed` only. `count` is clamped to the
-// number of vertices.
-std::vector<VertexId> SelectLandmarks(const Graph& g, uint32_t count,
-                                      LandmarkStrategy strategy, uint64_t seed);
-
-// Human-readable strategy name (for benchmark output).
-const char* LandmarkStrategyName(LandmarkStrategy strategy);
+// Returns the `count` highest-degree vertices, ties to the lower id, in
+// that order. `count` is clamped to the number of vertices.
+std::vector<VertexId> SelectLandmarks(const Graph& g, uint32_t count);
 
 }  // namespace qbs
 

@@ -11,11 +11,8 @@
 namespace qbs {
 
 QbsIndex QbsIndex::Build(const Graph& g, const QbsOptions& options) {
-  return BuildWithLandmarks(
-      g,
-      SelectLandmarks(g, options.num_landmarks, options.landmark_strategy,
-                      options.seed),
-      options);
+  return BuildWithLandmarks(g, SelectLandmarks(g, options.num_landmarks),
+                            options);
 }
 
 QbsIndex QbsIndex::BuildWithLandmarks(const Graph& g,

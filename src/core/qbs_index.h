@@ -45,9 +45,6 @@ namespace qbs {
 struct QbsOptions {
   /// |R|; the paper's default is 20 (§6.1). Clamped to |V|.
   uint32_t num_landmarks = 20;
-  LandmarkStrategy landmark_strategy = LandmarkStrategy::kHighestDegree;
-  /// Seed for the random landmark strategy.
-  uint64_t seed = 42;
   /// Labelling construction threads: 1 = sequential QbS, 0 = all hardware
   /// threads (QbS-P), otherwise the exact count.
   size_t num_threads = 1;

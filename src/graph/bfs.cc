@@ -1,15 +1,22 @@
 #include "graph/bfs.h"
 
-#include "graph/frontier.h"
+#include "util/check.h"
 
 namespace qbs {
 
 std::vector<uint32_t> BfsDistances(const Graph& g, VertexId source) {
-  // Per-thread traversal scratch, so tight loops of full-graph BFSs
-  // (oracle queries) pay no per-call frontier allocation.
-  static thread_local FrontierEngine engine;
-  std::vector<uint32_t> dist;
-  engine.Distances(g, source, kUnreachable - 1, &dist);
+  QBS_CHECK_LT(source, g.NumVertices());
+  std::vector<uint32_t> dist(g.NumVertices(), kUnreachable);
+  std::vector<VertexId> queue{source};
+  dist[source] = 0;
+  for (size_t head = 0; head < queue.size(); ++head) {
+    const VertexId u = queue[head];
+    for (const VertexId w : g.Neighbors(u)) {
+      if (dist[w] != kUnreachable) continue;
+      dist[w] = dist[u] + 1;
+      queue.push_back(w);
+    }
+  }
   return dist;
 }
 

@@ -1,11 +1,10 @@
 // Single-source breadth-first search, shared by indexes, baselines, and the
 // workload tooling.
 //
-// BfsDistances runs on the direction-optimizing frontier engine
-// (graph/frontier.h) with per-thread scratch; callers that want to bound
-// the depth, control the traversal mode or reuse buffers explicitly hold a
-// FrontierEngine themselves. Point-to-point distances and SPGs come from
-// the Bi-BFS baseline (baselines/bibfs.h).
+// BfsDistances is a plain top-down queue BFS: the reference that the
+// direction-optimizing labelling BFS, the SPG oracle and the tests are
+// checked against, so it shares no traversal code with them. Point-to-point
+// distances and SPGs come from the Bi-BFS baseline (baselines/bibfs.h).
 
 #ifndef QBS_GRAPH_BFS_H_
 #define QBS_GRAPH_BFS_H_

@@ -4,73 +4,6 @@
 
 namespace qbs {
 
-void FrontierEngine::Distances(const Graph& g, VertexId source,
-                               uint32_t max_depth,
-                               std::vector<uint32_t>* dist,
-                               TraversalMode mode) {
-  QBS_CHECK_LT(source, g.NumVertices());
-  const size_t n = g.NumVertices();
-  dist->assign(n, kUnreachable);
-  stats_ = FrontierStats{};
-
-  cur_.clear();
-  next_.clear();
-  cur_.push_back(source);
-  (*dist)[source] = 0;
-
-  DirOptController dir(policy_, n, g.NumEdges());
-  dir.Scout(g.Degree(source));
-
-  uint32_t depth = 0;
-  while (!cur_.empty() && depth < max_depth) {
-    const uint32_t next_depth = depth + 1;
-    next_.clear();
-
-    // A forced mode still runs Step() for its edges-remaining bookkeeping;
-    // only the returned direction is overridden.
-    bool bottom_up = dir.Step(cur_.size());
-    if (mode != TraversalMode::kAuto) {
-      bottom_up = mode == TraversalMode::kBottomUp;
-    }
-
-    if (bottom_up) {
-      // Pull: every unvisited vertex looks for a parent on the frontier and
-      // stops at the first hit.
-      front_bits_.Resize(n);
-      for (VertexId x : cur_) front_bits_.Set(x);
-      for (VertexId v = 0; v < n; ++v) {
-        if ((*dist)[v] != kUnreachable) continue;
-        for (VertexId w : g.Neighbors(v)) {
-          ++stats_.edges_scanned;
-          if (front_bits_.Test(w)) {
-            (*dist)[v] = next_depth;
-            next_.push_back(v);
-            dir.Scout(g.Degree(v));
-            break;
-          }
-        }
-      }
-      ++stats_.bottom_up_levels;
-    } else {
-      // Push: expand the frontier's adjacency.
-      for (VertexId x : cur_) {
-        stats_.edges_scanned += g.Degree(x);
-        for (VertexId w : g.Neighbors(x)) {
-          if ((*dist)[w] == kUnreachable) {
-            (*dist)[w] = next_depth;
-            next_.push_back(w);
-            dir.Scout(g.Degree(w));
-          }
-        }
-      }
-    }
-
-    std::swap(cur_, next_);
-    ++stats_.levels;
-    ++depth;
-  }
-}
-
 BidirectionalSearch::BidirectionalSearch(const Graph& g) : g_(g) {
   // Depths stay below kOnPath - 1, clear of a masked kUnreachable.
   QBS_CHECK_LT(g.NumVertices(), kOnPath);

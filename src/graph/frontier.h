@@ -1,41 +1,26 @@
-// The shared traversal substrate: flat reusable frontier buffers, a dense
-// visited bitmap, Beamer-style direction-optimizing BFS over the CSR, and
-// the one bidirectional level search behind both SPG searches.
-//
-// Every breadth-first hot path in the library (per-landmark labelling
-// construction, the BFS/Bi-BFS baselines, the guided search) runs on these
-// primitives instead of ad-hoc vector-of-vector frontiers. The ideas:
+// The shared traversal substrate: flat reusable frontier buffers, scratch
+// for pruned rooted BFSs, and the one bidirectional level search behind
+// both SPG searches.
 //
 //  1. Flat frontiers. A BFS level is a contiguous span of a single reusable
 //     buffer (LevelStack), so per-level allocation disappears and a "how
 //     much did this side traverse" question is a pointer subtraction.
 //
-//  2. Direction switching [Beamer, Asanović & Patterson, SC'12]. When the
-//     frontier's outgoing edge volume grows past a fraction of the
-//     unexplored edges (alpha), expanding it top-down would touch most of
-//     the graph; switching to a bottom-up sweep — every unvisited vertex
-//     scans its neighbours for a frontier parent and stops at the first
-//     hit — turns the dense middle levels of a small-diameter network from
-//     O(frontier edges) into roughly O(unvisited vertices). When the
-//     frontier shrinks below |V| / beta the traversal drops back to
-//     top-down. The complex networks the paper targets (Table 1) spend
-//     almost all their edges in two or three dense levels, which is why
-//     construction (one full BFS per landmark, Fig. 10) is the biggest
-//     winner.
-//
-//  3. One bidirectional search (BidirectionalSearch). QbS's guided search
+//  2. One bidirectional search (BidirectionalSearch). QbS's guided search
 //     (Algorithm 4) is the Bi-BFS baseline (§6.1) run on G⁻ with a sketch
 //     choosing the side, so both hold this engine and keep only their own
 //     side rule: level expansion, the meet set and the reverse walk that
 //     recovers every shortest path are the same code. The walk takes, per
-//     level, the cheaper of its top-down and bottom-up exact scans — the
-//     direction choice of idea 2, decided by exact costs instead of a
-//     ratio.
+//     level, the cheaper of its top-down and bottom-up exact scans — a
+//     direction choice decided by exact costs instead of a ratio.
+//
+// The per-landmark labelling BFS (core/labeling.cc) keeps its own
+// direction-optimizing traversal; BfsDistances (graph/bfs.h) is the plain
+// reference they are all checked against.
 
 #ifndef QBS_GRAPH_FRONTIER_H_
 #define QBS_GRAPH_FRONTIER_H_
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -46,22 +31,6 @@
 #include "util/epoch_array.h"
 
 namespace qbs {
-
-// Dense bitset sized to the vertex space. Clear() is O(|V| / 64) — cheap
-// enough to run once per bottom-up level, and never on the top-down path.
-class Bitmap {
- public:
-  void Resize(size_t n) { words_.assign((n + 63) / 64, 0); }
-  void Clear() { std::fill(words_.begin(), words_.end(), 0ull); }
-
-  void Set(size_t i) { words_[i >> 6] |= 1ull << (i & 63); }
-  bool Test(size_t i) const {
-    return (words_[i >> 6] >> (i & 63)) & 1ull;
-  }
-
- private:
-  std::vector<uint64_t> words_;
-};
 
 // BFS levels: one contiguous span of vertices per level, stored
 // back-to-back in one buffer. BeginLevel() opens a new level; Push()
@@ -119,91 +88,6 @@ struct RootedBfsScratch {
     for (VertexId v : queue) depth[v] = kUnreachable;
     queue.clear();
   }
-};
-
-// Direction-switching thresholds. The defaults are the conventional GAP /
-// Beamer constants; the equivalence tests and the ablation bench override
-// the mode outright instead of tuning these.
-struct DirOptPolicy {
-  // Go bottom-up when frontier edge volume > unexplored edges / alpha.
-  uint32_t alpha = 15;
-  // Return top-down when the frontier holds fewer than |V| / beta vertices.
-  uint32_t beta = 18;
-};
-
-// The Beamer alpha/beta hysteresis itself, factored out of the traversals
-// that share it (FrontierEngine and the per-landmark labelling BFS): the
-// caller scouts the out-degree of every vertex it settles, and Step()
-// consumes the scouted volume to pick the next level's direction.
-class DirOptController {
- public:
-  // `num_undirected_edges` = |E|; the unexplored-volume budget is the 2|E|
-  // directed endpoints. Seed the root's degree via Scout() before the first
-  // Step().
-  DirOptController(const DirOptPolicy& policy, size_t num_vertices,
-                   uint64_t num_undirected_edges)
-      : policy_(policy),
-        num_vertices_(num_vertices),
-        edges_remaining_(2 * num_undirected_edges) {}
-
-  // Accounts the out-degree of a newly settled vertex: the volume the
-  // frontier would scan if the next level ran top-down.
-  void Scout(uint64_t degree) { scout_count_ += degree; }
-
-  // Picks the direction for the next level given the current frontier
-  // size, consuming the scouted volume. Call exactly once per level.
-  bool Step(size_t frontier_size) {
-    if (!bottom_up_ &&
-        scout_count_ > edges_remaining_ / policy_.alpha) {
-      bottom_up_ = true;
-    } else if (bottom_up_ && frontier_size < num_vertices_ / policy_.beta) {
-      bottom_up_ = false;
-    }
-    edges_remaining_ -= scout_count_;
-    scout_count_ = 0;
-    return bottom_up_;
-  }
-
- private:
-  DirOptPolicy policy_;
-  size_t num_vertices_;
-  uint64_t edges_remaining_;
-  uint64_t scout_count_ = 0;
-  bool bottom_up_ = false;
-};
-
-enum class TraversalMode {
-  kAuto,      // direction-optimizing (the default everywhere)
-  kTopDown,   // classic level-synchronous push
-  kBottomUp,  // pull every level (test/ablation only; slow on purpose)
-};
-
-struct FrontierStats {
-  uint32_t levels = 0;
-  uint32_t bottom_up_levels = 0;
-  uint64_t edges_scanned = 0;
-};
-
-// Reusable scratch + driver for single-source (optionally depth-bounded)
-// BFS distances. Construct once per thread and reuse: buffers are sized on
-// first use and only grow. Not thread-safe.
-class FrontierEngine {
- public:
-  // Fills dist (resized to |V|, kUnreachable where not reached) with BFS
-  // distances from `source`, truncated at `max_depth` (inclusive).
-  void Distances(const Graph& g, VertexId source, uint32_t max_depth,
-                 std::vector<uint32_t>* dist,
-                 TraversalMode mode = TraversalMode::kAuto);
-
-  const FrontierStats& stats() const { return stats_; }
-  const DirOptPolicy& policy() const { return policy_; }
-  void set_policy(const DirOptPolicy& policy) { policy_ = policy; }
-
- private:
-  DirOptPolicy policy_;
-  FrontierStats stats_;
-  std::vector<VertexId> cur_, next_;
-  Bitmap front_bits_;
 };
 
 // Bidirectional level-synchronous BFS between two endpoints over one graph,

@@ -51,8 +51,7 @@ class DeltaSegmentProperty : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(DeltaSegmentProperty, SegmentsMatchBruteForce) {
   const uint64_t seed = GetParam();
   Graph g = BarabasiAlbert(200, 2, seed);
-  const auto landmarks =
-      SelectLandmarks(g, 8, LandmarkStrategy::kHighestDegree, seed);
+  const auto landmarks = SelectLandmarks(g, 8);
   const auto scheme = BuildLabelingScheme(g, landmarks);
   for (const MetaEdge& e : scheme.meta.Edges()) {
     auto got = RecoverMetaSegment(g, scheme.labeling, e);
@@ -120,8 +119,7 @@ TEST(DeltaCacheTest, MissingPairReturnsNull) {
 // cache, and the spliced answers match the oracle.
 TEST(DeltaCacheTest, RecoverSearchSplicesCachedSegments) {
   Graph g = BarabasiAlbert(300, 3, 77);
-  const auto scheme = BuildLabelingScheme(
-      g, SelectLandmarks(g, 8, LandmarkStrategy::kHighestDegree, 0));
+  const auto scheme = BuildLabelingScheme(g, SelectLandmarks(g, 8));
   const DeltaCache delta =
       DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
   const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);

@@ -4,65 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include "gen/generators.h"
 #include "graph/bfs.h"
 #include "graph/graph.h"
 
 namespace qbs {
 namespace {
-
-// Reference level-synchronous BFS, the seed implementation the frontier
-// engine replaced. Every traversal mode must reproduce it exactly.
-std::vector<uint32_t> ReferenceBfs(const Graph& g, VertexId source,
-                                   uint32_t max_depth) {
-  std::vector<uint32_t> dist(g.NumVertices(), kUnreachable);
-  std::vector<VertexId> queue{source};
-  dist[source] = 0;
-  size_t head = 0;
-  while (head < queue.size()) {
-    const VertexId u = queue[head++];
-    if (dist[u] >= max_depth) continue;
-    for (VertexId w : g.Neighbors(u)) {
-      if (dist[w] == kUnreachable) {
-        dist[w] = dist[u] + 1;
-        queue.push_back(w);
-      }
-    }
-  }
-  return dist;
-}
-
-void ExpectAllModesMatchReference(const Graph& g, VertexId source,
-                                  uint32_t max_depth) {
-  const auto expected = ReferenceBfs(g, source, max_depth);
-  FrontierEngine engine;
-  std::vector<uint32_t> dist;
-  for (TraversalMode mode : {TraversalMode::kAuto, TraversalMode::kTopDown,
-                             TraversalMode::kBottomUp}) {
-    engine.Distances(g, source, max_depth, &dist, mode);
-    ASSERT_EQ(dist, expected)
-        << "mode=" << static_cast<int>(mode) << " source=" << source;
-  }
-}
-
-TEST(BitmapTest, SetTestClear) {
-  Bitmap b;
-  b.Resize(130);
-  EXPECT_FALSE(b.Test(0));
-  EXPECT_FALSE(b.Test(129));
-  b.Set(0);
-  b.Set(63);
-  b.Set(64);
-  b.Set(129);
-  EXPECT_TRUE(b.Test(0));
-  EXPECT_TRUE(b.Test(63));
-  EXPECT_TRUE(b.Test(64));
-  EXPECT_TRUE(b.Test(129));
-  EXPECT_FALSE(b.Test(1));
-  b.Clear();
-  EXPECT_FALSE(b.Test(0));
-  EXPECT_FALSE(b.Test(129));
-}
 
 TEST(LevelStackTest, LevelsAreContiguousSpans) {
   LevelStack levels;
@@ -83,73 +29,6 @@ TEST(LevelStackTest, LevelsAreContiguousSpans) {
   levels.Clear();
   EXPECT_EQ(levels.NumLevels(), 0u);
   EXPECT_EQ(levels.TotalSize(), 0u);
-}
-
-TEST(FrontierEngineTest, StructuredGraphs) {
-  ExpectAllModesMatchReference(PathGraph(17), 0, kUnreachable - 1);
-  ExpectAllModesMatchReference(CycleGraph(12), 3, kUnreachable - 1);
-  ExpectAllModesMatchReference(StarGraph(50), 1, kUnreachable - 1);
-  ExpectAllModesMatchReference(CompleteGraph(9), 4, kUnreachable - 1);
-  ExpectAllModesMatchReference(GridGraph(8, 9), 10, kUnreachable - 1);
-}
-
-TEST(FrontierEngineTest, SingleVertexAndDisconnected) {
-  ExpectAllModesMatchReference(PathGraph(1), 0, kUnreachable - 1);
-  // Two components: BFS from one must leave the other unreachable.
-  Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
-  ExpectAllModesMatchReference(g, 0, kUnreachable - 1);
-  ExpectAllModesMatchReference(g, 4, kUnreachable - 1);
-}
-
-TEST(FrontierEngineTest, RandomizedErdosRenyiEquivalence) {
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    Graph g = ErdosRenyi(600, 1800, seed);
-    for (VertexId source : {VertexId{0}, VertexId{123}, VertexId{599}}) {
-      ExpectAllModesMatchReference(g, source, kUnreachable - 1);
-    }
-  }
-}
-
-TEST(FrontierEngineTest, RandomizedBarabasiAlbertEquivalence) {
-  for (uint64_t seed = 1; seed <= 5; ++seed) {
-    Graph g = BarabasiAlbert(800, 4, seed);
-    for (VertexId source : {VertexId{0}, VertexId{400}, VertexId{799}}) {
-      ExpectAllModesMatchReference(g, source, kUnreachable - 1);
-    }
-  }
-}
-
-TEST(FrontierEngineTest, BoundedDepthEquivalence) {
-  Graph g = BarabasiAlbert(500, 3, 11);
-  for (uint32_t max_depth : {0u, 1u, 2u, 3u}) {
-    ExpectAllModesMatchReference(g, 17, max_depth);
-  }
-}
-
-TEST(FrontierEngineTest, EngineIsReusableAcrossGraphs) {
-  FrontierEngine engine;
-  std::vector<uint32_t> dist;
-  Graph small = PathGraph(5);
-  Graph large = ErdosRenyi(400, 1200, 9);
-  engine.Distances(large, 0, kUnreachable - 1, &dist);
-  EXPECT_EQ(dist, ReferenceBfs(large, 0, kUnreachable - 1));
-  engine.Distances(small, 4, kUnreachable - 1, &dist);
-  EXPECT_EQ(dist, ReferenceBfs(small, 4, kUnreachable - 1));
-}
-
-TEST(FrontierEngineTest, StatsCountLevelsAndDirections) {
-  Graph g = CompleteGraph(64);  // one dense level: bottom-up should fire
-  FrontierEngine engine;
-  std::vector<uint32_t> dist;
-  engine.Distances(g, 0, kUnreachable - 1, &dist, TraversalMode::kAuto);
-  EXPECT_GE(engine.stats().bottom_up_levels, 1u);
-  const uint64_t auto_scans = engine.stats().edges_scanned;
-  engine.Distances(g, 0, kUnreachable - 1, &dist, TraversalMode::kTopDown);
-  EXPECT_EQ(engine.stats().bottom_up_levels, 0u);
-  // Top-down expands every discovered vertex's full adjacency (including
-  // the final level that discovers nothing): 63 + 63 * 63.
-  EXPECT_EQ(engine.stats().edges_scanned, 63u + 63u * 63u);
-  EXPECT_LT(auto_scans, engine.stats().edges_scanned);
 }
 
 TEST(RootedBfsScratchTest, ResetIsScopedToVisited) {

@@ -240,9 +240,7 @@ TEST(ReverseWalkTest, MatchesOracleAndNeverOutscansSearch) {
     // Z-pair walks, whose starts can sit below the search horizon.
     size_t some_through_landmarks = 0;
     for (const uint32_t k : {1u, 4u, 16u}) {
-      SearchSetup s(family.g, SelectLandmarks(family.g, k,
-                                              LandmarkStrategy::kHighestDegree,
-                                              /*seed=*/k));
+      SearchSetup s(family.g, SelectLandmarks(family.g, k));
       std::mt19937_64 rng(k);
       std::uniform_int_distribution<VertexId> pick(
           0, family.g.NumVertices() - 1);
@@ -290,11 +288,9 @@ TEST(SparsifiedGraphTest, MatchesFromEdgesOnGraphFamilies) {
        {BarabasiAlbert(500, 3, 1), WattsStrogatz(400, 6, 0.2, 2),
         ErdosRenyi(300, 900, 3)}) {
     for (const uint32_t k : {1u, 8u, 40u}) {
-      for (const LandmarkStrategy strategy :
-           {LandmarkStrategy::kHighestDegree, LandmarkStrategy::kRandom}) {
-        ExpectSparsifiedMatchesReference(
-            g, SelectLandmarks(g, k, strategy, /*seed=*/k));
-      }
+      ExpectSparsifiedMatchesReference(g, SelectLandmarks(g, k));
+      ExpectSparsifiedMatchesReference(
+          g, testing::RandomLandmarks(g, k, /*seed=*/k));
     }
   }
   ExpectSparsifiedMatchesReference(testing::Figure4Graph(),

@@ -1,10 +1,14 @@
+#include <algorithm>
+#include <numeric>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/labeling.h"
 #include "core/landmark_selection.h"
 #include "gen/generators.h"
+#include "graph/bfs.h"
 #include "graph/components.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
@@ -112,6 +116,77 @@ TEST(LabelingTest, DisconnectedVertexUnlabeled) {
   EXPECT_EQ(scheme.labeling.Get(3, 0), kInfDist);
 }
 
+// The labelling BFS switches direction; BfsDistances does not. Rebuilds
+// every landmark column and checks it against the plain BFS: the depths
+// must equal BfsDistances, and the labels and meta-edges must follow
+// Algorithm 2's rule read off those depths. The root is in QL; a vertex is
+// QL iff a neighbour one level up is QL; a landmark never is, and has a
+// meta-edge iff it would have been. So a QL parent beats a QN parent on
+// bottom-up levels too.
+void ExpectColumnsMatchPlainBfs(const Graph& g,
+                                const std::vector<VertexId>& landmarks) {
+  const VertexId n = g.NumVertices();
+  PathLabeling labeling(n, landmarks);
+  for (LandmarkIndex i = 0; i < landmarks.size(); ++i) {
+    LabelColumnState state;
+    RebuildLabelColumn(g, labeling, i, &state);
+    const std::vector<uint32_t> depth = BfsDistances(g, landmarks[i]);
+    ASSERT_EQ(state.depth, depth) << "landmark " << landmarks[i];
+
+    std::vector<VertexId> order(n);
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
+      return depth[a] < depth[b];
+    });
+    std::vector<bool> in_ql(n, false);
+    std::vector<MetaEdge> meta;
+    for (const VertexId v : order) {
+      const int32_t rank = labeling.LandmarkRank(v);
+      bool via_l = v == landmarks[i];
+      if (depth[v] != kUnreachable && !via_l) {
+        for (const VertexId w : g.Neighbors(v)) {
+          via_l |= depth[w] + 1 == depth[v] && in_ql[w];
+        }
+        if (via_l && rank >= 0) {
+          meta.push_back(MetaEdge{i, static_cast<LandmarkIndex>(rank),
+                                  depth[v]});
+        }
+      }
+      in_ql[v] = via_l && (rank < 0 || v == landmarks[i]);
+      const DistT want = in_ql[v] && v != landmarks[i]
+                             ? static_cast<DistT>(depth[v])
+                             : kInfDist;
+      ASSERT_EQ(labeling.Get(v, i), want)
+          << "landmark " << landmarks[i] << " v=" << v;
+    }
+    std::sort(meta.begin(), meta.end());
+    EXPECT_EQ(state.meta, meta) << "landmark " << landmarks[i];
+  }
+}
+
+TEST(LabelingTest, ColumnDepthsMatchPlainBfs) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const Graph er = ErdosRenyi(600, 1800, seed);
+    ExpectColumnsMatchPlainBfs(er, SelectLandmarks(er, 8));
+    ExpectColumnsMatchPlainBfs(er, {0, 123, 599});
+    const Graph ba = BarabasiAlbert(800, 4, seed);
+    ExpectColumnsMatchPlainBfs(ba, SelectLandmarks(ba, 8));
+    ExpectColumnsMatchPlainBfs(ba, {0, 400, 799});
+  }
+  // A clique: once the root's 63 neighbours are settled, the next level
+  // runs bottom-up.
+  ExpectColumnsMatchPlainBfs(CompleteGraph(64), {0});
+  ExpectColumnsMatchPlainBfs(CompleteGraph(64), {0, 1, 2});
+  ExpectColumnsMatchPlainBfs(GridGraph(8, 9), {10, 0, 71});
+  ExpectColumnsMatchPlainBfs(PathGraph(17), {0, 8});
+  ExpectColumnsMatchPlainBfs(CycleGraph(12), {3, 9});
+  ExpectColumnsMatchPlainBfs(StarGraph(50), {1, 0});
+  ExpectColumnsMatchPlainBfs(PathGraph(1), {0});
+  // Two components: the other one stays unreached.
+  const Graph two = Graph::FromEdges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
+  ExpectColumnsMatchPlainBfs(two, {0, 4});
+}
+
 // Lemma 5.2 (determinism): permuting the landmark order produces the same
 // labelling up to column reindexing, sequentially and in parallel.
 class LabelingDeterminism : public ::testing::TestWithParam<uint64_t> {};
@@ -119,8 +194,7 @@ class LabelingDeterminism : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(LabelingDeterminism, OrderAndThreadInvariant) {
   const uint64_t seed = GetParam();
   Graph g = BarabasiAlbert(300, 3, seed);
-  std::vector<VertexId> landmarks = SelectLandmarks(
-      g, 8, LandmarkStrategy::kHighestDegree, seed);
+  std::vector<VertexId> landmarks = SelectLandmarks(g, 8);
   const auto base = BuildLabelingScheme(g, landmarks);
 
   std::vector<VertexId> shuffled = landmarks;
@@ -184,8 +258,7 @@ TEST_P(LabelingDefinition, MatchesBruteForce) {
       g = GridGraph(10, 12);
       break;
   }
-  const auto landmarks =
-      SelectLandmarks(g, p.k, LandmarkStrategy::kHighestDegree, p.seed);
+  const auto landmarks = SelectLandmarks(g, p.k);
   const auto scheme = BuildLabelingScheme(g, landmarks);
   std::string message;
   EXPECT_TRUE(testing::VerifyLabelingDefinition(g, scheme, &message))
@@ -203,8 +276,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LandmarkSelectionTest, HighestDegreeOrder) {
   Graph g = StarGraph(10);
-  const auto landmarks =
-      SelectLandmarks(g, 3, LandmarkStrategy::kHighestDegree, 0);
+  const auto landmarks = SelectLandmarks(g, 3);
   ASSERT_EQ(landmarks.size(), 3u);
   EXPECT_EQ(landmarks[0], 0u);  // the hub
   // Remaining ties broken by ascending id.
@@ -212,21 +284,9 @@ TEST(LandmarkSelectionTest, HighestDegreeOrder) {
   EXPECT_EQ(landmarks[2], 2u);
 }
 
-TEST(LandmarkSelectionTest, RandomDistinctAndSeeded) {
-  Graph g = CycleGraph(50);
-  const auto a = SelectLandmarks(g, 10, LandmarkStrategy::kRandom, 5);
-  const auto b = SelectLandmarks(g, 10, LandmarkStrategy::kRandom, 5);
-  EXPECT_EQ(a, b);
-  auto sorted = a;
-  std::sort(sorted.begin(), sorted.end());
-  EXPECT_EQ(std::unique(sorted.begin(), sorted.end()), sorted.end());
-}
-
 TEST(LandmarkSelectionTest, CountClampedToVertices) {
   Graph g = PathGraph(5);
-  EXPECT_EQ(
-      SelectLandmarks(g, 100, LandmarkStrategy::kHighestDegree, 0).size(),
-      5u);
+  EXPECT_EQ(SelectLandmarks(g, 100).size(), 5u);
 }
 
 }  // namespace

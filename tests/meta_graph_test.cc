@@ -73,8 +73,7 @@ class MetaDistanceProperty : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(MetaDistanceProperty, MetaApspEqualsGraphDistance) {
   const uint64_t seed = GetParam();
   Graph g = BarabasiAlbert(250, 2, seed);
-  const auto landmarks =
-      SelectLandmarks(g, 10, LandmarkStrategy::kHighestDegree, seed);
+  const auto landmarks = SelectLandmarks(g, 10);
   const auto scheme = BuildLabelingScheme(g, landmarks);
   for (uint32_t i = 0; i < landmarks.size(); ++i) {
     const auto dist = BfsDistances(g, landmarks[i]);

@@ -149,13 +149,13 @@ TEST(QbsIndexTest, BuildWithExplicitLandmarks) {
 }
 
 // The central correctness property: QbS answers == oracle answers on every
-// sampled pair, across graph families, landmark counts, strategies, and
+// sampled pair, across graph families, landmark counts, landmark sets and
 // thread counts — every instance on the served Δ path.
 struct SweepParam {
   int family;
   uint64_t seed;
   uint32_t num_landmarks;
-  LandmarkStrategy strategy;
+  bool random_landmarks;  // seeded random set instead of top-|R| degree
   size_t threads;
 };
 
@@ -186,10 +186,13 @@ TEST_P(QbsOracleSweep, MatchesOracleEverywhere) {
   }
   QbsOptions options;
   options.num_landmarks = p.num_landmarks;
-  options.landmark_strategy = p.strategy;
   options.num_threads = p.threads;
-  options.seed = p.seed;
-  QbsIndex index = QbsIndex::Build(g, options);
+  QbsIndex index =
+      p.random_landmarks
+          ? QbsIndex::BuildWithLandmarks(
+                g, testing::RandomLandmarks(g, p.num_landmarks, p.seed),
+                options)
+          : QbsIndex::Build(g, options);
 
   const auto pairs = SampleQueryPairs(g, 60, p.seed + 1000);
   for (const auto& [u, v] : pairs) {
@@ -211,21 +214,14 @@ TEST_P(QbsOracleSweep, MatchesOracleEverywhere) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, QbsOracleSweep,
     ::testing::Values(
-        SweepParam{0, 1, 8, LandmarkStrategy::kHighestDegree, 1},
-        SweepParam{0, 2, 8, LandmarkStrategy::kHighestDegree, 4},
-        SweepParam{0, 3, 20, LandmarkStrategy::kRandom, 1},
-        SweepParam{1, 4, 8, LandmarkStrategy::kHighestDegree, 1},
-        SweepParam{1, 5, 20, LandmarkStrategy::kHighestDegree, 4},
-        SweepParam{2, 6, 8, LandmarkStrategy::kHighestDegree, 1},
-        SweepParam{2, 7, 8, LandmarkStrategy::kRandom, 1},
-        SweepParam{3, 8, 8, LandmarkStrategy::kHighestDegree, 1},
-        SweepParam{3, 9, 20, LandmarkStrategy::kHighestDegree, 4},
-        SweepParam{4, 10, 8, LandmarkStrategy::kHighestDegree, 1},
-        SweepParam{4, 11, 8, LandmarkStrategy::kRandom, 1},
-        SweepParam{5, 12, 8, LandmarkStrategy::kHighestDegree, 1},
-        SweepParam{5, 13, 1, LandmarkStrategy::kHighestDegree, 1},
-        SweepParam{0, 14, 2, LandmarkStrategy::kHighestDegree, 1},
-        SweepParam{2, 15, 50, LandmarkStrategy::kHighestDegree, 4}));
+        SweepParam{0, 1, 8, false, 1}, SweepParam{0, 2, 8, false, 4},
+        SweepParam{0, 3, 20, true, 1}, SweepParam{1, 4, 8, false, 1},
+        SweepParam{1, 5, 20, false, 4}, SweepParam{2, 6, 8, false, 1},
+        SweepParam{2, 7, 8, true, 1}, SweepParam{3, 8, 8, false, 1},
+        SweepParam{3, 9, 20, false, 4}, SweepParam{4, 10, 8, false, 1},
+        SweepParam{4, 11, 8, true, 1}, SweepParam{5, 12, 8, false, 1},
+        SweepParam{5, 13, 1, false, 1}, SweepParam{0, 14, 2, false, 1},
+        SweepParam{2, 15, 50, false, 4}));
 
 // Pair coverage classification agrees with a brute-force landmark check.
 TEST(QbsIndexTest, CoverageClassificationMatchesBruteForce) {

@@ -107,8 +107,7 @@ TEST_P(SketchBoundProperty, UpperBoundAndTightness) {
       g = LargestComponent(RMat(8, 4, 0.57, 0.19, 0.19, p.seed)).graph;
       break;
   }
-  const auto landmarks =
-      SelectLandmarks(g, p.k, LandmarkStrategy::kHighestDegree, p.seed);
+  const auto landmarks = SelectLandmarks(g, p.k);
   const auto scheme = BuildLabelingScheme(g, landmarks);
   std::vector<bool> is_landmark(g.NumVertices(), false);
   for (VertexId r : landmarks) is_landmark[r] = true;
@@ -365,8 +364,7 @@ void CheckPaddingInvariant(const PathLabeling& labeling) {
 TEST(LabelRowPadding, RowsPaddedAndAlignedAfterBuildAndLoad) {
   Graph g = BarabasiAlbert(200, 3, 5);
   // k = 20 -> stride 32: a non-trivial pad of 12 lanes.
-  const auto landmarks =
-      SelectLandmarks(g, 20, LandmarkStrategy::kHighestDegree, 5);
+  const auto landmarks = SelectLandmarks(g, 20);
   const auto scheme = BuildLabelingScheme(g, landmarks);
   CheckPaddingInvariant(scheme.labeling);
 

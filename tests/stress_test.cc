@@ -48,7 +48,6 @@ TEST_P(ExhaustiveAllPairs, QbsEqualsOracleOnEveryPair) {
   Graph g = RandomConnectedGraph(p.n, p.extra, p.seed);
   QbsOptions options;
   options.num_landmarks = p.landmarks;
-  options.seed = p.seed;
   QbsIndex index = QbsIndex::Build(g, options);
   for (VertexId u = 0; u < g.NumVertices(); ++u) {
     const auto dist_u = BfsDistances(g, u);

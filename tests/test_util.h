@@ -4,9 +4,11 @@
 #ifndef QBS_TESTS_TEST_UTIL_H_
 #define QBS_TESTS_TEST_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "graph/components.h"
 #include "graph/graph.h"
 #include "graph/spg.h"
+#include "util/rng.h"
 
 namespace qbs::testing {
 
@@ -177,6 +180,24 @@ inline bool VerifyLabelingDefinition(const Graph& g,
     }
   }
   return true;
+}
+
+// `count` distinct vertices drawn uniformly by a seeded partial
+// Fisher-Yates shuffle (`count` clamped to |V|): landmark sets unlike the
+// highest-degree rule, for QbsIndex::BuildWithLandmarks and the labelling.
+inline std::vector<VertexId> RandomLandmarks(const Graph& g, uint32_t count,
+                                             uint64_t seed) {
+  const VertexId n = g.NumVertices();
+  count = std::min(count, n);
+  std::vector<VertexId> vertices(n);
+  std::iota(vertices.begin(), vertices.end(), 0);
+  Rng rng(seed);
+  for (uint32_t i = 0; i < count; ++i) {
+    const size_t j = i + static_cast<size_t>(rng.UniformInt(n - i));
+    std::swap(vertices[i], vertices[j]);
+  }
+  vertices.resize(count);
+  return vertices;
 }
 
 // Four small graph families for the label-bound and fast-path sweeps:

@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <string>
+#include <utility>
 
 namespace {
 
@@ -263,12 +264,16 @@ TEST_F(CliSmokeTest, UsageOnBadInvocation) {
   RunOk(cli + " generate ba " + edges + " 300 3 7");
   RunOk(cli + " build " + edges + " " + index + " --landmarks 8");
   const std::string requests = Path("requests.txt");
-  {
-    FILE* f = fopen(requests.c_str(), "w");
+  const std::string extra = Path("extra.txt");
+  for (const auto& [path, text] :
+       {std::pair{requests, "0 17\n4294967296 17\n"},
+        std::pair{extra, "5 6 distance 0 7 8\n"}}) {
+    FILE* f = fopen(path.c_str(), "w");
     ASSERT_NE(f, nullptr);
-    std::fputs("0 17\n4294967296 17\n", f);
+    std::fputs(text, f);
     fclose(f);
   }
+  const std::string h_edges = Quoted(Path("h.edges"));
   const struct {
     std::string args;
     int exit_code;
@@ -283,6 +288,8 @@ TEST_F(CliSmokeTest, UsageOnBadInvocation) {
       {" build " + edges + " " + Quoted(Path("h.qbs")) +
            " --landmarks 4294967304",
        2, "bad value '4294967304' for --landmarks"},
+      {" build " + edges + " " + Quoted(Path("h.qbs")) + " --strategy random",
+       2, "unknown option --strategy"},
       // The trailing unknown option stops a daemon from starting, and
       // blocking the test, if --port ever stops being checked.
       {" serve " + edges + " " + index + " --port 70000 --no-such-option", 2,
@@ -294,10 +301,19 @@ TEST_F(CliSmokeTest, UsageOnBadInvocation) {
        "bad value 'abc' for --insert"},
       {" update 127.0.0.1 1 --delete 3 4294967296", 2,
        "bad value '4294967296' for --delete"},
-      {" generate ba " + Quoted(Path("h.edges")) + " 300 3x", 2,
-       "bad value '3x' for m"},
+      {" generate ba " + h_edges + " 300 3x", 2, "bad value '3x' for m"},
+      // Out of the generators' ranges: exit 2, not an abort.
+      {" generate er " + h_edges + " 5 100", 2, "bad value '100' for edges"},
+      {" generate ba " + h_edges + " 3 5", 2, "bad value '3' for n"},
+      {" generate ws " + h_edges + " 10 3 0.1", 2, "bad value '3' for k"},
+      {" generate rmat " + h_edges + " 40 4", 2, "bad value '40' for scale"},
+      {" generate dataset " + h_edges + " ZZ", 2, "unknown dataset 'ZZ'"},
+      {" generate dataset " + h_edges + " DO 0.0001", 2,
+       "bad value '0.0001' for scale"},
       {" query " + edges + " " + index + " --requests " + Quoted(requests), 1,
        requests + ":2: bad vertex id '4294967296'"},
+      {" query " + edges + " " + index + " --requests " + Quoted(extra), 1,
+       extra + ":1: unexpected '7'"},
   };
   for (const auto& c : cases) {
     std::string out;

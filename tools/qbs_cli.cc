@@ -22,8 +22,8 @@
 //   rmat <scale> <ef> [seed]    R-MAT (2^scale vertices)
 //   dataset <ABBREV> [scale]    Table 1 stand-in (DO, DB, ..., CW)
 //
-// build options: --landmarks K (default 20), --threads T (default all),
-//                --strategy degree|random|deg-weighted|closeness
+// build options: --landmarks K (default 20), --threads T (default all);
+//                the landmarks are the K highest-degree vertices
 //
 // query: pass '-' as the index path to build one in memory on the fly.
 // Pairs come either positionally (u v u v ...) or from --requests FILE
@@ -40,6 +40,7 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstring>
@@ -77,8 +78,7 @@ int Usage() {
       stderr,
       "usage: qbs generate <family> <out.edges> [args...]\n"
       "       qbs stats <graph>\n"
-      "       qbs build <graph> <out.qbs> [--landmarks K] "
-      "[--threads T] [--strategy S]\n"
+      "       qbs build <graph> <out.qbs> [--landmarks K] [--threads T]\n"
       "       qbs query <graph> <index.qbs|-> [u v ...] "
       "[--requests FILE|-] [--mode spg|distance] [--budget N]\n"
       "                 [--format human|tsv|jsonl] [--threads T]\n"
@@ -181,6 +181,40 @@ bool ParseArg(const char* name, const char* tok, T* out) {
   return false;
 }
 
+// The generators abort on arguments outside their preconditions, so
+// Generate tests each one first: a failed test names the argument, and the
+// caller exits 2.
+bool Require(bool ok, const char* name, const char* tok, const char* want) {
+  if (!ok) {
+    std::fprintf(stderr, "bad value '%s' for %s (want %s)\n", tok, name,
+                 want);
+  }
+  return ok;
+}
+
+// MakeDataset's preconditions: its generator's, at the sizes it derives
+// from the scale.
+bool DatasetScaleOk(const qbs::DatasetSpec& spec, double scale,
+                    const char* tok) {
+  const double n = std::round(spec.n * scale);
+  bool ok = scale > 0.0 && n <= std::numeric_limits<qbs::VertexId>::max();
+  switch (spec.kind) {
+    case qbs::GeneratorKind::kBarabasiAlbert:
+      ok = ok && n > spec.param;
+      break;
+    case qbs::GeneratorKind::kErdosRenyi:
+      ok = ok && n >= 2 && 2.0 * spec.param <= n - 1;
+      break;
+    case qbs::GeneratorKind::kWattsStrogatz:
+      ok = ok && n >= 3 && n > spec.param;
+      break;
+    case qbs::GeneratorKind::kRMat:
+      ok = ok && spec.rmat_scale + std::lround(std::log2(scale)) <= 28;
+      break;
+  }
+  return Require(ok, "scale", tok, "a size the stand-in's generator takes");
+}
+
 int Generate(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string family = argv[0];
@@ -195,7 +229,8 @@ int Generate(int argc, char** argv) {
     qbs::VertexId n = 0;
     uint32_t m = 0;
     if (!ParseArg("n", argv[2], &n) || !ParseArg("m", argv[3], &m) ||
-        !seed_at(4)) {
+        !seed_at(4) || !Require(m >= 1, "m", argv[3], "at least 1") ||
+        !Require(n > m, "n", argv[2], "more than m")) {
       return 2;
     }
     g = qbs::BarabasiAlbert(n, m, seed);
@@ -203,7 +238,9 @@ int Generate(int argc, char** argv) {
     qbs::VertexId n = 0;
     uint64_t edges = 0;
     if (!ParseArg("n", argv[2], &n) || !ParseArg("edges", argv[3], &edges) ||
-        !seed_at(4)) {
+        !seed_at(4) || !Require(n >= 2, "n", argv[2], "at least 2") ||
+        !Require(edges <= uint64_t{n} * (n - 1) / 2, "edges", argv[3],
+                 "at most n(n-1)/2")) {
       return 2;
     }
     g = qbs::LargestComponent(qbs::ErdosRenyi(n, edges, seed)).graph;
@@ -212,7 +249,12 @@ int Generate(int argc, char** argv) {
     uint32_t k = 0;
     double beta = 0;
     if (!ParseArg("n", argv[2], &n) || !ParseArg("k", argv[3], &k) ||
-        !ParseArg("beta", argv[4], &beta) || !seed_at(5)) {
+        !ParseArg("beta", argv[4], &beta) || !seed_at(5) ||
+        !Require(n >= 3, "n", argv[2], "at least 3") ||
+        !Require(k >= 2 && k % 2 == 0 && k < n, "k", argv[3],
+                 "an even number from 2 to n - 1") ||
+        !Require(beta >= 0.0 && beta <= 1.0, "beta", argv[4],
+                 "a probability")) {
       return 2;
     }
     g = qbs::WattsStrogatz(n, k, beta, seed);
@@ -220,16 +262,32 @@ int Generate(int argc, char** argv) {
     uint32_t scale = 0;
     uint32_t edge_factor = 0;
     if (!ParseArg("scale", argv[2], &scale) ||
-        !ParseArg("ef", argv[3], &edge_factor) || !seed_at(4)) {
+        !ParseArg("ef", argv[3], &edge_factor) || !seed_at(4) ||
+        !Require(scale <= 28, "scale", argv[2], "at most 28")) {
       return 2;
     }
     g = qbs::LargestComponent(
             qbs::RMat(scale, edge_factor, 0.57, 0.19, 0.19, seed))
             .graph;
   } else if (family == "dataset" && argc >= 3) {
+    const auto& specs = qbs::PaperDatasets();
+    const auto spec = std::find_if(
+        specs.begin(), specs.end(),
+        [&](const qbs::DatasetSpec& s) { return s.abbrev == argv[2]; });
+    if (spec == specs.end()) {
+      std::fprintf(stderr, "unknown dataset '%s' (want one of", argv[2]);
+      for (const qbs::DatasetSpec& s : specs) {
+        std::fprintf(stderr, " %s", s.abbrev.c_str());
+      }
+      std::fprintf(stderr, ")\n");
+      return 2;
+    }
     double scale = 1.0;
-    if (argc > 3 && !ParseArg("scale", argv[3], &scale)) return 2;
-    g = qbs::MakeDataset(qbs::DatasetByAbbrev(argv[2]), scale);
+    if (argc > 3 && (!ParseArg("scale", argv[3], &scale) ||
+                     !DatasetScaleOk(*spec, scale, argv[3]))) {
+      return 2;
+    }
+    g = qbs::MakeDataset(*spec, scale);
   } else {
     return Usage();
   }
@@ -271,21 +329,6 @@ bool ParseBuildOptions(int argc, char** argv, qbs::QbsOptions* options) {
       if (!ParseArg("--threads", argv[++i], &options->num_threads)) {
         return false;
       }
-    } else if (a == "--strategy" && i + 1 < argc) {
-      const std::string s = argv[++i];
-      if (s == "degree") {
-        options->landmark_strategy = qbs::LandmarkStrategy::kHighestDegree;
-      } else if (s == "random") {
-        options->landmark_strategy = qbs::LandmarkStrategy::kRandom;
-      } else if (s == "deg-weighted") {
-        options->landmark_strategy =
-            qbs::LandmarkStrategy::kDegreeWeightedRandom;
-      } else if (s == "closeness") {
-        options->landmark_strategy = qbs::LandmarkStrategy::kApproxCloseness;
-      } else {
-        std::fprintf(stderr, "unknown strategy %s\n", s.c_str());
-        return false;
-      }
     } else {
       std::fprintf(stderr, "unknown option %s\n", a.c_str());
       return false;
@@ -303,10 +346,9 @@ int Build(int argc, char** argv) {
   if (!ParseBuildOptions(argc - 2, argv + 2, &options)) return 2;
   qbs::WallTimer timer;
   qbs::QbsIndex index = qbs::QbsIndex::Build(*g, options);
-  std::printf("built |R|=%zu (%s) in %.3fs (labelling %.3fs, delta %.3fs)\n",
-              index.landmarks().size(),
-              qbs::LandmarkStrategyName(options.landmark_strategy),
-              timer.ElapsedSeconds(), index.timings().labeling_seconds,
+  std::printf("built |R|=%zu in %.3fs (labelling %.3fs, delta %.3fs)\n",
+              index.landmarks().size(), timer.ElapsedSeconds(),
+              index.timings().labeling_seconds,
               index.timings().delta_seconds);
   std::printf("size(L)=%llu bytes, size(Delta)=%llu bytes\n",
               static_cast<unsigned long long>(index.LabelingSizeBytes()),
@@ -339,7 +381,8 @@ bool ParseMode(const std::string& s, qbs::QueryMode* mode) {
 }
 
 // One request per line: "u v [spg|distance] [budget]". Blank lines and
-// '#' comments are skipped. Defaults come from the command line.
+// '#' comments are skipped; a token past the budget is an error. Defaults
+// come from the command line.
 bool ParseRequestLine(const std::string& line,
                       const qbs::QueryRequest& defaults,
                       qbs::QueryRequest* out, std::string* error) {
@@ -364,6 +407,11 @@ bool ParseRequestLine(const std::string& line,
   }
   if (in >> budget_tok && !ParseNumber(budget_tok, &out->budget)) {
     return bad("budget", budget_tok);
+  }
+  std::string extra_tok;
+  if (in >> extra_tok) {
+    *error = "unexpected '" + extra_tok + "'";
+    return false;
   }
   return true;
 }
