@@ -304,10 +304,10 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
   // Stage 3: recover search (G^L_uv) — runs iff d⊤ realizes the distance.
   if (sketch.d_top == result.distance) {
     // (a) Landmark-to-landmark segments for every sketch meta-edge, spliced
-    // from Δ. A deferred sweep is completed here, now that the recover
-    // search is known to run (`sketch` aliases sketch_scratch_ on this
-    // path). Sketch meta-edges come from meta_.Edges(), which is exactly
-    // what Δ was built from, so every lookup hits.
+    // from Δ. A deferred meta-edge pass is completed here, now that the
+    // recover search is known to run (`sketch` aliases sketch_scratch_ on
+    // this path). Sketch meta-edges are edges of meta_.Edges(), which is
+    // exactly what Δ was built from, so every lookup hits.
     if (lazy_sketch) {
       ComputeSketchMetaEdges(meta_, &sketch_scratch_, &sketch_buffers_);
     }
@@ -347,10 +347,9 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
     stats->edges_scanned_reverse += search_.RunBackwardWalk(t, &edges_);
   }
 
-  // Copy (not move) so edges_ keeps its high-water capacity across queries;
-  // the copy is one exact-sized allocation instead of the regrowth churn.
-  result.edges.assign(edges_.begin(), edges_.end());
-  result.Normalize();
+  // edges_ and edge_keys_ keep their high-water capacity across queries;
+  // the answer is one exact-sized allocation.
+  result.AssignNormalized(edges_, &edge_keys_);
   return result;
 }
 

@@ -124,9 +124,10 @@ class GuidedSearcher {
   std::vector<VertexId> walk_stack_;  // LabelWalk DFS stack
   std::vector<VertexId> common_scratch_;  // fast-path common neighbours
   std::vector<Edge> edges_;  // accumulating answer
+  std::vector<uint64_t> edge_keys_;  // its packed-key sort buffer
   Sketch sketch_scratch_;
   SketchScratch sketch_buffers_;
-  // True while sketch_scratch_ holds a sketch whose meta-edge sweep was
+  // True while sketch_scratch_ holds a sketch whose meta-edge pass was
   // deferred; QueryWithSketch then completes it only if the recover search
   // actually runs (most queries never read the meta-edges).
   bool lazy_sketch_ = false;

@@ -69,6 +69,21 @@ bool MetaGraph::EdgeOnShortestPath(const MetaEdge& e, LandmarkIndex s,
   return false;
 }
 
+void MetaGraph::OnPathLandmarks(LandmarkIndex s, LandmarkIndex t,
+                                std::vector<LandmarkIndex>* out) const {
+  QBS_DCHECK(finalized_);
+  out->clear();
+  const uint32_t dst = Distance(s, t);
+  if (dst == kUnreachable) return;
+  for (LandmarkIndex x = 0; x < k_; ++x) {
+    const uint32_t sx = Distance(s, x);
+    const uint32_t xt = Distance(x, t);
+    if (sx != kUnreachable && xt != kUnreachable && sx + xt == dst) {
+      out->push_back(x);
+    }
+  }
+}
+
 uint64_t MetaGraph::SizeBytes() const {
   return edges_.size() * sizeof(MetaEdge) + weight_.size() * sizeof(uint32_t);
 }

@@ -70,6 +70,14 @@ class MetaGraph {
   bool EdgeOnShortestPath(const MetaEdge& e, LandmarkIndex s,
                           LandmarkIndex t) const;
 
+  // Clears *out and fills it, ascending, with the landmarks x on some
+  // shortest meta-path between s and t: d_M(s, x) + d_M(x, t) = d_M(s, t).
+  // Empty when s and t are disconnected in M; {s} when s == t. O(|R|).
+  // A meta-edge lies on a shortest s-t meta-path iff both its ends are
+  // listed here and their d_M(s, ·) differ by its weight.
+  void OnPathLandmarks(LandmarkIndex s, LandmarkIndex t,
+                       std::vector<LandmarkIndex>* out) const;
+
   bool finalized() const { return finalized_; }
 
   // Bytes of the edge list + weight matrix (the paper notes this stays

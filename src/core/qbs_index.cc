@@ -67,12 +67,17 @@ QueryResponse QbsIndex::Execute(GuidedSearcher& searcher,
   QBS_CHECK_LT(request.u, g_->NumVertices());
   QBS_CHECK_LT(request.v, g_->NumVertices());
   QueryResponse response;
+  LabelBound bound;
   if (request.budget > 0 && request.u != request.v) {
     // One O(|R|) label-row scan can certify d > budget before any search
     // runs; the response then reports "unknown, provably beyond budget".
-    const LabelBound bound = ComputeLabelBound(
-        scheme_->labeling, scheme_->meta, request.u, request.v);
-    if (bound.lower > request.budget) {
+    // The search below reuses the bound instead of scanning again.
+    if (certify == nullptr) {
+      bound = ComputeLabelBound(scheme_->labeling, scheme_->meta, request.u,
+                                request.v);
+      certify = &bound;
+    }
+    if (certify->lower > request.budget) {
       response.spg.u = request.u;
       response.spg.v = request.v;
       response.flags |= kResponseFlagBudgetPruned;

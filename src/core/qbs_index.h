@@ -109,10 +109,11 @@ class QbsIndex {
   /// Thread-safe as long as each searcher is used by one thread at a time.
   /// `certify`, if non-null, is the request pair's precomputed certify
   /// bound — ComputeLabelBound(labeling, meta, u, v) — used in place of
-  /// the searcher's own label scan. Query() and QueryBatch pass null and
-  /// scan once inside GuidedSearcher::Query; the parameter is kept because
-  /// bench_e2e (frozen by BENCHMARK.json) reads it, to time the certify
-  /// scan apart from the rest of the query.
+  /// the searcher's own label scan and by the budget check. Query() and
+  /// QueryBatch pass null and scan once: in the budget check when the
+  /// request has a budget, else inside GuidedSearcher::Query. The
+  /// parameter is kept because bench_e2e (frozen by BENCHMARK.json) reads
+  /// it, to time the certify scan apart from the rest of the query.
   QueryResponse Execute(GuidedSearcher& searcher, const QueryRequest& request,
                         const LabelBound* certify = nullptr) const;
 

@@ -100,7 +100,7 @@ void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
   dedupe(sketch->u_anchors);
   dedupe(sketch->v_anchors);
 
-  // Pass 3: the meta-edge sweep, skippable for callers that only need it
+  // Pass 3: the meta-edges, skippable for callers that only need them
   // on the recover path.
   if (with_meta_edges) ComputeSketchMetaEdges(meta, sketch, scratch);
 
@@ -175,20 +175,32 @@ LabelBound ComputeLabelBound(const PathLabeling& labeling,
 
 void ComputeSketchMetaEdges(const MetaGraph& meta, Sketch* sketch,
                             SketchScratch* scratch) {
-  // One sweep over the meta-edges, testing membership in any minimizing
-  // pair's shortest meta-path graph.
+  // A meta-edge on a shortest meta-path of a minimizing pair joins two of
+  // the pair's on-path landmarks, so each pair tests only the edges among
+  // those (O(|R|) to list them), against the weight matrix. Sorting and
+  // de-duplicating across pairs gives meta.Edges()'s order.
   sketch->meta_edges.clear();
-  const auto& edges = meta.Edges();
-  scratch->meta_edge_used.assign(edges.size(), 0);
-  for (size_t e = 0; e < edges.size(); ++e) {
-    for (const auto& [r, r2] : scratch->min_pairs) {
-      if (meta.EdgeOnShortestPath(edges[e], r, r2)) {
-        scratch->meta_edge_used[e] = 1;
-        sketch->meta_edges.push_back(edges[e]);
-        break;
+  std::vector<LandmarkIndex>& on_path = scratch->on_path;
+  for (const auto& [s, t] : scratch->min_pairs) {
+    meta.OnPathLandmarks(s, t, &on_path);
+    for (size_t i = 0; i < on_path.size(); ++i) {
+      const LandmarkIndex a = on_path[i];
+      const uint32_t sa = meta.Distance(s, a);
+      for (size_t j = i + 1; j < on_path.size(); ++j) {
+        const LandmarkIndex b = on_path[j];
+        const uint32_t weight = meta.EdgeWeight(a, b);
+        if (weight == kUnreachable) continue;
+        const uint32_t sb = meta.Distance(s, b);
+        if (sa + weight == sb || sb + weight == sa) {
+          sketch->meta_edges.push_back(MetaEdge{a, b, weight});
+        }
       }
     }
   }
+  std::sort(sketch->meta_edges.begin(), sketch->meta_edges.end());
+  sketch->meta_edges.erase(
+      std::unique(sketch->meta_edges.begin(), sketch->meta_edges.end()),
+      sketch->meta_edges.end());
 }
 
 }  // namespace qbs

@@ -11,7 +11,9 @@
 //   * d*_u, d*_v — per-side search depth suggestions (Eq. 4).
 //
 // With the meta-graph APSP precomputed (§5.2) this costs
-// O(|L(u)|·|L(v)| + |E_M|) = O(|R|^2).
+// O(|L(u)|·|L(v)|) = O(|R|^2) for d⊤ and the anchors, plus, per minimizing
+// landmark pair, O(|R|) to list its on-path landmarks and a test of each
+// pair of them for the meta-edges.
 
 #ifndef QBS_CORE_SKETCH_H_
 #define QBS_CORE_SKETCH_H_
@@ -63,7 +65,7 @@ struct Sketch {
 struct SketchScratch {
   std::vector<SketchAnchor> cu, cv;
   std::vector<std::pair<LandmarkIndex, LandmarkIndex>> min_pairs;
-  std::vector<uint8_t> meta_edge_used;
+  std::vector<LandmarkIndex> on_path;
 };
 
 /// Computes the sketch for SPG(u, v). Either endpoint may be a landmark, in
@@ -72,11 +74,12 @@ Sketch ComputeSketch(const PathLabeling& labeling, const MetaGraph& meta,
                      VertexId u, VertexId v);
 
 /// Allocation-free variant: clears and refills *sketch using *scratch.
-/// With with_meta_edges = false, the meta-edge sweep (the O(|E_M| · pairs)
-/// part) is skipped and sketch->meta_edges stays empty; call
-/// ComputeSketchMetaEdges later to fill it. The guided search defers the
-/// sweep this way because most queries resolve entirely inside the
-/// sparsified graph and never read the meta-edges.
+/// With with_meta_edges = false, the meta-edge pass (on-path landmarks of
+/// each minimizing pair, then the meta-edges among them) is skipped and
+/// sketch->meta_edges stays empty; call ComputeSketchMetaEdges later to
+/// fill it. The guided search defers the pass this way because most
+/// queries resolve entirely inside the sparsified graph and never read the
+/// meta-edges.
 void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
                        VertexId u, VertexId v, Sketch* sketch,
                        SketchScratch* scratch, bool with_meta_edges = true);
@@ -87,7 +90,7 @@ void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
 void ComputeAnchorCandidatesInto(const PathLabeling& labeling, VertexId t,
                                  std::vector<SketchAnchor>* out);
 
-/// Runs the deferred meta-edge sweep for a sketch produced by
+/// Runs the deferred meta-edge pass for a sketch produced by
 /// ComputeSketchInto(..., /*with_meta_edges=*/false) with the same scratch
 /// (which still holds the minimizing pairs).
 void ComputeSketchMetaEdges(const MetaGraph& meta, Sketch* sketch,

@@ -7,12 +7,15 @@ namespace qbs {
 BidirectionalSearch::BidirectionalSearch(const Graph& g) : g_(g) {
   // Depths stay below kOnPath - 1, clear of a masked kUnreachable.
   QBS_CHECK_LT(g.NumVertices(), kOnPath);
-  for (int s = 0; s < 2; ++s) depth_[s].Resize(g.NumVertices(), kUnreachable);
+  depth_.assign(g.NumVertices(), SideDepths{{kUnreachable, kUnreachable}});
 }
 
 void BidirectionalSearch::Reset() {
   for (int s = 0; s < 2; ++s) {
-    depth_[s].Reset();
+    // Every vertex a side reached sits in its levels.
+    for (size_t i = 0; i < levels_[s].TotalSize(); ++i) {
+      depth_[levels_[s].At(i)] = SideDepths{{kUnreachable, kUnreachable}};
+    }
     levels_[s].Clear();
     levels_[s].BeginLevel();
     level_scan_[s].clear();
@@ -23,7 +26,7 @@ void BidirectionalSearch::Reset() {
 
 void BidirectionalSearch::Seed(int t, VertexId v) {
   QBS_DCHECK(levels_[t].NumLevels() == 1);
-  depth_[t].Set(v, 0);
+  depth_[v].side[t] = 0;
   levels_[t].Push(v);
 }
 
@@ -40,10 +43,11 @@ uint64_t BidirectionalSearch::ExpandLevel(int t) {
     const VertexId x = levels_[t].At(idx);
     scanned += g_.Degree(x);
     for (VertexId w : g_.Neighbors(x)) {
-      if (depth_[t].IsSet(w)) continue;
-      depth_[t].Set(w, next_depth);
+      SideDepths& dw = depth_[w];
+      if (dw.side[t] != kUnreachable) continue;
+      dw.side[t] = next_depth;
       levels_[t].Push(w);
-      if (depth_[o].IsSet(w)) meet_set_.push_back(w);
+      if (dw.side[o] != kUnreachable) meet_set_.push_back(w);
     }
   }
   level_scan_[t].push_back(scanned);
@@ -51,10 +55,11 @@ uint64_t BidirectionalSearch::ExpandLevel(int t) {
 }
 
 void BidirectionalSearch::AddBackwardStart(int t, VertexId w) {
-  const uint32_t depth = depth_[t].Get(w);
+  uint32_t& slot = depth_[w].side[t];
+  const uint32_t depth = slot;
   QBS_DCHECK(depth != kUnreachable);
   if ((depth & kOnPath) != 0) return;
-  depth_[t].Set(w, depth | kOnPath);
+  slot = depth | kOnPath;
   if (depth >= on_path_[t].size()) on_path_[t].resize(depth + 1);
   on_path_[t][depth].push_back(w);
 }
@@ -85,7 +90,7 @@ uint64_t BidirectionalSearch::RunBackwardWalk(int t,
       scanned += top_down;
       for (const VertexId w : marked) {
         for (const VertexId x : g_.Neighbors(w)) {
-          if ((depth_[t].Get(x) & ~kOnPath) != below) continue;
+          if ((depth_[x].side[t] & ~kOnPath) != below) continue;
           edges->emplace_back(w, x);
           AddBackwardStart(t, x);  // x's bucket exists: `marked` stays put
         }
@@ -96,7 +101,7 @@ uint64_t BidirectionalSearch::RunBackwardWalk(int t,
       for (const VertexId x : levels_[t].Level(below)) {
         bool on_path_child = false;
         for (const VertexId w : g_.Neighbors(x)) {
-          if (depth_[t].Get(w) != marked_depth) continue;
+          if (depth_[w].side[t] != marked_depth) continue;
           edges->emplace_back(w, x);
           on_path_child = true;
         }

@@ -28,7 +28,6 @@
 
 #include "graph/bfs.h"
 #include "graph/graph.h"
-#include "util/epoch_array.h"
 
 namespace qbs {
 
@@ -128,7 +127,7 @@ class BidirectionalSearch {
 
   // Side t's depth of v, or kUnreachable if side t has not reached it.
   uint32_t Depth(int t, VertexId v) const {
-    const uint32_t depth = depth_[t].Get(v);
+    const uint32_t depth = depth_[v].side[t];
     return depth == kUnreachable ? depth : depth & ~kOnPath;
   }
   const LevelStack& levels(int t) const { return levels_[t]; }
@@ -137,18 +136,26 @@ class BidirectionalSearch {
   const std::vector<VertexId>& meet_set() const { return meet_set_; }
 
  private:
-  // High bit of a depth_ slot: the vertex is on a shortest path. Levels
-  // never reach it, and unset slots (kUnreachable) never equal a marked
-  // or unmarked level.
+  // High bit of a side's depth: the vertex is on a shortest path. Levels
+  // never reach it, and unreached sides (kUnreachable) never equal a
+  // marked or unmarked level.
   static constexpr uint32_t kOnPath = 1u << 31;
 
+  // One vertex's level on each side, kUnreachable where that side has not
+  // reached it, with kOnPath set once side t's reverse walk puts the
+  // vertex on a shortest path.
+  struct SideDepths {
+    uint32_t side[2];
+  };
+
   const Graph& g_;
-  // depth_[t] holds each vertex's side-t level, with kOnPath set once the
-  // reverse walk puts the vertex on a shortest path, so one random access
-  // reads both. on_path_[t][L] lists the on-path vertices at level L, and
+  // depth_ holds both sides' SideDepths of each vertex in one 8-byte slot,
+  // so settling a vertex and testing it for a meet is one random access.
+  // Every vertex outside levels_ reads {kUnreachable, kUnreachable}, so
+  // Reset() clears just the listed ones. on_path_[t][L] lists side t's on-path vertices at level L, and
   // level_scan_[t][L] is the number of edges the expansion of level L
   // scanned: the exact cost of walking back into level L bottom-up.
-  EpochArray<uint32_t> depth_[2];
+  std::vector<SideDepths> depth_;
   LevelStack levels_[2];
   std::vector<uint64_t> level_scan_[2];
   std::vector<std::vector<VertexId>> on_path_[2];

@@ -93,12 +93,32 @@ SpgAnalysis Analyze(const ShortestPathGraph& spg) {
   return a;
 }
 
+// (u << 32) | v: keys order as Edge::operator< orders the edges, in one
+// integer comparison.
+uint64_t PackedKey(const Edge& e) { return (uint64_t{e.u} << 32) | e.v; }
+
 }  // namespace
 
 void ShortestPathGraph::Normalize() {
   for (Edge& e : edges) e = e.Normalized();
-  std::sort(edges.begin(), edges.end());
+  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
+    return PackedKey(a) < PackedKey(b);
+  });
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+}
+
+void ShortestPathGraph::AssignNormalized(std::span<const Edge> raw,
+                                         std::vector<uint64_t>* keys) {
+  keys->clear();
+  for (const Edge& e : raw) keys->push_back(PackedKey(e.Normalized()));
+  std::sort(keys->begin(), keys->end());
+  keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
+  edges.clear();
+  edges.reserve(keys->size());
+  for (const uint64_t key : *keys) {
+    edges.emplace_back(static_cast<VertexId>(key >> 32),
+                       static_cast<VertexId>(key));
+  }
 }
 
 std::vector<VertexId> ShortestPathGraph::Vertices() const {

@@ -8,6 +8,7 @@
 #define QBS_GRAPH_SPG_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/bfs.h"
@@ -29,6 +30,12 @@ struct ShortestPathGraph {
 
   // Sorts and dedupes `edges`. Producers call this once before returning.
   void Normalize();
+
+  // Sets `edges` to what assigning `raw` and calling Normalize() gives,
+  // sorting the edges as packed 64-bit keys in *keys, a scratch buffer the
+  // caller keeps at capacity across calls.
+  void AssignNormalized(std::span<const Edge> raw,
+                        std::vector<uint64_t>* keys);
 
   // Sorted unique vertices of the SPG. Includes u (== v) for the trivial
   // distance-0 query; empty if disconnected.

@@ -2,6 +2,7 @@
 #include <cstdio>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -47,6 +48,97 @@ TEST_F(SketchFigure4Test, GoldenSketchForSpg6_11) {
   // Example 4.8: d*_6 = 0 and d*_11 = 2.
   EXPECT_EQ(s.d_star_u, 0u);
   EXPECT_EQ(s.d_star_v, 2u);
+}
+
+// The all-edges sweep the meta-edge pass replaced, kept as its oracle:
+// every meta-edge on a shortest meta-path of some pair, in Edges() order.
+std::vector<MetaEdge> SweepAllMetaEdges(
+    const MetaGraph& meta,
+    const std::vector<std::pair<LandmarkIndex, LandmarkIndex>>& pairs) {
+  std::vector<MetaEdge> out;
+  for (const MetaEdge& e : meta.Edges()) {
+    for (const auto& [s, t] : pairs) {
+      if (meta.EdgeOnShortestPath(e, s, t)) {
+        out.push_back(e);
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+// ER, BA, a grid, and a BA graph next to a disjoint grid (landmark pairs
+// across the two are unreachable).
+Graph MetaEdgeFamilyGraph(int family, uint64_t seed) {
+  switch (family) {
+    case 0:
+      return LargestComponent(ErdosRenyi(150, 320, seed)).graph;
+    case 1:
+      return BarabasiAlbert(150, 3, seed);
+    case 2:
+      return GridGraph(10, 12);
+    default: {
+      std::vector<Edge> edges = BarabasiAlbert(80, 2, seed).EdgeList();
+      for (const Edge& e : GridGraph(6, 8).EdgeList()) {
+        edges.emplace_back(e.u + 80, e.v + 80);
+      }
+      return Graph::FromEdges(80 + 48, std::move(edges));
+    }
+  }
+}
+
+TEST(SketchMetaEdgesTest, OnPathLandmarksGiveTheAllEdgeSweep) {
+  size_t unreachable_pairs = 0;
+  size_t edges_found = 0;
+  for (int family = 0; family < 4; ++family) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      const Graph g = MetaEdgeFamilyGraph(family, seed);
+      const LabelingScheme scheme = BuildLabelingScheme(
+          g, testing::RandomLandmarks(g, 16, 10 * seed + family));
+      const MetaGraph& meta = scheme.meta;
+      const LandmarkIndex k = meta.num_landmarks();
+      Sketch sketch;
+      SketchScratch scratch;
+      std::vector<LandmarkIndex> on_path;
+      for (LandmarkIndex s = 0; s < k; ++s) {
+        for (LandmarkIndex t = 0; t < k; ++t) {
+          const uint32_t dst = meta.Distance(s, t);
+          if (dst == kUnreachable) ++unreachable_pairs;
+          std::vector<LandmarkIndex> expected_on_path;
+          for (LandmarkIndex x = 0; dst != kUnreachable && x < k; ++x) {
+            const uint32_t sx = meta.Distance(s, x);
+            const uint32_t xt = meta.Distance(x, t);
+            if (sx != kUnreachable && xt != kUnreachable && sx + xt == dst) {
+              expected_on_path.push_back(x);
+            }
+          }
+          meta.OnPathLandmarks(s, t, &on_path);
+          ASSERT_EQ(on_path, expected_on_path) << "s=" << s << " t=" << t;
+          if (s == t) {
+            ASSERT_EQ(on_path, std::vector<LandmarkIndex>{s});
+          }
+
+          scratch.min_pairs = {{s, t}};
+          ComputeSketchMetaEdges(meta, &sketch, &scratch);
+          ASSERT_EQ(sketch.meta_edges, SweepAllMetaEdges(meta, {{s, t}}))
+              << "family=" << family << " seed=" << seed << " s=" << s
+              << " t=" << t;
+          edges_found += sketch.meta_edges.size();
+        }
+        // Several minimizing pairs at once: one sorted, de-duplicated union.
+        scratch.min_pairs.clear();
+        for (LandmarkIndex t = 0; t < k; ++t) {
+          scratch.min_pairs.emplace_back(s, t);
+        }
+        ComputeSketchMetaEdges(meta, &sketch, &scratch);
+        ASSERT_EQ(sketch.meta_edges,
+                  SweepAllMetaEdges(meta, scratch.min_pairs))
+            << "family=" << family << " seed=" << seed << " s=" << s;
+      }
+    }
+  }
+  EXPECT_GT(unreachable_pairs, 0u);
+  EXPECT_GT(edges_found, 0u);
 }
 
 TEST_F(SketchFigure4Test, SketchIsSymmetricInBound) {

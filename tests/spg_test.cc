@@ -1,3 +1,7 @@
+#include <algorithm>
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/bfs_oracle.h"
@@ -114,6 +118,33 @@ TEST(SpgResultTest, NormalizeSortsAndDedupes) {
   spg.edges = {{2, 1}, {0, 1}, {1, 2}, {1, 0}};
   spg.Normalize();
   EXPECT_EQ(spg.edges, (std::vector<Edge>{{0, 1}, {1, 2}}));
+
+  // Ids at and above 2^31 (the packed keys' high bits), each edge in both
+  // orientations: sorted as Edge::operator< sorts, one copy of each, and
+  // AssignNormalized agrees with Normalize.
+  const VertexId hi = VertexId{1} << 31;
+  const VertexId max = ~VertexId{0};
+  const Edge one_way[] = {{hi + 5, 3}, {hi, hi + 1}, {7, 2}, {hi, 2}, {max, 0}};
+  std::vector<Edge> raw;
+  for (const Edge& e : one_way) {
+    raw.push_back(e);
+    raw.emplace_back(e.v, e.u);
+  }
+  std::vector<Edge> expected;
+  for (const Edge& e : raw) expected.push_back(e.Normalized());
+  std::sort(expected.begin(), expected.end());
+  expected.erase(std::unique(expected.begin(), expected.end()),
+                 expected.end());
+  ASSERT_EQ(expected.size(), 5u);
+  spg.edges = raw;
+  spg.Normalize();
+  EXPECT_EQ(spg.edges, expected);
+  EXPECT_TRUE(std::is_sorted(spg.edges.begin(), spg.edges.end()));
+  ShortestPathGraph assigned;
+  std::vector<uint64_t> keys = {42};  // stale scratch is overwritten
+  assigned.edges = {{9, 9}};
+  assigned.AssignNormalized(raw, &keys);
+  EXPECT_EQ(assigned.edges, expected);
 }
 
 TEST(SpgResultTest, VerticesIncludeEndpoints) {
