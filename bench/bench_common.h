@@ -62,7 +62,7 @@ struct LoadedDataset {
   Graph graph;
   std::vector<QueryPair> pairs;
   // Where the graph came from: "stand-in" (synthetic generator), "cache"
-  // (QBSGRF01 binary cache hit), "raw" (edge list parsed + cache written),
+  // (QBSGRF02 binary cache hit), "raw" (edge list parsed + cache written),
   // or "stand-in*" (real dataset requested but data missing).
   std::string source = "stand-in";
 };

@@ -74,7 +74,8 @@ class QbsIndex {
                                               const QbsOptions& options = {});
 
   /// Persists the labelling scheme (labels + meta-graph; Δ is rebuilt on
-  /// load). Returns false on I/O failure.
+  /// load), atomically: on failure any previous file at `path` is left
+  /// as it was. Returns false on I/O failure.
   bool Save(const std::string& path) const;
 
   QbsIndex(QbsIndex&&) = default;

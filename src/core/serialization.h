@@ -15,11 +15,14 @@
 // This is the only format the loader reads; files with any other magic
 // (including the two older versions) are rejected.
 //
-// Each section moves with one stream call and is folded into the checksum
-// from its in-memory buffer. Counts are checked against the file's size
-// before they size an allocation; a checksum mismatch, duplicate
-// landmarks, conflicting meta-edge weights and trailing bytes are rejected
-// too.
+// The file is written and read through util/binary_io.h's BinaryWriter
+// and BinaryReader, the layer the graph cache uses too: a save goes to
+// `path + ".tmp"` and is renamed into place, so a failed save leaves any
+// previous file at `path` intact. Each section moves with one stream call
+// and is folded into the checksum from its in-memory buffer. Counts are
+// checked against the file's size before they size an allocation; a
+// checksum mismatch, duplicate landmarks, conflicting meta-edge weights
+// and trailing bytes are rejected too.
 //
 // The Δ cache is intentionally not stored: rebuilding it from the loaded
 // labels is a fast parallel pass, and skipping it keeps files small.
@@ -34,8 +37,8 @@
 
 namespace qbs {
 
-// Writes the labelling scheme to `path`. Returns false on I/O failure (a
-// message goes to stderr).
+// Writes the labelling scheme to `path`, atomically. Returns false on I/O
+// failure (a message goes to stderr).
 bool SaveLabelingScheme(const LabelingScheme& scheme,
                         const std::string& path);
 

@@ -1,9 +1,7 @@
 #include "graph/dataset_io.h"
 
 #include <cstdint>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <utility>
 #include <vector>
@@ -18,28 +16,8 @@
 namespace qbs {
 namespace {
 
-constexpr uint64_t kMagic = 0x3130465247534251ull;  // "QBSGRF01"
-
-// FNV-1a 64, folded incrementally over the payload arrays. Detects the
-// bit flips and truncations a download or disk error introduces; this is
-// an integrity check, not an authenticity one (that is what the fetcher's
-// SHA-256 over the raw file is for).
-class Fnv1a64 {
- public:
-  template <typename T>
-  void Update(const T* data, size_t count) {
-    const auto* bytes = reinterpret_cast<const unsigned char*>(data);
-    const size_t size = count * sizeof(T);
-    for (size_t i = 0; i < size; ++i) {
-      hash_ ^= bytes[i];
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  uint64_t Digest() const { return hash_; }
-
- private:
-  uint64_t hash_ = 0xcbf29ce484222325ull;
-};
+constexpr uint64_t kMagic = 0x3230465247534251ull;    // "QBSGRF02"
+constexpr uint64_t kMagicV1 = 0x3130465247534251ull;  // "QBSGRF01", retired
 
 bool HasGzSuffix(const std::string& path) {
   return path.size() > 3 && path.compare(path.size() - 3, 3, ".gz") == 0;
@@ -111,48 +89,27 @@ std::optional<Graph> ReadEdgeListAuto(const std::string& path,
 
 bool SaveGraphCache(const Graph& g, const DatasetCacheInfo& info,
                     const std::string& path) {
-  // Write to a temp sibling and rename, so a crash mid-write never leaves
-  // a half-cache that the next run would have to checksum-reject.
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::cerr << "SaveGraphCache: cannot open " << tmp << '\n';
-      return false;
-    }
-    // An empty Graph has no offsets array at all; persist it as the
-    // canonical one-entry CSR so the loader's n+1 offsets always exist.
-    static constexpr uint64_t kEmptyOffsets[1] = {0};
-    auto offsets = g.RawOffsets();
-    if (offsets.empty()) offsets = kEmptyOffsets;
-    const auto adjacency = g.RawAdjacency();
-    Fnv1a64 checksum;
-    checksum.Update(offsets.data(), offsets.size());
-    checksum.Update(adjacency.data(), adjacency.size());
-
-    WritePod(out, kMagic);
-    WritePod(out, g.NumVertices());
-    WritePod(out, g.NumEdges());
-    WritePod(out, static_cast<uint8_t>(info.largest_cc_extracted ? 1 : 0));
-    WritePod(out, info.raw_vertices);
-    WritePod(out, info.raw_edges);
-    WritePod(out, info.raw_file_bytes);
-    const uint64_t payload_bytes =
-        offsets.size() * sizeof(uint64_t) + adjacency.size() * sizeof(VertexId);
-    WritePod(out, payload_bytes);
-    WritePod(out, checksum.Digest());
-    WriteArray(out, offsets.data(), offsets.size());
-    WriteArray(out, adjacency.data(), adjacency.size());
-    if (!out) {
-      std::cerr << "SaveGraphCache: write failed for " << tmp << '\n';
-      return false;
-    }
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::cerr << "SaveGraphCache: rename to " << path << " failed: "
-              << ec.message() << '\n';
+  // An empty Graph has no offsets array at all; persist it as the
+  // canonical one-entry CSR so the loader's n+1 offsets always exist.
+  static constexpr uint64_t kEmptyOffsets[1] = {0};
+  auto offsets = g.RawOffsets();
+  if (offsets.empty()) offsets = kEmptyOffsets;
+  const auto adjacency = g.RawAdjacency();
+  const VertexId n = g.NumVertices();
+  const uint64_t m = g.NumEdges();
+  const uint8_t cc_flag = info.largest_cc_extracted ? 1 : 0;
+  BinaryWriter out(path);
+  out.Write(&kMagic);
+  out.Write(&n);
+  out.Write(&m);
+  out.Write(&cc_flag);
+  out.Write(&info.raw_vertices);
+  out.Write(&info.raw_edges);
+  out.Write(&info.raw_file_bytes);
+  out.Write(offsets.data(), offsets.size());
+  out.Write(adjacency.data(), adjacency.size());
+  if (!out.Commit()) {
+    std::cerr << "SaveGraphCache: cannot write " << path << '\n';
     return false;
   }
   return true;
@@ -160,67 +117,47 @@ bool SaveGraphCache(const Graph& g, const DatasetCacheInfo& info,
 
 std::optional<Graph> LoadGraphCache(const std::string& path,
                                     DatasetCacheInfo* info) {
-  BinaryReader in(path);
-  if (!in.is_open()) {
-    std::cerr << "LoadGraphCache: cannot open " << path << '\n';
+  const auto reject = [&](const std::string& why) {
+    std::cerr << "LoadGraphCache: " << why << ": " << path << '\n';
     return std::nullopt;
-  }
+  };
+  BinaryReader in(path);
+  if (!in.is_open()) return reject("cannot open");
   uint64_t magic = 0;
+  if (!in.Read(&magic)) return reject("bad header");
+  if (magic == kMagicV1) {
+    return reject("retired QBSGRF01 cache (re-convert it from the raw file)");
+  }
+  if (magic != kMagic) return reject("not a QBSGRF02 graph cache");
   VertexId n = 0;
   uint64_t m = 0;
   uint8_t cc_flag = 0;
   DatasetCacheInfo header;
-  uint64_t payload_bytes = 0;
-  uint64_t stored_checksum = 0;
-  if (!in.Read(&magic) || magic != kMagic || !in.Read(&n) || !in.Read(&m) ||
-      !in.Read(&cc_flag) || cc_flag > 1 || !in.Read(&header.raw_vertices) ||
-      !in.Read(&header.raw_edges) || !in.Read(&header.raw_file_bytes) ||
-      !in.Read(&payload_bytes) || !in.Read(&stored_checksum)) {
-    std::cerr << "LoadGraphCache: bad header in " << path << '\n';
-    return std::nullopt;
+  if (!in.Read(&n) || !in.Read(&m) || !in.Read(&cc_flag) || cc_flag > 1 ||
+      !in.Read(&header.raw_vertices) || !in.Read(&header.raw_edges) ||
+      !in.Read(&header.raw_file_bytes)) {
+    return reject("bad header");
   }
   header.largest_cc_extracted = cc_flag == 1;
-  // The checksum only covers the payload, so the header's counts must
-  // match the rest of the file before they size any allocation — a
-  // bit-flipped edge count must reject gracefully (and be rebuilt from
-  // raw), not die in std::bad_alloc.
-  const uint64_t expect_payload =
-      (static_cast<uint64_t>(n) + 1) * sizeof(uint64_t) +
-      2 * m * sizeof(VertexId);
-  if (payload_bytes != in.left() || m > in.left() / (2 * sizeof(VertexId)) ||
-      payload_bytes != expect_payload) {
-    std::cerr << "LoadGraphCache: header/payload size mismatch in " << path
-              << '\n';
-    return std::nullopt;
-  }
+  // The counts are bounded by the bytes left before they size an
+  // allocation — m before the 2m product, which could wrap — so a
+  // bit-flipped count rejects gracefully (and is rebuilt from raw) instead
+  // of dying in std::bad_alloc.
   std::vector<uint64_t> offsets;
   std::vector<VertexId> adjacency;
-  if (!in.ReadArray(&offsets, static_cast<uint64_t>(n) + 1) ||
+  if (m > in.left() / (2 * sizeof(VertexId)) ||
+      !in.ReadArray(&offsets, static_cast<uint64_t>(n) + 1) ||
       !in.ReadArray(&adjacency, 2 * m)) {
-    std::cerr << "LoadGraphCache: truncated payload in " << path << '\n';
-    return std::nullopt;
+    return reject("truncated CSR");
   }
-  Fnv1a64 checksum;
-  checksum.Update(offsets.data(), offsets.size());
-  checksum.Update(adjacency.data(), adjacency.size());
-  if (checksum.Digest() != stored_checksum) {
-    std::cerr << "LoadGraphCache: payload checksum mismatch in " << path
-              << " (corrupt cache; delete it and re-convert)" << '\n';
-    return std::nullopt;
+  if (!in.VerifyChecksum()) {
+    return reject("checksum mismatch (corrupt cache; re-convert it)");
   }
-  if (!Graph::IsValidCsr(offsets, adjacency)) {
-    std::cerr << "LoadGraphCache: payload is not a valid CSR in " << path
-              << '\n';
-    return std::nullopt;
-  }
+  if (!Graph::IsValidCsr(offsets, adjacency)) return reject("not a valid CSR");
   if (info != nullptr) *info = header;
   // IsValidCsr just proved every FromCsr invariant; adopt without a second
   // O(|V| + |E|) CHECK pass.
   return Graph::AdoptCsr(std::move(offsets), std::move(adjacency));
-}
-
-std::optional<Graph> Graph::LoadCached(const std::string& path) {
-  return LoadGraphCache(path);
 }
 
 std::optional<Graph> LoadOrConvertDataset(const std::string& raw_path,

@@ -1,12 +1,12 @@
 // Real-dataset ingestion: raw SNAP/LAW edge lists -> a versioned binary
 // graph cache that amortizes parsing and largest-CC extraction across runs.
 //
-// Cache format QBSGRF01 (little-endian, host-endianness — a single-machine
+// Cache format QBSGRF02 (little-endian, host-endianness — a single-machine
 // artifact like the index files):
-//   u64  magic 'QBSGRF01'
+//   u64  magic 'QBSGRF02'
 //   u32  num_vertices n
 //   u64  num_undirected_edges m
-//   u8   largest_cc_extracted        (1 = the payload is the largest
+//   u8   largest_cc_extracted        (1 = the CSR is the largest
 //                                     connected component of the raw file,
 //                                     vertices relabelled dense)
 //   u64  raw_vertices, raw_edges     (the raw file's counts before
@@ -14,15 +14,16 @@
 //                                     graph was already connected)
 //   u64  raw_file_bytes              (on-disk size of the raw file the
 //                                     cache was converted from; 0 = unknown)
-//   u64  payload_bytes
-//   u64  payload_checksum            (FNV-1a 64 over the payload bytes)
-//   u64  offsets[n + 1]              -- payload from here
+//   u64  offsets[n + 1]              -- the CSR from here
 //   u32  adjacency[2 m]
+//   u64  checksum                    (Checksum64 of every preceding byte)
 //
-// The payload is the Graph's CSR verbatim, so a cache round trip is
-// bit-identical: Graph::LoadCached(p) after SaveGraphCache(g, ., p) yields
-// exactly g's RawOffsets()/RawAdjacency(). Loads verify the checksum and
-// reject corrupt or truncated files.
+// The CSR is the Graph's verbatim, so a cache round trip is bit-identical:
+// LoadGraphCache(p) after SaveGraphCache(g, ., p) yields exactly g's
+// RawOffsets()/RawAdjacency(). The file is written and read through
+// util/binary_io.h, the layer the index file uses too: saves are atomic
+// (tmp file + rename), and loads verify the checksum and reject corrupt,
+// truncated or over-long files, and the retired QBSGRF01 layout.
 //
 // Raw-side reading goes through ReadEdgeListAuto, which adds transparent
 // gzip decompression (".gz" suffix, via zlib when built with it) on top of
@@ -41,7 +42,7 @@
 
 namespace qbs {
 
-// Provenance recorded in a QBSGRF01 header alongside the CSR payload.
+// Provenance recorded in a QBSGRF02 header alongside the CSR.
 struct DatasetCacheInfo {
   // True when the cached graph is the largest connected component of the
   // raw edge list (vertices relabelled to a dense range), the reduction
@@ -67,13 +68,13 @@ std::optional<Graph> ReadEdgeListAuto(const std::string& path,
 // True when this build can decompress ".gz" edge lists (zlib was found).
 bool GzipSupported();
 
-// Writes `g` and its provenance to `path` in QBSGRF01 format. Returns
-// false on I/O failure.
+// Writes `g` and its provenance to `path` in QBSGRF02 format, atomically.
+// Returns false on I/O failure.
 bool SaveGraphCache(const Graph& g, const DatasetCacheInfo& info,
                     const std::string& path);
 
-// Reads a QBSGRF01 file. Verifies magic, header sanity, and the payload
-// checksum; returns std::nullopt (with a stderr message) on any mismatch.
+// Reads a QBSGRF02 file. Verifies magic, header sanity, the checksum and
+// the CSR; returns std::nullopt (with a stderr message) on any mismatch.
 // On success *info (when non-null) receives the header's provenance.
 std::optional<Graph> LoadGraphCache(const std::string& path,
                                     DatasetCacheInfo* info = nullptr);

@@ -68,14 +68,9 @@ class Graph {
                        std::vector<VertexId> adjacency);
 
   /// True iff the arrays satisfy every invariant FromCsr requires: the
-  /// graceful check for untrusted bytes such as a dataset cache payload.
+  /// graceful check for untrusted bytes such as a dataset cache file.
   static bool IsValidCsr(std::span<const uint64_t> offsets,
                          std::span<const VertexId> adjacency);
-
-  /// Loads a graph from a QBSGRF01 binary cache file written by
-  /// SaveGraphCache (graph/dataset_io.h). Returns std::nullopt on I/O
-  /// errors, bad magic, or a payload checksum mismatch.
-  static std::optional<Graph> LoadCached(const std::string& path);
 
   /// Number of vertices; valid ids are [0, NumVertices()).
   VertexId NumVertices() const {

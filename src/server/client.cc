@@ -11,8 +11,6 @@
 namespace qbs::server {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
 /// splitmix64 finalizer — the jitter stream. Local copy so the backoff
 /// schedule is a frozen function of the policy, not of whatever the fault
 /// injector's mixer evolves into.
@@ -215,7 +213,6 @@ QueryClient::RpcStatus QueryClient::QueryWithRetry(const QueryRequest& request,
                                                    RetryStats* stats) {
   const RetryBackoff backoff(policy);
   const uint32_t max_attempts = std::max<uint32_t>(policy.max_attempts, 1);
-  const auto start = Clock::now();
   RetryStats local;
   RpcStatus status = RpcStatus::kTransportError;
   for (uint32_t attempt = 0; attempt < max_attempts; ++attempt) {
@@ -223,13 +220,6 @@ QueryClient::RpcStatus QueryClient::QueryWithRetry(const QueryRequest& request,
       const uint32_t hint =
           status == RpcStatus::kBusy ? retry_after_ms_ : 0;
       const uint32_t delay_ms = backoff.DelayMs(attempt - 1, hint);
-      if (policy.overall_deadline_ms > 0) {
-        const auto elapsed =
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                Clock::now() - start)
-                .count();
-        if (elapsed + delay_ms >= policy.overall_deadline_ms) break;
-      }
       if (delay_ms > 0) {
         std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
       }
@@ -241,7 +231,6 @@ QueryClient::RpcStatus QueryClient::QueryWithRetry(const QueryRequest& request,
         // loop without backoff.
         ++local.attempts;
         status = RpcStatus::kTransportError;
-        if (!policy.retry_transport_errors) break;
         ++local.transport_retries;
         continue;
       }
@@ -258,9 +247,7 @@ QueryClient::RpcStatus QueryClient::QueryWithRetry(const QueryRequest& request,
       ++local.busy_retries;
       continue;
     }
-    // kTransportError
-    if (!policy.retry_transport_errors) break;
-    ++local.transport_retries;
+    ++local.transport_retries;  // kTransportError: reconnect and retry
   }
   // The final attempt's failure never fed a retry: don't count it as one.
   if (status == RpcStatus::kBusy && local.busy_retries > 0) {

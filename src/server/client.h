@@ -9,8 +9,8 @@
 //     fault-injectable for chaos tests.
 //   * QueryWithRetry() layers a deterministic RetryPolicy on Query():
 //     exponential backoff with seeded jitter, honoring the server's
-//     retry_after hint, reconnecting across transport errors, all bounded
-//     by an overall deadline. The backoff schedule is a pure function of
+//     retry_after hint and reconnecting across transport errors, for at
+//     most max_attempts tries. The backoff schedule is a pure function of
 //     (policy, retry index) — same seed, same schedule, every run.
 
 #ifndef QBS_SERVER_CLIENT_H_
@@ -54,11 +54,6 @@ struct RetryPolicy {
   double jitter = 0.2;
   /// Jitter stream seed (deterministic replay).
   uint64_t seed = 1;
-  /// Give up (returning the last status) once the next backoff would pass
-  /// this many milliseconds since the first attempt. 0 = unbounded.
-  uint32_t overall_deadline_ms = 0;
-  /// Reconnect and retry after transport errors (not just kBusy).
-  bool retry_transport_errors = true;
 };
 
 /// The schedule half of RetryPolicy, exposed for determinism tests.
@@ -116,8 +111,8 @@ class QueryClient {
   /// Sends one request and blocks for its reply.
   RpcStatus Query(const QueryRequest& request, QueryResponse* response);
 
-  /// Query() wrapped in `policy`: retries kBusy (and, when configured,
-  /// transport errors — reconnecting first) with deterministic backoff;
+  /// Query() wrapped in `policy`: retries kBusy and transport errors
+  /// (reconnecting first) with deterministic backoff;
   /// returns the first terminal status. kOk, kRemoteError, and
   /// kDeadlineExceeded never retry — the server answered.
   RpcStatus QueryWithRetry(const QueryRequest& request,

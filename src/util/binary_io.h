@@ -1,8 +1,11 @@
-// Raw POD I/O for the binary index and graph cache files: arrays move with
-// one stream call, and reads are bounded by the file's size, so a corrupt
-// count read from an untrusted file fails the read instead of sizing an
-// allocation. Checksum64 fingerprints the bytes as they pass through
-// memory, so verifying a file needs no second pass over it.
+// The one checked file layer under the binary index and graph cache files.
+// BinaryWriter writes a file atomically with a trailing Checksum64 of every
+// byte before it; BinaryReader reads one back, bounding every read by the
+// bytes left in the file (so a corrupt count read from an untrusted file
+// fails the read instead of sizing an allocation) and folding every read
+// into the checksum it verifies at the end. Arrays move with one stream
+// call and are fingerprinted as they pass through memory, so verifying a
+// file needs no second pass over it.
 
 #ifndef QBS_UTIL_BINARY_IO_H_
 #define QBS_UTIL_BINARY_IO_H_
@@ -19,18 +22,6 @@
 #include <vector>
 
 namespace qbs {
-
-/// Writes `count` PODs with one stream call.
-template <typename T>
-void WriteArray(std::ofstream& out, const T* data, uint64_t count) {
-  out.write(reinterpret_cast<const char*>(data),
-            static_cast<std::streamsize>(count * sizeof(T)));
-}
-
-template <typename T>
-void WritePod(std::ofstream& out, const T& value) {
-  WriteArray(out, &value, 1);
-}
 
 /// A fast 64-bit checksum of a byte stream; the digest does not depend on
 /// how the stream is split into Update() calls. Each 8-byte word is folded
@@ -92,8 +83,61 @@ class Checksum64 {
   uint64_t buffered_ = 0;
 };
 
-/// A binary file open for reading that checks every read against the bytes
-/// left in it.
+/// Writes a checked file: the bytes go to `path + ".tmp"`, folded into a
+/// Checksum64 on the way, and Commit() appends the digest and renames the
+/// file into place. A crash or a failure mid-write therefore never leaves
+/// a half-written file at `path`: the tmp file is removed on any failure,
+/// and a writer destroyed before Commit() removes it too.
+class BinaryWriter {
+ public:
+  explicit BinaryWriter(const std::string& path)
+      : path_(path),
+        tmp_(path + ".tmp"),
+        out_(tmp_, std::ios::binary | std::ios::trunc),
+        owns_tmp_(out_.is_open()) {}
+
+  BinaryWriter(const BinaryWriter&) = delete;
+  BinaryWriter& operator=(const BinaryWriter&) = delete;
+
+  ~BinaryWriter() {
+    if (!owns_tmp_) return;
+    out_.close();
+    std::error_code ec;
+    std::filesystem::remove(tmp_, ec);
+  }
+
+  /// Writes `count` PODs with one stream call.
+  template <typename T>
+  void Write(const T* data, uint64_t count = 1) {
+    out_.write(reinterpret_cast<const char*>(data),
+               static_cast<std::streamsize>(count * sizeof(T)));
+    sum_.Update(data, count);
+  }
+
+  /// Appends the checksum and renames the file into place; false on any
+  /// I/O failure, after which the destructor removes the tmp file.
+  bool Commit() {
+    const uint64_t digest = sum_.Digest();
+    out_.write(reinterpret_cast<const char*>(&digest), sizeof(digest));
+    out_.close();
+    if (!out_) return false;
+    std::error_code ec;
+    std::filesystem::rename(tmp_, path_, ec);
+    owns_tmp_ = static_cast<bool>(ec);
+    return !ec;
+  }
+
+ private:
+  std::string path_;
+  std::string tmp_;
+  std::ofstream out_;
+  bool owns_tmp_;  // the tmp file is ours to remove
+  Checksum64 sum_;
+};
+
+/// A checked file open for reading: every read is bounded by the bytes
+/// left in the file and folded into a Checksum64, which VerifyChecksum()
+/// compares with the digest BinaryWriter::Commit() appended.
 class BinaryReader {
  public:
   explicit BinaryReader(const std::string& path)
@@ -109,11 +153,9 @@ class BinaryReader {
   /// Reads `count` PODs with one stream call; false if the file is short.
   template <typename T>
   bool Read(T* data, uint64_t count = 1) {
-    if (count > left_ / sizeof(T)) return false;
-    left_ -= count * sizeof(T);
-    return count == 0 ||
-           in_.read(reinterpret_cast<char*>(data),
-                    static_cast<std::streamsize>(count * sizeof(T)));
+    if (!ReadUnchecked(data, count)) return false;
+    sum_.Update(data, count);
+    return true;
   }
 
   /// Read() into `out`, resized only once the bytes are known to be there.
@@ -124,9 +166,26 @@ class BinaryReader {
     return Read(out->data(), count);
   }
 
+  /// The closing call: true iff the file's last 8 bytes follow, and are the
+  /// Checksum64 of every byte read before them.
+  bool VerifyChecksum() {
+    uint64_t stored = 0;
+    return ReadUnchecked(&stored) && stored == sum_.Digest() && left_ == 0;
+  }
+
  private:
+  template <typename T>
+  bool ReadUnchecked(T* data, uint64_t count = 1) {
+    if (count > left_ / sizeof(T)) return false;
+    left_ -= count * sizeof(T);
+    return count == 0 ||
+           in_.read(reinterpret_cast<char*>(data),
+                    static_cast<std::streamsize>(count * sizeof(T)));
+  }
+
   std::ifstream in_;
   uint64_t left_ = 0;
+  Checksum64 sum_;
 };
 
 }  // namespace qbs

@@ -1,17 +1,20 @@
 // Tests for the real-dataset ingestion layer (graph/dataset_io.h): the
-// gz-aware edge-list reader and the QBSGRF01 binary cache — round-trip
-// bit-identity, corruption rejection, and the convert-once-then-cache flow.
+// gz-aware edge-list reader and the QBSGRF02 binary cache — round-trip
+// bit-identity, the committed fixture that pins the layout, corruption
+// rejection, and the convert-once-then-cache flow.
 
 #include "graph/dataset_io.h"
 
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "graph/components.h"
 #include "graph/edge_list_io.h"
 #include "graph/graph.h"
 
@@ -32,8 +35,30 @@ const char* FixtureGz() {
   return kPath->c_str();
 }
 
+// The committed QBSGRF02 fixture: the largest component of FixturePlain()
+// as LoadOrConvertDataset caches it.
+std::string FixtureCache() {
+  return std::string(QBS_TEST_DATA_DIR) + "/tiny_edges.qbsgrf";
+}
+
 std::string TempPath(const std::string& name) {
   return (fs::path(::testing::TempDir()) / name).string();
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Appends the raw bytes of a POD, for crafting cache files by hand.
+template <typename T>
+void Put(std::string* bytes, const T& value) {
+  bytes->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
 void ExpectBitIdentical(const Graph& a, const Graph& b) {
@@ -96,11 +121,6 @@ TEST(DatasetIoTest, CacheRoundTripIsBitIdentical) {
   EXPECT_EQ(loaded_info.raw_vertices, 123u);
   EXPECT_EQ(loaded_info.raw_edges, 456u);
   EXPECT_EQ(loaded_info.raw_file_bytes, 789u);
-
-  // Graph::LoadCached is the same loader.
-  auto via_graph = Graph::LoadCached(path);
-  ASSERT_TRUE(via_graph.has_value());
-  ExpectBitIdentical(*g, *via_graph);
 }
 
 TEST(DatasetIoTest, EmptyGraphRoundTrips) {
@@ -133,9 +153,9 @@ TEST(DatasetIoTest, CorruptedPayloadIsRejected) {
 }
 
 TEST(DatasetIoTest, CorruptedHeaderCountIsRejectedNotAllocated) {
-  // The checksum covers only the payload, so a bit-flipped header count
-  // must be caught by the file-size bound — not die in a ~2^62-byte
-  // std::bad_alloc.
+  // The checksum is verified only once the whole file has been read, so a
+  // bit-flipped header count must be caught by the file-size bound before
+  // it sizes an allocation — not die in a ~2^62-byte std::bad_alloc.
   auto g = ReadEdgeListAuto(FixturePlain());
   ASSERT_TRUE(g.has_value());
   const std::string path = TempPath("huge_header.qbsgrf");
@@ -171,6 +191,102 @@ TEST(DatasetIoTest, BadMagicAndTruncationAreRejected) {
 
   // Missing file.
   EXPECT_FALSE(LoadGraphCache(TempPath("never_written.qbsgrf")).has_value());
+}
+
+// Corrupting any single byte of a saved cache — the header's counts and
+// provenance, the CSR or the checksum itself — must be rejected, never
+// loaded.
+TEST(DatasetIoTest, EveryFlippedByteIsRejected) {
+  auto g = ReadEdgeListAuto(FixturePlain());
+  ASSERT_TRUE(g.has_value());
+  const std::string path = TempPath("flipped.qbsgrf");
+  DatasetCacheInfo info;
+  info.largest_cc_extracted = true;
+  info.raw_vertices = 123;
+  info.raw_edges = 456;
+  info.raw_file_bytes = 789;
+  ASSERT_TRUE(SaveGraphCache(*g, info, path));
+  const std::string bytes = ReadFileBytes(path);
+  ASSERT_FALSE(bytes.empty());
+  for (size_t at = 0; at < bytes.size(); ++at) {
+    std::string corrupt = bytes;
+    corrupt[at] = static_cast<char>(corrupt[at] ^ 0x01);
+    WriteFileBytes(path, corrupt);
+    ASSERT_FALSE(LoadGraphCache(path).has_value()) << "byte " << at;
+  }
+}
+
+// The fixture was made outside the C++ writer, by a separate
+// implementation of the QBSGRF02 layout and of Checksum64, so it pins the
+// layout and the checksum function both: today's writer must reproduce it
+// byte for byte, and the loader must read it back bit-identically.
+DatasetCacheInfo FixtureCacheInfo() {
+  DatasetCacheInfo info;
+  info.largest_cc_extracted = true;
+  info.raw_vertices = 8;
+  info.raw_edges = 7;
+  info.raw_file_bytes = fs::file_size(FixturePlain());
+  return info;
+}
+
+TEST(DatasetIoTest, WriterReproducesFixtureBytes) {
+  auto raw = ReadEdgeListAuto(FixturePlain());
+  ASSERT_TRUE(raw.has_value());
+  const std::string path = TempPath("fixture.qbsgrf");
+  ASSERT_TRUE(
+      SaveGraphCache(LargestComponent(*raw).graph, FixtureCacheInfo(), path));
+  const std::string fixture = ReadFileBytes(FixtureCache());
+  ASSERT_FALSE(fixture.empty());
+  EXPECT_TRUE(ReadFileBytes(path) == fixture);
+}
+
+TEST(DatasetIoTest, LoaderReadsFixtureBitIdentically) {
+  auto raw = ReadEdgeListAuto(FixturePlain());
+  ASSERT_TRUE(raw.has_value());
+  DatasetCacheInfo info;
+  auto loaded = LoadGraphCache(FixtureCache(), &info);
+  ASSERT_TRUE(loaded.has_value());
+  ExpectBitIdentical(LargestComponent(*raw).graph, *loaded);
+  const DatasetCacheInfo expected = FixtureCacheInfo();
+  EXPECT_EQ(info.largest_cc_extracted, expected.largest_cc_extracted);
+  EXPECT_EQ(info.raw_vertices, expected.raw_vertices);
+  EXPECT_EQ(info.raw_edges, expected.raw_edges);
+  EXPECT_EQ(info.raw_file_bytes, expected.raw_file_bytes);
+}
+
+// The fixture's graph in the retired QBSGRF01 layout — payload size and an
+// FNV-1a 64 payload checksum in the header, no trailing checksum — is
+// rejected with a message that names the old format, and
+// LoadOrConvertDataset rebuilds it from the raw edge list.
+TEST(DatasetIoTest, RetiredV1CacheIsRejectedAndRebuilt) {
+  constexpr size_t kCsrAt = 8 + 4 + 8 + 1 + 3 * 8;  // QBSGRF02 header size
+  const std::string v2 = ReadFileBytes(FixtureCache());
+  ASSERT_GT(v2.size(), kCsrAt + sizeof(uint64_t));
+  const std::string csr =
+      v2.substr(kCsrAt, v2.size() - kCsrAt - sizeof(uint64_t));
+  uint64_t fnv = 0xcbf29ce484222325ull;
+  for (const char c : csr) {
+    fnv = (fnv ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
+  }
+  std::string v1 = v2.substr(0, kCsrAt);
+  v1.replace(0, 8, "QBSGRF01");
+  Put(&v1, uint64_t{csr.size()});
+  Put(&v1, fnv);
+  v1 += csr;
+
+  const std::string raw = TempPath("v1_raw.txt");
+  const std::string cache = TempPath("v1.qbsgrf");
+  fs::copy_file(FixturePlain(), raw, fs::copy_options::overwrite_existing);
+  WriteFileBytes(cache, v1);
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(LoadGraphCache(cache).has_value());
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("QBSGRF01"),
+            std::string::npos);
+
+  auto rebuilt = LoadOrConvertDataset(raw, cache, nullptr);
+  ASSERT_TRUE(rebuilt.has_value());
+  EXPECT_EQ(rebuilt->NumVertices(), 5u);
+  EXPECT_TRUE(ReadFileBytes(cache) == v2);
 }
 
 TEST(DatasetIoTest, LoadOrConvertExtractsLargestComponentAndCaches) {
@@ -243,7 +359,7 @@ TEST(DatasetIoTest, LoadOrConvertRebuildsRejectedCache) {
   ASSERT_TRUE(converted.has_value());
   EXPECT_EQ(converted->NumVertices(), 5u);
   // The cache was rewritten and now verifies.
-  EXPECT_TRUE(Graph::LoadCached(cache).has_value());
+  EXPECT_TRUE(LoadGraphCache(cache).has_value());
 }
 
 TEST(DatasetIoTest, LoadOrConvertWithNeitherSourceFails) {

@@ -1,0 +1,99 @@
+// libFuzzer target for the two file loaders: LoadLabelingScheme (QBSIDX03
+// index files) and LoadGraphCache (QBSGRF02 graph caches). Both parse
+// untrusted bytes from disk, so the properties fuzzed here are the ones a
+// server restart relies on:
+//
+//   * no crash / OOB / UB / unbounded allocation on any file, however torn
+//     up (ASan/UBSan catch violations; a corrupt count must fail a read,
+//     not size an allocation);
+//   * a graph cache the loader accepts saves back to the very same bytes
+//     (the layout has exactly one encoding of each graph).
+//
+// Each input is written to a temp file and handed to both loaders. Built
+// two ways, like protocol_fuzz.cc: with QBS_FUZZ_LIBFUZZER under clang
+// -fsanitize=fuzzer for real fuzzing, and with a standalone main() that
+// replays the checked-in corpus under tests/fuzz/file_corpus/ as a plain
+// ctest in every build.
+
+#include <cstddef>
+#include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iostream>
+#include <iterator>
+#include <string>
+#include <vector>
+
+#include <unistd.h>
+
+#include "core/serialization.h"
+#include "graph/dataset_io.h"
+
+namespace {
+
+using namespace qbs;
+
+std::string ScratchPath(const char* name) {
+  return (std::filesystem::temp_directory_path() /
+          ("qbs_file_fuzz_" + std::to_string(getpid()) + name))
+      .string();
+}
+
+void WriteFile(const std::string& path, const uint8_t* data, size_t size) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(data),
+            static_cast<std::streamsize>(size));
+}
+
+std::vector<uint8_t> ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+void RunOneInput(const uint8_t* data, size_t size) {
+  // Every rejection prints a line; the fuzzer runs millions of them.
+  std::cerr.rdbuf(nullptr);
+  static const std::string input = ScratchPath(".in");
+  static const std::string resaved = ScratchPath(".out");
+  WriteFile(input, data, size);
+
+  (void)LoadLabelingScheme(input);
+
+  DatasetCacheInfo info;
+  if (auto g = LoadGraphCache(input, &info)) {
+    if (!SaveGraphCache(*g, info, resaved) ||
+        ReadFile(resaved) != std::vector<uint8_t>(data, data + size)) {
+      __builtin_trap();
+    }
+  }
+}
+
+}  // namespace
+
+extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
+  RunOneInput(data, size);
+  return 0;
+}
+
+#ifndef QBS_FUZZ_LIBFUZZER
+// Standalone corpus driver: replays every file passed on the command line
+// (the checked-in corpus under tests/fuzz/file_corpus/) through the target.
+#include <cstdio>
+
+int main(int argc, char** argv) {
+  int ran = 0;
+  for (int i = 1; i < argc; ++i) {
+    if (!std::ifstream(argv[i])) {
+      std::fprintf(stderr, "file_fuzz: cannot open %s\n", argv[i]);
+      return 1;
+    }
+    const std::vector<uint8_t> bytes = ReadFile(argv[i]);
+    RunOneInput(bytes.data(), bytes.size());
+    ++ran;
+  }
+  std::filesystem::remove(ScratchPath(".in"));
+  std::filesystem::remove(ScratchPath(".out"));
+  std::printf("file_fuzz: replayed %d corpus inputs cleanly\n", ran);
+  return 0;
+}
+#endif

@@ -1,4 +1,5 @@
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -287,6 +288,34 @@ TEST_F(SerializationTest, IndexSaveLoadQueriesAgree) {
     ASSERT_EQ(loaded->Query({u, v}).spg, built.Query({u, v}).spg);
     ASSERT_EQ(loaded->Query({u, v}).spg, SpgByDoubleBfs(g, u, v));
   }
+}
+
+// A save writes `path + ".tmp"` and renames it into place: a failed save
+// leaves the previous index untouched, and a successful one leaves no tmp
+// file behind.
+TEST_F(SerializationTest, SaveIsAtomic) {
+  Graph g = BarabasiAlbert(200, 2, 6);
+  QbsOptions options;
+  options.num_landmarks = 5;
+  QbsIndex built = QbsIndex::Build(g, options);
+  const std::string tmp = path_ + ".tmp";
+  std::filesystem::remove_all(tmp);
+  ASSERT_TRUE(built.Save(path_));
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  const std::string saved = ReadFileBytes(path_);
+
+  // A directory where the tmp file goes makes the save fail.
+  ASSERT_TRUE(std::filesystem::create_directory(tmp));
+  const Graph other_graph = BarabasiAlbert(300, 2, 7);
+  const QbsIndex other = QbsIndex::Build(other_graph, options);
+  EXPECT_FALSE(other.Save(path_));
+  EXPECT_TRUE(std::filesystem::is_directory(tmp));
+  std::filesystem::remove(tmp);
+  EXPECT_TRUE(ReadFileBytes(path_) == saved);
+  auto loaded = LoadLabelingScheme(path_);
+  ASSERT_TRUE(loaded.has_value());
+  ExpectSameScheme(*loaded, LabelingScheme{built.labeling(),
+                                           built.meta_graph()});
 }
 
 TEST_F(SerializationTest, LoadRejectsWrongGraph) {
