@@ -6,8 +6,11 @@
 // exceeding the entry cap prints OOE, reproducing the paper's failure
 // annotations. --dataset=dblp,... swaps the synthetic stand-ins for real
 // downloaded graphs (see bench_table1_datasets.cc). The expected *shape*:
-// QbS-P fastest to build, QbS query times orders of magnitude below
-// Bi-BFS, PPL/ParentPPL failing beyond the small datasets.
+// QbS-P fastest to build and PPL/ParentPPL failing beyond the small
+// datasets. The paper's query gap to Bi-BFS does not show on the
+// synthetic stand-ins: QbS's mean query time read 0.9-2.2x Bi-BFS's on
+// DO and DB at scale 1 (twelve runs on a 4-vCPU Xeon KVM host), and about
+// the same on the larger TW stand-ins (docs/REPRODUCING.md).
 
 #include <algorithm>
 #include <cstdio>

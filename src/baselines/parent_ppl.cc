@@ -1,122 +1,86 @@
 #include "baselines/parent_ppl.h"
 
 #include <algorithm>
-#include <numeric>
+#include <utility>
 
 #include "graph/bfs.h"
-#include "graph/frontier.h"
-#include "util/check.h"
 #include "util/timer.h"
 
 namespace qbs {
-namespace {
-
-uint64_t PairKey(VertexId a, VertexId b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
-
-}  // namespace
 
 std::optional<ParentPplIndex> ParentPplIndex::Build(
     const Graph& g, const PplBuildOptions& options, BuildStatus* status) {
   BuildStatus local_status;
   if (status == nullptr) status = &local_status;
-  *status = BuildStatus::kOk;
-
-  ParentPplIndex index;
-  index.g_ = &g;
-  const VertexId n = g.NumVertices();
-  index.labels_.resize(n);
-  index.order_.resize(n);
-  std::iota(index.order_.begin(), index.order_.end(), 0);
-  std::sort(index.order_.begin(), index.order_.end(),
-            [&g](VertexId a, VertexId b) {
-              const uint32_t da = g.Degree(a);
-              const uint32_t db = g.Degree(b);
-              return da != db ? da > db : a < b;
-            });
-  index.rank_of_.resize(n);
-  for (uint32_t r = 0; r < n; ++r) index.rank_of_[index.order_[r]] = r;
-
   WallTimer timer;
-  uint64_t total_entries = 0;
-  uint64_t total_parents = 0;
+  std::optional<PplIndex> ppl = PplIndex::Build(g, options, status);
+  if (!ppl.has_value()) return std::nullopt;
 
-  // Shared traversal-substrate scratch, reset in O(visited) between roots.
-  RootedBfsScratch bfs;
-  bfs.Prepare(n);
-  auto& depth = bfs.depth;
-  auto& queue = bfs.queue;
-  std::vector<uint32_t> root_dist(n, kUnreachable);
-  std::vector<VertexId> labeled_this_round;
+  ParentPplIndex index(std::move(*ppl));
+  const PplIndex& labels = index.ppl_;
+  const VertexId n = g.NumVertices();
 
-  // Distance from the current root to w via labels (dense root view).
-  // Exact for the root's own pairs: the root lies on all its shortest
-  // paths, so after round k the pair (root, w) is covered.
-  auto root_distance = [&](VertexId w) {
-    uint32_t best = kUnreachable;
-    for (const ParentPplEntry& e : index.labels_[w]) {
-      const uint32_t rd = root_dist[e.rank];
-      if (rd != kUnreachable) best = std::min(best, rd + e.dist);
+  // Number the entries vertex by vertex, and list them by landmark rank:
+  // by_rank[rank_begin[k], rank_begin[k + 1]) holds the (vertex, label
+  // position) of every rank-k entry.
+  index.first_entry_.resize(n);
+  std::vector<uint64_t> rank_begin(n + 1, 0);
+  uint64_t num_entries = 0;
+  for (VertexId v = 0; v < n; ++v) {
+    index.first_entry_[v] = num_entries;
+    num_entries += labels.Label(v).size();
+    for (const PplEntry& e : labels.Label(v)) ++rank_begin[e.rank + 1];
+  }
+  for (VertexId k = 0; k < n; ++k) rank_begin[k + 1] += rank_begin[k];
+  std::vector<std::pair<VertexId, uint32_t>> by_rank(num_entries);
+  std::vector<uint64_t> cursor(rank_begin.begin(), rank_begin.end() - 1);
+  for (VertexId v = 0; v < n; ++v) {
+    const auto& label = labels.Label(v);
+    for (uint32_t j = 0; j < label.size(); ++j) {
+      by_rank[cursor[label[j].rank]++] = {v, j};
     }
-    return best;
-  };
+  }
+  index.ranges_.resize(num_entries);
 
+  // landmark_dist[r] = δ(r_k, r) for the entries of r_k's label of rank
+  // <= k, kUnreachable elsewhere.
+  std::vector<uint32_t> landmark_dist(n, kUnreachable);
   for (uint32_t k = 0; k < n; ++k) {
-    const VertexId root = index.order_[k];
-    for (const ParentPplEntry& e : index.labels_[root]) {
-      root_dist[e.rank] = e.dist;
+    const auto& root_label = labels.Label(labels.LandmarkVertex(k));
+    for (const PplEntry& e : root_label) {
+      if (e.rank > k) break;
+      landmark_dist[e.rank] = e.dist;
     }
-
-    // Pruned BFS (Algorithm 1), identical to PPL.
-    labeled_this_round.clear();
-    queue.push_back(root);
-    depth[root] = 0;
-    size_t head = 0;
-    while (head < queue.size()) {
-      const VertexId u = queue[head++];
-      const uint32_t du = depth[u];
-      const uint32_t via_labels = root_distance(u);
-      if (via_labels < du) continue;
-      index.labels_[u].push_back(ParentPplEntry{k, du, {}});
-      labeled_this_round.push_back(u);
-      ++total_entries;
-      if (via_labels == du) continue;
-      for (VertexId w : g.Neighbors(u)) {
-        if (depth[w] == kUnreachable) {
-          depth[w] = du + 1;
-          queue.push_back(w);
+    // Whether w's entries of rank <= k route it to r_k in `dist` steps. No
+    // route is shorter than d(r_k, w), and a neighbour of a vertex at
+    // distance dist + 1 is no closer than dist, so any hit is the minimum.
+    const auto at_distance = [&](VertexId w, uint32_t dist) {
+      for (const PplEntry& e : labels.Label(w)) {
+        if (e.rank > k) break;
+        const uint32_t ld = landmark_dist[e.rank];
+        if (ld != kUnreachable && ld + e.dist == dist) return true;
+      }
+      return false;
+    };
+    for (uint64_t i = rank_begin[k]; i < rank_begin[k + 1]; ++i) {
+      const auto [v, j] = by_rank[i];
+      const uint32_t d = labels.Label(v)[j].dist;
+      const uint64_t begin = index.parents_.size();
+      if (d > 0) {
+        for (VertexId w : g.Neighbors(v)) {
+          if (at_distance(w, d - 1)) index.parents_.push_back(w);
         }
       }
+      index.ranges_[index.first_entry_[v] + j] = {
+          begin, static_cast<uint32_t>(index.parents_.size() - begin)};
     }
-
-    // Parent derivation: with the round-k entries in place, the root's
-    // distance to any vertex is answered exactly by labels, so a neighbour
-    // w of a labelled u is a parent iff d_L(root, w) == dist(u) - 1. The
-    // pruned-BFS depth array alone would miss parents that were themselves
-    // pruned.
-    root_dist[k] = 0;
-    for (VertexId u : labeled_this_round) {
-      ParentPplEntry& entry = index.labels_[u].back();
-      QBS_DCHECK(entry.rank == k);
-      if (entry.dist == 0) continue;  // the root itself
-      for (VertexId w : g.Neighbors(u)) {
-        if (root_distance(w) == entry.dist - 1) {
-          entry.parents.push_back(w);
-        }
-      }
-      total_parents += entry.parents.size();
-    }
-    root_dist[k] = kUnreachable;
-
-    bfs.ResetVisited();
-    for (const ParentPplEntry& e : index.labels_[root]) {
-      root_dist[e.rank] = kUnreachable;
+    for (const PplEntry& e : root_label) {
+      if (e.rank > k) break;
+      landmark_dist[e.rank] = kUnreachable;
     }
 
     if (options.max_label_entries > 0 &&
-        total_entries + total_parents > options.max_label_entries) {
+        num_entries + index.parents_.size() > options.max_label_entries) {
       *status = BuildStatus::kMemoryBudgetExceeded;
       return std::nullopt;
     }
@@ -128,95 +92,50 @@ std::optional<ParentPplIndex> ParentPplIndex::Build(
   return index;
 }
 
-uint32_t ParentPplIndex::QueryDistance(VertexId u, VertexId v) const {
-  QBS_CHECK_LT(u, labels_.size());
-  QBS_CHECK_LT(v, labels_.size());
-  if (u == v) return 0;
-  const auto& lu = labels_[u];
-  const auto& lv = labels_[v];
-  uint32_t best = kUnreachable;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < lu.size() && j < lv.size()) {
-    if (lu[i].rank < lv[j].rank) {
-      ++i;
-    } else if (lu[i].rank > lv[j].rank) {
-      ++j;
-    } else {
-      best = std::min(best, lu[i].dist + lv[j].dist);
-      ++i;
-      ++j;
-    }
-  }
-  return best;
-}
-
-const ParentPplEntry* ParentPplIndex::FindEntry(VertexId x,
-                                                uint32_t rank) const {
-  const auto& l = labels_[x];
-  const auto it = std::lower_bound(
-      l.begin(), l.end(), rank,
-      [](const ParentPplEntry& e, uint32_t r) { return e.rank < r; });
-  return it != l.end() && it->rank == rank ? &*it : nullptr;
-}
-
 void ParentPplIndex::Walk(VertexId x, uint32_t rank, std::vector<Edge>* edges,
                           std::unordered_set<uint64_t>* visited_pairs) const {
-  const VertexId target = order_[rank];
+  const VertexId target = ppl_.LandmarkVertex(rank);
   if (x == target) return;
-  if (!visited_pairs->insert(PairKey(x, target)).second) return;
-  const ParentPplEntry* entry = FindEntry(x, rank);
-  if (entry != nullptr) {
-    if (entry->dist == 1) {
-      edges->emplace_back(x, target);
-      return;
-    }
-    for (VertexId w : entry->parents) {
-      edges->emplace_back(x, w);
-      Walk(w, rank, edges, visited_pairs);
-    }
+  const auto& label = ppl_.Label(x);
+  const auto it = std::lower_bound(
+      label.begin(), label.end(), rank,
+      [](const PplEntry& e, uint32_t r) { return e.rank < r; });
+  if (it == label.end() || it->rank != rank) {
+    // x's label was pruned for this landmark: fall back to decomposition.
+    Expand(x, target, edges, visited_pairs);
     return;
   }
-  // x's label was pruned for this landmark: fall back to decomposition.
-  visited_pairs->erase(PairKey(x, target));
-  Expand(x, target, edges, visited_pairs);
+  if (!visited_pairs->insert(UnorderedPairKey(x, target)).second) return;
+  if (it->dist == 1) {
+    edges->emplace_back(x, target);
+    return;
+  }
+  for (VertexId w : Parents(x, it - label.begin())) {
+    edges->emplace_back(x, w);
+    Walk(w, rank, edges, visited_pairs);
+  }
 }
 
 void ParentPplIndex::Expand(VertexId u, VertexId v, std::vector<Edge>* edges,
                             std::unordered_set<uint64_t>* visited_pairs) const {
-  if (!visited_pairs->insert(PairKey(u, v)).second) return;
-  const uint32_t d = QueryDistance(u, v);
+  if (!visited_pairs->insert(UnorderedPairKey(u, v)).second) return;
+  const uint32_t d = ppl_.QueryDistance(u, v);
   if (d == 0 || d == kUnreachable) return;
   if (d == 1) {
     edges->emplace_back(u, v);
     return;
   }
-  const auto& lu = labels_[u];
-  const auto& lv = labels_[v];
-  size_t i = 0;
-  size_t j = 0;
-  while (i < lu.size() && j < lv.size()) {
-    if (lu[i].rank < lv[j].rank) {
-      ++i;
-    } else if (lu[i].rank > lv[j].rank) {
-      ++j;
-    } else {
-      if (lu[i].dist + lv[j].dist == d) {
-        const uint32_t rank = lu[i].rank;
-        const VertexId r = order_[rank];
-        if (r != u && r != v) {
-          Walk(u, rank, edges, visited_pairs);
-          Walk(v, rank, edges, visited_pairs);
-        }
-      }
-      ++i;
-      ++j;
+  ppl_.ForEachCommonLandmark(u, v, [&](uint32_t rank, uint32_t dist) {
+    const VertexId r = ppl_.LandmarkVertex(rank);
+    if (dist == d && r != u && r != v) {
+      Walk(u, rank, edges, visited_pairs);
+      Walk(v, rank, edges, visited_pairs);
     }
-  }
+  });
   // Neighbour-step completion (see PplIndex::Expand): parent walks only
   // cover paths with an internal common landmark in the labels.
-  for (VertexId z : g_->Neighbors(u)) {
-    if (QueryDistance(z, v) + 1 == d) {
+  for (VertexId z : ppl_.graph().Neighbors(u)) {
+    if (ppl_.QueryDistance(z, v) + 1 == d) {
       edges->emplace_back(u, z);
       Expand(z, v, edges, visited_pairs);
     }
@@ -227,26 +146,12 @@ ShortestPathGraph ParentPplIndex::QuerySpg(VertexId u, VertexId v) const {
   ShortestPathGraph spg;
   spg.u = u;
   spg.v = v;
-  spg.distance = QueryDistance(u, v);
+  spg.distance = ppl_.QueryDistance(u, v);
   if (spg.distance == kUnreachable || u == v) return spg;
   std::unordered_set<uint64_t> visited_pairs;
   Expand(u, v, &spg.edges, &visited_pairs);
   spg.Normalize();
   return spg;
-}
-
-uint64_t ParentPplIndex::NumEntries() const {
-  uint64_t total = 0;
-  for (const auto& l : labels_) total += l.size();
-  return total;
-}
-
-uint64_t ParentPplIndex::NumParents() const {
-  uint64_t total = 0;
-  for (const auto& l : labels_) {
-    for (const auto& e : l) total += e.parents.size();
-  }
-  return total;
 }
 
 }  // namespace qbs

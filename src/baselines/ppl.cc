@@ -5,19 +5,10 @@
 #include <unordered_set>
 
 #include "graph/bfs.h"
-#include "graph/frontier.h"
 #include "util/check.h"
 #include "util/timer.h"
 
 namespace qbs {
-namespace {
-
-uint64_t PairKey(VertexId a, VertexId b) {
-  if (a > b) std::swap(a, b);
-  return (static_cast<uint64_t>(a) << 32) | b;
-}
-
-}  // namespace
 
 std::optional<PplIndex> PplIndex::Build(const Graph& g,
                                         const PplBuildOptions& options,
@@ -44,11 +35,12 @@ std::optional<PplIndex> PplIndex::Build(const Graph& g,
   WallTimer timer;
   uint64_t total_entries = 0;
 
-  // Scratch reused across pruned BFSs (shared traversal substrate).
-  RootedBfsScratch bfs;
-  bfs.Prepare(n);
-  auto& depth = bfs.depth;
-  auto& queue = bfs.queue;
+  // Scratch reused across pruned BFSs: the queue doubles as the touched
+  // list, so the reset between roots is O(visited), not O(|V|). Every
+  // visit runs a pruning decision, so the BFS cannot switch direction.
+  std::vector<uint32_t> depth(n, kUnreachable);
+  std::vector<VertexId> queue;
+  queue.reserve(n);
   // root_dist[r] = distance from the current root to landmark r according
   // to the root's own label (dense view for O(1) lookups during pruning).
   std::vector<uint32_t> root_dist(n, kUnreachable);
@@ -89,7 +81,8 @@ std::optional<PplIndex> PplIndex::Build(const Graph& g,
     }
 
     // Reset scratch touched by this BFS.
-    bfs.ResetVisited();
+    for (VertexId v : queue) depth[v] = kUnreachable;
+    queue.clear();
     for (const PplEntry& e : index.labels_[root]) {
       root_dist[e.rank] = kUnreachable;
     }
@@ -111,28 +104,16 @@ uint32_t PplIndex::QueryDistance(VertexId u, VertexId v) const {
   QBS_CHECK_LT(u, labels_.size());
   QBS_CHECK_LT(v, labels_.size());
   if (u == v) return 0;
-  const auto& lu = labels_[u];
-  const auto& lv = labels_[v];
   uint32_t best = kUnreachable;
-  size_t i = 0;
-  size_t j = 0;
-  while (i < lu.size() && j < lv.size()) {
-    if (lu[i].rank < lv[j].rank) {
-      ++i;
-    } else if (lu[i].rank > lv[j].rank) {
-      ++j;
-    } else {
-      best = std::min(best, lu[i].dist + lv[j].dist);
-      ++i;
-      ++j;
-    }
-  }
+  ForEachCommonLandmark(u, v, [&best](uint32_t, uint32_t dist) {
+    best = std::min(best, dist);
+  });
   return best;
 }
 
 void PplIndex::Expand(VertexId u, VertexId v, std::vector<Edge>* edges,
                       std::unordered_set<uint64_t>* visited_pairs) const {
-  if (!visited_pairs->insert(PairKey(u, v)).second) return;
+  if (!visited_pairs->insert(UnorderedPairKey(u, v)).second) return;
 
   const uint32_t d = QueryDistance(u, v);
   if (d == 0 || d == kUnreachable) return;
@@ -144,27 +125,13 @@ void PplIndex::Expand(VertexId u, VertexId v, std::vector<Edge>* edges,
   // decomposition). Pruning does not guarantee an internal common landmark
   // on *every* shortest path, so this covers most but possibly not all
   // paths.
-  const auto& lu = labels_[u];
-  const auto& lv = labels_[v];
-  size_t i = 0;
-  size_t j = 0;
-  while (i < lu.size() && j < lv.size()) {
-    if (lu[i].rank < lv[j].rank) {
-      ++i;
-    } else if (lu[i].rank > lv[j].rank) {
-      ++j;
-    } else {
-      if (lu[i].dist + lv[j].dist == d) {
-        const VertexId r = order_[lu[i].rank];
-        if (r != u && r != v) {
-          Expand(u, r, edges, visited_pairs);
-          Expand(r, v, edges, visited_pairs);
-        }
-      }
-      ++i;
-      ++j;
+  ForEachCommonLandmark(u, v, [&](uint32_t rank, uint32_t dist) {
+    const VertexId r = order_[rank];
+    if (dist == d && r != u && r != v) {
+      Expand(u, r, edges, visited_pairs);
+      Expand(r, v, edges, visited_pairs);
     }
-  }
+  });
   // Neighbour-step completion: every neighbour of u one hop closer to v is
   // on a shortest path (exact label distance check), guaranteeing no path
   // escapes even when no internal landmark covers it.

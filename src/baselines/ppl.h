@@ -23,6 +23,7 @@
 #include <limits>
 #include <optional>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -53,6 +54,13 @@ struct PplEntry {
   uint32_t dist = 0;
 };
 
+// Memo key of the unordered vertex pair {a, b}: both SPG decompositions
+// expand each pair once.
+inline uint64_t UnorderedPairKey(VertexId a, VertexId b) {
+  if (a > b) std::swap(a, b);
+  return (static_cast<uint64_t>(a) << 32) | b;
+}
+
 class PplIndex {
  public:
   // Builds the full pruned path labelling (every vertex is a potential
@@ -68,6 +76,30 @@ class PplIndex {
   // Exact SPG via recursive decomposition at common landmarks.
   ShortestPathGraph QuerySpg(VertexId u, VertexId v) const;
 
+  // Calls fn(rank, dist) for every landmark rank in both labels of u and v,
+  // in increasing rank, where dist is the sum of the two entries'
+  // distances. The one label merge behind QueryDistance and both SPG
+  // decompositions (PPL's and ParentPPL's).
+  template <typename Fn>
+  void ForEachCommonLandmark(VertexId u, VertexId v, Fn&& fn) const {
+    const auto& lu = labels_[u];
+    const auto& lv = labels_[v];
+    size_t i = 0;
+    size_t j = 0;
+    while (i < lu.size() && j < lv.size()) {
+      if (lu[i].rank < lv[j].rank) {
+        ++i;
+      } else if (lu[i].rank > lv[j].rank) {
+        ++j;
+      } else {
+        fn(lu[i].rank, lu[i].dist + lv[j].dist);
+        ++i;
+        ++j;
+      }
+    }
+  }
+
+  const Graph& graph() const { return *g_; }
   const std::vector<PplEntry>& Label(VertexId v) const { return labels_[v]; }
   // Vertex id of the landmark with the given order rank.
   VertexId LandmarkVertex(uint32_t rank) const { return order_[rank]; }

@@ -200,11 +200,4 @@ void QbsIndex::RefreshDerived(const NetChanges& net, size_t num_threads) {
   *sparsified_ = PatchSparsifiedGraph(*sparsified_, net, scheme_->labeling);
 }
 
-uint32_t QbsIndex::DistanceUpperBound(VertexId u, VertexId v) const {
-  QBS_CHECK_LT(u, g_->NumVertices());
-  QBS_CHECK_LT(v, g_->NumVertices());
-  if (u == v) return 0;
-  return ComputeSketch(scheme_->labeling, scheme_->meta, u, v).d_top;
-}
-
 }  // namespace qbs

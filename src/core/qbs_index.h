@@ -174,12 +174,6 @@ class QbsIndex {
   UpdateStats ApplyUpdates(const GraphDelta& delta,
                            const UpdateOptions& options = {});
 
-  /// An upper bound on d_G(u, v): the sketch bound d⊤ (Eq. 3), tight
-  /// whenever a shortest path crosses a landmark. It is never above the
-  /// label bound min δu + δv, whose r = r' routes it includes. O(|R|^2), no
-  /// search.
-  uint32_t DistanceUpperBound(VertexId u, VertexId v) const;
-
   /// Always 0: the index stores no bit-parallel masks. Kept because
   /// bench_e2e (frozen by BENCHMARK.json) reads it.
   uint64_t BpMaskSizeBytes() const { return 0; }

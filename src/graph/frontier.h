@@ -1,6 +1,5 @@
-// The shared traversal substrate: flat reusable frontier buffers, scratch
-// for pruned rooted BFSs, and the one bidirectional level search behind
-// both SPG searches.
+// The shared traversal substrate: flat reusable frontier buffers and the
+// one bidirectional level search behind both SPG searches.
 //
 //  1. Flat frontiers. A BFS level is a contiguous span of a single reusable
 //     buffer (LevelStack), so per-level allocation disappears and a "how
@@ -15,8 +14,9 @@
 //     direction choice decided by exact costs instead of a ratio.
 //
 // The per-landmark labelling BFS (core/labeling.cc) keeps its own
-// direction-optimizing traversal; BfsDistances (graph/bfs.h) is the plain
-// reference they are all checked against.
+// direction-optimizing traversal, and PPL's pruned BFS (baselines/ppl.cc)
+// its own queue; BfsDistances (graph/bfs.h) is the plain reference they
+// are all checked against.
 
 #ifndef QBS_GRAPH_FRONTIER_H_
 #define QBS_GRAPH_FRONTIER_H_
@@ -67,26 +67,6 @@ class LevelStack {
  private:
   std::vector<VertexId> items_;
   std::vector<size_t> offsets_;
-};
-
-// Scratch for repeated rooted traversals that cannot direction-switch
-// because every visit runs a per-vertex pruning decision (the PPL-family
-// pruned BFS): a depth map plus the flat visit queue. The queue doubles as
-// the touched list, so the reset between roots is O(visited), not O(|V|).
-struct RootedBfsScratch {
-  std::vector<uint32_t> depth;  // kUnreachable = unvisited
-  std::vector<VertexId> queue;
-
-  void Prepare(VertexId n) {
-    depth.assign(n, kUnreachable);
-    queue.clear();
-    queue.reserve(n);
-  }
-
-  void ResetVisited() {
-    for (VertexId v : queue) depth[v] = kUnreachable;
-    queue.clear();
-  }
 };
 
 // Bidirectional level-synchronous BFS between two endpoints over one graph,

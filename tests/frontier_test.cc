@@ -37,16 +37,6 @@ TEST(LevelStackTest, LevelsAreContiguousSpans) {
   EXPECT_EQ(levels.TotalSize(), 0u);
 }
 
-TEST(RootedBfsScratchTest, ResetIsScopedToVisited) {
-  RootedBfsScratch s;
-  s.Prepare(10);
-  s.depth[3] = 1;
-  s.queue.push_back(3);
-  s.ResetVisited();
-  EXPECT_EQ(s.depth[3], kUnreachable);
-  EXPECT_TRUE(s.queue.empty());
-}
-
 Graph FamilyGraph(int family) {
   switch (family) {
     case 0:

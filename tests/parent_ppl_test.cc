@@ -1,3 +1,5 @@
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/bfs_oracle.h"
@@ -11,11 +13,32 @@
 namespace qbs {
 namespace {
 
+// The parent set of every entry of every vertex equals the neighbours one
+// BFS step closer to the entry's landmark.
+void ExpectParentsMatchBfs(const Graph& g, const ParentPplIndex& index) {
+  for (VertexId v = 0; v < g.NumVertices(); ++v) {
+    const auto& label = index.ppl().Label(v);
+    for (size_t j = 0; j < label.size(); ++j) {
+      const auto dist =
+          BfsDistances(g, index.ppl().LandmarkVertex(label[j].rank));
+      std::vector<VertexId> want;
+      if (label[j].dist > 0) {
+        for (VertexId w : g.Neighbors(v)) {
+          if (dist[w] == label[j].dist - 1) want.push_back(w);
+        }
+      }
+      const auto parents = index.Parents(v, j);
+      EXPECT_EQ(std::vector<VertexId>(parents.begin(), parents.end()), want)
+          << "v=" << v << " rank=" << label[j].rank;
+    }
+  }
+}
+
 TEST(ParentPplTest, Figure3Queries) {
   Graph g = testing::Figure3Graph();
   auto index = ParentPplIndex::Build(g);
   ASSERT_TRUE(index.has_value());
-  EXPECT_EQ(index->QueryDistance(2, 6), 4u);
+  EXPECT_EQ(index->ppl().QueryDistance(2, 6), 4u);
   EXPECT_EQ(index->QuerySpg(2, 6), SpgByDoubleBfs(g, 2, 6));
 }
 
@@ -24,15 +47,18 @@ TEST(ParentPplTest, ParentsAreOneStepCloser) {
   auto index = ParentPplIndex::Build(g);
   ASSERT_TRUE(index.has_value());
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    for (const ParentPplEntry& e : index->Label(v)) {
+    const auto& label = index->ppl().Label(v);
+    for (size_t j = 0; j < label.size(); ++j) {
+      const PplEntry& e = label[j];
+      const auto parents = index->Parents(v, j);
       if (e.dist == 0) {
-        EXPECT_TRUE(e.parents.empty());
+        EXPECT_TRUE(parents.empty());
         continue;
       }
-      const VertexId r = index->LandmarkVertex(e.rank);
+      const VertexId r = index->ppl().LandmarkVertex(e.rank);
       const auto dist = BfsDistances(g, r);
-      EXPECT_FALSE(e.parents.empty());
-      for (VertexId w : e.parents) {
+      EXPECT_FALSE(parents.empty());
+      for (VertexId w : parents) {
         EXPECT_TRUE(g.HasEdge(v, w));
         EXPECT_EQ(dist[w], e.dist - 1);
       }
@@ -48,14 +74,16 @@ TEST(ParentPplTest, ParentSetsAreComplete) {
   auto index = ParentPplIndex::Build(g);
   ASSERT_TRUE(index.has_value());
   for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    for (const ParentPplEntry& e : index->Label(v)) {
+    const auto& label = index->ppl().Label(v);
+    for (size_t j = 0; j < label.size(); ++j) {
+      const PplEntry& e = label[j];
       if (e.dist == 0) continue;
-      const auto dist = BfsDistances(g, index->LandmarkVertex(e.rank));
+      const auto dist = BfsDistances(g, index->ppl().LandmarkVertex(e.rank));
       size_t expected = 0;
       for (VertexId w : g.Neighbors(v)) {
         if (dist[w] == e.dist - 1) ++expected;
       }
-      EXPECT_EQ(e.parents.size(), expected) << "v=" << v;
+      EXPECT_EQ(index->Parents(v, j).size(), expected) << "v=" << v;
     }
   }
 }
@@ -66,7 +94,7 @@ TEST(ParentPplTest, LargerThanPpl) {
   auto parent = ParentPplIndex::Build(g);
   ASSERT_TRUE(ppl.has_value());
   ASSERT_TRUE(parent.has_value());
-  EXPECT_EQ(parent->NumEntries(), ppl->NumEntries());
+  EXPECT_EQ(parent->ppl().NumEntries(), ppl->NumEntries());
   EXPECT_GT(parent->SizeBytes(), ppl->SizeBytes());
 }
 
@@ -80,6 +108,19 @@ TEST(ParentPplTest, Budgets) {
 
   options = {};
   options.max_label_entries = 50;
+  EXPECT_FALSE(ParentPplIndex::Build(g, options, &status).has_value());
+  EXPECT_EQ(status, BuildStatus::kMemoryBudgetExceeded);
+
+  // The cap counts entries plus parents: a cap the entries fit under but
+  // the parents overflow lets PPL build and stops ParentPPL.
+  const auto full = ParentPplIndex::Build(g);
+  ASSERT_TRUE(full.has_value());
+  const uint64_t entries = full->ppl().NumEntries();
+  ASSERT_GT(full->NumParents(), 1u);
+  options.max_label_entries = entries + full->NumParents() / 2;
+  status = BuildStatus::kOk;
+  EXPECT_TRUE(PplIndex::Build(g, options, &status).has_value());
+  EXPECT_EQ(status, BuildStatus::kOk);
   EXPECT_FALSE(ParentPplIndex::Build(g, options, &status).has_value());
   EXPECT_EQ(status, BuildStatus::kMemoryBudgetExceeded);
 }
@@ -110,6 +151,7 @@ TEST_P(ParentPplOracleSweep, MatchesOracle) {
   }
   auto index = ParentPplIndex::Build(g);
   ASSERT_TRUE(index.has_value());
+  ExpectParentsMatchBfs(g, *index);
   const auto pairs = SampleQueryPairs(g, 50, p.seed + 77);
   for (const auto& [u, v] : pairs) {
     ASSERT_EQ(index->QuerySpg(u, v), SpgByDoubleBfs(g, u, v))

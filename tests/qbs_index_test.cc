@@ -8,6 +8,7 @@
 #include "baselines/bfs_oracle.h"
 #include "baselines/bibfs.h"
 #include "core/qbs_index.h"
+#include "core/sketch.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
 #include "graph/components.h"
@@ -105,10 +106,10 @@ TEST(QbsIndexTest, DistanceUpperBoundIsUpperBound) {
   const auto pairs = SampleQueryPairs(g, 100, 17);
   BiBfs bibfs(g);
   for (const auto& [u, v] : pairs) {
-    const uint32_t bound = index.DistanceUpperBound(u, v);
+    const uint32_t bound =
+        ComputeSketch(index.labeling(), index.meta_graph(), u, v).d_top;
     EXPECT_GE(bound, bibfs.Distance(u, v));
   }
-  EXPECT_EQ(index.DistanceUpperBound(7, 7), 0u);
 }
 
 TEST(QbsIndexTest, LandmarksClampedToGraph) {
@@ -127,7 +128,8 @@ TEST(QbsIndexTest, ZeroLandmarksDegeneratesToBiBfs) {
   options.num_landmarks = 0;
   QbsIndex index = QbsIndex::Build(g, options);
   EXPECT_EQ(index.Query({3, 150}).spg, SpgByDoubleBfs(g, 3, 150));
-  EXPECT_EQ(index.DistanceUpperBound(3, 150), kUnreachable);
+  EXPECT_EQ(ComputeSketch(index.labeling(), index.meta_graph(), 3, 150).d_top,
+            kUnreachable);
 }
 
 TEST(QbsIndexTest, TimingsPopulated) {

@@ -5,7 +5,9 @@
 // (including degraded answers) stays correct while updates churn the
 // index.
 
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <optional>
 #include <span>
@@ -197,14 +199,19 @@ TEST_F(ServerUpdateTest, AnswersStayCorrectUnderChurn) {
     want.push_back(baseline.Query(request));
   }
 
+  // Readers run until stopped. The main thread stops them once the updater
+  // is done and every reader has checked at least one answer, so a reader
+  // that only ever saw busy replies fails the test instead of passing it
+  // vacuously.
+  constexpr int kReaders = 3;
   std::atomic<bool> stop{false};
-  std::atomic<uint64_t> checked{0};
+  std::array<std::atomic<uint64_t>, kReaders> checked{};
   std::vector<std::thread> readers;
-  for (int t = 0; t < 3; ++t) {
+  for (int t = 0; t < kReaders; ++t) {
     readers.emplace_back([&, t] {
       QueryClient client = ConnectTo(*server);
-      for (int iter = 0; !stop.load() && iter < 200; ++iter) {
-        const size_t i = static_cast<size_t>(t + iter) % pairs.size();
+      for (size_t iter = 0; !stop.load(); ++iter) {
+        const size_t i = (static_cast<size_t>(t) + iter) % pairs.size();
         QueryRequest request;
         request.u = pairs[i].first;
         request.v = pairs[i].second;
@@ -221,7 +228,7 @@ TEST_F(ServerUpdateTest, AnswersStayCorrectUnderChurn) {
               << "stale/raced answer for (" << request.u << ", " << request.v
               << ")";
         }
-        checked.fetch_add(1);
+        checked[t].fetch_add(1);
       }
     });
   }
@@ -243,9 +250,22 @@ TEST_F(ServerUpdateTest, AnswersStayCorrectUnderChurn) {
   });
 
   updater.join();
+  const auto all_checked = [&] {
+    for (const auto& c : checked) {
+      if (c.load() == 0) return false;
+    }
+    return true;
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (!all_checked() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   stop.store(true);
   for (auto& r : readers) r.join();
-  EXPECT_GT(checked.load(), 0u);
+  for (int t = 0; t < kReaders; ++t) {
+    EXPECT_GT(checked[t].load(), 0u) << "reader " << t;
+  }
 }
 
 // Real churn variant: the updater genuinely inserts and then removes the

@@ -236,7 +236,7 @@ INSTANTIATE_TEST_SUITE_P(
 class LabelBoundProperty : public ::testing::TestWithParam<BoundParam> {};
 
 // The label bounds never disagree with BfsDistances: lower <= d <= upper
-// for every sampled pair, and DistanceUpperBound() >= d.
+// for every sampled pair, and the sketch's d_top >= d.
 TEST_P(LabelBoundProperty, LabelBoundsNeverDisagreeWithBfs) {
   const auto& p = GetParam();
   Graph g = testing::SmallFamilyGraph(p.family, p.seed);
@@ -259,7 +259,8 @@ TEST_P(LabelBoundProperty, LabelBoundsNeverDisagreeWithBfs) {
         ComputeLabelBound(index.labeling(), index.meta_graph(), u, v);
     if (d != kUnreachable) {
       EXPECT_LE(bound.lower, d) << "u=" << u << " v=" << v;
-      EXPECT_GE(index.DistanceUpperBound(u, v), d);
+      EXPECT_GE(
+          ComputeSketch(index.labeling(), index.meta_graph(), u, v).d_top, d);
     }
     if (bound.upper != kUnreachable) {
       EXPECT_GE(bound.upper, d) << "u=" << u << " v=" << v;
