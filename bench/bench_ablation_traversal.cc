@@ -25,8 +25,8 @@ void Run() {
                       "q.QbS"},
                      {12, 11, 11, 7, 11, 10});
 
-  for (const auto& ref : Args().datasets) {
-    const LoadedDataset d = LoadDataset(ref);
+  for (const DatasetSpec* spec : Args().datasets) {
+    const LoadedDataset d = LoadDataset(spec);
     const Graph& g = d.graph;
 
     QbsOptions options;
@@ -56,7 +56,7 @@ void Run() {
     const double avg_bibfs =
         static_cast<double>(bibfs_scans) / d.pairs.size();
     const double avg_qbs = static_cast<double>(qbs_scans) / d.pairs.size();
-    table.Row({d.spec.abbrev, FormatDouble(avg_bibfs, 0),
+    table.Row({d.id, FormatDouble(avg_bibfs, 0),
                FormatDouble(avg_qbs, 0),
                FormatDouble(avg_qbs / std::max(1.0, avg_bibfs), 3),
                FormatDouble(static_cast<double>(skipped) / d.pairs.size(), 0),

@@ -8,8 +8,6 @@
 #include <thread>
 #include <utility>
 
-#include "workload/datasets.h"
-
 namespace qbs::bench {
 namespace {
 
@@ -57,47 +55,27 @@ std::vector<std::string> SplitList(const std::string& value) {
   return items;
 }
 
-// The stand-ins named in `list`, or all 12 when it is empty.
-std::vector<BenchDatasetRef> StandInRefs(const std::string& list) {
-  const auto& all = PaperDatasets();
-  std::vector<BenchDatasetRef> refs;
+// The datasets named in `list` (names or abbreviations), or every Table 1
+// dataset when it is empty. An unknown name exits 2.
+std::vector<const DatasetSpec*> DatasetList(const std::string& list) {
+  std::vector<const DatasetSpec*> specs;
   if (list.empty()) {
-    for (const DatasetSpec& spec : all) {
-      refs.push_back({.id = spec.abbrev, .real = false, .spec = spec});
+    for (const DatasetSpec& spec : Datasets()) {
+      if (!spec.abbrev.empty()) specs.push_back(&spec);
     }
-    return refs;
+    return specs;
   }
   for (const std::string& item : SplitList(list)) {
-    const auto it = std::find_if(all.begin(), all.end(), [&](const auto& s) {
-      return s.abbrev == item;
-    });
-    if (it == all.end()) {
-      std::string names;
-      for (const DatasetSpec& s : all) {
-        names += (names.empty() ? "" : ", ") + s.abbrev;
-      }
+    const DatasetSpec* spec = FindDataset(item);
+    if (spec == nullptr) {
       std::fprintf(stderr,
-                   "--datasets: unknown abbreviation '%s'. Available: %s\n",
-                   item.c_str(), names.c_str());
-      std::exit(2);
-    }
-    refs.push_back({.id = it->abbrev, .real = false, .spec = *it});
-  }
-  return refs;
-}
-
-std::vector<BenchDatasetRef> RealRefs(const std::string& list) {
-  std::vector<BenchDatasetRef> refs;
-  for (const std::string& item : SplitList(list)) {
-    if (FindRealDataset(item) == nullptr) {
-      std::fprintf(stderr,
-                   "--dataset: unknown dataset '%s'. Available: %s\n",
+                   "--datasets: unknown dataset '%s'. Available: %s\n",
                    item.c_str(), AvailableDatasetNames().c_str());
       std::exit(2);
     }
-    refs.push_back({.id = item, .real = true, .spec = {}});
+    specs.push_back(spec);
   }
-  return refs;
+  return specs;
 }
 
 std::string NonEmpty(const std::string& flag, const std::string& value) {
@@ -105,10 +83,10 @@ std::string NonEmpty(const std::string& flag, const std::string& value) {
   return value;
 }
 
-// Sets one --flag=value into g_args (the dataset lists into *stand_ins and
-// *real, resolved once every flag is read); false for an unknown flag.
+// Sets one --flag=value into g_args (the dataset list into *datasets,
+// resolved once every flag is read); false for an unknown flag.
 bool SetFlag(const std::string& flag, const std::string& value,
-             std::string* stand_ins, std::string* real) {
+             std::string* datasets) {
   if (flag == "--scale") {
     g_args.scale = PositiveReal(flag, value);
   } else if (flag == "--pairs") {
@@ -120,9 +98,7 @@ bool SetFlag(const std::string& flag, const std::string& value,
   } else if (flag == "--batch_size") {
     g_args.batch_size = PositiveCount(flag, value);
   } else if (flag == "--datasets") {
-    *stand_ins = NonEmpty(flag, value);
-  } else if (flag == "--dataset") {
-    *real = NonEmpty(flag, value);
+    *datasets = NonEmpty(flag, value);
   } else if (flag == "--data_dir") {
     g_args.data_dir = NonEmpty(flag, value);
   } else {
@@ -134,18 +110,17 @@ bool SetFlag(const std::string& flag, const std::string& value,
 }  // namespace
 
 void InitBenchArgs(int argc, char** argv) {
-  std::string stand_ins, real;
+  std::string datasets;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     const size_t eq = arg.find('=');
     const std::string value =
         eq == std::string::npos ? "" : arg.substr(eq + 1);
-    if (!SetFlag(arg.substr(0, eq), value, &stand_ins, &real)) {
+    if (!SetFlag(arg.substr(0, eq), value, &datasets)) {
       std::fprintf(stderr,
                    "unknown flag: %s\nusage: %s [--scale=F] [--pairs=N] "
-                   "[--budget=S] [--threads=N] [--datasets=DO,DB,...] "
-                   "[--batch_size=N] "
-                   "[--dataset=dblp,epinions,...] [--data_dir=PATH]\n",
+                   "[--budget=S] [--threads=N] [--datasets=DO,dblp,...] "
+                   "[--batch_size=N] [--data_dir=PATH]\n",
                    arg.c_str(), argv[0]);
       std::exit(2);
     }
@@ -156,38 +131,20 @@ void InitBenchArgs(int argc, char** argv) {
     g_args.threads = std::min<size_t>(hw == 0 ? 1 : hw, 12);
   }
   if (g_args.data_dir.empty()) g_args.data_dir = DefaultDataDir();
-  g_args.datasets = real.empty() ? StandInRefs(stand_ins) : RealRefs(real);
+  g_args.datasets = DatasetList(datasets);
 }
 
 const BenchArgs& Args() { return g_args; }
 
-LoadedDataset LoadDataset(const BenchDatasetRef& ref) {
+LoadedDataset LoadDataset(const DatasetSpec* spec) {
+  auto resolved = ResolveDataset(spec->name, g_args.data_dir, g_args.scale);
+  // ResolveDataset already printed the reason.
+  if (!resolved.has_value()) std::exit(2);
   LoadedDataset d;
-  if (!ref.real) {
-    d.spec = ref.spec;
-    d.graph = MakeDataset(ref.spec, g_args.scale);
-  } else {
-    auto resolved = ResolveDataset(ref.id, g_args.data_dir, g_args.scale);
-    if (!resolved.has_value()) {
-      // ResolveDataset already printed the reason + the available list.
-      std::exit(2);
-    }
-    d.source =
-        resolved->source == "stand-in" ? "stand-in*" : resolved->source;
-    d.spec.name = resolved->name;
-    d.spec.abbrev =
-        resolved->abbrev.empty() ? resolved->name : resolved->abbrev;
-    d.spec.paper_vertices_m = resolved->paper_vertices_m;
-    d.spec.paper_edges_m = resolved->paper_edges_m;
-    if (!resolved->abbrev.empty()) {
-      // The avg-degree / avg-distance reference columns live on the
-      // stand-in spec.
-      const DatasetSpec& standin = DatasetByAbbrev(resolved->abbrev);
-      d.spec.paper_avg_deg = standin.paper_avg_deg;
-      d.spec.paper_avg_dist = standin.paper_avg_dist;
-    }
-    d.graph = std::move(resolved->graph);
-  }
+  d.spec = spec;
+  d.id = spec->abbrev.empty() ? spec->name : spec->abbrev;
+  d.graph = std::move(resolved->graph);
+  d.source = std::move(resolved->source);
   d.pairs = SampleQueryPairs(d.graph, g_args.pairs, /*seed=*/20210402);
   return d;
 }

@@ -7,13 +7,12 @@
 //                    (default 10; the paper's cutoff is 24 h => DNF)
 //   --threads=N      threads for QbS-P / QueryBatch (default min(12,
 //                    hardware), mirroring the paper's 12-thread setup)
-//   --datasets=A,B   Table 1 stand-in abbreviations to run (default all,
-//                    e.g. "DO,DB,YT")
+//   --datasets=A,B   datasets to run, by name or Table 1 abbreviation
+//                    (default: the 12 of Table 1, e.g. "DO,DB,YT" or
+//                    "dblp,epinions"). Each resolves like qbs's
+//                    dataset:<name>: binary cache, then raw file under
+//                    --data_dir, then the stand-in at --scale
 //   --batch_size=N   queries per QueryBatch call (default 256)
-//   --dataset=a,b    *real* dataset names (or Table 1 abbreviations) to
-//                    run against downloaded data, e.g. "dblp,epinions"
-//                    (see workload/datasets.h); missing data falls back to
-//                    the stand-in. Takes precedence over --datasets.
 //   --data_dir=PATH  data directory for real datasets (default:
 //                    QBS_DATA_DIR, else "data")
 
@@ -30,14 +29,6 @@
 
 namespace qbs::bench {
 
-// One entry of the benchmark's dataset sweep: either a synthetic Table 1
-// stand-in (--datasets) or a real downloaded dataset (--dataset).
-struct BenchDatasetRef {
-  std::string id;    // stand-in abbreviation, or real-registry name
-  bool real = false;
-  DatasetSpec spec;  // the stand-in spec; only valid when !real
-};
-
 // The parsed flags; see the list at the top of this file.
 struct BenchArgs {
   double scale = 1.0;
@@ -45,7 +36,7 @@ struct BenchArgs {
   double budget_seconds = 10.0;
   size_t threads = 0;  // resolved to min(12, hardware) when not given
   size_t batch_size = 256;
-  std::vector<BenchDatasetRef> datasets;
+  std::vector<const DatasetSpec*> datasets;
   std::string data_dir;
 };
 
@@ -58,20 +49,19 @@ void InitBenchArgs(int argc, char** argv);
 const BenchArgs& Args();
 
 struct LoadedDataset {
-  DatasetSpec spec;
+  const DatasetSpec* spec = nullptr;  // the dataset's row
+  std::string id;  // Table 1 abbreviation, or the name when it has none
   Graph graph;
   std::vector<QueryPair> pairs;
-  // Where the graph came from: "stand-in" (synthetic generator), "cache"
-  // (QBSGRF02 binary cache hit), "raw" (edge list parsed + cache written),
-  // or "stand-in*" (real dataset requested but data missing).
-  std::string source = "stand-in";
+  // Where the graph came from: "cache", "raw" or "stand-in"; see
+  // ResolvedDataset::source.
+  std::string source;
 };
 
-// Loads one sweep entry and samples --pairs query pairs from it: real refs
-// resolve through workload/datasets.h (cache -> raw -> stand-in fallback;
-// a non-paper dataset with no local data exits 2), synthetic refs
-// generate the stand-in at --scale.
-LoadedDataset LoadDataset(const BenchDatasetRef& ref);
+// Resolves one --datasets entry with ResolveDataset (cache -> raw ->
+// stand-in at --scale; a dataset with neither local data nor a stand-in
+// exits 2) and samples --pairs query pairs from it.
+LoadedDataset LoadDataset(const DatasetSpec* spec);
 
 // Fixed-width aligned table output. Also echoes each row as CSV to make
 // figure series machine-readable (prefix "csv,"); the column names are

@@ -16,8 +16,8 @@ void Run() {
   TablePrinter table("Figure 10",
                      {"Dataset", "|R|", "QbS(s)", "QbS-P(s)"},
                      {12, 5, 10, 10});
-  for (const auto& ref : Args().datasets) {
-    const LoadedDataset d = LoadDataset(ref);
+  for (const DatasetSpec* spec : Args().datasets) {
+    const LoadedDataset d = LoadDataset(spec);
     for (uint32_t k : {5u, 10u, 15u, 20u, 40u, 60u, 80u, 100u}) {
       QbsOptions seq;
       seq.num_landmarks = k;
@@ -26,7 +26,7 @@ void Run() {
       QbsOptions par = seq;
       par.num_threads = Args().threads;
       QbsIndex b = QbsIndex::Build(d.graph, par);
-      table.Row({d.spec.abbrev, std::to_string(k),
+      table.Row({d.id, std::to_string(k),
                  FormatSeconds(a.timings().labeling_seconds),
                  FormatSeconds(b.timings().labeling_seconds)});
     }

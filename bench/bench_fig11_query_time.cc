@@ -18,8 +18,8 @@ void Run() {
               Args().pairs);
   TablePrinter table("Figure 11", {"Dataset", "|R|", "query(ms)"},
                      {12, 5, 10});
-  for (const auto& ref : Args().datasets) {
-    const LoadedDataset d = LoadDataset(ref);
+  for (const DatasetSpec* spec : Args().datasets) {
+    const LoadedDataset d = LoadDataset(spec);
     for (uint32_t k : {5u, 10u, 15u, 20u, 40u, 60u, 80u, 100u}) {
       QbsOptions options;
       options.num_landmarks = k;
@@ -32,7 +32,7 @@ void Run() {
         request.v = v;
         index.Query(request);
       }
-      table.Row({d.spec.abbrev, std::to_string(k),
+      table.Row({d.id, std::to_string(k),
                  FormatMs(timer.ElapsedMillis() / d.pairs.size())});
     }
   }

@@ -24,10 +24,10 @@ void Run() {
   widths.push_back(6);
   TablePrinter table("Figure 7 (fraction of pairs per distance)", columns,
                      widths);
-  for (const auto& ref : Args().datasets) {
-    const LoadedDataset d = LoadDataset(ref);
+  for (const DatasetSpec* spec : Args().datasets) {
+    const LoadedDataset d = LoadDataset(spec);
     const auto dist = ComputeDistanceDistribution(d.graph, d.pairs);
-    std::vector<std::string> row{d.spec.abbrev};
+    std::vector<std::string> row{d.id};
     for (uint32_t x = 1; x <= kMaxDistanceColumn; ++x) {
       row.push_back(FormatDouble(dist.FractionAt(x), 3));
     }

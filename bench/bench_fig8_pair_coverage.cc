@@ -18,8 +18,8 @@ void Run() {
   TablePrinter table("Figure 8",
                      {"Dataset", "|R|", "all(i)", "some(ii)", "total"},
                      {12, 5, 8, 9, 8});
-  for (const auto& ref : Args().datasets) {
-    const LoadedDataset d = LoadDataset(ref);
+  for (const DatasetSpec* spec : Args().datasets) {
+    const LoadedDataset d = LoadDataset(spec);
     for (uint32_t k : {20u, 40u, 60u, 80u, 100u}) {
       QbsOptions options;
       options.num_landmarks = k;
@@ -50,7 +50,7 @@ void Run() {
         }
       }
       const double denom = connected == 0 ? 1.0 : connected;
-      table.Row({d.spec.abbrev, std::to_string(k),
+      table.Row({d.id, std::to_string(k),
                  FormatDouble(all / denom, 3), FormatDouble(some / denom, 3),
                  FormatDouble((all + some) / denom, 3)});
     }

@@ -16,14 +16,14 @@ void Run() {
       "Figure 9",
       {"Dataset", "|R|", "size(L)", "size(Delta)", "meta", "total"},
       {12, 5, 10, 12, 9, 10});
-  for (const auto& ref : Args().datasets) {
-    const LoadedDataset d = LoadDataset(ref);
+  for (const DatasetSpec* spec : Args().datasets) {
+    const LoadedDataset d = LoadDataset(spec);
     for (uint32_t k : {20u, 40u, 60u, 80u, 100u}) {
       QbsOptions options;
       options.num_landmarks = k;
       options.num_threads = Args().threads;
       QbsIndex index = QbsIndex::Build(d.graph, options);
-      table.Row({d.spec.abbrev, std::to_string(k),
+      table.Row({d.id, std::to_string(k),
                  HumanBytes(index.LabelingSizeBytes()),
                  HumanBytes(index.DeltaSizeBytes()),
                  HumanBytes(index.MetaGraphSizeBytes()),

@@ -4,8 +4,8 @@
 // PPL / ParentPPL run under a construction budget (--budget, default
 // 10 s — the paper's cutoff is 24 h); exceeding it prints DNF, and
 // exceeding the entry cap prints OOE, reproducing the paper's failure
-// annotations. --dataset=dblp,... swaps the synthetic stand-ins for real
-// downloaded graphs (see bench_table1_datasets.cc). The expected *shape*:
+// annotations. --datasets=dblp,... reads the real downloaded graphs where
+// they are fetched (see bench_table1_datasets.cc). The expected *shape*:
 // QbS-P fastest to build and PPL/ParentPPL failing beyond the small
 // datasets. The paper's query gap to Bi-BFS does not show on the
 // synthetic stand-ins: QbS's mean query time read 0.9-2.2x Bi-BFS's on
@@ -44,8 +44,8 @@ void Run() {
        "qBatch(ms)", "qPPL(ms)", "qPPPL(ms)", "qBiBFS(ms)"},
       {12, 9, 9, 9, 9, 10, 10, 10, 10, 10});
 
-  for (const auto& ref : Args().datasets) {
-    const LoadedDataset d = LoadDataset(ref);
+  for (const DatasetSpec* spec : Args().datasets) {
+    const LoadedDataset d = LoadDataset(spec);
     const Graph& g = d.graph;
 
     // QbS-P (parallel labelling construction).
@@ -120,7 +120,7 @@ void Run() {
     for (const auto& [u, v] : d.pairs) bibfs.Query(u, v);
     const double q_bibfs = qtimer.ElapsedMillis() / d.pairs.size();
 
-    table.Row({d.spec.abbrev, FormatSeconds(qbsp_seconds),
+    table.Row({d.id, FormatSeconds(qbsp_seconds),
                FormatSeconds(qbs_seconds),
                ppl.has_value() ? FormatSeconds(ppl_seconds)
                                : StatusString(ppl_status),

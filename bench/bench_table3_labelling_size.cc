@@ -19,8 +19,8 @@ void Run() {
                      {"Dataset", "QbS size(L)", "QbS size(Delta)", "PPL",
                       "ParentPPL", "|G|"},
                      {12, 12, 15, 12, 12, 10});
-  for (const auto& ref : Args().datasets) {
-    const LoadedDataset d = LoadDataset(ref);
+  for (const DatasetSpec* spec : Args().datasets) {
+    const LoadedDataset d = LoadDataset(spec);
     QbsOptions options;
     options.num_landmarks = 20;
     options.num_threads = Args().threads;
@@ -35,7 +35,7 @@ void Run() {
     auto pppl = ParentPplIndex::Build(d.graph, budget, &pppl_status);
 
     table.Row(
-        {d.spec.abbrev, HumanBytes(index.LabelingSizeBytes()),
+        {d.id, HumanBytes(index.LabelingSizeBytes()),
          HumanBytes(index.DeltaSizeBytes()),
          ppl.has_value() ? HumanBytes(ppl->SizeBytes())
                          : (ppl_status == BuildStatus::kTimeBudgetExceeded

@@ -4,7 +4,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "graph/graph_builder.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -17,19 +16,17 @@ Graph ErdosRenyi(VertexId n, uint64_t num_edges, uint64_t seed) {
   Rng rng(seed);
   std::unordered_set<uint64_t> seen;
   seen.reserve(num_edges * 2);
-  GraphBuilder builder(n);
-  builder.ReserveEdges(num_edges);
+  std::vector<Edge> edges;
+  edges.reserve(num_edges);
   while (seen.size() < num_edges) {
     const auto u = static_cast<VertexId>(rng.UniformInt(n));
     const auto v = static_cast<VertexId>(rng.UniformInt(n));
     if (u == v) continue;
     const uint64_t key = (static_cast<uint64_t>(std::min(u, v)) << 32) |
                          static_cast<uint64_t>(std::max(u, v));
-    if (seen.insert(key).second) {
-      builder.AddEdge(u, v);
-    }
+    if (seen.insert(key).second) edges.emplace_back(u, v);
   }
-  return builder.Build();
+  return Graph::FromEdges(n, std::move(edges));
 }
 
 Graph BarabasiAlbert(VertexId n, uint32_t m, uint64_t seed) {
@@ -41,14 +38,14 @@ Graph BarabasiAlbert(VertexId n, uint32_t m, uint64_t seed) {
   // it is sampling proportionally to degree (the classic BA trick).
   std::vector<VertexId> endpoint_pool;
   endpoint_pool.reserve(static_cast<size_t>(n) * m * 2);
-  GraphBuilder builder(n);
+  std::vector<Edge> edges;
 
   // Seed graph: clique on the first m+1 vertices so every early vertex has
   // degree >= m and the pool is non-degenerate.
   const VertexId seed_size = m + 1;
   for (VertexId i = 0; i < seed_size; ++i) {
     for (VertexId j = i + 1; j < seed_size; ++j) {
-      builder.AddEdge(i, j);
+      edges.emplace_back(i, j);
       endpoint_pool.push_back(i);
       endpoint_pool.push_back(j);
     }
@@ -66,12 +63,12 @@ Graph BarabasiAlbert(VertexId n, uint32_t m, uint64_t seed) {
       }
     }
     for (VertexId t : picks) {
-      builder.AddEdge(v, t);
+      edges.emplace_back(v, t);
       endpoint_pool.push_back(v);
       endpoint_pool.push_back(t);
     }
   }
-  return builder.Build();
+  return Graph::FromEdges(n, std::move(edges));
 }
 
 Graph WattsStrogatz(VertexId n, uint32_t k, double beta, uint64_t seed) {

@@ -9,83 +9,13 @@
 #include "graph/components.h"
 #include "util/binary_io.h"
 
-#ifdef QBS_HAVE_ZLIB
-#include <zlib.h>
-#endif
-
 namespace qbs {
 namespace {
 
 constexpr uint64_t kMagic = 0x3230465247534251ull;    // "QBSGRF02"
 constexpr uint64_t kMagicV1 = 0x3130465247534251ull;  // "QBSGRF01", retired
 
-bool HasGzSuffix(const std::string& path) {
-  return path.size() > 3 && path.compare(path.size() - 3, 3, ".gz") == 0;
-}
-
-#ifdef QBS_HAVE_ZLIB
-std::optional<Graph> ReadGzEdgeList(const std::string& path,
-                                    const EdgeListReadOptions& options) {
-  gzFile gz = gzopen(path.c_str(), "rb");
-  if (gz == nullptr) {
-    std::cerr << "ReadEdgeListAuto: cannot open " << path << '\n';
-    return std::nullopt;
-  }
-  // 256 KiB decompression window; gzgets returns at most one line per call,
-  // and lines longer than the buffer are reassembled below.
-  std::vector<char> buf(1 << 18);
-  bool stream_error = false;
-  auto next_line = [&](std::string* line) {
-    line->clear();
-    for (;;) {
-      if (gzgets(gz, buf.data(), static_cast<int>(buf.size())) == nullptr) {
-        int errnum = 0;
-        gzerror(gz, &errnum);
-        if (errnum != Z_OK && errnum != Z_STREAM_END) stream_error = true;
-        return !line->empty();
-      }
-      line->append(buf.data());
-      if (!line->empty() && line->back() == '\n') {
-        line->pop_back();
-        if (!line->empty() && line->back() == '\r') line->pop_back();
-        return true;
-      }
-    }
-  };
-  auto graph = ReadEdgeListFromLines(next_line, options, path);
-  gzclose(gz);
-  if (stream_error) {
-    std::cerr << "ReadEdgeListAuto: gzip stream error in " << path
-              << '\n';
-    return std::nullopt;
-  }
-  return graph;
-}
-#endif
-
 }  // namespace
-
-bool GzipSupported() {
-#ifdef QBS_HAVE_ZLIB
-  return true;
-#else
-  return false;
-#endif
-}
-
-std::optional<Graph> ReadEdgeListAuto(const std::string& path,
-                                      const EdgeListReadOptions& options) {
-  if (!HasGzSuffix(path)) return ReadEdgeList(path, options);
-#ifdef QBS_HAVE_ZLIB
-  return ReadGzEdgeList(path, options);
-#else
-  std::cerr << "ReadEdgeListAuto: " << path
-            << " is gzip-compressed but this build has no zlib; "
-               "decompress it first (gunzip)"
-            << '\n';
-  return std::nullopt;
-#endif
-}
 
 bool SaveGraphCache(const Graph& g, const DatasetCacheInfo& info,
                     const std::string& path) {
@@ -162,7 +92,9 @@ std::optional<Graph> LoadGraphCache(const std::string& path,
 
 std::optional<Graph> LoadOrConvertDataset(const std::string& raw_path,
                                           const std::string& cache_path,
-                                          DatasetCacheInfo* info) {
+                                          DatasetCacheInfo* info,
+                                          bool* parsed_raw) {
+  if (parsed_raw != nullptr) *parsed_raw = false;
   std::error_code ec;
   // Size of the raw file currently on disk (0 when absent): compared with
   // the size recorded at conversion, so a re-downloaded/replaced raw file
@@ -188,8 +120,9 @@ std::optional<Graph> LoadOrConvertDataset(const std::string& raw_path,
                 << cache_path << " from " << raw_path << '\n';
     }
   }
-  auto raw = ReadEdgeListAuto(raw_path);
+  auto raw = ReadEdgeList(raw_path);
   if (!raw.has_value()) return std::nullopt;
+  if (parsed_raw != nullptr) *parsed_raw = true;
 
   DatasetCacheInfo built;
   built.raw_vertices = raw->NumVertices();

@@ -25,10 +25,9 @@
 // (tmp file + rename), and loads verify the checksum and reject corrupt,
 // truncated or over-long files, and the retired QBSGRF01 layout.
 //
-// Raw-side reading goes through ReadEdgeListAuto, which adds transparent
-// gzip decompression (".gz" suffix, via zlib when built with it) on top of
-// graph/edge_list_io.h. tools/fetch_datasets.py downloads the raw files;
-// workload/datasets.h maps paper dataset names onto them.
+// Raw files are read with ReadEdgeList (graph/edge_list_io.h), which
+// decompresses ".gz" files itself. tools/fetch_datasets.py downloads them;
+// workload/dataset_registry.h maps dataset names onto them.
 
 #ifndef QBS_GRAPH_DATASET_IO_H_
 #define QBS_GRAPH_DATASET_IO_H_
@@ -59,15 +58,6 @@ struct DatasetCacheInfo {
   uint64_t raw_file_bytes = 0;
 };
 
-// As ReadEdgeList, but paths ending in ".gz" are decompressed on the fly.
-// Built without zlib, ".gz" paths fail with a message (plain paths still
-// work). Returns std::nullopt on I/O or parse failure.
-std::optional<Graph> ReadEdgeListAuto(const std::string& path,
-                                      const EdgeListReadOptions& options = {});
-
-// True when this build can decompress ".gz" edge lists (zlib was found).
-bool GzipSupported();
-
 // Writes `g` and its provenance to `path` in QBSGRF02 format, atomically.
 // Returns false on I/O failure.
 bool SaveGraphCache(const Graph& g, const DatasetCacheInfo& info,
@@ -84,11 +74,13 @@ std::optional<Graph> LoadGraphCache(const std::string& path,
 // connected component, writes the cache, and returns the graph. A cache
 // that fails verification — or whose recorded raw-file size disagrees with
 // a raw file currently on disk (a re-download replaced it) — is rebuilt
-// from the raw file. Returns std::nullopt when neither source yields a
-// graph.
+// from the raw file. *parsed_raw (when non-null) says whether the graph
+// came from parsing the raw file rather than from the cache. Returns
+// std::nullopt when neither source yields a graph.
 std::optional<Graph> LoadOrConvertDataset(const std::string& raw_path,
                                           const std::string& cache_path,
-                                          DatasetCacheInfo* info = nullptr);
+                                          DatasetCacheInfo* info = nullptr,
+                                          bool* parsed_raw = nullptr);
 
 }  // namespace qbs
 

@@ -8,7 +8,6 @@
 #ifndef QBS_GRAPH_EDGE_LIST_IO_H_
 #define QBS_GRAPH_EDGE_LIST_IO_H_
 
-#include <functional>
 #include <optional>
 #include <string>
 
@@ -17,8 +16,6 @@
 namespace qbs {
 
 struct EdgeListReadOptions {
-  // Lines starting with any of these characters are skipped.
-  std::string comment_prefixes = "#%";
   // If true, arbitrary (possibly sparse, 64-bit) ids in the file are
   // relabelled to a dense [0, n) range in first-appearance order. If false,
   // ids are used verbatim and must fit VertexId.
@@ -27,18 +24,16 @@ struct EdgeListReadOptions {
   // |E_un| column).
 };
 
-// Reads an edge list from `path`. Returns std::nullopt on I/O or parse
-// failure (a message is written to stderr).
+// Reads an edge list from `path`, one "u v" pair per line; lines starting
+// with '#' or '%' (SNAP and KONECT headers) are skipped. Paths ending in
+// ".gz" are decompressed on the fly when the build has zlib, and fail with
+// a message otherwise. Returns std::nullopt on I/O or parse failure (a
+// message naming file:line is written to stderr).
 std::optional<Graph> ReadEdgeList(const std::string& path,
                                   const EdgeListReadOptions& options = {});
 
-// Parser core shared by the plain-file and gzip readers
-// (graph/dataset_io.h): pulls lines from `next_line` (which returns false
-// at end of input) and builds the graph. `origin` names the source in
-// diagnostics. Returns std::nullopt on parse failure.
-std::optional<Graph> ReadEdgeListFromLines(
-    const std::function<bool(std::string*)>& next_line,
-    const EdgeListReadOptions& options, const std::string& origin);
+// True when this build can decompress ".gz" edge lists (zlib was found).
+bool GzipSupported();
 
 // Writes `g` as "u v" lines, one undirected edge per line, preceded by a
 // "# vertices edges" comment header. Returns false on I/O failure.

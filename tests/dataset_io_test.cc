@@ -75,7 +75,7 @@ void ExpectBitIdentical(const Graph& a, const Graph& b) {
 // The fixture: vertices 0..4 plus {10, 11, 12} relabelled to 5..7;
 // dedup/self-loop removal leaves 7 undirected edges in two components.
 TEST(DatasetIoTest, ReadsPlainFixture) {
-  auto g = ReadEdgeListAuto(FixturePlain());
+  auto g = ReadEdgeList(FixturePlain());
   ASSERT_TRUE(g.has_value());
   EXPECT_EQ(g->NumVertices(), 8u);
   EXPECT_EQ(g->NumEdges(), 7u);
@@ -88,8 +88,8 @@ TEST(DatasetIoTest, GzipFixtureMatchesPlain) {
   if (!GzipSupported()) {
     GTEST_SKIP() << "built without zlib";
   }
-  auto plain = ReadEdgeListAuto(FixturePlain());
-  auto gz = ReadEdgeListAuto(FixtureGz());
+  auto plain = ReadEdgeList(FixturePlain());
+  auto gz = ReadEdgeList(FixtureGz());
   ASSERT_TRUE(plain.has_value());
   ASSERT_TRUE(gz.has_value());
   ExpectBitIdentical(*plain, *gz);
@@ -99,11 +99,11 @@ TEST(DatasetIoTest, GzipWithoutZlibFailsCleanly) {
   if (GzipSupported()) {
     GTEST_SKIP() << "this build has zlib";
   }
-  EXPECT_FALSE(ReadEdgeListAuto(FixtureGz()).has_value());
+  EXPECT_FALSE(ReadEdgeList(FixtureGz()).has_value());
 }
 
 TEST(DatasetIoTest, CacheRoundTripIsBitIdentical) {
-  auto g = ReadEdgeListAuto(FixturePlain());
+  auto g = ReadEdgeList(FixturePlain());
   ASSERT_TRUE(g.has_value());
   const std::string path = TempPath("roundtrip.qbsgrf");
   DatasetCacheInfo info;
@@ -133,7 +133,7 @@ TEST(DatasetIoTest, EmptyGraphRoundTrips) {
 }
 
 TEST(DatasetIoTest, CorruptedPayloadIsRejected) {
-  auto g = ReadEdgeListAuto(FixturePlain());
+  auto g = ReadEdgeList(FixturePlain());
   ASSERT_TRUE(g.has_value());
   const std::string path = TempPath("corrupt.qbsgrf");
   ASSERT_TRUE(SaveGraphCache(*g, DatasetCacheInfo{}, path));
@@ -156,7 +156,7 @@ TEST(DatasetIoTest, CorruptedHeaderCountIsRejectedNotAllocated) {
   // The checksum is verified only once the whole file has been read, so a
   // bit-flipped header count must be caught by the file-size bound before
   // it sizes an allocation — not die in a ~2^62-byte std::bad_alloc.
-  auto g = ReadEdgeListAuto(FixturePlain());
+  auto g = ReadEdgeList(FixturePlain());
   ASSERT_TRUE(g.has_value());
   const std::string path = TempPath("huge_header.qbsgrf");
   ASSERT_TRUE(SaveGraphCache(*g, DatasetCacheInfo{}, path));
@@ -171,7 +171,7 @@ TEST(DatasetIoTest, CorruptedHeaderCountIsRejectedNotAllocated) {
 }
 
 TEST(DatasetIoTest, BadMagicAndTruncationAreRejected) {
-  auto g = ReadEdgeListAuto(FixturePlain());
+  auto g = ReadEdgeList(FixturePlain());
   ASSERT_TRUE(g.has_value());
   const std::string path = TempPath("header.qbsgrf");
   ASSERT_TRUE(SaveGraphCache(*g, DatasetCacheInfo{}, path));
@@ -197,7 +197,7 @@ TEST(DatasetIoTest, BadMagicAndTruncationAreRejected) {
 // provenance, the CSR or the checksum itself — must be rejected, never
 // loaded.
 TEST(DatasetIoTest, EveryFlippedByteIsRejected) {
-  auto g = ReadEdgeListAuto(FixturePlain());
+  auto g = ReadEdgeList(FixturePlain());
   ASSERT_TRUE(g.has_value());
   const std::string path = TempPath("flipped.qbsgrf");
   DatasetCacheInfo info;
@@ -230,7 +230,7 @@ DatasetCacheInfo FixtureCacheInfo() {
 }
 
 TEST(DatasetIoTest, WriterReproducesFixtureBytes) {
-  auto raw = ReadEdgeListAuto(FixturePlain());
+  auto raw = ReadEdgeList(FixturePlain());
   ASSERT_TRUE(raw.has_value());
   const std::string path = TempPath("fixture.qbsgrf");
   ASSERT_TRUE(
@@ -241,7 +241,7 @@ TEST(DatasetIoTest, WriterReproducesFixtureBytes) {
 }
 
 TEST(DatasetIoTest, LoaderReadsFixtureBitIdentically) {
-  auto raw = ReadEdgeListAuto(FixturePlain());
+  auto raw = ReadEdgeList(FixturePlain());
   ASSERT_TRUE(raw.has_value());
   DatasetCacheInfo info;
   auto loaded = LoadGraphCache(FixtureCache(), &info);

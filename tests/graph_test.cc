@@ -5,7 +5,6 @@
 
 #include "graph/edge_list_io.h"
 #include "graph/graph.h"
-#include "graph/graph_builder.h"
 
 namespace qbs {
 namespace {
@@ -79,32 +78,6 @@ TEST(GraphTest, SizeBytesGrowsWithEdges) {
   EXPECT_GT(large.SizeBytes(), small.SizeBytes());
 }
 
-TEST(GraphBuilderTest, GrowsVertexSpace) {
-  GraphBuilder b;
-  b.AddEdge(0, 5);
-  b.AddEdge(9, 2);
-  Graph g = b.Build();
-  EXPECT_EQ(g.NumVertices(), 10u);
-  EXPECT_EQ(g.NumEdges(), 2u);
-}
-
-TEST(GraphBuilderTest, PredeclaredVertices) {
-  GraphBuilder b(7);
-  b.AddEdge(0, 1);
-  Graph g = b.Build();
-  EXPECT_EQ(g.NumVertices(), 7u);
-}
-
-TEST(GraphBuilderTest, ToleratesDuplicatesAndLoops) {
-  GraphBuilder b;
-  b.AddEdge(0, 1);
-  b.AddEdge(1, 0);
-  b.AddEdge(1, 1);
-  Graph g = b.Build();
-  EXPECT_EQ(g.NumVertices(), 2u);
-  EXPECT_EQ(g.NumEdges(), 1u);
-}
-
 class EdgeListIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -140,6 +113,19 @@ TEST_F(EdgeListIoTest, SkipsCommentsAndRelabels) {
   EXPECT_TRUE(g->HasEdge(1, 2));
 }
 
+TEST_F(EdgeListIoTest, VerbatimIdsSizeTheVertexSpace) {
+  std::ofstream out(path_);
+  out << "0 5\n9 2\n";
+  out.close();
+  EdgeListReadOptions options;
+  options.relabel = false;
+  auto g = ReadEdgeList(path_, options);
+  ASSERT_TRUE(g.has_value());
+  EXPECT_EQ(g->NumVertices(), 10u);  // the largest id + 1
+  EXPECT_EQ(g->NumEdges(), 2u);
+  EXPECT_TRUE(g->HasEdge(9, 2));
+}
+
 TEST_F(EdgeListIoTest, DirectedInputBecomesUndirected) {
   std::ofstream out(path_);
   out << "0 1\n1 0\n";
@@ -160,6 +146,20 @@ TEST_F(EdgeListIoTest, ParseErrorFails) {
   out << "not numbers\n";
   out.close();
   EXPECT_FALSE(ReadEdgeList(path_).has_value());
+}
+
+TEST_F(EdgeListIoTest, IdsMustFitUint64) {
+  std::ofstream(path_) << "18446744073709551615 5\n";
+  auto g = ReadEdgeList(path_);
+  ASSERT_TRUE(g.has_value());
+  EXPECT_EQ(g->NumVertices(), 2u);
+  // 2^64 + 1 must not wrap onto vertex 1.
+  std::ofstream(path_) << "18446744073709551617 5\n1 7\n";
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(ReadEdgeList(path_).has_value());
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                "parse error at " + path_ + ":1"),
+            std::string::npos);
 }
 
 }  // namespace

@@ -308,6 +308,8 @@ TEST_F(CliSmokeTest, UsageOnBadInvocation) {
       {" generate ws " + h_edges + " 10 3 0.1", 2, "bad value '3' for k"},
       {" generate rmat " + h_edges + " 40 4", 2, "bad value '40' for scale"},
       {" generate dataset " + h_edges + " ZZ", 2, "unknown dataset 'ZZ'"},
+      {" generate dataset " + h_edges + " epinions", 2,
+       "no stand-in for dataset 'epinions'"},
       {" generate dataset " + h_edges + " DO 0.0001", 2,
        "bad value '0.0001' for scale"},
       {" query " + edges + " " + index + " --requests " + Quoted(requests), 1,

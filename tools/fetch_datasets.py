@@ -29,11 +29,13 @@ audit also fails on stale allowlist rows so the ratchet only tightens.
 After fetching, the C++ side converts each raw file once into a checksummed
 binary cache (<data-dir>/cache/<name>.qbsgrf) on first use — e.g.
 
-    build/bench/bench_table1_datasets --dataset=epinions
+    build/bench/bench_table1_datasets --datasets=epinions
     build/tools/qbs stats dataset:epinions
 
-This registry must stay in sync with src/workload/datasets.cc
-(the C++ side owns the name -> file mapping the benches resolve through).
+REGISTRY repeats the rows of the C++ dataset table
+(src/workload/dataset_registry.cc), which the benches and `qbs` resolve
+names through; the `dataset_sync` ctest (scripts/check_dataset_sync.py)
+fails when the two differ.
 """
 
 import argparse
@@ -45,7 +47,8 @@ import urllib.request
 
 # name -> (url, filename, pinned_sha256, host_vertices, host_edges, note)
 # url == "" means no plain edge-list mirror exists; `note` then carries the
-# manual instructions. Keep in sync with src/workload/datasets.cc.
+# manual instructions. scripts/check_dataset_sync.py checks every row but
+# the pin and the note against src/workload/dataset_registry.cc.
 REGISTRY = {
     "douban": ("", "soc-douban.txt", "", 154908, 327162,
                "zip-only at networkrepository.com/soc-douban.php; unzip "
@@ -239,8 +242,8 @@ def verify(name, dest, pinned, require_checksum):
         with open(record, "w", encoding="ascii") as f:
             f.write(actual + "\n")
         print(f"  sha256 recorded (trust-on-first-use): {actual}")
-        print(f"  pin it in tools/fetch_datasets.py + "
-              f"src/workload/datasets.cc to make this tamper-evident")
+        print("  pin it in tools/fetch_datasets.py to make this "
+              "tamper-evident")
 
 
 def audit():
@@ -340,7 +343,7 @@ def main():
     if fetched:
         print(f"\nfetched/verified: {', '.join(fetched)}")
         print("next: build/bench/bench_table1_datasets "
-              f"--dataset={fetched[0]}   (converts to the binary cache on "
+              f"--datasets={fetched[0]}   (converts to the binary cache on "
               "first use)")
     if failures:
         sys.exit(f"needs manual fetching: {', '.join(failures)}")

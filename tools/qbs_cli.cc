@@ -20,7 +20,7 @@
 //   er <n> <edges> [seed]       Erdős–Rényi G(n, m)
 //   ws <n> <k> <beta> [seed]    Watts–Strogatz
 //   rmat <scale> <ef> [seed]    R-MAT (2^scale vertices)
-//   dataset <ABBREV> [scale]    Table 1 stand-in (DO, DB, ..., CW)
+//   dataset <name> [scale]      Table 1 stand-in (DO or douban, ..., CW)
 //
 // build options: --landmarks K (default 20), --threads T (default all);
 //                the landmarks are the K highest-degree vertices
@@ -67,7 +67,6 @@
 #include "server/server.h"
 #include "util/timer.h"
 #include "workload/dataset_registry.h"
-#include "workload/datasets.h"
 #include "workload/query_workload.h"
 #include "workload/synthetic_workload.h"
 
@@ -111,12 +110,12 @@ std::optional<qbs::Graph> LoadGraphArg(const std::string& arg) {
                                         qbs::DefaultDataDir());
     if (!resolved.has_value()) return std::nullopt;
     std::fprintf(stderr, "dataset %s: %u vertices, %llu edges (%s)\n",
-                 resolved->name.c_str(), resolved->graph.NumVertices(),
+                 resolved->spec->name.c_str(), resolved->graph.NumVertices(),
                  static_cast<unsigned long long>(resolved->graph.NumEdges()),
                  resolved->source.c_str());
     return std::move(resolved->graph);
   }
-  return qbs::ReadEdgeListAuto(arg);
+  return qbs::ReadEdgeList(arg);
 }
 
 int Datasets() {
@@ -124,7 +123,7 @@ int Datasets() {
   std::printf("data dir: %s (override with QBS_DATA_DIR)\n", data_dir.c_str());
   std::printf("%-12s %-6s %-9s %-11s %-11s %s\n", "name", "Tbl.1", "status",
               "host|V|", "host|E|", "file");
-  for (const auto& spec : qbs::RealDatasets()) {
+  for (const auto& spec : qbs::Datasets()) {
     namespace fs = std::filesystem;
     std::error_code ec;
     const bool cached = fs::exists(qbs::CachePathFor(spec, data_dir), ec);
@@ -202,9 +201,6 @@ bool DatasetScaleOk(const qbs::DatasetSpec& spec, double scale,
     case qbs::GeneratorKind::kBarabasiAlbert:
       ok = ok && n > spec.param;
       break;
-    case qbs::GeneratorKind::kErdosRenyi:
-      ok = ok && n >= 2 && 2.0 * spec.param <= n - 1;
-      break;
     case qbs::GeneratorKind::kWattsStrogatz:
       ok = ok && n >= 3 && n > spec.param;
       break;
@@ -270,14 +266,12 @@ int Generate(int argc, char** argv) {
             qbs::RMat(scale, edge_factor, 0.57, 0.19, 0.19, seed))
             .graph;
   } else if (family == "dataset" && argc >= 3) {
-    const auto& specs = qbs::PaperDatasets();
-    const auto spec = std::find_if(
-        specs.begin(), specs.end(),
-        [&](const qbs::DatasetSpec& s) { return s.abbrev == argv[2]; });
-    if (spec == specs.end()) {
-      std::fprintf(stderr, "unknown dataset '%s' (want one of", argv[2]);
-      for (const qbs::DatasetSpec& s : specs) {
-        std::fprintf(stderr, " %s", s.abbrev.c_str());
+    const qbs::DatasetSpec* spec = qbs::FindDataset(argv[2]);
+    if (spec == nullptr || spec->abbrev.empty()) {
+      std::fprintf(stderr, "%s dataset '%s' (want one of",
+                   spec == nullptr ? "unknown" : "no stand-in for", argv[2]);
+      for (const qbs::DatasetSpec& s : qbs::Datasets()) {
+        if (!s.abbrev.empty()) std::fprintf(stderr, " %s", s.abbrev.c_str());
       }
       std::fprintf(stderr, ")\n");
       return 2;
