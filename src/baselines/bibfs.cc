@@ -21,7 +21,7 @@ uint32_t BiBfs::Search(VertexId u, VertexId v, uint64_t* scans) {
       return kUnreachable;  // disconnected
     }
     const int t = volume[0] <= volume[1] ? 0 : 1;
-    *scans += search_.ExpandLevel(t);
+    *scans += search_.ExpandLevel(t).scanned;
     ++d[t];
     volume[t] = 0;
     for (const VertexId w : search_.levels(t).Level(d[t])) {

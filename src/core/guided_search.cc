@@ -1,36 +1,19 @@
 #include "core/guided_search.h"
 
 #include <algorithm>
-#include <iterator>
 
 #include "util/check.h"
 
 namespace qbs {
 
-Graph MakeSparsifiedGraph(const Graph& g, const PathLabeling& labeling) {
-  return g.WithoutEdgesAt(labeling.landmarks());
-}
-
-Graph PatchSparsifiedGraph(const Graph& gminus, const NetChanges& net,
-                           const PathLabeling& labeling) {
-  NetChanges kept;
-  auto no_landmark = [&](const Edge& e) {
-    return !labeling.IsLandmark(e.u) && !labeling.IsLandmark(e.v);
-  };
-  std::copy_if(net.inserts.begin(), net.inserts.end(),
-               std::back_inserter(kept.inserts), no_landmark);
-  std::copy_if(net.deletes.begin(), net.deletes.end(),
-               std::back_inserter(kept.deletes), no_landmark);
-  return ApplyNetChanges(gminus, kept);
-}
-
-GuidedSearcher::GuidedSearcher(const Graph& g, const Graph& sparsified,
-                               const PathLabeling& labeling,
+GuidedSearcher::GuidedSearcher(const Graph& g, const PathLabeling& labeling,
                                const MetaGraph& meta, const DeltaCache& delta)
-    : g_(g), gminus_(sparsified), labeling_(labeling), meta_(meta),
-      delta_(delta), search_(sparsified) {
+    : g_(g),
+      labeling_(labeling),
+      meta_(meta),
+      delta_(delta),
+      search_(g, labeling.landmarks()) {
   QBS_CHECK_EQ(g.NumVertices(), labeling.num_vertices());
-  QBS_CHECK_EQ(sparsified.NumVertices(), g.NumVertices());
   QBS_CHECK(meta.finalized());
   walk_mark_.assign(g.NumVertices(), 0);
   walk_session_.Resize(labeling.num_landmarks(), 0);
@@ -38,7 +21,8 @@ GuidedSearcher::GuidedSearcher(const Graph& g, const Graph& sparsified,
 
 ShortestPathGraph GuidedSearcher::Query(VertexId u, VertexId v,
                                         SearchStats* stats,
-                                        const LabelBound* certify) {
+                                        const LabelBound* certify,
+                                        uint32_t edges_within) {
   if (u != v) {
     // Certify bound: handed in by a caller that timed it separately, or one
     // fused row scan here. Certified pairs finish without a sketch.
@@ -51,7 +35,7 @@ ShortestPathGraph GuidedSearcher::Query(VertexId u, VertexId v,
   ComputeSketchInto(labeling_, meta_, u, v, &sketch_scratch_,
                     &sketch_buffers_, /*with_meta_edges=*/false);
   lazy_sketch_ = true;
-  return QueryWithSketch(u, v, sketch_scratch_, stats);
+  return QueryWithSketch(u, v, sketch_scratch_, stats, edges_within);
 }
 
 std::pair<size_t, size_t> GuidedSearcher::EmitShortSpgEdges(
@@ -165,17 +149,6 @@ int GuidedSearcher::PickSide(const Sketch& sketch, const uint32_t d[2]) const {
              : 1;
 }
 
-void GuidedSearcher::ExpandLevel(int t, SearchStats* stats) {
-  const uint64_t scanned = search_.ExpandLevel(t);
-  stats->edges_scanned_search += scanned;
-  const LevelStack& levels = search_.levels(t);
-  uint64_t full_degree = 0;
-  for (const VertexId x : levels.Level(levels.NumLevels() - 2)) {
-    full_degree += g_.Degree(x);
-  }
-  stats->landmark_edges_skipped += full_degree - scanned;
-}
-
 uint64_t GuidedSearcher::WalkSerial(LandmarkIndex r) {
   if (!walk_session_.IsSet(r)) walk_session_.Set(r, ++walk_serial_);
   return walk_session_.Get(r);
@@ -198,21 +171,28 @@ void GuidedSearcher::LabelWalk(VertexId w, LandmarkIndex r,
       edges_.emplace_back(x, target);
       continue;
     }
-    stats->edges_scanned_recover += gminus_.Degree(x);
-    for (VertexId y : gminus_.Neighbors(x)) {
-      if (labeling_.Get(y, r) != dx - 1) continue;
+    uint64_t landmark_entries = 0;
+    for (VertexId y : g_.Neighbors(x)) {
+      const DistT dy = labeling_.Get(y, r);
+      if (dy != dx - 1) {
+        // Only a kInfDist entry can be a landmark's empty label.
+        landmark_entries += dy == kInfDist && labeling_.IsLandmark(y);
+        continue;
+      }
       edges_.emplace_back(x, y);
       if (walk_mark_[y] != serial) {
         walk_mark_[y] = serial;
         walk_stack_.push_back(y);
       }
     }
+    stats->edges_scanned_recover += g_.Degree(x) - landmark_entries;
   }
 }
 
 ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
                                                   const Sketch& sketch,
-                                                  SearchStats* stats) {
+                                                  SearchStats* stats,
+                                                  uint32_t edges_within) {
   QBS_CHECK_LT(u, g_.NumVertices());
   QBS_CHECK_LT(v, g_.NumVertices());
   const bool lazy_sketch = lazy_sketch_;
@@ -241,7 +221,7 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
   if (!v_lm) search_.Seed(1, v);
 
   // Stage 1: sketch-guided bi-directional search on G⁻. A landmark endpoint
-  // does not exist in G⁻, so the search is skipped entirely in that case
+  // is blocked, not in G⁻, so the search is skipped entirely in that case
   // (every shortest path then passes through a landmark and the recover
   // search reconstructs all of them).
   uint32_t d[2] = {0, 0};
@@ -256,7 +236,9 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
         break;  // G⁻ exhausted on one side: d_G⁻(u, v) = ∞.
       }
       const int t = PickSide(sketch, d);
-      ExpandLevel(t, stats);
+      const LevelScan scan = search_.ExpandLevel(t);
+      stats->edges_scanned_search += scan.scanned;
+      stats->landmark_edges_skipped += scan.blocked;
       ++d[t];
       if (!search_.meet_set().empty()) {
         meet = true;
@@ -279,6 +261,8 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
   } else {
     stats->coverage = PairCoverage::kAllThroughLandmarks;
   }
+  // Eq. 5 has fixed the distance; everything below only builds edges.
+  if (result.distance > edges_within) return result;
 
   // Close pairs the labels could not certify still skip the reverse and
   // recover stages: with the distance now known to be 1 or 2, the exact

@@ -7,11 +7,11 @@
 //   G_uv = ⎨ G⁻_uv ∪ G^L_uv       if d_G⁻(u,v) = d⊤
 //          ⎩ G⁻_uv                otherwise.
 //
-// The sparsified graph G⁻ is materialized as its own CSR (as the paper
-// does; MakeSparsifiedGraph, once per index): searches never touch edges
-// incident to landmarks.
-// SearchStats::landmark_edges_skipped reports how many adjacency entries
-// sparsification removed from the traversal, the §6.5(1) effect.
+// G⁻ is still the graph searched, but it is stored as blocked slots rather
+// than a second CSR: the BidirectionalSearch runs on G with the landmarks
+// blocked, so it follows exactly G⁻'s paths and every scan counter reads
+// in G⁻ entries. SearchStats::landmark_edges_skipped counts the blocked
+// entries the search stepped over, the §6.5(1) effect.
 
 #ifndef QBS_CORE_GUIDED_SEARCH_H_
 #define QBS_CORE_GUIDED_SEARCH_H_
@@ -27,7 +27,6 @@
 #include "core/sketch.h"
 #include "graph/frontier.h"
 #include "graph/graph.h"
-#include "graph/graph_delta.h"
 #include "graph/spg.h"
 #include "util/epoch_array.h"
 
@@ -38,14 +37,14 @@ namespace qbs {
 // use one searcher per thread.
 class GuidedSearcher {
  public:
-  // All referenced objects must outlive the searcher. `sparsified` is the
-  // materialized G[V \ R] of `g` (MakeSparsifiedGraph), shared by every
-  // searcher of one index. `delta` must hold a segment for every edge of
-  // `meta` (DeltaCache::Build over the same scheme): the recover search
-  // splices landmark-to-landmark segments from it and never re-derives one.
-  GuidedSearcher(const Graph& g, const Graph& sparsified,
-                 const PathLabeling& labeling, const MetaGraph& meta,
-                 const DeltaCache& delta);
+  // All referenced objects must outlive the searcher. The landmarks of
+  // `labeling` are blocked in the searcher's scratch for its whole life,
+  // so they must stay the same (edits change edges, never R). `delta` must
+  // hold a segment for every edge of `meta` (DeltaCache::Build over the
+  // same scheme): the recover search splices landmark-to-landmark segments
+  // from it and never re-derives one.
+  GuidedSearcher(const Graph& g, const PathLabeling& labeling,
+                 const MetaGraph& meta, const DeltaCache& delta);
 
   // Answers SPG(u, v). Pairs whose label upper bound is <= 2 (landmark
   // endpoints and two neighbours of one landmark) resolve on a label-guided
@@ -56,14 +55,20 @@ class GuidedSearcher {
   // `certify`, if non-null, must be ComputeLabelBound(labeling, meta, u, v)
   // for this exact pair; callers that time the certify scan on its own
   // pass it in so it is not scanned twice.
+  // The caller wants edges only for a distance of at most `edges_within`
+  // (0: distance only). A pair the search resolves beyond it returns right
+  // after stage 1, with its exact distance and coverage and no edges; the
+  // reverse and recover stages never run for it.
   ShortestPathGraph Query(VertexId u, VertexId v, SearchStats* stats = nullptr,
-                          const LabelBound* certify = nullptr);
+                          const LabelBound* certify = nullptr,
+                          uint32_t edges_within = kUnreachable);
 
   // As Query(), but with a caller-supplied sketch (exposed for tests and
   // phase microbenchmarks).
   ShortestPathGraph QueryWithSketch(VertexId u, VertexId v,
                                     const Sketch& sketch,
-                                    SearchStats* stats = nullptr);
+                                    SearchStats* stats = nullptr,
+                                    uint32_t edges_within = kUnreachable);
 
  private:
   // The label-certified d <= 2 fast path. `bound` is the pair's certify
@@ -87,10 +92,6 @@ class GuidedSearcher {
                                               SearchStats* stats,
                                               ShortestPathGraph* result);
 
-  // Expands side `t` of the bi-directional search on G⁻ by one level and
-  // counts its search scans and the landmark edges sparsification spared.
-  void ExpandLevel(int t, SearchStats* stats);
-
   // §4.3: prefer the side whose sketch depth guide d* is not yet met,
   // breaking ties toward the smaller traversed set.
   int PickSide(const Sketch& sketch, const uint32_t d[2]) const;
@@ -100,19 +101,19 @@ class GuidedSearcher {
   uint64_t WalkSerial(LandmarkIndex r);
 
   // Emits all edges of all landmark-free shortest paths from w to landmark
-  // `r`, walking label distances down to 1 (recover search).
+  // `r`, walking label distances down to 1 (recover search). Landmarks
+  // carry no label, so it never steps onto one; it counts G⁻ entries.
   void LabelWalk(VertexId w, LandmarkIndex r, SearchStats* stats);
 
-  const Graph& g_;       // original graph (landmark adjacency for recovery)
-  const Graph& gminus_;  // the sparsified graph G⁻ actually traversed
+  const Graph& g_;
   const PathLabeling& labeling_;
   const MetaGraph& meta_;
   const DeltaCache& delta_;
 
   // Per-query scratch (epoch-reset), kept at capacity across queries; the
-  // query hot path hashes nothing. The bi-directional search over G⁻, its
-  // levels, meet set and reverse walk are the engine the Bi-BFS baseline
-  // runs too (graph/frontier.h).
+  // query hot path hashes nothing. The bi-directional search over G⁻ (G
+  // with the landmarks blocked), its levels, meet set and reverse walk are
+  // the engine the Bi-BFS baseline runs too (graph/frontier.h).
   BidirectionalSearch search_;
   // (landmark, vertex) visited marks for label walks: walk_mark_[v] holds
   // the serial of the last walk session that visited v; sessions are
@@ -132,18 +133,6 @@ class GuidedSearcher {
   // actually runs (most queries never read the meta-edges).
   bool lazy_sketch_ = false;
 };
-
-// Materializes the sparsified graph G[V \ R]: same vertex ids, only the
-// edges with neither endpoint a landmark.
-Graph MakeSparsifiedGraph(const Graph& g, const PathLabeling& labeling);
-
-// The sparsified graph of an edited graph, from the old one: `gminus` is
-// MakeSparsifiedGraph(g, labeling) and `net` takes g to the edited graph.
-// Only the edits with no landmark endpoint reach G⁻, and ApplyNetChanges
-// splices exactly those, so the result equals MakeSparsifiedGraph on the
-// edited graph without filtering all of its edges again.
-Graph PatchSparsifiedGraph(const Graph& gminus, const NetChanges& net,
-                           const PathLabeling& labeling);
 
 }  // namespace qbs
 

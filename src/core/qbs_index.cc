@@ -48,8 +48,6 @@ void QbsIndex::FinishFromScheme(const QbsOptions& options) {
   delta_ = std::make_unique<DeltaCache>(DeltaCache::Build(
       *g_, scheme_->labeling, scheme_->meta, options.num_threads));
   timings_.delta_seconds = timer.ElapsedSeconds();
-  sparsified_ =
-      std::make_unique<Graph>(MakeSparsifiedGraph(*g_, scheme_->labeling));
 }
 
 bool QbsIndex::Save(const std::string& path) const {
@@ -84,8 +82,12 @@ QueryResponse QbsIndex::Execute(GuidedSearcher& searcher,
       return response;
     }
   }
+  // Edges beyond the budget, or any in distance mode, are dropped below,
+  // so the searcher stops once the distance is known.
+  uint32_t edges_within = request.budget > 0 ? request.budget : kUnreachable;
+  if (request.mode == QueryMode::kDistance) edges_within = 0;
   response.spg = searcher.Query(request.u, request.v, &response.stats,
-                                certify);
+                                certify, edges_within);
   if (request.budget > 0 && response.spg.Connected() &&
       response.spg.distance > request.budget) {
     response.flags |= kResponseFlagBudgetExceeded;
@@ -111,8 +113,8 @@ QbsIndex::SearcherLease::SearcherLease(const QbsIndex& index, size_t count)
   try {
     while (searchers_.size() < count) {
       searchers_.push_back(std::make_unique<GuidedSearcher>(
-          *index_.g_, *index_.sparsified_, index_.scheme_->labeling,
-          index_.scheme_->meta, *index_.delta_));
+          *index_.g_, index_.scheme_->labeling, index_.scheme_->meta,
+          *index_.delta_));
     }
   } catch (...) {
     // A failed top-up (searcher construction is O(|V|) of allocation) must
@@ -145,8 +147,8 @@ std::vector<QueryResponse> QbsIndex::QueryBatch(
   const size_t workers = std::min(EffectiveThreads(options.num_threads),
                                   std::max<size_t>(requests.size(), 1));
   // One searcher per worker, checked out of the persistent pool (topped up
-  // to `workers` if needed); all share the labelling, meta-graph, D cache,
-  // and the materialized sparsified graph (read-only). The RAII lease
+  // to `workers` if needed); all share the graph, labelling, meta-graph
+  // and Δ cache (read-only). The RAII lease
   // keeps concurrent QueryBatch calls from ever sharing a searcher AND
   // returns every searcher when a query throws mid-batch, so the pool
   // never shrinks across failed batches.
@@ -190,14 +192,10 @@ UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta,
   stats.applied_inserts = col.applied_inserts;
   stats.applied_deletes = col.applied_deletes;
   stats.repaired_columns = col.repaired_columns;
-  RefreshDerived(net, options.num_threads);
+  // Move-assigned in place, so searcher references stay valid.
+  *delta_ = DeltaCache::Build(*g_, scheme_->labeling, scheme_->meta,
+                              options.num_threads);
   return stats;
-}
-
-void QbsIndex::RefreshDerived(const NetChanges& net, size_t num_threads) {
-  *delta_ =
-      DeltaCache::Build(*g_, scheme_->labeling, scheme_->meta, num_threads);
-  *sparsified_ = PatchSparsifiedGraph(*sparsified_, net, scheme_->labeling);
 }
 
 }  // namespace qbs

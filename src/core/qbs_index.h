@@ -94,8 +94,9 @@ class QbsIndex {
   };
 
   /// Answers many requests in parallel. Workers share the index's
-  /// read-only state and the materialized sparsified graph, and lease
-  /// searchers from the same pool as Query(); results align with
+  /// read-only state and lease searchers from the same pool as Query();
+  /// each searcher blocks the landmarks in its own scratch to search G⁻,
+  /// so no second graph is stored. Results align with
   /// `requests`. Same thread-safety contract as Query().
   std::vector<QueryResponse> QueryBatch(
       const std::vector<QueryRequest>& requests,
@@ -164,7 +165,7 @@ class QbsIndex {
 
   /// Applies an edit script: computes the net edge changes, splices them
   /// into the graph, repairs every label column over its changed region
-  /// only, and refreshes the meta-graph, Δ cache, and sparsified graph.
+  /// only, and refreshes the meta-graph and Δ cache.
   /// When this returns, the index answers every query exactly as a
   /// from-scratch build on the new graph would — bit-identically. Requires
   /// EnableUpdates().
@@ -209,18 +210,13 @@ class QbsIndex {
   QbsIndex() = default;
 
   /// Derives what Build and LoadFromFile share from g_ and scheme_: the Δ
-  /// cache and the sparsified graph.
+  /// cache. G⁻ is not stored: each searcher blocks the landmarks in its
+  /// own scratch.
   void FinishFromScheme(const QbsOptions& options);
-
-  /// Refreshes the structures derived from (graph, labelling, meta) after
-  /// the edits `net`: rebuilds the Δ cache and patches the sparsified
-  /// graph, both move-assigned in place so searcher references stay valid.
-  void RefreshDerived(const NetChanges& net, size_t num_threads);
 
   const Graph* g_ = nullptr;  // not owned
   /// Heap-allocated so GuidedSearcher's references survive moves.
   std::unique_ptr<LabelingScheme> scheme_;
-  std::unique_ptr<Graph> sparsified_;  // shared G⁻ for all searchers
   std::unique_ptr<DeltaCache> delta_;
   /// Idle searchers, grown on demand and reused across queries (a searcher
   /// holds O(|V|) scratch; rebuilding per query would dominate). Each

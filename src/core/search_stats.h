@@ -31,10 +31,10 @@ struct SearchStats {
   // edges sparsification removed).
   uint64_t landmark_edges_skipped = 0;
   // Edge scans during the reverse search (G⁻ paths). Each level of the
-  // backward walk counts the smaller of its two exact costs: the G⁻
-  // degrees of its on-path vertices (top-down) or the edges the forward
-  // search scanned expanding the level below (bottom-up). Never more than
-  // edges_scanned_search.
+  // backward walk walks top-down, counting the G⁻ degrees of its on-path
+  // vertices, when their G degrees are at most the edges the forward
+  // search scanned expanding the level below, and otherwise bottom-up,
+  // counting those. Never more than edges_scanned_search.
   uint64_t edges_scanned_reverse = 0;
   // Edge scans during the recover search (G^L paths), excluding Δ-cache
   // hits.

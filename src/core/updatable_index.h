@@ -30,8 +30,9 @@
 // Every column is exact when ApplyNetToLabeling returns, so the index
 // answers every query as a from-scratch build on the new graph would. The
 // meta-graph is rebuilt from the per-column meta lists each batch (|R|^2
-// edges — negligible). The graph and the sparsified graph are spliced
-// (ApplyNetChanges, PatchSparsifiedGraph) and Δ is rebuilt, by the caller.
+// edges — negligible). The graph is spliced (ApplyNetChanges) and Δ is
+// rebuilt, by the caller. G⁻ needs no splice: searchers search the edited
+// graph itself with the landmarks blocked, and R never changes.
 //
 // Concurrency: nothing here takes a lock, by design. ApplyUpdates mutates
 // the labelling in place and is serialized by the caller — the server

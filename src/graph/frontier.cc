@@ -4,10 +4,18 @@
 
 namespace qbs {
 
-BidirectionalSearch::BidirectionalSearch(const Graph& g) : g_(g) {
-  // Depths stay below kOnPath - 1, clear of a masked kUnreachable.
-  QBS_CHECK_LT(g.NumVertices(), kOnPath);
+BidirectionalSearch::BidirectionalSearch(const Graph& g,
+                                         std::span<const VertexId> blocked)
+    : g_(g) {
+  // Depths stay below kOnPath - 2, clear of a masked kBlocked and a masked
+  // kUnreachable.
+  QBS_CHECK_LT(g.NumVertices(), kOnPath - 1);
   depth_.assign(g.NumVertices(), SideDepths{{kUnreachable, kUnreachable}});
+  // Never in levels_, so Reset() never clears these.
+  for (const VertexId b : blocked) {
+    QBS_CHECK_LT(b, g.NumVertices());
+    depth_[b] = SideDepths{{kBlocked, kBlocked}};
+  }
 }
 
 void BidirectionalSearch::Reset() {
@@ -26,11 +34,12 @@ void BidirectionalSearch::Reset() {
 
 void BidirectionalSearch::Seed(int t, VertexId v) {
   QBS_DCHECK(levels_[t].NumLevels() == 1);
+  QBS_DCHECK(depth_[v].side[t] != kBlocked);
   depth_[v].side[t] = 0;
   levels_[t].Push(v);
 }
 
-uint64_t BidirectionalSearch::ExpandLevel(int t) {
+LevelScan BidirectionalSearch::ExpandLevel(int t) {
   const int o = 1 - t;
   const uint32_t next_depth = static_cast<uint32_t>(levels_[t].NumLevels());
   // Open the next level first so the current level's bounds are frozen,
@@ -38,26 +47,32 @@ uint64_t BidirectionalSearch::ExpandLevel(int t) {
   levels_[t].BeginLevel();
   const size_t begin = levels_[t].LevelBegin(next_depth - 1);
   const size_t end = levels_[t].LevelEnd(next_depth - 1);
-  uint64_t scanned = 0;
+  LevelScan scan;
+  uint64_t entries = 0;
   for (size_t idx = begin; idx < end; ++idx) {
     const VertexId x = levels_[t].At(idx);
-    scanned += g_.Degree(x);
+    entries += g_.Degree(x);
     for (VertexId w : g_.Neighbors(x)) {
       SideDepths& dw = depth_[w];
-      if (dw.side[t] != kUnreachable) continue;
+      // Settled and blocked vertices alike are skipped here.
+      if (dw.side[t] != kUnreachable) {
+        scan.blocked += dw.side[t] == kBlocked;
+        continue;
+      }
       dw.side[t] = next_depth;
       levels_[t].Push(w);
       if (dw.side[o] != kUnreachable) meet_set_.push_back(w);
     }
   }
-  level_scan_[t].push_back(scanned);
-  return scanned;
+  scan.scanned = entries - scan.blocked;
+  level_scan_[t].push_back(scan.scanned);
+  return scan;
 }
 
 void BidirectionalSearch::AddBackwardStart(int t, VertexId w) {
   uint32_t& slot = depth_[w].side[t];
   const uint32_t depth = slot;
-  QBS_DCHECK(depth != kUnreachable);
+  QBS_DCHECK(depth < kBlocked);
   if ((depth & kOnPath) != 0) return;
   slot = depth | kOnPath;
   if (depth >= on_path_[t].size()) on_path_[t].resize(depth + 1);
@@ -75,8 +90,9 @@ uint64_t BidirectionalSearch::RunBackwardWalk(int t,
   //    at L, for the level_scan_ its forward expansion already counted.
   // Each level takes the cheaper, so an on-path hub costs no more than
   // its parent level and a thin path through wide levels no more than its
-  // own degrees. Both emit the same edges, and side t's reverse scans
-  // never exceed its search scans.
+  // own degrees. Both emit the same edges. Top-down's cost is bounded by
+  // Σ deg including blocked entries, and is charged without them, like
+  // level_scan_; so side t's reverse scans never exceed its search scans.
   uint64_t scanned = 0;
   for (size_t level = on_path_[t].size(); level-- > 1;) {
     const std::vector<VertexId>& marked = on_path_[t][level];
@@ -87,14 +103,19 @@ uint64_t BidirectionalSearch::RunBackwardWalk(int t,
     for (const VertexId w : marked) top_down += g_.Degree(w);
     const uint64_t bottom_up = level_scan_[t][below];
     if (top_down <= bottom_up) {
-      scanned += top_down;
+      uint64_t blocked = 0;
       for (const VertexId w : marked) {
         for (const VertexId x : g_.Neighbors(w)) {
-          if ((depth_[x].side[t] & ~kOnPath) != below) continue;
+          const uint32_t depth = depth_[x].side[t];
+          if ((depth & ~kOnPath) != below) {
+            blocked += depth == kBlocked;
+            continue;
+          }
           edges->emplace_back(w, x);
           AddBackwardStart(t, x);  // x's bucket exists: `marked` stays put
         }
       }
+      scanned += top_down - blocked;
     } else {
       scanned += bottom_up;
       const uint32_t marked_depth = static_cast<uint32_t>(level) | kOnPath;

@@ -13,6 +13,9 @@
 //     level, the cheaper of its top-down and bottom-up exact scans — a
 //     direction choice decided by exact costs instead of a ratio.
 //
+//  3. Blocked vertices. G⁻ = G[V \ R] is searched inside G: the
+//     landmarks' depth slots hold a sentinel no side ever settles.
+//
 // The per-landmark labelling BFS (core/labeling.cc) keeps its own
 // direction-optimizing traversal, and PPL's pruned BFS (baselines/ppl.cc)
 // its own queue; BfsDistances (graph/bfs.h) is the plain reference they
@@ -69,16 +72,28 @@ class LevelStack {
   std::vector<size_t> offsets_;
 };
 
-// Bidirectional level-synchronous BFS between two endpoints over one graph,
-// plus the reverse walk that emits every shortest path between them. Side
-// 0 grows from the first endpoint, side 1 from the second; the caller picks
-// which side each ExpandLevel advances and when to stop. Holds scratch
-// sized to the graph (construct once, Reset() per query; the per-query
-// cost is O(vertices touched), not O(|V|)). NOT thread-safe.
+// What one ExpandLevel inspected: `scanned` adjacency entries into
+// unblocked vertices (the searched subgraph's entries), and `blocked`
+// entries into blocked vertices, skipped.
+struct LevelScan {
+  uint64_t scanned = 0;
+  uint64_t blocked = 0;
+};
+
+// Bidirectional level-synchronous BFS between two endpoints over the
+// subgraph of one graph induced by its unblocked vertices, plus the
+// reverse walk that emits every shortest path between them. Side 0 grows
+// from the first endpoint, side 1 from the second; the caller picks which
+// side each ExpandLevel advances and when to stop. Holds scratch sized to
+// the graph (construct once, Reset() per query; the per-query cost is
+// O(vertices touched), not O(|V|)). NOT thread-safe.
 class BidirectionalSearch {
  public:
-  // `g` must outlive the search and have fewer than 2^31 vertices.
-  explicit BidirectionalSearch(const Graph& g);
+  // `g` must outlive the search and have fewer than 2^31 - 1 vertices.
+  // The `blocked` vertices are never settled, entered or walked through;
+  // no endpoint may be one of them.
+  explicit BidirectionalSearch(const Graph& g,
+                               std::span<const VertexId> blocked = {});
 
   // Forgets the previous query: both sides are left with an open, empty
   // level 0 and the meet set is empty.
@@ -87,11 +102,12 @@ class BidirectionalSearch {
   // Puts `v` at depth 0 of side t. Call after Reset(), before expanding t.
   void Seed(int t, VertexId v);
 
-  // Expands side t's deepest level by one BFS step: every unvisited
-  // neighbour joins the next level, and those already settled by the other
-  // side are appended to meet_set(). Returns the edges it scanned (Σ deg
-  // over the expanded level), which the reverse walk also keeps.
-  uint64_t ExpandLevel(int t);
+  // Expands side t's deepest level by one BFS step: every unvisited,
+  // unblocked neighbour joins the next level, and those already settled by
+  // the other side are appended to meet_set(). Returns the entries it
+  // scanned (Σ deg over the expanded level, split into unblocked and
+  // blocked); the reverse walk keeps the unblocked count.
+  LevelScan ExpandLevel(int t);
 
   // Marks `w` (reached by side t) as lying on a shortest path: the reverse
   // walk of side t starts from it. Idempotent.
@@ -101,14 +117,15 @@ class BidirectionalSearch {
   // backward starts down to side t's endpoint, one level at a time from
   // the deepest, each level from whichever side is cheaper to scan. Every
   // start must sit on a level side t has reached by ExpandLevel.
-  // Returns the edges it scanned, never more than side t's ExpandLevel
-  // calls scanned.
+  // Returns the unblocked entries it scanned, never more than side t's
+  // ExpandLevel calls scanned.
   uint64_t RunBackwardWalk(int t, std::vector<Edge>* edges);
 
-  // Side t's depth of v, or kUnreachable if side t has not reached it.
+  // Side t's depth of v, or kUnreachable if side t has not reached it or
+  // v is blocked.
   uint32_t Depth(int t, VertexId v) const {
     const uint32_t depth = depth_[v].side[t];
-    return depth == kUnreachable ? depth : depth & ~kOnPath;
+    return depth >= kBlocked ? kUnreachable : depth & ~kOnPath;
   }
   const LevelStack& levels(int t) const { return levels_[t]; }
   // Vertices an expansion settled that the other side had settled before,
@@ -120,6 +137,9 @@ class BidirectionalSearch {
   // never reach it, and unreached sides (kUnreachable) never equal a
   // marked or unmarked level.
   static constexpr uint32_t kOnPath = 1u << 31;
+  // Both sides' depth of a blocked vertex: not kUnreachable, so never
+  // settled, and above every marked or unmarked level (< kOnPath - 2).
+  static constexpr uint32_t kBlocked = kUnreachable - 1;
 
   // One vertex's level on each side, kUnreachable where that side has not
   // reached it, with kOnPath set once side t's reverse walk puts the
@@ -131,10 +151,12 @@ class BidirectionalSearch {
   const Graph& g_;
   // depth_ holds both sides' SideDepths of each vertex in one 8-byte slot,
   // so settling a vertex and testing it for a meet is one random access.
-  // Every vertex outside levels_ reads {kUnreachable, kUnreachable}, so
-  // Reset() clears just the listed ones. on_path_[t][L] lists side t's on-path vertices at level L, and
-  // level_scan_[t][L] is the number of edges the expansion of level L
-  // scanned: the exact cost of walking back into level L bottom-up.
+  // Every vertex outside levels_ reads {kUnreachable, kUnreachable}, or
+  // {kBlocked, kBlocked} if blocked, so Reset() clears just the listed
+  // ones. on_path_[t][L] lists side t's on-path vertices at level L, and
+  // level_scan_[t][L] is the number of unblocked entries the expansion of
+  // level L scanned: the exact cost of walking back into level L
+  // bottom-up.
   std::vector<SideDepths> depth_;
   LevelStack levels_[2];
   std::vector<uint64_t> level_scan_[2];

@@ -97,34 +97,6 @@ double Graph::AverageDegree() const {
          static_cast<double>(NumVertices());
 }
 
-Graph Graph::WithoutEdgesAt(std::span<const VertexId> vertices) const {
-  const VertexId n = NumVertices();
-  std::vector<uint8_t> drop(n, 0);
-  for (const VertexId r : vertices) {
-    QBS_CHECK_LT(r, n);
-    drop[r] = 1;
-  }
-  // Exact size up front: an edge at a dropped vertex loses its entry there
-  // and, when the other end is kept, the entry pointing back.
-  uint64_t kept = adjacency_.size();
-  for (VertexId r = 0; r < n; ++r) {
-    if (drop[r] == 0) continue;
-    for (const VertexId w : Neighbors(r)) kept -= drop[w] == 0 ? 2 : 1;
-  }
-  std::vector<uint64_t> offsets(offsets_.size(), 0);
-  std::vector<VertexId> adjacency;
-  adjacency.reserve(kept);
-  for (VertexId v = 0; v < n; ++v) {
-    if (drop[v] == 0) {
-      for (const VertexId w : Neighbors(v)) {
-        if (drop[w] == 0) adjacency.push_back(w);
-      }
-    }
-    offsets[v + 1] = adjacency.size();
-  }
-  return AdoptCsr(std::move(offsets), std::move(adjacency));
-}
-
 std::vector<Edge> Graph::EdgeList() const {
   std::vector<Edge> edges;
   edges.reserve(NumEdges());

@@ -102,12 +102,6 @@ class Graph {
   /// All undirected edges, each once, normalized and sorted.
   std::vector<Edge> EdgeList() const;
 
-  /// A copy with every edge incident to `vertices` removed; the vertices
-  /// stay, isolated. One linear filter over the CSR: a filtered sorted,
-  /// deduplicated adjacency already meets every invariant, so nothing is
-  /// re-sorted. Ids must be < NumVertices(); duplicates are allowed.
-  Graph WithoutEdgesAt(std::span<const VertexId> vertices) const;
-
   /// Bytes of the adjacency structure (offsets + adjacency), the quantity the
   /// paper's Table 1 reports as |G|.
   uint64_t SizeBytes() const {
@@ -125,7 +119,7 @@ class Graph {
   /// FromCsr without the invariant CHECKs. Reserved for arrays already
   /// known valid: the cache loader just ran IsValidCsr on them (a second
   /// O(|V| + |E|) pass per load would cancel much of the cache's point on
-  /// billion-edge graphs), and WithoutEdgesAt filters a valid graph's.
+  /// billion-edge graphs).
   static Graph AdoptCsr(std::vector<uint64_t> offsets,
                         std::vector<VertexId> adjacency);
   friend std::optional<Graph> LoadGraphCache(const std::string& path,

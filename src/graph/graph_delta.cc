@@ -1,11 +1,52 @@
 #include "graph/graph_delta.h"
 
 #include <algorithm>
+#include <charconv>
+#include <limits>
 #include <map>
+#include <sstream>
 
 #include "util/check.h"
 
 namespace qbs {
+
+bool ParseEditLine(std::string_view line, GraphDelta* delta,
+                   std::string* error) {
+  std::istringstream in{std::string(line)};
+  std::string op, u_token, v_token;
+  if (!(in >> op) || op.front() == '#') return true;  // blank or comment
+  if (!(in >> u_token >> v_token)) {
+    *error = "expected 'i|d u v'";
+    return false;
+  }
+  std::string rest;
+  std::getline(in, rest);
+  v_token += rest.substr(0, rest.find_last_not_of(" \t\r\n\v\f") + 1);
+  auto parse_id = [error](const std::string& token, VertexId* id) {
+    uint64_t value = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+    if (ec != std::errc() || ptr != end ||
+        value > std::numeric_limits<VertexId>::max()) {
+      *error = "bad vertex id '" + token + "'";
+      return false;
+    }
+    *id = static_cast<VertexId>(value);
+    return true;
+  };
+  VertexId u = 0;
+  VertexId v = 0;
+  if (!parse_id(u_token, &u) || !parse_id(v_token, &v)) return false;
+  if (op == "i" || op == "insert") {
+    delta->Insert(u, v);
+  } else if (op == "d" || op == "delete") {
+    delta->Delete(u, v);
+  } else {
+    *error = "unknown op '" + op + "' (want i|d)";
+    return false;
+  }
+  return true;
+}
 
 NetChanges ComputeNetChanges(const Graph& base, const GraphDelta& delta) {
   NetChanges net;

@@ -21,6 +21,8 @@
 #define QBS_GRAPH_GRAPH_DELTA_H_
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/graph.h"
@@ -67,6 +69,15 @@ class GraphDelta {
  private:
   std::vector<EdgeUpdate> updates_;
 };
+
+/// Parses one line of an edit script (`qbs update --file`): "i u v" or
+/// "insert u v" appends an insert to *delta, "d u v" or "delete u v" a
+/// delete. A blank line or a '#' comment appends nothing. Anything after
+/// the third token joins v's, so "i 1 2 junk" is no vertex id. Returns
+/// false with *error set, and *delta untouched, on a line that is none of
+/// these. Ids are only parsed here: ComputeNetChanges judges them.
+bool ParseEditLine(std::string_view line, GraphDelta* delta,
+                   std::string* error);
 
 /// The net effect of a GraphDelta against a base graph: the edges that end
 /// up present but weren't (inserts) and absent but were (deletes), both

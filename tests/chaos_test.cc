@@ -269,9 +269,15 @@ TEST_F(ChaosTest, EveryPlanYieldsExactAnswersOrTypedErrors) {
     options.read_timeout_ms = 1000;
     options.idle_timeout_ms = 10000;
     options.write_timeout_ms = 2000;
+    // Connection ids count every connection the server accepted, so which
+    // fault stream a late connection draws depends on how many reconnects
+    // the faulted loop took, which timing decides. The post-plan probe
+    // therefore connects with the server's faults switched off.
+    std::atomic<bool> server_faults{true};
     if (plan.server.HasIoFaults() || plan.server.query_delay_rate > 0) {
-      options.fault_injector_factory = [&server_plan](uint64_t conn_id) {
-        return server_plan.MakeInjector(conn_id);
+      options.fault_injector_factory = [&](uint64_t conn_id) {
+        return server_faults.load() ? server_plan.MakeInjector(conn_id)
+                                    : nullptr;
       };
     }
     QueryServer server(*index_, options);
@@ -381,6 +387,7 @@ TEST_F(ChaosTest, EveryPlanYieldsExactAnswersOrTypedErrors) {
     if (!client.connected()) {
       ASSERT_TRUE(client.Reconnect()) << client.last_error();
     }
+    server_faults.store(false);
     QueryClient probe;
     ClientOptions probe_options;
     probe_options.read_timeout_ms = 3000;

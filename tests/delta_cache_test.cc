@@ -122,8 +122,7 @@ TEST(DeltaCacheTest, RecoverSearchSplicesCachedSegments) {
   const auto scheme = BuildLabelingScheme(g, SelectLandmarks(g, 8));
   const DeltaCache delta =
       DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
-  GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta, delta);
+  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta);
   uint64_t hits = 0;
   for (VertexId u = 0; u < 60; u += 3) {
     for (VertexId v = 100; v < 160; v += 7) {

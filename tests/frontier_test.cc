@@ -102,7 +102,7 @@ TEST(BidirectionalSearchTest, DepthsFollowBfsAndMeetSetIsTheIntersection) {
         for (const VertexId x : search.levels(t).Level(d[t])) {
           degree_sum += g.Degree(x);
         }
-        ASSERT_EQ(search.ExpandLevel(t), degree_sum);
+        ASSERT_EQ(search.ExpandLevel(t).scanned, degree_sum);
         ++d[t];
         ExpectSideDepths(search, 0, bfs[0], d[0]);
         ExpectSideDepths(search, 1, bfs[1], d[1]);

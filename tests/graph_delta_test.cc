@@ -1,7 +1,7 @@
 // GraphDelta / ComputeNetChanges / ApplyNetChanges semantics: script-order
 // evaluation, no-op and invalid accounting, insert/delete cancellation,
 // normalization, and the CSR splice — bit-identical to Graph::FromEdges on
-// the edited edge list, for G and for the patched sparsified graph G⁻.
+// the edited edge list.
 //
 // The splice property test draws its scripts from testing::DynamicSeeds
 // (QBS_DYNAMIC_SEEDS), like the dynamic-index gauntlet, and prints each
@@ -15,8 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/guided_search.h"
-#include "core/labeling.h"
 #include "gen/generators.h"
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
@@ -155,27 +153,20 @@ void ExpectSameCsr(const Graph& got, const Graph& want) {
   ASSERT_TRUE(std::ranges::equal(got.RawAdjacency(), want.RawAdjacency()));
 }
 
-// Splices `delta` into `g` and checks it against FromEdges, then checks the
-// patched G⁻ against MakeSparsifiedGraph of the result.
-void ExpectSpliceMatches(const Graph& g, const GraphDelta& delta,
-                         const PathLabeling& labeling) {
+// Splices `delta` into `g` and checks it against FromEdges.
+void ExpectSpliceMatches(const Graph& g, const GraphDelta& delta) {
   const NetChanges net = ComputeNetChanges(g, delta);
-  const Graph spliced = ApplyNetChanges(g, net);
-  ExpectSameCsr(spliced, EditedByFromEdges(g, net));
-  ExpectSameCsr(
-      PatchSparsifiedGraph(MakeSparsifiedGraph(g, labeling), net, labeling),
-      MakeSparsifiedGraph(spliced, labeling));
+  ExpectSameCsr(ApplyNetChanges(g, net), EditedByFromEdges(g, net));
 }
 
 TEST(GraphDeltaSpliceTest, EdgeCasesMatchFromEdges) {
   // Vertices 6 and 7 are isolated; 0 and 7 are the ends of the id range.
   const Graph g = Graph::FromEdges(
       8, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}, {4, 5}, {1, 5}});
-  const PathLabeling labeling(8, {2});
   auto check = [&](auto&& edit) {
     GraphDelta delta;
     edit(delta);
-    ExpectSpliceMatches(g, delta, labeling);
+    ExpectSpliceMatches(g, delta);
   };
   check([](GraphDelta& d) { d.Insert(0, 7); });  // first and last vertex
   check([](GraphDelta& d) { d.Insert(6, 7); });  // two isolated vertices
@@ -193,7 +184,7 @@ TEST(GraphDeltaSpliceTest, EdgeCasesMatchFromEdges) {
     d.Delete(0, 1);
     d.Insert(1, 4);
   });
-  check([](GraphDelta& d) {  // edits at the landmark reach G only
+  check([](GraphDelta& d) {  // edits around vertex 2
     d.Delete(2, 3);
     d.Insert(2, 6);
     d.Insert(5, 6);
@@ -202,8 +193,7 @@ TEST(GraphDeltaSpliceTest, EdgeCasesMatchFromEdges) {
 }
 
 // Random scripts over graph families with isolated vertices, hubs and long
-// paths; every script's splice equals FromEdges bit for bit, and so does
-// the patched G⁻, with landmarks among the edited endpoints.
+// paths; every script's splice equals FromEdges bit for bit.
 TEST(GraphDeltaSpliceTest, RandomScriptsMatchFromEdges) {
   for (const uint64_t seed : testing::DynamicSeeds()) {
     std::printf("[splice] seed=%" PRIu64 "\n", seed);
@@ -213,11 +203,6 @@ TEST(GraphDeltaSpliceTest, RandomScriptsMatchFromEdges) {
                       : family == 1 ? BarabasiAlbert(150, 2, seed)
                                     : PathGraph(90);
       const VertexId n = g.NumVertices();
-      std::vector<VertexId> landmarks;
-      for (VertexId r = static_cast<VertexId>(seed % 7); r < n; r += 11) {
-        landmarks.push_back(r);
-      }
-      const PathLabeling labeling(n, landmarks);
       for (int script = 0; script < 10; ++script) {
         const std::vector<Edge> edges = g.EdgeList();
         // Edits cluster on a few vertices, the ends of the id range among
@@ -238,7 +223,7 @@ TEST(GraphDeltaSpliceTest, RandomScriptsMatchFromEdges) {
             delta.Delete(e.u, e.v);
           }
         }
-        ExpectSpliceMatches(g, delta, labeling);
+        ExpectSpliceMatches(g, delta);
         if (::testing::Test::HasFatalFailure()) {
           std::printf("[splice] failed: family %d, script %d\n", family,
                       script);

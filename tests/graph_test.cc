@@ -61,17 +61,6 @@ TEST(GraphTest, EdgeListRoundTrip) {
   EXPECT_EQ(g.EdgeList(), edges);
 }
 
-TEST(GraphTest, WithoutEdgesAtIsolatesTheGivenVertices) {
-  const Graph g = Graph::FromEdges(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {0, 4}});
-  const VertexId removed[] = {1, 3, 1};  // a repeated id changes nothing
-  const Graph cut = g.WithoutEdgesAt(removed);
-  EXPECT_EQ(cut.NumVertices(), 5u);
-  EXPECT_EQ(cut.EdgeList(), (std::vector<Edge>{{0, 4}}));
-  EXPECT_EQ(cut.Degree(1), 0u);
-  EXPECT_EQ(cut.Degree(2), 0u);
-  EXPECT_EQ(Graph().WithoutEdgesAt({}).NumVertices(), 0u);
-}
-
 TEST(GraphTest, SizeBytesGrowsWithEdges) {
   Graph small = Graph::FromEdges(4, {{0, 1}});
   Graph large = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}, {0, 3}});

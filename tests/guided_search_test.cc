@@ -10,6 +10,7 @@
 #include "core/labeling.h"
 #include "core/landmark_selection.h"
 #include "gen/generators.h"
+#include "graph/frontier.h"
 #include "tests/test_util.h"
 
 namespace qbs {
@@ -24,13 +25,11 @@ class GuidedSearchFigure4Test : public ::testing::Test {
   GuidedSearchFigure4Test()
       : graph_(Figure4Graph()),
         scheme_(BuildLabelingScheme(graph_, Figure4Landmarks())),
-        gminus_(MakeSparsifiedGraph(graph_, scheme_.labeling)),
         delta_(DeltaCache::Build(graph_, scheme_.labeling, scheme_.meta, 1)),
-        searcher_(graph_, gminus_, scheme_.labeling, scheme_.meta, delta_) {}
+        searcher_(graph_, scheme_.labeling, scheme_.meta, delta_) {}
 
   Graph graph_;
   LabelingScheme scheme_;
-  Graph gminus_;
   DeltaCache delta_;
   GuidedSearcher searcher_;
 };
@@ -106,10 +105,9 @@ TEST_F(GuidedSearchFigure4Test, StatsTrackSparsification) {
 TEST(GuidedSearchTest, DisconnectedPair) {
   Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
   const auto scheme = BuildLabelingScheme(g, {1});
-  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
   const DeltaCache delta =
       DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta, delta);
+  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta);
   SearchStats stats;
   const auto spg = searcher.Query(0, 5, &stats);
   EXPECT_FALSE(spg.Connected());
@@ -122,10 +120,9 @@ TEST(GuidedSearchTest, ComponentWithoutLandmarks) {
   Graph g = Graph::FromEdges(7, {{0, 1}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
                                  {2, 6}});
   const auto scheme = BuildLabelingScheme(g, {0});
-  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
   const DeltaCache delta =
       DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta, delta);
+  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta);
   SearchStats stats;
   const auto spg = searcher.Query(2, 4, &stats);
   EXPECT_EQ(spg, SpgByDoubleBfs(g, 2, 4));
@@ -135,10 +132,9 @@ TEST(GuidedSearchTest, ComponentWithoutLandmarks) {
 TEST(GuidedSearchTest, AllPathsThroughLandmarkHub) {
   Graph g = StarGraph(12);
   const auto scheme = BuildLabelingScheme(g, {0});
-  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
   const DeltaCache delta =
       DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta, delta);
+  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta);
   SearchStats stats;
   const auto spg = searcher.Query(3, 9, &stats);
   EXPECT_EQ(spg, SpgByDoubleBfs(g, 3, 9));
@@ -150,10 +146,9 @@ TEST(GuidedSearchTest, AllPathsThroughLandmarkHub) {
 TEST(GuidedSearchTest, QueryWithPrecomputedSketch) {
   Graph g = testing::Figure4Graph();
   const auto scheme = BuildLabelingScheme(g, testing::Figure4Landmarks());
-  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
   const DeltaCache delta =
       DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta, delta);
+  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta);
   const Sketch sketch = ComputeSketch(scheme.labeling, scheme.meta, 5, 10);
   EXPECT_EQ(searcher.QueryWithSketch(5, 10, sketch),
             SpgByDoubleBfs(g, 5, 10));
@@ -163,10 +158,9 @@ TEST(GuidedSearchTest, PathGraphLongDistances) {
   // High-diameter regime: every label distance large, search bounded.
   Graph g = PathGraph(200);
   const auto scheme = BuildLabelingScheme(g, {100});
-  const Graph gminus = MakeSparsifiedGraph(g, scheme.labeling);
   const DeltaCache delta =
       DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  GuidedSearcher searcher(g, gminus, scheme.labeling, scheme.meta, delta);
+  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta);
   EXPECT_EQ(searcher.Query(0, 199), SpgByDoubleBfs(g, 0, 199));
   EXPECT_EQ(searcher.Query(50, 150), SpgByDoubleBfs(g, 50, 150));
   EXPECT_EQ(searcher.Query(0, 99), SpgByDoubleBfs(g, 0, 99));
@@ -177,16 +171,41 @@ struct SearchSetup {
   SearchSetup(Graph graph, const std::vector<VertexId>& landmarks)
       : g(std::move(graph)),
         scheme(BuildLabelingScheme(g, landmarks)),
-        gminus(MakeSparsifiedGraph(g, scheme.labeling)),
         delta(DeltaCache::Build(g, scheme.labeling, scheme.meta, 1)),
-        searcher(g, gminus, scheme.labeling, scheme.meta, delta) {}
+        searcher(g, scheme.labeling, scheme.meta, delta) {}
 
   Graph g;
   LabelingScheme scheme;
-  Graph gminus;
   DeltaCache delta;
   GuidedSearcher searcher;
 };
+
+TEST(GuidedSearchTest, LabelWalkCountsOnlySparsifiedEntries) {
+  // Every shortest path from u=4 to v=6 runs through the landmark 0. With
+  // the depth guides zeroed the sides alternate by size: u's ten leaves
+  // make v's side expand until it runs into 0, so u's side stops at depth
+  // 1 and the recover search walks labels from 3 down to 0. Joining the
+  // second landmark 7 to the walked vertices 3 and 2 adds G entries but no
+  // G⁻ entry, so the recover count must not move.
+  std::vector<Edge> path = {{4, 3}, {3, 2}, {2, 1}, {1, 0}, {0, 5}, {5, 6}};
+  for (VertexId leaf = 8; leaf < 18; ++leaf) path.push_back({4, leaf});
+  std::vector<Edge> joined = path;
+  joined.insert(joined.end(), {{7, 3}, {7, 2}});
+  uint64_t recover[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    SearchSetup s(Graph::FromEdges(18, i == 0 ? path : joined), {0, 7});
+    Sketch sketch = ComputeSketch(s.scheme.labeling, s.scheme.meta, 4, 6);
+    sketch.d_star_u = 0;
+    sketch.d_star_v = 0;
+    SearchStats stats;
+    EXPECT_EQ(s.searcher.QueryWithSketch(4, 6, sketch, &stats),
+              SpgByDoubleBfs(s.g, 4, 6));
+    EXPECT_EQ(stats.coverage, PairCoverage::kAllThroughLandmarks);
+    recover[i] = stats.edges_scanned_recover;
+  }
+  EXPECT_EQ(recover[0], 4u);  // deg⁻(3) + deg⁻(2)
+  EXPECT_EQ(recover[1], recover[0]);
+}
 
 TEST(ReverseWalkTest, HubMeetVertexWalksBottomUp) {
   // u=0 - a=1 - H=2 - b=3 - v=4 with 200 extra leaves on the non-landmark
@@ -204,7 +223,7 @@ TEST(ReverseWalkTest, HubMeetVertexWalksBottomUp) {
   EXPECT_EQ(spg, SpgByDoubleBfs(s.g, 0, 4));
   EXPECT_EQ(spg.distance, 4u);
   EXPECT_EQ(stats.coverage, PairCoverage::kNoneThroughLandmarks);
-  EXPECT_LT(stats.edges_scanned_reverse, s.gminus.Degree(kHub));
+  EXPECT_LT(stats.edges_scanned_reverse, 202u);  // deg⁻(H)
 }
 
 TEST(ReverseWalkTest, ThinPathThroughWideLevelsWalksTopDown) {
@@ -264,57 +283,171 @@ TEST(ReverseWalkTest, MatchesOracleAndNeverOutscansSearch) {
 
 // G⁻ the slow way: keep the landmark-free edges and let FromEdges sort and
 // deduplicate them.
-Graph ReferenceSparsified(const Graph& g, const PathLabeling& labeling) {
+Graph ReferenceSparsified(const Graph& g, const std::vector<bool>& is_blocked) {
   std::vector<Edge> edges;
   for (const Edge& e : g.EdgeList()) {
-    if (!labeling.IsLandmark(e.u) && !labeling.IsLandmark(e.v)) {
-      edges.push_back(e);
-    }
+    if (!is_blocked[e.u] && !is_blocked[e.v]) edges.push_back(e);
   }
   return Graph::FromEdges(g.NumVertices(), std::move(edges));
 }
 
-void ExpectSparsifiedMatchesReference(const Graph& g,
-                                      const std::vector<VertexId>& landmarks) {
-  const PathLabeling labeling(g.NumVertices(), landmarks);
-  const Graph fast = MakeSparsifiedGraph(g, labeling);
-  const Graph ref = ReferenceSparsified(g, labeling);
-  EXPECT_TRUE(std::ranges::equal(fast.RawOffsets(), ref.RawOffsets()));
-  EXPECT_TRUE(std::ranges::equal(fast.RawAdjacency(), ref.RawAdjacency()));
+std::vector<VertexId> LevelVector(const BidirectionalSearch& search, int t,
+                                  size_t level) {
+  const auto span = search.levels(t).Level(level);
+  return {span.begin(), span.end()};
 }
 
-TEST(SparsifiedGraphTest, MatchesFromEdgesOnGraphFamilies) {
+// Searching G with `blocked` blocked is searching the stored G⁻: for every
+// pair of unblocked vertices (all pairs, or `max_pairs` sampled), the same
+// sides expand into the same levels, the same meet set and the same
+// backward-walk edges, and every expansion scans G⁻'s entries, skipping
+// exactly G's other entries as blocked ones.
+void ExpectBlockedSearchMatchesReference(const Graph& g,
+                                         const std::vector<VertexId>& blocked,
+                                         size_t max_pairs = 0) {
+  std::vector<bool> is_blocked(g.NumVertices(), false);
+  for (const VertexId b : blocked) is_blocked[b] = true;
+  const Graph ref = ReferenceSparsified(g, is_blocked);
+  BidirectionalSearch in_place(g, blocked);
+  BidirectionalSearch stored(ref);
+  std::vector<std::pair<VertexId, VertexId>> pairs;
+  for (VertexId u = 0; u < g.NumVertices(); ++u) {
+    for (VertexId v = 0; v < g.NumVertices(); ++v) {
+      if (u != v && !is_blocked[u] && !is_blocked[v]) pairs.emplace_back(u, v);
+    }
+  }
+  if (max_pairs > 0 && pairs.size() > max_pairs) {
+    std::mt19937_64 rng(g.NumVertices());
+    std::shuffle(pairs.begin(), pairs.end(), rng);
+    pairs.resize(max_pairs);
+  }
+  for (const auto& [u, v] : pairs) {
+    SCOPED_TRACE(::testing::Message() << "u=" << u << " v=" << v);
+    in_place.Reset();
+    stored.Reset();
+    in_place.Seed(0, u);
+    in_place.Seed(1, v);
+    stored.Seed(0, u);
+    stored.Seed(1, v);
+    uint64_t search_scans = 0;
+    uint32_t d[2] = {0, 0};
+    while (stored.meet_set().empty() &&
+           stored.levels(0).LevelSize(d[0]) > 0 &&
+           stored.levels(1).LevelSize(d[1]) > 0) {
+      const int t =
+          stored.levels(0).TotalSize() <= stored.levels(1).TotalSize() ? 0 : 1;
+      uint64_t blocked_entries = 0;
+      for (const VertexId x : stored.levels(t).Level(d[t])) {
+        blocked_entries += g.Degree(x) - ref.Degree(x);
+      }
+      const LevelScan got = in_place.ExpandLevel(t);
+      const LevelScan want = stored.ExpandLevel(t);
+      ++d[t];
+      ASSERT_EQ(got.scanned, want.scanned);
+      ASSERT_EQ(want.blocked, 0u);
+      ASSERT_EQ(got.blocked, blocked_entries);
+      ASSERT_EQ(LevelVector(in_place, t, d[t]), LevelVector(stored, t, d[t]));
+      search_scans += got.scanned;
+    }
+    ASSERT_EQ(in_place.meet_set(), stored.meet_set());
+    for (VertexId x = 0; x < g.NumVertices(); ++x) {
+      for (int t = 0; t < 2; ++t) {
+        ASSERT_EQ(in_place.Depth(t, x), stored.Depth(t, x)) << "x=" << x;
+      }
+    }
+    for (const VertexId m : stored.meet_set()) {
+      for (int t = 0; t < 2; ++t) {
+        in_place.AddBackwardStart(t, m);
+        stored.AddBackwardStart(t, m);
+      }
+    }
+    std::vector<Edge> got_edges;
+    std::vector<Edge> want_edges;
+    uint64_t got_reverse = 0;
+    uint64_t want_reverse = 0;
+    for (int t = 0; t < 2; ++t) {
+      got_reverse += in_place.RunBackwardWalk(t, &got_edges);
+      want_reverse += stored.RunBackwardWalk(t, &want_edges);
+    }
+    std::sort(got_edges.begin(), got_edges.end());
+    std::sort(want_edges.begin(), want_edges.end());
+    ASSERT_EQ(got_edges, want_edges);
+    // Blocked entries can only steer a level bottom-up, never make it
+    // scan more than its search did.
+    ASSERT_GE(got_reverse, want_reverse);
+    ASSERT_LE(got_reverse, search_scans);
+  }
+}
+
+TEST(BlockedSearchTest, MatchesStoredSparsifiedGraphOnGraphFamilies) {
   for (const Graph& g :
        {BarabasiAlbert(500, 3, 1), WattsStrogatz(400, 6, 0.2, 2),
         ErdosRenyi(300, 900, 3)}) {
     for (const uint32_t k : {1u, 8u, 40u}) {
-      ExpectSparsifiedMatchesReference(g, SelectLandmarks(g, k));
-      ExpectSparsifiedMatchesReference(
-          g, testing::RandomLandmarks(g, k, /*seed=*/k));
+      ExpectBlockedSearchMatchesReference(g, SelectLandmarks(g, k), 300);
+      ExpectBlockedSearchMatchesReference(
+          g, testing::RandomLandmarks(g, k, /*seed=*/k), 300);
     }
   }
-  ExpectSparsifiedMatchesReference(testing::Figure4Graph(),
-                                   testing::Figure4Landmarks());
+  ExpectBlockedSearchMatchesReference(testing::Figure4Graph(),
+                                      testing::Figure4Landmarks());
 }
 
-TEST(SparsifiedGraphTest, EdgeCases) {
-  // |R| = 0: G⁻ is G.
-  ExpectSparsifiedMatchesReference(BarabasiAlbert(100, 2, 5), {});
+TEST(BlockedSearchTest, TopDownWalkIsChargedOnlyUnblockedEntries) {
+  // u=0 has nine leaves besides 1, so side 0 walks back from the meet
+  // vertex 1 top-down: deg(1) = 3 in G is at most the 10 entries its
+  // level 0 scanned. One of the three leads to the blocked 12, so the walk
+  // is charged G⁻'s 2. Side 1's level 0 scanned 1 entry, so it walks
+  // bottom-up.
+  std::vector<Edge> edges = {{0, 1}, {1, 2}, {1, 12}};
+  for (VertexId leaf = 3; leaf < 12; ++leaf) edges.push_back({0, leaf});
+  const Graph g = Graph::FromEdges(13, std::move(edges));
+  const VertexId blocked[] = {12};
+  BidirectionalSearch search(g, blocked);
+  search.Reset();
+  search.Seed(0, 0);
+  search.Seed(1, 2);
+  EXPECT_EQ(search.ExpandLevel(0).scanned, 10u);
+  EXPECT_EQ(search.ExpandLevel(1).scanned, 1u);
+  ASSERT_EQ(search.meet_set(), std::vector<VertexId>{1});
+  search.AddBackwardStart(0, 1);
+  search.AddBackwardStart(1, 1);
+  std::vector<Edge> walked;
+  EXPECT_EQ(search.RunBackwardWalk(0, &walked), 2u);
+  EXPECT_EQ(search.RunBackwardWalk(1, &walked), 1u);
+  std::sort(walked.begin(), walked.end());
+  EXPECT_EQ(walked, (std::vector<Edge>{{1, 0}, {1, 2}}));
+}
+
+TEST(BlockedSearchTest, EdgeCases) {
+  // |R| = 0: G⁻ is G, and nothing is ever skipped.
+  ExpectBlockedSearchMatchesReference(BarabasiAlbert(100, 2, 5), {});
   // Landmark 0's neighbours {1, 2} are all landmarks; 2 also touches 3.
   const Graph hub = Graph::FromEdges(
       5, {{0, 1}, {0, 2}, {1, 2}, {2, 3}, {3, 4}});
-  ExpectSparsifiedMatchesReference(hub, {0, 1, 2});
+  ExpectBlockedSearchMatchesReference(hub, {0, 1, 2});
   // An all-landmark path component, a cycle holding one landmark, and an
   // isolated landmark.
   const Graph parts = Graph::FromEdges(
       8, {{0, 1}, {1, 2}, {3, 4}, {4, 5}, {5, 6}, {6, 3}});
-  ExpectSparsifiedMatchesReference(parts, {0, 1, 2, 4, 7});
-  // Every vertex a landmark: no edges left.
+  ExpectBlockedSearchMatchesReference(parts, {0, 1, 2, 4, 7});
+  // Every vertex blocked: no vertex has a depth, and a searcher whose every
+  // vertex is a landmark still answers every pair by recovery alone.
   const Graph path = PathGraph(6);
-  ExpectSparsifiedMatchesReference(path, {5, 4, 3, 2, 1, 0});
-  EXPECT_EQ(MakeSparsifiedGraph(path, PathLabeling(6, {0, 1, 2, 3, 4, 5}))
-                .NumEdges(),
-            0u);
+  const std::vector<VertexId> all = {5, 4, 3, 2, 1, 0};
+  const BidirectionalSearch none_left(path, all);
+  for (VertexId x = 0; x < path.NumVertices(); ++x) {
+    EXPECT_EQ(none_left.Depth(0, x), kUnreachable);
+    EXPECT_EQ(none_left.Depth(1, x), kUnreachable);
+  }
+  SearchSetup s(path, all);
+  for (VertexId u = 0; u < path.NumVertices(); ++u) {
+    for (VertexId v = 0; v < path.NumVertices(); ++v) {
+      SearchStats stats;
+      ASSERT_EQ(s.searcher.Query(u, v, &stats), SpgByDoubleBfs(path, u, v));
+      EXPECT_EQ(stats.edges_scanned_search, 0u);
+    }
+  }
 }
 
 }  // namespace

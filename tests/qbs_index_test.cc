@@ -163,38 +163,38 @@ struct SweepParam {
 
 class QbsOracleSweep : public ::testing::TestWithParam<SweepParam> {};
 
-TEST_P(QbsOracleSweep, MatchesOracleEverywhere) {
-  const auto& p = GetParam();
-  Graph g;
+Graph SweepGraph(const SweepParam& p) {
   switch (p.family) {
     case 0:
-      g = BarabasiAlbert(350, 2, p.seed);
-      break;
+      return BarabasiAlbert(350, 2, p.seed);
     case 1:
-      g = LargestComponent(ErdosRenyi(350, 600, p.seed)).graph;
-      break;
+      return LargestComponent(ErdosRenyi(350, 600, p.seed)).graph;
     case 2:
-      g = WattsStrogatz(350, 6, 0.2, p.seed);
-      break;
+      return WattsStrogatz(350, 6, 0.2, p.seed);
     case 3:
-      g = LargestComponent(RMat(9, 4, 0.57, 0.19, 0.19, p.seed)).graph;
-      break;
+      return LargestComponent(RMat(9, 4, 0.57, 0.19, 0.19, p.seed)).graph;
     case 4:
-      g = GridGraph(15, 20);
-      break;
+      return GridGraph(15, 20);
     default:
-      g = CompleteBinaryTree(255);
-      break;
+      return CompleteBinaryTree(255);
   }
+}
+
+QbsIndex SweepIndex(const Graph& g, const SweepParam& p) {
   QbsOptions options;
   options.num_landmarks = p.num_landmarks;
   options.num_threads = p.threads;
-  QbsIndex index =
-      p.random_landmarks
-          ? QbsIndex::BuildWithLandmarks(
-                g, testing::RandomLandmarks(g, p.num_landmarks, p.seed),
-                options)
-          : QbsIndex::Build(g, options);
+  return p.random_landmarks
+             ? QbsIndex::BuildWithLandmarks(
+                   g, testing::RandomLandmarks(g, p.num_landmarks, p.seed),
+                   options)
+             : QbsIndex::Build(g, options);
+}
+
+TEST_P(QbsOracleSweep, MatchesOracleEverywhere) {
+  const auto& p = GetParam();
+  const Graph g = SweepGraph(p);
+  const QbsIndex index = SweepIndex(g, p);
 
   const auto pairs = SampleQueryPairs(g, 60, p.seed + 1000);
   for (const auto& [u, v] : pairs) {
@@ -210,6 +210,40 @@ TEST_P(QbsOracleSweep, MatchesOracleEverywhere) {
     const VertexId a = index.landmarks()[0];
     const VertexId b = index.landmarks()[1];
     ASSERT_EQ(index.Query({a, b}).spg, SpgByDoubleBfs(g, a, b));
+  }
+}
+
+// Distance answers stop once stage 1 has fixed the distance: the distance
+// is the oracle's, and no reverse or recover edge is scanned. A budgeted
+// SPG request past its budget stops there too, and answers exactly as a
+// full search whose edges are dropped would.
+TEST_P(QbsOracleSweep, DistanceModeMatchesOracleAtDistanceCost) {
+  const auto& p = GetParam();
+  const Graph g = SweepGraph(p);
+  const QbsIndex index = SweepIndex(g, p);
+  auto pairs = SampleQueryPairs(g, 60, p.seed + 1000);
+  for (const VertexId r : index.landmarks()) pairs.push_back({r, pairs[0].v});
+  for (const auto& [u, v] : pairs) {
+    const ShortestPathGraph oracle = SpgByDoubleBfs(g, u, v);
+    const QueryResponse dist = index.Query({u, v, QueryMode::kDistance});
+    ASSERT_EQ(dist.spg.distance, oracle.distance)
+        << "family=" << p.family << " u=" << u << " v=" << v;
+    EXPECT_TRUE(dist.spg.edges.empty());
+    EXPECT_EQ(dist.flags, 0u);
+    EXPECT_EQ(dist.stats.edges_scanned_reverse, 0u);
+    EXPECT_EQ(dist.stats.edges_scanned_recover, 0u);
+    if (oracle.distance < 2 || oracle.distance == kUnreachable) continue;
+    const uint32_t budget = oracle.distance - 1;
+    const QueryResponse over = index.Query({u, v, QueryMode::kSpg, budget});
+    if (over.flags == kResponseFlagBudgetPruned) continue;  // label-certified
+    ASSERT_EQ(over.flags, kResponseFlagBudgetExceeded);
+    EXPECT_EQ(over.spg.distance, oracle.distance);
+    EXPECT_TRUE(over.spg.edges.empty());
+    EXPECT_EQ(over.stats.edges_scanned_reverse, 0u);
+    EXPECT_EQ(over.stats.edges_scanned_recover, 0u);
+    // Within budget the same request still gets every edge.
+    EXPECT_EQ(index.Query({u, v, QueryMode::kSpg, oracle.distance}).spg,
+              oracle);
   }
 }
 

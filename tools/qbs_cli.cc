@@ -753,40 +753,6 @@ int Serve(int argc, char** argv) {
   return 0;
 }
 
-// Parses one edit per line: "i u v" / "insert u v" adds an edge,
-// "d u v" / "delete u v" removes one. Blank lines and '#' comments skip.
-bool ParseEditLine(const std::string& line, qbs::GraphDelta* delta,
-                   std::string* error) {
-  std::istringstream in(line);
-  std::string op_tok, u_tok, v_tok;
-  if (!(in >> op_tok >> u_tok >> v_tok)) {
-    *error = "expected 'i|d u v'";
-    return false;
-  }
-  // Anything after the third token joins v's, so "2 junk" is no vertex id.
-  std::string rest;
-  std::getline(in, rest);
-  rest.erase(rest.find_last_not_of(" \t\r") + 1);
-  v_tok += rest;
-  auto bad_id = [error](const std::string& tok) {
-    *error = "bad vertex id '" + tok + "'";
-    return false;
-  };
-  qbs::VertexId u = 0;
-  qbs::VertexId v = 0;
-  if (!ParseNumber(u_tok, &u)) return bad_id(u_tok);
-  if (!ParseNumber(v_tok, &v)) return bad_id(v_tok);
-  if (op_tok == "i" || op_tok == "insert") {
-    delta->Insert(u, v);
-  } else if (op_tok == "d" || op_tok == "delete") {
-    delta->Delete(u, v);
-  } else {
-    *error = "unknown op '" + op_tok + "' (want i|d)";
-    return false;
-  }
-  return true;
-}
-
 int Update(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string host = argv[0];
@@ -828,10 +794,8 @@ int Update(int argc, char** argv) {
     size_t line_no = 0;
     while (std::getline(*in, line)) {
       ++line_no;
-      const size_t start = line.find_first_not_of(" \t\r");
-      if (start == std::string::npos || line[start] == '#') continue;
       std::string error;
-      if (!ParseEditLine(line, &delta, &error)) {
+      if (!qbs::ParseEditLine(line, &delta, &error)) {
         std::fprintf(stderr, "%s:%zu: %s\n", file_path.c_str(), line_no,
                      error.c_str());
         return 1;
