@@ -1,5 +1,7 @@
 // Regenerates Table 2: construction time (QbS-P, QbS, PPL, ParentPPL) and
-// average query time (QbS, PPL, ParentPPL, Bi-BFS) per dataset.
+// average query time (QbS, PPL, ParentPPL, Bi-BFS) per dataset, plus the
+// distance-only query time of QbS (QueryMode::kDistance) and Bi-BFS
+// (BiBfs::Distance) over the same pairs.
 //
 // PPL / ParentPPL run under a construction budget (--budget, default
 // 10 s — the paper's cutoff is 24 h); exceeding it prints DNF, and
@@ -41,8 +43,9 @@ void Run() {
   TablePrinter table(
       "Table 2",
       {"Dataset", "QbS-P(s)", "QbS(s)", "PPL(s)", "PPPL(s)", "qQbS(ms)",
-       "qBatch(ms)", "qPPL(ms)", "qPPPL(ms)", "qBiBFS(ms)"},
-      {12, 9, 9, 9, 9, 10, 10, 10, 10, 10});
+       "qBatch(ms)", "qPPL(ms)", "qPPPL(ms)", "qBiBFS(ms)", "qDist(ms)",
+       "dBiBFS(ms)"},
+      {12, 9, 9, 9, 9, 10, 10, 10, 10, 10, 10, 10});
 
   for (const DatasetSpec* spec : Args().datasets) {
     const LoadedDataset d = LoadDataset(spec);
@@ -84,6 +87,11 @@ void Run() {
     WallTimer qtimer;
     for (const auto& [u, v] : d.pairs) qbs.Query({u, v});
     const double q_qbs = qtimer.ElapsedMillis() / d.pairs.size();
+    qtimer.Reset();
+    for (const auto& [u, v] : d.pairs) {
+      qbs.Query({u, v, QueryMode::kDistance});
+    }
+    const double q_dist = qtimer.ElapsedMillis() / d.pairs.size();
 
     // Parallel batch path: QueryBatch in batch_size chunks on the QbS-P
     // index (per-thread searcher pool + shared-cursor ParallelFor).
@@ -119,6 +127,9 @@ void Run() {
     qtimer.Reset();
     for (const auto& [u, v] : d.pairs) bibfs.Query(u, v);
     const double q_bibfs = qtimer.ElapsedMillis() / d.pairs.size();
+    qtimer.Reset();
+    for (const auto& [u, v] : d.pairs) bibfs.Distance(u, v);
+    const double d_bibfs = qtimer.ElapsedMillis() / d.pairs.size();
 
     table.Row({d.id, FormatSeconds(qbsp_seconds),
                FormatSeconds(qbs_seconds),
@@ -127,7 +138,7 @@ void Run() {
                pppl.has_value() ? FormatSeconds(pppl_seconds)
                                 : StatusString(pppl_status),
                FormatMs(q_qbs), FormatMs(q_batch), q_ppl, q_pppl,
-               FormatMs(q_bibfs)});
+               FormatMs(q_bibfs), FormatMs(q_dist), FormatMs(d_bibfs)});
   }
   table.Footer();
 }

@@ -21,121 +21,11 @@ GuidedSearcher::GuidedSearcher(const Graph& g, const PathLabeling& labeling,
 
 ShortestPathGraph GuidedSearcher::Query(VertexId u, VertexId v,
                                         SearchStats* stats,
-                                        const LabelBound* certify,
                                         uint32_t edges_within) {
-  if (u != v) {
-    // Certify bound: handed in by a caller that timed it separately, or one
-    // fused row scan here. Certified pairs finish without a sketch.
-    const LabelBound bound = certify != nullptr
-                                 ? *certify
-                                 : ComputeLabelBound(labeling_, meta_, u, v);
-    ShortestPathGraph result;
-    if (TryLabelFastPath(u, v, bound, stats, &result)) return result;
-  }
   ComputeSketchInto(labeling_, meta_, u, v, &sketch_scratch_,
                     &sketch_buffers_, /*with_meta_edges=*/false);
   lazy_sketch_ = true;
   return QueryWithSketch(u, v, sketch_scratch_, stats, edges_within);
-}
-
-std::pair<size_t, size_t> GuidedSearcher::EmitShortSpgEdges(
-    VertexId u, VertexId v, uint32_t distance, SearchStats* stats,
-    ShortestPathGraph* result) {
-  result->edges.clear();
-  if (distance == 1) {
-    result->edges.emplace_back(u, v);
-    result->Normalize();
-    return {0, 0};
-  }
-  QBS_DCHECK(distance == 2);
-  // Common-neighbour intersection over the sorted adjacency lists: every
-  // shortest path of a distance-2 pair is u - w - v with w in N(u) ∩ N(v).
-  // Skewed degrees (hub endpoints) binary-search the small list through
-  // the big one; similar degrees linear-merge, clamped to the id range the
-  // small list can reach — either way the cost tracks the smaller
-  // neighbourhood, not the hub's.
-  std::span<const VertexId> small = g_.Neighbors(u);
-  std::span<const VertexId> big = g_.Neighbors(v);
-  if (small.size() > big.size()) std::swap(small, big);
-  common_scratch_.clear();
-  if (!small.empty() && small.size() * 8 <= big.size()) {
-    for (const VertexId w : small) {
-      ++stats->edges_scanned_direct;
-      if (std::binary_search(big.begin(), big.end(), w)) {
-        common_scratch_.push_back(w);
-      }
-    }
-  } else if (!small.empty()) {
-    const auto* lo =
-        std::lower_bound(big.data(), big.data() + big.size(), small.front());
-    const auto* hi =
-        std::upper_bound(lo, big.data() + big.size(), small.back());
-    size_t iu = 0;
-    while (iu < small.size() && lo != hi) {
-      ++stats->edges_scanned_direct;
-      if (small[iu] < *lo) {
-        ++iu;
-      } else if (*lo < small[iu]) {
-        ++lo;
-      } else {
-        common_scratch_.push_back(small[iu]);
-        ++iu;
-        ++lo;
-      }
-    }
-  }
-  QBS_DCHECK(!common_scratch_.empty());  // distance 2 implies a witness
-  result->edges.reserve(2 * common_scratch_.size());
-  size_t landmark_witnesses = 0;
-  for (const VertexId w : common_scratch_) {
-    if (labeling_.IsLandmark(w)) ++landmark_witnesses;
-    result->edges.emplace_back(u, w);
-    result->edges.emplace_back(w, v);
-  }
-  result->Normalize();
-  return {landmark_witnesses, common_scratch_.size()};
-}
-
-bool GuidedSearcher::TryLabelFastPath(VertexId u, VertexId v,
-                                      const LabelBound& bound,
-                                      SearchStats* stats,
-                                      ShortestPathGraph* result) {
-  QBS_CHECK_LT(u, g_.NumVertices());
-  QBS_CHECK_LT(v, g_.NumVertices());
-  if (stats != nullptr) stats->d_label_upper = bound.upper;
-  if (bound.upper > 2) return false;  // not certified: run the guided search
-  // upper == 0 would force u == v. upper == 1 only arises with a landmark
-  // endpoint (virtual entry 0 + label 1) or an adjacent landmark pair.
-  QBS_DCHECK(bound.upper >= 1);
-
-  SearchStats local_stats;
-  SearchStats* s = stats != nullptr ? stats : &local_stats;
-  const bool endpoint_lm = labeling_.IsLandmark(u) || labeling_.IsLandmark(v);
-
-  result->u = u;
-  result->v = v;
-  uint32_t distance = bound.upper;
-  if (bound.upper == 2) {
-    // The certificate pins d to {1, 2}; one edge probe (HasEdge searches
-    // the smaller adjacency list itself) settles which.
-    s->edges_scanned_direct += 1;
-    if (g_.HasEdge(u, v)) distance = 1;
-  }
-  result->distance = distance;
-  const auto [landmark_witnesses, total_witnesses] =
-      EmitShortSpgEdges(u, v, distance, s, result);
-  if (distance == 1) {
-    s->coverage = endpoint_lm ? PairCoverage::kAllThroughLandmarks
-                              : PairCoverage::kNoneThroughLandmarks;
-  } else if (endpoint_lm || landmark_witnesses == total_witnesses) {
-    s->coverage = PairCoverage::kAllThroughLandmarks;
-  } else if (landmark_witnesses > 0) {
-    s->coverage = PairCoverage::kSomeThroughLandmarks;
-  } else {
-    s->coverage = PairCoverage::kNoneThroughLandmarks;
-  }
-  ++s->label_short_circuits;
-  return true;
 }
 
 int GuidedSearcher::PickSide(const Sketch& sketch, const uint32_t d[2]) const {
@@ -263,15 +153,6 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
   }
   // Eq. 5 has fixed the distance; everything below only builds edges.
   if (result.distance > edges_within) return result;
-
-  // Close pairs the labels could not certify still skip the reverse and
-  // recover stages: with the distance now known to be 1 or 2, the exact
-  // SPG is a direct edge / common-neighbour emission, so d <= 2 queries
-  // never scan a reverse or recover edge regardless of certification.
-  if (result.distance <= 2) {
-    EmitShortSpgEdges(u, v, result.distance, stats, &result);
-    return result;
-  }
 
   // Stage 2: reverse search (G⁻_uv) — runs iff the frontiers met, i.e.
   // d_G⁻(u, v) <= d⊤. Every shortest u–v path in G⁻ crosses the meeting

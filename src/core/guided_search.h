@@ -17,7 +17,6 @@
 #define QBS_CORE_GUIDED_SEARCH_H_
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "core/delta_cache.h"
@@ -46,21 +45,14 @@ class GuidedSearcher {
   GuidedSearcher(const Graph& g, const PathLabeling& labeling,
                  const MetaGraph& meta, const DeltaCache& delta);
 
-  // Answers SPG(u, v). Pairs whose label upper bound is <= 2 (landmark
-  // endpoints and two neighbours of one landmark) resolve on a label-guided
-  // fast path (ComputeLabelBound + an edge probe / common-neighbour
-  // intersection) with zero search, reverse, or recover edge scans;
-  // everything else computes the sketch internally and runs the guided
-  // search. `stats`, if non-null, receives the per-query counters.
-  // `certify`, if non-null, must be ComputeLabelBound(labeling, meta, u, v)
-  // for this exact pair; callers that time the certify scan on its own
-  // pass it in so it is not scanned twice.
+  // Answers SPG(u, v) at any distance: computes the sketch and runs the
+  // guided search, then stages 2-3 build the SPG as Eq. 5 directs.
+  // `stats`, if non-null, receives the per-query counters.
   // The caller wants edges only for a distance of at most `edges_within`
   // (0: distance only). A pair the search resolves beyond it returns right
   // after stage 1, with its exact distance and coverage and no edges; the
   // reverse and recover stages never run for it.
   ShortestPathGraph Query(VertexId u, VertexId v, SearchStats* stats = nullptr,
-                          const LabelBound* certify = nullptr,
                           uint32_t edges_within = kUnreachable);
 
   // As Query(), but with a caller-supplied sketch (exposed for tests and
@@ -71,27 +63,6 @@ class GuidedSearcher {
                                     uint32_t edges_within = kUnreachable);
 
  private:
-  // The label-certified d <= 2 fast path. `bound` is the pair's certify
-  // bound, computed by Query() or handed in by the caller. Returns true
-  // and fills *result (an exact SPG) when it certifies d(u, v) <= 2 (the
-  // bound's du + dv is the length of a real path); the SPG is then a single edge probe or a
-  // sorted-adjacency intersection away — no sketch, search, reverse, or
-  // recover work at all. Returns false — leaving *result untouched — when
-  // the labels cannot certify it (the guided search then resolves the
-  // pair, still recover-free when the distance turns out <= 2).
-  bool TryLabelFastPath(VertexId u, VertexId v, const LabelBound& bound,
-                        SearchStats* stats, ShortestPathGraph* result);
-
-  // Fills result->edges with the exact SPG of a pair KNOWN to be at
-  // distance 1 or 2 (direct edge, or one (u,w) + (w,v) pair per common
-  // neighbour w). Returns {landmark witnesses, total witnesses} of the
-  // distance-2 intersection ({0, 0} for distance 1) so callers can
-  // classify coverage.
-  std::pair<size_t, size_t> EmitShortSpgEdges(VertexId u, VertexId v,
-                                              uint32_t distance,
-                                              SearchStats* stats,
-                                              ShortestPathGraph* result);
-
   // §4.3: prefer the side whose sketch depth guide d* is not yet met,
   // breaking ties toward the smaller traversed set.
   int PickSide(const Sketch& sketch, const uint32_t d[2]) const;
@@ -123,7 +94,6 @@ class GuidedSearcher {
   EpochArray<uint64_t> walk_session_;  // landmark -> session serial
   uint64_t walk_serial_ = 0;
   std::vector<VertexId> walk_stack_;  // LabelWalk DFS stack
-  std::vector<VertexId> common_scratch_;  // fast-path common neighbours
   std::vector<Edge> edges_;  // accumulating answer
   std::vector<uint64_t> edge_keys_;  // its packed-key sort buffer
   Sketch sketch_scratch_;

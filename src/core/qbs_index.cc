@@ -65,37 +65,30 @@ QueryResponse QbsIndex::Execute(GuidedSearcher& searcher,
   QBS_CHECK_LT(request.u, g_->NumVertices());
   QBS_CHECK_LT(request.v, g_->NumVertices());
   QueryResponse response;
-  LabelBound bound;
   if (request.budget > 0 && request.u != request.v) {
     // One O(|R|) label-row scan can certify d > budget before any search
     // runs; the response then reports "unknown, provably beyond budget".
-    // The search below reuses the bound instead of scanning again.
-    if (certify == nullptr) {
-      bound = ComputeLabelBound(scheme_->labeling, scheme_->meta, request.u,
-                                request.v);
-      certify = &bound;
-    }
-    if (certify->lower > request.budget) {
+    const LabelBound bound =
+        certify != nullptr ? *certify
+                           : ComputeLabelBound(scheme_->labeling,
+                                               scheme_->meta, request.u,
+                                               request.v);
+    if (bound.lower > request.budget) {
       response.spg.u = request.u;
       response.spg.v = request.v;
       response.flags |= kResponseFlagBudgetPruned;
       return response;
     }
   }
-  // Edges beyond the budget, or any in distance mode, are dropped below,
-  // so the searcher stops once the distance is known.
+  // No edges beyond the budget, and none in distance mode: the searcher
+  // stops once the distance is known.
   uint32_t edges_within = request.budget > 0 ? request.budget : kUnreachable;
   if (request.mode == QueryMode::kDistance) edges_within = 0;
-  response.spg = searcher.Query(request.u, request.v, &response.stats,
-                                certify, edges_within);
+  response.spg =
+      searcher.Query(request.u, request.v, &response.stats, edges_within);
   if (request.budget > 0 && response.spg.Connected() &&
       response.spg.distance > request.budget) {
     response.flags |= kResponseFlagBudgetExceeded;
-    response.spg.edges.clear();
-    response.spg.edges.shrink_to_fit();
-  } else if (request.mode == QueryMode::kDistance) {
-    response.spg.edges.clear();
-    response.spg.edges.shrink_to_fit();
   }
   return response;
 }
@@ -172,8 +165,7 @@ std::span<const uint32_t> QbsIndex::ColumnDepthsForTesting(
   return updatable_->columns.at(i).depth;
 }
 
-UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta,
-                                   const UpdateOptions& options) {
+UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta) {
   QBS_CHECK(updatable_ != nullptr);  // EnableUpdates() first
   const NetChanges net = ComputeNetChanges(*g_, delta);
   UpdateStats stats;
@@ -186,15 +178,14 @@ UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta,
   // Move-assignment keeps *g_'s address stable, which every live searcher
   // references.
   *mutable_g_ = std::move(new_graph);
-  const UpdateStats col =
-      ApplyNetToLabeling(*g_, net, &scheme_->labeling, &scheme_->meta,
-                         updatable_.get(), options);
+  const UpdateStats col = ApplyNetToLabeling(
+      *g_, net, &scheme_->labeling, &scheme_->meta, updatable_.get());
   stats.applied_inserts = col.applied_inserts;
   stats.applied_deletes = col.applied_deletes;
   stats.repaired_columns = col.repaired_columns;
   // Move-assigned in place, so searcher references stay valid.
   *delta_ = DeltaCache::Build(*g_, scheme_->labeling, scheme_->meta,
-                              options.num_threads);
+                              /*num_threads=*/0);
   return stats;
 }
 

@@ -109,13 +109,12 @@ class QbsIndex {
   /// Executes one request on a caller-managed searcher (one held via
   /// SearcherLease); the primitive Query() and QueryBatch are built on.
   /// Thread-safe as long as each searcher is used by one thread at a time.
-  /// `certify`, if non-null, is the request pair's precomputed certify
-  /// bound — ComputeLabelBound(labeling, meta, u, v) — used in place of
-  /// the searcher's own label scan and by the budget check. Query() and
-  /// QueryBatch pass null and scan once: in the budget check when the
-  /// request has a budget, else inside GuidedSearcher::Query. The
-  /// parameter is kept because bench_e2e (frozen by BENCHMARK.json) reads
-  /// it, to time the certify scan apart from the rest of the query.
+  /// `certify`, if non-null, is the request pair's precomputed label
+  /// bound — ComputeLabelBound(labeling, meta, u, v) — and is read only by
+  /// the budget check, in place of its own label scan; a request without
+  /// a budget never reads it. Query() and QueryBatch pass null. The
+  /// parameter is kept because bench_e2e (frozen by BENCHMARK.json) passes
+  /// it.
   QueryResponse Execute(GuidedSearcher& searcher, const QueryRequest& request,
                         const LabelBound* certify = nullptr) const;
 
@@ -165,15 +164,15 @@ class QbsIndex {
 
   /// Applies an edit script: computes the net edge changes, splices them
   /// into the graph, repairs every label column over its changed region
-  /// only, and refreshes the meta-graph and Δ cache.
+  /// only, and refreshes the meta-graph and Δ cache, on all hardware
+  /// threads.
   /// When this returns, the index answers every query exactly as a
   /// from-scratch build on the new graph would — bit-identically. Requires
   /// EnableUpdates().
   /// NOT thread-safe against concurrent queries: callers must quiesce query
   /// traffic (the server wraps this in a writer lock) — searcher scratch is
   /// per-query, but the labelling and graph mutate in place here.
-  UpdateStats ApplyUpdates(const GraphDelta& delta,
-                           const UpdateOptions& options = {});
+  UpdateStats ApplyUpdates(const GraphDelta& delta);
 
   /// Always 0: the index stores no bit-parallel masks. Kept because
   /// bench_e2e (frozen by BENCHMARK.json) reads it.

@@ -41,31 +41,21 @@ struct SearchStats {
   uint64_t edges_scanned_recover = 0;
   // Segments served from the precomputed Δ cache.
   uint64_t delta_cache_hits = 0;
-  // Adjacency entries scanned by the d <= 2 direct resolution (edge probe +
-  // common-neighbour intersection), on the label fast path or after the
-  // search fixed the distance. Kept as a field because bench_e2e (frozen
-  // by BENCHMARK.json) reads it.
+  // These three always read 0: every pair runs the guided search, so no
+  // d <= 2 pair is resolved directly or answered from the labels alone,
+  // and nothing prunes the search by label bounds. Kept, and left out of
+  // the totals, because bench_e2e (frozen by BENCHMARK.json) reads them.
   uint64_t edges_scanned_direct = 0;
-  // Queries resolved by the label fast path (label upper bound <= 2):
-  // distance and the full SPG produced with zero search/reverse/recover
-  // edge scans. Kept as a field because bench_e2e (frozen by
-  // BENCHMARK.json) reads it.
   uint64_t label_short_circuits = 0;
-  // Always 0: nothing prunes the search by label bounds. Kept because
-  // bench_e2e (frozen by BENCHMARK.json) reads it.
   uint64_t lb_prunes = 0;
 
   uint32_t d_top = kUnreachable;         // sketch upper bound d⊤
   uint32_t d_sparsified = kUnreachable;  // d_G⁻(u, v) when determined
-  // Label upper bound min δu + δv for this query (core/sketch.h
-  // ComputeLabelBound); kUnreachable when no landmark is shared. Never
-  // smaller than the true distance.
-  uint32_t d_label_upper = kUnreachable;
   PairCoverage coverage = PairCoverage::kDisconnected;
 
   uint64_t TotalEdgesScanned() const {
     return edges_scanned_search + edges_scanned_reverse +
-           edges_scanned_recover + edges_scanned_direct;
+           edges_scanned_recover;
   }
 
   void Accumulate(const SearchStats& o) {
@@ -74,9 +64,6 @@ struct SearchStats {
     edges_scanned_reverse += o.edges_scanned_reverse;
     edges_scanned_recover += o.edges_scanned_recover;
     delta_cache_hits += o.delta_cache_hits;
-    edges_scanned_direct += o.edges_scanned_direct;
-    label_short_circuits += o.label_short_circuits;
-    lb_prunes += o.lb_prunes;
   }
 };
 

@@ -196,8 +196,7 @@ void InitUpdatableState(const Graph& g, PathLabeling& labeling,
 
 UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
                                PathLabeling* labeling, MetaGraph* meta,
-                               UpdatableState* state,
-                               const UpdateOptions& options) {
+                               UpdatableState* state) {
   UpdateStats stats;
   stats.applied_inserts = net.inserts.size();
   stats.applied_deletes = net.deletes.size();
@@ -207,8 +206,7 @@ UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
     *meta = RebuildMeta(0, *state);
     return stats;
   }
-  const size_t workers =
-      std::min<size_t>(EffectiveThreads(options.num_threads), k);
+  const size_t workers = std::min<size_t>(EffectiveThreads(0), k);
   // Columns are independent (Lemma 5.2), and every write — label column,
   // LabelColumnState — is column-private.
   std::vector<uint8_t> changed(k, 0);

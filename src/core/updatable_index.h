@@ -54,11 +54,6 @@
 
 namespace qbs {
 
-struct UpdateOptions {
-  /// Column repair threads: 0 = all hardware threads.
-  size_t num_threads = 0;
-};
-
 struct UpdateStats {
   /// Net edge changes actually applied to the graph.
   uint64_t applied_inserts = 0;
@@ -94,14 +89,13 @@ void InitUpdatableState(const Graph& g, PathLabeling& labeling,
 
 /// Applies an already-computed net change set to the labelling. `new_graph`
 /// must be the post-edit graph (ApplyNetChanges); the repair starts from
-/// the OLD depths still held in `state`. Repairs every column in parallel,
-/// rewrites the meta-graph, and updates `state` in place. Returns the
-/// column-level stats (the applied/noop script counters are the caller's,
-/// from ComputeNetChanges).
+/// the OLD depths still held in `state`. Repairs every column in parallel
+/// on all hardware threads, rewrites the meta-graph, and updates `state`
+/// in place. Returns the column-level stats (the applied/noop script
+/// counters are the caller's, from ComputeNetChanges).
 UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
                                PathLabeling* labeling, MetaGraph* meta,
-                               UpdatableState* state,
-                               const UpdateOptions& options);
+                               UpdatableState* state);
 
 }  // namespace qbs
 

@@ -44,35 +44,6 @@ uint32_t RetryBackoff::DelayMs(uint32_t retry, uint32_t server_hint_ms) const {
   return std::max(delay, server_hint_ms);
 }
 
-QueryClient::~QueryClient() { Close(); }
-
-QueryClient::QueryClient(QueryClient&& other) noexcept
-    : sock_(std::move(other.sock_)),
-      options_(other.options_),
-      host_(std::move(other.host_)),
-      port_(other.port_),
-      reader_(std::move(other.reader_)),
-      retry_after_ms_(other.retry_after_ms_),
-      busy_queue_depth_(other.busy_queue_depth_),
-      last_error_code_(other.last_error_code_),
-      last_error_(std::move(other.last_error_)) {}
-
-QueryClient& QueryClient::operator=(QueryClient&& other) noexcept {
-  if (this != &other) {
-    Close();
-    sock_ = std::move(other.sock_);
-    options_ = other.options_;
-    host_ = std::move(other.host_);
-    port_ = other.port_;
-    reader_ = std::move(other.reader_);
-    retry_after_ms_ = other.retry_after_ms_;
-    busy_queue_depth_ = other.busy_queue_depth_;
-    last_error_code_ = other.last_error_code_;
-    last_error_ = std::move(other.last_error_);
-  }
-  return *this;
-}
-
 bool QueryClient::Connect(const std::string& host, uint16_t port,
                           const ClientOptions& options) {
   Close();

@@ -90,9 +90,8 @@ class QueryClient {
   };
 
   QueryClient() = default;
-  ~QueryClient();
-  QueryClient(QueryClient&& other) noexcept;
-  QueryClient& operator=(QueryClient&& other) noexcept;
+  QueryClient(QueryClient&& other) noexcept = default;
+  QueryClient& operator=(QueryClient&& other) noexcept = default;
   QueryClient(const QueryClient&) = delete;
   QueryClient& operator=(const QueryClient&) = delete;
 

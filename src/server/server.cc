@@ -172,7 +172,7 @@ void QueryServer::RequestStop() {
     if (stop_requested_) return;
     stop_requested_ = true;
     stopping_.store(true, std::memory_order_release);
-    // Notified under mu_ so a woken Wait()/WaitFor() caller cannot return
+    // Notified under mu_ so a woken WaitFor() caller cannot return
     // and destroy the server (and this cv) before the broadcast finishes.
     stop_cv_.NotifyAll();
   }
@@ -181,11 +181,6 @@ void QueryServer::RequestStop() {
   listener_.Shutdown();
   MutexLock lock(mu_);
   for (const int fd : conn_fds_) ShutdownFd(fd);
-}
-
-void QueryServer::Wait() {
-  MutexLock lock(mu_);
-  while (!stop_requested_) stop_cv_.Wait(mu_);
 }
 
 bool QueryServer::WaitFor(uint32_t timeout_ms) {
@@ -240,9 +235,9 @@ void QueryServer::AcceptLoop() {
 
 void QueryServer::HandleConnection(int fd, uint64_t conn_id) {
   {
-    // Scoped so the Socket closes fd before the bookkeeping below runs:
-    // Stop() must not observe active_connections_ == 0 while the fd is
-    // still open (and conn_fds_ must not reference a closed fd).
+    // Scoped so the Socket closes fd before the count below drops: Stop()
+    // must not observe active_connections_ == 0 while the fd is still
+    // open.
     Socket sock(fd);
     sock.SetNoDelay();
     std::unique_ptr<FaultInjector> injector;
@@ -303,10 +298,15 @@ void QueryServer::HandleConnection(int fd, uint64_t conn_id) {
         frame_start = Clock::now();  // re-arm for the next frame's bytes
       }
     }
+    // Unlisted while the fd is still open. Once it closes, the accept loop
+    // may hand its number to a new connection, and an erase after that
+    // would unlist the new one: RequestStop() would then never shut it
+    // down, and Stop() would wait out its idle timeout.
+    MutexLock lock(mu_);
+    conn_fds_.erase(fd);
   }
   {
     MutexLock lock(mu_);
-    conn_fds_.erase(fd);
     --active_connections_;
     // Notified under mu_: once the count hits zero a Stop() waiter may
     // destroy the server, so the broadcast must complete before the lock
@@ -451,9 +451,8 @@ bool QueryServer::ServeQuery(Socket& sock, FaultInjector* injector,
   const uint64_t elapsed = NowNanos() - start;
   if (cache_hit) {
     lat_cached_.Record(elapsed);
-  } else if (response.stats.label_short_circuits > 0 ||
-             response.stats.TotalEdgesScanned() == 0) {
-    lat_short_.Record(elapsed);  // answered from labels / pruned, no scan
+  } else if (response.stats.TotalEdgesScanned() == 0) {
+    lat_short_.Record(elapsed);  // pruned or trivial: no edge scanned
   } else {
     lat_long_.Record(elapsed);  // a real guided search ran
   }
@@ -489,8 +488,8 @@ bool QueryServer::ServeDegraded(Socket& sock, const QueryRequest& request) {
             index_.labeling(), index_.meta_graph(), request.u, request.v);
         response.spg.distance = bound.upper;
         // Labels that certify the distance exactly, for a caller wanting
-        // only the distance, give the fault-free answer (Execute would
-        // short-circuit the same way): serve it undegraded.
+        // only the distance, give the fault-free answer: serve it
+        // undegraded.
         if (request.mode != QueryMode::kDistance || request.budget != 0 ||
             bound.upper == kUnreachable || bound.lower != bound.upper) {
           response.degraded_lower = bound.lower;

@@ -23,8 +23,8 @@
 //     queries, each new query is answered from the labelling alone (one
 //     label bound per request: kResponseFlagDegraded bounds, O(|R|), no
 //     searcher, no queueing) instead of deepening the backlog.
-//   * Observability — per-class latency histograms (cache hits; label
-//     short-circuits; long guided searches) plus counters for every
+//   * Observability — per-class latency histograms (cache hits; answers
+//     that scanned no edge; guided searches) plus counters for every
 //     robustness path (busy, deadline-exceeded, degraded, timeouts).
 //
 // Shutdown is cooperative and clean: a kShutdown frame (when permitted) or
@@ -166,10 +166,8 @@ class QueryServer {
   /// existing connection sockets shut down. Does not join — call Stop().
   void RequestStop();
 
-  /// Blocks until a stop is requested (RequestStop or a remote kShutdown);
-  /// returns immediately if already requested.
-  void Wait();
-  /// As Wait() with a timeout; returns true iff a stop was requested.
+  /// Blocks until a stop is requested (RequestStop or a remote kShutdown)
+  /// or `timeout_ms` passes; returns true iff a stop was requested.
   bool WaitFor(uint32_t timeout_ms);
 
   /// RequestStop() + join the accept loop and every connection thread.
@@ -193,7 +191,7 @@ class QueryServer {
     size_t admission_queue_depth = 0;  // gauge: admission waiters right now
     ResultCache::Stats cache;
     LatencyHistogram::Snapshot lat_cached;  // served from the result cache
-    LatencyHistogram::Snapshot lat_short;   // label short-circuit / no-scan
+    LatencyHistogram::Snapshot lat_short;   // no edge scanned
     LatencyHistogram::Snapshot lat_long;    // guided searches
   };
   StatsSnapshot GetStats() const;

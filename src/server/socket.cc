@@ -49,20 +49,6 @@ std::string ErrnoString(int errnum) {
   return StrerrorResult(strerror_r(errnum, buf, sizeof(buf)), buf, errnum);
 }
 
-const char* IoStatusName(IoStatus status) {
-  switch (status) {
-    case IoStatus::kOk:
-      return "ok";
-    case IoStatus::kTimeout:
-      return "timeout";
-    case IoStatus::kClosed:
-      return "closed";
-    case IoStatus::kError:
-      return "error";
-  }
-  return "?";
-}
-
 Socket::Socket(Socket&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       injector_(std::exchange(other.injector_, nullptr)),

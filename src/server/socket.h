@@ -31,8 +31,6 @@ enum class IoStatus : uint8_t {
   kError,    // syscall failure (or injected reset); last_errno() says why
 };
 
-const char* IoStatusName(IoStatus status);
-
 /// Thread-safe strerror: connection threads report errno concurrently, and
 /// strerror(3) may share a static buffer (clang-tidy concurrency-mt-unsafe).
 std::string ErrnoString(int errnum);
@@ -77,10 +75,6 @@ class Socket {
   IoStatus RecvSome(uint8_t* buf, size_t capacity, size_t* received,
                     int32_t timeout_ms);
 
-  /// Shuts down both directions without closing the fd — wakes any thread
-  /// blocked in poll/recv on this socket (used by server stop paths).
-  void ShutdownBoth();
-
   void Close();
 
   /// errno captured at the last kError (ECONNRESET for injected resets).
@@ -89,6 +83,9 @@ class Socket {
  private:
   /// Waits for `events` (POLLIN/POLLOUT) within the remaining budget.
   IoStatus PollFor(short events, int32_t timeout_ms);
+  /// Shuts down both directions without closing the fd (an injected
+  /// reset).
+  void ShutdownBoth();
 
   int fd_ = -1;
   FaultInjector* injector_ = nullptr;  // not owned

@@ -1,8 +1,8 @@
 // The dynamic-index gauntlet: random edit scripts against
 // QbsIndex::ApplyUpdates must leave the index bit-identical to a
 // from-scratch build on the updated graph — labels, meta-graph, Δ
-// segments, and answers (SameAnswer on sampled pairs, including d <= 2
-// pairs that exercise the label fast path and direct emission).
+// segments, and answers (SameAnswer on sampled pairs, including adjacent
+// and two-hop pairs).
 //
 // The labelling is uniquely determined by (G, R) (Lemma 5.2), which is
 // what makes bit-identity a legitimate oracle: same updated graph, same
@@ -128,8 +128,8 @@ void AssertDepthsMatchBfs(const Graph& g, const QbsIndex& index) {
   }
 }
 
-// Sampled pairs + adjacent and two-hop pairs (the d <= 2 label fast path
-// and direct emission must stay bit-identical too).
+// Sampled pairs + adjacent and two-hop pairs (close pairs must stay
+// bit-identical too).
 std::vector<QueryPair> ProbePairs(const Graph& g, std::mt19937_64& rng) {
   std::vector<QueryPair> pairs = SampleQueryPairs(g, 25, rng());
   for (int i = 0; i < 10; ++i) {

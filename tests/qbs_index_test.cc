@@ -303,24 +303,84 @@ TEST(QbsIndexTest, CoverageClassificationMatchesBruteForce) {
   }
 }
 
-// --- The label fast path: pairs whose label upper bound min δu + δv is
-// <= 2 are answered from the labels plus one edge probe / common-neighbour
-// intersection. ---
+// --- Close pairs: a pair at d <= 2 takes the same path as every other
+// pair (sketch, guided search, Eq. 5). ---
 
-struct FastPathParam {
+// The coverage class (Fig. 8) that a d <= 2 pair's witnesses give. A
+// landmark endpoint puts every shortest path through a landmark. Otherwise
+// an edge (d = 1) avoids them, and at d = 2 the landmarks among the common
+// neighbours decide: all of them, only some, or none.
+PairCoverage WitnessCoverage(const Graph& g, const PathLabeling& l,
+                             VertexId u, VertexId v) {
+  if (l.IsLandmark(u) || l.IsLandmark(v)) {
+    return PairCoverage::kAllThroughLandmarks;
+  }
+  size_t witnesses = 0;
+  size_t landmark_witnesses = 0;
+  if (!g.HasEdge(u, v)) {
+    for (const VertexId w : g.Neighbors(u)) {
+      if (!g.HasEdge(w, v)) continue;
+      ++witnesses;
+      landmark_witnesses += l.IsLandmark(w) ? 1 : 0;
+    }
+  }
+  if (landmark_witnesses == 0) return PairCoverage::kNoneThroughLandmarks;
+  return landmark_witnesses == witnesses ? PairCoverage::kAllThroughLandmarks
+                                         : PairCoverage::kSomeThroughLandmarks;
+}
+
+// Checks one pair at distance 1 or 2: the SPG is the oracle's, the reverse
+// walk never outscans the search, and the coverage class is the
+// witnesses'. At d = 2, a distance-only request answers {d = 2, no edges},
+// and a budget-1 request answers budget-exceeded with d = 2, or
+// budget-pruned when the label lower bound already exceeds 1.
+void ExpectCloseAnswer(const QbsIndex& index, const Graph& g, VertexId u,
+                       VertexId v) {
+  const ShortestPathGraph oracle = SpgByDoubleBfs(g, u, v);
+  ASSERT_GE(oracle.distance, 1u) << "u=" << u << " v=" << v;
+  ASSERT_LE(oracle.distance, 2u) << "u=" << u << " v=" << v;
+  const QueryResponse response = index.Query({u, v});
+  ASSERT_EQ(response.spg, oracle) << "u=" << u << " v=" << v;
+  EXPECT_LE(response.stats.edges_scanned_reverse,
+            response.stats.edges_scanned_search)
+      << "u=" << u << " v=" << v;
+  EXPECT_EQ(response.stats.coverage,
+            WitnessCoverage(g, index.labeling(), u, v))
+      << "u=" << u << " v=" << v;
+  if (oracle.distance != 2) return;
+
+  QueryResponse expected;
+  expected.spg.u = u;
+  expected.spg.v = v;
+  expected.spg.distance = 2;
+  EXPECT_TRUE(
+      SameAnswer(index.Query({u, v, QueryMode::kDistance}), expected))
+      << "u=" << u << " v=" << v;
+  if (ComputeLabelBound(index.labeling(), index.meta_graph(), u, v).lower >
+      1) {
+    expected.spg.distance = kUnreachable;
+    expected.flags = kResponseFlagBudgetPruned;
+  } else {
+    expected.flags = kResponseFlagBudgetExceeded;
+  }
+  EXPECT_TRUE(SameAnswer(index.Query({u, v, QueryMode::kSpg, 1}), expected))
+      << "u=" << u << " v=" << v;
+}
+
+struct ClosePairParam {
   int family;
   uint64_t seed;
   uint32_t k;
 };
 
-class LabelFastPath : public ::testing::TestWithParam<FastPathParam> {};
+class ClosePairs : public ::testing::TestWithParam<ClosePairParam> {};
 
-// d <= 2 queries never scan a reverse or recover edge: certified pairs
-// (label upper <= 2) short-circuit with zero search scans, uncertified
-// close pairs emit their SPG directly once the search fixes the distance,
-// and d >= 3 pairs never short-circuit. Two non-landmark neighbours of
-// one landmark r both carry (r, 1), so every such pair is certified.
-TEST_P(LabelFastPath, ShortDistancesAnsweredFromLabels) {
+// Sources are the landmarks plus a spread of vertices. Their close targets
+// (up to ~600 pairs, adjacent and landmark pairs among them) get every
+// close-pair check, and up to ~200 far targets the oracle check. Then
+// pairs of non-landmark neighbours of one landmark: up to 4 neighbours per
+// landmark, every pair of them at d <= 2.
+TEST_P(ClosePairs, AnsweredByTheGuidedSearch) {
   const auto& p = GetParam();
   Graph g = testing::SmallFamilyGraph(p.family, p.seed);
   QbsOptions options;
@@ -334,41 +394,27 @@ TEST_P(LabelFastPath, ShortDistancesAnsweredFromLabels) {
   }
   size_t checked_close = 0;
   size_t checked_far = 0;
-  size_t certified = 0;
+  size_t at_two = 0;
   for (const VertexId s : sources) {
     const auto dist = BfsDistances(g, s);
     for (VertexId t = 0; t < g.NumVertices(); ++t) {
       const bool close = dist[t] <= 2;
       if (close && checked_close > 600) continue;
       if (!close && checked_far > 200) continue;
-      const QueryResponse response = index.Query({s, t});
-      const SearchStats& stats = response.stats;
-      ASSERT_EQ(response.spg, SpgByDoubleBfs(g, s, t))
-          << "s=" << s << " t=" << t;
-      if (!close) {
-        ++checked_far;
-        EXPECT_EQ(stats.label_short_circuits, 0u)
-            << "s=" << s << " t=" << t << " d=" << dist[t];
-        continue;
-      }
-      ++checked_close;
-      EXPECT_EQ(stats.edges_scanned_reverse, 0u) << "s=" << s;
-      EXPECT_EQ(stats.edges_scanned_recover, 0u) << "s=" << s;
-      EXPECT_EQ(stats.delta_cache_hits, 0u) << "s=" << s;
-      if (s != t && stats.d_label_upper <= 2) {
-        ++certified;
-        EXPECT_EQ(stats.label_short_circuits, 1u)
-            << "s=" << s << " t=" << t << " d=" << dist[t];
-        EXPECT_EQ(stats.edges_scanned_search, 0u) << "s=" << s << " t=" << t;
+      ++(close ? checked_close : checked_far);
+      if (close && s != t) {
+        ASSERT_NO_FATAL_FAILURE(ExpectCloseAnswer(index, g, s, t));
+        at_two += dist[t] == 2 ? 1 : 0;
+      } else {
+        ASSERT_EQ(index.Query({s, t}).spg, SpgByDoubleBfs(g, s, t))
+            << "s=" << s << " t=" << t;
       }
     }
   }
   EXPECT_GT(checked_close, 0u);
   EXPECT_GT(checked_far, 0u);
-  EXPECT_GT(certified, 0u);
+  EXPECT_GT(at_two, 0u);
 
-  // Landmark-neighbour pairs: up to 4 non-landmark neighbours of each
-  // landmark, every pair of them certified.
   size_t neighbour_pairs = 0;
   for (const VertexId r : index.landmarks()) {
     std::vector<VertexId> nbrs;
@@ -377,12 +423,8 @@ TEST_P(LabelFastPath, ShortDistancesAnsweredFromLabels) {
     }
     for (size_t a = 0; a < nbrs.size(); ++a) {
       for (size_t b = a + 1; b < nbrs.size(); ++b) {
-        const QueryResponse response = index.Query({nbrs[a], nbrs[b]});
-        ASSERT_EQ(response.spg, SpgByDoubleBfs(g, nbrs[a], nbrs[b]))
+        ASSERT_NO_FATAL_FAILURE(ExpectCloseAnswer(index, g, nbrs[a], nbrs[b]))
             << "r=" << r;
-        EXPECT_LE(response.stats.d_label_upper, 2u) << "r=" << r;
-        EXPECT_EQ(response.stats.label_short_circuits, 1u);
-        EXPECT_EQ(response.stats.edges_scanned_search, 0u);
         ++neighbour_pairs;
       }
     }
@@ -390,42 +432,37 @@ TEST_P(LabelFastPath, ShortDistancesAnsweredFromLabels) {
   EXPECT_GT(neighbour_pairs, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, LabelFastPath,
-                         ::testing::Values(FastPathParam{0, 21, 8},
-                                           FastPathParam{1, 22, 10},
-                                           FastPathParam{2, 23, 6},
-                                           FastPathParam{3, 24, 5},
-                                           FastPathParam{0, 25, 20}));
+INSTANTIATE_TEST_SUITE_P(Sweep, ClosePairs,
+                         ::testing::Values(ClosePairParam{0, 21, 8},
+                                           ClosePairParam{1, 22, 10},
+                                           ClosePairParam{2, 23, 6},
+                                           ClosePairParam{3, 24, 5},
+                                           ClosePairParam{0, 25, 20}));
 
-// Landmark endpoints: (landmark, x) pairs at d <= 2 never reach the
-// reverse or recover stage, and certified ones never search.
-TEST(LabelFastPathTest, LandmarkEndpointsShortCircuit) {
+// Landmark endpoints on the Figure 4 graph: every (landmark, x) pair at
+// d <= 2 has all its shortest paths through a landmark.
+TEST(ClosePairsTest, LandmarkEndpoints) {
   Graph g = testing::Figure4Graph();
   const QbsIndex index =
       QbsIndex::BuildWithLandmarks(g, testing::Figure4Landmarks(), {});
-  size_t certified = 0;
+  size_t checked = 0;
   for (const VertexId r : index.landmarks()) {
     const auto dist = BfsDistances(g, r);
     for (VertexId t = 0; t < g.NumVertices(); ++t) {
-      const QueryResponse response = index.Query({r, t});
-      const SearchStats& stats = response.stats;
-      ASSERT_EQ(response.spg, SpgByDoubleBfs(g, r, t))
-          << "r=" << r << " t=" << t;
-      if (r == t || dist[t] > 2) continue;
-      EXPECT_EQ(stats.edges_scanned_recover, 0u) << "t=" << t;
-      EXPECT_EQ(stats.edges_scanned_reverse, 0u) << "t=" << t;
-      if (stats.d_label_upper <= 2) {
-        ++certified;
-        EXPECT_EQ(stats.label_short_circuits, 1u) << "t=" << t;
-        EXPECT_EQ(stats.edges_scanned_search, 0u) << "t=" << t;
+      if (r == t || dist[t] > 2) {
+        ASSERT_EQ(index.Query({r, t}).spg, SpgByDoubleBfs(g, r, t))
+            << "r=" << r << " t=" << t;
+        continue;
       }
+      ASSERT_NO_FATAL_FAILURE(ExpectCloseAnswer(index, g, r, t));
+      ++checked;
     }
   }
-  EXPECT_GT(certified, 0u);
+  EXPECT_GT(checked, 0u);
 }
 
-// QueryBatch runs the same fast path through the pooled searchers.
-TEST(LabelFastPathTest, QueryBatchAgreesWithSerialQueries) {
+// QueryBatch answers close pairs through the pooled searchers too.
+TEST(ClosePairsTest, QueryBatchAgreesWithSerialQueries) {
   Graph g = BarabasiAlbert(500, 4, 31);
   QbsOptions options;
   options.num_landmarks = 16;
@@ -435,7 +472,7 @@ TEST(LabelFastPathTest, QueryBatchAgreesWithSerialQueries) {
     requests.emplace_back(u, v);
   }
   // Mix in adjacent pairs and landmark-neighbour pairs so the batch
-  // exercises the short circuit.
+  // holds close pairs.
   for (VertexId u = 0; u < 20; ++u) {
     requests.emplace_back(u, g.Neighbors(u).front());
   }
