@@ -41,11 +41,7 @@ ShortestPathGraph BiBfs::Query(VertexId u, VertexId v,
   result.distance = Search(u, v, scans);
   if (result.distance == 0 || result.distance == kUnreachable) return result;
 
-  for (const VertexId m : search_.meet_set()) {
-    QBS_DCHECK(search_.Depth(0, m) + search_.Depth(1, m) == result.distance);
-    search_.AddBackwardStart(0, m);
-    search_.AddBackwardStart(1, m);
-  }
+  search_.StartBackwardFromMeet(&result.edges);
   for (int t = 0; t < 2; ++t) {
     *scans += search_.RunBackwardWalk(t, &result.edges);
   }

@@ -126,7 +126,14 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
         break;  // G⁻ exhausted on one side: d_G⁻(u, v) = ∞.
       }
       const int t = PickSide(sketch, d);
-      const LevelScan scan = search_.ExpandLevel(t);
+      // The last expansion d⊤ allows needs only its meet set (Eq. 5), as
+      // long as no Z pair of side t reads the level it opens. With d*_t <=
+      // d[t], every dm = min(σ−1, d[t]) <= d*_t is a level already whole.
+      const uint32_t d_star = t == 0 ? sketch.d_star_u : sketch.d_star_v;
+      const bool last =
+          bounded && d[0] + d[1] + 1 == budget && d_star <= d[t];
+      const LevelScan scan =
+          last ? search_.ExpandLastLevel(t) : search_.ExpandLevel(t);
       stats->edges_scanned_search += scan.scanned;
       stats->landmark_edges_skipped += scan.blocked;
       ++d[t];
@@ -156,15 +163,10 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
 
   // Stage 2: reverse search (G⁻_uv) — runs iff the frontiers met, i.e.
   // d_G⁻(u, v) <= d⊤. Every shortest u–v path in G⁻ crosses the meeting
-  // level at a vertex of the meet set, so walking depth levels backwards
-  // from the meet set on both sides emits exactly G⁻_uv.
-  if (meet) {
-    for (const VertexId m : search_.meet_set()) {
-      QBS_DCHECK(search_.Depth(0, m) + search_.Depth(1, m) == d_minus);
-      search_.AddBackwardStart(0, m);
-      search_.AddBackwardStart(1, m);
-    }
-  }
+  // level at a vertex of the meet set over one of the meet edges the
+  // meeting expansion recorded, so those edges and the backward walks
+  // from their lower ends and from the meet set emit exactly G⁻_uv.
+  if (meet) search_.StartBackwardFromMeet(&edges_);
 
   // Stage 3: recover search (G^L_uv) — runs iff d⊤ realizes the distance.
   if (sketch.d_top == result.distance) {

@@ -12,6 +12,12 @@
 // blocked, so it follows exactly G⁻'s paths and every scan counter reads
 // in G⁻ entries. SearchStats::landmark_edges_skipped counts the blocked
 // entries the search stepped over, the §6.5(1) effect.
+//
+// The search scans the meeting level once. The meeting expansion records
+// its meet edges, so the reverse search starts one level below the meet
+// set on that side. And once d[0] + d[1] + 1 = d⊤, the next expansion is
+// the last one d⊤ allows: it settles only the meet set, unless a Z pair of
+// its side reads the level it opens (d*_t > d[t]).
 
 #ifndef QBS_CORE_GUIDED_SEARCH_H_
 #define QBS_CORE_GUIDED_SEARCH_H_

@@ -34,7 +34,9 @@ struct SearchStats {
   // backward walk walks top-down, counting the G⁻ degrees of its on-path
   // vertices, when their G degrees are at most the edges the forward
   // search scanned expanding the level below, and otherwise bottom-up,
-  // counting those. Never more than edges_scanned_search.
+  // counting those. The meeting level is never walked: the search recorded
+  // the meet edges as it scanned them, so the side that met starts one
+  // level below the meet set. Never more than edges_scanned_search.
   uint64_t edges_scanned_reverse = 0;
   // Edge scans during the recover search (G^L paths), excluding Δ-cache
   // hits.

@@ -30,6 +30,7 @@ void BidirectionalSearch::Reset() {
     for (std::vector<VertexId>& bucket : on_path_[s]) bucket.clear();
   }
   meet_set_.clear();
+  meet_edges_.clear();
 }
 
 void BidirectionalSearch::Seed(int t, VertexId v) {
@@ -39,7 +40,8 @@ void BidirectionalSearch::Seed(int t, VertexId v) {
   levels_[t].Push(v);
 }
 
-LevelScan BidirectionalSearch::ExpandLevel(int t) {
+template <bool kMeetOnly>
+LevelScan BidirectionalSearch::Expand(int t) {
   const int o = 1 - t;
   const uint32_t next_depth = static_cast<uint32_t>(levels_[t].NumLevels());
   // Open the next level first so the current level's bounds are frozen,
@@ -54,19 +56,38 @@ LevelScan BidirectionalSearch::ExpandLevel(int t) {
     entries += g_.Degree(x);
     for (VertexId w : g_.Neighbors(x)) {
       SideDepths& dw = depth_[w];
-      // Settled and blocked vertices alike are skipped here.
-      if (dw.side[t] != kUnreachable) {
-        scan.blocked += dw.side[t] == kBlocked;
+      // The other side's depth first: it is rarely set. Blocked vertices
+      // set it too.
+      if (dw.side[o] != kUnreachable) {
+        if (dw.side[t] == kUnreachable) {
+          dw.side[t] = next_depth;
+          levels_[t].Push(w);
+          if (meet_set_.empty()) meet_side_ = t;
+          meet_set_.push_back(w);
+        } else if (dw.side[t] != next_depth) {
+          // Blocked, or met by an earlier expansion.
+          scan.blocked += dw.side[t] == kBlocked;
+          continue;
+        }
+        meet_edges_.emplace_back(x, w);
         continue;
       }
-      dw.side[t] = next_depth;
-      levels_[t].Push(w);
-      if (dw.side[o] != kUnreachable) meet_set_.push_back(w);
+      if constexpr (!kMeetOnly) {
+        if (dw.side[t] != kUnreachable) continue;
+        dw.side[t] = next_depth;
+        levels_[t].Push(w);
+      }
     }
   }
   scan.scanned = entries - scan.blocked;
   level_scan_[t].push_back(scan.scanned);
   return scan;
+}
+
+LevelScan BidirectionalSearch::ExpandLevel(int t) { return Expand<false>(t); }
+
+LevelScan BidirectionalSearch::ExpandLastLevel(int t) {
+  return Expand<true>(t);
 }
 
 void BidirectionalSearch::AddBackwardStart(int t, VertexId w) {
@@ -77,6 +98,23 @@ void BidirectionalSearch::AddBackwardStart(int t, VertexId w) {
   slot = depth | kOnPath;
   if (depth >= on_path_[t].size()) on_path_[t].resize(depth + 1);
   on_path_[t][depth].push_back(w);
+}
+
+void BidirectionalSearch::StartBackwardFromMeet(std::vector<Edge>* edges) {
+  const int t = meet_side_;
+  // The search stopped at its meeting expansion, so the sides' deepest
+  // levels add up to the distance every meet vertex realizes.
+  [[maybe_unused]] const uint32_t distance = static_cast<uint32_t>(
+      levels_[0].NumLevels() + levels_[1].NumLevels() - 2);
+  for (const VertexId m : meet_set_) {
+    QBS_DCHECK(Depth(0, m) + Depth(1, m) == distance);
+    AddBackwardStart(1 - t, m);
+  }
+  edges->insert(edges->end(), meet_edges_.begin(), meet_edges_.end());
+  for (const Edge& e : meet_edges_) {
+    QBS_DCHECK(Depth(t, e.u) + 1 == Depth(t, e.v));
+    AddBackwardStart(t, e.u);
+  }
 }
 
 uint64_t BidirectionalSearch::RunBackwardWalk(int t,

@@ -9,9 +9,14 @@
 //     (Algorithm 4) is the Bi-BFS baseline (§6.1) run on G⁻ with a sketch
 //     choosing the side, so both hold this engine and keep only their own
 //     side rule: level expansion, the meet set and the reverse walk that
-//     recovers every shortest path are the same code. The walk takes, per
-//     level, the cheaper of its top-down and bottom-up exact scans — a
-//     direction choice decided by exact costs instead of a ratio.
+//     recovers every shortest path are the same code. The meeting
+//     expansion records its meet edges (x, m) as it scans, so the walk
+//     starts one level below the meet set on the side that met and never
+//     re-scans the meeting level; an expansion known to be the last one
+//     (the guided search's d⊤ allows no other) settles only the meet set.
+//     The walk takes, per level, the cheaper of its top-down and bottom-up
+//     exact scans — a direction choice decided by exact costs instead of
+//     a ratio.
 //
 //  3. Blocked vertices. G⁻ = G[V \ R] is searched inside G: the
 //     landmarks' depth slots hold a sentinel no side ever settles.
@@ -104,14 +109,27 @@ class BidirectionalSearch {
 
   // Expands side t's deepest level by one BFS step: every unvisited,
   // unblocked neighbour joins the next level, and those already settled by
-  // the other side are appended to meet_set(). Returns the entries it
-  // scanned (Σ deg over the expanded level, split into unblocked and
-  // blocked); the reverse walk keeps the unblocked count.
+  // the other side are appended to meet_set(). Every scanned entry (x, m)
+  // into such a meet vertex m is appended to meet_edges(). Returns the
+  // entries it scanned (Σ deg over the expanded level, split into
+  // unblocked and blocked); the reverse walk keeps the unblocked count.
   LevelScan ExpandLevel(int t);
+
+  // ExpandLevel for an expansion after which nothing reads side t's new
+  // level except through the meet set: the same scan, LevelScan, meet set
+  // and meet edges, but the new level holds only the meet set, and no
+  // other vertex is settled.
+  LevelScan ExpandLastLevel(int t);
 
   // Marks `w` (reached by side t) as lying on a shortest path: the reverse
   // walk of side t starts from it. Idempotent.
   void AddBackwardStart(int t, VertexId w);
+
+  // Starts both reverse walks at the meet of a search that stopped after
+  // its first meeting expansion, of side t: appends the meet edges to
+  // *edges, starts side t's walk at their x's (one level below the meet
+  // set) and side 1 - t's walk at the meet set.
+  void StartBackwardFromMeet(std::vector<Edge>* edges);
 
   // Appends to *edges every edge of every shortest chain from the side-t
   // backward starts down to side t's endpoint, one level at a time from
@@ -131,6 +149,10 @@ class BidirectionalSearch {
   // Vertices an expansion settled that the other side had settled before,
   // in the order the expansions met them.
   const std::vector<VertexId>& meet_set() const { return meet_set_; }
+  // Every entry (x, m) an expansion scanned from x on the level it
+  // expanded into a vertex m of the meet set that expansion settled, in
+  // scan order: each is an answer edge.
+  const std::vector<Edge>& meet_edges() const { return meet_edges_; }
 
  private:
   // High bit of a side's depth: the vertex is on a shortest path. Levels
@@ -148,6 +170,10 @@ class BidirectionalSearch {
     uint32_t side[2];
   };
 
+  // ExpandLevel, or with kMeetOnly ExpandLastLevel.
+  template <bool kMeetOnly>
+  LevelScan Expand(int t);
+
   const Graph& g_;
   // depth_ holds both sides' SideDepths of each vertex in one 8-byte slot,
   // so settling a vertex and testing it for a meet is one random access.
@@ -162,6 +188,8 @@ class BidirectionalSearch {
   std::vector<uint64_t> level_scan_[2];
   std::vector<std::vector<VertexId>> on_path_[2];
   std::vector<VertexId> meet_set_;
+  std::vector<Edge> meet_edges_;
+  int meet_side_ = 0;  // the side whose expansion first met
 };
 
 }  // namespace qbs

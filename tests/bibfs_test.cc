@@ -62,6 +62,25 @@ TEST(BiBfsTest, HubMeetVertexWalksBackBottomUp) {
   EXPECT_LT(scanned, g.Degree(kHub));
 }
 
+// u and v share 30 middle vertices, so the frontiers meet at all of them
+// in v's first expansion. Its 30 entries are the meet edges, recorded as
+// they are scanned, so v's side never scans the meeting level again: the
+// query costs 30 + 30 search entries and u's side walking back bottom-up
+// over the 30 its level 0 scanned.
+TEST(BiBfsTest, MeetingLevelIsScannedOnce) {
+  constexpr VertexId kU = 0, kV = 31;
+  std::vector<Edge> edges;
+  for (VertexId m = 1; m < kV; ++m) {
+    edges.emplace_back(kU, m);
+    edges.emplace_back(m, kV);
+  }
+  Graph g = Graph::FromEdges(32, edges);
+  BiBfs bibfs(g);
+  uint64_t scanned = 0;
+  EXPECT_EQ(bibfs.Query(kU, kV, &scanned), SpgByDoubleBfs(g, kU, kV));
+  EXPECT_EQ(scanned, 90u);
+}
+
 TEST(BiBfsDistanceTest, TrivialCases) {
   Graph g = PathGraph(5);
   BiBfs bibfs(g);

@@ -321,8 +321,14 @@ TEST_F(ChaosTest, EveryPlanYieldsExactAnswersOrTypedErrors) {
           }
         }
       });
-      // Let the hog occupy the slot before the first measured query.
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      // Let the hog occupy the slot before the first measured query: wait,
+      // for at most 5 s, until the server counts its query in flight.
+      const auto give_up =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (server.GetStats().admission_inflight < 1 &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
     }
 
     size_t ok = 0, degraded = 0, busy = 0, deadline = 0, transport = 0;

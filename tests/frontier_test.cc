@@ -175,5 +175,169 @@ TEST(BidirectionalSearchTest, ThousandQueriesLeaveNoStaleState) {
   }
 }
 
+// About a tenth of g's vertices, ascending, to block.
+std::vector<VertexId> SomeBlocked(const Graph& g, Rng* rng) {
+  std::vector<VertexId> blocked;
+  for (VertexId x = 0; x < g.NumVertices(); ++x) {
+    if (rng->UniformInt(10) == 0) blocked.push_back(x);
+  }
+  return blocked;
+}
+
+// A random pair of distinct unblocked vertices, or false if there is none.
+bool PickPair(const Graph& g, const std::vector<VertexId>& blocked, Rng* rng,
+              VertexId* u, VertexId* v) {
+  std::vector<VertexId> open;
+  for (VertexId x = 0; x < g.NumVertices(); ++x) {
+    if (!std::binary_search(blocked.begin(), blocked.end(), x)) {
+      open.push_back(x);
+    }
+  }
+  if (open.size() < 2) return false;
+  const size_t i = rng->UniformInt(open.size());
+  size_t j = rng->UniformInt(open.size() - 1);
+  if (j >= i) ++j;
+  *u = open[i];
+  *v = open[j];
+  return true;
+}
+
+std::vector<Edge> Sorted(std::vector<Edge> edges) {
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+// The sides, in order, a Bi-BFS run from u and v expands until the first
+// meet or until a side runs out; the side rule is random.
+std::vector<int> RecordSides(BidirectionalSearch* search, VertexId u,
+                             VertexId v, Rng* rng) {
+  search->Reset();
+  search->Seed(0, u);
+  search->Seed(1, v);
+  std::vector<int> sides;
+  uint32_t d[2] = {0, 0};
+  while (search->meet_set().empty() &&
+         search->levels(0).LevelSize(d[0]) != 0 &&
+         search->levels(1).LevelSize(d[1]) != 0) {
+    const int t = static_cast<int>(rng->UniformInt(2));
+    search->ExpandLevel(t);
+    ++d[t];
+    sides.push_back(t);
+  }
+  return sides;
+}
+
+TEST(BidirectionalSearchTest, MeetEdgesAreEveryEdgeIntoTheMeetSet) {
+  for (int family = 0; family < 3; ++family) {
+    const Graph g = FamilyGraph(family);
+    Rng rng(300 + family);
+    for (const bool any_blocked : {false, true}) {
+      const std::vector<VertexId> blocked =
+          any_blocked ? SomeBlocked(g, &rng) : std::vector<VertexId>{};
+      BidirectionalSearch search(g, blocked);
+      for (int query = 0; query < 40; ++query) {
+        VertexId u = 0;
+        VertexId v = 0;
+        ASSERT_TRUE(PickPair(g, blocked, &rng, &u, &v));
+        const std::vector<int> sides = RecordSides(&search, u, v, &rng);
+        SCOPED_TRACE(::testing::Message() << "family " << family << " u=" << u
+                                          << " v=" << v);
+        if (search.meet_set().empty()) {
+          ASSERT_TRUE(search.meet_edges().empty());
+          continue;
+        }
+        // Brute force: every edge from the level side t expanded last into
+        // the meet set.
+        const int t = sides.back();
+        const uint32_t d_t = search.Depth(t, search.meet_set()[0]) - 1;
+        std::vector<Edge> want;
+        for (const VertexId m : search.meet_set()) {
+          for (const VertexId x : g.Neighbors(m)) {
+            if (search.Depth(t, x) == d_t) want.emplace_back(x, m);
+          }
+        }
+        ASSERT_FALSE(want.empty());
+        ASSERT_EQ(Sorted(search.meet_edges()), Sorted(want));
+      }
+    }
+  }
+}
+
+// Replays one Bi-BFS run with ExpandLastLevel as its final expansion: the
+// scan, meet set and meet edges are ExpandLevel's, the new level holds the
+// meet set alone, both reverse walks emit and scan the same, and Reset()
+// leaves no vertex settled on either side.
+TEST(BidirectionalSearchTest, LastLevelSettlesOnlyTheMeetSet) {
+  for (int family = 0; family < 3; ++family) {
+    const Graph g = FamilyGraph(family);
+    Rng rng(500 + family);
+    for (const bool any_blocked : {false, true}) {
+      const std::vector<VertexId> blocked =
+          any_blocked ? SomeBlocked(g, &rng) : std::vector<VertexId>{};
+      BidirectionalSearch full(g, blocked);
+      BidirectionalSearch last(g, blocked);
+      size_t met = 0;
+      for (int query = 0; query < 60; ++query) {
+        VertexId u = 0;
+        VertexId v = 0;
+        ASSERT_TRUE(PickPair(g, blocked, &rng, &u, &v));
+        SCOPED_TRACE(::testing::Message() << "family " << family << " u=" << u
+                                          << " v=" << v);
+        // Record the sides on `full`, then replay both up to the last one.
+        const std::vector<int> sides = RecordSides(&full, u, v, &rng);
+        full.Reset();
+        full.Seed(0, u);
+        full.Seed(1, v);
+        last.Reset();
+        last.Seed(0, u);
+        last.Seed(1, v);
+        if (sides.empty()) continue;
+        for (size_t i = 0; i + 1 < sides.size(); ++i) {
+          full.ExpandLevel(sides[i]);
+          last.ExpandLevel(sides[i]);
+        }
+        const int t = sides.back();
+        const LevelScan want = full.ExpandLevel(t);
+        const LevelScan got = last.ExpandLastLevel(t);
+        ASSERT_EQ(got.scanned, want.scanned);
+        ASSERT_EQ(got.blocked, want.blocked);
+        ASSERT_EQ(last.meet_set(), full.meet_set());
+        ASSERT_EQ(last.meet_edges(), full.meet_edges());
+        const LevelStack& levels = last.levels(t);
+        const auto level = levels.Level(levels.NumLevels() - 1);
+        ASSERT_EQ(std::vector<VertexId>(level.begin(), level.end()),
+                  last.meet_set());
+        if (!full.meet_set().empty()) {
+          ++met;
+          std::vector<Edge> want_edges;
+          std::vector<Edge> got_edges;
+          full.StartBackwardFromMeet(&want_edges);
+          last.StartBackwardFromMeet(&got_edges);
+          for (int s = 0; s < 2; ++s) {
+            ASSERT_EQ(last.RunBackwardWalk(s, &got_edges),
+                      full.RunBackwardWalk(s, &want_edges));
+          }
+          ASSERT_EQ(Sorted(got_edges), Sorted(want_edges));
+          if (blocked.empty()) {
+            ShortestPathGraph spg;
+            spg.u = u;
+            spg.v = v;
+            spg.distance = static_cast<uint32_t>(sides.size());
+            spg.edges = got_edges;
+            spg.Normalize();
+            ASSERT_EQ(spg, SpgByDoubleBfs(g, u, v));
+          }
+        }
+        last.Reset();
+        for (VertexId x = 0; x < g.NumVertices(); ++x) {
+          ASSERT_EQ(last.Depth(0, x), kUnreachable) << "x=" << x;
+          ASSERT_EQ(last.Depth(1, x), kUnreachable) << "x=" << x;
+        }
+      }
+      EXPECT_GT(met, 0u);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace qbs

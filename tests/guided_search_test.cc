@@ -207,6 +207,29 @@ TEST(GuidedSearchTest, LabelWalkCountsOnlySparsifiedEntries) {
   EXPECT_EQ(recover[1], recover[0]);
 }
 
+TEST(GuidedSearchTest, LastExpansionKeepsALevelAZPairReads) {
+  // u=0 and v=1 at distance 4 three ways: through the landmark r1=2
+  // (u-2-4-5-v), through r2=3 (u-7-6-3-v) and in G⁻ (u-7-6-5-v). The
+  // anchors (σ_u, σ_v) = (1, 3) at r1 and (3, 1) at r2 give d⊤ = 4 and
+  // d*_u = d*_v = 2. The sides reach d = (2, 1) with d* met only on u's
+  // side, so v's side takes the last expansion d⊤ allows. Its Z pair at
+  // r1 (σ = 3) reads the level that expansion opens: vertex 4 is on the
+  // path through r1 but is no meet vertex, so the expansion must settle
+  // its whole level, not just the meet set.
+  const Graph g = Graph::FromEdges(
+      8, {{0, 2}, {2, 4}, {4, 5}, {5, 1}, {1, 3}, {3, 6}, {6, 7}, {7, 0},
+          {6, 5}});
+  SearchSetup s(g, {2, 3});
+  const Sketch sketch = ComputeSketch(s.scheme.labeling, s.scheme.meta, 0, 1);
+  ASSERT_EQ(sketch.d_top, 4u);
+  ASSERT_EQ(sketch.d_star_u, 2u);
+  ASSERT_EQ(sketch.d_star_v, 2u);
+  SearchStats stats;
+  const auto spg = s.searcher.Query(0, 1, &stats);
+  EXPECT_EQ(spg, SpgByDoubleBfs(g, 0, 1));
+  EXPECT_EQ(stats.coverage, PairCoverage::kSomeThroughLandmarks);
+}
+
 TEST(ReverseWalkTest, HubMeetVertexWalksBottomUp) {
   // u=0 - a=1 - H=2 - b=3 - v=4 with 200 extra leaves on the non-landmark
   // hub H. The landmark 5 is isolated, so no sketch bound steers the
@@ -350,6 +373,7 @@ void ExpectBlockedSearchMatchesReference(const Graph& g,
       search_scans += got.scanned;
     }
     ASSERT_EQ(in_place.meet_set(), stored.meet_set());
+    ASSERT_EQ(in_place.meet_edges(), stored.meet_edges());
     for (VertexId x = 0; x < g.NumVertices(); ++x) {
       for (int t = 0; t < 2; ++t) {
         ASSERT_EQ(in_place.Depth(t, x), stored.Depth(t, x)) << "x=" << x;
