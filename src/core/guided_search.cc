@@ -7,11 +7,13 @@
 namespace qbs {
 
 GuidedSearcher::GuidedSearcher(const Graph& g, const PathLabeling& labeling,
-                               const MetaGraph& meta, const DeltaCache& delta)
+                               const MetaGraph& meta, const DeltaCache& delta,
+                               const LandmarkAdjacency& adjacency)
     : g_(g),
       labeling_(labeling),
       meta_(meta),
       delta_(delta),
+      adjacency_(adjacency),
       search_(g, labeling.landmarks()) {
   QBS_CHECK_EQ(g.NumVertices(), labeling.num_vertices());
   QBS_CHECK(meta.finalized());
@@ -188,17 +190,27 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
     // on-path vertices w closest to r that the side-t search discovered,
     // at depth dm = min(σ−1, d_t) with δ_{w,r} + dm = σ. Each contributes
     // a label walk w → r (the part beyond the search horizon) and a
-    // backward walk w → t (the part inside it).
+    // backward walk w → t (the part inside it). Level vertices are never
+    // landmarks, so at dm = σ−1 the test δ_{w,r} = 1 is "w is adjacent to
+    // r", read from r's adjacency bits. Only a side that stopped short of
+    // σ−1 (dm = d_t) reads the label entry.
     for (int t = 0; t < 2; ++t) {
       const auto& anchors = t == 0 ? sketch.u_anchors : sketch.v_anchors;
       for (const SketchAnchor& anchor : anchors) {
         if (anchor.delta == 0) continue;  // endpoint is the landmark itself
         const uint32_t sigma = anchor.delta;
         const uint32_t dm = std::min(sigma - 1, d[t]);
+        const bool adjacent_only = dm + 1 == sigma;
         QBS_DCHECK(dm < search_.levels(t).NumLevels());
         for (const VertexId w : search_.levels(t).Level(dm)) {
-          const DistT dwr = labeling_.Get(w, anchor.landmark);
-          if (dwr == kInfDist || dwr + dm != sigma) continue;
+          if (adjacent_only) {
+            QBS_DCHECK(adjacency_.Adjacent(anchor.landmark, w) ==
+                       (labeling_.Get(w, anchor.landmark) == 1));
+            if (!adjacency_.Adjacent(anchor.landmark, w)) continue;
+          } else {
+            const DistT dwr = labeling_.Get(w, anchor.landmark);
+            if (dwr == kInfDist || dwr + dm != sigma) continue;
+          }
           LabelWalk(w, anchor.landmark, stats);
           search_.AddBackwardStart(t, w);
         }

@@ -18,6 +18,12 @@
 // set on that side. And once d[0] + d[1] + 1 = d⊤, the next expansion is
 // the last one d⊤ allows: it settles only the meet set, unless a Z pair of
 // its side reads the level it opens (d*_t > d[t]).
+//
+// The Z-pair test reads no label row in the common case. An anchor (r, σ)
+// reads the side's level dm = min(σ−1, d[t]); when dm = σ−1 the test
+// δ(w, r) + dm = σ is "w is adjacent to r", one bit of the index's shared
+// LandmarkAdjacency. Only a side that stopped short of σ−1 (d[t] < σ−1)
+// reads w's label entry for r.
 
 #ifndef QBS_CORE_GUIDED_SEARCH_H_
 #define QBS_CORE_GUIDED_SEARCH_H_
@@ -27,6 +33,7 @@
 
 #include "core/delta_cache.h"
 #include "core/labeling.h"
+#include "core/landmark_adjacency.h"
 #include "core/meta_graph.h"
 #include "core/search_stats.h"
 #include "core/sketch.h"
@@ -47,9 +54,12 @@ class GuidedSearcher {
   // so they must stay the same (edits change edges, never R). `delta` must
   // hold a segment for every edge of `meta` (DeltaCache::Build over the
   // same scheme): the recover search splices landmark-to-landmark segments
-  // from it and never re-derives one.
+  // from it and never re-derives one. `adjacency` must hold the bits of
+  // `g` and the landmarks of `labeling` (LandmarkAdjacency::Build, kept in
+  // step with every edit): the Z-pair test reads it in place of labels.
   GuidedSearcher(const Graph& g, const PathLabeling& labeling,
-                 const MetaGraph& meta, const DeltaCache& delta);
+                 const MetaGraph& meta, const DeltaCache& delta,
+                 const LandmarkAdjacency& adjacency);
 
   // Answers SPG(u, v) at any distance: computes the sketch and runs the
   // guided search, then stages 2-3 build the SPG as Eq. 5 directs.
@@ -86,6 +96,7 @@ class GuidedSearcher {
   const PathLabeling& labeling_;
   const MetaGraph& meta_;
   const DeltaCache& delta_;
+  const LandmarkAdjacency& adjacency_;
 
   // Per-query scratch (epoch-reset), kept at capacity across queries; the
   // query hot path hashes nothing. The bi-directional search over G⁻ (G

@@ -48,6 +48,8 @@ void QbsIndex::FinishFromScheme(const QbsOptions& options) {
   delta_ = std::make_unique<DeltaCache>(DeltaCache::Build(
       *g_, scheme_->labeling, scheme_->meta, options.num_threads));
   timings_.delta_seconds = timer.ElapsedSeconds();
+  adjacency_ = std::make_unique<LandmarkAdjacency>(
+      LandmarkAdjacency::Build(*g_, scheme_->labeling));
 }
 
 bool QbsIndex::Save(const std::string& path) const {
@@ -107,7 +109,7 @@ QbsIndex::SearcherLease::SearcherLease(const QbsIndex& index, size_t count)
     while (searchers_.size() < count) {
       searchers_.push_back(std::make_unique<GuidedSearcher>(
           *index_.g_, index_.scheme_->labeling, index_.scheme_->meta,
-          *index_.delta_));
+          *index_.delta_, *index_.adjacency_));
     }
   } catch (...) {
     // A failed top-up (searcher construction is O(|V|) of allocation) must
@@ -140,8 +142,8 @@ std::vector<QueryResponse> QbsIndex::QueryBatch(
   const size_t workers = std::min(EffectiveThreads(options.num_threads),
                                   std::max<size_t>(requests.size(), 1));
   // One searcher per worker, checked out of the persistent pool (topped up
-  // to `workers` if needed); all share the graph, labelling, meta-graph
-  // and Δ cache (read-only). The RAII lease
+  // to `workers` if needed); all share the graph, labelling, meta-graph,
+  // Δ cache and landmark adjacency bits (read-only). The RAII lease
   // keeps concurrent QueryBatch calls from ever sharing a searcher AND
   // returns every searcher when a query throws mid-batch, so the pool
   // never shrinks across failed batches.
@@ -178,6 +180,7 @@ UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta) {
   // Move-assignment keeps *g_'s address stable, which every live searcher
   // references.
   *mutable_g_ = std::move(new_graph);
+  adjacency_->Apply(net, scheme_->labeling);
   const UpdateStats col = ApplyNetToLabeling(
       *g_, net, &scheme_->labeling, &scheme_->meta, updatable_.get());
   stats.applied_inserts = col.applied_inserts;

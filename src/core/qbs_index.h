@@ -8,7 +8,8 @@
 //
 // Build() runs the offline phase (labelling scheme construction, Algorithm
 // 2, optionally in parallel = the paper's QbS-P, then the Δ precomputation
-// of §5.2, which every index carries); Query() runs the online phase
+// of §5.2, which every index carries, and the landmark adjacency bits the
+// Z-pair test reads); Query() runs the online phase
 // (sketching, Algorithm 3, then guided searching, Algorithm 4) on a
 // searcher leased from the index's pool, so it is const and safe to call
 // from many threads at once (QueryBatch fans a vector of requests out the
@@ -29,6 +30,7 @@
 #include "core/delta_cache.h"
 #include "core/guided_search.h"
 #include "core/labeling.h"
+#include "core/landmark_adjacency.h"
 #include "core/landmark_selection.h"
 #include "core/meta_graph.h"
 #include "core/query_api.h"
@@ -68,14 +70,16 @@ class QbsIndex {
   /// Loads a labelling scheme previously written by Save() and finishes the
   /// index against `g` (which must be the same graph the scheme was built
   /// on; vertex-count mismatches are rejected). Rebuilds Δ on
-  /// options.num_threads. Returns std::nullopt on I/O or format errors.
+  /// options.num_threads, and the landmark adjacency bits. Returns
+  /// std::nullopt on I/O or format errors.
   static std::optional<QbsIndex> LoadFromFile(const Graph& g,
                                               const std::string& path,
                                               const QbsOptions& options = {});
 
-  /// Persists the labelling scheme (labels + meta-graph; Δ is rebuilt on
-  /// load), atomically: on failure any previous file at `path` is left
-  /// as it was. Returns false on I/O failure.
+  /// Persists the labelling scheme (labels + meta-graph; Δ and the
+  /// landmark adjacency bits are rebuilt on load), atomically: on failure
+  /// any previous file at `path` is left as it was. Returns false on I/O
+  /// failure.
   bool Save(const std::string& path) const;
 
   QbsIndex(QbsIndex&&) = default;
@@ -164,8 +168,9 @@ class QbsIndex {
 
   /// Applies an edit script: computes the net edge changes, splices them
   /// into the graph, repairs every label column over its changed region
-  /// only, and refreshes the meta-graph and Δ cache, on all hardware
-  /// threads.
+  /// only, flips the landmark adjacency bit of every edited edge with a
+  /// landmark endpoint, and refreshes the meta-graph and Δ cache, on all
+  /// hardware threads.
   /// When this returns, the index answers every query exactly as a
   /// from-scratch build on the new graph would — bit-identically. Requires
   /// EnableUpdates().
@@ -192,6 +197,8 @@ class QbsIndex {
   const MetaGraph& meta_graph() const { return scheme_->meta; }
   /// The Δ cache (one segment per meta-edge).
   const DeltaCache& delta_cache() const { return *delta_; }
+  /// The landmark adjacency bits every searcher's Z-pair test reads.
+  const LandmarkAdjacency& landmark_adjacency() const { return *adjacency_; }
   /// Wall-clock timings of the offline phase.
   const QbsBuildTimings& timings() const { return timings_; }
 
@@ -202,6 +209,11 @@ class QbsIndex {
   /// size(Δ): bytes of the precomputed landmark shortest path graphs
   /// (Table 3).
   uint64_t DeltaSizeBytes() const { return delta_->SizeBytes(); }
+  /// Bytes of the landmark adjacency bits, |R|·|V|/8. Derived, never
+  /// saved, and not part of size(L).
+  uint64_t LandmarkAdjacencySizeBytes() const {
+    return adjacency_->SizeBytes();
+  }
   /// Bytes of the meta-graph (edge list + APSP table).
   uint64_t MetaGraphSizeBytes() const { return scheme_->meta.SizeBytes(); }
 
@@ -209,14 +221,15 @@ class QbsIndex {
   QbsIndex() = default;
 
   /// Derives what Build and LoadFromFile share from g_ and scheme_: the Δ
-  /// cache. G⁻ is not stored: each searcher blocks the landmarks in its
-  /// own scratch.
+  /// cache and the landmark adjacency bits. G⁻ is not stored: each
+  /// searcher blocks the landmarks in its own scratch.
   void FinishFromScheme(const QbsOptions& options);
 
   const Graph* g_ = nullptr;  // not owned
   /// Heap-allocated so GuidedSearcher's references survive moves.
   std::unique_ptr<LabelingScheme> scheme_;
   std::unique_ptr<DeltaCache> delta_;
+  std::unique_ptr<LandmarkAdjacency> adjacency_;
   /// Idle searchers, grown on demand and reused across queries (a searcher
   /// holds O(|V|) scratch; rebuilding per query would dominate). Each
   /// SearcherLease checks out what it needs under the mutex, so concurrent

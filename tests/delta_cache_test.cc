@@ -122,7 +122,9 @@ TEST(DeltaCacheTest, RecoverSearchSplicesCachedSegments) {
   const auto scheme = BuildLabelingScheme(g, SelectLandmarks(g, 8));
   const DeltaCache delta =
       DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta);
+  const LandmarkAdjacency adjacency =
+      LandmarkAdjacency::Build(g, scheme.labeling);
+  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta, adjacency);
   uint64_t hits = 0;
   for (VertexId u = 0; u < 60; u += 3) {
     for (VertexId v = 100; v < 160; v += 7) {

@@ -10,7 +10,9 @@
 //
 // Every column's stored depths must also equal a fresh BFS after every
 // batch: the repair keeps them exact, and everything else derives from
-// them.
+// them. So must the landmark adjacency bits the Z-pair test reads: each
+// equals HasEdge on the edited graph, and again after Save and
+// LoadFromFile, which rebuild them.
 //
 // Seeds come from QBS_DYNAMIC_SEEDS (comma-separated) when set — the CI
 // dynamic-gauntlet job passes 16 fresh seeds per run and logs them — and
@@ -128,6 +130,19 @@ void AssertDepthsMatchBfs(const Graph& g, const QbsIndex& index) {
   }
 }
 
+// Every landmark adjacency bit equals HasEdge on the current graph.
+void AssertAdjacencyMatchesGraph(const Graph& g, const QbsIndex& index) {
+  const std::vector<VertexId>& landmarks = index.landmarks();
+  const LandmarkAdjacency& adjacency = index.landmark_adjacency();
+  for (size_t i = 0; i < landmarks.size(); ++i) {
+    for (VertexId w = 0; w < g.NumVertices(); ++w) {
+      ASSERT_EQ(adjacency.Adjacent(static_cast<LandmarkIndex>(i), w),
+                g.HasEdge(landmarks[i], w))
+          << "adjacency bit of landmark " << landmarks[i] << " and " << w;
+    }
+  }
+}
+
 // Sampled pairs + adjacent and two-hop pairs (close pairs must stay
 // bit-identical too).
 std::vector<QueryPair> ProbePairs(const Graph& g, std::mt19937_64& rng) {
@@ -172,12 +187,24 @@ TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
       index.ApplyUpdates(delta);
       QbsIndex fresh = QbsIndex::BuildWithLandmarks(g, landmarks, options);
       AssertDepthsMatchBfs(g, index);
+      AssertAdjacencyMatchesGraph(g, index);
       AssertSameScheme(g, index, fresh);
       AssertSameAnswers(g, index, fresh, rng);
       if (::testing::Test::HasFatalFailure()) {
         return;  // the printed seed line identifies the failing script
       }
     }
+    // The bits are derived, not saved: a reload rebuilds them from the
+    // edited graph.
+    const std::string path = ::testing::TempDir() + "/gauntlet_" +
+                             std::to_string(seed) + ".qbs";
+    ASSERT_TRUE(index.Save(path));
+    const auto loaded = QbsIndex::LoadFromFile(g, path, options);
+    std::remove(path.c_str());
+    ASSERT_TRUE(loaded.has_value());
+    AssertAdjacencyMatchesGraph(g, *loaded);
+    AssertSameAnswers(g, *loaded, index, rng);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
@@ -219,6 +246,7 @@ TEST(DynamicUpdateTest, DeepFamilyChurnMatchesFreshBuild) {
       ASSERT_LE(stats.repaired_columns, landmarks.size());
       QbsIndex fresh = QbsIndex::BuildWithLandmarks(g, landmarks, options);
       AssertDepthsMatchBfs(g, index);
+      AssertAdjacencyMatchesGraph(g, index);
       AssertSameScheme(g, index, fresh);
       AssertSameAnswers(g, index, fresh, rng);
       if (::testing::Test::HasFatalFailure()) {

@@ -26,11 +26,14 @@ class GuidedSearchFigure4Test : public ::testing::Test {
       : graph_(Figure4Graph()),
         scheme_(BuildLabelingScheme(graph_, Figure4Landmarks())),
         delta_(DeltaCache::Build(graph_, scheme_.labeling, scheme_.meta, 1)),
-        searcher_(graph_, scheme_.labeling, scheme_.meta, delta_) {}
+        adjacency_(LandmarkAdjacency::Build(graph_, scheme_.labeling)),
+        searcher_(graph_, scheme_.labeling, scheme_.meta, delta_,
+                  adjacency_) {}
 
   Graph graph_;
   LabelingScheme scheme_;
   DeltaCache delta_;
+  LandmarkAdjacency adjacency_;
   GuidedSearcher searcher_;
 };
 
@@ -102,14 +105,26 @@ TEST_F(GuidedSearchFigure4Test, StatsTrackSparsification) {
   EXPECT_EQ(stats.edges_scanned_recover, 0u);
 }
 
+// A searcher and everything it references, over a caller-built graph.
+struct SearchSetup {
+  SearchSetup(Graph graph, const std::vector<VertexId>& landmarks)
+      : g(std::move(graph)),
+        scheme(BuildLabelingScheme(g, landmarks)),
+        delta(DeltaCache::Build(g, scheme.labeling, scheme.meta, 1)),
+        adjacency(LandmarkAdjacency::Build(g, scheme.labeling)),
+        searcher(g, scheme.labeling, scheme.meta, delta, adjacency) {}
+
+  Graph g;
+  LabelingScheme scheme;
+  DeltaCache delta;
+  LandmarkAdjacency adjacency;
+  GuidedSearcher searcher;
+};
+
 TEST(GuidedSearchTest, DisconnectedPair) {
-  Graph g = Graph::FromEdges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
-  const auto scheme = BuildLabelingScheme(g, {1});
-  const DeltaCache delta =
-      DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta);
+  SearchSetup s(Graph::FromEdges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}}), {1});
   SearchStats stats;
-  const auto spg = searcher.Query(0, 5, &stats);
+  const auto spg = s.searcher.Query(0, 5, &stats);
   EXPECT_FALSE(spg.Connected());
   EXPECT_TRUE(spg.edges.empty());
   EXPECT_EQ(stats.coverage, PairCoverage::kDisconnected);
@@ -117,68 +132,64 @@ TEST(GuidedSearchTest, DisconnectedPair) {
 
 TEST(GuidedSearchTest, ComponentWithoutLandmarks) {
   // The pair lives in a component no landmark touches: pure G⁻ search.
-  Graph g = Graph::FromEdges(7, {{0, 1}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
-                                 {2, 6}});
-  const auto scheme = BuildLabelingScheme(g, {0});
-  const DeltaCache delta =
-      DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta);
+  SearchSetup s(Graph::FromEdges(7, {{0, 1}, {2, 3}, {3, 4}, {4, 5}, {5, 6},
+                                     {2, 6}}),
+                {0});
   SearchStats stats;
-  const auto spg = searcher.Query(2, 4, &stats);
-  EXPECT_EQ(spg, SpgByDoubleBfs(g, 2, 4));
+  const auto spg = s.searcher.Query(2, 4, &stats);
+  EXPECT_EQ(spg, SpgByDoubleBfs(s.g, 2, 4));
   EXPECT_EQ(stats.coverage, PairCoverage::kNoneThroughLandmarks);
 }
 
 TEST(GuidedSearchTest, AllPathsThroughLandmarkHub) {
-  Graph g = StarGraph(12);
-  const auto scheme = BuildLabelingScheme(g, {0});
-  const DeltaCache delta =
-      DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta);
+  SearchSetup s(StarGraph(12), {0});
   SearchStats stats;
-  const auto spg = searcher.Query(3, 9, &stats);
-  EXPECT_EQ(spg, SpgByDoubleBfs(g, 3, 9));
+  const auto spg = s.searcher.Query(3, 9, &stats);
+  EXPECT_EQ(spg, SpgByDoubleBfs(s.g, 3, 9));
   EXPECT_EQ(stats.coverage, PairCoverage::kAllThroughLandmarks);
   // The sparsified star is edgeless: nothing to scan.
   EXPECT_EQ(stats.d_sparsified, kUnreachable);
 }
 
 TEST(GuidedSearchTest, QueryWithPrecomputedSketch) {
-  Graph g = testing::Figure4Graph();
-  const auto scheme = BuildLabelingScheme(g, testing::Figure4Landmarks());
-  const DeltaCache delta =
-      DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta);
-  const Sketch sketch = ComputeSketch(scheme.labeling, scheme.meta, 5, 10);
-  EXPECT_EQ(searcher.QueryWithSketch(5, 10, sketch),
-            SpgByDoubleBfs(g, 5, 10));
+  SearchSetup s(testing::Figure4Graph(), testing::Figure4Landmarks());
+  const Sketch sketch = ComputeSketch(s.scheme.labeling, s.scheme.meta, 5, 10);
+  EXPECT_EQ(s.searcher.QueryWithSketch(5, 10, sketch),
+            SpgByDoubleBfs(s.g, 5, 10));
 }
 
 TEST(GuidedSearchTest, PathGraphLongDistances) {
   // High-diameter regime: every label distance large, search bounded.
-  Graph g = PathGraph(200);
-  const auto scheme = BuildLabelingScheme(g, {100});
-  const DeltaCache delta =
-      DeltaCache::Build(g, scheme.labeling, scheme.meta, 1);
-  GuidedSearcher searcher(g, scheme.labeling, scheme.meta, delta);
-  EXPECT_EQ(searcher.Query(0, 199), SpgByDoubleBfs(g, 0, 199));
-  EXPECT_EQ(searcher.Query(50, 150), SpgByDoubleBfs(g, 50, 150));
-  EXPECT_EQ(searcher.Query(0, 99), SpgByDoubleBfs(g, 0, 99));
+  SearchSetup s(PathGraph(200), {100});
+  EXPECT_EQ(s.searcher.Query(0, 199), SpgByDoubleBfs(s.g, 0, 199));
+  EXPECT_EQ(s.searcher.Query(50, 150), SpgByDoubleBfs(s.g, 50, 150));
+  EXPECT_EQ(s.searcher.Query(0, 99), SpgByDoubleBfs(s.g, 0, 99));
 }
 
-// A searcher and everything it references, over a caller-built graph.
-struct SearchSetup {
-  SearchSetup(Graph graph, const std::vector<VertexId>& landmarks)
-      : g(std::move(graph)),
-        scheme(BuildLabelingScheme(g, landmarks)),
-        delta(DeltaCache::Build(g, scheme.labeling, scheme.meta, 1)),
-        searcher(g, scheme.labeling, scheme.meta, delta) {}
-
-  Graph g;
-  LabelingScheme scheme;
-  DeltaCache delta;
-  GuidedSearcher searcher;
-};
+// A Z pair on the label path: u=0 reaches the landmark 3 over two
+// landmark-free paths 0-{1,2}-3 (σ = 2), and 3 reaches the landmark 6 over
+// 4 and over 5 (the meta-edge (3, 6), spliced from Δ). 0-7-8 is a dead end.
+// With the landmark 6 as an endpoint the search never runs, so u's side
+// stays at d = 0 < σ−1 and its Z test reads u's label entry δ(0, 3) = 2:
+// u is not adjacent to 3, so its adjacency bit would find no Z vertex and
+// lose the paths 0-{1,2}-3.
+TEST(GuidedSearchTest, ZPairBelowSigmaMinusOneReadsTheLabel) {
+  SearchSetup s(Graph::FromEdges(9, {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4},
+                                     {4, 6}, {3, 5}, {5, 6}, {0, 7}, {7, 8}}),
+                {3, 6});
+  const Sketch sketch = ComputeSketch(s.scheme.labeling, s.scheme.meta, 0, 6);
+  ASSERT_EQ(sketch.u_anchors, (std::vector<SketchAnchor>{{0, 2}}));
+  ASSERT_FALSE(s.adjacency.Adjacent(0, 0));
+  for (const auto& [u, v] : {std::pair<VertexId, VertexId>{0, 6}, {6, 0}}) {
+    SearchStats stats;
+    const auto spg = s.searcher.Query(u, v, &stats);
+    EXPECT_EQ(spg, SpgByDoubleBfs(s.g, u, v)) << "u=" << u << " v=" << v;
+    EXPECT_EQ(spg.distance, 4u);
+    EXPECT_EQ(spg.edges.size(), 8u);
+    EXPECT_EQ(stats.coverage, PairCoverage::kAllThroughLandmarks);
+    EXPECT_EQ(stats.delta_cache_hits, 1u);
+  }
+}
 
 TEST(GuidedSearchTest, LabelWalkCountsOnlySparsifiedEntries) {
   // Every shortest path from u=4 to v=6 runs through the landmark 0. With

@@ -97,6 +97,11 @@ TEST_F(CliSmokeTest, GenerateBuildSaveLoadQuery) {
   const std::string build_out = RunOk(cli + " build " + Quoted(edges) + " " +
                                       Quoted(index) + " --landmarks 8");
   EXPECT_NE(build_out.find("saved"), std::string::npos) << build_out;
+  // The landmark adjacency bits sit on their own line, outside size(L):
+  // 8 rows of 300 bits, each rounded up to five 64-bit words.
+  EXPECT_NE(build_out.find("\nlandmark adjacency=320 bytes\n"),
+            std::string::npos)
+      << build_out;
   EXPECT_TRUE(std::filesystem::exists(index));
 
   // Query through the saved index, and through a fresh in-memory build;

@@ -347,6 +347,9 @@ int Build(int argc, char** argv) {
   std::printf("size(L)=%llu bytes, size(Delta)=%llu bytes\n",
               static_cast<unsigned long long>(index.LabelingSizeBytes()),
               static_cast<unsigned long long>(index.DeltaSizeBytes()));
+  std::printf("landmark adjacency=%llu bytes\n",
+              static_cast<unsigned long long>(
+                  index.LandmarkAdjacencySizeBytes()));
   if (!index.Save(argv[1])) return 1;
   std::printf("saved %s\n", argv[1]);
   return 0;
