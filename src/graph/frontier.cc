@@ -40,6 +40,18 @@ void BidirectionalSearch::Seed(int t, VertexId v) {
   levels_[t].Push(v);
 }
 
+// Look-ahead of the level scan, in level positions. Each level vertex is a
+// chain of dependent misses (CSR offset, adjacency line, depth slots) that
+// the out-of-order window cannot overlap with the next vertex's. So the
+// scan requests the offset kOffsetAhead positions ahead, and the first
+// adjacency line kAdjacencyAhead positions ahead, by which time that
+// vertex's offset has had kOffsetAhead - kAdjacencyAhead iterations to
+// arrive. The distances only need to cover one miss, and a denser level
+// only lengthens the iterations, so on denser graphs they are early rather
+// than late: they are fixed, not tuned per graph.
+constexpr size_t kOffsetAhead = 8;
+constexpr size_t kAdjacencyAhead = 3;
+
 template <bool kMeetOnly>
 LevelScan BidirectionalSearch::Expand(int t) {
   const int o = 1 - t;
@@ -49,9 +61,23 @@ LevelScan BidirectionalSearch::Expand(int t) {
   levels_[t].BeginLevel();
   const size_t begin = levels_[t].LevelBegin(next_depth - 1);
   const size_t end = levels_[t].LevelEnd(next_depth - 1);
+  const std::span<const uint64_t> off = g_.RawOffsets();
+  const VertexId* const adj = g_.RawAdjacency().data();
+  // Warm-up: the offsets the loop's first iterations read.
+  for (size_t idx = begin; idx < end && idx < begin + kOffsetAhead; ++idx) {
+    __builtin_prefetch(&off[levels_[t].At(idx)]);
+  }
   LevelScan scan;
   uint64_t entries = 0;
   for (size_t idx = begin; idx < end; ++idx) {
+    if (idx + kOffsetAhead < end) {
+      __builtin_prefetch(&off[levels_[t].At(idx + kOffsetAhead)]);
+    }
+    if (idx + kAdjacencyAhead < end) {
+      // May point one past the adjacency's end (a degree-0 vertex n-1):
+      // a prefetch never faults.
+      __builtin_prefetch(adj + off[levels_[t].At(idx + kAdjacencyAhead)]);
+    }
     const VertexId x = levels_[t].At(idx);
     entries += g_.Degree(x);
     for (VertexId w : g_.Neighbors(x)) {

@@ -16,7 +16,10 @@
 //     (the guided search's d⊤ allows no other) settles only the meet set.
 //     The walk takes, per level, the cheaper of its top-down and bottom-up
 //     exact scans — a direction choice decided by exact costs instead of
-//     a ratio.
+//     a ratio. The level scan prefetches a few positions ahead (each
+//     vertex's CSR offset, then its first adjacency line), so one vertex's
+//     chain of misses overlaps the next ones' without changing what it
+//     scans.
 //
 //  3. Blocked vertices. G⁻ = G[V \ R] is searched inside G: the
 //     landmarks' depth slots hold a sentinel no side ever settles.
@@ -105,6 +108,7 @@ class BidirectionalSearch {
   void Reset();
 
   // Puts `v` at depth 0 of side t. Call after Reset(), before expanding t.
+  // Seeding side t again adds another vertex to its level 0.
   void Seed(int t, VertexId v);
 
   // Expands side t's deepest level by one BFS step: every unvisited,

@@ -339,5 +339,96 @@ TEST(BidirectionalSearchTest, LastLevelSettlesOnlyTheMeetSet) {
   }
 }
 
+// Elementwise minimum of BfsDistances over `sources`: the depths of a side
+// seeded with all of them.
+std::vector<uint32_t> MultiSourceDistances(
+    const Graph& g, const std::vector<VertexId>& sources) {
+  std::vector<uint32_t> dist(g.NumVertices(), kUnreachable);
+  for (const VertexId s : sources) {
+    const std::vector<uint32_t> from_s = BfsDistances(g, s);
+    for (VertexId x = 0; x < g.NumVertices(); ++x) {
+      dist[x] = std::min(dist[x], from_s[x]);
+    }
+  }
+  return dist;
+}
+
+void SeedSides(BidirectionalSearch* search,
+               const std::vector<VertexId>& seeds0, VertexId seed1) {
+  search->Reset();
+  for (const VertexId s : seeds0) search->Seed(0, s);
+  search->Seed(1, seed1);
+}
+
+// The level scan reads ahead of its position in the level. Pins the edges
+// of that look-ahead: levels shorter than it (1 to 3 vertices, and up to
+// 10), levels holding degree-0 vertices and vertex n-1 (whose adjacency
+// starts at its end), and a graph with no edges at all, whose adjacency
+// may have no storage. Several seeds on side 0 put those vertices in one
+// level. ExpandLevel and ExpandLastLevel must scan, settle and meet
+// exactly as a BFS says.
+TEST(BidirectionalSearchTest, LookAheadEdgesScanExactly) {
+  // Vertices 0..11 are connected; 12..15 have no edges.
+  const Graph connected = Graph::FromEdges(
+      16, {{0, 1}, {0, 2}, {0, 3}, {1, 4}, {2, 5}, {3, 6}, {4, 7}, {5, 8},
+           {6, 9}, {7, 10}, {8, 11}, {9, 10}, {10, 11}});
+  const Graph edgeless = Graph::FromEdges(16, {});
+  ASSERT_EQ(edgeless.NumEdges(), 0u);
+  // Side 0's seeds, in level order: vertex n-1 and degree-0 vertices
+  // first (short levels), or where the look-ahead reads them.
+  const std::vector<VertexId> orders[2] = {
+      {15, 12, 0, 13, 4, 14, 8, 2, 11, 6},
+      {12, 0, 13, 15, 4, 14, 8, 2, 11, 6}};
+  const VertexId seed1 = 10;
+  size_t meets = 0;
+  for (const Graph* g : {&connected, &edgeless}) {
+    const VertexId n = g->NumVertices();
+    const std::vector<uint32_t> bfs1 = BfsDistances(*g, seed1);
+    for (const std::vector<VertexId>& order : orders) {
+      for (size_t k = 1; k <= order.size(); ++k) {
+        const std::vector<VertexId> seeds(order.begin(), order.begin() + k);
+        const std::vector<uint32_t> bfs0 = MultiSourceDistances(*g, seeds);
+        SCOPED_TRACE(::testing::Message() << "edges " << g->NumEdges()
+                                          << " seeds " << k << " from "
+                                          << order[0]);
+        BidirectionalSearch full(*g);
+        BidirectionalSearch last(*g);
+        SeedSides(&full, seeds, seed1);
+        full.ExpandLevel(1);  // so that side 0's expansions meet side 1
+        for (uint32_t d = 0; full.levels(0).LevelSize(d) != 0; ++d) {
+          uint64_t degree_sum = 0;
+          for (const VertexId x : full.levels(0).Level(d)) {
+            degree_sum += g->Degree(x);
+          }
+          // Replay `full` on `last` up to level d, then end with the last
+          // expansion.
+          SeedSides(&last, seeds, seed1);
+          last.ExpandLevel(1);
+          for (uint32_t i = 0; i < d; ++i) last.ExpandLevel(0);
+          const size_t met_before = full.meet_set().size();
+          const LevelScan got = last.ExpandLastLevel(0);
+          const LevelScan want = full.ExpandLevel(0);
+          meets += full.meet_set().size() - met_before;
+          ASSERT_EQ(want.scanned, degree_sum) << "level " << d;
+          ASSERT_EQ(want.blocked, 0u);
+          ASSERT_EQ(got.scanned, want.scanned);
+          ASSERT_EQ(got.blocked, want.blocked);
+          ExpectSideDepths(full, 0, bfs0, d + 1);
+          ExpectSideDepths(full, 1, bfs1, 1);
+          ASSERT_EQ(SortedMeetSet(full), SettledByBoth(full, n));
+          ASSERT_EQ(last.meet_set(), full.meet_set());
+          ASSERT_EQ(last.meet_edges(), full.meet_edges());
+          // The last expansion's level is what it added to the meet set.
+          const auto level = last.levels(0).Level(d + 1);
+          ASSERT_EQ(std::vector<VertexId>(level.begin(), level.end()),
+                    std::vector<VertexId>(full.meet_set().begin() + met_before,
+                                          full.meet_set().end()));
+        }
+      }
+    }
+  }
+  EXPECT_GT(meets, 0u);
+}
+
 }  // namespace
 }  // namespace qbs
