@@ -5,8 +5,9 @@
 //
 // Robustness surface:
 //   * All socket I/O goes through server/socket.h — EINTR-retried,
-//     MSG_NOSIGNAL, optionally poll-bounded by ClientOptions timeouts, and
-//     fault-injectable for chaos tests.
+//     MSG_NOSIGNAL, optionally bounded by ClientOptions timeouts (a
+//     blocking recv under a kernel timeout; a send that waits only on a
+//     full send buffer), and fault-injectable for chaos tests.
 //   * QueryWithRetry() layers a deterministic RetryPolicy on Query():
 //     exponential backoff with seeded jitter, honoring the server's
 //     retry_after hint and reconnecting across transport errors, for at

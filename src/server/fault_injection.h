@@ -10,7 +10,8 @@
 //   * short reads / short writes  — an op is capped below the requested
 //     size, exercising every partial-I/O resume loop;
 //   * stalls                      — an op is delayed, exercising the
-//     poll-based read/write timeouts and the idle reaper;
+//     kernel-enforced read timeouts, the bounded send wait and the idle
+//     reaper;
 //   * connection resets           — an op fails as if the peer vanished,
 //     exercising reconnect/retry paths;
 //   * torn frames                 — a write is cut short and the NEXT op

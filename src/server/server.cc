@@ -257,12 +257,12 @@ void QueryServer::HandleConnection(int fd, uint64_t conn_id) {
       int32_t timeout = kNoTimeout;
       if (mid_frame) {
         if (options_.read_timeout_ms > 0) {
-          const int64_t left = RemainingMs(
-              frame_start + std::chrono::milliseconds(options_.read_timeout_ms));
-          timeout = static_cast<int32_t>(left);
+          const auto frame_deadline =
+              frame_start + std::chrono::milliseconds(options_.read_timeout_ms);
+          timeout = ClampTimeoutMs(RemainingMs(frame_deadline));
         }
       } else if (options_.idle_timeout_ms > 0) {
-        timeout = static_cast<int32_t>(options_.idle_timeout_ms);
+        timeout = ClampTimeoutMs(options_.idle_timeout_ms);
       }
       size_t n = 0;
       const IoStatus status = sock.RecvSome(buf, sizeof(buf), &n, timeout);
@@ -539,7 +539,7 @@ bool QueryServer::SendFrame(Socket& sock, FrameType type,
   AppendFrame(&frame, type, payload);
   const int32_t timeout = options_.write_timeout_ms == 0
                               ? kNoTimeout
-                              : static_cast<int32_t>(options_.write_timeout_ms);
+                              : ClampTimeoutMs(options_.write_timeout_ms);
   return sock.SendAll(frame, timeout) == IoStatus::kOk;
 }
 

@@ -14,7 +14,9 @@
 //     capped at the remaining budget), and after any injected slowness. A
 //     request whose budget ran out is answered kDeadlineExceeded, never
 //     executed late.
-//   * Timeouts — all socket I/O is poll-bounded (server/socket.h): a peer
+//   * Timeouts — all socket I/O is time-bounded (server/socket.h: a
+//     blocking recv under a kernel timeout; a send that waits only on a
+//     full send buffer). Options saturate at INT32_MAX ms. A peer
 //     stalling mid-frame is cut off after read_timeout_ms (slowloris
 //     defense), a connection idle between requests is reaped after
 //     idle_timeout_ms, and a peer not draining responses is cut off after

@@ -5,6 +5,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -18,12 +19,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Remaining budget in ms, clamped at 0 once the deadline passed.
+/// Remaining budget in ms, rounded up so a wait that times out ends past
+/// the deadline; 0 once the deadline passed.
 int32_t RemainingMs(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
-                        .count();
-  return left <= 0 ? 0 : static_cast<int32_t>(left);
+  return ClampTimeoutMs(
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+          .count());
 }
 
 // strerror_r has two incompatible signatures (XSI returns int and fills the
@@ -52,7 +53,9 @@ std::string ErrnoString(int errnum) {
 Socket::Socket(Socket&& other) noexcept
     : fd_(std::exchange(other.fd_, -1)),
       injector_(std::exchange(other.injector_, nullptr)),
-      last_errno_(other.last_errno_) {}
+      last_errno_(other.last_errno_),
+      recv_timeout_ms_(
+          std::exchange(other.recv_timeout_ms_, kRecvTimeoutUnknown)) {}
 
 Socket& Socket::operator=(Socket&& other) noexcept {
   if (this != &other) {
@@ -60,6 +63,8 @@ Socket& Socket::operator=(Socket&& other) noexcept {
     fd_ = std::exchange(other.fd_, -1);
     injector_ = std::exchange(other.injector_, nullptr);
     last_errno_ = other.last_errno_;
+    recv_timeout_ms_ =
+        std::exchange(other.recv_timeout_ms_, kRecvTimeoutUnknown);
   }
   return *this;
 }
@@ -108,6 +113,7 @@ void Socket::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+  recv_timeout_ms_ = kRecvTimeoutUnknown;
 }
 
 IoStatus Socket::PollFor(short events, int32_t timeout_ms) {
@@ -123,6 +129,22 @@ IoStatus Socket::PollFor(short events, int32_t timeout_ms) {
     last_errno_ = errno;
     return IoStatus::kError;
   }
+}
+
+bool Socket::SetRecvTimeout(int32_t timeout_ms) {
+  if (timeout_ms == recv_timeout_ms_) return true;
+  timeval tv{};  // zero: block forever
+  if (timeout_ms > 0) {
+    tv.tv_sec = timeout_ms / 1000;
+    tv.tv_usec = (timeout_ms % 1000) * 1000;
+  }
+  if (::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv)) != 0) {
+    last_errno_ = errno;
+    recv_timeout_ms_ = kRecvTimeoutUnknown;
+    return false;
+  }
+  recv_timeout_ms_ = timeout_ms;
+  return true;
 }
 
 IoStatus Socket::SendAll(std::span<const uint8_t> data, int32_t timeout_ms) {
@@ -152,18 +174,23 @@ IoStatus Socket::SendAll(std::span<const uint8_t> data, int32_t timeout_ms) {
           return IoStatus::kError;
       }
     }
-    const IoStatus ready =
-        PollFor(POLLOUT, bounded ? RemainingMs(deadline) : kNoTimeout);
-    if (ready != IoStatus::kOk) return ready;
-    const ssize_t n = ::send(fd_, data.data() + sent, want, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) {
-        continue;  // re-poll; EAGAIN can follow a spurious wakeup
+    for (;;) {
+      const ssize_t n =
+          ::send(fd_, data.data() + sent, want, MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (n >= 0) {
+        sent += static_cast<size_t>(n);
+        break;
       }
-      last_errno_ = errno;
-      return IoStatus::kError;
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) {
+        last_errno_ = errno;
+        return IoStatus::kError;
+      }
+      // The send buffer is full: wait for room within the remaining budget.
+      const IoStatus ready =
+          PollFor(POLLOUT, bounded ? RemainingMs(deadline) : kNoTimeout);
+      if (ready != IoStatus::kOk) return ready;
     }
-    sent += static_cast<size_t>(n);
   }
   return IoStatus::kOk;
 }
@@ -189,18 +216,36 @@ IoStatus Socket::RecvSome(uint8_t* buf, size_t capacity, size_t* received,
         return IoStatus::kError;
     }
   }
+  if (timeout_ms < 0) timeout_ms = kNoTimeout;
+  // SO_RCVTIMEO of zero means "forever", so a due deadline makes a
+  // non-blocking recv instead.
+  const int flags = timeout_ms == 0 ? MSG_DONTWAIT : 0;
+  Clock::time_point deadline{};
+  if (timeout_ms > 0) {
+    deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
+  }
+  int32_t wait_ms = timeout_ms;
   for (;;) {
-    const IoStatus ready = PollFor(POLLIN, timeout_ms);
-    if (ready != IoStatus::kOk) return ready;
-    const ssize_t n = ::recv(fd_, buf, want, 0);
-    if (n < 0) {
-      if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK) continue;
+    if (flags == 0 && !SetRecvTimeout(wait_ms)) return IoStatus::kError;
+    const ssize_t n = ::recv(fd_, buf, want, flags);
+    if (n > 0) {
+      *received = static_cast<size_t>(n);
+      return IoStatus::kOk;
+    }
+    if (n == 0) return IoStatus::kClosed;
+    if (errno == EINTR) continue;
+    if (errno != EAGAIN && errno != EWOULDBLOCK) {
       last_errno_ = errno;
       return IoStatus::kError;
     }
-    if (n == 0) return IoStatus::kClosed;
-    *received = static_cast<size_t>(n);
-    return IoStatus::kOk;
+    // The kernel counts SO_RCVTIMEO in scheduler ticks and, when ticks run
+    // late, can end it a tick early: wait out the rest, so that kTimeout
+    // means the whole timeout passed.
+    if (timeout_ms > 0) {
+      wait_ms = RemainingMs(deadline);
+      if (wait_ms > 0) continue;
+    }
+    return IoStatus::kTimeout;
   }
 }
 

@@ -1,8 +1,11 @@
 // RAII TCP socket with the I/O discipline the serving stack requires
 // everywhere: every syscall rides out EINTR, every send is SIGPIPE-safe
 // (MSG_NOSIGNAL) and resumes partial writes, and every operation can be
-// bounded by a poll-based timeout so one stalled peer can never pin a
-// thread forever (the slowloris defense). Both the daemon (server.cc) and
+// bounded by a timeout so one stalled peer can never pin a thread forever
+// (the slowloris defense). Each operation is one syscall in the common
+// case: a receive is one blocking recv whose timeout the kernel enforces
+// (SO_RCVTIMEO), and a send goes out first and waits in poll only when the
+// send buffer is full. Both the daemon (server.cc) and
 // the client (client.cc) speak to the network exclusively through this
 // class — raw ::send/::recv calls are confined to socket.cc.
 //
@@ -14,8 +17,10 @@
 #ifndef QBS_SERVER_SOCKET_H_
 #define QBS_SERVER_SOCKET_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 
@@ -26,7 +31,7 @@ namespace qbs::server {
 /// Outcome of a socket operation.
 enum class IoStatus : uint8_t {
   kOk,       // operation completed
-  kTimeout,  // the poll deadline expired before the operation completed
+  kTimeout,  // the timeout expired before the operation completed
   kClosed,   // orderly EOF from the peer (recv only)
   kError,    // syscall failure (or injected reset); last_errno() says why
 };
@@ -35,9 +40,18 @@ enum class IoStatus : uint8_t {
 /// strerror(3) may share a static buffer (clang-tidy concurrency-mt-unsafe).
 std::string ErrnoString(int errnum);
 
-/// Timeout convention: milliseconds; kNoTimeout (-1) blocks forever,
-/// 0 means "already due" (useful when a deadline has run out).
+/// Timeout convention: milliseconds; kNoTimeout (-1), like every other
+/// negative value, blocks forever, 0 means "already due" (useful when a
+/// deadline has run out).
 inline constexpr int32_t kNoTimeout = -1;
+
+/// Narrows a millisecond count (a uint32_t option, or a remaining int64_t
+/// budget) to a timeout: saturates at INT32_MAX (~24.8 days) instead of
+/// wrapping negative, which would mean kNoTimeout; negative counts are 0.
+inline constexpr int32_t ClampTimeoutMs(int64_t ms) {
+  return static_cast<int32_t>(
+      std::clamp<int64_t>(ms, 0, std::numeric_limits<int32_t>::max()));
+}
 
 class Socket {
  public:
@@ -65,13 +79,17 @@ class Socket {
   void SetNoDelay();
 
   /// Sends all of `data`, resuming partial writes, riding out EINTR, and
-  /// never raising SIGPIPE. `timeout_ms` bounds the TOTAL operation:
+  /// never raising SIGPIPE. Each send is non-blocking; only a full send
+  /// buffer waits, in poll. `timeout_ms` bounds the TOTAL operation:
   /// kTimeout means the peer stopped draining mid-frame, after which the
   /// stream is torn and the connection should be closed.
   IoStatus SendAll(std::span<const uint8_t> data, int32_t timeout_ms);
 
   /// Receives up to `capacity` bytes, waiting at most `timeout_ms` for the
-  /// first byte. kClosed (with *received = 0) is orderly EOF.
+  /// first byte; kTimeout means the whole timeout passed. kClosed (with
+  /// *received = 0) is orderly EOF. One blocking recv under SO_RCVTIMEO
+  /// (0 is a non-blocking recv); the option is set only when `timeout_ms`
+  /// differs from the previous call's.
   IoStatus RecvSome(uint8_t* buf, size_t capacity, size_t* received,
                     int32_t timeout_ms);
 
@@ -81,15 +99,23 @@ class Socket {
   int last_errno() const { return last_errno_; }
 
  private:
-  /// Waits for `events` (POLLIN/POLLOUT) within the remaining budget.
+  /// Waits for `events` within the remaining budget; SendAll's wait on a
+  /// full send buffer (POLLOUT).
   IoStatus PollFor(short events, int32_t timeout_ms);
+  /// Makes the fd's SO_RCVTIMEO `timeout_ms` (> 0, or kNoTimeout) unless
+  /// it already is.
+  bool SetRecvTimeout(int32_t timeout_ms);
   /// Shuts down both directions without closing the fd (an injected
   /// reset).
   void ShutdownBoth();
 
+  /// SO_RCVTIMEO is not known (an adopted fd, or a failed setsockopt).
+  static constexpr int32_t kRecvTimeoutUnknown = -2;
+
   int fd_ = -1;
   FaultInjector* injector_ = nullptr;  // not owned
   int last_errno_ = 0;
+  int32_t recv_timeout_ms_ = kRecvTimeoutUnknown;  // the fd's SO_RCVTIMEO
 };
 
 /// Listening TCP socket: confines the listen-side syscalls (socket, bind,

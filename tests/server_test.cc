@@ -246,6 +246,31 @@ TEST_F(ServerTest, StopUnblocksAndJoinsEverything) {
             QueryClient::RpcStatus::kOk);
 }
 
+TEST_F(ServerTest, StopWakesAnIdleConnectionWithNoTimeout) {
+  // idle_timeout_ms = 0: the connection's recv has no kernel timeout at all,
+  // so only Stop()'s shutdown of the socket can wake it.
+  ServerOptions options;
+  options.idle_timeout_ms = 0;
+  auto server = StartServer(options);
+  const int fd = ConnectRaw(server->port());
+  ASSERT_GE(fd, 0);
+  const auto accepted_by = std::chrono::steady_clock::now() +
+                           std::chrono::seconds(5);
+  while (server->GetStats().active_connections == 0 &&
+         std::chrono::steady_clock::now() < accepted_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server->GetStats().active_connections, 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));  // into recv
+
+  const auto start = std::chrono::steady_clock::now();
+  server->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  uint8_t byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // orderly close, not a timeout
+  ::close(fd);
+}
+
 TEST(AdmissionGateTest, RejectsWhenQueueFull) {
   AdmissionGate gate(/*max_inflight=*/1, /*max_queue=*/0);
   ASSERT_EQ(gate.Acquire(), AdmissionGate::Ticket::kAdmitted);
