@@ -61,6 +61,12 @@ class MetaGraph {
     return dist_[Idx(a, b)];
   }
 
+  // Row a of the APSP matrix: DistanceRow(a)[b] == Distance(a, b) for
+  // b < num_landmarks(). M is undirected, so row b is also column b.
+  const uint32_t* DistanceRow(LandmarkIndex a) const {
+    return dist_.data() + Idx(a, 0);
+  }
+
   // All meta-edges, each once (a < b), sorted.
   const std::vector<MetaEdge>& Edges() const { return edges_; }
 

@@ -69,23 +69,41 @@ void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
   ComputeAnchorCandidatesInto(labeling, u, &scratch->cu);
   ComputeAnchorCandidatesInto(labeling, v, &scratch->cv);
 
-  // Pass 1: d⊤ = min over candidate pairs (Eq. 3). Pairs with r == r'
+  // Pass 1: d⊤ = min over candidate pairs (Eq. 3), as a min-plus sweep:
+  // reach[r] = min over v-candidates b of d_M(r, b) + δ(v, b), reading each
+  // b's contiguous APSP row (M is undirected, so row b is column b), then
+  // d⊤ = min over u-candidates a of δ(u, a) + reach[a]. Pairs with r == r'
   // (single common landmark) are included: d_M(r, r) = 0.
-  for (const SketchAnchor& a : scratch->cu) {
-    for (const SketchAnchor& b : scratch->cv) {
-      const uint32_t mid = meta.Distance(a.landmark, b.landmark);
-      if (mid == kUnreachable) continue;
-      const uint32_t total = a.delta + mid + b.delta;
-      sketch->d_top = std::min(sketch->d_top, total);
+  const uint32_t k = meta.num_landmarks();
+  std::vector<uint32_t>& reach_buf = scratch->reach;
+  reach_buf.assign(k, kUnreachable);
+  uint32_t* reach = reach_buf.data();
+  for (const SketchAnchor& b : scratch->cv) {
+    const uint32_t* row = meta.DistanceRow(b.landmark);
+    const uint32_t delta = b.delta;
+    for (uint32_t r = 0; r < k; ++r) {
+      // Saturating: kUnreachable + δ stays kUnreachable.
+      const uint32_t sum = row[r] + delta;
+      reach[r] = std::min(reach[r], sum < delta ? kUnreachable : sum);
     }
+  }
+  for (const SketchAnchor& a : scratch->cu) {
+    if (reach[a.landmark] == kUnreachable) continue;
+    sketch->d_top = std::min(sketch->d_top, a.delta + reach[a.landmark]);
   }
   if (sketch->d_top == kUnreachable) return;
 
-  // Pass 2: anchors and minimizing (r, r') pairs.
+  // Pass 2: anchors and minimizing (r, r') pairs, from the u-candidates
+  // that reach d⊤ only, each enumerating the v-candidates in order.
   scratch->min_pairs.clear();
   for (const SketchAnchor& a : scratch->cu) {
+    if (reach[a.landmark] == kUnreachable ||
+        a.delta + reach[a.landmark] != sketch->d_top) {
+      continue;
+    }
+    const uint32_t* row = meta.DistanceRow(a.landmark);
     for (const SketchAnchor& b : scratch->cv) {
-      const uint32_t mid = meta.Distance(a.landmark, b.landmark);
+      const uint32_t mid = row[b.landmark];
       if (mid == kUnreachable) continue;
       if (a.delta + mid + b.delta != sketch->d_top) continue;
       sketch->u_anchors.push_back(a);
@@ -116,31 +134,6 @@ void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
       sketch->d_star_v = std::max<uint32_t>(sketch->d_star_v, b.delta - 1u);
     }
   }
-}
-
-LabelBound ComputeLabelBoundFromCandidates(
-    const std::vector<SketchAnchor>& cu, const std::vector<SketchAnchor>& cv) {
-  LabelBound bound;
-  // Sorted merge on landmark index (both rows ascend by construction).
-  size_t iu = 0;
-  size_t iv = 0;
-  while (iu < cu.size() && iv < cv.size()) {
-    if (cu[iu].landmark < cv[iv].landmark) {
-      ++iu;
-      continue;
-    }
-    if (cv[iv].landmark < cu[iu].landmark) {
-      ++iv;
-      continue;
-    }
-    const DistT du = cu[iu].delta;
-    const DistT dv = cv[iv].delta;
-    ++iu;
-    ++iv;
-    bound.lower = std::max<uint32_t>(bound.lower, du > dv ? du - dv : dv - du);
-    bound.upper = std::min(bound.upper, static_cast<uint32_t>(du) + dv);
-  }
-  return bound;
 }
 
 LabelBound ComputeLabelBound(const PathLabeling& labeling,

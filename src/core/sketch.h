@@ -10,10 +10,12 @@
 //     pairs;
 //   * d*_u, d*_v — per-side search depth suggestions (Eq. 4).
 //
-// With the meta-graph APSP precomputed (§5.2) this costs
-// O(|L(u)|·|L(v)|) = O(|R|^2) for d⊤ and the anchors, plus, per minimizing
-// landmark pair, O(|R|) to list its on-path landmarks and a test of each
-// pair of them for the meta-edges.
+// With the meta-graph APSP precomputed (§5.2), d⊤ is a min-plus sweep:
+// |cv|·|R| contiguous row adds (one APSP row per v-candidate), then one
+// lookup per u-candidate. The anchors come from a pass 2 over only the
+// u-candidates that reach d⊤, |cv| lookups each. The meta-edges cost, per
+// minimizing landmark pair, O(|R|) to list its on-path landmarks and a test
+// of each pair of them.
 
 #ifndef QBS_CORE_SKETCH_H_
 #define QBS_CORE_SKETCH_H_
@@ -66,6 +68,9 @@ struct SketchScratch {
   std::vector<SketchAnchor> cu, cv;
   std::vector<std::pair<LandmarkIndex, LandmarkIndex>> min_pairs;
   std::vector<LandmarkIndex> on_path;
+  /// Pass 1's min-plus row: reach[r] = min over v-candidates b of
+  /// d_M(r, b) + δ(v, b), |R| entries.
+  std::vector<uint32_t> reach;
 };
 
 /// Computes the sketch for SPG(u, v). Either endpoint may be a landmark, in
@@ -119,14 +124,6 @@ struct LabelBound {
 LabelBound ComputeLabelBound(const PathLabeling& labeling,
                              const MetaGraph& meta, VertexId u, VertexId v,
                              uint32_t /*unused*/ = 0);
-
-/// As ComputeLabelBound for non-landmark-pair queries, over candidate rows
-/// already produced by ComputeAnchorCandidatesInto(u) / (v) — a sorted
-/// merge on landmark index, no label-row re-scan. (A landmark endpoint is
-/// its single virtual entry; a landmark *pair* never shares a candidate, so
-/// callers handle that case via MetaGraph::Distance first.)
-LabelBound ComputeLabelBoundFromCandidates(
-    const std::vector<SketchAnchor>& cu, const std::vector<SketchAnchor>& cv);
 
 }  // namespace qbs
 

@@ -40,6 +40,35 @@ TEST(MetaGraphTest, DisconnectedLandmarks) {
   EXPECT_EQ(m.Distance(1, 3), kUnreachable);
 }
 
+// DistanceRow(a)[b] == Distance(a, b) == Distance(b, a) for every pair:
+// the sketch's min-plus sweep reads row b as column b.
+void ExpectRowsMatchSymmetricDistances(const MetaGraph& m) {
+  const LandmarkIndex k = m.num_landmarks();
+  for (LandmarkIndex a = 0; a < k; ++a) {
+    const uint32_t* row = m.DistanceRow(a);
+    for (LandmarkIndex b = 0; b < k; ++b) {
+      ASSERT_EQ(row[b], m.Distance(a, b)) << "a=" << a << " b=" << b;
+      ASSERT_EQ(m.Distance(a, b), m.Distance(b, a)) << "a=" << a << " b=" << b;
+    }
+  }
+}
+
+TEST(MetaGraphTest, DistanceRowIsSymmetricApspRow) {
+  MetaGraph m(4);
+  m.AddEdge(0, 1, 3);
+  m.AddEdge(2, 3, 1);
+  m.Finalize();
+  ExpectRowsMatchSymmetricDistances(m);
+  EXPECT_EQ(m.DistanceRow(2)[0], kUnreachable);
+  EXPECT_EQ(m.DistanceRow(3)[3], 0u);
+
+  const Graph g = BarabasiAlbert(300, 2, 9);
+  const auto scheme =
+      BuildLabelingScheme(g, testing::RandomLandmarks(g, 24, 9));
+  ASSERT_TRUE(scheme.meta.finalized());
+  ExpectRowsMatchSymmetricDistances(scheme.meta);
+}
+
 TEST(MetaGraphTest, EdgeOnShortestPath) {
   // 0 -1- 1 -1- 2 and direct 0 -2- 2: both routes are shortest (length 2).
   MetaGraph m(3);

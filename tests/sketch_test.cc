@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <random>
@@ -139,6 +140,119 @@ TEST(SketchMetaEdgesTest, OnPathLandmarksGiveTheAllEdgeSweep) {
   }
   EXPECT_GT(unreachable_pairs, 0u);
   EXPECT_GT(edges_found, 0u);
+}
+
+// The |cu|·|cv| pair loop the min-plus sweep replaced, kept as its oracle:
+// d⊤ over every candidate pair, then the anchors and minimizing pairs in
+// (u-candidate, v-candidate) order.
+void PairLoopSketch(const PathLabeling& labeling, const MetaGraph& meta,
+                    VertexId u, VertexId v, Sketch* sketch,
+                    SketchScratch* scratch) {
+  *sketch = Sketch{};
+  scratch->min_pairs.clear();
+  std::vector<SketchAnchor> cu;
+  std::vector<SketchAnchor> cv;
+  ComputeAnchorCandidatesInto(labeling, u, &cu);
+  ComputeAnchorCandidatesInto(labeling, v, &cv);
+  for (const SketchAnchor& a : cu) {
+    for (const SketchAnchor& b : cv) {
+      const uint32_t mid = meta.Distance(a.landmark, b.landmark);
+      if (mid == kUnreachable) continue;
+      sketch->d_top = std::min(sketch->d_top, a.delta + mid + b.delta);
+    }
+  }
+  if (sketch->d_top == kUnreachable) return;
+  for (const SketchAnchor& a : cu) {
+    for (const SketchAnchor& b : cv) {
+      const uint32_t mid = meta.Distance(a.landmark, b.landmark);
+      if (mid == kUnreachable) continue;
+      if (a.delta + mid + b.delta != sketch->d_top) continue;
+      sketch->u_anchors.push_back(a);
+      sketch->v_anchors.push_back(b);
+      scratch->min_pairs.emplace_back(a.landmark, b.landmark);
+    }
+  }
+  for (auto* anchors : {&sketch->u_anchors, &sketch->v_anchors}) {
+    std::sort(anchors->begin(), anchors->end());
+    anchors->erase(std::unique(anchors->begin(), anchors->end()),
+                   anchors->end());
+  }
+  ComputeSketchMetaEdges(meta, sketch, scratch);
+  for (const SketchAnchor& a : sketch->u_anchors) {
+    if (a.delta > 0) {
+      sketch->d_star_u = std::max<uint32_t>(sketch->d_star_u, a.delta - 1u);
+    }
+  }
+  for (const SketchAnchor& b : sketch->v_anchors) {
+    if (b.delta > 0) {
+      sketch->d_star_v = std::max<uint32_t>(sketch->d_star_v, b.delta - 1u);
+    }
+  }
+}
+
+// ComputeSketchInto equals the pair loop field for field, minimizing-pair
+// order included, on every meta-edge family (the two-component one has
+// kUnreachable in its meta rows) at |R| in {1, 5, 16, 64}, over random
+// pairs, every landmark endpoint, u == v, and pairs across components. One
+// scratch serves every |R|, so a stale reach row would show.
+TEST(SketchReferenceTest, SketchMatchesPairLoopReference) {
+  Sketch got;
+  Sketch want;
+  SketchScratch scratch;
+  SketchScratch ref_scratch;
+  size_t disconnected = 0;
+  size_t landmark_endpoints = 0;
+  size_t multi_pair = 0;
+  for (int family = 0; family < 4; ++family) {
+    for (uint64_t seed = 1; seed <= 2; ++seed) {
+      const Graph g = MetaEdgeFamilyGraph(family, seed);
+      const VertexId n = g.NumVertices();
+      for (const uint32_t k : {1u, 5u, 16u, 64u}) {
+        const std::vector<VertexId> landmarks =
+            testing::RandomLandmarks(g, k, 100 * seed + 10 * family + k);
+        const LabelingScheme scheme = BuildLabelingScheme(g, landmarks);
+        std::vector<std::pair<VertexId, VertexId>> pairs;
+        std::mt19937_64 rng(seed * 7919 + k * 31 + family);
+        for (int i = 0; i < 200; ++i) {
+          pairs.emplace_back(static_cast<VertexId>(rng() % n),
+                             static_cast<VertexId>(rng() % n));
+        }
+        for (const VertexId r : landmarks) {
+          pairs.emplace_back(r, static_cast<VertexId>(rng() % n));
+          pairs.emplace_back(static_cast<VertexId>(rng() % n), r);
+          pairs.emplace_back(r, landmarks[rng() % landmarks.size()]);
+        }
+        for (VertexId t = 0; t < n; t += 17) pairs.emplace_back(t, t);
+        for (const auto& [u, v] : pairs) {
+          ComputeSketchInto(scheme.labeling, scheme.meta, u, v, &got,
+                            &scratch);
+          PairLoopSketch(scheme.labeling, scheme.meta, u, v, &want,
+                         &ref_scratch);
+          const std::string where =
+              "family=" + std::to_string(family) +
+              " seed=" + std::to_string(seed) + " k=" + std::to_string(k) +
+              " u=" + std::to_string(u) + " v=" + std::to_string(v);
+          ASSERT_EQ(got.d_top, want.d_top) << where;
+          ASSERT_EQ(got.u_anchors, want.u_anchors) << where;
+          ASSERT_EQ(got.v_anchors, want.v_anchors) << where;
+          ASSERT_EQ(got.d_star_u, want.d_star_u) << where;
+          ASSERT_EQ(got.d_star_v, want.d_star_v) << where;
+          ASSERT_EQ(got.meta_edges, want.meta_edges) << where;
+          if (want.d_top != kUnreachable) {
+            ASSERT_EQ(scratch.min_pairs, ref_scratch.min_pairs) << where;
+          }
+          if (want.d_top == kUnreachable) ++disconnected;
+          if (scheme.labeling.IsLandmark(u) || scheme.labeling.IsLandmark(v)) {
+            ++landmark_endpoints;
+          }
+          if (ref_scratch.min_pairs.size() > 1) ++multi_pair;
+        }
+      }
+    }
+  }
+  EXPECT_GT(disconnected, 0u);
+  EXPECT_GT(landmark_endpoints, 0u);
+  EXPECT_GT(multi_pair, 0u);
 }
 
 TEST_F(SketchFigure4Test, SketchIsSymmetricInBound) {
@@ -390,6 +504,33 @@ std::vector<SketchAnchor> ReferenceCandidates(const PathLabeling& labeling,
     if (d != kInfDist) out.push_back(SketchAnchor{i, d});
   }
   return out;
+}
+
+// The bound as a sorted merge of two candidate rows on landmark index (both
+// ascend by construction), independent of the fused row scan in
+// core/sketch.cc.
+LabelBound ComputeLabelBoundFromCandidates(
+    const std::vector<SketchAnchor>& cu, const std::vector<SketchAnchor>& cv) {
+  LabelBound bound;
+  size_t iu = 0;
+  size_t iv = 0;
+  while (iu < cu.size() && iv < cv.size()) {
+    if (cu[iu].landmark < cv[iv].landmark) {
+      ++iu;
+      continue;
+    }
+    if (cv[iv].landmark < cu[iu].landmark) {
+      ++iv;
+      continue;
+    }
+    const DistT du = cu[iu].delta;
+    const DistT dv = cv[iv].delta;
+    ++iu;
+    ++iv;
+    bound.lower = std::max<uint32_t>(bound.lower, du > dv ? du - dv : dv - du);
+    bound.upper = std::min(bound.upper, static_cast<uint32_t>(du) + dv);
+  }
+  return bound;
 }
 
 class RowScanReference : public ::testing::TestWithParam<uint32_t> {};
