@@ -75,9 +75,8 @@ void ComputeSketchInto(const PathLabeling& labeling, const MetaGraph& meta,
   // d⊤ = min over u-candidates a of δ(u, a) + reach[a]. Pairs with r == r'
   // (single common landmark) are included: d_M(r, r) = 0.
   const uint32_t k = meta.num_landmarks();
-  std::vector<uint32_t>& reach_buf = scratch->reach;
-  reach_buf.assign(k, kUnreachable);
-  uint32_t* reach = reach_buf.data();
+  scratch->reach.assign(k, kUnreachable);
+  uint32_t* reach = scratch->reach.data();
   for (const SketchAnchor& b : scratch->cv) {
     const uint32_t* row = meta.DistanceRow(b.landmark);
     const uint32_t delta = b.delta;
