@@ -18,7 +18,6 @@ GuidedSearcher::GuidedSearcher(const Graph& g, const PathLabeling& labeling,
   QBS_CHECK_EQ(g.NumVertices(), labeling.num_vertices());
   QBS_CHECK(meta.finalized());
   walk_mark_.assign(g.NumVertices(), 0);
-  walk_session_.Resize(labeling.num_landmarks(), 0);
 }
 
 ShortestPathGraph GuidedSearcher::Query(VertexId u, VertexId v,
@@ -41,14 +40,9 @@ int GuidedSearcher::PickSide(const Sketch& sketch, const uint32_t d[2]) const {
              : 1;
 }
 
-uint64_t GuidedSearcher::WalkSerial(LandmarkIndex r) {
-  if (!walk_session_.IsSet(r)) walk_session_.Set(r, ++walk_serial_);
-  return walk_session_.Get(r);
-}
-
 void GuidedSearcher::LabelWalk(VertexId w, LandmarkIndex r,
                                SearchStats* stats) {
-  const uint64_t serial = WalkSerial(r);
+  const uint64_t serial = walk_base_ + r + 1;
   if (walk_mark_[w] == serial) return;
   walk_mark_[w] = serial;
   const VertexId target = labeling_.LandmarkVertex(r);
@@ -104,7 +98,7 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
 
   // Reset per-query scratch (buffers are reused; only logical clears).
   search_.Reset();
-  walk_session_.Reset();
+  walk_base_ += labeling_.num_landmarks();
   edges_.clear();
 
   const bool u_lm = labeling_.IsLandmark(u);

@@ -40,7 +40,6 @@
 #include "graph/frontier.h"
 #include "graph/graph.h"
 #include "graph/spg.h"
-#include "util/epoch_array.h"
 
 namespace qbs {
 
@@ -55,8 +54,9 @@ class GuidedSearcher {
   // hold a segment for every edge of `meta` (DeltaCache::Build over the
   // same scheme): the recover search splices landmark-to-landmark segments
   // from it and never re-derives one. `adjacency` must hold the bits of
-  // `g` and the landmarks of `labeling` (LandmarkAdjacency::Build, kept in
-  // step with every edit): the Z-pair test reads it in place of labels.
+  // `g` and the landmarks of `labeling` (LandmarkAdjacency::Build, which
+  // the index re-runs in place after every edit): the Z-pair test reads
+  // it in place of labels.
   GuidedSearcher(const Graph& g, const PathLabeling& labeling,
                  const MetaGraph& meta, const DeltaCache& delta,
                  const LandmarkAdjacency& adjacency);
@@ -83,10 +83,6 @@ class GuidedSearcher {
   // breaking ties toward the smaller traversed set.
   int PickSide(const Sketch& sketch, const uint32_t d[2]) const;
 
-  // Serial identifying the current query's walk session for landmark r;
-  // walk-mark slots holding it are "visited for r in this query".
-  uint64_t WalkSerial(LandmarkIndex r);
-
   // Emits all edges of all landmark-free shortest paths from w to landmark
   // `r`, walking label distances down to 1 (recover search). Landmarks
   // carry no label, so it never steps onto one; it counts G⁻ entries.
@@ -98,18 +94,20 @@ class GuidedSearcher {
   const DeltaCache& delta_;
   const LandmarkAdjacency& adjacency_;
 
-  // Per-query scratch (epoch-reset), kept at capacity across queries; the
-  // query hot path hashes nothing. The bi-directional search over G⁻ (G
-  // with the landmarks blocked), its levels, meet set and reverse walk are
-  // the engine the Bi-BFS baseline runs too (graph/frontier.h).
+  // Per-query scratch, reset logically and kept at capacity across
+  // queries; the query hot path hashes nothing. The bi-directional search
+  // over G⁻ (G with the landmarks blocked), its levels, meet set and
+  // reverse walk are the engine the Bi-BFS baseline runs too
+  // (graph/frontier.h).
   BidirectionalSearch search_;
   // (landmark, vertex) visited marks for label walks: walk_mark_[v] holds
-  // the serial of the last walk session that visited v; sessions are
-  // per-(query, landmark) via walk_session_, so clearing is O(1) per query
+  // the serial of the last walk session that visited v. A query's session
+  // for landmark r has serial walk_base_ + r + 1, and every query advances
+  // walk_base_ by |R|, so serials are unique per (query, landmark) and
+  // exceed every mark an earlier query left: clearing is O(1) per query,
   // and marks persist across the u-side and v-side walks of one landmark.
   std::vector<uint64_t> walk_mark_;
-  EpochArray<uint64_t> walk_session_;  // landmark -> session serial
-  uint64_t walk_serial_ = 0;
+  uint64_t walk_base_ = 0;
   std::vector<VertexId> walk_stack_;  // LabelWalk DFS stack
   std::vector<Edge> edges_;  // accumulating answer
   std::vector<uint64_t> edge_keys_;  // its packed-key sort buffer

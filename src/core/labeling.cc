@@ -241,22 +241,16 @@ void PathLabeling::AssignFromRows(const std::vector<DistT>& rows) {
 
 LabelingScheme BuildLabelingScheme(const Graph& g,
                                    const std::vector<VertexId>& landmarks,
-                                   const LabelingBuildOptions& options) {
+                                   size_t num_threads) {
   LabelingScheme scheme;
   scheme.labeling = PathLabeling(g.NumVertices(), landmarks);
   const auto k = static_cast<uint32_t>(landmarks.size());
-  scheme.meta = MetaGraph(k);
-  if (k == 0) {
-    scheme.meta.Finalize();
-    return scheme;
-  }
 
   // One BFS per landmark. Each BFS streams labels into its own
   // landmark-major column and meta-edge lists are per-landmark, so workers
   // never contend; a single blocked transpose then fills the vertex-major
   // query matrix.
-  const size_t workers =
-      std::min<size_t>(EffectiveThreads(options.num_threads), k);
+  const size_t workers = std::min<size_t>(EffectiveThreads(num_threads), k);
   std::vector<BfsScratch> scratch(workers);
   std::vector<std::vector<MetaEdge>> local_meta(k);
   std::vector<DistT> cols(static_cast<size_t>(g.NumVertices()) * k, kInfDist);
@@ -266,17 +260,23 @@ LabelingScheme BuildLabelingScheme(const Graph& g,
                       &local_meta[i], &scratch[worker]);
   });
   scheme.labeling.AssignFromColumns(cols);
-
-  // Each meta-edge is discovered from both endpoints (the existence
-  // condition is symmetric); keep one copy and let AddEdge cross-check the
-  // duplicate's weight.
-  for (const auto& edges : local_meta) {
-    for (const MetaEdge& e : edges) {
-      scheme.meta.AddEdge(e.a, e.b, e.weight);
-    }
-  }
-  scheme.meta.Finalize();
+  scheme.meta = AssembleMetaGraph(
+      k, [&](LandmarkIndex i) -> std::span<const MetaEdge> {
+        return local_meta[i];
+      });
   return scheme;
+}
+
+MetaGraph AssembleMetaGraph(
+    uint32_t k,
+    const std::function<std::span<const MetaEdge>(LandmarkIndex)>&
+        column_meta) {
+  MetaGraph meta(k);
+  for (LandmarkIndex i = 0; i < k; ++i) {
+    for (const MetaEdge& e : column_meta(i)) meta.AddEdge(e.a, e.b, e.weight);
+  }
+  meta.Finalize();
+  return meta;
 }
 
 void RebuildLabelColumn(const Graph& g, PathLabeling& labeling,

@@ -17,6 +17,8 @@
 #define QBS_CORE_LABELING_H_
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "core/meta_graph.h"
@@ -123,20 +125,25 @@ struct LabelingScheme {
   MetaGraph meta;
 };
 
-struct LabelingBuildOptions {
-  /// 1 = sequential (paper's QbS); 0 = hardware concurrency (QbS-P);
-  /// otherwise the exact thread count.
-  size_t num_threads = 1;
-};
-
-/// Runs Algorithm 2: one two-queue level-synchronous BFS per landmark.
-/// Landmark vertex ids must be distinct and valid. The result is
-/// deterministic w.r.t. (g, landmarks) regardless of thread count or
-/// landmark order (Lemma 5.2); only the landmark *indexing* follows the
-/// given order.
+/// Runs Algorithm 2: one two-queue level-synchronous BFS per landmark, on
+/// `num_threads` threads (1 = sequential, the paper's QbS; 0 = hardware
+/// concurrency, QbS-P; otherwise the exact count). Landmark vertex ids
+/// must be distinct and valid. The result is deterministic w.r.t.
+/// (g, landmarks) regardless of thread count or landmark order (Lemma
+/// 5.2); only the landmark *indexing* follows the given order.
 LabelingScheme BuildLabelingScheme(const Graph& g,
                                    const std::vector<VertexId>& landmarks,
-                                   const LabelingBuildOptions& options = {});
+                                   size_t num_threads = 1);
+
+/// Assembles M over k landmarks from the per-column meta-edge lists,
+/// column_meta(i) for landmark index i: one MetaGraph::AddEdge per entry,
+/// then Finalize. Each meta-edge is listed by both of its endpoint
+/// columns; AddEdge orients the pair and CHECKs that the two copies carry
+/// the same weight. The build and the edit path both assemble M here.
+MetaGraph AssembleMetaGraph(
+    uint32_t k,
+    const std::function<std::span<const MetaEdge>(LandmarkIndex)>&
+        column_meta);
 
 /// --- Incremental maintenance entry points (core/updatable_index.h). ---
 

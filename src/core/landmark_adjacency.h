@@ -8,9 +8,11 @@
 // no other landmark), and search levels hold non-landmarks only. So the
 // test is one bit of r's row instead of one label row per level vertex.
 //
-// The bits are a read-only copy of the landmarks' adjacency, derived from
-// G and R: they are never serialized and never counted in size(L). Each
-// landmark's row is |V| bits, so the row a Z loop reads stays in cache.
+// The bits are a read-only copy of the landmarks' adjacency, a function of
+// G and R: they are never serialized and never counted in size(L), and
+// the index derives them afresh with Build after a build, a load and every
+// edit alike. Each landmark's row is |V| bits, so the row a Z loop reads
+// stays in cache.
 
 #ifndef QBS_CORE_LANDMARK_ADJACENCY_H_
 #define QBS_CORE_LANDMARK_ADJACENCY_H_
@@ -21,7 +23,6 @@
 #include "core/labeling.h"
 #include "core/types.h"
 #include "graph/graph.h"
-#include "graph/graph_delta.h"
 
 namespace qbs {
 
@@ -39,18 +40,11 @@ class LandmarkAdjacency {
     return (word >> (w % 64)) & 1;
   }
 
-  // Brings the bits to the edited graph: sets the bit of every inserted
-  // edge and clears the bit of every deleted edge that has a landmark
-  // endpoint. `net` must be what ApplyNetChanges spliced into the graph.
-  void Apply(const NetChanges& net, const PathLabeling& labeling);
-
   // Bytes of the bit rows: |R| rows of |V| bits, rounded up to 64-bit
   // words.
   uint64_t SizeBytes() const { return words_.size() * sizeof(uint64_t); }
 
  private:
-  void Assign(LandmarkIndex i, VertexId w, bool adjacent);
-
   size_t row_words_ = 0;  // ceil(|V| / 64)
   std::vector<uint64_t> words_;  // landmark-major: row i = bits of r_i
 };

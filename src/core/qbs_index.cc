@@ -22,12 +22,10 @@ QbsIndex QbsIndex::BuildWithLandmarks(const Graph& g,
   index.g_ = &g;
 
   WallTimer timer;
-  LabelingBuildOptions build_options;
-  build_options.num_threads = options.num_threads;
   index.scheme_ = std::make_unique<LabelingScheme>(
-      BuildLabelingScheme(g, landmarks, build_options));
+      BuildLabelingScheme(g, landmarks, options.num_threads));
   index.timings_.labeling_seconds = timer.ElapsedSeconds();
-  index.FinishFromScheme(options);
+  index.timings_.delta_seconds = index.FinishFromScheme(options.num_threads);
   return index;
 }
 
@@ -39,17 +37,17 @@ std::optional<QbsIndex> QbsIndex::LoadFromFile(const Graph& g,
   QbsIndex index;
   index.g_ = &g;
   index.scheme_ = std::make_unique<LabelingScheme>(std::move(*scheme));
-  index.FinishFromScheme(options);
+  index.timings_.delta_seconds = index.FinishFromScheme(options.num_threads);
   return index;
 }
 
-void QbsIndex::FinishFromScheme(const QbsOptions& options) {
+double QbsIndex::FinishFromScheme(size_t num_threads) {
   WallTimer timer;
-  delta_ = std::make_unique<DeltaCache>(DeltaCache::Build(
-      *g_, scheme_->labeling, scheme_->meta, options.num_threads));
-  timings_.delta_seconds = timer.ElapsedSeconds();
-  adjacency_ = std::make_unique<LandmarkAdjacency>(
-      LandmarkAdjacency::Build(*g_, scheme_->labeling));
+  *delta_ = DeltaCache::Build(*g_, scheme_->labeling, scheme_->meta,
+                              num_threads);
+  const double delta_seconds = timer.ElapsedSeconds();
+  *adjacency_ = LandmarkAdjacency::Build(*g_, scheme_->labeling);
+  return delta_seconds;
 }
 
 bool QbsIndex::Save(const std::string& path) const {
@@ -171,24 +169,22 @@ UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta) {
   QBS_CHECK(updatable_ != nullptr);  // EnableUpdates() first
   const NetChanges net = ComputeNetChanges(*g_, delta);
   UpdateStats stats;
+  stats.applied_inserts = net.inserts.size();
+  stats.applied_deletes = net.deletes.size();
   stats.noop_updates = net.noop_inserts + net.noop_deletes;
   stats.invalid_updates = net.invalid;
   if (net.EmptyNet()) return stats;  // nothing changes in the graph
-  Graph new_graph = ApplyNetChanges(*g_, net);
   // The repair starts from the OLD depths (still held in updatable_) and
   // never reads the old adjacency — so the graph swaps in first.
   // Move-assignment keeps *g_'s address stable, which every live searcher
   // references.
-  *mutable_g_ = std::move(new_graph);
-  adjacency_->Apply(net, scheme_->labeling);
-  const UpdateStats col = ApplyNetToLabeling(
+  *mutable_g_ = ApplyNetChanges(*g_, net);
+  stats.repaired_columns = ApplyNetToLabeling(
       *g_, net, &scheme_->labeling, &scheme_->meta, updatable_.get());
-  stats.applied_inserts = col.applied_inserts;
-  stats.applied_deletes = col.applied_deletes;
-  stats.repaired_columns = col.repaired_columns;
-  // Move-assigned in place, so searcher references stay valid.
-  *delta_ = DeltaCache::Build(*g_, scheme_->labeling, scheme_->meta,
-                              /*num_threads=*/0);
+  // Δ and the landmark adjacency bits are functions of (G, scheme): derive
+  // them as Build does. Edits run on all hardware threads, and timings()
+  // keeps describing the offline phase.
+  FinishFromScheme(/*num_threads=*/0);
   return stats;
 }
 

@@ -13,9 +13,11 @@
 // (sketching, Algorithm 3, then guided searching, Algorithm 4) on a
 // searcher leased from the index's pool, so it is const and safe to call
 // from many threads at once (QueryBatch fans a vector of requests out the
-// same way). Neither is safe during ApplyUpdates(), after which the index
-// is exact for the edited graph. Construction allocates no searcher: the
-// pool grows on the first query (BatchSearcherPoolSize()).
+// same way). Neither is safe during ApplyUpdates(), which repairs the
+// label columns and then derives M, Δ and the landmark adjacency bits from
+// them the way Build() does, so the index is exact for the edited graph.
+// Construction allocates no searcher: the pool grows on the first query
+// (BatchSearcherPoolSize()).
 
 #ifndef QBS_CORE_QBS_INDEX_H_
 #define QBS_CORE_QBS_INDEX_H_
@@ -167,10 +169,11 @@ class QbsIndex {
   std::span<const uint32_t> ColumnDepthsForTesting(LandmarkIndex i) const;
 
   /// Applies an edit script: computes the net edge changes, splices them
-  /// into the graph, repairs every label column over its changed region
-  /// only, flips the landmark adjacency bit of every edited edge with a
-  /// landmark endpoint, and refreshes the meta-graph and Δ cache, on all
-  /// hardware threads.
+  /// into the graph and repairs every label column over its changed
+  /// region only, then re-derives the meta-graph, Δ and the landmark
+  /// adjacency bits from the repaired scheme the way Build does, on all
+  /// hardware threads. Δ and the bits are assigned in place, so leased
+  /// and pooled searchers stay valid; timings() is left unchanged.
   /// When this returns, the index answers every query exactly as a
   /// from-scratch build on the new graph would — bit-identically. Requires
   /// EnableUpdates().
@@ -220,16 +223,21 @@ class QbsIndex {
  private:
   QbsIndex() = default;
 
-  /// Derives what Build and LoadFromFile share from g_ and scheme_: the Δ
-  /// cache and the landmark adjacency bits. G⁻ is not stored: each
-  /// searcher blocks the landmarks in its own scratch.
-  void FinishFromScheme(const QbsOptions& options);
+  /// Derives what Build, LoadFromFile and ApplyUpdates share from g_ and
+  /// scheme_: the Δ cache (on `num_threads`, ParallelFor's convention) and
+  /// the landmark adjacency bits. Both are move-assigned into the existing
+  /// objects, whose addresses every searcher holds. Returns Δ's build
+  /// seconds. G⁻ is not stored: each searcher blocks the landmarks in its
+  /// own scratch.
+  double FinishFromScheme(size_t num_threads);
 
   const Graph* g_ = nullptr;  // not owned
-  /// Heap-allocated so GuidedSearcher's references survive moves.
+  /// Heap-allocated so GuidedSearcher's references survive moves; Δ and
+  /// the bits are allocated once and re-derived in place.
   std::unique_ptr<LabelingScheme> scheme_;
-  std::unique_ptr<DeltaCache> delta_;
-  std::unique_ptr<LandmarkAdjacency> adjacency_;
+  std::unique_ptr<DeltaCache> delta_ = std::make_unique<DeltaCache>();
+  std::unique_ptr<LandmarkAdjacency> adjacency_ =
+      std::make_unique<LandmarkAdjacency>();
   /// Idle searchers, grown on demand and reused across queries (a searcher
   /// holds O(|V|) scratch; rebuilding per query would dominate). Each
   /// SearcherLease checks out what it needs under the mutex, so concurrent

@@ -157,68 +157,38 @@ bool RepairColumn(const Graph& g, const NetChanges& net,
   return relabelled || !changes.empty();
 }
 
-// Rebuilds the meta-graph from the per-column meta lists. Each meta-edge
-// is discovered from both endpoint columns; every column is exact, so the
-// two copies agree and collapse into one.
-MetaGraph RebuildMeta(uint32_t k, const UpdatableState& state) {
-  std::vector<MetaEdge> all;
-  for (const auto& col : state.columns) {
-    for (const MetaEdge& e : col.meta) {
-      all.push_back(e.a <= e.b ? e : MetaEdge{e.b, e.a, e.weight});
-    }
-  }
-  std::sort(all.begin(), all.end());
-  MetaGraph meta(k);
-  for (size_t idx = 0; idx < all.size(); ++idx) {
-    if (idx > 0 && all[idx].a == all[idx - 1].a &&
-        all[idx].b == all[idx - 1].b) {
-      continue;
-    }
-    meta.AddEdge(all[idx].a, all[idx].b, all[idx].weight);
-  }
-  meta.Finalize();
-  return meta;
-}
-
 }  // namespace
 
 void InitUpdatableState(const Graph& g, PathLabeling& labeling,
                         UpdatableState* state, size_t num_threads) {
   const uint32_t k = labeling.num_landmarks();
   state->columns.assign(k, {});
-  if (k == 0) return;
-  const size_t workers = std::min<size_t>(EffectiveThreads(num_threads), k);
-  ParallelFor(k, workers, [&](size_t i, size_t) {
+  ParallelFor(k, num_threads, [&](size_t i, size_t) {
     RebuildLabelColumn(g, labeling, static_cast<LandmarkIndex>(i),
                        &state->columns[i]);
   });
 }
 
-UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
-                               PathLabeling* labeling, MetaGraph* meta,
-                               UpdatableState* state) {
-  UpdateStats stats;
-  stats.applied_inserts = net.inserts.size();
-  stats.applied_deletes = net.deletes.size();
+uint32_t ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
+                            PathLabeling* labeling, MetaGraph* meta,
+                            UpdatableState* state) {
   const uint32_t k = labeling->num_landmarks();
   QBS_CHECK_EQ(state->columns.size(), static_cast<size_t>(k));
-  if (k == 0) {
-    *meta = RebuildMeta(0, *state);
-    return stats;
-  }
-  const size_t workers = std::min<size_t>(EffectiveThreads(0), k);
   // Columns are independent (Lemma 5.2), and every write — label column,
   // LabelColumnState — is column-private.
   std::vector<uint8_t> changed(k, 0);
-  ParallelFor(k, workers, [&](size_t i, size_t) {
+  ParallelFor(k, /*num_threads=*/0, [&](size_t i, size_t) {
     changed[i] = RepairColumn(new_graph, net, *labeling,
                               static_cast<LandmarkIndex>(i),
                               &state->columns[i]);
   });
-  for (uint32_t i = 0; i < k; ++i) stats.repaired_columns += changed[i];
-
-  *meta = RebuildMeta(k, *state);
-  return stats;
+  *meta = AssembleMetaGraph(
+      k, [&](LandmarkIndex i) -> std::span<const MetaEdge> {
+        return state->columns[i].meta;
+      });
+  uint32_t repaired = 0;
+  for (const uint8_t c : changed) repaired += c;
+  return repaired;
 }
 
 }  // namespace qbs

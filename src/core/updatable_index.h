@@ -27,12 +27,14 @@
 //      QL. Every other vertex has the same depth and the same parents, so
 //      the same label.
 //
-// Every column is exact when ApplyNetToLabeling returns, so the index
-// answers every query as a from-scratch build on the new graph would. The
-// meta-graph is rebuilt from the per-column meta lists each batch (|R|^2
-// edges — negligible). The graph is spliced (ApplyNetChanges) and Δ is
-// rebuilt, by the caller. G⁻ needs no splice: searchers search the edited
-// graph itself with the landmarks blocked, and R never changes.
+// Every column is exact when ApplyNetToLabeling returns. The meta-graph
+// is then assembled from the per-column meta lists exactly as the build
+// assembles it (AssembleMetaGraph; |R|^2 edges — negligible). The graph
+// is spliced (ApplyNetChanges) by the caller, which then derives Δ and the
+// landmark adjacency bits from the new scheme the way a build does, so
+// the index answers every query as a from-scratch build on the new graph
+// would. G⁻ needs no splice: searchers search the edited graph itself
+// with the landmarks blocked, and R never changes.
 //
 // Concurrency: nothing here takes a lock, by design. ApplyUpdates mutates
 // the labelling in place and is serialized by the caller — the server
@@ -81,21 +83,22 @@ struct UpdatableState {
 };
 
 /// Initializes `state` for (g, labeling): runs one labelling BFS per column
-/// to capture exact depths and meta-edges, rewriting the labels
-/// bit-identically in passing (so it is safe after LoadFromFile too).
-/// Costs about one labelling build.
+/// on `num_threads` threads (ParallelFor's convention) to capture exact
+/// depths and meta-edges, rewriting the labels bit-identically in passing
+/// (so it is safe after LoadFromFile too). Costs about one labelling
+/// build.
 void InitUpdatableState(const Graph& g, PathLabeling& labeling,
                         UpdatableState* state, size_t num_threads);
 
 /// Applies an already-computed net change set to the labelling. `new_graph`
 /// must be the post-edit graph (ApplyNetChanges); the repair starts from
 /// the OLD depths still held in `state`. Repairs every column in parallel
-/// on all hardware threads, rewrites the meta-graph, and updates `state`
-/// in place. Returns the column-level stats (the applied/noop script
-/// counters are the caller's, from ComputeNetChanges).
-UpdateStats ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
-                               PathLabeling* labeling, MetaGraph* meta,
-                               UpdatableState* state);
+/// on all hardware threads, updates `state` in place and reassembles the
+/// meta-graph from it (AssembleMetaGraph). Returns the number of columns
+/// whose depths, labels or meta-edges changed.
+uint32_t ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
+                            PathLabeling* labeling, MetaGraph* meta,
+                            UpdatableState* state);
 
 }  // namespace qbs
 

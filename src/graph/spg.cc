@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "util/check.h"
 
@@ -100,11 +101,10 @@ uint64_t PackedKey(const Edge& e) { return (uint64_t{e.u} << 32) | e.v; }
 }  // namespace
 
 void ShortestPathGraph::Normalize() {
-  for (Edge& e : edges) e = e.Normalized();
-  std::sort(edges.begin(), edges.end(), [](const Edge& a, const Edge& b) {
-    return PackedKey(a) < PackedKey(b);
-  });
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  // Moved out first: AssignNormalized writes `edges` while reading `raw`.
+  const std::vector<Edge> raw = std::move(edges);
+  std::vector<uint64_t> keys;
+  AssignNormalized(raw, &keys);
 }
 
 void ShortestPathGraph::AssignNormalized(std::span<const Edge> raw,

@@ -28,7 +28,8 @@ struct ShortestPathGraph {
 
   bool Connected() const { return distance != kUnreachable; }
 
-  // Sorts and dedupes `edges`. Producers call this once before returning.
+  // Orients, sorts and dedupes `edges`, with AssignNormalized's packed-key
+  // sort. Producers call this once before returning.
   void Normalize();
 
   // Sets `edges` to what assigning `raw` and calling Normalize() gives,

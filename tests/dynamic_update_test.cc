@@ -373,6 +373,64 @@ TEST(DynamicUpdateTest, UpdatableAfterLoadFromFile) {
   std::remove(path.c_str());
 }
 
+// Searchers outlive an edit: the pooled searchers hold references to the
+// index's Δ cache and landmark adjacency bits, so ApplyUpdates must
+// re-derive both in place. Replacing either object would leave the pool
+// reading freed memory, which ASan reports on the next query.
+TEST(DynamicUpdateTest, PooledSearchersOutliveAnEdit) {
+  Graph g = BarabasiAlbert(200, 3, 17);
+  QbsOptions options;
+  options.num_landmarks = 8;
+  QbsIndex index = QbsIndex::Build(g, options);
+  index.EnableUpdates(&g);
+  {
+    QbsIndex::SearcherLease lease(index, 2);
+    lease[0].Query(0, 199);
+    lease[1].Query(1, 198);
+  }
+  ASSERT_EQ(index.BatchSearcherPoolSize(), 2u);
+  const LandmarkAdjacency* adjacency = &index.landmark_adjacency();
+  const DeltaCache* delta_cache = &index.delta_cache();
+  const QbsBuildTimings timings = index.timings();
+
+  // Move one landmark's edges, so both the bits and Δ change.
+  const VertexId r = index.landmarks().front();
+  VertexId far = 0;
+  while (far == r || g.HasEdge(r, far) ||
+         index.labeling().IsLandmark(far)) {
+    ++far;
+  }
+  GraphDelta delta;
+  delta.Insert(r, far);
+  delta.Delete(r, g.Neighbors(r).front());
+  ASSERT_EQ(index.ApplyUpdates(delta).AppliedTotal(), 2u);
+
+  EXPECT_EQ(&index.landmark_adjacency(), adjacency);
+  EXPECT_EQ(&index.delta_cache(), delta_cache);
+  EXPECT_EQ(index.timings().labeling_seconds, timings.labeling_seconds);
+  EXPECT_EQ(index.timings().delta_seconds, timings.delta_seconds);
+  AssertAdjacencyMatchesGraph(g, index);
+
+  std::mt19937_64 rng(17);
+  std::vector<QueryRequest> requests;
+  for (const auto& [u, v] : ProbePairs(g, rng)) requests.push_back({u, v});
+  for (VertexId w = 0; w < g.NumVertices(); w += 23) {
+    requests.push_back({r, w});
+    requests.push_back({far, w});
+  }
+  QbsIndex::BatchOptions batch;
+  batch.num_threads = 2;
+  const std::vector<QueryResponse> responses =
+      index.QueryBatch(requests, batch);
+  // The two pooled searchers answered the batch: none was added.
+  EXPECT_EQ(index.BatchSearcherPoolSize(), 2u);
+  for (size_t i = 0; i < requests.size(); ++i) {
+    const QueryRequest& q = requests[i];
+    ASSERT_EQ(responses[i].spg, SpgByDoubleBfs(g, q.u, q.v))
+        << "u=" << q.u << " v=" << q.v;
+  }
+}
+
 TEST(DynamicUpdateTest, InsertShortensDistanceImmediately) {
   Graph g = PathGraph(8);  // 0-1-...-7
   QbsOptions options;

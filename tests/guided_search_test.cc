@@ -191,6 +191,24 @@ TEST(GuidedSearchTest, ZPairBelowSigmaMinusOneReadsTheLabel) {
   }
 }
 
+// Label-walk marks must not outlive their query. On the graph above, (0, 6)
+// walks 0-{1,2}-3 towards the landmark 3, and (8, 6) walks 8-7-0-{1,2}-3
+// towards it again. A walk session that reused the first query's serial
+// would find 0 already visited, drop 0-{1,2}-3 from the second answer, and
+// skip the whole walk when the first pair is asked again.
+TEST(GuidedSearchTest, LabelWalkMarksDoNotLeakAcrossQueries) {
+  SearchSetup s(Graph::FromEdges(9, {{0, 1}, {0, 2}, {1, 3}, {2, 3}, {3, 4},
+                                     {4, 6}, {3, 5}, {5, 6}, {0, 7}, {7, 8}}),
+                {3, 6});
+  for (const auto& [u, v] :
+       {std::pair<VertexId, VertexId>{0, 6}, {8, 6}, {0, 6}}) {
+    SearchStats stats;
+    EXPECT_EQ(s.searcher.Query(u, v, &stats), SpgByDoubleBfs(s.g, u, v))
+        << "u=" << u << " v=" << v;
+    EXPECT_EQ(stats.coverage, PairCoverage::kAllThroughLandmarks);
+  }
+}
+
 TEST(GuidedSearchTest, LabelWalkCountsOnlySparsifiedEntries) {
   // Every shortest path from u=4 to v=6 runs through the landmark 0. With
   // the depth guides zeroed the sides alternate by size: u's ten leaves

@@ -76,11 +76,9 @@ TEST(LabelingTest, Figure4GoldenMetaGraph) {
 }
 
 TEST(LabelingTest, Figure4ParallelMatchesSequential) {
-  LabelingBuildOptions parallel;
-  parallel.num_threads = 4;
   const auto seq = BuildLabelingScheme(Figure4Graph(), Figure4Landmarks());
-  const auto par =
-      BuildLabelingScheme(Figure4Graph(), Figure4Landmarks(), parallel);
+  const auto par = BuildLabelingScheme(Figure4Graph(), Figure4Landmarks(),
+                                       /*num_threads=*/4);
   CheckFigure4Labels(par);
   EXPECT_EQ(seq.meta.Edges(), par.meta.Edges());
   EXPECT_EQ(seq.labeling.NumEntries(), par.labeling.NumEntries());
@@ -200,9 +198,8 @@ TEST_P(LabelingDeterminism, OrderAndThreadInvariant) {
   std::vector<VertexId> shuffled = landmarks;
   Rng rng(seed * 7 + 1);
   rng.Shuffle(shuffled);
-  LabelingBuildOptions par;
-  par.num_threads = 0;  // all hardware threads
-  const auto perm = BuildLabelingScheme(g, shuffled, par);
+  const auto perm =
+      BuildLabelingScheme(g, shuffled, /*num_threads=*/0);  // all threads
 
   // Map shuffled column -> base column and compare every entry.
   std::vector<uint32_t> to_base(landmarks.size());

@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "util/epoch_array.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -75,35 +74,6 @@ TEST(RngTest, ShufflePreservesElements) {
   rng.Shuffle(v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
-}
-
-TEST(EpochArrayTest, DefaultUntilSet) {
-  EpochArray<uint32_t> a(10, 99);
-  EXPECT_EQ(a.Get(3), 99u);
-  EXPECT_FALSE(a.IsSet(3));
-  a.Set(3, 7);
-  EXPECT_EQ(a.Get(3), 7u);
-  EXPECT_TRUE(a.IsSet(3));
-}
-
-TEST(EpochArrayTest, ResetClearsAll) {
-  EpochArray<uint32_t> a(10, 0);
-  for (size_t i = 0; i < 10; ++i) a.Set(i, static_cast<uint32_t>(i));
-  a.Reset();
-  for (size_t i = 0; i < 10; ++i) {
-    EXPECT_FALSE(a.IsSet(i));
-    EXPECT_EQ(a.Get(i), 0u);
-  }
-}
-
-TEST(EpochArrayTest, ManyResetCycles) {
-  EpochArray<int> a(4, -1);
-  for (int cycle = 0; cycle < 1000; ++cycle) {
-    a.Set(cycle % 4, cycle);
-    EXPECT_EQ(a.Get(cycle % 4), cycle);
-    a.Reset();
-    EXPECT_EQ(a.Get(cycle % 4), -1);
-  }
 }
 
 TEST(ParallelForTest, CoversAllIndicesOnce) {
