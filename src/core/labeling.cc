@@ -279,107 +279,20 @@ MetaGraph AssembleMetaGraph(
   return meta;
 }
 
-void RebuildLabelColumn(const Graph& g, PathLabeling& labeling,
-                        LandmarkIndex i, LabelColumnState* state) {
-  const VertexId n = g.NumVertices();
-  std::vector<DistT> col(n, kInfDist);
-  std::vector<MetaEdge> meta;
-  BfsScratch s;
-  LabelFromLandmark(g, labeling, i, col.data(), &meta, &s);
-  for (VertexId v = 0; v < n; ++v) labeling.Set(v, i, col[v]);
-  std::sort(meta.begin(), meta.end());
-  state->depth = std::move(s.depth);
-  state->meta = std::move(meta);
-}
-
-bool RederiveLabelsAt(const Graph& g, PathLabeling& labeling,
-                      LandmarkIndex i, const std::vector<VertexId>& candidates,
-                      LabelColumnState* state) {
-  const std::vector<uint32_t>& depth = state->depth;
-  QBS_CHECK_EQ(depth.size(), static_cast<size_t>(g.NumVertices()));
-  const VertexId root = labeling.LandmarkVertex(i);
-  // QL membership read back from the column: the root, and every
-  // non-landmark that carries a label.
-  auto in_ql = [&](VertexId w) {
-    return w == root ||
-           (!labeling.IsLandmark(w) && labeling.Get(w, i) != kInfDist);
-  };
-  // Candidates by new depth. A vertex's QL status depends only on its
-  // depth-(d-1) parents, so re-deriving level by level reads every parent
-  // after its own re-derivation.
-  std::vector<std::vector<VertexId>> levels;
-  std::vector<VertexId> unreached;
-  auto enqueue = [&](VertexId v) {
-    const uint32_t d = depth[v];
-    if (d == kUnreachable) {
-      unreached.push_back(v);
-      return;
-    }
-    if (levels.size() <= d) levels.resize(static_cast<size_t>(d) + 1);
-    levels[d].push_back(v);
-  };
-  for (const VertexId v : candidates) enqueue(v);
-
-  bool changed = false;
-  // The column holds at most one meta-edge per landmark: replaces the one
-  // to `rank` by weight d, or removes it when d is kUnreachable.
-  auto set_meta = [&](LandmarkIndex rank, uint32_t d) {
-    auto& meta = state->meta;
-    const auto old =
-        std::find_if(meta.begin(), meta.end(),
-                     [&](const MetaEdge& e) { return e.b == rank; });
-    const uint32_t had = old == meta.end() ? kUnreachable : old->weight;
-    if (had == d) return;
-    changed = true;
-    if (old != meta.end()) meta.erase(old);
-    if (d != kUnreachable) meta.push_back(MetaEdge{i, rank, d});
-  };
-
-  // Depth 0 is the root alone, QL by definition.
-  for (size_t d = 1; d < levels.size(); ++d) {
-    // Moved out: enqueueing children may grow `levels`.
-    std::vector<VertexId> level = std::move(levels[d]);
-    std::sort(level.begin(), level.end());
-    level.erase(std::unique(level.begin(), level.end()), level.end());
-    for (const VertexId v : level) {
-      bool via_l = false;
-      for (const VertexId w : g.Neighbors(v)) {
-        // depth[w] + 1 wraps to 0 for unreached w; d >= 1 here.
-        if (depth[w] + 1 == d && in_ql(w)) {
-          via_l = true;
-          break;
-        }
-      }
-      const int32_t rank = labeling.LandmarkRank(v);
-      if (rank >= 0) {
-        set_meta(static_cast<LandmarkIndex>(rank),
-                 via_l ? static_cast<uint32_t>(d) : kUnreachable);
-        continue;
-      }
-      const DistT want = via_l ? static_cast<DistT>(d) : kInfDist;
-      const DistT had = labeling.Get(v, i);
-      if (had == want) continue;
-      changed = true;
-      labeling.Set(v, i, want);
-      if ((had != kInfDist) != via_l) {
-        // v joined or left QL: its children may follow.
-        for (const VertexId w : g.Neighbors(v)) {
-          if (depth[w] == d + 1) enqueue(w);
-        }
-      }
+uint32_t DerivedDepth(const PathLabeling& labeling, const uint32_t* meta_row,
+                      VertexId v) {
+  const int32_t rank = labeling.LandmarkRank(v);
+  if (rank >= 0) return meta_row[rank];
+  const DistT* row = labeling.Row(v);
+  // 64-bit sums: an unreachable meta row entry plus a label stays above
+  // kUnreachable, so it never wins.
+  uint64_t best = kUnreachable;
+  for (uint32_t j = 0; j < labeling.num_landmarks(); ++j) {
+    if (row[j] != kInfDist) {
+      best = std::min<uint64_t>(best, uint64_t{meta_row[j]} + row[j]);
     }
   }
-  for (const VertexId v : unreached) {
-    const int32_t rank = labeling.LandmarkRank(v);
-    if (rank >= 0) {
-      set_meta(static_cast<LandmarkIndex>(rank), kUnreachable);
-    } else if (labeling.Get(v, i) != kInfDist) {
-      changed = true;
-      labeling.Set(v, i, kInfDist);
-    }
-  }
-  if (changed) std::sort(state->meta.begin(), state->meta.end());
-  return changed;
+  return static_cast<uint32_t>(best);
 }
 
 }  // namespace qbs

@@ -145,40 +145,14 @@ MetaGraph AssembleMetaGraph(
     const std::function<std::span<const MetaEdge>(LandmarkIndex)>&
         column_meta);
 
-/// --- Incremental maintenance entry points (core/updatable_index.h). ---
-
-/// Exact BFS state of one landmark column, captured at build time and kept
-/// exact by incremental maintenance, which repairs depths and re-derives
-/// labels only where an edit changed them. depth[v] = d_G(r_i, v) for
-/// every vertex (kUnreachable when disconnected — unlike the label matrix,
-/// which only keeps pruned entries); meta holds the column's meta-edges
-/// (a = this column's landmark index), sorted.
-struct LabelColumnState {
-  std::vector<uint32_t> depth;
-  std::vector<MetaEdge> meta;
-};
-
-/// Rebuilds landmark column i from scratch against `g`: runs the labelling
-/// BFS, writes the column into `labeling`, and captures the exact depth
-/// array + meta-edges into `state`. Equivalent to the slice of
-/// BuildLabelingScheme for this landmark — bit-identical labels.
-void RebuildLabelColumn(const Graph& g, PathLabeling& labeling,
-                        LandmarkIndex i, LabelColumnState* state);
-
-/// Re-derives landmark column i's labels and meta-edges at `candidates`,
-/// given state->depth already exact on `g` (e.g. after a partial depth
-/// repair). Candidates are re-derived in depth order with the build's rule
-/// — a vertex is QL iff some depth-(d-1) neighbour is QL — reading QL back
-/// from the column (the root, or a non-landmark with a label); a vertex
-/// that joins or leaves QL adds its children. The result is bit-identical
-/// to RebuildLabelColumn(g, ...) as long as the candidates cover every
-/// vertex whose QL status can have changed: the vertices whose depth
-/// changed, the endpoints of every edited edge, and the old and new
-/// children of every vertex whose depth changed. Duplicates are allowed.
-/// Returns true iff a label or meta-edge changed.
-bool RederiveLabelsAt(const Graph& g, PathLabeling& labeling,
-                      LandmarkIndex i, const std::vector<VertexId>& candidates,
-                      LabelColumnState* state);
+/// d_G(r_i, v), derived from the scheme alone in O(|R|): split a shortest
+/// r_i-v path at its last landmark r_j. The prefix is exact in M
+/// (Corollary 4.6) and the suffix avoids every other landmark, so it is
+/// v's label entry for r_j. Hence d_G(r_i, v) = min over j of
+/// d_M(i, j) + δ(v, r_j) for v ∉ R, and d_M(i, rank(v)) for a landmark.
+/// `meta_row` is M.DistanceRow(i). kUnreachable when r_i does not reach v.
+uint32_t DerivedDepth(const PathLabeling& labeling, const uint32_t* meta_row,
+                      VertexId v);
 
 }  // namespace qbs
 

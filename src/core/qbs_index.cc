@@ -152,21 +152,13 @@ std::vector<QueryResponse> QbsIndex::QueryBatch(
   return results;
 }
 
-void QbsIndex::EnableUpdates(Graph* mutable_graph, size_t num_threads) {
+void QbsIndex::EnableUpdates(Graph* mutable_graph, size_t /*num_threads*/) {
   QBS_CHECK(mutable_graph == g_);  // the very graph the index was built on
   mutable_g_ = mutable_graph;
-  updatable_ = std::make_unique<UpdatableState>();
-  InitUpdatableState(*g_, scheme_->labeling, updatable_.get(), num_threads);
-}
-
-std::span<const uint32_t> QbsIndex::ColumnDepthsForTesting(
-    LandmarkIndex i) const {
-  QBS_CHECK(updatable_ != nullptr);  // EnableUpdates() first
-  return updatable_->columns.at(i).depth;
 }
 
 UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta) {
-  QBS_CHECK(updatable_ != nullptr);  // EnableUpdates() first
+  QBS_CHECK(mutable_g_ != nullptr);  // EnableUpdates() first
   const NetChanges net = ComputeNetChanges(*g_, delta);
   UpdateStats stats;
   stats.applied_inserts = net.inserts.size();
@@ -174,13 +166,13 @@ UpdateStats QbsIndex::ApplyUpdates(const GraphDelta& delta) {
   stats.noop_updates = net.noop_inserts + net.noop_deletes;
   stats.invalid_updates = net.invalid;
   if (net.EmptyNet()) return stats;  // nothing changes in the graph
-  // The repair starts from the OLD depths (still held in updatable_) and
-  // never reads the old adjacency — so the graph swaps in first.
+  // The repair derives the OLD depths from the pre-edit scheme and never
+  // reads the old adjacency — so the graph swaps in first.
   // Move-assignment keeps *g_'s address stable, which every live searcher
   // references.
   *mutable_g_ = ApplyNetChanges(*g_, net);
-  stats.repaired_columns = ApplyNetToLabeling(
-      *g_, net, &scheme_->labeling, &scheme_->meta, updatable_.get());
+  stats.repaired_columns =
+      ApplyNetToLabeling(*g_, net, &scheme_->labeling, &scheme_->meta);
   // Δ and the landmark adjacency bits are functions of (G, scheme): derive
   // them as Build does. Edits run on all hardware threads, and timings()
   // keeps describing the offline phase.

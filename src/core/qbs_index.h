@@ -25,7 +25,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -151,32 +150,26 @@ class QbsIndex {
 
   /// --- Dynamic updates (core/updatable_index.h). ---
 
-  /// Switches the index into updatable mode: captures the exact per-column
-  /// BFS state incremental maintenance detects against (one relabelling
-  /// pass — so it also works on an index restored by LoadFromFile, whose
-  /// file format carries no depth arrays). `mutable_graph` must be the very
-  /// graph object the index was built on (CHECK-enforced); ApplyUpdates
-  /// move-assigns the post-edit CSR into it, keeping its address — which
-  /// every live searcher references — stable. |V| is fixed for the life of
-  /// the index: edits are edge-level.
+  /// Switches the index into updatable mode. `mutable_graph` must be the
+  /// very graph object the index was built on (CHECK-enforced);
+  /// ApplyUpdates move-assigns the post-edit CSR into it, keeping its
+  /// address — which every live searcher references — stable. Nothing is
+  /// computed: the repair derives old depths from (L, M), so a LoadFromFile
+  /// index is as updatable as a built one. |V| is fixed: edits are
+  /// edge-level. `num_threads` is ignored; bench_e2e (frozen) passes it.
   void EnableUpdates(Graph* mutable_graph, size_t num_threads = 0);
 
-  bool updates_enabled() const { return updatable_ != nullptr; }
-
-  /// Landmark column i's stored BFS depths (kUnreachable when
-  /// disconnected), kept exact across ApplyUpdates. A test hook: lets the
-  /// dynamic tests hold the repair to a fresh BFS. Requires EnableUpdates().
-  std::span<const uint32_t> ColumnDepthsForTesting(LandmarkIndex i) const;
+  bool updates_enabled() const { return mutable_g_ != nullptr; }
 
   /// Applies an edit script: computes the net edge changes, splices them
   /// into the graph and repairs every label column over its changed
-  /// region only, then re-derives the meta-graph, Δ and the landmark
-  /// adjacency bits from the repaired scheme the way Build does, on all
-  /// hardware threads. Δ and the bits are assigned in place, so leased
-  /// and pooled searchers stay valid; timings() is left unchanged.
-  /// When this returns, the index answers every query exactly as a
-  /// from-scratch build on the new graph would — bit-identically. Requires
-  /// EnableUpdates().
+  /// region only, reading the old depths from the pre-edit scheme; then
+  /// re-derives the meta-graph, Δ and the landmark adjacency bits from
+  /// the repaired scheme the way Build does, on all hardware threads. Δ
+  /// and the bits are assigned in place, so leased and pooled searchers
+  /// stay valid; timings() is left unchanged. When this returns, the
+  /// index answers every query exactly as a from-scratch build on the new
+  /// graph would — bit-identically. Requires EnableUpdates().
   /// NOT thread-safe against concurrent queries: callers must quiesce query
   /// traffic (the server wraps this in a writer lock) — searcher scratch is
   /// per-query, but the labelling and graph mutate in place here.
@@ -251,10 +244,9 @@ class QbsIndex {
       QBS_GUARDED_BY(*batch_searchers_mu_);
   QbsBuildTimings timings_;
   /// Set by EnableUpdates: the same object g_ points at, held mutably so
-  /// ApplyUpdates can move-assign the post-edit CSR into it.
+  /// ApplyUpdates can move-assign the post-edit CSR into it. Non-null iff
+  /// updates are enabled.
   Graph* mutable_g_ = nullptr;
-  /// Per-column maintenance state; non-null iff updates are enabled.
-  std::unique_ptr<UpdatableState> updatable_;
 };
 
 }  // namespace qbs

@@ -4,32 +4,24 @@
 // reduces to: given a batch of net edge changes, bring every landmark
 // column — labels and meta-edges — to exactly what a from-scratch build on
 // the new graph would produce, at a cost proportional to what the batch
-// changes rather than to |V| + |E|. Each column keeps its exact BFS depth
-// array (LabelColumnState, captured by EnableUpdates). A column's labels
-// and meta-edges are a function of those depths and of its parent edges
-// (edges joining depth d - 1 to depth d), so every column is repaired in
-// place, in parallel, in two steps:
+// changes rather than to |V| + |E|. No per-column state is stored: a
+// column's old BFS depths follow from the pre-edit scheme itself
+// (DerivedDepth, O(|R|) per vertex), and its old meta-edges are M's edges
+// at its landmark. A column's labels and meta-edges are a function of its
+// depths and of its parent edges (edges joining depth d - 1 to depth d),
+// so every column is repaired in parallel, in two steps over the changed
+// region only (core/updatable_index.cc): its depths, by an affected-subtree
+// pass for the deletes in the style of Ramalingam and Reps and one
+// decrease-only bucket-queue pass; then its labels and meta-edges,
+// re-derived in new-depth order where they can change. QL status is read
+// back from the labels (the root, or a non-landmark with a label). An edge
+// between equal depths (both unreached included) changes nothing.
 //
-//   1. Depths. Deletes first, an affected-subtree pass in the style of
-//      Ramalingam and Reps: only the subtree below a deleted parent edge
-//      can lose its depth, and a vertex keeps it when a neighbour on the
-//      new graph kept depth d - 1. The vertices that lose support are
-//      recomputed together with the inserts' decrease-only repair, one
-//      bucket-queue pass from the unaffected boundary in depth order. An
-//      edge between equal depths (both unreached included) is neither a
-//      parent edge nor a shortcut, so it changes nothing here.
-//   2. Labels. QL status is read back from the labels themselves (the
-//      root, or a non-landmark with a label), so no extra state is kept.
-//      Labels and meta-edges are re-derived in new-depth order only where
-//      they can change: at vertices whose depth changed, at the endpoints
-//      of every edited edge, at the old and new children of every vertex
-//      whose depth changed, and below every vertex that joins or leaves
-//      QL. Every other vertex has the same depth and the same parents, so
-//      the same label.
-//
-// Every column is exact when ApplyNetToLabeling returns. The meta-graph
-// is then assembled from the per-column meta lists exactly as the build
-// assembles it (AssembleMetaGraph; |R|^2 edges — negligible). The graph
+// One rule keeps the parallel repair sound: every read sees the pre-edit
+// L and M. A column reads the depths and labels it has changed from a
+// per-call overlay of its own, and everything else from (L, M), which no
+// column writes. The label writes and the new M (AssembleMetaGraph, as
+// the build assembles it) land only after every column is done. The graph
 // is spliced (ApplyNetChanges) by the caller, which then derives Δ and the
 // landmark adjacency bits from the new scheme the way a build does, so
 // the index answers every query as a from-scratch build on the new graph
@@ -47,7 +39,6 @@
 #define QBS_CORE_UPDATABLE_INDEX_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "core/labeling.h"
 #include "core/meta_graph.h"
@@ -75,30 +66,15 @@ struct UpdateStats {
   uint64_t AppliedTotal() const { return applied_inserts + applied_deletes; }
 };
 
-/// Per-column maintenance state: the exact BFS depths + meta-edges of every
-/// landmark column (LabelColumnState). Owned by QbsIndex once
-/// EnableUpdates() has run.
-struct UpdatableState {
-  std::vector<LabelColumnState> columns;
-};
-
-/// Initializes `state` for (g, labeling): runs one labelling BFS per column
-/// on `num_threads` threads (ParallelFor's convention) to capture exact
-/// depths and meta-edges, rewriting the labels bit-identically in passing
-/// (so it is safe after LoadFromFile too). Costs about one labelling
-/// build.
-void InitUpdatableState(const Graph& g, PathLabeling& labeling,
-                        UpdatableState* state, size_t num_threads);
-
 /// Applies an already-computed net change set to the labelling. `new_graph`
-/// must be the post-edit graph (ApplyNetChanges); the repair starts from
-/// the OLD depths still held in `state`. Repairs every column in parallel
-/// on all hardware threads, updates `state` in place and reassembles the
-/// meta-graph from it (AssembleMetaGraph). Returns the number of columns
-/// whose depths, labels or meta-edges changed.
+/// must be the post-edit graph (ApplyNetChanges); `labeling` and `meta`
+/// must still be the pre-edit scheme, from which the repair reads the old
+/// depths. Repairs every column in parallel on all hardware threads, then
+/// writes the repaired labels and reassembles M (AssembleMetaGraph).
+/// Returns the number of columns whose depths, labels or meta-edges
+/// changed.
 uint32_t ApplyNetToLabeling(const Graph& new_graph, const NetChanges& net,
-                            PathLabeling* labeling, MetaGraph* meta,
-                            UpdatableState* state);
+                            PathLabeling* labeling, MetaGraph* meta);
 
 }  // namespace qbs
 

@@ -8,8 +8,8 @@
 // what makes bit-identity a legitimate oracle: same updated graph, same
 // landmarks, same bits.
 //
-// Every column's stored depths must also equal a fresh BFS after every
-// batch: the repair keeps them exact, and everything else derives from
+// Every column's depths, derived from the repaired (L, M), must also equal
+// a fresh BFS after every batch: the next repair reads its old depths from
 // them. So must the landmark adjacency bits the Z-pair test reads: each
 // equals HasEdge on the edited graph, and again after Save and
 // LoadFromFile, which rebuild them.
@@ -117,16 +117,24 @@ void AssertSameScheme(const Graph& g, const QbsIndex& updated,
   ASSERT_EQ(updated.DeltaSizeBytes(), fresh.DeltaSizeBytes());
 }
 
-// The stored depths of every column equal a fresh BFS on the current graph.
+// Landmark column i's depths, derived from the index's (L, M).
+std::vector<uint32_t> ColumnDepths(const QbsIndex& index, LandmarkIndex i) {
+  std::vector<uint32_t> depth(index.graph().NumVertices());
+  const uint32_t* meta_row = index.meta_graph().DistanceRow(i);
+  for (VertexId v = 0; v < depth.size(); ++v) {
+    depth[v] = DerivedDepth(index.labeling(), meta_row, v);
+  }
+  return depth;
+}
+
+// The derived depths of every column equal a fresh BFS on the current
+// graph.
 void AssertDepthsMatchBfs(const Graph& g, const QbsIndex& index) {
   const std::vector<VertexId>& landmarks = index.landmarks();
   for (size_t i = 0; i < landmarks.size(); ++i) {
-    const auto stored =
-        index.ColumnDepthsForTesting(static_cast<LandmarkIndex>(i));
-    const std::vector<uint32_t> want = BfsDistances(g, landmarks[i]);
-    ASSERT_TRUE(std::equal(stored.begin(), stored.end(), want.begin(),
-                           want.end()))
-        << "stored depths diverge from BFS in column " << i;
+    ASSERT_EQ(ColumnDepths(index, static_cast<LandmarkIndex>(i)),
+              BfsDistances(g, landmarks[i]))
+        << "derived depths diverge from BFS in column " << i;
   }
 }
 
@@ -179,7 +187,7 @@ TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
     std::printf("[gauntlet] seed=%" PRIu64 " family=%" PRIu64 "\n", seed,
                 seed % 3);
     QbsIndex index = QbsIndex::Build(g, options);
-    index.EnableUpdates(&g, 2);
+    index.EnableUpdates(&g);
     const std::vector<VertexId> landmarks = index.landmarks();
 
     for (int batch = 0; batch < 3; ++batch) {
@@ -221,7 +229,7 @@ TEST(DynamicUpdateTest, DeepFamilyChurnMatchesFreshBuild) {
     options.num_threads = 2;
     std::printf("[deep churn] seed=%" PRIu64 "\n", seed);
     QbsIndex index = QbsIndex::Build(g, options);
-    index.EnableUpdates(&g, 2);
+    index.EnableUpdates(&g);
     const std::vector<VertexId> landmarks = index.landmarks();
     const VertexId n = g.NumVertices();
 
@@ -268,15 +276,14 @@ TEST(DynamicUpdateTest, RingDeleteRaisesLongArcAndInsertRestoresIt) {
   options.num_landmarks = 2;
   QbsIndex index = QbsIndex::BuildWithLandmarks(g, {0, 32}, options);
   index.EnableUpdates(&g);
-  const std::vector<uint32_t> before(index.ColumnDepthsForTesting(0).begin(),
-                                     index.ColumnDepthsForTesting(0).end());
+  const std::vector<uint32_t> before = ColumnDepths(index, 0);
   std::mt19937_64 rng(64);
 
   GraphDelta cut;
   cut.Delete(0, 1);
   UpdateStats stats = index.ApplyUpdates(cut);
   EXPECT_EQ(stats.repaired_columns, 1u);
-  EXPECT_EQ(index.ColumnDepthsForTesting(0)[1], 63u);
+  EXPECT_EQ(ColumnDepths(index, 0)[1], 63u);
   AssertDepthsMatchBfs(g, index);
   AssertSameScheme(g, index,
                    QbsIndex::BuildWithLandmarks(g, {0, 32}, options));
@@ -287,8 +294,7 @@ TEST(DynamicUpdateTest, RingDeleteRaisesLongArcAndInsertRestoresIt) {
   heal.Insert(1, 0);
   stats = index.ApplyUpdates(heal);
   EXPECT_EQ(stats.repaired_columns, 1u);
-  EXPECT_TRUE(std::equal(before.begin(), before.end(),
-                         index.ColumnDepthsForTesting(0).begin()));
+  EXPECT_EQ(ColumnDepths(index, 0), before);
   AssertSameScheme(g, index,
                    QbsIndex::BuildWithLandmarks(g, {0, 32}, options));
 }
@@ -302,7 +308,7 @@ TEST(DynamicUpdateTest, SameLevelEditsTouchNoColumn) {
   QbsOptions options;
   options.num_landmarks = 3;
   QbsIndex index = QbsIndex::Build(g, options);
-  index.EnableUpdates(&g, 2);
+  index.EnableUpdates(&g);
   const std::vector<VertexId> landmarks = index.landmarks();
   std::vector<std::vector<uint32_t>> depth;
   for (const VertexId r : landmarks) depth.push_back(BfsDistances(g, r));
@@ -361,7 +367,7 @@ TEST(DynamicUpdateTest, UpdatableAfterLoadFromFile) {
   }
   auto loaded = QbsIndex::LoadFromFile(g, path, options);
   ASSERT_TRUE(loaded.has_value());
-  // EnableUpdates recaptures per-column depths with fresh BFS sweeps, so a
+  // The repair derives its old depths from the loaded (L, M), so a
   // deserialized index is just as updatable as a built one.
   loaded->EnableUpdates(&g);
   GraphDelta delta;
@@ -369,6 +375,7 @@ TEST(DynamicUpdateTest, UpdatableAfterLoadFromFile) {
   delta.Delete(g.EdgeList().front().u, g.EdgeList().front().v);
   loaded->ApplyUpdates(delta);
   QbsIndex fresh = QbsIndex::BuildWithLandmarks(g, loaded->landmarks(), options);
+  AssertDepthsMatchBfs(g, *loaded);
   AssertSameScheme(g, *loaded, fresh);
   std::remove(path.c_str());
 }

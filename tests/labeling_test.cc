@@ -114,22 +114,25 @@ TEST(LabelingTest, DisconnectedVertexUnlabeled) {
   EXPECT_EQ(scheme.labeling.Get(3, 0), kInfDist);
 }
 
-// The labelling BFS switches direction; BfsDistances does not. Rebuilds
-// every landmark column and checks it against the plain BFS: the depths
-// must equal BfsDistances, and the labels and meta-edges must follow
-// Algorithm 2's rule read off those depths. The root is in QL; a vertex is
-// QL iff a neighbour one level up is QL; a landmark never is, and has a
-// meta-edge iff it would have been. So a QL parent beats a QN parent on
-// bottom-up levels too.
+// The labelling BFS switches direction; BfsDistances does not. Builds the
+// scheme and checks every landmark column against the plain BFS: the
+// depths derived from (L, M) must equal BfsDistances, and the labels and
+// M's edges at the landmark must follow Algorithm 2's rule read off those
+// depths. The root is in QL; a vertex is QL iff a neighbour one level up is
+// QL; a landmark never is, and has a meta-edge iff it would have been. So a
+// QL parent beats a QN parent on bottom-up levels too.
 void ExpectColumnsMatchPlainBfs(const Graph& g,
                                 const std::vector<VertexId>& landmarks) {
   const VertexId n = g.NumVertices();
-  PathLabeling labeling(n, landmarks);
+  const LabelingScheme scheme = BuildLabelingScheme(g, landmarks);
+  const PathLabeling& labeling = scheme.labeling;
   for (LandmarkIndex i = 0; i < landmarks.size(); ++i) {
-    LabelColumnState state;
-    RebuildLabelColumn(g, labeling, i, &state);
     const std::vector<uint32_t> depth = BfsDistances(g, landmarks[i]);
-    ASSERT_EQ(state.depth, depth) << "landmark " << landmarks[i];
+    const uint32_t* meta_row = scheme.meta.DistanceRow(i);
+    for (VertexId v = 0; v < n; ++v) {
+      ASSERT_EQ(DerivedDepth(labeling, meta_row, v), depth[v])
+          << "landmark " << landmarks[i] << " v=" << v;
+    }
 
     std::vector<VertexId> order(n);
     std::iota(order.begin(), order.end(), 0);
@@ -137,7 +140,8 @@ void ExpectColumnsMatchPlainBfs(const Graph& g,
       return depth[a] < depth[b];
     });
     std::vector<bool> in_ql(n, false);
-    std::vector<MetaEdge> meta;
+    std::vector<uint32_t> meta_weight(landmarks.size(), kUnreachable);
+    meta_weight[i] = 0;
     for (const VertexId v : order) {
       const int32_t rank = labeling.LandmarkRank(v);
       bool via_l = v == landmarks[i];
@@ -145,10 +149,7 @@ void ExpectColumnsMatchPlainBfs(const Graph& g,
         for (const VertexId w : g.Neighbors(v)) {
           via_l |= depth[w] + 1 == depth[v] && in_ql[w];
         }
-        if (via_l && rank >= 0) {
-          meta.push_back(MetaEdge{i, static_cast<LandmarkIndex>(rank),
-                                  depth[v]});
-        }
+        if (via_l && rank >= 0) meta_weight[rank] = depth[v];
       }
       in_ql[v] = via_l && (rank < 0 || v == landmarks[i]);
       const DistT want = in_ql[v] && v != landmarks[i]
@@ -157,8 +158,10 @@ void ExpectColumnsMatchPlainBfs(const Graph& g,
       ASSERT_EQ(labeling.Get(v, i), want)
           << "landmark " << landmarks[i] << " v=" << v;
     }
-    std::sort(meta.begin(), meta.end());
-    EXPECT_EQ(state.meta, meta) << "landmark " << landmarks[i];
+    for (LandmarkIndex j = 0; j < landmarks.size(); ++j) {
+      EXPECT_EQ(scheme.meta.EdgeWeight(i, j), meta_weight[j])
+          << "meta-edge (" << landmarks[i] << ", " << landmarks[j] << ")";
+    }
   }
 }
 
@@ -183,6 +186,7 @@ TEST(LabelingTest, ColumnDepthsMatchPlainBfs) {
   // Two components: the other one stays unreached.
   const Graph two = Graph::FromEdges(6, {{0, 1}, {1, 2}, {3, 4}, {4, 5}});
   ExpectColumnsMatchPlainBfs(two, {0, 4});
+  ExpectColumnsMatchPlainBfs(Figure4Graph(), Figure4Landmarks());
 }
 
 // Lemma 5.2 (determinism): permuting the landmark order produces the same

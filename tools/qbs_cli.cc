@@ -690,8 +690,8 @@ int Serve(int argc, char** argv) {
   auto index = LoadOrBuildIndex(*g, argv[1]);
   if (!index.has_value()) return 1;
   if (updatable) {
-    // Snapshots per-landmark BFS state so kUpdateRequest frames can repair
-    // columns incrementally instead of rebuilding the index.
+    // Lets kUpdateRequest frames edit the graph loaded above; each edit
+    // repairs the label columns incrementally instead of rebuilding.
     index->EnableUpdates(&*g);
     options.allow_updates = true;
   }
