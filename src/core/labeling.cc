@@ -181,10 +181,10 @@ void LabelFromLandmark(const Graph& g, const PathLabeling& labeling,
 }
 
 // Blocked transpose of a landmark-major buffer (cols[i * n + v]) into
-// vertex-major rows of `stride` elements at `out`: a 64 x 64 tile of DistT
-// spans 8KB on each side, so both stay cache-resident.
+// vertex-major rows of k elements at `out`: a 64 x 64 tile of DistT spans
+// 8KB on each side, so both stay cache-resident.
 void TransposeColumns(const std::vector<DistT>& cols, size_t n, size_t k,
-                      size_t stride, DistT* out) {
+                      DistT* out) {
   constexpr size_t kTile = 64;
   QBS_CHECK_EQ(cols.size(), n * k);
   for (size_t v0 = 0; v0 < n; v0 += kTile) {
@@ -192,7 +192,7 @@ void TransposeColumns(const std::vector<DistT>& cols, size_t n, size_t k,
     for (size_t i0 = 0; i0 < k; i0 += kTile) {
       const size_t i1 = std::min(i0 + kTile, k);
       for (size_t v = v0; v < v1; ++v) {
-        for (size_t i = i0; i < i1; ++i) out[v * stride + i] = cols[i * n + v];
+        for (size_t i = i0; i < i1; ++i) out[v * k + i] = cols[i * n + v];
       }
     }
   }
@@ -202,20 +202,25 @@ void TransposeColumns(const std::vector<DistT>& cols, size_t n, size_t k,
 
 PathLabeling::PathLabeling(VertexId num_vertices,
                            std::vector<VertexId> landmarks)
-    : num_vertices_(num_vertices), landmarks_(std::move(landmarks)) {
+    : PathLabeling(num_vertices, landmarks,
+                   std::vector<DistT>(
+                       static_cast<size_t>(num_vertices) * landmarks.size(),
+                       kInfDist)) {}
+
+PathLabeling::PathLabeling(VertexId num_vertices,
+                           std::vector<VertexId> landmarks,
+                           std::vector<DistT> rows)
+    : num_vertices_(num_vertices),
+      landmarks_(std::move(landmarks)),
+      dist_(std::move(rows)) {
+  QBS_CHECK_EQ(dist_.size(),
+               static_cast<size_t>(num_vertices_) * landmarks_.size());
   landmark_rank_.assign(num_vertices_, -1);
   for (size_t i = 0; i < landmarks_.size(); ++i) {
     QBS_CHECK_LT(landmarks_[i], num_vertices_);
     QBS_CHECK_EQ(landmark_rank_[landmarks_[i]], -1);  // distinct
     landmark_rank_[landmarks_[i]] = static_cast<int32_t>(i);
   }
-  // Rows are padded to kLabelRowLaneAlign lanes; padding lanes hold
-  // kInfDist forever (Set never writes past |R|), which is what lets the
-  // row scans cover the full stride.
-  stride_ = (static_cast<uint32_t>(landmarks_.size()) + kLabelRowLaneAlign -
-             1) /
-            kLabelRowLaneAlign * kLabelRowLaneAlign;
-  dist_.assign(static_cast<size_t>(num_vertices_) * stride_, kInfDist);
 }
 
 uint64_t PathLabeling::NumEntries() const {
@@ -227,16 +232,7 @@ uint64_t PathLabeling::NumEntries() const {
 }
 
 void PathLabeling::AssignFromColumns(const std::vector<DistT>& cols) {
-  TransposeColumns(cols, num_vertices_, landmarks_.size(), stride_,
-                       dist_.data());
-}
-
-void PathLabeling::AssignFromRows(const std::vector<DistT>& rows) {
-  const size_t k = landmarks_.size();
-  QBS_CHECK_EQ(rows.size(), static_cast<size_t>(num_vertices_) * k);
-  for (size_t v = 0; v < num_vertices_; ++v) {
-    std::copy_n(rows.data() + v * k, k, dist_.data() + v * stride_);
-  }
+  TransposeColumns(cols, num_vertices_, landmarks_.size(), dist_.data());
 }
 
 LabelingScheme BuildLabelingScheme(const Graph& g,

@@ -5,9 +5,12 @@
 // shortest path between u and r passes through no other landmark. The
 // companion meta-graph M records how landmarks interconnect.
 //
-// Storage: a dense |V| × |R| matrix of DistT (kInfDist = entry absent).
-// With the paper's default |R| = 20 a label is 40 bytes — "not much larger
-// than the original graph", usually far smaller.
+// Storage: a dense |V| × |R| matrix of DistT (kInfDist = entry absent),
+// vertex-major and unpadded: the label of v is the |R| lanes at v·|R|, the
+// same block the index file stores, so a load adopts the buffer it reads
+// and a save writes the matrix with one call. With the paper's default
+// |R| = 20 a label is 40 bytes — "not much larger than the original
+// graph", usually far smaller.
 //
 // Lemma 5.2: the scheme is uniquely determined by (G, R), independent of
 // landmark order, so construction parallelizes per landmark with no
@@ -24,25 +27,8 @@
 #include "core/meta_graph.h"
 #include "core/types.h"
 #include "graph/graph.h"
-#include "util/aligned.h"
 
 namespace qbs {
-
-/// Label rows are padded to a multiple of this many DistT lanes (32 bytes)
-/// and the matrix storage is 32-byte aligned. Padding lanes always hold
-/// kInfDist — the "entry absent" sentinel — so the row scans in
-/// core/sketch.cc run over the padded width blindly: an absent lane
-/// contributes nothing to any bound or candidate list.
-///
-/// The padding is kept for a measured reason, not for vector loads.
-/// Unpadded rows shrink the matrix (7 MB -> 4.4 MB at |R| = 20 on
-/// bench_e2e's TW x4) across glibc's dynamic mmap threshold: setup time
-/// rose ~20% with no extra work, graph loading included, and pinning
-/// glibc.malloc.mmap_threshold on both sides removed the gap.
-inline constexpr uint32_t kLabelRowLaneAlign = 16;
-
-/// The dense label matrix storage, 32-byte aligned (util/aligned.h).
-using LabelMatrix = std::vector<DistT, AlignedAllocator<DistT, 32>>;
 
 class PathLabeling {
  public:
@@ -50,6 +36,10 @@ class PathLabeling {
   PathLabeling() = default;
   /// Allocates the |V| x |R| matrix, all entries absent (kInfDist).
   PathLabeling(VertexId num_vertices, std::vector<VertexId> landmarks);
+  /// Adopts `rows`, the vertex-major |V| x |R| matrix (rows[v * |R| + i]),
+  /// without a copy. CHECKs its size.
+  PathLabeling(VertexId num_vertices, std::vector<VertexId> landmarks,
+               std::vector<DistT> rows);
 
   /// |R|, the landmark count the matrix was built with.
   uint32_t num_landmarks() const {
@@ -70,24 +60,19 @@ class PathLabeling {
 
   /// δ_{v, r_i}, or kInfDist if r_i ∉ L(v). Landmarks carry no stored labels
   /// (Definition 4.2 assigns labels to V \ R only).
-  DistT Get(VertexId v, LandmarkIndex i) const {
-    return dist_[static_cast<size_t>(v) * stride_ + i];
-  }
+  DistT Get(VertexId v, LandmarkIndex i) const { return Row(v)[i]; }
 
   void Set(VertexId v, LandmarkIndex i, DistT d) {
-    dist_[static_cast<size_t>(v) * stride_ + i] = d;
+    dist_[static_cast<size_t>(v) * landmarks_.size() + i] = d;
   }
 
-  /// The label row of v: `row_stride()` DistT lanes, 32-byte aligned.
-  /// Lanes [num_landmarks(), row_stride()) are padding and always hold
-  /// kInfDist (see kLabelRowLaneAlign) — the row scans cover the full
-  /// stride.
+  /// The label row of v: num_landmarks() DistT lanes.
   const DistT* Row(VertexId v) const {
-    return dist_.data() + static_cast<size_t>(v) * stride_;
+    return dist_.data() + static_cast<size_t>(v) * landmarks_.size();
   }
 
-  /// Lanes per row: num_landmarks() rounded up to kLabelRowLaneAlign.
-  uint32_t row_stride() const { return stride_; }
+  /// The whole matrix, vertex-major: Row(v) starts at v * num_landmarks().
+  std::span<const DistT> Rows() const { return dist_; }
 
   /// Number of finite labelling entries: size(L) = Σ_v |L(v)| (§2).
   uint64_t NumEntries() const;
@@ -99,25 +84,15 @@ class PathLabeling {
   /// whole vertex-major matrix on every BFS.
   void AssignFromColumns(const std::vector<DistT>& cols);
 
-  /// Bulk-fills the matrix from unpadded vertex-major rows
-  /// (rows[v * |R| + i]), the index file's layout: one row copy per vertex.
-  void AssignFromRows(const std::vector<DistT>& rows);
-
   /// Bytes of the dense label matrix, the quantity Table 3 reports as
   /// size(L) (the paper stores |R| fixed-width slots per vertex, as we do).
-  /// Logical |V| x |R| bytes — row padding is an in-memory layout detail
-  /// and is excluded to keep the number paper-comparable.
-  uint64_t SizeBytes() const {
-    return static_cast<uint64_t>(num_vertices_) * num_landmarks() *
-           sizeof(DistT);
-  }
+  uint64_t SizeBytes() const { return dist_.size() * sizeof(DistT); }
 
  private:
   VertexId num_vertices_ = 0;
-  uint32_t stride_ = 0;  // row lanes: |R| rounded up to kLabelRowLaneAlign
   std::vector<VertexId> landmarks_;
   std::vector<int32_t> landmark_rank_;
-  LabelMatrix dist_;  // |V| x stride_, 32-byte aligned, padding = kInfDist
+  std::vector<DistT> dist_;  // |V| x |R|, vertex-major
 };
 
 struct LabelingScheme {

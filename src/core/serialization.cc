@@ -48,12 +48,8 @@ bool SaveLabelingScheme(const LabelingScheme& scheme,
   out.Write(&n);
   out.Write(&k);
   out.Write(l.landmarks().data(), k);
-  // The label rows without their lane padding, as one block.
-  std::vector<DistT> rows(static_cast<size_t>(n) * k);
-  for (VertexId v = 0; v < n; ++v) {
-    std::copy_n(l.Row(v), k, rows.data() + static_cast<size_t>(v) * k);
-  }
-  out.Write(rows.data(), rows.size());
+  // The in-memory matrix is the file's label block.
+  out.Write(l.Rows().data(), l.Rows().size());
   out.Write(&num_edges);
   out.Write(edges.data(), num_edges);
   if (!out.Commit()) {
@@ -79,8 +75,9 @@ std::optional<LabelingScheme> LoadLabelingScheme(
                   " vertices, graph has " + std::to_string(*num_vertices));
   }
   // Every section is read whole into a buffer the header sizes, each size
-  // checked against the rest of the file first. The labelling itself is
-  // allocated only once all of the file has been read and validated.
+  // checked against the rest of the file first. The label buffer becomes
+  // the labelling's matrix once all of the file has been read and
+  // validated, so the matrix is allocated once and never copied.
   std::vector<VertexId> landmarks;
   if (!in.ReadArray(&landmarks, k) || !ValidLandmarks(landmarks, n)) {
     return Reject("bad landmarks");
@@ -114,8 +111,7 @@ std::optional<LabelingScheme> LoadLabelingScheme(
     scheme.meta.AddEdge(e.a, e.b, e.weight);
   }
   scheme.meta.Finalize();
-  scheme.labeling = PathLabeling(n, std::move(landmarks));
-  scheme.labeling.AssignFromRows(labels);
+  scheme.labeling = PathLabeling(n, std::move(landmarks), std::move(labels));
   return scheme;
 }
 

@@ -42,9 +42,7 @@ void ComputeAnchorCandidatesInto(const PathLabeling& labeling, VertexId t,
     out->push_back(SketchAnchor{static_cast<LandmarkIndex>(rank), 0});
     return;
   }
-  // Padding lanes are kInfDist and contribute nothing, so scanning the
-  // full stride is equivalent to the per-landmark loop.
-  RowCandidatesScalar(labeling.Row(t), labeling.row_stride(), out);
+  RowCandidatesScalar(labeling.Row(t), labeling.num_landmarks(), out);
 }
 
 Sketch ComputeSketch(const PathLabeling& labeling, const MetaGraph& meta,
@@ -162,7 +160,7 @@ LabelBound ComputeLabelBound(const PathLabeling& labeling,
   // Non-landmark pair: the fused row scan, equal to the candidate merge
   // over the same rows.
   return RowBoundScalar(labeling.Row(u), labeling.Row(v),
-                        labeling.row_stride());
+                        labeling.num_landmarks());
 }
 
 void ComputeSketchMetaEdges(const MetaGraph& meta, Sketch* sketch,

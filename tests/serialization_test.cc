@@ -73,7 +73,7 @@ void ExpectSameScheme(const LabelingScheme& a, const LabelingScheme& b) {
   ASSERT_EQ(la.num_vertices(), lb.num_vertices());
   ASSERT_EQ(la.landmarks(), lb.landmarks());
   for (VertexId v = 0; v < la.num_vertices(); ++v) {
-    for (LandmarkIndex i = 0; i < la.row_stride(); ++i) {
+    for (LandmarkIndex i = 0; i < la.num_landmarks(); ++i) {
       ASSERT_EQ(la.Row(v)[i], lb.Row(v)[i]) << "v=" << v << " lane=" << i;
     }
   }
@@ -121,6 +121,12 @@ TEST_F(V3FixtureTest, LoaderReadsFixtureBitIdentically) {
   ASSERT_TRUE(loaded.has_value());
   LabelingScheme fresh{built.labeling(), built.meta_graph()};
   ExpectSameScheme(*loaded, fresh);
+  // The loaded rows sit back to back, the file's label block, which is
+  // what lets a save write the matrix with one call.
+  const PathLabeling& l = loaded->labeling;
+  for (VertexId v = 0; v < l.num_vertices(); ++v) {
+    ASSERT_EQ(l.Row(v), l.Row(0) + static_cast<size_t>(v) * l.num_landmarks());
+  }
   // And a loaded scheme saves back to the same bytes.
   ASSERT_TRUE(SaveLabelingScheme(*loaded, path_));
   EXPECT_TRUE(ReadFileBytes(path_) == ReadFileBytes(FixturePath()));
@@ -249,6 +255,20 @@ TEST_F(SerializationTest, ExpectedVertexCountBoundsLandmarkFreeFiles) {
   WriteFileBytes(path_, CraftIndex({}, {}));
   EXPECT_TRUE(LoadLabelingScheme(path_, 3).has_value());
   EXPECT_FALSE(LoadLabelingScheme(path_, 4).has_value());
+}
+
+// A matrix with no lanes or no rows is an empty label block: it saves and
+// loads like any other.
+TEST_F(SerializationTest, EmptyMatricesRoundTrip) {
+  for (const VertexId n : {VertexId{0}, VertexId{3}}) {
+    LabelingScheme scheme{PathLabeling(n, {}), MetaGraph(0)};
+    scheme.meta.Finalize();
+    ASSERT_TRUE(SaveLabelingScheme(scheme, path_)) << "n=" << n;
+    auto loaded = LoadLabelingScheme(path_, n);
+    ASSERT_TRUE(loaded.has_value()) << "n=" << n;
+    ExpectSameScheme(*loaded, scheme);
+    EXPECT_EQ(loaded->labeling.SizeBytes(), 0u);
+  }
 }
 
 TEST_F(SerializationTest, SchemeRoundTrip) {

@@ -1,6 +1,5 @@
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
 #include <random>
 #include <string>
 #include <utility>
@@ -11,7 +10,6 @@
 #include "core/labeling.h"
 #include "core/landmark_selection.h"
 #include "core/qbs_index.h"
-#include "core/serialization.h"
 #include "core/sketch.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
@@ -535,8 +533,8 @@ LabelBound ComputeLabelBoundFromCandidates(
 
 class RowScanReference : public ::testing::TestWithParam<uint32_t> {};
 
-// Every family pair at |R| straddling the 16-lane padding (all-absent
-// rows, single lanes, near-sentinel sums that exceed 16 bits):
+// Every family pair at small, odd and large |R| (all-absent rows, single
+// lanes, near-sentinel sums that exceed 16 bits):
 // ComputeLabelBound and ComputeAnchorCandidatesInto equal the reference.
 TEST_P(RowScanReference, BoundAndCandidatesMatchReference) {
   const uint32_t k = GetParam();
@@ -575,49 +573,6 @@ TEST_P(RowScanReference, BoundAndCandidatesMatchReference) {
 INSTANTIATE_TEST_SUITE_P(Strides, RowScanReference,
                          ::testing::Values(1u, 7u, 8u, 31u, 32u, 33u, 64u,
                                            257u));
-
-// --- The row padding/alignment invariant, through build and load. ---
-
-void CheckPaddingInvariant(const PathLabeling& labeling) {
-  const uint32_t k = labeling.num_landmarks();
-  const uint32_t stride = labeling.row_stride();
-  EXPECT_EQ(stride, (k + kLabelRowLaneAlign - 1) / kLabelRowLaneAlign *
-                        kLabelRowLaneAlign);
-  for (VertexId v = 0; v < labeling.num_vertices(); ++v) {
-    const DistT* row = labeling.Row(v);
-    EXPECT_EQ(reinterpret_cast<uintptr_t>(row) % 32, 0u) << "v=" << v;
-    for (uint32_t i = k; i < stride; ++i) {
-      ASSERT_EQ(row[i], kInfDist) << "padding lane " << i << " of v=" << v;
-    }
-  }
-  // Padding must not leak into the paper-facing size(L).
-  EXPECT_EQ(labeling.SizeBytes(),
-            static_cast<uint64_t>(labeling.num_vertices()) * k * sizeof(DistT));
-}
-
-TEST(LabelRowPadding, RowsPaddedAndAlignedAfterBuildAndLoad) {
-  Graph g = BarabasiAlbert(200, 3, 5);
-  // k = 20 -> stride 32: a non-trivial pad of 12 lanes.
-  const auto landmarks = SelectLandmarks(g, 20);
-  const auto scheme = BuildLabelingScheme(g, landmarks);
-  CheckPaddingInvariant(scheme.labeling);
-
-  // The serialization round trip rebuilds the padded, aligned matrix via
-  // the constructor + Set path: the invariant must survive a load.
-  const std::string path =
-      ::testing::TempDir() + "/label_row_padding_roundtrip.qbs";
-  ASSERT_TRUE(SaveLabelingScheme(scheme, path));
-  auto loaded = LoadLabelingScheme(path);
-  std::remove(path.c_str());
-  ASSERT_TRUE(loaded.has_value());
-  CheckPaddingInvariant(loaded->labeling);
-  ASSERT_EQ(loaded->labeling.num_landmarks(), scheme.labeling.num_landmarks());
-  for (VertexId v = 0; v < scheme.labeling.num_vertices(); ++v) {
-    for (LandmarkIndex i = 0; i < scheme.labeling.num_landmarks(); ++i) {
-      ASSERT_EQ(loaded->labeling.Get(v, i), scheme.labeling.Get(v, i));
-    }
-  }
-}
 
 }  // namespace
 }  // namespace qbs

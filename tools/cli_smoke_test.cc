@@ -223,6 +223,33 @@ TEST_F(CliSmokeTest, ServeAndLoadRoundTrip) {
   EXPECT_EQ(WEXITSTATUS(status), 0);
 }
 
+// A graph with fewer than 2 vertices has no query pair to sample: `stats`
+// prints its other lines and no distance, and `load` exits 1 before it
+// connects (port 1 has no server). Neither aborts.
+TEST_F(CliSmokeTest, GraphsWithoutAQueryPair) {
+  const std::string cli = Quoted(g_cli_path);
+  const std::string no_edges = Path("no_edges.edges");
+  const std::string one = Path("one.edges");
+  RunOk(cli + " generate er " + Quoted(no_edges) + " 2 0");
+  FILE* f = fopen(one.c_str(), "w");
+  ASSERT_NE(f, nullptr);
+  std::fputs("0 0\n", f);  // a self-loop: vertex 0 and no edge
+  fclose(f);
+  for (const std::string& edges : {no_edges, one}) {
+    const std::string stats = RunOk(cli + " stats " + Quoted(edges));
+    EXPECT_NE(stats.find("components:"), std::string::npos) << stats;
+    EXPECT_NE(stats.find("avg distance:    n/a"), std::string::npos) << stats;
+
+    std::string out;
+    const int status =
+        RunCapture(cli + " load " + Quoted(edges) + " 127.0.0.1 1", &out);
+    ASSERT_TRUE(WIFEXITED(status)) << edges << "\n" << out;
+    EXPECT_EQ(WEXITSTATUS(status), 1) << edges << "\n" << out;
+    EXPECT_NE(out.find("a query pair needs 2 vertices"), std::string::npos)
+        << out;
+  }
+}
+
 // An edit line whose endpoint is not a whole decimal id below 2^32 fails
 // before any connection is made (port 1 has no server): nothing may wrap
 // to another vertex, read as 0, or ignore trailing junk.
@@ -301,6 +328,9 @@ TEST_F(CliSmokeTest, UsageOnBadInvocation) {
        "bad value '70000' for --port"},
       {" serve " + edges + " " + index + " --read_timeout_ms 5", 2,
        "unknown option --read_timeout_ms"},
+      {" serve " + edges + " " + index +
+           " --write-timeout-ms -1 --no-such-option",
+       2, "bad value '-1' for --write-timeout-ms"},
       // Both fail while parsing, before the CLI connects to anything.
       {" update 127.0.0.1 1 --insert abc 2", 2,
        "bad value 'abc' for --insert"},

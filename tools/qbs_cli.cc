@@ -32,6 +32,11 @@
 // answered, 1 = runtime failure (bad graph/index/request input),
 // 2 = usage error.
 //
+// serve timeouts: --read-timeout-ms bounds a started frame's arrival,
+// --idle-timeout-ms reaps a connection with no traffic between frames, and
+// --write-timeout-ms bounds a send blocked on a full buffer; all three are
+// echoed in the "listening on" readiness line.
+//
 // serve/load quickstart (see docs/REPRODUCING.md for the full runbook):
 //   qbs serve graph.edges index.qbs --port 7471 &
 //   qbs load  graph.edges 127.0.0.1 7471 --queries 20000 --shutdown
@@ -86,7 +91,8 @@ int Usage() {
       "                 [--max-conns N] [--cache-mb MB] "
       "[--no-remote-shutdown] [--updatable]\n"
       "                 [--read-timeout-ms MS] [--idle-timeout-ms MS] "
-      "[--degrade-after-inflight N]\n"
+      "[--write-timeout-ms MS]\n"
+      "                 [--degrade-after-inflight N]\n"
       "       qbs load <graph> <host> <port> [--queries N] [--pairs N] "
       "[--zipf S] [--seed S] [--conns C]\n"
       "                 [--mode spg|distance] [--budget N] [--rate QPS] "
@@ -305,6 +311,11 @@ int Stats(int argc, char** argv) {
               info.num_components == 0 ? 0 : info.sizes[info.largest]);
   std::printf("adjacency bytes: %llu\n",
               static_cast<unsigned long long>(g->SizeBytes()));
+  // A query pair needs two distinct vertices.
+  if (g->NumVertices() < 2) {
+    std::printf("avg distance:    n/a (fewer than 2 vertices)\n");
+    return 0;
+  }
   const auto pairs = qbs::SampleQueryPairs(*g, 500, 1);
   const auto dist = qbs::ComputeDistanceDistribution(*g, pairs);
   std::printf("avg distance:    %.2f (over 500 sampled pairs)\n",
@@ -706,10 +717,12 @@ int Serve(int argc, char** argv) {
   // grep for it), flushed before any query lands.
   std::printf(
       "qbs serve: listening on %s:%u (|V|=%u, cache %zu MiB, "
-      "read-timeout %ums, idle-timeout %ums, degrade-after %zu)\n",
+      "read-timeout %ums, idle-timeout %ums, write-timeout %ums, "
+      "degrade-after %zu)\n",
       options.host.c_str(), server.port(), g->NumVertices(),
       options.cache_bytes >> 20, options.read_timeout_ms,
-      options.idle_timeout_ms, options.degrade_after_inflight);
+      options.idle_timeout_ms, options.write_timeout_ms,
+      options.degrade_after_inflight);
   std::fflush(stdout);
 
   std::signal(SIGINT, OnSignal);
@@ -887,6 +900,11 @@ int Load(int argc, char** argv) {
 
   auto g = LoadGraphArg(argv[0]);
   if (!g.has_value()) return 1;
+  if (g->NumVertices() < 2) {
+    std::fprintf(stderr, "qbs load: a query pair needs 2 vertices, got %u\n",
+                 g->NumVertices());
+    return 1;
+  }
   const std::vector<qbs::TimedQuery> queries =
       qbs::GenerateWorkload(*g, workload);
 
