@@ -8,7 +8,6 @@
 #include <iostream>
 #include <limits>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,22 +42,8 @@ bool ParseUint64(const char*& p, uint64_t* out) {
 // the source in diagnostics.
 std::optional<Graph> ReadLines(
     const std::function<bool(std::string*)>& next_line,
-    const EdgeListReadOptions& options, const std::string& origin) {
-  std::vector<Edge> edges;
-  VertexId num_vertices = 0;
-  std::unordered_map<uint64_t, VertexId> relabel_map;
-  auto map_id = [&](uint64_t raw) -> VertexId {
-    if (!options.relabel) {
-      const auto id = static_cast<VertexId>(raw);
-      num_vertices = std::max(num_vertices, id + 1);
-      return id;
-    }
-    const auto [it, inserted] =
-        relabel_map.try_emplace(raw, static_cast<VertexId>(relabel_map.size()));
-    if (inserted) ++num_vertices;
-    return it->second;
-  };
-
+    const std::string& origin) {
+  std::vector<uint64_t> raw;  // both ids of every edge, in file order
   std::string line;
   size_t line_no = 0;
   while (next_line(&line)) {
@@ -73,29 +58,38 @@ std::optional<Graph> ReadLines(
                 << '\n';
       return std::nullopt;
     }
-    // The vertex count id + 1 must fit VertexId too.
-    if (!options.relabel && (a >= std::numeric_limits<VertexId>::max() ||
-                             b >= std::numeric_limits<VertexId>::max())) {
-      std::cerr << "ReadEdgeList: id overflow at " << origin << ":" << line_no
-                << " (enable relabel)" << '\n';
-      return std::nullopt;
-    }
-    // Sequence the lookups: first-appearance relabelling must follow the
-    // file's left-to-right order (argument evaluation order is unspecified).
-    const VertexId ua = map_id(a);
-    const VertexId vb = map_id(b);
-    edges.emplace_back(ua, vb);
+    raw.push_back(a);
+    raw.push_back(b);
   }
-  return Graph::FromEdges(num_vertices, std::move(edges));
-}
-
-bool HasGzSuffix(const std::string& path) {
-  return path.size() > 3 && path.compare(path.size() - 3, 3, ".gz") == 0;
+  // Number the vertices by ascending id; ids 0..n-1 keep their numbers.
+  std::vector<uint64_t> ids = raw;
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  if (ids.size() >= std::numeric_limits<VertexId>::max()) {
+    std::cerr << "ReadEdgeList: too many vertices in " << origin << '\n';
+    return std::nullopt;
+  }
+  const auto n = static_cast<VertexId>(ids.size());
+  const bool dense = n == 0 || ids.back() == n - 1;
+  if (!dense) {
+    std::cerr << "ReadEdgeList: " << origin << ": ids are not 0.." << n - 1
+              << "; vertices are numbered by ascending id" << '\n';
+  }
+  auto vertex = [&](uint64_t id) {
+    if (dense) return static_cast<VertexId>(id);
+    return static_cast<VertexId>(
+        std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
+  };
+  std::vector<Edge> edges;
+  edges.reserve(raw.size() / 2);
+  for (size_t i = 0; i < raw.size(); i += 2) {
+    edges.emplace_back(vertex(raw[i]), vertex(raw[i + 1]));
+  }
+  return Graph::FromEdges(n, std::move(edges));
 }
 
 #ifdef QBS_HAVE_ZLIB
-std::optional<Graph> ReadGzEdgeList(const std::string& path,
-                                    const EdgeListReadOptions& options) {
+std::optional<Graph> ReadGzEdgeList(const std::string& path) {
   gzFile gz = gzopen(path.c_str(), "rb");
   if (gz == nullptr) {
     std::cerr << "ReadEdgeList: cannot open " << path << '\n';
@@ -122,7 +116,7 @@ std::optional<Graph> ReadGzEdgeList(const std::string& path,
       }
     }
   };
-  auto graph = ReadLines(next_line, options, path);
+  auto graph = ReadLines(next_line, path);
   gzclose(gz);
   if (stream_error) {
     std::cerr << "ReadEdgeList: gzip stream error in " << path << '\n';
@@ -142,11 +136,10 @@ bool GzipSupported() {
 #endif
 }
 
-std::optional<Graph> ReadEdgeList(const std::string& path,
-                                  const EdgeListReadOptions& options) {
-  if (HasGzSuffix(path)) {
+std::optional<Graph> ReadEdgeList(const std::string& path) {
+  if (path.ends_with(".gz")) {
 #ifdef QBS_HAVE_ZLIB
-    return ReadGzEdgeList(path, options);
+    return ReadGzEdgeList(path);
 #else
     std::cerr << "ReadEdgeList: " << path
               << " is gzip-compressed but this build has no zlib; "
@@ -164,7 +157,7 @@ std::optional<Graph> ReadEdgeList(const std::string& path,
       [&in](std::string* line) {
         return static_cast<bool>(std::getline(in, *line));
       },
-      options, path);
+      path);
 }
 
 bool WriteEdgeList(const Graph& g, const std::string& path) {

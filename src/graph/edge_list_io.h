@@ -15,22 +15,15 @@
 
 namespace qbs {
 
-struct EdgeListReadOptions {
-  // If true, arbitrary (possibly sparse, 64-bit) ids in the file are
-  // relabelled to a dense [0, n) range in first-appearance order. If false,
-  // ids are used verbatim and must fit VertexId.
-  bool relabel = true;
-  // Directed input is treated as undirected (as the paper does; Table 1's
-  // |E_un| column).
-};
-
 // Reads an edge list from `path`, one "u v" pair per line; lines starting
-// with '#' or '%' (SNAP and KONECT headers) are skipped. Paths ending in
-// ".gz" are decompressed on the fly when the build has zlib, and fail with
-// a message otherwise. Returns std::nullopt on I/O or parse failure (a
-// message naming file:line is written to stderr).
-std::optional<Graph> ReadEdgeList(const std::string& path,
-                                  const EdgeListReadOptions& options = {});
+// with '#' or '%' (SNAP and KONECT headers) are skipped. Vertices are
+// numbered by ascending file id, so a file using every id 0..n-1 keeps its
+// ids; other (sparse, 64-bit) ids are compacted, with a note on stderr.
+// Directed input is read as undirected, as the paper does (Table 1's
+// |E_un|). Paths ending in ".gz" are decompressed when the build has zlib,
+// and fail with a message otherwise. Returns std::nullopt on I/O or parse
+// failure (a message naming file:line is written to stderr).
+std::optional<Graph> ReadEdgeList(const std::string& path);
 
 // True when this build can decompress ".gz" edge lists (zlib was found).
 bool GzipSupported();

@@ -1,31 +1,12 @@
-// The dynamic-index gauntlet: random edit scripts against
-// QbsIndex::ApplyUpdates must leave the index bit-identical to a
-// from-scratch build on the updated graph — labels, meta-graph, Δ
-// segments, and answers (SameAnswer on sampled pairs, including adjacent
-// and two-hop pairs).
-//
-// The labelling is uniquely determined by (G, R) (Lemma 5.2), which is
-// what makes bit-identity a legitimate oracle: same updated graph, same
-// landmarks, same bits.
-//
-// Every column's depths, derived from the repaired (L, M), must also equal
-// a fresh BFS after every batch: the next repair reads its old depths from
-// them. So must the landmark adjacency bits the Z-pair test reads: each
-// equals HasEdge on the edited graph, and again after Save and
-// LoadFromFile, which rebuild them.
-//
-// Seeds come from QBS_DYNAMIC_SEEDS (comma-separated) when set — the CI
-// dynamic-gauntlet job passes 16 fresh seeds per run and logs them — and
-// default to 1..16 locally (testing::DynamicSeeds). Every seed is printed,
-// so any failure line is directly replayable with QBS_DYNAMIC_SEEDS=<seed>.
+// Targeted edge edits against QbsIndex::ApplyUpdates: a ring cut and its
+// repair, same-level edits, an index loaded from a file, pooled searchers
+// across an edit, and no-op scripts. After each edit the index must equal a
+// fresh build on the updated graph (Lemma 5.2: (G, R) determines the
+// labelling). Random edit scripts are oracle_driver_test's.
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
-#include <random>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -41,229 +22,10 @@
 namespace qbs {
 namespace {
 
-Graph MakeFamilyGraph(uint64_t seed) {
-  switch (seed % 3) {
-    case 0:
-      return BarabasiAlbert(220, 3, seed);
-    case 1:
-      return WattsStrogatz(180, 4, 0.1, seed);
-    default:
-      // Raw G(n, m), possibly disconnected — exercises the unreachable
-      // paths of detection and repair.
-      return ErdosRenyi(200, 380, seed);
-  }
-}
-
-// A deep family: a long path with sparse chords, all in its first two
-// thirds. Deleting a path edge under a chord raises the depth of a long
-// stretch; deleting one in the chord-free tail disconnects the rest.
-Graph DeepFamilyGraph(uint64_t seed) {
-  constexpr VertexId kN = 240;
-  std::mt19937_64 rng(seed);
-  std::vector<Edge> edges;
-  for (VertexId v = 0; v + 1 < kN; ++v) edges.emplace_back(v, v + 1);
-  for (int c = 0; c < 8; ++c) {
-    const auto a = static_cast<VertexId>(rng() % (2 * kN / 3 - 30));
-    edges.emplace_back(a, a + 2 + static_cast<VertexId>(rng() % 28));
-  }
-  return Graph::FromEdges(kN, std::move(edges));
-}
-
-// A script mixing fresh inserts, deletions of existing edges, likely
-// no-ops, and the occasional invalid entry.
-GraphDelta RandomScript(const Graph& g, std::mt19937_64& rng, size_t ops) {
-  const std::vector<Edge> edges = g.EdgeList();
-  std::uniform_int_distribution<VertexId> vtx(0, g.NumVertices() - 1);
-  GraphDelta delta;
-  for (size_t i = 0; i < ops; ++i) {
-    const uint64_t roll = rng() % 100;
-    if (roll < 45) {
-      delta.Insert(vtx(rng), vtx(rng));  // may be a self-loop / duplicate
-    } else if (roll < 85 && !edges.empty()) {
-      const Edge& e = edges[rng() % edges.size()];
-      delta.Delete(e.u, e.v);
-    } else if (roll < 95) {
-      delta.Delete(vtx(rng), vtx(rng));  // probably absent: a no-op
-    } else {
-      delta.Insert(vtx(rng), static_cast<VertexId>(g.NumVertices() + 7));
-    }
-  }
-  return delta;
-}
-
-void AssertSameScheme(const Graph& g, const QbsIndex& updated,
-                      const QbsIndex& fresh) {
-  const PathLabeling& a = updated.labeling();
-  const PathLabeling& b = fresh.labeling();
-  ASSERT_EQ(a.landmarks(), b.landmarks());
-  const uint32_t k = a.num_landmarks();
-  for (VertexId v = 0; v < g.NumVertices(); ++v) {
-    for (uint32_t i = 0; i < k; ++i) {
-      ASSERT_EQ(a.Get(v, i), b.Get(v, i))
-          << "label mismatch at v=" << v << " landmark=" << i;
-    }
-  }
-  ASSERT_EQ(updated.meta_graph().Edges(), fresh.meta_graph().Edges());
-  // Δ sits on every recover path, so its refresh must be exact too.
-  for (const MetaEdge& e : fresh.meta_graph().Edges()) {
-    const std::vector<Edge>* got = updated.delta_cache().Lookup(e.a, e.b);
-    const std::vector<Edge>* want = fresh.delta_cache().Lookup(e.a, e.b);
-    ASSERT_NE(got, nullptr) << "no Δ segment for (" << e.a << ", " << e.b
-                            << ")";
-    ASSERT_NE(want, nullptr);
-    ASSERT_EQ(*got, *want) << "Δ segment mismatch for (" << e.a << ", "
-                           << e.b << ")";
-  }
-  ASSERT_EQ(updated.DeltaSizeBytes(), fresh.DeltaSizeBytes());
-}
-
-// Landmark column i's depths, derived from the index's (L, M).
-std::vector<uint32_t> ColumnDepths(const QbsIndex& index, LandmarkIndex i) {
-  std::vector<uint32_t> depth(index.graph().NumVertices());
-  const uint32_t* meta_row = index.meta_graph().DistanceRow(i);
-  for (VertexId v = 0; v < depth.size(); ++v) {
-    depth[v] = DerivedDepth(index.labeling(), meta_row, v);
-  }
-  return depth;
-}
-
-// The derived depths of every column equal a fresh BFS on the current
-// graph.
-void AssertDepthsMatchBfs(const Graph& g, const QbsIndex& index) {
-  const std::vector<VertexId>& landmarks = index.landmarks();
-  for (size_t i = 0; i < landmarks.size(); ++i) {
-    ASSERT_EQ(ColumnDepths(index, static_cast<LandmarkIndex>(i)),
-              BfsDistances(g, landmarks[i]))
-        << "derived depths diverge from BFS in column " << i;
-  }
-}
-
-// Every landmark adjacency bit equals HasEdge on the current graph.
-void AssertAdjacencyMatchesGraph(const Graph& g, const QbsIndex& index) {
-  const std::vector<VertexId>& landmarks = index.landmarks();
-  const LandmarkAdjacency& adjacency = index.landmark_adjacency();
-  for (size_t i = 0; i < landmarks.size(); ++i) {
-    for (VertexId w = 0; w < g.NumVertices(); ++w) {
-      ASSERT_EQ(adjacency.Adjacent(static_cast<LandmarkIndex>(i), w),
-                g.HasEdge(landmarks[i], w))
-          << "adjacency bit of landmark " << landmarks[i] << " and " << w;
-    }
-  }
-}
-
-// Sampled pairs + adjacent and two-hop pairs (close pairs must stay
-// bit-identical too).
-std::vector<QueryPair> ProbePairs(const Graph& g, std::mt19937_64& rng) {
-  std::vector<QueryPair> pairs = SampleQueryPairs(g, 25, rng());
-  for (int i = 0; i < 10; ++i) {
-    const auto u = static_cast<VertexId>(rng() % g.NumVertices());
-    const auto nu = g.Neighbors(u);
-    if (nu.empty()) continue;
-    const VertexId w = nu[rng() % nu.size()];
-    pairs.push_back({u, w});  // d == 1
-    const auto nw = g.Neighbors(w);
-    if (!nw.empty()) pairs.push_back({u, nw[rng() % nw.size()]});  // d <= 2
-  }
-  return pairs;
-}
-
-void AssertSameAnswers(const Graph& g, const QbsIndex& updated,
-                       const QbsIndex& fresh, std::mt19937_64& rng) {
-  for (const auto& [u, v] : ProbePairs(g, rng)) {
-    const QueryResponse got = updated.Query({u, v});
-    const QueryResponse want = fresh.Query({u, v});
-    ASSERT_TRUE(SameAnswer(got, want)) << "answer diverged for (" << u << ", "
-                                       << v << ")";
-  }
-}
-
-TEST(DynamicUpdateTest, GauntletMatchesFreshBuild) {
-  for (const uint64_t seed : testing::DynamicSeeds()) {
-    std::mt19937_64 rng(seed);
-    Graph g = MakeFamilyGraph(seed);
-    QbsOptions options;
-    options.num_landmarks = 8;
-    options.num_threads = 2;
-    std::printf("[gauntlet] seed=%" PRIu64 " family=%" PRIu64 "\n", seed,
-                seed % 3);
-    QbsIndex index = QbsIndex::Build(g, options);
-    index.EnableUpdates(&g);
-    const std::vector<VertexId> landmarks = index.landmarks();
-
-    for (int batch = 0; batch < 3; ++batch) {
-      const GraphDelta delta = RandomScript(g, rng, 10);
-      index.ApplyUpdates(delta);
-      QbsIndex fresh = QbsIndex::BuildWithLandmarks(g, landmarks, options);
-      AssertDepthsMatchBfs(g, index);
-      AssertAdjacencyMatchesGraph(g, index);
-      AssertSameScheme(g, index, fresh);
-      AssertSameAnswers(g, index, fresh, rng);
-      if (::testing::Test::HasFatalFailure()) {
-        return;  // the printed seed line identifies the failing script
-      }
-    }
-    // The bits are derived, not saved: a reload rebuilds them from the
-    // edited graph.
-    const std::string path = ::testing::TempDir() + "/gauntlet_" +
-                             std::to_string(seed) + ".qbs";
-    ASSERT_TRUE(index.Save(path));
-    const auto loaded = QbsIndex::LoadFromFile(g, path, options);
-    std::remove(path.c_str());
-    ASSERT_TRUE(loaded.has_value());
-    AssertAdjacencyMatchesGraph(g, *loaded);
-    AssertSameAnswers(g, *loaded, index, rng);
-    if (::testing::Test::HasFatalFailure()) return;
-  }
-}
-
-// The churn shape of a serving daemon: one edge per batch, alternating
-// insert and delete, on the deep family, where a delete can push a long
-// stretch deeper or cut it off and an insert can pull it back. After every
-// batch the index must equal a fresh build.
-TEST(DynamicUpdateTest, DeepFamilyChurnMatchesFreshBuild) {
-  for (const uint64_t seed : testing::DynamicSeeds()) {
-    std::mt19937_64 rng(seed);
-    Graph g = DeepFamilyGraph(seed);
-    QbsOptions options;
-    options.num_landmarks = 6;
-    options.num_threads = 2;
-    std::printf("[deep churn] seed=%" PRIu64 "\n", seed);
-    QbsIndex index = QbsIndex::Build(g, options);
-    index.EnableUpdates(&g);
-    const std::vector<VertexId> landmarks = index.landmarks();
-    const VertexId n = g.NumVertices();
-
-    for (int batch = 0; batch < 120; ++batch) {
-      GraphDelta delta;
-      if (batch % 2 == 0) {
-        // Mostly short chords, so the graph stays deep; now and then any
-        // pair, which can reconnect a cut-off tail.
-        const auto a = static_cast<VertexId>(rng() % n);
-        const auto hop = static_cast<VertexId>(2 + rng() % 20);
-        const VertexId b = rng() % 4 == 0 ? static_cast<VertexId>(rng() % n)
-                                          : std::min<VertexId>(n - 1, a + hop);
-        delta.Insert(a, b);
-      } else {
-        const std::vector<Edge> edges = g.EdgeList();
-        const Edge& e = edges[rng() % edges.size()];
-        delta.Delete(e.u, e.v);
-      }
-      const UpdateStats stats = index.ApplyUpdates(delta);
-      ASSERT_LE(stats.AppliedTotal(), 1u);
-      EXPECT_EQ(stats.rebuilt_columns, 0u);
-      ASSERT_LE(stats.repaired_columns, landmarks.size());
-      QbsIndex fresh = QbsIndex::BuildWithLandmarks(g, landmarks, options);
-      AssertDepthsMatchBfs(g, index);
-      AssertAdjacencyMatchesGraph(g, index);
-      AssertSameScheme(g, index, fresh);
-      AssertSameAnswers(g, index, fresh, rng);
-      if (::testing::Test::HasFatalFailure()) {
-        std::printf("[deep churn] failed at batch %d\n", batch);
-        return;
-      }
-    }
-  }
-}
+using testing::AdjacencyMismatch;
+using testing::ColumnDepths;
+using testing::DepthsMismatch;
+using testing::SchemeMismatch;
 
 // Deleting one ring edge next to a landmark moves half the ring deeper:
 // the vertex beside the cut goes from depth 1 to n - 1, and the arc behind
@@ -277,26 +39,25 @@ TEST(DynamicUpdateTest, RingDeleteRaisesLongArcAndInsertRestoresIt) {
   QbsIndex index = QbsIndex::BuildWithLandmarks(g, {0, 32}, options);
   index.EnableUpdates(&g);
   const std::vector<uint32_t> before = ColumnDepths(index, 0);
-  std::mt19937_64 rng(64);
 
   GraphDelta cut;
   cut.Delete(0, 1);
   UpdateStats stats = index.ApplyUpdates(cut);
   EXPECT_EQ(stats.repaired_columns, 1u);
   EXPECT_EQ(ColumnDepths(index, 0)[1], 63u);
-  AssertDepthsMatchBfs(g, index);
-  AssertSameScheme(g, index,
-                   QbsIndex::BuildWithLandmarks(g, {0, 32}, options));
-  AssertSameAnswers(g, index,
-                    QbsIndex::BuildWithLandmarks(g, {0, 32}, options), rng);
+  EXPECT_EQ(DepthsMismatch(g, index), "");
+  EXPECT_EQ(SchemeMismatch(index,
+                           QbsIndex::BuildWithLandmarks(g, {0, 32}, options)),
+            "");
 
   GraphDelta heal;
   heal.Insert(1, 0);
   stats = index.ApplyUpdates(heal);
   EXPECT_EQ(stats.repaired_columns, 1u);
   EXPECT_EQ(ColumnDepths(index, 0), before);
-  AssertSameScheme(g, index,
-                   QbsIndex::BuildWithLandmarks(g, {0, 32}, options));
+  EXPECT_EQ(SchemeMismatch(index,
+                           QbsIndex::BuildWithLandmarks(g, {0, 32}, options)),
+            "");
 }
 
 // An edge between two vertices at equal depth in every landmark column
@@ -337,7 +98,6 @@ TEST(DynamicUpdateTest, SameLevelEditsTouchNoColumn) {
   }
   ASSERT_NE(added.u, added.v) << "no same-level non-edge in the graph";
 
-  std::mt19937_64 rng(17);
   GraphDelta insert;
   insert.Insert(added.u, added.v);
   GraphDelta erase;
@@ -348,8 +108,7 @@ TEST(DynamicUpdateTest, SameLevelEditsTouchNoColumn) {
     EXPECT_EQ(stats.repaired_columns, 0u);
     EXPECT_EQ(stats.rebuilt_columns, 0u);
     const QbsIndex fresh = QbsIndex::BuildWithLandmarks(g, landmarks, options);
-    AssertSameScheme(g, index, fresh);
-    AssertSameAnswers(g, index, fresh, rng);
+    EXPECT_EQ(SchemeMismatch(index, fresh), "");
     for (size_t i = 0; i < landmarks.size(); ++i) {
       ASSERT_EQ(BfsDistances(g, landmarks[i]), depth[i]);  // depths held
     }
@@ -375,8 +134,8 @@ TEST(DynamicUpdateTest, UpdatableAfterLoadFromFile) {
   delta.Delete(g.EdgeList().front().u, g.EdgeList().front().v);
   loaded->ApplyUpdates(delta);
   QbsIndex fresh = QbsIndex::BuildWithLandmarks(g, loaded->landmarks(), options);
-  AssertDepthsMatchBfs(g, *loaded);
-  AssertSameScheme(g, *loaded, fresh);
+  EXPECT_EQ(DepthsMismatch(g, *loaded), "");
+  EXPECT_EQ(SchemeMismatch(*loaded, fresh), "");
   std::remove(path.c_str());
 }
 
@@ -416,11 +175,12 @@ TEST(DynamicUpdateTest, PooledSearchersOutliveAnEdit) {
   EXPECT_EQ(&index.delta_cache(), delta_cache);
   EXPECT_EQ(index.timings().labeling_seconds, timings.labeling_seconds);
   EXPECT_EQ(index.timings().delta_seconds, timings.delta_seconds);
-  AssertAdjacencyMatchesGraph(g, index);
+  EXPECT_EQ(AdjacencyMismatch(g, index), "");
 
-  std::mt19937_64 rng(17);
   std::vector<QueryRequest> requests;
-  for (const auto& [u, v] : ProbePairs(g, rng)) requests.push_back({u, v});
+  for (const auto& [u, v] : SampleQueryPairs(g, 35, 17)) {
+    requests.push_back({u, v});
+  }
   for (VertexId w = 0; w < g.NumVertices(); w += 23) {
     requests.push_back({r, w});
     requests.push_back({far, w});
@@ -436,35 +196,6 @@ TEST(DynamicUpdateTest, PooledSearchersOutliveAnEdit) {
     ASSERT_EQ(responses[i].spg, SpgByDoubleBfs(g, q.u, q.v))
         << "u=" << q.u << " v=" << q.v;
   }
-}
-
-TEST(DynamicUpdateTest, InsertShortensDistanceImmediately) {
-  Graph g = PathGraph(8);  // 0-1-...-7
-  QbsOptions options;
-  options.num_landmarks = 2;
-  QbsIndex index = QbsIndex::Build(g, options);
-  index.EnableUpdates(&g);
-  GraphDelta delta;
-  delta.Insert(0, 7);
-  const UpdateStats stats = index.ApplyUpdates(delta);
-  EXPECT_EQ(stats.applied_inserts, 1u);
-  EXPECT_EQ(index.Query({0, 7}).spg, SpgByDoubleBfs(g, 0, 7));
-  EXPECT_EQ(index.Query({1, 6}).spg, SpgByDoubleBfs(g, 1, 6));
-}
-
-TEST(DynamicUpdateTest, DeleteDisconnectsImmediately) {
-  Graph g = PathGraph(8);
-  QbsOptions options;
-  options.num_landmarks = 2;
-  QbsIndex index = QbsIndex::Build(g, options);
-  index.EnableUpdates(&g);
-  GraphDelta delta;
-  delta.Delete(3, 4);  // the bridge
-  const UpdateStats stats = index.ApplyUpdates(delta);
-  EXPECT_EQ(stats.applied_deletes, 1u);
-  EXPECT_FALSE(index.Query({0, 7}).spg.Connected());
-  EXPECT_EQ(index.Query({0, 3}).spg, SpgByDoubleBfs(g, 0, 3));
-  EXPECT_EQ(index.Query({4, 7}).spg, SpgByDoubleBfs(g, 4, 7));
 }
 
 TEST(DynamicUpdateTest, NoopScriptChangesNothing) {
@@ -489,7 +220,7 @@ TEST(DynamicUpdateTest, NoopScriptChangesNothing) {
   if (stats.AppliedTotal() == 0) {
     EXPECT_EQ(stats.repaired_columns, 0u);
     EXPECT_EQ(stats.rebuilt_columns, 0u);
-    AssertSameScheme(g, index, baseline);
+    EXPECT_EQ(SchemeMismatch(index, baseline), "");
   }
 }
 

@@ -1,16 +1,10 @@
 // GraphDelta / ComputeNetChanges / ApplyNetChanges semantics: script-order
 // evaluation, no-op and invalid accounting, insert/delete cancellation,
 // normalization, and the CSR splice — bit-identical to Graph::FromEdges on
-// the edited edge list.
-//
-// The splice property test draws its scripts from testing::DynamicSeeds
-// (QBS_DYNAMIC_SEEDS), like the dynamic-index gauntlet, and prints each
-// seed.
+// the edited edge list. Random scripts are the oracle driver's
+// (oracle_driver_test.cc), which checks the splice at every state.
 
 #include <algorithm>
-#include <cinttypes>
-#include <cstdio>
-#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,7 +12,6 @@
 #include "gen/generators.h"
 #include "graph/graph.h"
 #include "graph/graph_delta.h"
-#include "tests/test_util.h"
 
 namespace qbs {
 namespace {
@@ -110,24 +103,6 @@ TEST(GraphDeltaTest, EndpointOrderIsNormalized) {
   EXPECT_TRUE(ComputeNetChanges(g, both).EmptyNet());
 }
 
-TEST(GraphDeltaTest, MaterializationMatchesManualEdgeSet) {
-  const Graph g = BarabasiAlbert(60, 2, 7);
-  GraphDelta delta;
-  delta.Insert(0, 59);
-  delta.Insert(1, 58);
-  delta.Delete(0, 1);
-  const NetChanges net = ComputeNetChanges(g, delta);
-  const Graph updated = ApplyNetChanges(g, net);
-
-  std::vector<Edge> expected = g.EdgeList();
-  expected.erase(std::remove(expected.begin(), expected.end(), Edge(0, 1)),
-                 expected.end());
-  expected.push_back(Edge(0, 59));
-  expected.push_back(Edge(1, 58));
-  std::sort(expected.begin(), expected.end());
-  EXPECT_EQ(updated.EdgeList(), expected);
-}
-
 TEST(GraphDeltaTest, EmptyDeltaIsEmptyNet) {
   const Graph g = PathGraph(3);
   const NetChanges net = ComputeNetChanges(g, GraphDelta());
@@ -190,48 +165,6 @@ TEST(GraphDeltaSpliceTest, EdgeCasesMatchFromEdges) {
     d.Insert(5, 6);
   });
   check([](GraphDelta&) {});  // nothing to splice
-}
-
-// Random scripts over graph families with isolated vertices, hubs and long
-// paths; every script's splice equals FromEdges bit for bit.
-TEST(GraphDeltaSpliceTest, RandomScriptsMatchFromEdges) {
-  for (const uint64_t seed : testing::DynamicSeeds()) {
-    std::printf("[splice] seed=%" PRIu64 "\n", seed);
-    std::mt19937_64 rng(seed);
-    for (int family = 0; family < 3; ++family) {
-      const Graph g = family == 0   ? ErdosRenyi(120, 150, seed)  // isolated
-                      : family == 1 ? BarabasiAlbert(150, 2, seed)
-                                    : PathGraph(90);
-      const VertexId n = g.NumVertices();
-      for (int script = 0; script < 10; ++script) {
-        const std::vector<Edge> edges = g.EdgeList();
-        // Edits cluster on a few vertices, the ends of the id range among
-        // them, so one vertex often gets several inserts and deletes.
-        const VertexId hot[] = {0, n - 1, static_cast<VertexId>(rng() % n),
-                                static_cast<VertexId>(rng() % n)};
-        GraphDelta delta;
-        const int ops = 1 + static_cast<int>(rng() % 12);
-        for (int op = 0; op < ops; ++op) {
-          const VertexId a = rng() % 2 == 0 ? hot[rng() % 4]
-                                            : static_cast<VertexId>(rng() % n);
-          if (rng() % 2 == 0) {
-            delta.Insert(a, static_cast<VertexId>(rng() % n));
-          } else if (!edges.empty()) {
-            const auto nbrs = g.Neighbors(a);
-            const Edge e = nbrs.empty() ? edges[rng() % edges.size()]
-                                        : Edge(a, nbrs[rng() % nbrs.size()]);
-            delta.Delete(e.u, e.v);
-          }
-        }
-        ExpectSpliceMatches(g, delta);
-        if (::testing::Test::HasFatalFailure()) {
-          std::printf("[splice] failed: family %d, script %d\n", family,
-                      script);
-          return;
-        }
-      }
-    }
-  }
 }
 
 }  // namespace

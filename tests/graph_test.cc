@@ -79,9 +79,7 @@ class EdgeListIoTest : public ::testing::Test {
 TEST_F(EdgeListIoTest, WriteReadRoundTrip) {
   Graph g = Graph::FromEdges(5, {{0, 1}, {1, 2}, {3, 4}, {0, 4}});
   ASSERT_TRUE(WriteEdgeList(g, path_));
-  EdgeListReadOptions options;
-  options.relabel = false;  // preserve ids for an exact round trip
-  auto back = ReadEdgeList(path_, options);
+  auto back = ReadEdgeList(path_);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->NumVertices(), 5u);
   EXPECT_EQ(back->EdgeList(), g.EdgeList());
@@ -102,26 +100,31 @@ TEST_F(EdgeListIoTest, SkipsCommentsAndRelabels) {
   EXPECT_TRUE(g->HasEdge(1, 2));
 }
 
-TEST_F(EdgeListIoTest, VerbatimIdsSizeTheVertexSpace) {
-  std::ofstream out(path_);
-  out << "0 5\n9 2\n";
-  out.close();
-  EdgeListReadOptions options;
-  options.relabel = false;
-  auto g = ReadEdgeList(path_, options);
+// Vertices are numbered by ascending file id, not by first appearance: a
+// file that uses every id 0..n-1 keeps its ids, silently, and sparse ids
+// keep their order, with a note.
+TEST_F(EdgeListIoTest, NumbersVerticesByAscendingId) {
+  std::ofstream(path_) << "3 4\n0 1\n2 3\n";
+  ::testing::internal::CaptureStderr();
+  auto g = ReadEdgeList(path_);
+  EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
   ASSERT_TRUE(g.has_value());
-  EXPECT_EQ(g->NumVertices(), 10u);  // the largest id + 1
-  EXPECT_EQ(g->NumEdges(), 2u);
-  EXPECT_TRUE(g->HasEdge(9, 2));
+  EXPECT_EQ(g->EdgeList(), (std::vector<Edge>{{0, 1}, {2, 3}, {3, 4}}));
+
+  std::ofstream(path_) << "50 20\n20 90\n";
+  ::testing::internal::CaptureStderr();
+  g = ReadEdgeList(path_);
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("ids are not 0..2"),
+            std::string::npos);
+  ASSERT_TRUE(g.has_value());
+  EXPECT_EQ(g->EdgeList(), (std::vector<Edge>{{0, 1}, {0, 2}}));
 }
 
 TEST_F(EdgeListIoTest, DirectedInputBecomesUndirected) {
   std::ofstream out(path_);
   out << "0 1\n1 0\n";
   out.close();
-  EdgeListReadOptions options;
-  options.relabel = false;
-  auto g = ReadEdgeList(path_, options);
+  auto g = ReadEdgeList(path_);
   ASSERT_TRUE(g.has_value());
   EXPECT_EQ(g->NumEdges(), 1u);
 }

@@ -11,13 +11,11 @@
 #include "core/sketch.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
-#include "graph/components.h"
 #include "tests/test_util.h"
 #include "workload/query_workload.h"
 
 namespace qbs {
 namespace {
-
 
 TEST(QbsIndexTest, BuildAndQuerySmoke) {
   Graph g = BarabasiAlbert(500, 3, 1);
@@ -112,16 +110,6 @@ TEST(QbsIndexTest, DistanceUpperBoundIsUpperBound) {
   }
 }
 
-TEST(QbsIndexTest, LandmarksClampedToGraph) {
-  Graph g = PathGraph(5);
-  QbsOptions options;
-  options.num_landmarks = 50;
-  QbsIndex index = QbsIndex::Build(g, options);
-  EXPECT_EQ(index.landmarks().size(), 5u);
-  // Every vertex is a landmark: queries are pure recover searches.
-  EXPECT_EQ(index.Query({0, 4}).spg, SpgByDoubleBfs(g, 0, 4));
-}
-
 TEST(QbsIndexTest, ZeroLandmarksDegeneratesToBiBfs) {
   Graph g = BarabasiAlbert(200, 2, 4);
   QbsOptions options;
@@ -149,115 +137,6 @@ TEST(QbsIndexTest, BuildWithExplicitLandmarks) {
   EXPECT_EQ(index.landmarks(), testing::Figure4Landmarks());
   EXPECT_EQ(index.Query({5, 10}).spg, SpgByDoubleBfs(g, 5, 10));
 }
-
-// The central correctness property: QbS answers == oracle answers on every
-// sampled pair, across graph families, landmark counts, landmark sets and
-// thread counts — every instance on the served Δ path.
-struct SweepParam {
-  int family;
-  uint64_t seed;
-  uint32_t num_landmarks;
-  bool random_landmarks;  // seeded random set instead of top-|R| degree
-  size_t threads;
-};
-
-class QbsOracleSweep : public ::testing::TestWithParam<SweepParam> {};
-
-Graph SweepGraph(const SweepParam& p) {
-  switch (p.family) {
-    case 0:
-      return BarabasiAlbert(350, 2, p.seed);
-    case 1:
-      return LargestComponent(ErdosRenyi(350, 600, p.seed)).graph;
-    case 2:
-      return WattsStrogatz(350, 6, 0.2, p.seed);
-    case 3:
-      return LargestComponent(RMat(9, 4, 0.57, 0.19, 0.19, p.seed)).graph;
-    case 4:
-      return GridGraph(15, 20);
-    default:
-      return CompleteBinaryTree(255);
-  }
-}
-
-QbsIndex SweepIndex(const Graph& g, const SweepParam& p) {
-  QbsOptions options;
-  options.num_landmarks = p.num_landmarks;
-  options.num_threads = p.threads;
-  return p.random_landmarks
-             ? QbsIndex::BuildWithLandmarks(
-                   g, testing::RandomLandmarks(g, p.num_landmarks, p.seed),
-                   options)
-             : QbsIndex::Build(g, options);
-}
-
-TEST_P(QbsOracleSweep, MatchesOracleEverywhere) {
-  const auto& p = GetParam();
-  const Graph g = SweepGraph(p);
-  const QbsIndex index = SweepIndex(g, p);
-
-  const auto pairs = SampleQueryPairs(g, 60, p.seed + 1000);
-  for (const auto& [u, v] : pairs) {
-    ASSERT_EQ(index.Query({u, v}).spg, SpgByDoubleBfs(g, u, v))
-        << "family=" << p.family << " u=" << u << " v=" << v;
-  }
-  // Landmark endpoints are valid queries too.
-  for (VertexId r : index.landmarks()) {
-    ASSERT_EQ(index.Query({r, pairs[0].v}).spg,
-              SpgByDoubleBfs(g, r, pairs[0].v));
-  }
-  if (index.landmarks().size() >= 2) {
-    const VertexId a = index.landmarks()[0];
-    const VertexId b = index.landmarks()[1];
-    ASSERT_EQ(index.Query({a, b}).spg, SpgByDoubleBfs(g, a, b));
-  }
-}
-
-// Distance answers stop once stage 1 has fixed the distance: the distance
-// is the oracle's, and no reverse or recover edge is scanned. A budgeted
-// SPG request past its budget stops there too, and answers exactly as a
-// full search whose edges are dropped would.
-TEST_P(QbsOracleSweep, DistanceModeMatchesOracleAtDistanceCost) {
-  const auto& p = GetParam();
-  const Graph g = SweepGraph(p);
-  const QbsIndex index = SweepIndex(g, p);
-  auto pairs = SampleQueryPairs(g, 60, p.seed + 1000);
-  for (const VertexId r : index.landmarks()) pairs.push_back({r, pairs[0].v});
-  for (const auto& [u, v] : pairs) {
-    const ShortestPathGraph oracle = SpgByDoubleBfs(g, u, v);
-    const QueryResponse dist = index.Query({u, v, QueryMode::kDistance});
-    ASSERT_EQ(dist.spg.distance, oracle.distance)
-        << "family=" << p.family << " u=" << u << " v=" << v;
-    EXPECT_TRUE(dist.spg.edges.empty());
-    EXPECT_EQ(dist.flags, 0u);
-    EXPECT_EQ(dist.stats.edges_scanned_reverse, 0u);
-    EXPECT_EQ(dist.stats.edges_scanned_recover, 0u);
-    if (oracle.distance < 2 || oracle.distance == kUnreachable) continue;
-    const uint32_t budget = oracle.distance - 1;
-    const QueryResponse over = index.Query({u, v, QueryMode::kSpg, budget});
-    if (over.flags == kResponseFlagBudgetPruned) continue;  // label-certified
-    ASSERT_EQ(over.flags, kResponseFlagBudgetExceeded);
-    EXPECT_EQ(over.spg.distance, oracle.distance);
-    EXPECT_TRUE(over.spg.edges.empty());
-    EXPECT_EQ(over.stats.edges_scanned_reverse, 0u);
-    EXPECT_EQ(over.stats.edges_scanned_recover, 0u);
-    // Within budget the same request still gets every edge.
-    EXPECT_EQ(index.Query({u, v, QueryMode::kSpg, oracle.distance}).spg,
-              oracle);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, QbsOracleSweep,
-    ::testing::Values(
-        SweepParam{0, 1, 8, false, 1}, SweepParam{0, 2, 8, false, 4},
-        SweepParam{0, 3, 20, true, 1}, SweepParam{1, 4, 8, false, 1},
-        SweepParam{1, 5, 20, false, 4}, SweepParam{2, 6, 8, false, 1},
-        SweepParam{2, 7, 8, true, 1}, SweepParam{3, 8, 8, false, 1},
-        SweepParam{3, 9, 20, false, 4}, SweepParam{4, 10, 8, false, 1},
-        SweepParam{4, 11, 8, true, 1}, SweepParam{5, 12, 8, false, 1},
-        SweepParam{5, 13, 1, false, 1}, SweepParam{0, 14, 2, false, 1},
-        SweepParam{2, 15, 50, false, 4}));
 
 // Pair coverage classification agrees with a brute-force landmark check.
 TEST(QbsIndexTest, CoverageClassificationMatchesBruteForce) {
@@ -459,37 +338,6 @@ TEST(ClosePairsTest, LandmarkEndpoints) {
     }
   }
   EXPECT_GT(checked, 0u);
-}
-
-// QueryBatch answers close pairs through the pooled searchers too.
-TEST(ClosePairsTest, QueryBatchAgreesWithSerialQueries) {
-  Graph g = BarabasiAlbert(500, 4, 31);
-  QbsOptions options;
-  options.num_landmarks = 16;
-  const QbsIndex index = QbsIndex::Build(g, options);
-  std::vector<QueryRequest> requests;
-  for (const auto& [u, v] : SampleQueryPairs(g, 200, 31)) {
-    requests.emplace_back(u, v);
-  }
-  // Mix in adjacent pairs and landmark-neighbour pairs so the batch
-  // holds close pairs.
-  for (VertexId u = 0; u < 20; ++u) {
-    requests.emplace_back(u, g.Neighbors(u).front());
-  }
-  for (const VertexId r : index.landmarks()) {
-    const auto nr = g.Neighbors(r);
-    requests.emplace_back(nr.front(), nr.back());
-  }
-  QbsIndex::BatchOptions four;
-  four.num_threads = 4;
-  const auto batch = index.QueryBatch(requests, four);
-  ASSERT_EQ(batch.size(), requests.size());
-  for (size_t i = 0; i < requests.size(); ++i) {
-    ASSERT_EQ(batch[i].spg, index.Query({requests[i].u, requests[i].v}).spg)
-        << "pair " << i;
-    ASSERT_EQ(batch[i].spg, SpgByDoubleBfs(g, requests[i].u, requests[i].v))
-        << "pair " << i;
-  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
-// Exhaustive and adversarial stress tests: small random graphs where EVERY
-// vertex pair is compared against the oracle, plus structurally nasty
-// configurations (bridges, dumbbells, landmark-saturated graphs,
-// multi-component graphs with landmarks stranded in one component).
+// Adversarial stress tests: structurally nasty configurations (bridges,
+// dumbbells, landmark-saturated graphs, multi-component graphs with
+// landmarks stranded in one component). Every pair of small random graphs
+// is the oracle driver's (oracle_driver_test.cc).
 
 #include <gtest/gtest.h>
 
@@ -11,65 +11,10 @@
 #include "baselines/ppl.h"
 #include "core/qbs_index.h"
 #include "gen/generators.h"
-#include "graph/components.h"
-#include "util/rng.h"
+#include "tests/test_util.h"
 
 namespace qbs {
 namespace {
-
-// A random simple connected graph with n vertices and ~m extra edges over
-// a random spanning tree.
-Graph RandomConnectedGraph(VertexId n, uint32_t extra_edges, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<Edge> edges;
-  for (VertexId v = 1; v < n; ++v) {
-    edges.emplace_back(v, static_cast<VertexId>(rng.UniformInt(v)));
-  }
-  for (uint32_t i = 0; i < extra_edges; ++i) {
-    const auto a = static_cast<VertexId>(rng.UniformInt(n));
-    const auto b = static_cast<VertexId>(rng.UniformInt(n));
-    if (a != b) edges.emplace_back(a, b);
-  }
-  return Graph::FromEdges(n, edges);
-}
-
-struct ExhaustiveParam {
-  VertexId n;
-  uint32_t extra;
-  uint32_t landmarks;
-  uint64_t seed;
-};
-
-class ExhaustiveAllPairs : public ::testing::TestWithParam<ExhaustiveParam> {
-};
-
-TEST_P(ExhaustiveAllPairs, QbsEqualsOracleOnEveryPair) {
-  const auto& p = GetParam();
-  Graph g = RandomConnectedGraph(p.n, p.extra, p.seed);
-  QbsOptions options;
-  options.num_landmarks = p.landmarks;
-  QbsIndex index = QbsIndex::Build(g, options);
-  for (VertexId u = 0; u < g.NumVertices(); ++u) {
-    const auto dist_u = BfsDistances(g, u);
-    for (VertexId v = 0; v < g.NumVertices(); ++v) {
-      const auto dist_v = BfsDistances(g, v);
-      const auto want = SpgFromDistances(g, u, v, dist_u, dist_v);
-      ASSERT_EQ(index.Query({u, v}).spg, want)
-          << "n=" << p.n << " seed=" << p.seed << " u=" << u << " v=" << v;
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, ExhaustiveAllPairs,
-    ::testing::Values(ExhaustiveParam{24, 10, 3, 1},
-                      ExhaustiveParam{24, 30, 5, 2},
-                      ExhaustiveParam{30, 15, 0, 3},   // no landmarks
-                      ExhaustiveParam{30, 15, 30, 4},  // all landmarks
-                      ExhaustiveParam{40, 20, 8, 5},
-                      ExhaustiveParam{40, 60, 20, 6},
-                      ExhaustiveParam{16, 100, 4, 7},  // near-complete
-                      ExhaustiveParam{50, 5, 10, 8})); // near-tree
 
 TEST(StressTest, DumbbellBridge) {
   // Two cliques joined by a long path; the bridge path is critical.
@@ -126,7 +71,7 @@ TEST(StressTest, LandmarksStrandedInOtherComponent) {
 }
 
 TEST(StressTest, RepeatedQueriesAreIdempotent) {
-  Graph g = RandomConnectedGraph(200, 150, 9);
+  Graph g = testing::RandomConnectedGraph(200, 150, 9);
   QbsOptions options;
   options.num_landmarks = 10;
   QbsIndex index = QbsIndex::Build(g, options);

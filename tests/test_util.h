@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <initializer_list>
 #include <numeric>
 #include <string>
@@ -14,6 +13,7 @@
 #include <vector>
 
 #include "core/labeling.h"
+#include "core/qbs_index.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
 #include "graph/components.h"
@@ -215,29 +215,95 @@ inline Graph SmallFamilyGraph(int family, uint64_t seed) {
   }
 }
 
-// Seeds of the edit-script property tests (label `dynamic`): the
-// comma-separated QBS_DYNAMIC_SEEDS when set — the CI gauntlet job passes
-// 16 fresh seeds per run and logs them — else 1..16. Tests print every
-// seed, so a failure replays with QBS_DYNAMIC_SEEDS=<seed>.
-inline std::vector<uint64_t> DynamicSeeds() {
-  std::vector<uint64_t> seeds;
-  if (const char* env = std::getenv("QBS_DYNAMIC_SEEDS")) {
-    const std::string s(env);
-    size_t pos = 0;
-    while (pos < s.size()) {
-      size_t end = s.find(',', pos);
-      if (end == std::string::npos) end = s.size();
-      const std::string tok = s.substr(pos, end - pos);
-      if (!tok.empty()) {
-        seeds.push_back(std::strtoull(tok.c_str(), nullptr, 10));
-      }
-      pos = end + 1;
+// A random simple connected graph: a random spanning tree on n vertices
+// plus about `extra_edges` more edges.
+inline Graph RandomConnectedGraph(VertexId n, uint32_t extra_edges,
+                                  uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Edge> edges;
+  for (VertexId v = 1; v < n; ++v) {
+    edges.emplace_back(v, static_cast<VertexId>(rng.UniformInt(v)));
+  }
+  for (uint32_t i = 0; i < extra_edges; ++i) {
+    const auto a = static_cast<VertexId>(rng.UniformInt(n));
+    const auto b = static_cast<VertexId>(rng.UniformInt(n));
+    if (a != b) edges.emplace_back(a, b);
+  }
+  return Graph::FromEdges(n, edges);
+}
+
+// Landmark column i's depths, derived from the index's (L, M).
+inline std::vector<uint32_t> ColumnDepths(const QbsIndex& index,
+                                          LandmarkIndex i) {
+  std::vector<uint32_t> depth(index.graph().NumVertices());
+  const uint32_t* meta_row = index.meta_graph().DistanceRow(i);
+  for (VertexId v = 0; v < depth.size(); ++v) {
+    depth[v] = DerivedDepth(index.labeling(), meta_row, v);
+  }
+  return depth;
+}
+
+// The index checks below return "" when the check holds, else a message
+// naming the first mismatch.
+
+// The derived depths of every column equal a BFS on g.
+inline std::string DepthsMismatch(const Graph& g, const QbsIndex& index) {
+  const std::vector<VertexId>& landmarks = index.landmarks();
+  for (size_t i = 0; i < landmarks.size(); ++i) {
+    if (ColumnDepths(index, static_cast<LandmarkIndex>(i)) !=
+        BfsDistances(g, landmarks[i])) {
+      return "derived depths diverge from BFS in column " + std::to_string(i);
     }
   }
-  if (seeds.empty()) {
-    for (uint64_t i = 1; i <= 16; ++i) seeds.push_back(i);
+  return "";
+}
+
+// Every landmark adjacency bit equals HasEdge on g.
+inline std::string AdjacencyMismatch(const Graph& g, const QbsIndex& index) {
+  const std::vector<VertexId>& landmarks = index.landmarks();
+  for (size_t i = 0; i < landmarks.size(); ++i) {
+    for (VertexId w = 0; w < g.NumVertices(); ++w) {
+      if (index.landmark_adjacency().Adjacent(static_cast<LandmarkIndex>(i),
+                                              w) !=
+          g.HasEdge(landmarks[i], w)) {
+        return "adjacency bit of landmark " + std::to_string(landmarks[i]) +
+               " and " + std::to_string(w);
+      }
+    }
   }
-  return seeds;
+  return "";
+}
+
+// Labels, M's edges, every Δ segment and size(Δ) equal `fresh`'s.
+inline std::string SchemeMismatch(const QbsIndex& updated,
+                                  const QbsIndex& fresh) {
+  const PathLabeling& a = updated.labeling();
+  const PathLabeling& b = fresh.labeling();
+  if (a.landmarks() != b.landmarks()) return "landmark sets differ";
+  for (VertexId v = 0; v < updated.graph().NumVertices(); ++v) {
+    for (uint32_t i = 0; i < a.num_landmarks(); ++i) {
+      if (a.Get(v, i) != b.Get(v, i)) {
+        return "label mismatch at v=" + std::to_string(v) +
+               " landmark=" + std::to_string(i);
+      }
+    }
+  }
+  if (updated.meta_graph().Edges() != fresh.meta_graph().Edges()) {
+    return "meta-graph edges differ";
+  }
+  // Δ sits on every recover path, so it must be exact too.
+  for (const MetaEdge& e : fresh.meta_graph().Edges()) {
+    const std::vector<Edge>* got = updated.delta_cache().Lookup(e.a, e.b);
+    const std::vector<Edge>* want = fresh.delta_cache().Lookup(e.a, e.b);
+    if (got == nullptr || want == nullptr || *got != *want) {
+      return "Δ segment mismatch for (" + std::to_string(e.a) + ", " +
+             std::to_string(e.b) + ")";
+    }
+  }
+  if (updated.DeltaSizeBytes() != fresh.DeltaSizeBytes()) {
+    return "size(Δ) differs";
+  }
+  return "";
 }
 
 }  // namespace qbs::testing

@@ -250,6 +250,17 @@ TEST_F(CliSmokeTest, GraphsWithoutAQueryPair) {
   }
 }
 
+// A query names the file's vertex ids: this BA file uses every id 0..49
+// and lists the edge "3 4", so SPG(3, 4) is that one edge.
+TEST_F(CliSmokeTest, QueryIdsAreTheFileIds) {
+  const std::string cli = Quoted(g_cli_path);
+  const std::string edges = Path("g.edges");
+  RunOk(cli + " generate ba " + Quoted(edges) + " 50 2 7");
+  const std::string out = RunOk(cli + " query " + Quoted(edges) + " - 3 4");
+  EXPECT_NE(out.find("SPG(3,4): d=1, 2 vertices, 1 edges"), std::string::npos)
+      << out;
+}
+
 // An edit line whose endpoint is not a whole decimal id below 2^32 fails
 // before any connection is made (port 1 has no server): nothing may wrap
 // to another vertex, read as 0, or ignore trailing junk.

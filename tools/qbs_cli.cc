@@ -9,7 +9,8 @@
 //   qbs update   <host> <port> [edits | --file F] send edge edits to a daemon
 //   qbs datasets                                  list the dataset registry
 //
-// <graph> is an edge-list path (".gz" decompressed on the fly) or
+// <graph> is an edge-list path (".gz" decompressed on the fly; vertices
+// keep the file's ids when those are 0..n-1, and queries name them) or
 // "dataset:<name>" — a real dataset resolved through the binary cache
 // under $QBS_DATA_DIR (default data/; populate with
 // tools/fetch_datasets.py), falling back to the Table 1 stand-in when no
