@@ -1,14 +1,16 @@
 // Real-dataset ingestion: raw SNAP/LAW edge lists -> a versioned binary
 // graph cache that amortizes parsing and largest-CC extraction across runs.
 //
-// Cache format QBSGRF02 (little-endian, host-endianness — a single-machine
+// Cache format QBSGRF03 (little-endian, host-endianness — a single-machine
 // artifact like the index files):
-//   u64  magic 'QBSGRF02'
+//   u64  magic 'QBSGRF03'
 //   u32  num_vertices n
 //   u64  num_undirected_edges m
 //   u8   largest_cc_extracted        (1 = the CSR is the largest
 //                                     connected component of the raw file,
 //                                     vertices relabelled dense)
+//                                    Either way the vertices keep the
+//                                    order of their raw file ids.
 //   u64  raw_vertices, raw_edges     (the raw file's counts before
 //                                     extraction; == n, m when the raw
 //                                     graph was already connected)
@@ -23,7 +25,10 @@
 // RawOffsets()/RawAdjacency(). The file is written and read through
 // util/binary_io.h, the layer the index file uses too: saves are atomic
 // (tmp file + rename), and loads verify the checksum and reject corrupt,
-// truncated or over-long files, and the retired QBSGRF01 layout.
+// truncated or over-long files, and the retired QBSGRF01 layout. QBSGRF02
+// had this layout, but its caches may number vertices by first appearance
+// in the raw file; they are rejected too, so LoadOrConvertDataset
+// re-converts them.
 //
 // Raw files are read with ReadEdgeList (graph/edge_list_io.h), which
 // decompresses ".gz" files itself. tools/fetch_datasets.py downloads them;
@@ -41,7 +46,7 @@
 
 namespace qbs {
 
-// Provenance recorded in a QBSGRF02 header alongside the CSR.
+// Provenance recorded in a QBSGRF03 header alongside the CSR.
 struct DatasetCacheInfo {
   // True when the cached graph is the largest connected component of the
   // raw edge list (vertices relabelled to a dense range), the reduction
@@ -58,12 +63,12 @@ struct DatasetCacheInfo {
   uint64_t raw_file_bytes = 0;
 };
 
-// Writes `g` and its provenance to `path` in QBSGRF02 format, atomically.
+// Writes `g` and its provenance to `path` in QBSGRF03 format, atomically.
 // Returns false on I/O failure.
 bool SaveGraphCache(const Graph& g, const DatasetCacheInfo& info,
                     const std::string& path);
 
-// Reads a QBSGRF02 file. Verifies magic, header sanity, the checksum and
+// Reads a QBSGRF03 file. Verifies magic, header sanity, the checksum and
 // the CSR; returns std::nullopt (with a stderr message) on any mismatch.
 // On success *info (when non-null) receives the header's provenance.
 std::optional<Graph> LoadGraphCache(const std::string& path,

@@ -1,6 +1,7 @@
 #include "graph/edge_list_io.h"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <cstdint>
 #include <fstream>
@@ -37,13 +38,42 @@ bool ParseUint64(const char*& p, uint64_t* out) {
   return true;
 }
 
+// Vertex numbers must stay below this, so that |V| fits VertexId.
+constexpr uint64_t kMaxVertices = std::numeric_limits<VertexId>::max();
+
+// Numbers the vertices of `edges`, whose ids are at most `max_id`, by
+// ascending id in place: a bitmap marks the ids present and per-word counts
+// rank them. Returns the vertex count; ids 0..n-1 are left as they are.
+VertexId NumberByBitmap(std::vector<Edge>* edges, uint64_t max_id) {
+  std::vector<uint64_t> present(max_id / 64 + 1);
+  for (const Edge& e : *edges) {
+    present[e.u / 64] |= uint64_t{1} << (e.u % 64);
+    present[e.v / 64] |= uint64_t{1} << (e.v % 64);
+  }
+  std::vector<VertexId> below(present.size());  // ids present before word w
+  VertexId n = 0;
+  for (size_t w = 0; w < present.size(); ++w) {
+    below[w] = n;
+    n += static_cast<VertexId>(std::popcount(present[w]));
+  }
+  if (n == max_id + 1) return n;
+  const auto number = [&](VertexId id) {
+    const uint64_t lower = present[id / 64] & ((uint64_t{1} << (id % 64)) - 1);
+    return below[id / 64] + static_cast<VertexId>(std::popcount(lower));
+  };
+  for (Edge& e : *edges) e = Edge(number(e.u), number(e.v));
+  return n;
+}
+
 // The parser behind both the plain and the gzip reader: pulls lines from
-// `next_line` (false at end of input) and builds the graph. `origin` names
-// the source in diagnostics.
+// `next_line` (false at end of input) and builds the graph, its vertices
+// numbered by ascending file id. `origin` names the source in diagnostics.
 std::optional<Graph> ReadLines(
     const std::function<bool(std::string*)>& next_line,
     const std::string& origin) {
-  std::vector<uint64_t> raw;  // both ids of every edge, in file order
+  std::vector<Edge> edges;     // edges whose ids fit a vertex number
+  std::vector<uint64_t> wide;  // both ids of every other edge
+  uint64_t max_id = 0;
   std::string line;
   size_t line_no = 0;
   while (next_line(&line)) {
@@ -58,32 +88,41 @@ std::optional<Graph> ReadLines(
                 << '\n';
       return std::nullopt;
     }
-    raw.push_back(a);
-    raw.push_back(b);
+    max_id = std::max({max_id, a, b});
+    if (std::max(a, b) < kMaxVertices - 1) {
+      edges.emplace_back(static_cast<VertexId>(a), static_cast<VertexId>(b));
+    } else {
+      wide.insert(wide.end(), {a, b});
+    }
   }
-  // Number the vertices by ascending id; ids 0..n-1 keep their numbers.
-  std::vector<uint64_t> ids = raw;
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  if (ids.size() >= std::numeric_limits<VertexId>::max()) {
-    std::cerr << "ReadEdgeList: too many vertices in " << origin << '\n';
-    return std::nullopt;
+  // A bitmap over 0..max_id numbers the ids when it is no larger than the
+  // edge list; ids past 32 bits, or ones that leave most of 0..max_id
+  // unused, are ranked in a sorted table of the distinct ids instead.
+  VertexId n = 0;
+  if (wide.empty() && max_id / 64 <= edges.size()) {
+    n = NumberByBitmap(&edges, max_id);
+  } else {
+    for (const Edge& e : edges) wide.insert(wide.end(), {e.u, e.v});
+    std::vector<uint64_t> ids = wide;
+    std::sort(ids.begin(), ids.end());
+    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+    if (ids.size() >= kMaxVertices) {
+      std::cerr << "ReadEdgeList: too many vertices in " << origin << '\n';
+      return std::nullopt;
+    }
+    n = static_cast<VertexId>(ids.size());
+    const auto rank = [&](uint64_t id) {
+      return static_cast<VertexId>(
+          std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
+    };
+    edges.clear();
+    for (size_t i = 0; i < wide.size(); i += 2) {
+      edges.emplace_back(rank(wide[i]), rank(wide[i + 1]));
+    }
   }
-  const auto n = static_cast<VertexId>(ids.size());
-  const bool dense = n == 0 || ids.back() == n - 1;
-  if (!dense) {
+  if (!edges.empty() && n != max_id + 1) {
     std::cerr << "ReadEdgeList: " << origin << ": ids are not 0.." << n - 1
               << "; vertices are numbered by ascending id" << '\n';
-  }
-  auto vertex = [&](uint64_t id) {
-    if (dense) return static_cast<VertexId>(id);
-    return static_cast<VertexId>(
-        std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
-  };
-  std::vector<Edge> edges;
-  edges.reserve(raw.size() / 2);
-  for (size_t i = 0; i < raw.size(); i += 2) {
-    edges.emplace_back(vertex(raw[i]), vertex(raw[i + 1]));
   }
   return Graph::FromEdges(n, std::move(edges));
 }

@@ -1,5 +1,5 @@
 // Tests for the real-dataset ingestion layer (graph/dataset_io.h): the
-// gz-aware edge-list reader and the QBSGRF02 binary cache — round-trip
+// gz-aware edge-list reader and the QBSGRF03 binary cache — round-trip
 // bit-identity, the committed fixture that pins the layout, corruption
 // rejection, and the convert-once-then-cache flow.
 
@@ -35,7 +35,7 @@ const char* FixtureGz() {
   return kPath->c_str();
 }
 
-// The committed QBSGRF02 fixture: the largest component of FixturePlain()
+// The committed QBSGRF03 fixture: the largest component of FixturePlain()
 // as LoadOrConvertDataset caches it.
 std::string FixtureCache() {
   return std::string(QBS_TEST_DATA_DIR) + "/tiny_edges.qbsgrf";
@@ -217,7 +217,7 @@ TEST(DatasetIoTest, EveryFlippedByteIsRejected) {
 }
 
 // The fixture was made outside the C++ writer, by a separate
-// implementation of the QBSGRF02 layout and of Checksum64, so it pins the
+// implementation of the QBSGRF03 layout and of Checksum64, so it pins the
 // layout and the checksum function both: today's writer must reproduce it
 // byte for byte, and the loader must read it back bit-identically.
 DatasetCacheInfo FixtureCacheInfo() {
@@ -259,16 +259,16 @@ TEST(DatasetIoTest, LoaderReadsFixtureBitIdentically) {
 // rejected with a message that names the old format, and
 // LoadOrConvertDataset rebuilds it from the raw edge list.
 TEST(DatasetIoTest, RetiredV1CacheIsRejectedAndRebuilt) {
-  constexpr size_t kCsrAt = 8 + 4 + 8 + 1 + 3 * 8;  // QBSGRF02 header size
-  const std::string v2 = ReadFileBytes(FixtureCache());
-  ASSERT_GT(v2.size(), kCsrAt + sizeof(uint64_t));
+  constexpr size_t kCsrAt = 8 + 4 + 8 + 1 + 3 * 8;  // QBSGRF03 header size
+  const std::string v3 = ReadFileBytes(FixtureCache());
+  ASSERT_GT(v3.size(), kCsrAt + sizeof(uint64_t));
   const std::string csr =
-      v2.substr(kCsrAt, v2.size() - kCsrAt - sizeof(uint64_t));
+      v3.substr(kCsrAt, v3.size() - kCsrAt - sizeof(uint64_t));
   uint64_t fnv = 0xcbf29ce484222325ull;
   for (const char c : csr) {
     fnv = (fnv ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
   }
-  std::string v1 = v2.substr(0, kCsrAt);
+  std::string v1 = v3.substr(0, kCsrAt);
   v1.replace(0, 8, "QBSGRF01");
   Put(&v1, uint64_t{csr.size()});
   Put(&v1, fnv);
@@ -286,7 +286,26 @@ TEST(DatasetIoTest, RetiredV1CacheIsRejectedAndRebuilt) {
   auto rebuilt = LoadOrConvertDataset(raw, cache, nullptr);
   ASSERT_TRUE(rebuilt.has_value());
   EXPECT_EQ(rebuilt->NumVertices(), 5u);
-  EXPECT_TRUE(ReadFileBytes(cache) == v2);
+  EXPECT_TRUE(ReadFileBytes(cache) == v3);
+}
+
+// A QBSGRF02 cache has today's layout, but its vertices may be numbered by
+// first appearance in the raw file: it is rejected by name and rebuilt.
+TEST(DatasetIoTest, RetiredV2CacheIsRejectedAndRebuilt) {
+  const std::string v3 = ReadFileBytes(FixtureCache());
+  std::string v2 = v3;
+  v2[7] = '2';
+  const std::string raw = TempPath("v2_raw.txt");
+  const std::string cache = TempPath("v2.qbsgrf");
+  fs::copy_file(FixturePlain(), raw, fs::copy_options::overwrite_existing);
+  WriteFileBytes(cache, v2);
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(LoadGraphCache(cache).has_value());
+  EXPECT_NE(::testing::internal::GetCapturedStderr().find("QBSGRF02"),
+            std::string::npos);
+
+  ASSERT_TRUE(LoadOrConvertDataset(raw, cache, nullptr).has_value());
+  EXPECT_TRUE(ReadFileBytes(cache) == v3);
 }
 
 TEST(DatasetIoTest, LoadOrConvertExtractsLargestComponentAndCaches) {

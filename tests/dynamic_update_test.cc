@@ -198,6 +198,35 @@ TEST(DynamicUpdateTest, PooledSearchersOutliveAnEdit) {
   }
 }
 
+TEST(DynamicUpdateTest, InsertShortensDistanceImmediately) {
+  Graph g = PathGraph(8);  // 0-1-...-7
+  QbsOptions options;
+  options.num_landmarks = 2;
+  QbsIndex index = QbsIndex::Build(g, options);
+  index.EnableUpdates(&g);
+  GraphDelta delta;
+  delta.Insert(0, 7);
+  const UpdateStats stats = index.ApplyUpdates(delta);
+  EXPECT_EQ(stats.applied_inserts, 1u);
+  EXPECT_EQ(index.Query({0, 7}).spg, SpgByDoubleBfs(g, 0, 7));
+  EXPECT_EQ(index.Query({1, 6}).spg, SpgByDoubleBfs(g, 1, 6));
+}
+
+TEST(DynamicUpdateTest, DeleteDisconnectsImmediately) {
+  Graph g = PathGraph(8);
+  QbsOptions options;
+  options.num_landmarks = 2;
+  QbsIndex index = QbsIndex::Build(g, options);
+  index.EnableUpdates(&g);
+  GraphDelta delta;
+  delta.Delete(3, 4);  // the bridge
+  const UpdateStats stats = index.ApplyUpdates(delta);
+  EXPECT_EQ(stats.applied_deletes, 1u);
+  EXPECT_FALSE(index.Query({0, 7}).spg.Connected());
+  EXPECT_EQ(index.Query({0, 3}).spg, SpgByDoubleBfs(g, 0, 3));
+  EXPECT_EQ(index.Query({4, 7}).spg, SpgByDoubleBfs(g, 4, 7));
+}
+
 TEST(DynamicUpdateTest, NoopScriptChangesNothing) {
   Graph g = BarabasiAlbert(120, 2, 5);
   QbsOptions options;

@@ -1,5 +1,5 @@
 // libFuzzer target for the two file loaders: LoadLabelingScheme (QBSIDX03
-// index files) and LoadGraphCache (QBSGRF02 graph caches). Both parse
+// index files) and LoadGraphCache (QBSGRF03 graph caches). Both parse
 // untrusted bytes from disk, so the properties fuzzed here are the ones a
 // server restart relies on:
 //

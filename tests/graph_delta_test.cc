@@ -103,6 +103,24 @@ TEST(GraphDeltaTest, EndpointOrderIsNormalized) {
   EXPECT_TRUE(ComputeNetChanges(g, both).EmptyNet());
 }
 
+TEST(GraphDeltaTest, MaterializationMatchesManualEdgeSet) {
+  const Graph g = BarabasiAlbert(60, 2, 7);
+  GraphDelta delta;
+  delta.Insert(0, 59);
+  delta.Insert(1, 58);
+  delta.Delete(0, 1);
+  const NetChanges net = ComputeNetChanges(g, delta);
+  const Graph updated = ApplyNetChanges(g, net);
+
+  std::vector<Edge> expected = g.EdgeList();
+  expected.erase(std::remove(expected.begin(), expected.end(), Edge(0, 1)),
+                 expected.end());
+  expected.push_back(Edge(0, 59));
+  expected.push_back(Edge(1, 58));
+  std::sort(expected.begin(), expected.end());
+  EXPECT_EQ(updated.EdgeList(), expected);
+}
+
 TEST(GraphDeltaTest, EmptyDeltaIsEmptyNet) {
   const Graph g = PathGraph(3);
   const NetChanges net = ComputeNetChanges(g, GraphDelta());

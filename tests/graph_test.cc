@@ -118,6 +118,18 @@ TEST_F(EdgeListIoTest, NumbersVerticesByAscendingId) {
             std::string::npos);
   ASSERT_TRUE(g.has_value());
   EXPECT_EQ(g->EdgeList(), (std::vector<Edge>{{0, 1}, {0, 2}}));
+
+  // Ids far sparser than the edges, and a 64-bit id after 32-bit ones.
+  for (const char* text :
+       {"7 1000000\n7 3\n", "3 7\n7 18446744073709551615\n"}) {
+    std::ofstream(path_) << text;
+    ::testing::internal::CaptureStderr();
+    g = ReadEdgeList(path_);
+    EXPECT_NE(::testing::internal::GetCapturedStderr().find("ids are not 0..2"),
+              std::string::npos);
+    ASSERT_TRUE(g.has_value());
+    EXPECT_EQ(g->EdgeList(), (std::vector<Edge>{{0, 1}, {1, 2}})) << text;
+  }
 }
 
 TEST_F(EdgeListIoTest, DirectedInputBecomesUndirected) {

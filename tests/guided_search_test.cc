@@ -295,6 +295,44 @@ TEST(ReverseWalkTest, ThinPathThroughWideLevelsWalksTopDown) {
   EXPECT_LT(stats.edges_scanned_reverse, stats.edges_scanned_search);
 }
 
+TEST(ReverseWalkTest, MatchesOracleAndNeverOutscansSearch) {
+  struct Family {
+    const char* name;
+    Graph g;
+  };
+  const Family families[] = {
+      {"rmat", RMat(9, 4, 0.57, 0.19, 0.19, 3)},
+      {"barabasi_albert", BarabasiAlbert(600, 3, 4)},
+      {"erdos_renyi", ErdosRenyi(500, 1500, 5)},
+      {"grid", GridGraph(20, 25)},
+  };
+  for (const Family& family : families) {
+    // Coverage kSomeThroughLandmarks runs both the reverse search and the
+    // Z-pair walks, whose starts can sit below the search horizon.
+    size_t some_through_landmarks = 0;
+    for (const uint32_t k : {1u, 4u, 16u}) {
+      SearchSetup s(family.g, SelectLandmarks(family.g, k));
+      std::mt19937_64 rng(k);
+      std::uniform_int_distribution<VertexId> pick(
+          0, family.g.NumVertices() - 1);
+      for (int i = 0; i < 150; ++i) {
+        const VertexId u = pick(rng);
+        const VertexId v = pick(rng);
+        SearchStats stats;
+        ASSERT_EQ(s.searcher.Query(u, v, &stats),
+                  SpgByDoubleBfs(family.g, u, v))
+            << family.name << " |R|=" << k << " u=" << u << " v=" << v;
+        ASSERT_LE(stats.edges_scanned_reverse, stats.edges_scanned_search)
+            << family.name << " |R|=" << k << " u=" << u << " v=" << v;
+        if (stats.coverage == PairCoverage::kSomeThroughLandmarks) {
+          ++some_through_landmarks;
+        }
+      }
+    }
+    EXPECT_GT(some_through_landmarks, 0u) << family.name;
+  }
+}
+
 // G⁻ the slow way: keep the landmark-free edges and let FromEdges sort and
 // deduplicate them.
 Graph ReferenceSparsified(const Graph& g, const std::vector<bool>& is_blocked) {

@@ -62,6 +62,8 @@ constexpr const char* kRegressions[] = {
     "family=er-lcc seed=1 rule=degree R=1 threads=1 edits=\"\" "
     "pairs=\"266-322\"",
     "family=er-lcc seed=1 rule=degree R=1 threads=1 edits=\"\" pairs=\"\"",
+    "family=er seed=11 rule=random R=20 threads=1 edits=\"i 123 35\" "
+    "pairs=\"157-0\"",
 };
 
 constexpr std::string_view kFamilies =
@@ -159,16 +161,17 @@ void ApplyToModel(const Batch& batch, VertexId n, std::set<Edge>* edges) {
 }
 
 // Three cases per seed, one per script shape: 3 batches of 10 mixed ops,
-// 4 batches clustered on hot vertices, and 120 alternating single-edge
+// 10 batches clustered on hot vertices, and 120 alternating single-edge
 // batches on the deep family. At seeds 1..16 the rotations below draw
-// every family, |R|, landmark rule and thread count.
+// every family in both the mixed and the hot shape, and every |R|,
+// landmark rule and thread count.
 std::vector<Case> DrawCases(uint64_t seed) {
   constexpr uint32_t kR[] = {0, 1, 2, 8, 20, 50, kAllLandmarks};
   std::vector<Case> cases;
   for (uint64_t shape = 0; shape < 3; ++shape) {
     Case c;
     c.family = shape == 2 ? kDeep
-                          : static_cast<int>((2 * seed + shape) % kNumFamilies);
+                          : static_cast<int>((seed + 3 * shape) % kNumFamilies);
     c.seed = seed;
     c.random_landmarks = (seed / 2 + shape) % 2 == 1;
     c.num_landmarks = kR[(seed + shape) % 7];
@@ -208,7 +211,7 @@ std::vector<Case> DrawCases(uint64_t seed) {
       if (roll < 94) return {EdgeOp::kDelete, a, vertex()};  // likely no-op
       return {EdgeOp::kInsert, a, roll < 97 ? a : n + 7};  // invalid
     };
-    const int num_batches = shape == 0 ? 3 : shape == 1 ? 4 : 120;
+    const int num_batches = shape == 0 ? 3 : shape == 1 ? 10 : 120;
     for (int b = 0; b < num_batches; ++b) {
       Batch batch;
       const uint64_t ops = shape == 0 ? 10 : shape == 1 ? 1 + rng() % 12 : 1;
@@ -583,19 +586,23 @@ TEST(OracleDriverTest, EveryStateMatchesTheOracle) {
 }
 
 TEST(OracleDriverTest, DefaultSeedsDrawTheCoverageFloor) {
-  std::set<int> families;
+  std::set<std::pair<int, size_t>> families_and_shapes;
   std::set<uint32_t> sizes;
   std::set<std::pair<bool, size_t>> rules_and_threads;
   for (uint64_t seed = 1; seed <= 16; ++seed) {
-    for (const Case& c : DrawCases(seed)) {
-      families.insert(c.family);
+    const std::vector<Case> cases = DrawCases(seed);
+    for (size_t shape = 0; shape < cases.size(); ++shape) {
+      const Case& c = cases[shape];
+      families_and_shapes.emplace(c.family, shape);
       sizes.insert(c.num_landmarks);
       rules_and_threads.emplace(c.random_landmarks, c.threads);
       std::string error;
       EXPECT_EQ(ParseCase(Line(c), &error), c) << error << " in " << Line(c);
     }
   }
-  EXPECT_EQ(families.size(), static_cast<size_t>(kNumFamilies));
+  // Every family in the mixed and the hot shape; the deep one in churn.
+  EXPECT_EQ(families_and_shapes.size(), 2 * kNumFamilies + 1u);
+  EXPECT_TRUE(families_and_shapes.contains({kDeep, 2}));
   EXPECT_EQ(sizes, (std::set<uint32_t>{0, 1, 2, 8, 20, 50, kAllLandmarks}));
   EXPECT_EQ(rules_and_threads.size(), 4u);
 }

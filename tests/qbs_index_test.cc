@@ -110,6 +110,16 @@ TEST(QbsIndexTest, DistanceUpperBoundIsUpperBound) {
   }
 }
 
+TEST(QbsIndexTest, LandmarksClampedToGraph) {
+  Graph g = PathGraph(5);
+  QbsOptions options;
+  options.num_landmarks = 50;
+  QbsIndex index = QbsIndex::Build(g, options);
+  EXPECT_EQ(index.landmarks().size(), 5u);
+  // Every vertex is a landmark: queries are pure recover searches.
+  EXPECT_EQ(index.Query({0, 4}).spg, SpgByDoubleBfs(g, 0, 4));
+}
+
 TEST(QbsIndexTest, ZeroLandmarksDegeneratesToBiBfs) {
   Graph g = BarabasiAlbert(200, 2, 4);
   QbsOptions options;
@@ -338,6 +348,37 @@ TEST(ClosePairsTest, LandmarkEndpoints) {
     }
   }
   EXPECT_GT(checked, 0u);
+}
+
+// QueryBatch answers close pairs through the pooled searchers too.
+TEST(ClosePairsTest, QueryBatchAgreesWithSerialQueries) {
+  Graph g = BarabasiAlbert(500, 4, 31);
+  QbsOptions options;
+  options.num_landmarks = 16;
+  const QbsIndex index = QbsIndex::Build(g, options);
+  std::vector<QueryRequest> requests;
+  for (const auto& [u, v] : SampleQueryPairs(g, 200, 31)) {
+    requests.emplace_back(u, v);
+  }
+  // Mix in adjacent pairs and landmark-neighbour pairs so the batch
+  // holds close pairs.
+  for (VertexId u = 0; u < 20; ++u) {
+    requests.emplace_back(u, g.Neighbors(u).front());
+  }
+  for (const VertexId r : index.landmarks()) {
+    const auto nr = g.Neighbors(r);
+    requests.emplace_back(nr.front(), nr.back());
+  }
+  QbsIndex::BatchOptions four;
+  four.num_threads = 4;
+  const auto batch = index.QueryBatch(requests, four);
+  ASSERT_EQ(batch.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(batch[i].spg, index.Query({requests[i].u, requests[i].v}).spg)
+        << "pair " << i;
+    ASSERT_EQ(batch[i].spg, SpgByDoubleBfs(g, requests[i].u, requests[i].v))
+        << "pair " << i;
+  }
 }
 
 }  // namespace

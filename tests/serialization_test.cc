@@ -7,11 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/bfs_oracle.h"
 #include "core/qbs_index.h"
 #include "core/serialization.h"
 #include "gen/generators.h"
 #include "tests/test_util.h"
 #include "util/binary_io.h"
+#include "workload/query_workload.h"
 
 namespace qbs {
 namespace {
@@ -288,6 +290,23 @@ TEST_F(SerializationTest, SchemeRoundTrip) {
     for (LandmarkIndex j = 0; j < 3; ++j) {
       EXPECT_EQ(loaded->meta.Distance(i, j), scheme.meta.Distance(i, j));
     }
+  }
+}
+
+TEST_F(SerializationTest, IndexSaveLoadQueriesAgree) {
+  Graph g = BarabasiAlbert(400, 3, 9);
+  QbsOptions options;
+  options.num_landmarks = 10;
+  QbsIndex built = QbsIndex::Build(g, options);
+  ASSERT_TRUE(built.Save(path_));
+
+  auto loaded = QbsIndex::LoadFromFile(g, path_, options);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->landmarks(), built.landmarks());
+  EXPECT_GT(loaded->DeltaSizeBytes(), 0u);  // Δ rebuilt on load
+  for (const auto& [u, v] : SampleQueryPairs(g, 40, 3)) {
+    ASSERT_EQ(loaded->Query({u, v}).spg, built.Query({u, v}).spg);
+    ASSERT_EQ(loaded->Query({u, v}).spg, SpgByDoubleBfs(g, u, v));
   }
 }
 

@@ -80,6 +80,18 @@ class ServerTest : public ::testing::Test {
   std::optional<QbsIndex> index_;
 };
 
+TEST_F(ServerTest, AnswersMatchTheIndex) {
+  auto server = StartServer();
+  QueryClient client = ConnectTo(*server);
+  for (const auto& [u, v] : SampleQueryPairs(g_, 50, 7)) {
+    QueryResponse response;
+    ASSERT_EQ(client.Query(QueryRequest(u, v), &response),
+              QueryClient::RpcStatus::kOk)
+        << client.last_error();
+    EXPECT_EQ(response.spg, index_->Query({u, v}).spg) << u << "," << v;
+  }
+}
+
 TEST_F(ServerTest, CachedResponseIsBitIdenticalToUncached) {
   // The acceptance contract: asking twice must yield the same answer
   // payload, with only the cache_hit bit distinguishing the replay.
@@ -109,6 +121,17 @@ TEST_F(ServerTest, NoCacheFlagBypassesTheCache) {
   EXPECT_FALSE(first.cache_hit);
   EXPECT_FALSE(second.cache_hit);
   EXPECT_EQ(server->GetStats().cache.hits, 0u);
+}
+
+TEST_F(ServerTest, DistanceModeOmitsEdges) {
+  auto server = StartServer();
+  QueryClient client = ConnectTo(*server);
+  QueryResponse response;
+  ASSERT_EQ(client.Query(QueryRequest(2, 400, QueryMode::kDistance),
+                         &response),
+            QueryClient::RpcStatus::kOk);
+  EXPECT_TRUE(response.spg.edges.empty());
+  EXPECT_EQ(response.distance(), index_->Query({2, 400}).spg.distance);
 }
 
 TEST_F(ServerTest, VertexOutOfRangeIsARemoteErrorNotACrash) {
