@@ -1,6 +1,7 @@
 #include "core/qbs_index.h"
 
 #include <algorithm>
+#include <iostream>
 #include <utility>
 
 #include "core/serialization.h"
@@ -34,6 +35,26 @@ std::optional<QbsIndex> QbsIndex::LoadFromFile(const Graph& g,
                                                const QbsOptions& options) {
   auto scheme = LoadLabelingScheme(path, g.NumVertices());
   if (!scheme.has_value()) return std::nullopt;
+  // A scheme built on another numbering of g's vertices passes every format
+  // check. Each landmark's neighbours sit at depth 1 under it, so on the
+  // graph the scheme was built on they carry a distance-1 label (or a
+  // weight-1 meta-edge) to it; one label read per neighbour checks that.
+  const PathLabeling& labeling = scheme->labeling;
+  for (LandmarkIndex i = 0; i < labeling.num_landmarks(); ++i) {
+    const VertexId r = labeling.LandmarkVertex(i);
+    for (const VertexId w : g.Neighbors(r)) {
+      const int32_t j = labeling.LandmarkRank(w);
+      const uint32_t hops =
+          j >= 0 ? scheme->meta.EdgeWeight(i, static_cast<LandmarkIndex>(j))
+                 : labeling.Get(w, i);
+      if (hops != 1) {
+        std::cerr << "LoadFromFile: " << path << " was not built on this "
+                  << "graph: landmark " << r << "'s neighbour " << w
+                  << " is not one hop from it in the index\n";
+        return std::nullopt;
+      }
+    }
+  }
   QbsIndex index;
   index.g_ = &g;
   index.scheme_ = std::make_unique<LabelingScheme>(std::move(*scheme));

@@ -69,10 +69,11 @@ class QbsIndex {
                                      const QbsOptions& options = {});
 
   /// Loads a labelling scheme previously written by Save() and finishes the
-  /// index against `g` (which must be the same graph the scheme was built
-  /// on; vertex-count mismatches are rejected). Rebuilds Δ on
-  /// options.num_threads, and the landmark adjacency bits. Returns
-  /// std::nullopt on I/O or format errors.
+  /// index against `g`, which must be the same graph, numbered the same
+  /// way, as the scheme was built on: a vertex count that differs, or a
+  /// landmark neighbour the scheme does not hold at distance 1, is
+  /// rejected. Rebuilds Δ on options.num_threads, and the landmark
+  /// adjacency bits. Returns std::nullopt on I/O or format errors.
   static std::optional<QbsIndex> LoadFromFile(const Graph& g,
                                               const std::string& path,
                                               const QbsOptions& options = {});

@@ -20,9 +20,9 @@ namespace {
 struct ColumnOverlay {
   struct Slot {  // all-zero by default, so a fresh array is one memset
     uint32_t depth = 0;
-    DistT label = 0;
+    DistT label = 0;  // 0: not written (no label entry is 0)
     bool touched = false;
-    bool label_set = false;
+    bool lowered = false;  // depth lowered by the repair, not yet popped
   };
   const PathLabeling* labeling = nullptr;
   const uint32_t* meta_row = nullptr;  // M.DistanceRow(i)
@@ -42,24 +42,22 @@ struct ColumnOverlay {
   uint32_t Depth(VertexId v) { return At(v).depth; }
   void SetDepth(VertexId v, uint32_t d) { At(v).depth = d; }
   DistT Label(VertexId v) const {
-    return slots[v].label_set ? slots[v].label : labeling->Get(v, i);
+    return slots[v].label != 0 ? slots[v].label : labeling->Get(v, i);
   }
-  void SetLabel(VertexId v, DistT d) {
-    Slot& s = At(v);
-    s.label = d;
-    s.label_set = true;
-  }
+  void SetLabel(VertexId v, DistT d) { At(v).label = d; }
+};
+// The slots are the repair's hot array; keep one at 8 bytes.
+static_assert(sizeof(ColumnOverlay::Slot) == 8);
+
+// What the repair of one column hands back for the write-back.
+struct ColumnRepair {
+  std::vector<std::pair<VertexId, DistT>> labels;
+  std::vector<MetaEdge> meta;  // every meta-edge at the column
+  bool changed = false;
 };
 
-// A vertex whose depth a repair changed, with its depth before the batch.
-struct DepthChange {
-  VertexId v;
-  uint32_t old_depth;
-};
-
-// Repairs one column's depths on the NEW graph after the batch `net`, in
-// two passes over the changed region only, and returns the vertices whose
-// depth changed.
+// Repairs column i after the batch `net` on the new graph `g`, reading the
+// pre-edit scheme through `col`, in two passes over the changed region.
 //
 // Deletes (Ramalingam-Reps style): a vertex keeps its old depth d if some
 // neighbour on the new graph kept its old depth d - 1 ("supported").
@@ -69,23 +67,45 @@ struct DepthChange {
 // Every unchecked or supported vertex has a path of its old length on the
 // new graph, so the old depths stay valid upper bounds there.
 //
-// Then one decrease-only bucket-queue pass restores exactness: the
-// vertices that lost support restart unreached and are seeded from their
-// reached neighbours, each inserted edge seeds its far endpoint, and
-// improvements propagate in depth order. Starting from upper bounds with
-// every inconsistent edge seeded, this ends at the exact BFS depths;
-// vertices no path reaches end at kUnreachable. A depth the labels cannot
-// hold fails the build's QBS_CHECK.
-std::vector<DepthChange> RepairColumnDepths(const Graph& g,
-                                            const NetChanges& net,
-                                            ColumnOverlay& col) {
-  std::vector<DepthChange> changes;
+// Then one bucket queue by depth, as Algorithm 2's BFS, lowers depths to
+// exact and re-derives each popped vertex's label or meta-edge with the
+// build's rule: a vertex is QL iff some depth-(d-1) neighbour is QL. Its
+// parents' depths and labels are final by then. The lost vertices restart
+// unreached and are seeded from their reached neighbours, each insert
+// seeds its far endpoint, and the queue starts with every vertex whose
+// parents can have changed: the lost ones, every edited endpoint and every
+// checked vertex that kept its depth. A popped vertex relaxes its
+// neighbours if the pass lowered it, and queues its children if it was
+// lowered or joined or left QL. Lost vertices no path reaches lose their
+// label or meta-edge. A depth the labels cannot hold fails the build's
+// QBS_CHECK.
+ColumnRepair RepairColumn(const Graph& g, const NetChanges& net,
+                          const PathLabeling& labeling, const MetaGraph& meta,
+                          LandmarkIndex i, ColumnOverlay& col) {
+  col.labeling = &labeling;
+  col.meta_row = meta.DistanceRow(i);
+  col.i = i;
+  col.slots.resize(labeling.num_vertices());  // once per worker
+  ColumnRepair out;
+  for (LandmarkIndex j = 0; j < meta.num_landmarks(); ++j) {
+    const uint32_t w = meta.EdgeWeight(i, j);
+    if (j != i && w != kUnreachable) out.meta.push_back(MetaEdge{i, j, w});
+  }
+
+  std::vector<std::vector<VertexId>> queue;  // by new depth
+  auto enqueue = [&](VertexId v) {
+    const uint32_t d = col.Depth(v);
+    if (d == kUnreachable) return;
+    if (queue.size() <= d) queue.resize(static_cast<size_t>(d) + 1);
+    queue[d].push_back(v);
+  };
 
   // Lost support is marked in the high bit while old depths are still
   // read: a marked vertex then matches no depth d - 1, and depths stay
   // below kInfDist, far from the bit.
   constexpr uint32_t kLost = 0x80000000u;
   std::vector<std::vector<VertexId>> check;  // by old depth
+  std::vector<VertexId> lost;
   auto to_check = [&](VertexId v) {
     const uint32_t d = col.Depth(v);
     if (check.size() <= d) check.resize(static_cast<size_t>(d) + 1);
@@ -110,115 +130,69 @@ std::vector<DepthChange> RepairColumnDepths(const Graph& g,
           break;
         }
       }
-      if (supported) continue;
-      changes.push_back({v, static_cast<uint32_t>(d)});
+      if (supported) {
+        enqueue(v);  // it may have lost its only QL parent
+        continue;
+      }
+      lost.push_back(v);
       col.SetDepth(v, static_cast<uint32_t>(d) | kLost);
       for (const VertexId w : g.Neighbors(v)) {
         if (col.Depth(w) == d + 1) to_check(w);
       }
     }
   }
-  const size_t lost = changes.size();
-  for (size_t c = 0; c < lost; ++c) col.SetDepth(changes[c].v, kUnreachable);
+  for (const VertexId v : lost) col.SetDepth(v, kUnreachable);
 
-  std::vector<std::vector<VertexId>> buckets;  // by new depth
-  auto relax = [&](VertexId v, uint32_t nd) {
-    const uint32_t had = col.Depth(v);
-    if (nd >= had) return;
+  auto lower = [&](VertexId v, uint32_t nd) {
+    ColumnOverlay::Slot& s = col.At(v);
+    if (nd >= s.depth) return;
     QBS_CHECK_LT(nd, static_cast<uint32_t>(kInfDist));
-    changes.push_back({v, had});
-    col.SetDepth(v, nd);
-    if (buckets.size() <= nd) buckets.resize(static_cast<size_t>(nd) + 1);
-    buckets[nd].push_back(v);
+    s.depth = nd;
+    s.lowered = true;
   };
-  for (size_t c = 0; c < lost; ++c) {
-    const VertexId v = changes[c].v;
+  for (const VertexId v : lost) {
     for (const VertexId w : g.Neighbors(v)) {
-      if (col.Depth(w) != kUnreachable) relax(v, col.Depth(w) + 1);
+      if (col.Depth(w) != kUnreachable) lower(v, col.Depth(w) + 1);
     }
   }
   for (const Edge& e : net.inserts) {
-    if (col.Depth(e.u) != kUnreachable) relax(e.v, col.Depth(e.u) + 1);
-    if (col.Depth(e.v) != kUnreachable) relax(e.u, col.Depth(e.v) + 1);
+    if (col.Depth(e.u) != kUnreachable) lower(e.v, col.Depth(e.u) + 1);
+    if (col.Depth(e.v) != kUnreachable) lower(e.u, col.Depth(e.v) + 1);
   }
-  for (size_t d = 0; d < buckets.size(); ++d) {
-    const std::vector<VertexId> level = std::move(buckets[d]);
-    for (const VertexId u : level) {
-      if (col.Depth(u) != d) continue;  // superseded by a later improvement
-      for (const VertexId w : g.Neighbors(u)) {
-        relax(w, static_cast<uint32_t>(d) + 1);
-      }
+  for (const VertexId v : lost) enqueue(v);
+  for (const std::vector<Edge>* edits : {&net.inserts, &net.deletes}) {
+    for (const Edge& e : *edits) {
+      enqueue(e.u);
+      enqueue(e.v);
     }
   }
 
-  // One entry per vertex, its first: the lost vertices were logged before
-  // any relaxation, and a relaxed one's first log holds its old depth.
-  // A vertex that came back to its old depth did not change.
-  std::stable_sort(changes.begin(), changes.end(),
-                   [](const DepthChange& a, const DepthChange& b) {
-                     return a.v < b.v;
-                   });
-  size_t out = 0;
-  for (size_t c = 0; c < changes.size(); ++c) {
-    if (c > 0 && changes[c].v == changes[c - 1].v) continue;
-    if (col.Depth(changes[c].v) != changes[c].old_depth) {
-      changes[out++] = changes[c];
-    }
-  }
-  changes.resize(out);
-  return changes;
-}
-
-// Re-derives the column's labels and meta-edges (`meta`) at `candidates`
-// (duplicates allowed), given depths already exact on `g`, in depth order
-// with the build's rule: a vertex is QL iff some depth-(d-1) neighbour is
-// QL. A vertex that joins or leaves QL adds its children. Returns true iff
-// a label or meta-edge changed.
-bool RederiveLabelsAt(const Graph& g, const std::vector<VertexId>& candidates,
-                      ColumnOverlay& col, std::vector<MetaEdge>* meta) {
-  const PathLabeling& labeling = *col.labeling;
-  const LandmarkIndex i = col.i;
   const VertexId root = labeling.LandmarkVertex(i);
   auto in_ql = [&](VertexId w) {
     return w == root || (!labeling.IsLandmark(w) && col.Label(w) != kInfDist);
   };
-  // Candidates by new depth. A vertex's QL status depends only on its
-  // depth-(d-1) parents, so re-deriving level by level reads every parent
-  // after its own re-derivation.
-  std::vector<std::vector<VertexId>> levels;
-  std::vector<VertexId> unreached;
-  auto enqueue = [&](VertexId v) {
-    const uint32_t d = col.Depth(v);
-    if (d == kUnreachable) {
-      unreached.push_back(v);
-      return;
-    }
-    if (levels.size() <= d) levels.resize(static_cast<size_t>(d) + 1);
-    levels[d].push_back(v);
-  };
-  for (const VertexId v : candidates) enqueue(v);
-
-  bool changed = false;
   // Replaces the meta-edge to `rank` by weight d, or removes it when d is
   // kUnreachable.
   auto set_meta = [&](LandmarkIndex rank, uint32_t d) {
     const auto old =
-        std::find_if(meta->begin(), meta->end(),
+        std::find_if(out.meta.begin(), out.meta.end(),
                      [&](const MetaEdge& e) { return e.b == rank; });
-    const uint32_t had = old == meta->end() ? kUnreachable : old->weight;
+    const uint32_t had = old == out.meta.end() ? kUnreachable : old->weight;
     if (had == d) return;
-    changed = true;
-    if (old != meta->end()) meta->erase(old);
-    if (d != kUnreachable) meta->push_back(MetaEdge{i, rank, d});
+    out.changed = true;
+    if (old != out.meta.end()) out.meta.erase(old);
+    if (d != kUnreachable) out.meta.push_back(MetaEdge{i, rank, d});
   };
 
-  // Depth 0 is the root alone, QL by definition.
-  for (size_t d = 1; d < levels.size(); ++d) {
-    // Moved out: enqueueing children may grow `levels`.
-    std::vector<VertexId> level = std::move(levels[d]);
-    std::sort(level.begin(), level.end());
-    level.erase(std::unique(level.begin(), level.end()), level.end());
+  // Depth 0 is the root alone, QL by definition. A vertex can sit in its
+  // level more than once; clearing `lowered` on the first pop makes the
+  // later ones re-derive the same label and stop there.
+  for (size_t d = 1; d < queue.size(); ++d) {
+    // Moved out: queueing children may grow `queue`.
+    const std::vector<VertexId> level = std::move(queue[d]);
     for (const VertexId v : level) {
+      if (col.Depth(v) != d) continue;  // superseded by a lower depth
+      const bool lowered = std::exchange(col.slots[v].lowered, false);
       bool via_l = false;
       for (const VertexId w : g.Neighbors(v)) {
         // Depth(w) + 1 wraps to 0 for unreached w; d >= 1 here.
@@ -227,86 +201,46 @@ bool RederiveLabelsAt(const Graph& g, const std::vector<VertexId>& candidates,
           break;
         }
       }
+      bool flipped = false;
       const int32_t rank = labeling.LandmarkRank(v);
       if (rank >= 0) {
         set_meta(static_cast<LandmarkIndex>(rank),
                  via_l ? static_cast<uint32_t>(d) : kUnreachable);
-        continue;
-      }
-      const DistT want = via_l ? static_cast<DistT>(d) : kInfDist;
-      const DistT had = col.Label(v);
-      if (had == want) continue;
-      changed = true;
-      col.SetLabel(v, want);
-      if ((had != kInfDist) != via_l) {
-        // v joined or left QL: its children may follow.
-        for (const VertexId w : g.Neighbors(v)) {
-          if (col.Depth(w) == d + 1) enqueue(w);
+      } else {
+        const DistT want = via_l ? static_cast<DistT>(d) : kInfDist;
+        const DistT had = col.Label(v);
+        if (had != want) {
+          out.changed = true;
+          col.SetLabel(v, want);
+          flipped = (had != kInfDist) != via_l;
         }
+      }
+      // A lowered vertex changed the column unless it was lost and came
+      // back to its old depth.
+      if (lowered && !out.changed) {
+        out.changed = d != DerivedDepth(labeling, col.meta_row, v);
+      }
+      if (!lowered && !flipped) continue;
+      for (const VertexId w : g.Neighbors(v)) {
+        if (lowered) lower(w, static_cast<uint32_t>(d) + 1);
+        if (col.Depth(w) == d + 1) enqueue(w);
       }
     }
   }
-  for (const VertexId v : unreached) {
+  for (const VertexId v : lost) {
+    if (col.Depth(v) != kUnreachable) continue;
+    out.changed = true;
     const int32_t rank = labeling.LandmarkRank(v);
     if (rank >= 0) {
       set_meta(static_cast<LandmarkIndex>(rank), kUnreachable);
-    } else if (col.Label(v) != kInfDist) {
-      changed = true;
+    } else {
       col.SetLabel(v, kInfDist);
     }
   }
-  return changed;
-}
 
-// What the repair of one column hands back for the write-back.
-struct ColumnRepair {
-  std::vector<std::pair<VertexId, DistT>> labels;
-  std::vector<MetaEdge> meta;  // every meta-edge at the column
-  bool changed = false;
-};
-
-// Repairs column i after the batch `net` on the new graph `g`, reading the
-// pre-edit scheme through `col`: depths first, then labels and meta-edges
-// at every vertex whose QL status can have changed — the vertices whose
-// depth changed, the endpoints of every edited edge, and the old and new
-// children of every vertex whose depth changed.
-ColumnRepair RepairColumn(const Graph& g, const NetChanges& net,
-                          const PathLabeling& labeling, const MetaGraph& meta,
-                          LandmarkIndex i, ColumnOverlay& col) {
-  col.labeling = &labeling;
-  col.meta_row = meta.DistanceRow(i);
-  col.i = i;
-  col.slots.resize(labeling.num_vertices());  // once per worker
-  ColumnRepair out;
-  for (LandmarkIndex j = 0; j < meta.num_landmarks(); ++j) {
-    const uint32_t w = meta.EdgeWeight(i, j);
-    if (j != i && w != kUnreachable) out.meta.push_back(MetaEdge{i, j, w});
-  }
-  const std::vector<DepthChange> changes = RepairColumnDepths(g, net, col);
-  std::vector<VertexId> candidates;
-  for (const std::vector<Edge>* edits : {&net.inserts, &net.deletes}) {
-    for (const Edge& e : *edits) {
-      candidates.push_back(e.u);
-      candidates.push_back(e.v);
-    }
-  }
-  for (const DepthChange& c : changes) {
-    candidates.push_back(c.v);
-    // Old children lost a parent, new children gained one. Comparing the
-    // OLD depth to the children's new depths is enough: an old child whose
-    // depth changed is a candidate already.
-    for (const uint32_t parent : {c.old_depth, col.Depth(c.v)}) {
-      if (parent == kUnreachable) continue;
-      for (const VertexId w : g.Neighbors(c.v)) {
-        if (col.Depth(w) == parent + 1) candidates.push_back(w);
-      }
-    }
-  }
-  out.changed = RederiveLabelsAt(g, candidates, col, &out.meta) ||
-                !changes.empty();
   // Hand the label writes over and reset the overlay for the next column.
   for (const VertexId v : col.touched) {
-    if (col.slots[v].label_set) out.labels.emplace_back(v, col.slots[v].label);
+    if (col.slots[v].label != 0) out.labels.emplace_back(v, col.slots[v].label);
     col.slots[v] = {};
   }
   col.touched.clear();

@@ -9,13 +9,14 @@
 // (DerivedDepth, O(|R|) per vertex), and its old meta-edges are M's edges
 // at its landmark. A column's labels and meta-edges are a function of its
 // depths and of its parent edges (edges joining depth d - 1 to depth d),
-// so every column is repaired in parallel, in two steps over the changed
-// region only (core/updatable_index.cc): its depths, by an affected-subtree
-// pass for the deletes in the style of Ramalingam and Reps and one
-// decrease-only bucket-queue pass; then its labels and meta-edges,
-// re-derived in new-depth order where they can change. QL status is read
-// back from the labels (the root, or a non-landmark with a label). An edge
-// between equal depths (both unreached included) changes nothing.
+// so every column is repaired in parallel, over the changed region only
+// (core/updatable_index.cc): an affected-subtree pass for the deletes in
+// the style of Ramalingam and Reps, then one bucket queue by depth that,
+// like the build's BFS (Algorithm 2), both lowers depths and re-derives
+// each popped vertex's label or meta-edge from its final parents. QL
+// status is read back from the labels (the root, or a non-landmark with a
+// label). An edge between equal depths (both unreached included) changes
+// nothing.
 //
 // One rule keeps the parallel repair sound: every read sees the pre-edit
 // L and M. A column reads the depths and labels it has changed from a

@@ -1,8 +1,9 @@
 // Targeted edge edits against QbsIndex::ApplyUpdates: a ring cut and its
-// repair, same-level edits, an index loaded from a file, pooled searchers
-// across an edit, and no-op scripts. After each edit the index must equal a
-// fresh build on the updated graph (Lemma 5.2: (G, R) determines the
-// labelling). Random edit scripts are oracle_driver_test's.
+// repair, same-level edits, an index loaded from a file, a vertex restored
+// to its old depth, pooled searchers across an edit, and no-op scripts.
+// After each edit the index must equal a fresh build on the updated graph
+// (Lemma 5.2: (G, R) determines the labelling). Random edit scripts are
+// oracle_driver_test's.
 
 #include <algorithm>
 #include <cstdio>
@@ -137,6 +138,33 @@ TEST(DynamicUpdateTest, UpdatableAfterLoadFromFile) {
   EXPECT_EQ(DepthsMismatch(g, *loaded), "");
   EXPECT_EQ(SchemeMismatch(*loaded, fresh), "");
   std::remove(path.c_str());
+}
+
+// A vertex that loses its only parent can regain its old depth through a
+// vertex the same batch lowers. Deleting 1-2 leaves 2, 3 and 4 without
+// support; inserting 0-7 lowers 7 to depth 1, and 2 comes back at depth 2
+// through it. 2 ends where it started, yet its subtree must be re-reached.
+TEST(DynamicUpdateTest, VertexRestoredToItsOldDepthInOneBatch) {
+  Graph g = Graph::FromEdges(8, {{0, 1}, {1, 2}, {2, 3}, {3, 4},
+                                 {0, 5}, {5, 7}, {7, 2}, {0, 6}});
+  QbsOptions options;
+  options.num_landmarks = 1;
+  QbsIndex index = QbsIndex::BuildWithLandmarks(g, {0}, options);
+  index.EnableUpdates(&g);
+  ASSERT_EQ(ColumnDepths(index, 0)[2], 2u);
+
+  GraphDelta delta;
+  delta.Delete(1, 2);
+  delta.Insert(0, 7);
+  ASSERT_EQ(index.ApplyUpdates(delta).AppliedTotal(), 2u);
+  const std::vector<uint32_t> depth = ColumnDepths(index, 0);
+  EXPECT_EQ(depth[2], 2u);
+  EXPECT_EQ(depth[3], 3u);
+  EXPECT_EQ(depth[4], 4u);
+  EXPECT_EQ(DepthsMismatch(g, index), "");
+  EXPECT_EQ(SchemeMismatch(index,
+                           QbsIndex::BuildWithLandmarks(g, {0}, options)),
+            "");
 }
 
 // Searchers outlive an edit: the pooled searchers hold references to the

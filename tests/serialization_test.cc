@@ -346,6 +346,21 @@ TEST_F(SerializationTest, LoadRejectsWrongGraph) {
   ASSERT_TRUE(built.Save(path_));
   Graph other = BarabasiAlbert(301, 2, 5);
   EXPECT_FALSE(QbsIndex::LoadFromFile(other, path_, options).has_value());
+
+  // The same graph numbered v -> n-1-v has the same vertex count, so only
+  // the landmark-neighbour check tells the two apart.
+  const VertexId n = g.NumVertices();
+  std::vector<Edge> reversed;
+  for (const Edge& e : g.EdgeList()) {
+    reversed.push_back(Edge{n - 1 - e.u, n - 1 - e.v});
+  }
+  const Graph renumbered = Graph::FromEdges(n, std::move(reversed));
+  EXPECT_FALSE(QbsIndex::LoadFromFile(renumbered, path_, options).has_value());
+  auto loaded = QbsIndex::LoadFromFile(g, path_, options);
+  ASSERT_TRUE(loaded.has_value());
+  for (const auto& [u, v] : SampleQueryPairs(g, 20, 5)) {
+    ASSERT_EQ(loaded->Query({u, v}).spg, SpgByDoubleBfs(g, u, v));
+  }
 }
 
 TEST_F(SerializationTest, LoadRejectsGarbage) {
