@@ -8,20 +8,9 @@
 #include <thread>
 #include <utility>
 
+#include "util/rng.h"
+
 namespace qbs::server {
-namespace {
-
-/// splitmix64 finalizer — the jitter stream. Local copy so the backoff
-/// schedule is a frozen function of the policy, not of whatever the fault
-/// injector's mixer evolves into.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 uint32_t RetryBackoff::DelayMs(uint32_t retry, uint32_t server_hint_ms) const {
   double base = static_cast<double>(policy_.base_backoff_ms);
@@ -34,7 +23,7 @@ uint32_t RetryBackoff::DelayMs(uint32_t retry, uint32_t server_hint_ms) const {
   // (seed, retry), so replays produce the identical schedule.
   const double jitter = std::clamp(policy_.jitter, 0.0, 1.0);
   if (jitter > 0.0) {
-    const uint64_t draw = Mix64(policy_.seed ^ Mix64(retry + 1));
+    const uint64_t draw = SplitMix64(policy_.seed ^ SplitMix64(retry + 1));
     const double unit =
         static_cast<double>(draw >> 11) / 9007199254740992.0;  // [0, 1)
     base *= 1.0 + jitter * (2.0 * unit - 1.0);
@@ -157,24 +146,8 @@ QueryClient::RpcStatus QueryClient::Query(const QueryRequest& request,
       }
       return RpcStatus::kBusy;
     }
-    case FrameType::kError: {
-      ErrorCode code = ErrorCode::kInternal;
-      std::string message;
-      if (DecodeError(reply.payload, &code, &message)) {
-        last_error_ = message;
-      } else {
-        last_error_ = "undecodable error frame";
-      }
-      last_error_code_ = code;
-      return code == ErrorCode::kDeadlineExceeded
-                 ? RpcStatus::kDeadlineExceeded
-                 : RpcStatus::kRemoteError;
-    }
     default:
-      last_error_ = "unexpected reply frame type " +
-                    std::to_string(static_cast<unsigned>(reply.type));
-      Close();
-      return RpcStatus::kTransportError;
+      return FailedReply(reply);
   }
 }
 
@@ -238,34 +211,34 @@ QueryClient::RpcStatus QueryClient::Update(const GraphDelta& delta,
                  &reply)) {
     return RpcStatus::kTransportError;
   }
-  switch (reply.type) {
-    case FrameType::kUpdateResponse: {
-      UpdateStats decoded;
-      if (!DecodeUpdateResponse(reply.payload, &decoded)) {
-        last_error_ = "undecodable update response";
-        Close();
-        return RpcStatus::kTransportError;
-      }
-      if (stats != nullptr) *stats = decoded;
-      return RpcStatus::kOk;
-    }
-    case FrameType::kError: {
-      ErrorCode code = ErrorCode::kInternal;
-      std::string message;
-      if (DecodeError(reply.payload, &code, &message)) {
-        last_error_ = message;
-      } else {
-        last_error_ = "undecodable error frame";
-      }
-      last_error_code_ = code;
-      return RpcStatus::kRemoteError;
-    }
-    default:
-      last_error_ = "unexpected reply frame type " +
-                    std::to_string(static_cast<unsigned>(reply.type));
-      Close();
-      return RpcStatus::kTransportError;
+  if (reply.type != FrameType::kUpdateResponse) return FailedReply(reply);
+  UpdateStats decoded;
+  if (!DecodeUpdateResponse(reply.payload, &decoded)) {
+    last_error_ = "undecodable update response";
+    Close();
+    return RpcStatus::kTransportError;
   }
+  if (stats != nullptr) *stats = decoded;
+  return RpcStatus::kOk;
+}
+
+QueryClient::RpcStatus QueryClient::FailedReply(const Frame& reply) {
+  if (reply.type != FrameType::kError) {
+    last_error_ = "unexpected reply frame type " +
+                  std::to_string(static_cast<unsigned>(reply.type));
+    Close();
+    return RpcStatus::kTransportError;
+  }
+  ErrorCode code = ErrorCode::kInternal;
+  std::string message;
+  if (DecodeError(reply.payload, &code, &message)) {
+    last_error_ = message;
+  } else {
+    last_error_ = "undecodable error frame";
+  }
+  last_error_code_ = code;
+  return code == ErrorCode::kDeadlineExceeded ? RpcStatus::kDeadlineExceeded
+                                              : RpcStatus::kRemoteError;
 }
 
 bool QueryClient::Ping() {

@@ -151,6 +151,11 @@ class QueryClient {
                  Frame* reply);
   bool SendFrame(FrameType type, std::span<const uint8_t> payload);
   bool ReadFrame(Frame* reply);
+  /// Any reply but the expected response (or Query's kBusy): a kError
+  /// fills last_error()/last_error_code() and is kDeadlineExceeded or
+  /// kRemoteError by its code; any other frame type is a protocol violation
+  /// that closes the connection (kTransportError).
+  RpcStatus FailedReply(const Frame& reply);
 
   Socket sock_;
   ClientOptions options_;

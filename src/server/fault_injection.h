@@ -1,11 +1,12 @@
 // Deterministic fault injection for the serving stack.
 //
-// A FaultPlan is a pure function from (FaultSpec, endpoint id, operation
-// index) to a fault decision: feed the same spec to two plans and ask the
-// same endpoint's injector the same sequence of questions, and you get the
-// same sequence of answers — which is what makes a chaos run replayable
-// and a failure bisectable by seed. The plan covers every failure class
-// the serving stack must survive:
+// A FaultInjector built from (FaultSpec, endpoint id) answers each
+// operation with a pure function of (spec, endpoint id, operation index):
+// build two injectors from the same spec and endpoint and ask them the
+// same sequence of questions, and you get the same sequence of answers —
+// which is what makes a chaos run replayable and a failure bisectable by
+// seed. The spec covers every failure class the serving stack must
+// survive:
 //
 //   * short reads / short writes  — an op is capped below the requested
 //     size, exercising every partial-I/O resume loop;
@@ -20,16 +21,15 @@
 //     admitted query, exercising deadlines, admission queueing, and the
 //     graceful-degradation path.
 //
-// Injectors hook the Socket layer (server/socket.h) through the
-// FaultInjector interface; production builds simply never install one, so
-// the hot path pays one null-pointer test per syscall.
+// Injectors hook the Socket layer (server/socket.h); production builds
+// simply never install one, so the hot path pays one null-pointer test per
+// syscall.
 
 #ifndef QBS_SERVER_FAULT_INJECTION_H_
 #define QBS_SERVER_FAULT_INJECTION_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 namespace qbs::server {
 
@@ -44,22 +44,6 @@ struct IoFault {
   Kind kind = Kind::kNone;
   size_t cap = 0;
   uint32_t stall_ms = 0;
-};
-
-/// Hook consulted by Socket before each send/recv syscall and by the
-/// server before executing an admitted query. Implementations must be
-/// usable from the one thread driving the socket (no internal locking is
-/// required of them).
-class FaultInjector {
- public:
-  virtual ~FaultInjector() = default;
-  /// Consulted before sending `bytes` (the remaining unsent tail).
-  virtual IoFault OnSend(size_t bytes) = 0;
-  /// Consulted before a recv of up to `bytes`.
-  virtual IoFault OnRecv(size_t bytes) = 0;
-  /// Artificial slowness for the next admitted query, in milliseconds
-  /// (0 = execute immediately). Server-side injectors only.
-  virtual uint32_t OnQueryDelayMs() = 0;
 };
 
 /// The scripted fault schedule. All rates are probabilities in [0, 1]
@@ -89,20 +73,35 @@ struct FaultSpec {
   }
 };
 
-/// Factory for per-endpoint deterministic injectors. Endpoint ids are
+/// Hook consulted by Socket before each send/recv syscall and by the
+/// server before executing an admitted query. Endpoint ids are
 /// caller-chosen (the server uses its connection counter, tests use a
-/// fixed id per client); the injector for (spec, endpoint) always answers
-/// the same op sequence identically.
-class FaultPlan {
+/// fixed id per client); every decision is a pure function of
+/// (spec.seed, endpoint id, op index), so interleaving with other
+/// endpoints cannot perturb this endpoint's fault stream. Used from the one
+/// thread driving the socket; no internal locking.
+class FaultInjector {
  public:
-  explicit FaultPlan(const FaultSpec& spec) : spec_(spec) {}
+  FaultInjector(const FaultSpec& spec, uint64_t endpoint_id);
 
-  std::unique_ptr<FaultInjector> MakeInjector(uint64_t endpoint_id) const;
-
-  const FaultSpec& spec() const { return spec_; }
+  /// Consulted before sending `bytes` (the remaining unsent tail).
+  IoFault OnSend(size_t bytes);
+  /// Consulted before a recv of up to `bytes`.
+  IoFault OnRecv(size_t bytes);
+  /// Artificial slowness for the next admitted query, in milliseconds
+  /// (0 = execute immediately). Server-side injectors only.
+  uint32_t OnQueryDelayMs();
 
  private:
-  FaultSpec spec_;
+  /// One 64-bit draw per op; independent fault classes consume disjoint
+  /// 16-bit lanes of it so rates compose without reordering the stream.
+  uint64_t Draw(uint64_t op) const;
+
+  const FaultSpec spec_;
+  const uint64_t stream_;
+  uint64_t ops_ = 0;
+  uint64_t query_ops_ = 0;
+  bool reset_next_ = false;  // a torn frame resets the next op
 };
 
 }  // namespace qbs::server

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
-#include <limits>
 #include <thread>
 
 #include "core/sketch.h"
@@ -26,35 +26,6 @@ uint64_t NowNanos() {
           .count());
 }
 
-int64_t RemainingMs(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
-                        .count();
-  return left < 0 ? 0 : left;
-}
-
-/// Tracks one request's deadline budget from the moment its frame was
-/// decoded. With no deadline, Expired() is always false and RemainingMs()
-/// unbounded.
-class DeadlineTracker {
- public:
-  explicit DeadlineTracker(uint32_t deadline_ms)
-      : bounded_(deadline_ms != kNoDeadline),
-        deadline_(Clock::now() + std::chrono::milliseconds(
-                                     bounded_ ? deadline_ms : 0)) {}
-
-  bool bounded() const { return bounded_; }
-  bool Expired() const { return bounded_ && Clock::now() >= deadline_; }
-  /// Admission-wait budget: -1 (wait forever) when unbounded.
-  int64_t RemainingForWaitMs() const {
-    return bounded_ ? qbs::server::RemainingMs(deadline_) : -1;
-  }
-
- private:
-  const bool bounded_;
-  const Clock::time_point deadline_;
-};
-
 }  // namespace
 
 // ---- AdmissionGate --------------------------------------------------------
@@ -63,55 +34,40 @@ AdmissionGate::AdmissionGate(size_t max_inflight, size_t max_queue)
     : max_inflight_(max_inflight == 0 ? 1 : max_inflight),
       max_queue_(max_queue) {}
 
-AdmissionGate::Ticket AdmissionGate::Acquire(size_t* queue_depth) {
-  return AcquireFor(-1, queue_depth);
-}
-
 AdmissionGate::Ticket AdmissionGate::AcquireFor(int64_t timeout_ms,
                                                 size_t* queue_depth) {
-  // Waits are explicit predicate loops (not wait(lock, pred) lambdas) so
-  // the guarded-field reads stay inside this function's analyzed critical
-  // section; queue_depth is reported inline at each decision point for the
-  // same reason.
+  // The wait is an explicit predicate loop (not a wait(lock, pred) lambda)
+  // so the guarded-field reads stay inside this function's analyzed
+  // critical section.
   MutexLock lock(mu_);
+  Ticket ticket = Ticket::kAdmitted;
   if (shutdown_) {
-    if (queue_depth != nullptr) *queue_depth = waiters_;
-    return Ticket::kShutdown;
-  }
-  if (inflight_ < max_inflight_) {
-    ++inflight_;
-    if (queue_depth != nullptr) *queue_depth = waiters_;
-    return Ticket::kAdmitted;
-  }
-  if (waiters_ >= max_queue_ || timeout_ms == 0) {
-    ++rejected_;
-    if (queue_depth != nullptr) *queue_depth = waiters_;
-    return Ticket::kRejected;
-  }
-  ++waiters_;
-  bool admissible = true;
-  if (timeout_ms < 0) {
-    while (!shutdown_ && inflight_ >= max_inflight_) cv_.Wait(mu_);
-  } else {
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(timeout_ms);
-    while (!shutdown_ && inflight_ >= max_inflight_) {
-      if (!cv_.WaitUntil(mu_, deadline)) break;
+    ticket = Ticket::kShutdown;
+  } else if (inflight_ >= max_inflight_) {
+    if (waiters_ >= max_queue_ || timeout_ms == 0) {
+      ticket = Ticket::kRejected;
+    } else {
+      ++waiters_;
+      const auto deadline =
+          Clock::now() + std::chrono::milliseconds(timeout_ms);
+      while (!shutdown_ && inflight_ >= max_inflight_) {
+        if (timeout_ms < 0) {
+          cv_.Wait(mu_);
+        } else if (!cv_.WaitUntil(mu_, deadline)) {
+          break;
+        }
+      }
+      --waiters_;
+      if (shutdown_) {
+        ticket = Ticket::kShutdown;
+      } else if (inflight_ >= max_inflight_) {
+        ticket = Ticket::kTimedOut;
+      }
     }
-    admissible = shutdown_ || inflight_ < max_inflight_;
   }
-  --waiters_;
-  if (shutdown_) {
-    if (queue_depth != nullptr) *queue_depth = waiters_;
-    return Ticket::kShutdown;
-  }
-  if (!admissible) {
-    if (queue_depth != nullptr) *queue_depth = waiters_;
-    return Ticket::kTimedOut;
-  }
-  ++inflight_;
+  if (ticket == Ticket::kAdmitted) ++inflight_;
   if (queue_depth != nullptr) *queue_depth = waiters_;
-  return Ticket::kAdmitted;
+  return ticket;
 }
 
 void AdmissionGate::Release() {
@@ -140,11 +96,6 @@ size_t AdmissionGate::queue_depth() const {
   return waiters_;
 }
 
-uint64_t AdmissionGate::rejected() const {
-  MutexLock lock(mu_);
-  return rejected_;
-}
-
 // ---- QueryServer ----------------------------------------------------------
 
 QueryServer::QueryServer(QbsIndex& index, const ServerOptions& options)
@@ -169,9 +120,7 @@ bool QueryServer::Start(std::string* error) {
 void QueryServer::RequestStop() {
   {
     MutexLock lock(mu_);
-    if (stop_requested_) return;
-    stop_requested_ = true;
-    stopping_.store(true, std::memory_order_release);
+    if (stopping_.exchange(true, std::memory_order_acq_rel)) return;
     // Notified under mu_ so a woken WaitFor() caller cannot return
     // and destroy the server (and this cv) before the broadcast finishes.
     stop_cv_.NotifyAll();
@@ -186,10 +135,10 @@ void QueryServer::RequestStop() {
 bool QueryServer::WaitFor(uint32_t timeout_ms) {
   const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   MutexLock lock(mu_);
-  while (!stop_requested_) {
+  while (!stopping_.load(std::memory_order_acquire)) {
     if (!stop_cv_.WaitUntil(mu_, deadline)) break;
   }
-  return stop_requested_;
+  return stopping_.load(std::memory_order_acquire);
 }
 
 void QueryServer::Stop() {
@@ -259,7 +208,7 @@ void QueryServer::HandleConnection(int fd, uint64_t conn_id) {
         if (options_.read_timeout_ms > 0) {
           const auto frame_deadline =
               frame_start + std::chrono::milliseconds(options_.read_timeout_ms);
-          timeout = ClampTimeoutMs(RemainingMs(frame_deadline));
+          timeout = RemainingMs(frame_deadline);
         }
       } else if (options_.idle_timeout_ms > 0) {
         timeout = ClampTimeoutMs(options_.idle_timeout_ms);
@@ -373,59 +322,64 @@ bool QueryServer::HandleFrame(Socket& sock, FaultInjector* injector,
 
 bool QueryServer::ServeQuery(Socket& sock, FaultInjector* injector,
                              const QueryRequest& request) {
-  const DeadlineTracker deadline(request.deadline_ms);
+  // The budget runs from the decoded frame. RemainingMs rounds up, so a
+  // bounded request reads 0 only once its deadline has passed.
+  const bool bounded = request.deadline_ms != kNoDeadline;
+  const Clock::time_point deadline =
+      Clock::now() + std::chrono::milliseconds(request.deadline_ms);
+  const auto remaining_ms = [&] {
+    return bounded ? RemainingMs(deadline) : kNoTimeout;
+  };
   // Boundary 1: on receipt. deadline_ms == 0 ("already expired") lands
   // here — the request is never executed.
-  if (deadline.Expired()) {
+  const int32_t wait_ms = remaining_ms();
+  if (wait_ms == 0) {
     deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
     return SendError(sock, ErrorCode::kDeadlineExceeded,
                      "deadline expired before execution");
   }
 
   // Graceful degradation: past the saturation threshold, answer from the
-  // labelling alone instead of joining the admission queue.
-  if (options_.degrade_after_inflight > 0 &&
-      gate_.inflight() >= options_.degrade_after_inflight) {
-    return ServeDegraded(sock, request);
-  }
-
-  size_t queue_depth = 0;
-  switch (gate_.AcquireFor(deadline.RemainingForWaitMs(), &queue_depth)) {
-    case AdmissionGate::Ticket::kRejected: {
-      busy_rejections_.fetch_add(1, std::memory_order_relaxed);
-      const std::vector<uint8_t> payload =
-          EncodeBusy(kBusyRetryMs,
-                     static_cast<uint32_t>(std::min<size_t>(
-                         queue_depth, std::numeric_limits<uint32_t>::max())));
-      return SendFrame(sock, FrameType::kBusy, payload);
+  // labelling alone instead of joining the admission queue. A degraded
+  // request takes no admission slot and no injected slowness.
+  const bool degrade = options_.degrade_after_inflight > 0 &&
+                       gate_.inflight() >= options_.degrade_after_inflight;
+  if (!degrade) {
+    size_t queue_depth = 0;
+    switch (gate_.AcquireFor(wait_ms, &queue_depth)) {
+      case AdmissionGate::Ticket::kRejected: {
+        busy_rejections_.fetch_add(1, std::memory_order_relaxed);
+        const auto depth =
+            static_cast<uint32_t>(std::min<size_t>(queue_depth, UINT32_MAX));
+        return SendFrame(sock, FrameType::kBusy,
+                         EncodeBusy(kBusyRetryMs, depth));
+      }
+      case AdmissionGate::Ticket::kTimedOut:
+        // Boundary 2: the admission wait consumed the whole budget.
+        deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
+        return SendError(sock, ErrorCode::kDeadlineExceeded,
+                         "deadline expired waiting for admission");
+      case AdmissionGate::Ticket::kShutdown:
+        SendError(sock, ErrorCode::kShuttingDown, "server shutting down");
+        return false;
+      case AdmissionGate::Ticket::kAdmitted:
+        break;
     }
-    case AdmissionGate::Ticket::kTimedOut:
-      // Boundary 2: the admission wait consumed the whole budget.
+    // Injected query slowness (chaos lever): the sleep holds the admission
+    // slot, exactly like a genuinely slow query would.
+    if (injector != nullptr) {
+      const uint32_t delay_ms = injector->OnQueryDelayMs();
+      if (delay_ms > 0) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
+      }
+    }
+    // Boundary 3: after any slowness, just before execution.
+    if (remaining_ms() == 0) {
+      gate_.Release();
       deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
       return SendError(sock, ErrorCode::kDeadlineExceeded,
-                       "deadline expired waiting for admission");
-    case AdmissionGate::Ticket::kShutdown: {
-      SendError(sock, ErrorCode::kShuttingDown, "server shutting down");
-      return false;
+                       "deadline expired before execution");
     }
-    case AdmissionGate::Ticket::kAdmitted:
-      break;
-  }
-
-  // Injected query slowness (chaos lever): the sleep holds the admission
-  // slot, exactly like a genuinely slow query would.
-  if (injector != nullptr) {
-    const uint32_t delay_ms = injector->OnQueryDelayMs();
-    if (delay_ms > 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(delay_ms));
-    }
-  }
-  // Boundary 3: after any slowness, just before execution.
-  if (deadline.Expired()) {
-    gate_.Release();
-    deadline_exceeded_.fetch_add(1, std::memory_order_relaxed);
-    return SendError(sock, ErrorCode::kDeadlineExceeded,
-                     "deadline expired before execution");
   }
 
   const uint64_t start = NowNanos();
@@ -437,22 +391,25 @@ bool QueryServer::ServeQuery(Socket& sock, FaultInjector* injector,
     // One reader critical section from cache lookup through cache insert:
     // an update (writer) can therefore never interleave between this
     // query's execution and its insert, so the post-update cache clear is
-    // final — no stale response sneaks in behind it.
+    // final — no stale response sneaks in behind it. A cache hit is exact
+    // and cheaper than the label scan, so it is served even when degraded.
     ReaderLock read_lock(index_mu_);
-    if (cacheable) cache_hit = cache_.Lookup(request, &response);
+    cache_hit = cacheable && cache_.Lookup(request, &response);
     if (!cache_hit) {
-      response = index_.Query(request);
-      if (cacheable) cache_.Insert(request, response);
+      response = degrade ? LabelAnswer(request) : index_.Query(request);
+      // The cache only ever replays exact payloads.
+      if (cacheable && !response.degraded()) cache_.Insert(request, response);
     }
   }
-  gate_.Release();
-  queries_.fetch_add(1, std::memory_order_relaxed);
+  if (!degrade) gate_.Release();
+  auto& answered = response.degraded() ? degraded_ : queries_;
+  answered.fetch_add(1, std::memory_order_relaxed);
 
   const uint64_t elapsed = NowNanos() - start;
   if (cache_hit) {
     lat_cached_.Record(elapsed);
   } else if (response.stats.TotalEdgesScanned() == 0) {
-    lat_short_.Record(elapsed);  // pruned or trivial: no edge scanned
+    lat_short_.Record(elapsed);  // label answer, pruned or trivial
   } else {
     lat_long_.Record(elapsed);  // a real guided search ran
   }
@@ -461,54 +418,27 @@ bool QueryServer::ServeQuery(Socket& sock, FaultInjector* injector,
   return SendFrame(sock, FrameType::kQueryResponse, payload);
 }
 
-bool QueryServer::ServeDegraded(Socket& sock, const QueryRequest& request) {
-  const uint64_t start = NowNanos();
-  const bool cacheable = options_.cache_bytes > 0 &&
-                         (request.flags & kQueryFlagNoCache) == 0;
+QueryResponse QueryServer::LabelAnswer(const QueryRequest& request) const {
   QueryResponse response;
-  {
-    // Same reader discipline as ServeQuery: the labelling read and the
-    // cache lookup/insert must not interleave with an update's apply +
-    // clear.
-    ReaderLock read_lock(index_mu_);
-    // A cache hit is cheaper than the label scan and exact — serve it
-    // even under saturation.
-    if (cacheable && cache_.Lookup(request, &response)) {
-      queries_.fetch_add(1, std::memory_order_relaxed);
-      lat_cached_.Record(NowNanos() - start);
-    } else {
-      response.spg.u = request.u;
-      response.spg.v = request.v;
-      if (request.u == request.v) {
-        // Trivially exact, identical to the fault-free answer: no degraded
-        // flag.
-        response.spg.distance = 0;
-      } else {
-        const LabelBound bound = ComputeLabelBound(
-            index_.labeling(), index_.meta_graph(), request.u, request.v);
-        response.spg.distance = bound.upper;
-        // Labels that certify the distance exactly, for a caller wanting
-        // only the distance, give the fault-free answer: serve it
-        // undegraded.
-        if (request.mode != QueryMode::kDistance || request.budget != 0 ||
-            bound.upper == kUnreachable || bound.lower != bound.upper) {
-          response.degraded_lower = bound.lower;
-          response.flags |= kResponseFlagDegraded;
-        }
-      }
-      // Degraded answers are NEVER cached: the cache must only ever replay
-      // exact payloads.
-      if (response.degraded()) {
-        degraded_.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        queries_.fetch_add(1, std::memory_order_relaxed);
-        if (cacheable) cache_.Insert(request, response);
-      }
-      lat_short_.Record(NowNanos() - start);
-    }
+  response.spg.u = request.u;
+  response.spg.v = request.v;
+  if (request.u == request.v) {
+    // Trivially exact, identical to the fault-free answer: no degraded
+    // flag.
+    response.spg.distance = 0;
+    return response;
   }
-  const std::vector<uint8_t> payload = EncodeQueryResponse(response);
-  return SendFrame(sock, FrameType::kQueryResponse, payload);
+  const LabelBound bound = ComputeLabelBound(
+      index_.labeling(), index_.meta_graph(), request.u, request.v);
+  response.spg.distance = bound.upper;
+  // Labels that certify the distance exactly, for a caller wanting only
+  // the distance, give the fault-free answer: serve it undegraded.
+  if (request.mode != QueryMode::kDistance || request.budget != 0 ||
+      bound.upper == kUnreachable || bound.lower != bound.upper) {
+    response.degraded_lower = bound.lower;
+    response.flags |= kResponseFlagDegraded;
+  }
+  return response;
 }
 
 bool QueryServer::ServeUpdate(Socket& sock, const GraphDelta& delta) {

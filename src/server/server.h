@@ -11,9 +11,9 @@
 //     depth) immediately instead of building an unbounded backlog.
 //   * Deadlines — a request's deadline_ms is enforced at every admission
 //     boundary: on receipt, after an admission wait (the wait itself is
-//     capped at the remaining budget), and after any injected slowness. A
-//     request whose budget ran out is answered kDeadlineExceeded, never
-//     executed late.
+//     capped at the remaining budget, rounded up to whole milliseconds),
+//     and after any injected slowness. A request whose budget ran out is
+//     answered kDeadlineExceeded, never executed late.
 //   * Timeouts — all socket I/O is time-bounded (server/socket.h: a
 //     blocking recv under a kernel timeout; a send that waits only on a
 //     full send buffer). Options saturate at INT32_MAX ms. A peer
@@ -24,7 +24,9 @@
 //   * Graceful degradation — past degrade_after_inflight executing
 //     queries, each new query is answered from the labelling alone (one
 //     label bound per request: kResponseFlagDegraded bounds, O(|R|), no
-//     searcher, no queueing) instead of deepening the backlog.
+//     searcher, no queueing) instead of deepening the backlog. It is the
+//     same answer path as every other query (ServeQuery): only the answer
+//     source differs, and degraded answers are never cached.
 //   * Observability — per-class latency histograms (cache hits; answers
 //     that scanned no edge; guided searches) plus counters for every
 //     robustness path (busy, deadline-exceeded, degraded, timeouts).
@@ -60,10 +62,11 @@
 
 namespace qbs::server {
 
-/// Bounded-concurrency admission: Acquire() either admits immediately,
-/// waits (if the bounded wait queue has room, optionally up to a caller
-/// deadline), or rejects. Exposed separately from the server so
-/// backpressure semantics are unit-testable without sockets.
+/// Bounded-concurrency admission: AcquireFor() either admits immediately,
+/// waits (if the bounded wait queue has room, up to a caller budget), or
+/// rejects. Exposed separately from the server so backpressure semantics
+/// are unit-testable without sockets. Rejections are counted by the
+/// server (StatsSnapshot::busy_rejections), not here.
 class AdmissionGate {
  public:
   enum class Ticket {
@@ -77,21 +80,18 @@ class AdmissionGate {
   /// `max_queue` further callers block in FIFO-wakeup order.
   AdmissionGate(size_t max_inflight, size_t max_queue);
 
-  /// Waits without bound. `queue_depth` (optional) receives the number of
-  /// waiters observed at the decision point — the backlog a kBusy answer
-  /// reports to the client.
-  Ticket Acquire(size_t* queue_depth = nullptr);
-  /// As Acquire(), but a queued caller gives up after `timeout_ms`
-  /// (negative = wait forever; 0 = never queue, admit-or-reject only).
+  /// A queued caller gives up after `timeout_ms` (negative = wait
+  /// forever; 0 = never queue, admit-or-reject only). `queue_depth`
+  /// (optional) receives the number of waiters observed at the decision
+  /// point — the backlog a kBusy answer reports to the client.
   Ticket AcquireFor(int64_t timeout_ms, size_t* queue_depth = nullptr);
   void Release();
-  /// Wakes every waiter with kShutdown; subsequent Acquires return
+  /// Wakes every waiter with kShutdown; later AcquireFor calls return
   /// kShutdown immediately.
   void Shutdown();
 
   size_t inflight() const;
   size_t queue_depth() const;
-  uint64_t rejected() const;
 
  private:
   mutable Mutex mu_{LockRank::kAdmission};
@@ -100,7 +100,6 @@ class AdmissionGate {
   const size_t max_queue_;
   size_t inflight_ QBS_GUARDED_BY(mu_) = 0;
   size_t waiters_ QBS_GUARDED_BY(mu_) = 0;
-  uint64_t rejected_ QBS_GUARDED_BY(mu_) = 0;
   bool shutdown_ QBS_GUARDED_BY(mu_) = false;
 };
 
@@ -205,16 +204,19 @@ class QueryServer {
   /// close (shutdown, write failure). Frames are handled one at a time in
   /// arrival order, so responses go out in request order.
   bool HandleFrame(Socket& sock, FaultInjector* injector, const Frame& frame);
-  /// Executes (or cache-answers) one admitted query and sends the
-  /// response; records latency in the matching class histogram.
+  /// The one answer path for a query: enforces its deadline, then either
+  /// degrades (past degrade_after_inflight: no admission, no injected
+  /// slowness) or takes an admission slot. Answers from the cache, from
+  /// LabelAnswer (degraded) or from the index, caches only undegraded
+  /// answers, counts the answer once (degraded or queries), records its
+  /// latency class, and sends the response.
   bool ServeQuery(Socket& sock, FaultInjector* injector,
                   const QueryRequest& request);
-  /// Answers one request from the labelling alone — no searcher, no
-  /// admission. A cache hit is served as usual and u == v exactly;
-  /// otherwise one ComputeLabelBound yields kResponseFlagDegraded bounds,
-  /// or the exact distance when the labels certify it for a distance-only
-  /// request. Only exact answers are cached.
-  bool ServeDegraded(Socket& sock, const QueryRequest& request);
+  /// The labels-only answer; caller holds index_mu_ as a reader. u == v is
+  /// exact; otherwise one ComputeLabelBound yields kResponseFlagDegraded
+  /// bounds, or the exact distance when the labels certify it for a
+  /// distance-only request.
+  QueryResponse LabelAnswer(const QueryRequest& request) const;
   /// Applies one decoded edit script under the writer side of index_mu_
   /// and clears the result cache before releasing it; answers with
   /// kUpdateResponse.
@@ -242,6 +244,8 @@ class QueryServer {
 
   ListenSocket listener_;
   std::thread accept_thread_;
+  /// The one stop flag: set once, under mu_ (so WaitFor cannot miss it),
+  /// and read lock-free by the accept and connection loops.
   std::atomic<bool> stopping_{false};
 
   // Stop/Wait handshake + connection bookkeeping. Connection threads are
@@ -251,7 +255,6 @@ class QueryServer {
   mutable Mutex mu_{LockRank::kServerLifecycle};
   CondVar stop_cv_;
   CondVar drain_cv_;
-  bool stop_requested_ QBS_GUARDED_BY(mu_) = false;
   std::unordered_set<int> conn_fds_ QBS_GUARDED_BY(mu_);
   size_t active_connections_ QBS_GUARDED_BY(mu_) = 0;
 

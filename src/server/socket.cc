@@ -19,14 +19,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Remaining budget in ms, rounded up so a wait that times out ends past
-/// the deadline; 0 once the deadline passed.
-int32_t RemainingMs(Clock::time_point deadline) {
-  return ClampTimeoutMs(
-      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
-          .count());
-}
-
 // strerror_r has two incompatible signatures (XSI returns int and fills the
 // buffer; GNU returns the message pointer); overloads on the return type
 // pick the right interpretation at compile time. Each libc uses exactly one,
@@ -43,6 +35,12 @@ int32_t RemainingMs(Clock::time_point deadline) {
 }
 
 }  // namespace
+
+int32_t RemainingMs(Clock::time_point deadline) {
+  return ClampTimeoutMs(
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+          .count());
+}
 
 std::string ErrnoString(int errnum) {
   char buf[256];
@@ -147,6 +145,26 @@ bool Socket::SetRecvTimeout(int32_t timeout_ms) {
   return true;
 }
 
+bool Socket::ApplyFault(const IoFault& fault, size_t* want) {
+  switch (fault.kind) {
+    case IoFault::Kind::kNone:
+      break;
+    case IoFault::Kind::kShort:
+      *want = std::max<size_t>(1, std::min(fault.cap, *want));
+      break;
+    case IoFault::Kind::kStall:
+      std::this_thread::sleep_for(std::chrono::milliseconds(fault.stall_ms));
+      break;
+    case IoFault::Kind::kReset:
+      // Make the injected reset real: the peer observes the torn stream,
+      // and every later op on this socket fails too.
+      ShutdownBoth();
+      last_errno_ = ECONNRESET;
+      return false;
+  }
+  return true;
+}
+
 IoStatus Socket::SendAll(std::span<const uint8_t> data, int32_t timeout_ms) {
   const bool bounded = timeout_ms >= 0;
   const auto deadline =
@@ -154,25 +172,8 @@ IoStatus Socket::SendAll(std::span<const uint8_t> data, int32_t timeout_ms) {
   size_t sent = 0;
   while (sent < data.size()) {
     size_t want = data.size() - sent;
-    if (injector_ != nullptr) {
-      const IoFault fault = injector_->OnSend(want);
-      switch (fault.kind) {
-        case IoFault::Kind::kNone:
-          break;
-        case IoFault::Kind::kShort:
-          want = std::max<size_t>(1, std::min(fault.cap, want));
-          break;
-        case IoFault::Kind::kStall:
-          std::this_thread::sleep_for(
-              std::chrono::milliseconds(fault.stall_ms));
-          break;
-        case IoFault::Kind::kReset:
-          // Make the injected reset real: the peer observes the torn
-          // stream, and every later op on this socket fails too.
-          ShutdownBoth();
-          last_errno_ = ECONNRESET;
-          return IoStatus::kError;
-      }
+    if (injector_ != nullptr && !ApplyFault(injector_->OnSend(want), &want)) {
+      return IoStatus::kError;
     }
     for (;;) {
       const ssize_t n =
@@ -199,22 +200,8 @@ IoStatus Socket::RecvSome(uint8_t* buf, size_t capacity, size_t* received,
                           int32_t timeout_ms) {
   *received = 0;
   size_t want = capacity;
-  if (injector_ != nullptr) {
-    const IoFault fault = injector_->OnRecv(capacity);
-    switch (fault.kind) {
-      case IoFault::Kind::kNone:
-        break;
-      case IoFault::Kind::kShort:
-        want = std::max<size_t>(1, std::min(fault.cap, capacity));
-        break;
-      case IoFault::Kind::kStall:
-        std::this_thread::sleep_for(std::chrono::milliseconds(fault.stall_ms));
-        break;
-      case IoFault::Kind::kReset:
-        ShutdownBoth();
-        last_errno_ = ECONNRESET;
-        return IoStatus::kError;
-    }
+  if (injector_ != nullptr && !ApplyFault(injector_->OnRecv(want), &want)) {
+    return IoStatus::kError;
   }
   if (timeout_ms < 0) timeout_ms = kNoTimeout;
   // SO_RCVTIMEO of zero means "forever", so a due deadline makes a

@@ -18,6 +18,7 @@
 #define QBS_SERVER_SOCKET_H_
 
 #include <algorithm>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -52,6 +53,13 @@ inline constexpr int32_t ClampTimeoutMs(int64_t ms) {
   return static_cast<int32_t>(
       std::clamp<int64_t>(ms, 0, std::numeric_limits<int32_t>::max()));
 }
+
+/// Milliseconds left until `deadline`, rounded up so that a wait for that
+/// long ends at or past the deadline; 0 only once the deadline passed (a
+/// truncating count would turn a 0.9 ms remainder into "already due").
+/// Saturates like ClampTimeoutMs. Every deadline-derived wait in the
+/// serving stack uses it.
+int32_t RemainingMs(std::chrono::steady_clock::time_point deadline);
 
 class Socket {
  public:
@@ -108,6 +116,9 @@ class Socket {
   /// Shuts down both directions without closing the fd (an injected
   /// reset).
   void ShutdownBoth();
+  /// Applies the injector's answer to an op of `*want` bytes: caps *want
+  /// (short), sleeps (stall), or makes a reset real and returns false.
+  bool ApplyFault(const IoFault& fault, size_t* want);
 
   /// SO_RCVTIMEO is not known (an adopted fd, or a failed setsockopt).
   static constexpr int32_t kRecvTimeoutUnknown = -2;

@@ -14,6 +14,18 @@
 
 namespace qbs {
 
+// The SplitMix64 step: adds the golden-ratio increment to `x` and returns
+// the mixed result. A stateless mixer for seeded streams that must be a
+// pure function of their inputs (retry jitter, fault injection), and the
+// seed expansion of Rng below.
+inline constexpr uint64_t kSplitMix64Gamma = 0x9e3779b97f4a7c15ULL;
+inline constexpr uint64_t SplitMix64(uint64_t x) {
+  x += kSplitMix64Gamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 // SplitMix64-seeded xoshiro256** generator. Small, fast, and with
 // well-understood statistical quality; avoids the implementation-defined
 // behaviour of std::default_random_engine across standard libraries.
@@ -21,13 +33,9 @@ class Rng {
  public:
   explicit Rng(uint64_t seed) {
     // SplitMix64 expansion of the seed into the xoshiro state.
-    uint64_t x = seed;
     for (auto& s : state_) {
-      x += 0x9e3779b97f4a7c15ULL;
-      uint64_t z = x;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-      s = z ^ (z >> 31);
+      s = SplitMix64(seed);
+      seed += kSplitMix64Gamma;
     }
   }
 

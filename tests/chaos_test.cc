@@ -11,9 +11,9 @@
 //     after which the client can reconnect. Silent wrong answers are the
 //     one outcome chaos must never produce.
 //
-// Fault decisions are pure functions of (seed, endpoint, op index) —
-// FaultPlanDeterminism locks that in — so any failing plan replays
-// exactly from its FaultSpec.
+// Fault decisions are pure functions of (seed, endpoint, op index) — the
+// FaultPlanTest cases lock that in — so any failing plan replays exactly
+// from its FaultSpec.
 
 #include <algorithm>
 #include <atomic>
@@ -38,7 +38,7 @@
 namespace qbs::server {
 namespace {
 
-// ---- FaultPlan determinism ------------------------------------------------
+// ---- Injector determinism ------------------------------------------------
 
 struct FaultTrace {
   std::vector<uint8_t> kinds;
@@ -75,12 +75,10 @@ TEST(FaultPlanTest, SameSeedSameEndpointReplaysIdentically) {
   spec.query_delay_rate = 0.5;
   spec.query_delay_ms = 7;
 
-  const FaultPlan plan_a(spec);
-  const FaultPlan plan_b(spec);
   for (const uint64_t endpoint : {0ull, 1ull, 42ull}) {
-    auto ia = plan_a.MakeInjector(endpoint);
-    auto ib = plan_b.MakeInjector(endpoint);
-    EXPECT_EQ(TraceInjector(*ia, 512), TraceInjector(*ib, 512))
+    FaultInjector ia(spec, endpoint);
+    FaultInjector ib(spec, endpoint);
+    EXPECT_EQ(TraceInjector(ia, 512), TraceInjector(ib, 512))
         << "endpoint " << endpoint;
   }
 }
@@ -90,28 +88,24 @@ TEST(FaultPlanTest, DifferentSeedsOrEndpointsDiverge) {
   spec.seed = 1;
   spec.short_send_rate = 0.5;
   spec.stall_rate = 0.25;
-  const FaultPlan plan(spec);
-
   FaultSpec other = spec;
   other.seed = 2;
-  const FaultPlan other_plan(other);
 
-  auto base = plan.MakeInjector(0);
-  auto reseeded = other_plan.MakeInjector(0);
-  auto shifted = plan.MakeInjector(1);
-  const FaultTrace base_trace = TraceInjector(*base, 512);
-  EXPECT_NE(base_trace, TraceInjector(*reseeded, 512));
-  EXPECT_NE(base_trace, TraceInjector(*shifted, 512));
+  FaultInjector base(spec, 0);
+  FaultInjector reseeded(other, 0);
+  FaultInjector shifted(spec, 1);
+  const FaultTrace base_trace = TraceInjector(base, 512);
+  EXPECT_NE(base_trace, TraceInjector(reseeded, 512));
+  EXPECT_NE(base_trace, TraceInjector(shifted, 512));
 }
 
 TEST(FaultPlanTest, ScriptedResetFiresExactlyOnce) {
   FaultSpec spec;
   spec.reset_at_op = 3;
-  const FaultPlan plan(spec);
-  auto injector = plan.MakeInjector(0);
+  FaultInjector injector(spec, 0);
   size_t resets = 0;
   for (size_t op = 1; op <= 16; ++op) {
-    const IoFault fault = injector->OnSend(64);
+    const IoFault fault = injector.OnSend(64);
     if (fault.kind == IoFault::Kind::kReset) {
       EXPECT_EQ(op, 3u);
       ++resets;
@@ -262,7 +256,6 @@ TEST_F(ChaosTest, EveryPlanYieldsExactAnswersOrTypedErrors) {
     SCOPED_TRACE(plan.name);
     ++plans_run;
 
-    const FaultPlan server_plan(plan.server);
     ServerOptions options;
     options.max_inflight = plan.max_inflight;
     options.degrade_after_inflight = plan.degrade_after_inflight;
@@ -276,21 +269,22 @@ TEST_F(ChaosTest, EveryPlanYieldsExactAnswersOrTypedErrors) {
     std::atomic<bool> server_faults{true};
     if (plan.server.HasIoFaults() || plan.server.query_delay_rate > 0) {
       options.fault_injector_factory = [&](uint64_t conn_id) {
-        return server_faults.load() ? server_plan.MakeInjector(conn_id)
-                                    : nullptr;
+        return server_faults.load()
+                   ? std::make_unique<FaultInjector>(plan.server, conn_id)
+                   : nullptr;
       };
     }
     QueryServer server(*index_, options);
     std::string error;
     ASSERT_TRUE(server.Start(&error)) << error;
 
-    const FaultPlan client_plan(plan.client);
     std::unique_ptr<FaultInjector> client_injector;
     ClientOptions client_options;
     client_options.read_timeout_ms = 3000;
     client_options.write_timeout_ms = 3000;
     if (plan.client.HasIoFaults()) {
-      client_injector = client_plan.MakeInjector(/*endpoint_id=*/1);
+      client_injector =
+          std::make_unique<FaultInjector>(plan.client, /*endpoint_id=*/1);
       client_options.fault_injector = client_injector.get();
     }
 

@@ -53,6 +53,14 @@ int ConnectRaw(uint16_t port) {
   return fd;
 }
 
+// Every admitted query sleeps 400 ms in the injector, holding its slot.
+FaultSpec SlowQueries() {
+  FaultSpec spec;
+  spec.query_delay_rate = 1.0;
+  spec.query_delay_ms = 400;
+  return spec;
+}
+
 class ServerTest : public ::testing::Test {
  protected:
   ServerTest() : g_(BarabasiAlbert(600, 3, 13)) {
@@ -273,21 +281,20 @@ TEST_F(ServerTest, StopWakesAnIdleConnectionWithNoTimeout) {
 
 TEST(AdmissionGateTest, RejectsWhenQueueFull) {
   AdmissionGate gate(/*max_inflight=*/1, /*max_queue=*/0);
-  ASSERT_EQ(gate.Acquire(), AdmissionGate::Ticket::kAdmitted);
+  ASSERT_EQ(gate.AcquireFor(-1), AdmissionGate::Ticket::kAdmitted);
   // No queue slots: the second caller bounces immediately.
-  EXPECT_EQ(gate.Acquire(), AdmissionGate::Ticket::kRejected);
-  EXPECT_EQ(gate.rejected(), 1u);
+  EXPECT_EQ(gate.AcquireFor(-1), AdmissionGate::Ticket::kRejected);
   gate.Release();
-  EXPECT_EQ(gate.Acquire(), AdmissionGate::Ticket::kAdmitted);
+  EXPECT_EQ(gate.AcquireFor(-1), AdmissionGate::Ticket::kAdmitted);
   gate.Release();
 }
 
 TEST(AdmissionGateTest, QueuedCallerAdmittedAfterRelease) {
   AdmissionGate gate(/*max_inflight=*/1, /*max_queue=*/1);
-  ASSERT_EQ(gate.Acquire(), AdmissionGate::Ticket::kAdmitted);
+  ASSERT_EQ(gate.AcquireFor(-1), AdmissionGate::Ticket::kAdmitted);
   std::atomic<bool> admitted{false};
   std::thread waiter([&] {
-    if (gate.Acquire() == AdmissionGate::Ticket::kAdmitted) {
+    if (gate.AcquireFor(-1) == AdmissionGate::Ticket::kAdmitted) {
       admitted.store(true);
       gate.Release();
     }
@@ -302,14 +309,14 @@ TEST(AdmissionGateTest, QueuedCallerAdmittedAfterRelease) {
 
 TEST(AdmissionGateTest, ShutdownWakesWaiters) {
   AdmissionGate gate(/*max_inflight=*/1, /*max_queue=*/4);
-  ASSERT_EQ(gate.Acquire(), AdmissionGate::Ticket::kAdmitted);
+  ASSERT_EQ(gate.AcquireFor(-1), AdmissionGate::Ticket::kAdmitted);
   std::thread waiter([&] {
-    EXPECT_EQ(gate.Acquire(), AdmissionGate::Ticket::kShutdown);
+    EXPECT_EQ(gate.AcquireFor(-1), AdmissionGate::Ticket::kShutdown);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   gate.Shutdown();
   waiter.join();
-  EXPECT_EQ(gate.Acquire(), AdmissionGate::Ticket::kShutdown);
+  EXPECT_EQ(gate.AcquireFor(-1), AdmissionGate::Ticket::kShutdown);
 }
 
 TEST(AdmissionGateTest, AcquireForZeroNeverQueues) {
@@ -322,7 +329,7 @@ TEST(AdmissionGateTest, AcquireForZeroNeverQueues) {
 
 TEST(AdmissionGateTest, AcquireForTimesOutWhenSlotNeverFrees) {
   AdmissionGate gate(/*max_inflight=*/1, /*max_queue=*/4);
-  ASSERT_EQ(gate.Acquire(), AdmissionGate::Ticket::kAdmitted);
+  ASSERT_EQ(gate.AcquireFor(-1), AdmissionGate::Ticket::kAdmitted);
   EXPECT_EQ(gate.AcquireFor(30), AdmissionGate::Ticket::kTimedOut);
   gate.Release();
   // The timed-out waiter left no residue: the slot is freely admissible.
@@ -332,9 +339,9 @@ TEST(AdmissionGateTest, AcquireForTimesOutWhenSlotNeverFrees) {
 
 TEST(AdmissionGateTest, RejectionReportsQueueDepth) {
   AdmissionGate gate(/*max_inflight=*/1, /*max_queue=*/1);
-  ASSERT_EQ(gate.Acquire(), AdmissionGate::Ticket::kAdmitted);
+  ASSERT_EQ(gate.AcquireFor(-1), AdmissionGate::Ticket::kAdmitted);
   std::thread waiter([&] {
-    EXPECT_EQ(gate.Acquire(), AdmissionGate::Ticket::kAdmitted);
+    EXPECT_EQ(gate.AcquireFor(-1), AdmissionGate::Ticket::kAdmitted);
     gate.Release();
   });
   while (gate.queue_depth() == 0) {
@@ -386,14 +393,8 @@ TEST_F(ServerTest, BusyResponseCarriesQueueDepth) {
   options.max_queue = 1;
   // Every admitted query sleeps, so the slot and the one queue seat fill
   // up and stay full while the probe arrives.
-  const FaultPlan plan([] {
-    FaultSpec spec;
-    spec.query_delay_rate = 1.0;
-    spec.query_delay_ms = 400;
-    return spec;
-  }());
-  options.fault_injector_factory = [&plan](uint64_t conn_id) {
-    return plan.MakeInjector(conn_id);
+  options.fault_injector_factory = [](uint64_t conn_id) {
+    return std::make_unique<FaultInjector>(SlowQueries(), conn_id);
   };
   auto server = StartServer(options);
 
@@ -451,14 +452,8 @@ std::vector<Frame> ReadFrames(int fd, size_t count) {
 TEST_F(ServerTest, PipelinedFramesOnSaturatedServerAnswerInOrder) {
   ServerOptions options;
   options.degrade_after_inflight = 1;
-  const FaultPlan plan([] {
-    FaultSpec spec;
-    spec.query_delay_rate = 1.0;
-    spec.query_delay_ms = 400;
-    return spec;
-  }());
-  options.fault_injector_factory = [&plan](uint64_t conn_id) {
-    return plan.MakeInjector(conn_id);
+  options.fault_injector_factory = [](uint64_t conn_id) {
+    return std::make_unique<FaultInjector>(SlowQueries(), conn_id);
   };
   auto server = StartServer(options);
 
@@ -509,6 +504,7 @@ TEST_F(ServerTest, PipelinedFramesOnSaturatedServerAnswerInOrder) {
             static_cast<ssize_t>(wire.size()));
   const std::vector<Frame> frames = ReadFrames(fd, slots.size());
   ASSERT_EQ(frames.size(), slots.size());
+  uint64_t degraded_frames = 0;
   for (size_t i = 0; i < slots.size(); ++i) {
     SCOPED_TRACE("slot " + std::to_string(i));
     if (!slots[i].has_value()) {
@@ -531,13 +527,19 @@ TEST_F(ServerTest, PipelinedFramesOnSaturatedServerAnswerInOrder) {
     EXPECT_EQ(response.spg.v, request.v);
     const uint32_t d = BfsDistances(g_, request.u)[request.v];
     if (response.degraded()) {
+      ++degraded_frames;
+      EXPECT_FALSE(response.cache_hit);  // degraded answers are never cached
       EXPECT_LE(response.degraded_lower, d);
       EXPECT_LE(d, response.distance());
     } else {
       EXPECT_EQ(response.distance(), d);
     }
+    if (i + 1 == slots.size()) {
+      EXPECT_TRUE(response.cache_hit);  // the repeated 7 7
+    }
   }
-  EXPECT_GE(server->GetStats().degraded, 1u);
+  EXPECT_GE(degraded_frames, 1u);
+  EXPECT_EQ(server->GetStats().degraded, degraded_frames);
 
   // The connection still answers afterwards.
   std::vector<uint8_t> more;
@@ -551,6 +553,47 @@ TEST_F(ServerTest, PipelinedFramesOnSaturatedServerAnswerInOrder) {
   EXPECT_EQ(after[0].type, FrameType::kPong);
   EXPECT_EQ(after[1].type, FrameType::kQueryResponse);
   ::close(fd);
+  hog.join();
+  server->Stop();
+}
+
+// A request with under a millisecond of budget left on a saturated server
+// whose queue has room waits out that remainder and is answered
+// kDeadlineExceeded — not kBusy, which would invite a retry.
+TEST_F(ServerTest, ShortDeadlineOnSaturatedServerIsDeadlineExceeded) {
+  ServerOptions options;
+  options.max_inflight = 1;
+  options.max_queue = 8;
+  options.fault_injector_factory = [](uint64_t conn_id) {
+    return std::make_unique<FaultInjector>(SlowQueries(), conn_id);
+  };
+  auto server = StartServer(options);
+
+  // The hog holds the one slot through its injected delay. A jthread, so a
+  // failed ASSERT below still joins it.
+  std::jthread hog([&] {
+    QueryClient client;
+    if (!client.Connect("127.0.0.1", server->port())) return;
+    QueryResponse ignored;
+    client.Query(QueryRequest(1, 2, QueryMode::kSpg, 0, kQueryFlagNoCache),
+                 &ignored);
+  });
+  while (server->GetStats().admission_inflight < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+
+  QueryClient client = ConnectTo(*server);
+  for (VertexId v = 10; v < 30; ++v) {
+    QueryRequest request(5, v, QueryMode::kSpg, 0, kQueryFlagNoCache);
+    request.deadline_ms = 1;
+    QueryResponse response;
+    EXPECT_EQ(client.Query(request, &response),
+              QueryClient::RpcStatus::kDeadlineExceeded)
+        << v;
+  }
+  const auto stats = server->GetStats();
+  EXPECT_EQ(stats.busy_rejections, 0u);
+  EXPECT_EQ(stats.deadline_exceeded, 20u);
   hog.join();
   server->Stop();
 }
