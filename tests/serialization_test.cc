@@ -1,4 +1,6 @@
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -11,6 +13,7 @@
 #include "core/qbs_index.h"
 #include "core/serialization.h"
 #include "gen/generators.h"
+#include "graph/components.h"
 #include "tests/test_util.h"
 #include "util/binary_io.h"
 #include "workload/query_workload.h"
@@ -187,6 +190,76 @@ TEST_F(V3FixtureTest, EveryFlippedByteIsRejected) {
     WriteFileBytes(path_, corrupt);
     ASSERT_FALSE(QbsIndex::LoadFromFile(g, path_).has_value())
         << "byte " << at;
+  }
+}
+
+// Lemma 5.2 makes the scheme a function of (G, R) alone, so any change to
+// how it is built must leave every saved file unchanged. Each row pins the
+// size and trailing Checksum64 of one stand-in saved at one |R|; the
+// values were recorded from the per-landmark BFS build. |R| = 64 and 65
+// sit either side of one 64-bit word of landmarks, and 100 spans two.
+struct IndexDigest {
+  const char* graph;
+  uint32_t landmarks;
+  uint64_t bytes;
+  uint64_t checksum;
+};
+
+const IndexDigest kIndexDigests[] = {
+    {"ba", 1, 6036, 0xe700386b37a9c75cull},
+    {"ba", 5, 30172, 0x46f6c1cac881192cull},
+    {"ba", 20, 122140, 0xcb248a611e59fbc4ull},
+    {"ba", 64, 400368, 0x64a7e83a13ad0abdull},
+    {"ba", 65, 406804, 0x141287ac11a6b7ceull},
+    {"ba", 100, 633636, 0x2dcb4cc56ef68bacull},
+    {"er", 1, 5704, 0x4088ed09c2deb8b3ull},
+    {"er", 5, 28512, 0x50f29bd90903afbeull},
+    {"er", 20, 115608, 0xc7ca4dd1a282c21bull},
+    {"er", 64, 380536, 0xbdca1bf1dcf67f72ull},
+    {"er", 65, 386628, 0xafb575b99fb6f4d5ull},
+    {"er", 100, 604336, 0xc325559b387ac1cdull},
+    {"ws", 1, 6036, 0xcf4caff05c74690bull},
+    {"ws", 5, 30172, 0x291d9e347d453549ull},
+    {"ws", 20, 122236, 0x7b937941ecdd2efcull},
+    {"ws", 64, 402996, 0xc21dd5ba49b44101ull},
+    {"ws", 65, 409600, 0x5d0c1d45a4541601ull},
+    {"ws", 100, 636468, 0x734cadb7b170f0bdull},
+    {"grid", 1, 6036, 0x09fa6c02d2476132ull},
+    {"grid", 5, 30100, 0x6974cd865c5a6f6eull},
+    {"grid", 20, 120340, 0xcf63e34bcfcde657ull},
+    {"grid", 64, 385728, 0x0c8b3111bf9a5a8cull},
+    {"grid", 65, 391744, 0x9fe7fca1803245deull},
+    {"grid", 100, 602304, 0xafc79f0e8b004d19ull},
+};
+
+Graph DigestGraph(const std::string& name) {
+  if (name == "ba") return BarabasiAlbert(3000, 3, 41);
+  if (name == "er") return LargestComponent(ErdosRenyi(3000, 4500, 41)).graph;
+  if (name == "ws") return WattsStrogatz(3000, 6, 0.1, 41);
+  return GridGraph(50, 60);
+}
+
+TEST_F(SerializationTest, SavedIndexBytesArePinned) {
+  for (const std::string name : {"ba", "er", "ws", "grid"}) {
+    const Graph g = DigestGraph(name);
+    for (const uint32_t k : {1u, 5u, 20u, 64u, 65u, 100u}) {
+      QbsOptions options;
+      options.num_landmarks = k;
+      ASSERT_TRUE(QbsIndex::Build(g, options).Save(path_));
+      const std::string bytes = ReadFileBytes(path_);
+      ASSERT_GE(bytes.size(), sizeof(uint64_t));
+      uint64_t checksum = 0;
+      std::memcpy(&checksum, bytes.data() + bytes.size() - sizeof(checksum),
+                  sizeof(checksum));
+      const auto pinned = std::find_if(
+          std::begin(kIndexDigests), std::end(kIndexDigests),
+          [&](const IndexDigest& d) {
+            return d.graph == name && d.landmarks == k;
+          });
+      ASSERT_NE(pinned, std::end(kIndexDigests)) << name << " |R|=" << k;
+      EXPECT_EQ(bytes.size(), pinned->bytes) << name << " |R|=" << k;
+      EXPECT_EQ(checksum, pinned->checksum) << name << " |R|=" << k;
+    }
   }
 }
 
