@@ -1,8 +1,22 @@
 // Regenerates Figure 10: QbS construction time against the number of
-// landmarks (0-100). The paper's observation: construction time is almost
-// linear in |R| on each dataset (one BFS per landmark).
+// landmarks (0-100). The labelling runs one BFS for all landmarks, with a
+// bit lane per landmark, so its time steps with ⌈|R|/64⌉ (the words of
+// lanes each vertex carries) rather than growing per landmark as in the
+// paper's one-BFS-per-landmark build.
+//
+// Each row is one build at one thread count: 1 (QbS) and --threads
+// (QbS-P). Beside the labelling time it records the host's core count,
+// the steal ticks /proc/stat counted while the row ran (time the
+// hypervisor gave this host's CPUs to others) and the process's peak RSS
+// after the build.
+
+#include <sys/resource.h>
 
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "core/qbs_index.h"
@@ -10,25 +24,47 @@
 namespace qbs::bench {
 namespace {
 
+// The host's steal ticks so far: the 8th field of /proc/stat's "cpu" line,
+// or 0 where it cannot be read.
+uint64_t StealTicks() {
+  std::ifstream stat("/proc/stat");
+  std::string cpu;
+  uint64_t fields[8] = {};  // user nice system idle iowait irq softirq steal
+  stat >> cpu;
+  for (uint64_t& field : fields) stat >> field;
+  return stat ? fields[7] : 0;
+}
+
+double PeakRssMb() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<double>(usage.ru_maxrss) * 1024.0 / 1e6;  // KiB
+}
+
 void Run() {
   std::printf("Figure 10: QbS construction time (s) vs number of "
               "landmarks\n");
-  TablePrinter table("Figure 10",
-                     {"Dataset", "|R|", "QbS(s)", "QbS-P(s)"},
-                     {12, 5, 10, 10});
+  TablePrinter table(
+      "Figure 10",
+      {"Dataset", "|R|", "threads", "nproc", "label(s)", "steal", "peakMB"},
+      {12, 5, 8, 6, 10, 6, 8});
+  const std::string nproc = std::to_string(std::thread::hardware_concurrency());
+  std::vector<size_t> thread_counts = {1};
+  if (Args().threads != 1) thread_counts.push_back(Args().threads);
   for (const DatasetSpec* spec : Args().datasets) {
     const LoadedDataset d = LoadDataset(spec);
     for (uint32_t k : {5u, 10u, 15u, 20u, 40u, 60u, 80u, 100u}) {
-      QbsOptions seq;
-      seq.num_landmarks = k;
-      seq.num_threads = 1;
-      QbsIndex a = QbsIndex::Build(d.graph, seq);
-      QbsOptions par = seq;
-      par.num_threads = Args().threads;
-      QbsIndex b = QbsIndex::Build(d.graph, par);
-      table.Row({d.id, std::to_string(k),
-                 FormatSeconds(a.timings().labeling_seconds),
-                 FormatSeconds(b.timings().labeling_seconds)});
+      for (const size_t threads : thread_counts) {
+        QbsOptions options;
+        options.num_landmarks = k;
+        options.num_threads = threads;
+        const uint64_t steal0 = StealTicks();
+        const QbsIndex index = QbsIndex::Build(d.graph, options);
+        const uint64_t steal = StealTicks() - steal0;
+        table.Row({d.id, std::to_string(k), std::to_string(threads), nproc,
+                   FormatSeconds(index.timings().labeling_seconds),
+                   std::to_string(steal), FormatDouble(PeakRssMb(), 1)});
+      }
     }
   }
   table.Footer();

@@ -1,200 +1,177 @@
 #include "core/labeling.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
 #include <vector>
 
-#include "graph/bfs.h"
 #include "util/check.h"
 #include "util/thread_pool.h"
 
 namespace qbs {
 namespace {
 
-// Dense bitset sized to the vertex space, rebuilt once per bottom-up level.
-class Bitmap {
- public:
-  void Resize(size_t n) { words_.assign((n + 63) / 64, 0); }
-  void Set(size_t i) { words_[i >> 6] |= 1ull << (i & 63); }
-  bool Test(size_t i) const { return (words_[i >> 6] >> (i & 63)) & 1ull; }
+// Vertices per ParallelFor index on a pull level.
+constexpr size_t kPullBlock = 1024;
 
- private:
-  std::vector<uint64_t> words_;
-};
-
-// Direction switching [Beamer, Asanović & Patterson, SC'12]. When the
-// frontier's outgoing edge volume passes 1/alpha of the unexplored edges,
-// expanding it top-down would touch most of the graph; a bottom-up sweep —
-// every unvisited vertex scans its neighbours for a frontier parent and
-// stops at the first hit — turns the dense middle levels of a
-// small-diameter network into roughly O(unvisited vertices). Once the
-// frontier holds fewer than |V| / beta vertices the BFS drops back to
-// top-down. alpha = 15 and beta = 18 are the conventional GAP constants.
-// The caller scouts the degree of every vertex it settles; Step() consumes
-// the scouted volume to pick the next level's direction.
-class DirOptController {
- public:
-  // The unexplored-volume budget is the 2|E| directed endpoints. Scout the
-  // root's degree before the first Step().
-  DirOptController(size_t num_vertices, uint64_t num_undirected_edges)
-      : num_vertices_(num_vertices),
-        edges_remaining_(2 * num_undirected_edges) {}
-
-  void Scout(uint64_t degree) { scout_count_ += degree; }
-
-  // Call exactly once per level, with the current frontier size.
-  bool Step(size_t frontier_size) {
-    constexpr uint64_t kAlpha = 15;
-    constexpr size_t kBeta = 18;
-    if (!bottom_up_ && scout_count_ > edges_remaining_ / kAlpha) {
-      bottom_up_ = true;
-    } else if (bottom_up_ && frontier_size < num_vertices_ / kBeta) {
-      bottom_up_ = false;
-    }
-    edges_remaining_ -= scout_count_;
-    scout_count_ = 0;
-    return bottom_up_;
-  }
-
- private:
-  size_t num_vertices_;
-  uint64_t edges_remaining_;
-  uint64_t scout_count_ = 0;
-  bool bottom_up_ = false;
-};
-
-// Per-worker scratch reused across the BFSs this worker runs.
-struct BfsScratch {
-  std::vector<uint32_t> depth;  // kUnreachable = unvisited
-  // Level queues: vertices to be labelled (QL) / not labelled (QN).
-  std::vector<VertexId> cur_l, cur_n, next_l, next_n;
-  // Frontier membership bitmaps, rebuilt only for bottom-up levels.
-  Bitmap bits_l, bits_n;
-};
-
-// Classifies and enqueues the vertex v, newly reached at `next_depth`.
-// `via_l` says whether some shortest predecessor is in QL: vertices first
-// reached from a QL vertex have a shortest path from the root avoiding
-// other landmarks, so non-landmarks get a label (written into this BFS's
-// own column `col`) and join QL while landmarks produce a meta-edge and
-// join QN. Vertices reached only from QN join QN silently.
-inline void Settle(VertexId v, bool via_l, uint32_t next_depth,
-                   const PathLabeling& labeling, LandmarkIndex i, DistT* col,
-                   std::vector<MetaEdge>* meta_edges, BfsScratch* s) {
-  s->depth[v] = next_depth;
-  if (!via_l) {
-    s->next_n.push_back(v);
-    return;
-  }
-  const int32_t rank = labeling.LandmarkRank(v);
-  if (rank >= 0) {
-    s->next_n.push_back(v);
-    meta_edges->push_back(
-        MetaEdge{i, static_cast<LandmarkIndex>(rank), next_depth});
-  } else {
-    s->next_l.push_back(v);
-    col[v] = static_cast<DistT>(next_depth);
-  }
+// The landmark index of the lowest set lane in word `word` of a lane set.
+LandmarkIndex LowestLane(size_t word, uint64_t bits) {
+  return static_cast<LandmarkIndex>(word * 64 + std::countr_zero(bits));
 }
 
-// Top-down expansion of one frontier queue.
-void ExpandTopDown(const Graph& g, const PathLabeling& labeling,
-                   LandmarkIndex i, DistT* col,
-                   std::vector<MetaEdge>* meta_edges, BfsScratch* s,
-                   DirOptController* dir,
-                   const std::vector<VertexId>& frontier, bool via_l,
-                   uint32_t next_depth) {
-  for (const VertexId u : frontier) {
-    for (VertexId v : g.Neighbors(u)) {
-      if (s->depth[v] != kUnreachable) continue;
-      Settle(v, via_l, next_depth, labeling, i, col, meta_edges, s);
-      dir->Scout(g.Degree(v));
-    }
-  }
-}
-
-// Algorithm 2, one landmark: a level-synchronous BFS from landmarks[i] with
-// two queues (QL / QN). QL classification takes priority: a vertex
-// reachable both ways at the same depth counts as QL. Dense middle levels
-// run bottom-up (every unvisited vertex scans its neighbourhood for a QL
-// parent first, then a QN parent), which preserves the priority rule and
-// cuts the per-landmark full-graph sweep — the construction-time hot path
-// (Fig. 10) — to a fraction of its edges.
-void LabelFromLandmark(const Graph& g, const PathLabeling& labeling,
-                       LandmarkIndex i, DistT* col,
-                       std::vector<MetaEdge>* meta_edges, BfsScratch* s) {
-  const VertexId root = labeling.LandmarkVertex(i);
+// Algorithm 2 for every landmark at once: one level-synchronous BFS that
+// carries a bit lane per landmark [Then et al., "The More the Merrier",
+// PVLDB 8(4), 2014], `words` 64-bit words of lanes per vertex and lane
+// set (kWords when nonzero, fixed at compile time). Each vertex keeps
+// three lane sets: `seen` (lanes that have reached it), `cur` (lanes that
+// reached it at the current depth) and `cur_ql`, the subset of `cur` whose
+// landmark reached it by a shortest path avoiding every other landmark —
+// Algorithm 2's QL. A level ORs each frontier vertex's lanes, masked to
+// the target's unseen lanes, into `next`, and its QL lanes into
+// `next_ql`, so a vertex reached both ways at one depth is QL. A
+// non-landmark writes a label for each QL lane it settles; a landmark
+// yields a meta-edge per QL lane that reaches it and joins QN in every
+// lane.
+//
+// A level whose frontier's degree sum passes 2|E|/15 pulls: every vertex
+// with unseen lanes ORs in its neighbours' lanes, stopping once its QL
+// lanes cover the lanes it could still gain, as in direction-optimizing
+// BFS [Beamer, Asanović & Patterson, SC'12]. The pull splits over vertex
+// blocks on `num_threads`; each vertex writes only its own lanes and label
+// row, so the result cannot depend on the thread count. Sparser levels push
+// sequentially from the frontier list.
+template <size_t kWords>
+void LabelAllLandmarks(const Graph& g, size_t num_threads,
+                       PathLabeling* labeling,
+                       std::vector<std::vector<MetaEdge>>* meta) {
   const VertexId n = g.NumVertices();
-  s->depth.assign(n, kUnreachable);
-  s->cur_l.clear();
-  s->cur_n.clear();
-  s->depth[root] = 0;
-  s->cur_l.push_back(root);
+  const uint32_t k = labeling->num_landmarks();
+  const size_t words = kWords != 0 ? kWords : (k + 63) / 64;
+  std::vector<uint64_t> seen(n * words), cur(n * words), cur_ql(n * words),
+      next(n * words), next_ql(n * words);
+  const auto at = [words](std::vector<uint64_t>& lanes, VertexId v) {
+    return lanes.data() + v * words;
+  };
 
-  DirOptController dir(n, g.NumEdges());
-  dir.Scout(g.Degree(root));
+  std::vector<VertexId> frontier;
+  for (LandmarkIndex i = 0; i < k; ++i) {
+    const VertexId r = labeling->LandmarkVertex(i);
+    const uint64_t bit = 1ull << (i % 64);
+    at(seen, r)[i / 64] = at(cur, r)[i / 64] = at(cur_ql, r)[i / 64] = bit;
+    frontier.push_back(r);
+  }
 
-  uint32_t level = 0;
-  while (!s->cur_l.empty() || !s->cur_n.empty()) {
-    s->next_l.clear();
-    s->next_n.clear();
-    const uint32_t next_depth = level + 1;
-    QBS_CHECK_LT(next_depth, static_cast<uint32_t>(kInfDist));
+  // Settles v at `depth` with the lanes the level left in next[v].
+  const auto settle = [&](VertexId v, uint32_t depth) {
+    QBS_CHECK_LT(depth, static_cast<uint32_t>(kInfDist));
+    uint64_t* s = at(seen, v);
+    const uint64_t* nx = at(next, v);
+    const uint64_t* nq = at(next_ql, v);
+    for (size_t x = 0; x < words; ++x) s[x] |= nx[x];
+    if (labeling->IsLandmark(v)) return;  // meta-edges follow the level
+    for (size_t x = 0; x < words; ++x) {
+      for (uint64_t b = nq[x]; b != 0; b &= b - 1) {
+        labeling->Set(v, LowestLane(x, b), static_cast<DistT>(depth));
+      }
+    }
+  };
 
-    const bool bottom_up = dir.Step(s->cur_l.size() + s->cur_n.size());
-
-    if (bottom_up) {
-      s->bits_l.Resize(n);
-      s->bits_n.Resize(n);
-      for (VertexId x : s->cur_l) s->bits_l.Set(x);
-      for (VertexId x : s->cur_n) s->bits_n.Set(x);
-      for (VertexId v = 0; v < n; ++v) {
-        if (s->depth[v] != kUnreachable) continue;
-        // Scan for a QL parent (which wins) before accepting a QN parent.
-        bool via_l = false;
-        bool via_n = false;
-        for (VertexId w : g.Neighbors(v)) {
-          if (s->bits_l.Test(w)) {
-            via_l = true;
-            break;
+  const size_t blocks = (n + kPullBlock - 1) / kPullBlock;
+  const size_t workers = std::min(EffectiveThreads(num_threads), blocks);
+  std::vector<std::vector<VertexId>> block_reached(blocks);
+  std::vector<uint64_t> scratch(workers * 3 * words);  // per worker
+  std::vector<uint64_t> active(words);  // lanes in the frontier
+  std::vector<VertexId> reached;
+  for (uint32_t depth = 1; !frontier.empty(); ++depth) {
+    uint64_t degree_sum = 0;
+    std::fill(active.begin(), active.end(), 0);
+    for (const VertexId v : frontier) {
+      degree_sum += g.Degree(v);
+      for (size_t x = 0; x < words; ++x) active[x] |= at(cur, v)[x];
+    }
+    reached.clear();
+    if (degree_sum > 2 * g.NumEdges() / 15) {
+      ParallelFor(blocks, workers, [&](size_t block, size_t worker) {
+        uint64_t local[kWords != 0 ? 3 * kWords : 1];
+        uint64_t* want =
+            kWords != 0 ? local : scratch.data() + worker * 3 * words;
+        uint64_t* acc = want + words;
+        uint64_t* acc_ql = acc + words;
+        std::vector<VertexId>& out = block_reached[block];
+        out.clear();
+        const auto begin = static_cast<VertexId>(block * kPullBlock);
+        const auto end = static_cast<VertexId>(
+            std::min<size_t>(n, (block + 1) * kPullBlock));
+        for (VertexId v = begin; v < end; ++v) {
+          uint64_t any = 0;
+          for (size_t x = 0; x < words; ++x) {
+            want[x] = ~at(seen, v)[x] & active[x];
+            any |= want[x];
+            acc[x] = acc_ql[x] = 0;
           }
-          via_n |= s->bits_n.Test(w);
+          if (any == 0) continue;
+          for (const VertexId w : g.Neighbors(v)) {
+            uint64_t missing = 0;
+            for (size_t x = 0; x < words; ++x) {
+              acc[x] |= at(cur, w)[x];
+              acc_ql[x] |= at(cur_ql, w)[x];
+              missing |= want[x] & ~acc_ql[x];
+            }
+            if (missing == 0) break;
+          }
+          uint64_t hit = 0;
+          for (size_t x = 0; x < words; ++x) {
+            at(next, v)[x] = acc[x] & want[x];
+            at(next_ql, v)[x] = acc_ql[x] & want[x];
+            hit |= at(next, v)[x];
+          }
+          if (hit == 0) continue;
+          settle(v, depth);
+          out.push_back(v);
         }
-        if (!via_l && !via_n) continue;
-        Settle(v, via_l, next_depth, labeling, i, col, meta_edges, s);
-        dir.Scout(g.Degree(v));
+      });
+      for (const std::vector<VertexId>& out : block_reached) {
+        reached.insert(reached.end(), out.begin(), out.end());
       }
     } else {
-      // QL is expanded before QN at each level, so a vertex reachable both
-      // ways at the same depth is classified QL.
-      ExpandTopDown(g, labeling, i, col, meta_edges, s, &dir, s->cur_l,
-                    /*via_l=*/true, next_depth);
-      ExpandTopDown(g, labeling, i, col, meta_edges, s, &dir, s->cur_n,
-                    /*via_l=*/false, next_depth);
+      for (const VertexId u : frontier) {
+        for (const VertexId v : g.Neighbors(u)) {
+          uint64_t before = 0;
+          uint64_t after = 0;
+          for (size_t x = 0; x < words; ++x) {
+            const uint64_t unseen = ~at(seen, v)[x];
+            before |= at(next, v)[x];
+            at(next, v)[x] |= at(cur, u)[x] & unseen;
+            at(next_ql, v)[x] |= at(cur_ql, u)[x] & unseen;
+            after |= at(next, v)[x];
+          }
+          if (before == 0 && after != 0) reached.push_back(v);
+        }
+      }
+      for (const VertexId v : reached) settle(v, depth);
     }
-    std::swap(s->cur_l, s->next_l);
-    std::swap(s->cur_n, s->next_n);
-    ++level;
-  }
-}
-
-// Blocked transpose of a landmark-major buffer (cols[i * n + v]) into
-// vertex-major rows of k elements at `out`: a 64 x 64 tile of DistT spans
-// 8KB on each side, so both stay cache-resident.
-void TransposeColumns(const std::vector<DistT>& cols, size_t n, size_t k,
-                      DistT* out) {
-  constexpr size_t kTile = 64;
-  QBS_CHECK_EQ(cols.size(), n * k);
-  for (size_t v0 = 0; v0 < n; v0 += kTile) {
-    const size_t v1 = std::min(v0 + kTile, n);
-    for (size_t i0 = 0; i0 < k; i0 += kTile) {
-      const size_t i1 = std::min(i0 + kTile, k);
-      for (size_t v = v0; v < v1; ++v) {
-        for (size_t i = i0; i < i1; ++i) out[v * k + i] = cols[i * n + v];
+    // Landmarks reached along a QL lane: one meta-edge per lane, listed in
+    // that lane's column, and QN in every lane from here on.
+    for (LandmarkIndex j = 0; j < k; ++j) {
+      uint64_t* nq = at(next_ql, labeling->LandmarkVertex(j));
+      for (size_t x = 0; x < words; ++x) {
+        for (uint64_t b = nq[x]; b != 0; b &= b - 1) {
+          const LandmarkIndex i = LowestLane(x, b);
+          (*meta)[i].push_back(MetaEdge{i, j, depth});
+        }
+        nq[x] = 0;
       }
     }
+    // The spent level's lanes are the next level's zeroed targets.
+    for (const VertexId u : frontier) {
+      std::fill_n(at(cur, u), words, 0);
+      std::fill_n(at(cur_ql, u), words, 0);
+    }
+    cur.swap(next);
+    cur_ql.swap(next_ql);
+    frontier.swap(reached);
   }
 }
 
@@ -231,35 +208,22 @@ uint64_t PathLabeling::NumEntries() const {
   return count;
 }
 
-void PathLabeling::AssignFromColumns(const std::vector<DistT>& cols) {
-  TransposeColumns(cols, num_vertices_, landmarks_.size(), dist_.data());
-}
-
 LabelingScheme BuildLabelingScheme(const Graph& g,
                                    const std::vector<VertexId>& landmarks,
                                    size_t num_threads) {
   LabelingScheme scheme;
   scheme.labeling = PathLabeling(g.NumVertices(), landmarks);
   const auto k = static_cast<uint32_t>(landmarks.size());
-
-  // One BFS per landmark. Each BFS streams labels into its own
-  // landmark-major column and meta-edge lists are per-landmark, so workers
-  // never contend; a single blocked transpose then fills the vertex-major
-  // query matrix.
-  const size_t workers = std::min<size_t>(EffectiveThreads(num_threads), k);
-  std::vector<BfsScratch> scratch(workers);
-  std::vector<std::vector<MetaEdge>> local_meta(k);
-  std::vector<DistT> cols(static_cast<size_t>(g.NumVertices()) * k, kInfDist);
-  ParallelFor(k, workers, [&](size_t i, size_t worker) {
-    LabelFromLandmark(g, scheme.labeling, static_cast<LandmarkIndex>(i),
-                      cols.data() + i * static_cast<size_t>(g.NumVertices()),
-                      &local_meta[i], &scratch[worker]);
-  });
-  scheme.labeling.AssignFromColumns(cols);
+  std::vector<std::vector<MetaEdge>> meta(k);
+  if (k <= 64) {
+    LabelAllLandmarks<1>(g, num_threads, &scheme.labeling, &meta);
+  } else if (k <= 128) {
+    LabelAllLandmarks<2>(g, num_threads, &scheme.labeling, &meta);
+  } else {
+    LabelAllLandmarks<0>(g, num_threads, &scheme.labeling, &meta);
+  }
   scheme.meta = AssembleMetaGraph(
-      k, [&](LandmarkIndex i) -> std::span<const MetaEdge> {
-        return local_meta[i];
-      });
+      k, [&](LandmarkIndex i) -> std::span<const MetaEdge> { return meta[i]; });
   return scheme;
 }
 

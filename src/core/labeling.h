@@ -13,8 +13,10 @@
 // graph", usually far smaller.
 //
 // Lemma 5.2: the scheme is uniquely determined by (G, R), independent of
-// landmark order, so construction parallelizes per landmark with no
-// coordination (QbS-P).
+// landmark order and of the order the work is done in. So one BFS can
+// carry every landmark at once, a bit lane each, and split its dense
+// levels over vertex ranges (QbS-P) with no coordination: the result is
+// the same bytes as |R| separate BFSs, on any thread count.
 
 #ifndef QBS_CORE_LABELING_H_
 #define QBS_CORE_LABELING_H_
@@ -77,13 +79,6 @@ class PathLabeling {
   /// Number of finite labelling entries: size(L) = Σ_v |L(v)| (§2).
   uint64_t NumEntries() const;
 
-  /// Bulk-fills the matrix from a landmark-major buffer (cols[i * |V| + v]).
-  /// Construction writes labels column-wise — each landmark BFS streams its
-  /// own |V|-sized column sequentially — and transposes once at the end,
-  /// instead of scattering one cache line per labelled vertex across the
-  /// whole vertex-major matrix on every BFS.
-  void AssignFromColumns(const std::vector<DistT>& cols);
-
   /// Bytes of the dense label matrix, the quantity Table 3 reports as
   /// size(L) (the paper stores |R| fixed-width slots per vertex, as we do).
   uint64_t SizeBytes() const { return dist_.size() * sizeof(DistT); }
@@ -100,12 +95,16 @@ struct LabelingScheme {
   MetaGraph meta;
 };
 
-/// Runs Algorithm 2: one two-queue level-synchronous BFS per landmark, on
-/// `num_threads` threads (1 = sequential, the paper's QbS; 0 = hardware
-/// concurrency, QbS-P; otherwise the exact count). Landmark vertex ids
-/// must be distinct and valid. The result is deterministic w.r.t.
-/// (g, landmarks) regardless of thread count or landmark order (Lemma
-/// 5.2); only the landmark *indexing* follows the given order.
+/// Runs Algorithm 2 for every landmark in one level-synchronous BFS that
+/// carries a bit lane per landmark (⌈|R|/64⌉ words per vertex), with the
+/// QL / QN rule applied lane by lane. Dense levels pull and split over
+/// vertex ranges on `num_threads` threads (1 = sequential, the paper's
+/// QbS; 0 = hardware concurrency, QbS-P; otherwise the exact count);
+/// sparse levels push on the calling thread. Landmark vertex ids must be
+/// distinct and valid. The result is deterministic w.r.t. (g, landmarks)
+/// regardless of thread count or landmark order (Lemma 5.2); only the
+/// landmark *indexing* follows the given order. CHECK-fails if a vertex
+/// lies kInfDist or more hops from a landmark that reaches it.
 LabelingScheme BuildLabelingScheme(const Graph& g,
                                    const std::vector<VertexId>& landmarks,
                                    size_t num_threads = 1);

@@ -24,8 +24,8 @@
 //  3. Blocked vertices. G⁻ = G[V \ R] is searched inside G: the
 //     landmarks' depth slots hold a sentinel no side ever settles.
 //
-// The per-landmark labelling BFS (core/labeling.cc) keeps its own
-// direction-optimizing traversal, and PPL's pruned BFS (baselines/ppl.cc)
+// The labelling's one multi-landmark BFS (core/labeling.cc) keeps its own
+// bit-lane push/pull traversal, and PPL's pruned BFS (baselines/ppl.cc)
 // its own queue; BfsDistances (graph/bfs.h) is the plain reference they
 // are all checked against.
 

@@ -1,8 +1,8 @@
 // ParallelFor: a chunked, dynamically balanced loop over persistent helpers.
 //
 // Iterations are handed out in chunks from one shared cursor, so skewed
-// iteration costs (one landmark BFS dominating, one heavy query in a batch)
-// rebalance by themselves. The helpers are process-wide persistent threads,
+// iteration costs (one heavy query in a batch, a block of high-degree
+// vertices on a labelling pull level) rebalance by themselves. The helpers are process-wide persistent threads,
 // so repeated calls (QueryBatch) pay no thread-spawn cost. The caller runs
 // as worker 0 and drains the cursor itself, then waits only for helpers
 // that joined, so nested and concurrent calls cannot deadlock.

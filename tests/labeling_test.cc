@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/labeling.h"
+#include "core/qbs_index.h"
 #include "core/landmark_selection.h"
 #include "gen/generators.h"
 #include "graph/bfs.h"
@@ -288,6 +289,107 @@ TEST(LandmarkSelectionTest, HighestDegreeOrder) {
 TEST(LandmarkSelectionTest, CountClampedToVertices) {
   Graph g = PathGraph(5);
   EXPECT_EQ(SelectLandmarks(g, 100).size(), 5u);
+}
+
+// Both references at once: every column against the plain BFS, and every
+// entry against the brute-force Definition 4.2.
+void ExpectMatchesReferences(const Graph& g,
+                             const std::vector<VertexId>& landmarks) {
+  ExpectColumnsMatchPlainBfs(g, landmarks);
+  std::string message;
+  EXPECT_TRUE(testing::VerifyLabelingDefinition(
+      g, BuildLabelingScheme(g, landmarks), &message))
+      << message;
+}
+
+// The build carries one bit lane per landmark, 64 to a word: these counts
+// fill a word exactly, spill one lane into the next, and do the same at
+// two words, where the word count stops being a compile-time constant.
+TEST(LabelingTest, LaneWordBoundaries) {
+  const Graph ba = BarabasiAlbert(200, 3, 11);
+  for (const uint32_t k : {63u, 64u, 65u, 128u, 129u}) {
+    SCOPED_TRACE("|R| = " + std::to_string(k));
+    ExpectMatchesReferences(ba, SelectLandmarks(ba, k));
+  }
+  const Graph er = LargestComponent(ErdosRenyi(220, 440, 11)).graph;
+  ExpectMatchesReferences(er, SelectLandmarks(er, 65));
+  ExpectMatchesReferences(er, SelectLandmarks(er, 129));
+}
+
+TEST(LabelingTest, EveryVertexALandmark) {
+  for (const Graph& g : {GridGraph(6, 7), BarabasiAlbert(150, 2, 3)}) {
+    std::vector<VertexId> all(g.NumVertices());
+    std::iota(all.begin(), all.end(), 0);
+    ExpectMatchesReferences(g, all);
+    EXPECT_EQ(BuildLabelingScheme(g, all).labeling.NumEntries(), 0u);
+  }
+}
+
+TEST(LabelingTest, AdjacentLandmarks) {
+  ExpectMatchesReferences(PathGraph(9), {4, 5});
+  ExpectMatchesReferences(CycleGraph(10), {1, 0});
+  const Graph ba = BarabasiAlbert(300, 3, 7);
+  ExpectMatchesReferences(ba, {0, ba.Neighbors(0)[0]});
+  // The edge between them is a meta-edge of weight 1 in both lanes.
+  const LabelingScheme scheme = BuildLabelingScheme(PathGraph(9), {4, 5});
+  EXPECT_EQ(scheme.meta.EdgeWeight(0, 1), 1u);
+}
+
+// A BA graph with a 60-vertex path hanging off vertex 299. From nine
+// low-degree landmarks, one at the path's far end, the first level's
+// frontier is too light to pull, the BA core's middle levels pull, and
+// the levels that walk the path push again.
+TEST(LabelingTest, PushPullPushLevels) {
+  const Graph ba = BarabasiAlbert(300, 3, 5);
+  std::vector<Edge> edges;
+  for (VertexId u = 0; u < ba.NumVertices(); ++u) {
+    for (const VertexId v : ba.Neighbors(u)) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+  }
+  const VertexId n = 360;
+  for (VertexId v = 299; v + 1 < n; ++v) edges.emplace_back(v, v + 1);
+  const Graph g = Graph::FromEdges(n, std::move(edges));
+  std::vector<VertexId> landmarks = {n - 1};
+  for (VertexId v = 290; v < 298; ++v) landmarks.push_back(v);
+  ExpectMatchesReferences(g, landmarks);
+}
+
+// Labels are DistT, whose top value marks an absent entry: the deepest
+// vertex a build can label sits at depth kInfDist - 1.
+TEST(LabelingTest, DeepestRepresentableDepthBuilds) {
+  const Graph g = PathGraph(65535);
+  const LabelingScheme scheme = BuildLabelingScheme(g, {0});
+  EXPECT_EQ(scheme.labeling.Get(65534, 0), 65534);
+  const QbsIndex index = QbsIndex::BuildWithLandmarks(g, {0});
+  EXPECT_EQ(index.Query(QueryRequest(0, 65534, QueryMode::kDistance))
+                .distance(),
+            65534u);
+}
+
+TEST(LabelingDeathTest, DepthPastDistTAborts) {
+  const Graph g = PathGraph(65536);
+  EXPECT_DEATH(BuildLabelingScheme(g, {0}), "lhs=65535 rhs=65535");
+}
+
+// Pull levels split over blocks of vertices on the worker threads; each
+// vertex writes only its own lanes and label row, so every thread count
+// must produce the same bytes. BA(30000, 4) spans 30 blocks, so each pull
+// level is spread over many ParallelFor chunks; |R| = 70 takes two words.
+TEST(LabelingTest, ThreadCountDoesNotChangeTheScheme) {
+  const Graph g = BarabasiAlbert(30000, 4, 17);
+  for (const uint32_t k : {20u, 70u}) {
+    const std::vector<VertexId> landmarks = SelectLandmarks(g, k);
+    const LabelingScheme one = BuildLabelingScheme(g, landmarks, 1);
+    for (const size_t threads : {2u, 4u}) {
+      const LabelingScheme many = BuildLabelingScheme(g, landmarks, threads);
+      EXPECT_TRUE(std::ranges::equal(one.labeling.Rows(),
+                                     many.labeling.Rows()))
+          << "|R|=" << k << " threads=" << threads;
+      EXPECT_EQ(one.meta.Edges(), many.meta.Edges())
+          << "|R|=" << k << " threads=" << threads;
+    }
+  }
 }
 
 }  // namespace
