@@ -1,8 +1,9 @@
 // Regenerates Figure 10: QbS construction time against the number of
 // landmarks (0-100). The labelling runs one BFS for all landmarks, with a
-// bit lane per landmark, so its time steps with ⌈|R|/64⌉ (the words of
-// lanes each vertex carries) rather than growing per landmark as in the
-// paper's one-BFS-per-landmark build.
+// bit lane per landmark, so its time steps with ⌈|R|/64⌉, the words of
+// lanes each vertex carries. Within a step it still rises with the labels
+// written and the lanes a pull level must see before it stops early, but
+// far more slowly than the paper's one BFS per landmark.
 //
 // Each row is one build at one thread count: 1 (QbS) and --threads
 // (QbS-P). Beside the labelling time it records the host's core count,

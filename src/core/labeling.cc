@@ -94,7 +94,7 @@ void LabelAllLandmarks(const Graph& g, size_t num_threads,
     reached.clear();
     if (degree_sum > 2 * g.NumEdges() / 15) {
       ParallelFor(blocks, workers, [&](size_t block, size_t worker) {
-        uint64_t local[kWords != 0 ? 3 * kWords : 1];
+        uint64_t local[kWords != 0 ? 3 * kWords : 1] = {};
         uint64_t* want =
             kWords != 0 ? local : scratch.data() + worker * 3 * words;
         uint64_t* acc = want + words;
