@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <numeric>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -296,9 +297,9 @@ TEST(LandmarkSelectionTest, CountClampedToVertices) {
 void ExpectMatchesReferences(const Graph& g,
                              const std::vector<VertexId>& landmarks) {
   ExpectColumnsMatchPlainBfs(g, landmarks);
+  const LabelingScheme scheme = BuildLabelingScheme(g, landmarks);
   std::string message;
-  EXPECT_TRUE(testing::VerifyLabelingDefinition(
-      g, BuildLabelingScheme(g, landmarks), &message))
+  EXPECT_TRUE(testing::VerifyLabelingDefinition(g, scheme, &message))
       << message;
 }
 
@@ -362,9 +363,9 @@ TEST(LabelingTest, DeepestRepresentableDepthBuilds) {
   const LabelingScheme scheme = BuildLabelingScheme(g, {0});
   EXPECT_EQ(scheme.labeling.Get(65534, 0), 65534);
   const QbsIndex index = QbsIndex::BuildWithLandmarks(g, {0});
-  EXPECT_EQ(index.Query(QueryRequest(0, 65534, QueryMode::kDistance))
-                .distance(),
-            65534u);
+  const QueryResponse answer =
+      index.Query(QueryRequest(0, 65534, QueryMode::kDistance));
+  EXPECT_EQ(answer.distance(), 65534u);
 }
 
 TEST(LabelingDeathTest, DepthPastDistTAborts) {
@@ -383,8 +384,8 @@ TEST(LabelingTest, ThreadCountDoesNotChangeTheScheme) {
     const LabelingScheme one = BuildLabelingScheme(g, landmarks, 1);
     for (const size_t threads : {2u, 4u}) {
       const LabelingScheme many = BuildLabelingScheme(g, landmarks, threads);
-      EXPECT_TRUE(std::ranges::equal(one.labeling.Rows(),
-                                     many.labeling.Rows()))
+      const std::span<const DistT> rows = many.labeling.Rows();
+      EXPECT_TRUE(std::ranges::equal(one.labeling.Rows(), rows))
           << "|R|=" << k << " threads=" << threads;
       EXPECT_EQ(one.meta.Edges(), many.meta.Edges())
           << "|R|=" << k << " threads=" << threads;

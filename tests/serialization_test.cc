@@ -1,4 +1,3 @@
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -251,12 +250,11 @@ TEST_F(SerializationTest, SavedIndexBytesArePinned) {
       uint64_t checksum = 0;
       std::memcpy(&checksum, bytes.data() + bytes.size() - sizeof(checksum),
                   sizeof(checksum));
-      const auto pinned = std::find_if(
-          std::begin(kIndexDigests), std::end(kIndexDigests),
-          [&](const IndexDigest& d) {
-            return d.graph == name && d.landmarks == k;
-          });
-      ASSERT_NE(pinned, std::end(kIndexDigests)) << name << " |R|=" << k;
+      const IndexDigest* pinned = nullptr;
+      for (const IndexDigest& d : kIndexDigests) {
+        if (d.graph == name && d.landmarks == k) pinned = &d;
+      }
+      ASSERT_NE(pinned, nullptr) << name << " |R|=" << k;
       EXPECT_EQ(bytes.size(), pinned->bytes) << name << " |R|=" << k;
       EXPECT_EQ(checksum, pinned->checksum) << name << " |R|=" << k;
     }
