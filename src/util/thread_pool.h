@@ -2,10 +2,11 @@
 //
 // Iterations are handed out in chunks from one shared cursor, so skewed
 // iteration costs (one heavy query in a batch, a block of high-degree
-// vertices on a labelling pull level) rebalance by themselves. The helpers are process-wide persistent threads,
-// so repeated calls (QueryBatch) pay no thread-spawn cost. The caller runs
-// as worker 0 and drains the cursor itself, then waits only for helpers
-// that joined, so nested and concurrent calls cannot deadlock.
+// vertices on a labelling pull level) rebalance by themselves. The helpers
+// are process-wide persistent threads, so repeated calls (QueryBatch) pay
+// no thread-spawn cost. The caller runs as worker 0 and drains the cursor
+// itself, then waits only for helpers that joined, so nested and
+// concurrent calls cannot deadlock.
 
 #ifndef QBS_UTIL_THREAD_POOL_H_
 #define QBS_UTIL_THREAD_POOL_H_
