@@ -10,12 +10,18 @@
 // they are fetched (see bench_table1_datasets.cc). The expected *shape*:
 // QbS-P fastest to build and PPL/ParentPPL failing beyond the small
 // datasets. The paper's query gap to Bi-BFS does not show on the
-// synthetic stand-ins: QbS's mean query time read 0.9-2.2x Bi-BFS's on
-// DO and DB at scale 1 (twelve runs on a 4-vCPU Xeon KVM host), and about
-// the same on the larger TW stand-ins (docs/REPRODUCING.md).
+// synthetic stand-ins once Bi-BFS settles no more of its meeting level
+// than its answer reads, as QbS does (graph/frontier.h): at |R| = 20 with
+// 2,000 pairs, QbS's mean SPG query time read 1.06-1.34x Bi-BFS's on TW
+// x4, 0.95-1.22x on DO x16 and 0.92-1.12x on DO x64, and its
+// distance-only time 1.05-1.87x Bi-BFS's (3 runs each on a 4-vCPU Xeon
+// KVM host; docs/REPRODUCING.md). Before every row the engines' answers
+// are checked against each other (CheckAnswers).
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -33,6 +39,41 @@ constexpr uint64_t kMaxLabelEntries = 80'000'000;  // ~entry cap => OOE
 
 std::string StatusString(BuildStatus status) {
   return status == BuildStatus::kTimeBudgetExceeded ? "DNF" : "OOE";
+}
+
+// Every engine timed below answers every pair the same way, so that no
+// baseline can get faster by being wrong: QbS's answer is SameAnswer-equal
+// to Bi-BFS's, the distance-only answers (QbS kDistance, BiBfs::Distance)
+// equal its distance, and PPL's and ParentPPL's SPGs, where built, equal
+// its SPG. Runs outside the timers; on a mismatch prints the pair and
+// exits 1.
+void CheckAnswers(const LoadedDataset& d, const QbsIndex& qbs, BiBfs* bibfs,
+                  const std::optional<PplIndex>& ppl,
+                  const std::optional<ParentPplIndex>& pppl) {
+  for (const auto& [u, v] : d.pairs) {
+    QueryResponse want;
+    want.spg = bibfs->Query(u, v);
+    const char* wrong = nullptr;
+    if (!SameAnswer(qbs.Query({u, v}), want)) {
+      wrong = "QbS";
+    } else if (qbs.Query({u, v, QueryMode::kDistance}).distance() !=
+               want.distance()) {
+      wrong = "QbS distance-only";
+    } else if (bibfs->Distance(u, v) != want.distance()) {
+      wrong = "Bi-BFS distance-only";
+    } else if (ppl.has_value() && ppl->QuerySpg(u, v) != want.spg) {
+      wrong = "PPL";
+    } else if (pppl.has_value() && pppl->QuerySpg(u, v) != want.spg) {
+      wrong = "ParentPPL";
+    }
+    if (wrong != nullptr) {
+      std::fprintf(stderr,
+                   "bench_table2: %s: the %s answer for pair (%u, %u) "
+                   "differs from Bi-BFS's full answer\n",
+                   d.id.c_str(), wrong, u, v);
+      std::exit(1);
+    }
+  }
 }
 
 void Run() {
@@ -77,6 +118,9 @@ void Run() {
     BuildStatus pppl_status;
     auto pppl = ParentPplIndex::Build(g, budget, &pppl_status);
     const double pppl_seconds = timer.ElapsedSeconds();
+
+    BiBfs bibfs(g);
+    CheckAnswers(d, qbs, &bibfs, ppl, pppl);
 
     // Query timing, after an untimed warmup pass over a pair prefix so
     // cold caches are not charged to the measurement.
@@ -123,7 +167,6 @@ void Run() {
       q_pppl = FormatMs(qtimer.ElapsedMillis() / d.pairs.size());
     }
 
-    BiBfs bibfs(g);
     qtimer.Reset();
     for (const auto& [u, v] : d.pairs) bibfs.Query(u, v);
     const double q_bibfs = qtimer.ElapsedMillis() / d.pairs.size();

@@ -33,15 +33,17 @@ class BiBfs {
   ShortestPathGraph Query(VertexId u, VertexId v,
                           uint64_t* edges_scanned = nullptr);
 
-  // d(u, v) by the same search, without the reverse walk; kUnreachable if
-  // u and v are disconnected.
+  // d(u, v) by the same search, stopped at its first meet vertex, without
+  // the reverse walk; kUnreachable if u and v are disconnected.
   uint32_t Distance(VertexId u, VertexId v);
 
  private:
   // Runs the bidirectional search from u and v until the frontiers meet,
   // always expanding the side whose frontier has the smaller degree volume.
-  // Returns d(u, v), or kUnreachable; adds the edges scanned to *scans.
-  uint32_t Search(VertexId u, VertexId v, uint64_t* scans);
+  // With `first_meet` it stops at the first meet vertex, which leaves no
+  // meet set to walk back from. Returns d(u, v), or kUnreachable; adds the
+  // edges scanned to *scans.
+  uint32_t Search(VertexId u, VertexId v, bool first_meet, uint64_t* scans);
 
   const Graph& g_;
   BidirectionalSearch search_;

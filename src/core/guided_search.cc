@@ -122,14 +122,22 @@ ShortestPathGraph GuidedSearcher::QueryWithSketch(VertexId u, VertexId v,
         break;  // G⁻ exhausted on one side: d_G⁻(u, v) = ∞.
       }
       const int t = PickSide(sketch, d);
-      // The last expansion d⊤ allows needs only its meet set (Eq. 5), as
-      // long as no Z pair of side t reads the level it opens. With d*_t <=
-      // d[t], every dm = min(σ−1, d[t]) <= d*_t is a level already whole.
-      const uint32_t d_star = t == 0 ? sketch.d_star_u : sketch.d_star_v;
-      const bool last =
-          bounded && d[0] + d[1] + 1 == budget && d_star <= d[t];
-      const LevelScan scan =
-          last ? search_.ExpandLastLevel(t) : search_.ExpandLevel(t);
+      // After a meet only the meet set is read, except by Z pairs, and Z
+      // pairs run only when the meet realizes d⊤, i.e. at the budget.
+      // Below it, rule A settles only meet vertices once the expansion
+      // has met. The last expansion d⊤ allows needs only its meet set
+      // (Eq. 5), as long as no Z pair of side t reads the level it opens.
+      // With d*_t <= d[t], every dm = min(σ−1, d[t]) <= d*_t is a level
+      // already whole. A meet beyond edges_within ends the search at its
+      // first meet vertex (rule B): only its distance is read.
+      MeetRule rule = MeetRule::kMeetsAfterFirst;
+      if (bounded && d[0] + d[1] + 1 == budget) {
+        const uint32_t d_star = t == 0 ? sketch.d_star_u : sketch.d_star_v;
+        rule = d_star <= d[t] ? MeetRule::kMeetsOnly : MeetRule::kFull;
+      }
+      const LevelScan scan = d[0] + d[1] + 1 > edges_within
+                                 ? search_.ExpandToFirstMeet(t)
+                                 : search_.ExpandLevel(t, rule);
       stats->edges_scanned_search += scan.scanned;
       stats->landmark_edges_skipped += scan.blocked;
       ++d[t];

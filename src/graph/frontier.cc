@@ -52,8 +52,8 @@ void BidirectionalSearch::Seed(int t, VertexId v) {
 constexpr size_t kOffsetAhead = 8;
 constexpr size_t kAdjacencyAhead = 3;
 
-template <bool kMeetOnly>
-LevelScan BidirectionalSearch::Expand(int t) {
+template <MeetRule kRule>
+LevelScan BidirectionalSearch::Expand(int t, bool stop_at_meet) {
   const int o = 1 - t;
   const uint32_t next_depth = static_cast<uint32_t>(levels_[t].NumLevels());
   // Open the next level first so the current level's bounds are frozen,
@@ -69,6 +69,9 @@ LevelScan BidirectionalSearch::Expand(int t) {
   }
   LevelScan scan;
   uint64_t entries = 0;
+  // Under kMeetsAfterFirst: this expansion has met, so only meet vertices
+  // join the new level from here on.
+  bool met = false;
   for (size_t idx = begin; idx < end; ++idx) {
     if (idx + kOffsetAhead < end) {
       __builtin_prefetch(&off[levels_[t].At(idx + kOffsetAhead)]);
@@ -79,8 +82,9 @@ LevelScan BidirectionalSearch::Expand(int t) {
       __builtin_prefetch(adj + off[levels_[t].At(idx + kAdjacencyAhead)]);
     }
     const VertexId x = levels_[t].At(idx);
-    entries += g_.Degree(x);
-    for (VertexId w : g_.Neighbors(x)) {
+    const std::span<const VertexId> neighbors = g_.Neighbors(x);
+    entries += neighbors.size();
+    for (const VertexId& w : neighbors) {
       SideDepths& dw = depth_[w];
       // The other side's depth first: it is rarely set. Blocked vertices
       // set it too.
@@ -90,6 +94,16 @@ LevelScan BidirectionalSearch::Expand(int t) {
           levels_[t].Push(w);
           if (meet_set_.empty()) meet_side_ = t;
           meet_set_.push_back(w);
+          if (stop_at_meet) {
+            // Charge only the entries up to and including this one.
+            entries -= static_cast<uint64_t>(neighbors.data() +
+                                             neighbors.size() - (&w + 1));
+            meet_edges_.emplace_back(x, w);
+            scan.scanned = entries - scan.blocked;
+            level_scan_[t].push_back(scan.scanned);
+            return scan;
+          }
+          if constexpr (kRule == MeetRule::kMeetsAfterFirst) met = true;
         } else if (dw.side[t] != next_depth) {
           // Blocked, or met by an earlier expansion.
           scan.blocked += dw.side[t] == kBlocked;
@@ -98,11 +112,13 @@ LevelScan BidirectionalSearch::Expand(int t) {
         meet_edges_.emplace_back(x, w);
         continue;
       }
-      if constexpr (!kMeetOnly) {
-        if (dw.side[t] != kUnreachable) continue;
-        dw.side[t] = next_depth;
-        levels_[t].Push(w);
+      if constexpr (kRule == MeetRule::kMeetsOnly) continue;
+      if constexpr (kRule == MeetRule::kMeetsAfterFirst) {
+        if (met) continue;
       }
+      if (dw.side[t] != kUnreachable) continue;
+      dw.side[t] = next_depth;
+      levels_[t].Push(w);
     }
   }
   scan.scanned = entries - scan.blocked;
@@ -110,10 +126,20 @@ LevelScan BidirectionalSearch::Expand(int t) {
   return scan;
 }
 
-LevelScan BidirectionalSearch::ExpandLevel(int t) { return Expand<false>(t); }
+LevelScan BidirectionalSearch::ExpandLevel(int t, MeetRule rule) {
+  switch (rule) {
+    case MeetRule::kFull:
+      return Expand<MeetRule::kFull>(t, /*stop_at_meet=*/false);
+    case MeetRule::kMeetsAfterFirst:
+      return Expand<MeetRule::kMeetsAfterFirst>(t, /*stop_at_meet=*/false);
+    case MeetRule::kMeetsOnly:
+      break;
+  }
+  return Expand<MeetRule::kMeetsOnly>(t, /*stop_at_meet=*/false);
+}
 
-LevelScan BidirectionalSearch::ExpandLastLevel(int t) {
-  return Expand<true>(t);
+LevelScan BidirectionalSearch::ExpandToFirstMeet(int t) {
+  return Expand<MeetRule::kMeetsAfterFirst>(t, /*stop_at_meet=*/true);
 }
 
 void BidirectionalSearch::AddBackwardStart(int t, VertexId w) {

@@ -12,14 +12,27 @@
 //     recovers every shortest path are the same code. The meeting
 //     expansion records its meet edges (x, m) as it scans, so the walk
 //     starts one level below the meet set on the side that met and never
-//     re-scans the meeting level; an expansion known to be the last one
-//     (the guided search's d⊤ allows no other) settles only the meet set.
+//     re-scans the meeting level. Every meet vertex one expansion finds
+//     realizes the same distance, and after the meet only the meet set is
+//     read, so the meeting expansion settles no more than that:
+//      - rule A (MeetRule::kMeetsAfterFirst): after its first meet vertex
+//        an expansion settles only meet vertices. Bi-BFS expands this way
+//        throughout, the guided search wherever no Z pair can read the
+//        new level;
+//      - an expansion known to be the last one whose level a Z pair never
+//        reads (the guided search's d⊤ allows no other) settles only the
+//        meet set (MeetRule::kMeetsOnly);
+//      - rule B (ExpandToFirstMeet): a caller that wants no edges at the
+//        distance it is about to reach returns at the first meet vertex.
 //     The walk takes, per level, the cheaper of its top-down and bottom-up
 //     exact scans — a direction choice decided by exact costs instead of
 //     a ratio. The level scan prefetches a few positions ahead (each
 //     vertex's CSR offset, then its first adjacency line), so one vertex's
 //     chain of misses overlaps the next ones' without changing what it
-//     scans.
+//     scans. Both engines hand the answer edges to
+//     ShortestPathGraph::AssignNormalized, whose canonical order is an LSD
+//     radix sort over the bits the ids use (std::sort below a few dozen
+//     edges).
 //
 //  3. Blocked vertices. G⁻ = G[V \ R] is searched inside G: the
 //     landmarks' depth slots hold a sentinel no side ever settles.
@@ -88,6 +101,22 @@ struct LevelScan {
   uint64_t blocked = 0;
 };
 
+// What an expansion does with a newly reached vertex once it has met the
+// other side. Every rule scans the same entries and records the same meet
+// set and meet edges; they differ only in which other vertices join the
+// new level.
+enum class MeetRule {
+  // Every newly reached vertex joins the new level.
+  kFull,
+  // As kFull up to the expansion's first meet vertex; after it, only meet
+  // vertices join. For an expansion after whose meet nothing reads the
+  // rest of the new level.
+  kMeetsAfterFirst,
+  // Only meet vertices join: for an expansion after which nothing reads
+  // the new level except through the meet set.
+  kMeetsOnly,
+};
+
 // Bidirectional level-synchronous BFS between two endpoints over the
 // subgraph of one graph induced by its unblocked vertices, plus the
 // reverse walk that emits every shortest path between them. Side 0 grows
@@ -112,18 +141,19 @@ class BidirectionalSearch {
   void Seed(int t, VertexId v);
 
   // Expands side t's deepest level by one BFS step: every unvisited,
-  // unblocked neighbour joins the next level, and those already settled by
-  // the other side are appended to meet_set(). Every scanned entry (x, m)
-  // into such a meet vertex m is appended to meet_edges(). Returns the
-  // entries it scanned (Σ deg over the expanded level, split into
-  // unblocked and blocked); the reverse walk keeps the unblocked count.
-  LevelScan ExpandLevel(int t);
+  // unblocked neighbour the rule admits joins the next level, and those
+  // already settled by the other side are appended to meet_set(). Every
+  // scanned entry (x, m) into such a meet vertex m is appended to
+  // meet_edges(). Returns the entries it scanned (Σ deg over the expanded
+  // level, split into unblocked and blocked); the reverse walk keeps the
+  // unblocked count.
+  LevelScan ExpandLevel(int t, MeetRule rule = MeetRule::kFull);
 
-  // ExpandLevel for an expansion after which nothing reads side t's new
-  // level except through the meet set: the same scan, LevelScan, meet set
-  // and meet edges, but the new level holds only the meet set, and no
-  // other vertex is settled.
-  LevelScan ExpandLastLevel(int t);
+  // ExpandLevel(t, MeetRule::kMeetsAfterFirst) that returns at the first
+  // meet vertex, for a caller that reads only the distance: the meet set
+  // and meet edges hold that one vertex and entry, and the LevelScan
+  // counts the entries up to and including it. No reverse walk may follow.
+  LevelScan ExpandToFirstMeet(int t);
 
   // Marks `w` (reached by side t) as lying on a shortest path: the reverse
   // walk of side t starts from it. Idempotent.
@@ -174,9 +204,9 @@ class BidirectionalSearch {
     uint32_t side[2];
   };
 
-  // ExpandLevel, or with kMeetOnly ExpandLastLevel.
-  template <bool kMeetOnly>
-  LevelScan Expand(int t);
+  // ExpandLevel under kRule; with `stop_at_meet`, ExpandToFirstMeet.
+  template <MeetRule kRule>
+  LevelScan Expand(int t, bool stop_at_meet);
 
   const Graph& g_;
   // depth_ holds both sides' SideDepths of each vertex in one 8-byte slot,

@@ -1,6 +1,7 @@
 #include "graph/spg.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <unordered_map>
 #include <utility>
@@ -98,6 +99,58 @@ SpgAnalysis Analyze(const ShortestPathGraph& spg) {
 // integer comparison.
 uint64_t PackedKey(const Edge& e) { return (uint64_t{e.u} << 32) | e.v; }
 
+// Sets (*keys)[0, raw.size()) to the PackedKey of every normalized edge of
+// `raw`, ascending, by an LSD radix sort of 8-bit digits. Each key is
+// sorted as (u << b) | v, where b is the bit width of the largest v, so
+// the passes cover only the bits the ids use. The passes ping-pong
+// between the two halves of *keys.
+void RadixSortedKeys(std::span<const Edge> raw, std::vector<uint64_t>* keys) {
+  const size_t n = raw.size();
+  VertexId or_u = 0;
+  VertexId or_v = 0;
+  for (const Edge& e : raw) {
+    or_u |= std::min(e.u, e.v);
+    or_v |= std::max(e.u, e.v);
+  }
+  const int v_bits = std::bit_width(or_v);
+  const int bits = std::bit_width(or_u) + v_bits;
+  keys->resize(2 * n);
+  uint64_t* from = keys->data();
+  uint64_t* to = from + n;
+  for (size_t i = 0; i < n; ++i) {
+    const Edge e = raw[i].Normalized();
+    from[i] = (uint64_t{e.u} << v_bits) | e.v;
+  }
+  // Every pass's digit counts in one read of the keys; a pass turns its
+  // counts into bucket starts.
+  QBS_CHECK_LT(n, uint64_t{1} << 32);
+  const int passes = (bits + 7) / 8;
+  uint32_t count[8][256] = {};
+  for (size_t i = 0; i < n; ++i) {
+    for (int p = 0; p < passes; ++p) ++count[p][(from[i] >> (8 * p)) & 0xff];
+  }
+  for (int p = 0; p < passes; ++p) {
+    const int shift = 8 * p;
+    uint32_t* const start = count[p];
+    // One digit shared by every key: the pass would copy them in order.
+    if (start[(from[0] >> shift) & 0xff] == n) continue;
+    uint32_t sum = 0;
+    for (int digit = 0; digit < 256; ++digit) {
+      sum += std::exchange(start[digit], sum);
+    }
+    for (size_t i = 0; i < n; ++i) {
+      to[start[(from[i] >> shift) & 0xff]++] = from[i];
+    }
+    std::swap(from, to);
+  }
+  const uint64_t v_mask = (uint64_t{1} << v_bits) - 1;
+  uint64_t* const out = keys->data();
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = ((from[i] >> v_bits) << 32) | (from[i] & v_mask);
+  }
+  keys->resize(n);
+}
+
 }  // namespace
 
 void ShortestPathGraph::Normalize() {
@@ -109,9 +162,13 @@ void ShortestPathGraph::Normalize() {
 
 void ShortestPathGraph::AssignNormalized(std::span<const Edge> raw,
                                          std::vector<uint64_t>* keys) {
-  keys->clear();
-  for (const Edge& e : raw) keys->push_back(PackedKey(e.Normalized()));
-  std::sort(keys->begin(), keys->end());
+  if (raw.size() < kRadixSortMinEdges) {
+    keys->clear();
+    for (const Edge& e : raw) keys->push_back(PackedKey(e.Normalized()));
+    std::sort(keys->begin(), keys->end());
+  } else {
+    RadixSortedKeys(raw, keys);
+  }
   keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
   edges.clear();
   edges.reserve(keys->size());

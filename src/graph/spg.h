@@ -7,6 +7,7 @@
 #ifndef QBS_GRAPH_SPG_H_
 #define QBS_GRAPH_SPG_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -15,6 +16,13 @@
 #include "graph/graph.h"
 
 namespace qbs {
+
+// From this many raw edges up, AssignNormalized sorts its keys by an LSD
+// radix sort; below it, by std::sort, which is faster there. Measured on a
+// 4-vCPU Xeon KVM host over random edge sets on TW x4's 111,598 ids (34 key
+// bits, 5 passes): std::sort was faster at up to 32 edges and the radix
+// sort from 80 up; in between the two were within the host's noise.
+inline constexpr size_t kRadixSortMinEdges = 64;
 
 // A shortest path graph between `u` and `v`. Edges are stored normalized
 // (smaller endpoint first), sorted, and unique, so two results can be
@@ -34,7 +42,8 @@ struct ShortestPathGraph {
 
   // Sets `edges` to what assigning `raw` and calling Normalize() gives,
   // sorting the edges as packed 64-bit keys in *keys, a scratch buffer the
-  // caller keeps at capacity across calls.
+  // caller keeps at capacity across calls (up to twice raw's size: the
+  // radix sort's second half).
   void AssignNormalized(std::span<const Edge> raw,
                         std::vector<uint64_t>* keys);
 

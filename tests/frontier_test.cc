@@ -263,7 +263,7 @@ TEST(BidirectionalSearchTest, MeetEdgesAreEveryEdgeIntoTheMeetSet) {
   }
 }
 
-// Replays one Bi-BFS run with ExpandLastLevel as its final expansion: the
+// Replays one Bi-BFS run with a kMeetsOnly final expansion: the
 // scan, meet set and meet edges are ExpandLevel's, the new level holds the
 // meet set alone, both reverse walks emit and scan the same, and Reset()
 // leaves no vertex settled on either side.
@@ -298,7 +298,7 @@ TEST(BidirectionalSearchTest, LastLevelSettlesOnlyTheMeetSet) {
         }
         const int t = sides.back();
         const LevelScan want = full.ExpandLevel(t);
-        const LevelScan got = last.ExpandLastLevel(t);
+        const LevelScan got = last.ExpandLevel(t, MeetRule::kMeetsOnly);
         ASSERT_EQ(got.scanned, want.scanned);
         ASSERT_EQ(got.blocked, want.blocked);
         ASSERT_EQ(last.meet_set(), full.meet_set());
@@ -339,6 +339,144 @@ TEST(BidirectionalSearchTest, LastLevelSettlesOnlyTheMeetSet) {
   }
 }
 
+// G[V \ blocked], on the same vertex ids: what a search with `blocked`
+// traverses.
+Graph WithoutBlocked(const Graph& g, const std::vector<VertexId>& blocked) {
+  const auto is_blocked = [&](VertexId x) {
+    return std::binary_search(blocked.begin(), blocked.end(), x);
+  };
+  std::vector<Edge> edges;
+  for (VertexId x = 0; x < g.NumVertices(); ++x) {
+    if (is_blocked(x)) continue;
+    for (const VertexId y : g.Neighbors(x)) {
+      if (x < y && !is_blocked(y)) edges.emplace_back(x, y);
+    }
+  }
+  return Graph::FromEdges(g.NumVertices(), std::move(edges));
+}
+
+void ExpectNothingSettled(const BidirectionalSearch& search, VertexId n) {
+  for (VertexId x = 0; x < n; ++x) {
+    ASSERT_EQ(search.Depth(0, x), kUnreachable) << "x=" << x;
+    ASSERT_EQ(search.Depth(1, x), kUnreachable) << "x=" << x;
+  }
+}
+
+// Replays one Bi-BFS run with every expansion under rule A
+// (kMeetsAfterFirst), against the same run with full expansions: the
+// scans, meet set and meet edges are ExpandLevel's; the levels before the
+// meeting one are whole, and the meeting one holds the vertices the full
+// expansion pushed up to its first meet vertex, then only the later meet
+// vertices; both reverse walks emit and scan the same, and Reset() leaves
+// no vertex settled on either side. Rule B (ExpandToFirstMeet) on the same
+// sides meets at the BFS distance with one meet vertex, and Reset() is
+// clean after it too.
+TEST(BidirectionalSearchTest, MeetRulesSettleOnlyWhatTheAnswerReads) {
+  for (int family = 0; family < 3; ++family) {
+    const Graph g = FamilyGraph(family);
+    const VertexId n = g.NumVertices();
+    Rng rng(700 + family);
+    for (const bool any_blocked : {false, true}) {
+      const std::vector<VertexId> blocked =
+          any_blocked ? SomeBlocked(g, &rng) : std::vector<VertexId>{};
+      const Graph searched = WithoutBlocked(g, blocked);
+      BidirectionalSearch full(g, blocked);
+      BidirectionalSearch fair(g, blocked);
+      BidirectionalSearch first(g, blocked);
+      size_t met = 0;
+      size_t cut_short = 0;  // meeting levels rule A left partial
+      for (int query = 0; query < 60; ++query) {
+        VertexId u = 0;
+        VertexId v = 0;
+        ASSERT_TRUE(PickPair(g, blocked, &rng, &u, &v));
+        SCOPED_TRACE(::testing::Message() << "family " << family << " u=" << u
+                                          << " v=" << v);
+        const std::vector<int> sides = RecordSides(&full, u, v, &rng);
+        for (BidirectionalSearch* search : {&full, &fair, &first}) {
+          search->Reset();
+          search->Seed(0, u);
+          search->Seed(1, v);
+        }
+        uint32_t d[2] = {0, 0};
+        for (size_t i = 0; i < sides.size(); ++i) {
+          const int t = sides[i];
+          const LevelScan want = full.ExpandLevel(t);
+          const LevelScan got =
+              fair.ExpandLevel(t, MeetRule::kMeetsAfterFirst);
+          const LevelScan stopped = first.ExpandToFirstMeet(t);
+          ++d[t];
+          ASSERT_EQ(got.scanned, want.scanned);
+          ASSERT_EQ(got.blocked, want.blocked);
+          if (i + 1 < sides.size()) {
+            ASSERT_EQ(stopped.scanned, want.scanned);
+            ASSERT_EQ(stopped.blocked, want.blocked);
+            const auto fair_level = fair.levels(t).Level(d[t]);
+            const auto full_level = full.levels(t).Level(d[t]);
+            ASSERT_TRUE(std::equal(fair_level.begin(), fair_level.end(),
+                                   full_level.begin(), full_level.end()));
+          } else {
+            ASSERT_LE(stopped.scanned, want.scanned);
+            ASSERT_LE(stopped.blocked, want.blocked);
+          }
+        }
+        ASSERT_EQ(fair.meet_set(), full.meet_set());
+        ASSERT_EQ(fair.meet_edges(), full.meet_edges());
+        const uint32_t distance = BfsDistances(searched, u)[v];
+        if (full.meet_set().empty()) {
+          ASSERT_TRUE(first.meet_set().empty());
+          ASSERT_EQ(distance, kUnreachable);
+        } else {
+          ++met;
+          // The meeting level: the full one up to its first meet vertex,
+          // then the rest of the meet set.
+          const int t = sides.back();
+          const LevelStack& full_levels = full.levels(t);
+          const auto full_level =
+              full_levels.Level(full_levels.NumLevels() - 1);
+          const auto first_meet = std::find(
+              full_level.begin(), full_level.end(), full.meet_set()[0]);
+          ASSERT_NE(first_meet, full_level.end());
+          std::vector<VertexId> want_level(full_level.begin(), first_meet + 1);
+          want_level.insert(want_level.end(), full.meet_set().begin() + 1,
+                            full.meet_set().end());
+          const LevelStack& fair_levels = fair.levels(t);
+          const auto fair_level =
+              fair_levels.Level(fair_levels.NumLevels() - 1);
+          ASSERT_EQ(std::vector<VertexId>(fair_level.begin(), fair_level.end()),
+                    want_level);
+          cut_short += want_level.size() < full_level.size();
+
+          std::vector<Edge> want_edges;
+          std::vector<Edge> got_edges;
+          full.StartBackwardFromMeet(&want_edges);
+          fair.StartBackwardFromMeet(&got_edges);
+          for (int s = 0; s < 2; ++s) {
+            ASSERT_EQ(fair.RunBackwardWalk(s, &got_edges),
+                      full.RunBackwardWalk(s, &want_edges));
+          }
+          ASSERT_EQ(got_edges, want_edges);
+
+          // Rule B: the same distance, from one meet vertex and one entry.
+          ASSERT_EQ(sides.size(), distance);
+          ASSERT_EQ(first.meet_set(),
+                    std::vector<VertexId>{full.meet_set()[0]});
+          ASSERT_EQ(first.meet_edges(),
+                    std::vector<Edge>{full.meet_edges()[0]});
+          ASSERT_EQ(first.Depth(0, first.meet_set()[0]) +
+                        first.Depth(1, first.meet_set()[0]),
+                    distance);
+        }
+        fair.Reset();
+        ExpectNothingSettled(fair, n);
+        first.Reset();
+        ExpectNothingSettled(first, n);
+      }
+      EXPECT_GT(met, 0u);
+      EXPECT_GT(cut_short, 0u);
+    }
+  }
+}
+
 // Elementwise minimum of BfsDistances over `sources`: the depths of a side
 // seeded with all of them.
 std::vector<uint32_t> MultiSourceDistances(
@@ -365,7 +503,7 @@ void SeedSides(BidirectionalSearch* search,
 // 10), levels holding degree-0 vertices and vertex n-1 (whose adjacency
 // starts at its end), and a graph with no edges at all, whose adjacency
 // may have no storage. Several seeds on side 0 put those vertices in one
-// level. ExpandLevel and ExpandLastLevel must scan, settle and meet
+// level. Full and kMeetsOnly expansions must scan, settle and meet
 // exactly as a BFS says.
 TEST(BidirectionalSearchTest, LookAheadEdgesScanExactly) {
   // Vertices 0..11 are connected; 12..15 have no edges.
@@ -406,7 +544,7 @@ TEST(BidirectionalSearchTest, LookAheadEdgesScanExactly) {
           last.ExpandLevel(1);
           for (uint32_t i = 0; i < d; ++i) last.ExpandLevel(0);
           const size_t met_before = full.meet_set().size();
-          const LevelScan got = last.ExpandLastLevel(0);
+          const LevelScan got = last.ExpandLevel(0, MeetRule::kMeetsOnly);
           const LevelScan want = full.ExpandLevel(0);
           meets += full.meet_set().size() - met_before;
           ASSERT_EQ(want.scanned, degree_sum) << "level " << d;

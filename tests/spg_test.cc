@@ -8,6 +8,7 @@
 #include "gen/generators.h"
 #include "graph/spg.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace qbs {
 namespace {
@@ -145,6 +146,51 @@ TEST(SpgResultTest, NormalizeSortsAndDedupes) {
   assigned.edges = {{9, 9}};
   assigned.AssignNormalized(raw, &keys);
   EXPECT_EQ(assigned.edges, expected);
+}
+
+// The radix path of AssignNormalized, on both sides of its cutoff: random
+// edge sets with duplicates, edges given both ways round, vertex 0 and
+// ids just below 2^31 - 1, each against a std::sort + unique reference.
+TEST(SpgResultTest, RadixOrderIsTheComparisonSortOrder) {
+  const size_t sizes[] = {kRadixSortMinEdges - 1, kRadixSortMinEdges,
+                          kRadixSortMinEdges + 1, 4 * kRadixSortMinEdges};
+  // Where the ids come from: all near 0, all near 2^31 - 2, and both ends
+  // at once (the widest keys).
+  const VertexId top = (VertexId{1} << 31) - 2;
+  Rng rng(2021);
+  std::vector<uint64_t> keys;
+  for (const size_t size : sizes) {
+    for (int range = 0; range < 3; ++range) {
+      for (int trial = 0; trial < 20; ++trial) {
+        const auto id = [&]() -> VertexId {
+          const auto offset = static_cast<VertexId>(rng.UniformInt(300));
+          const bool high = range == 1 || (range == 2 && rng.UniformInt(2));
+          return high ? top - offset : offset;
+        };
+        std::vector<Edge> raw;
+        raw.emplace_back(0, id());
+        raw.emplace_back(top, id());
+        while (raw.size() < size) {
+          if (rng.UniformInt(4) == 0) {
+            // A duplicate, half of them the other way round.
+            const Edge& e = raw[rng.UniformInt(raw.size())];
+            raw.push_back(rng.UniformInt(2) ? Edge(e.v, e.u) : e);
+          } else {
+            raw.emplace_back(id(), id());
+          }
+        }
+        std::vector<Edge> expected;
+        for (const Edge& e : raw) expected.push_back(e.Normalized());
+        std::sort(expected.begin(), expected.end());
+        expected.erase(std::unique(expected.begin(), expected.end()),
+                       expected.end());
+        ShortestPathGraph spg;
+        spg.AssignNormalized(raw, &keys);
+        ASSERT_EQ(spg.edges, expected)
+            << "size " << size << " range " << range << " trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(SpgResultTest, VerticesIncludeEndpoints) {
