@@ -48,7 +48,8 @@ inline constexpr uint32_t kNoDeadline = 0xFFFFFFFFu;
 /// beyond the budget.
 inline constexpr uint32_t kResponseFlagBudgetPruned = 1u << 0;
 /// The query resolved and d_G(u, v) > budget: the distance is exact but
-/// the SPG edges are omitted from the payload.
+/// the SPG edges are omitted from the payload. A disconnected pair that
+/// the labels do not prune resolves to kUnreachable without this flag.
 inline constexpr uint32_t kResponseFlagBudgetExceeded = 1u << 1;
 /// Graceful degradation: an overloaded server answered from the labelling
 /// alone instead of queueing the query. spg.distance carries the label

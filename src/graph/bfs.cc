@@ -4,11 +4,16 @@
 
 namespace qbs {
 
-std::vector<uint32_t> BfsDistances(const Graph& g, VertexId source) {
-  QBS_CHECK_LT(source, g.NumVertices());
+std::vector<uint32_t> BfsDistances(const Graph& g,
+                                   std::span<const VertexId> sources) {
   std::vector<uint32_t> dist(g.NumVertices(), kUnreachable);
-  std::vector<VertexId> queue{source};
-  dist[source] = 0;
+  std::vector<VertexId> queue;
+  for (const VertexId source : sources) {
+    QBS_CHECK_LT(source, g.NumVertices());
+    if (dist[source] == 0) continue;
+    dist[source] = 0;
+    queue.push_back(source);
+  }
   for (size_t head = 0; head < queue.size(); ++head) {
     const VertexId u = queue[head];
     for (const VertexId w : g.Neighbors(u)) {
@@ -18,6 +23,10 @@ std::vector<uint32_t> BfsDistances(const Graph& g, VertexId source) {
     }
   }
   return dist;
+}
+
+std::vector<uint32_t> BfsDistances(const Graph& g, VertexId source) {
+  return BfsDistances(g, std::span<const VertexId>(&source, 1));
 }
 
 }  // namespace qbs

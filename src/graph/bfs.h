@@ -1,5 +1,5 @@
-// Single-source breadth-first search, shared by indexes, baselines, and the
-// workload tooling.
+// Breadth-first search, shared by indexes, baselines, the serving layer
+// and the workload tooling.
 //
 // BfsDistances is a plain top-down queue BFS: the reference that the
 // direction-optimizing labelling BFS, the SPG oracle and the tests are
@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -20,8 +21,13 @@ namespace qbs {
 // Sentinel distance for unreachable vertices.
 inline constexpr uint32_t kUnreachable = std::numeric_limits<uint32_t>::max();
 
-// Full single-source BFS. Returns the distance array (kUnreachable for
-// vertices not connected to `source`).
+// Full multi-source BFS. Returns each vertex's distance to its nearest
+// source (kUnreachable for vertices connected to none). Duplicate sources
+// are allowed; no source gives all kUnreachable.
+std::vector<uint32_t> BfsDistances(const Graph& g,
+                                   std::span<const VertexId> sources);
+
+// Full single-source BFS: the multi-source form with one source.
 std::vector<uint32_t> BfsDistances(const Graph& g, VertexId source);
 
 }  // namespace qbs

@@ -98,6 +98,7 @@ ResultCache::Stats ResultCache::GetStats() const {
     stats.misses += shard.misses;
     stats.insertions += shard.insertions;
     stats.evictions += shard.evictions;
+    stats.invalidated += shard.invalidated;
     stats.entries += shard.lru.size();
     stats.bytes += shard.bytes;
   }
@@ -112,6 +113,30 @@ void ResultCache::Clear() {
     shard.index.clear();
     shard.bytes = 0;
   }
+}
+
+size_t ResultCache::EraseIf(
+    const std::function<bool(const EntryView&)>& erase) {
+  size_t erased = 0;
+  for (const auto& shard_ptr : shards_) {
+    Shard& shard = *shard_ptr;
+    MutexLock lock(shard.mu);
+    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
+      const EntryView view{static_cast<VertexId>(it->key.pair >> 32),
+                           static_cast<VertexId>(it->key.pair), it->distance,
+                           it->flags};
+      if (!erase(view)) {
+        ++it;
+        continue;
+      }
+      shard.bytes -= it->charged_bytes;
+      shard.index.erase(it->key);
+      it = shard.lru.erase(it);
+      ++shard.invalidated;
+      ++erased;
+    }
+  }
+  return erased;
 }
 
 }  // namespace qbs::server

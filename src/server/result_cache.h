@@ -10,6 +10,9 @@
 //     only the orientation echo (spg.u/spg.v) is re-stamped to match the
 //     request, and the cache_hit bit is set. SPG edge sets are normalized
 //     (graph/spg.h), so (u, v) and (v, u) share one entry soundly.
+//   * Invalidation — EraseIf drops the entries a caller's predicate picks
+//     (the daemon's edit path: server/server.h), keeping every survivor's
+//     payload and LRU order.
 //   * Bounded — each shard evicts least-recently-used entries whenever its
 //     charged bytes exceed capacity_bytes / shards. Requests flagged
 //     kQueryFlagNoCache never read or populate the cache (the serving
@@ -24,6 +27,7 @@
 #define QBS_SERVER_RESULT_CACHE_H_
 
 #include <cstdint>
+#include <functional>
 #include <list>
 #include <memory>
 #include <unordered_map>
@@ -50,6 +54,7 @@ class ResultCache {
     uint64_t misses = 0;
     uint64_t insertions = 0;
     uint64_t evictions = 0;
+    uint64_t invalidated = 0;  // entries EraseIf dropped
     size_t entries = 0;
     size_t bytes = 0;
 
@@ -80,6 +85,22 @@ class ResultCache {
 
   /// Drops every entry (stat counters survive).
   void Clear();
+
+  /// What EraseIf's predicate sees of one entry: its canonical pair
+  /// (u <= v) and its payload's distance and flags.
+  struct EntryView {
+    VertexId u;
+    VertexId v;
+    uint32_t distance;
+    uint32_t flags;
+  };
+
+  /// Drops every entry for which `erase` returns true, counting each in
+  /// Stats::invalidated. Survivors keep their payload and LRU order, and
+  /// the shard's charged bytes stay the sum over them. Locks one shard at
+  /// a time, like Clear, and calls `erase` under that lock, so `erase`
+  /// must not call back into the cache. Returns the number dropped.
+  size_t EraseIf(const std::function<bool(const EntryView&)>& erase);
 
  private:
   struct Key {
@@ -122,6 +143,7 @@ class ResultCache {
     uint64_t misses QBS_GUARDED_BY(mu) = 0;
     uint64_t insertions QBS_GUARDED_BY(mu) = 0;
     uint64_t evictions QBS_GUARDED_BY(mu) = 0;
+    uint64_t invalidated QBS_GUARDED_BY(mu) = 0;
   };
 
   static Key MakeKey(const QueryRequest& request);

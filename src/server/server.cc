@@ -8,6 +8,8 @@
 #include <thread>
 
 #include "core/sketch.h"
+#include "graph/bfs.h"
+#include "graph/graph_delta.h"
 
 namespace qbs::server {
 namespace {
@@ -24,6 +26,40 @@ uint64_t NowNanos() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           Clock::now().time_since_epoch())
           .count());
+}
+
+// Whether an edit batch can change the cached answer `entry`, given
+// `near`: each vertex's distance, in the pre-edit graph, to the nearest
+// endpoint of the batch's net inserts and deletes. An entry is erased
+// when its flags say budget-pruned or budget-exceeded (which of the two a
+// budgeted request gets depends on the labels' lower bound, not only on
+// the graph), or when
+//
+//   near[u] + 1 + near[v] <= D      (kUnreachable counting as infinity),
+//
+// D being the cached distance. Sketch of why every changed answer meets
+// it, for batches of any size:
+//   * A deleted edge (a, b) on an old shortest path gives
+//     d(u, a) + 1 + d(b, v) = D.
+//   * A new shortest path (shorter, or of length D but not in the old SPG)
+//     uses an inserted edge. Its first and last changed-edge endpoints
+//     split it into a prefix and a suffix that lie in the old graph, and
+//     prefix + 1 + suffix <= D.
+// For a single-edge edit the rule is also exact: when the same endpoint is
+// nearest to both u and v the sum exceeds D, so an entry is kept exactly
+// when its SPG is unchanged, and the canonical edge order keeps it byte-
+// identical. u == v entries (D = 0) always survive.
+bool EditCanChange(const std::vector<uint32_t>& near,
+                   const ResultCache::EntryView& entry) {
+  if ((entry.flags &
+       (kResponseFlagBudgetPruned | kResponseFlagBudgetExceeded)) != 0) {
+    return true;
+  }
+  if (near[entry.u] == kUnreachable || near[entry.v] == kUnreachable) {
+    return false;
+  }
+  return entry.distance == kUnreachable ||
+         uint64_t{near[entry.u]} + 1 + near[entry.v] <= entry.distance;
 }
 
 }  // namespace
@@ -390,8 +426,8 @@ bool QueryServer::ServeQuery(Socket& sock, FaultInjector* injector,
   {
     // One reader critical section from cache lookup through cache insert:
     // an update (writer) can therefore never interleave between this
-    // query's execution and its insert, so the post-update cache clear is
-    // final — no stale response sneaks in behind it. A cache hit is exact
+    // query's execution and its insert, so the post-update invalidation
+    // is final — no stale response sneaks in behind it. A cache hit is exact
     // and cheaper than the label scan, so it is served even when degraded.
     ReaderLock read_lock(index_mu_);
     cache_hit = cacheable && cache_.Lookup(request, &response);
@@ -449,14 +485,32 @@ bool QueryServer::ServeUpdate(Socket& sock, const GraphDelta& delta) {
   }
   UpdateStats stats;
   {
-    // Writer side: queries drain, the delta applies, and the cache is
-    // cleared before any reader can run again — so no answer computed (or
-    // cached) against the pre-update index is ever served afterwards.
-    // ApplyUpdates runs ParallelFor while this is held — legal because
-    // the pool rank (kThreadPool) sits above kIndex.
+    // Writer side: queries drain, the delta applies, and every cached
+    // answer the edit can change (EditCanChange) is erased before any
+    // reader can run again — so no answer computed (or cached) against the
+    // pre-update index is ever served afterwards. The distances to the
+    // edited endpoints come from one BFS on the pre-edit graph, skipped
+    // when nothing is cached. ApplyUpdates runs ParallelFor while this is
+    // held — legal because the pool rank (kThreadPool) sits above kIndex.
     WriterLock write_lock(index_mu_);
+    const NetChanges net = ComputeNetChanges(index_.graph(), delta);
+    std::vector<uint32_t> near;
+    if (!net.EmptyNet() && cache_.GetStats().entries > 0) {
+      std::vector<VertexId> endpoints;
+      for (const auto* edges : {&net.inserts, &net.deletes}) {
+        for (const Edge& e : *edges) {
+          endpoints.push_back(e.u);
+          endpoints.push_back(e.v);
+        }
+      }
+      near = BfsDistances(index_.graph(), endpoints);
+    }
     stats = index_.ApplyUpdates(delta);
-    if (stats.AppliedTotal() > 0) cache_.Clear();
+    if (!near.empty()) {
+      cache_.EraseIf([&near](const ResultCache::EntryView& entry) {
+        return EditCanChange(near, entry);
+      });
+    }
   }
   updates_.fetch_add(1, std::memory_order_relaxed);
   const std::vector<uint8_t> payload = EncodeUpdateResponse(stats);

@@ -4,7 +4,9 @@
 //
 //   * Hot-pair caching — every cacheable request consults the sharded LRU
 //     ResultCache before touching a searcher; hits replay the payload
-//     bit-identically with the cache_hit bit set.
+//     bit-identically with the cache_hit bit set. An applied edit erases
+//     only the cached answers it can change (ServeUpdate), so the rest
+//     stay hits across edits.
 //   * Admission control — at most max_inflight queries execute at once
 //     (bounding the SearcherLease pool and memory), at most max_queue more
 //     wait; beyond that the daemon answers kBusy (with the observed queue
@@ -122,8 +124,9 @@ struct ServerOptions {
   /// Honor kUpdateRequest frames (edge edit scripts). Requires the index
   /// to be in updatable mode (QbsIndex::EnableUpdates) before Start().
   /// Updates run under a writer lock — queries drain first, the delta
-  /// applies, and the result cache is cleared before any query can read it
-  /// again, so a served answer is never stale across an applied delta.
+  /// applies, and every cached answer the delta can change is erased
+  /// before any query can read the cache again, so a served answer is
+  /// never stale across an applied delta.
   bool allow_updates = false;
 
   /// Max milliseconds a started request frame may take to arrive in full
@@ -218,7 +221,11 @@ class QueryServer {
   /// distance-only request.
   QueryResponse LabelAnswer(const QueryRequest& request) const;
   /// Applies one decoded edit script under the writer side of index_mu_
-  /// and clears the result cache before releasing it; answers with
+  /// and, before releasing it, erases the cached answers the edit can
+  /// change: budget-flagged ones, and those of pairs {u, v} with
+  /// near[u] + 1 + near[v] <= the cached distance, where near comes from
+  /// one BFS on the pre-edit graph from the net edits' endpoints (the
+  /// rule and why it suffices: EditCanChange in server.cc). Answers with
   /// kUpdateResponse.
   bool ServeUpdate(Socket& sock, const GraphDelta& delta);
   bool SendFrame(Socket& sock, FrameType type,
@@ -232,8 +239,9 @@ class QueryServer {
   AdmissionGate gate_;
   /// Readers: every query path that touches the index or the result cache
   /// (lookup through insert, one critical section — so a pre-update
-  /// response can never be inserted after the post-update cache clear).
-  /// Writer: ServeUpdate, which clears the cache before unlocking. The
+  /// response can never be inserted after the post-update invalidation).
+  /// Writer: ServeUpdate, which erases the answers the edit can change
+  /// before unlocking. The
   /// index_ and cache_ members above are governed by this capability
   /// through that reader/writer protocol rather than per-field
   /// QBS_GUARDED_BY (the cache has its own internal shard locks, and the

@@ -1,3 +1,6 @@
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "gen/generators.h"
@@ -39,6 +42,27 @@ TEST(BfsTest, GridDistancesAreManhattan) {
     for (uint32_t c = 0; c < 5; ++c) {
       EXPECT_EQ(d[r * 5 + c], r + c);
     }
+  }
+}
+
+// Multi-source distances are the minimum over sources of the single-source
+// ones: on connected and disconnected families, with a repeated source and
+// with no source at all.
+TEST(BfsTest, MultiSourceIsTheMinimumOverSources) {
+  const Graph graphs[] = {BarabasiAlbert(300, 2, 5), ErdosRenyi(200, 150, 7),
+                          GridGraph(9, 11), CompleteBinaryTree(127),
+                          WattsStrogatz(150, 4, 0.2, 3)};
+  for (const Graph& g : graphs) {
+    const VertexId n = g.NumVertices();
+    const std::vector<VertexId> sources = {0, n / 3, n - 1, n / 3, 2 * n / 3};
+    std::vector<uint32_t> want(n, kUnreachable);
+    for (const VertexId s : sources) {
+      const std::vector<uint32_t> single = BfsDistances(g, s);
+      for (VertexId v = 0; v < n; ++v) want[v] = std::min(want[v], single[v]);
+    }
+    EXPECT_EQ(BfsDistances(g, sources), want);
+    EXPECT_EQ(BfsDistances(g, std::vector<VertexId>{}),
+              std::vector<uint32_t>(n, kUnreachable));
   }
 }
 

@@ -5,8 +5,11 @@
 // applies each batch, then saves and reloads it. At each of these states
 // it checks the index against SpgByDoubleBfs (Definition 2.2) and against
 // a fresh build on the edited graph, which Lemma 5.2 makes bit-exact:
-// after each update, every query answers on the current graph. The final
-// state is also served by a loopback QueryServer with its cache on.
+// after each update, every query answers on the current graph. One
+// updatable loopback QueryServer, its cache on, serves the case from the
+// build on: each batch goes through QueryClient::Update, and the cached
+// requests whose prescribed answer the batch moved are asked again after
+// it.
 //
 // Checks return a message instead of asserting. A failing case is shrunk
 // (batches, then edits, then pairs) and printed as one line, which
@@ -30,6 +33,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -42,7 +46,9 @@
 #include "graph/components.h"
 #include "graph/graph_delta.h"
 #include "server/client.h"
+#include "server/protocol.h"
 #include "server/server.h"
+#include "server/socket.h"
 #include "tests/test_util.h"
 #include "workload/query_workload.h"
 
@@ -331,37 +337,65 @@ std::optional<Case> ParseCase(std::string_view line, std::string* error) {
   return c;
 }
 
-// One request and the oracle's SPG for its pair.
+// One request, the index of its pair, and the oracle's SPG for the pair.
 struct Asked {
   QueryRequest request;
+  size_t pair = 0;
   ShortestPathGraph oracle;
 };
 
-// Each pair asked five ways: the SPG, the distance, and SPGs budgeted at
-// d - 1, d and d + 1 where those budgets are positive.
-std::vector<Asked> Requests(const Graph& g, const std::vector<Pair>& pairs) {
+// The oracle's SPG of each pair on `g`.
+std::vector<ShortestPathGraph> Oracles(const Graph& g,
+                                       const std::vector<Pair>& pairs) {
   std::map<VertexId, std::vector<uint32_t>> dist;
   auto bfs = [&](VertexId x) -> const std::vector<uint32_t>& {
     auto [it, inserted] = dist.try_emplace(x);
     if (inserted) it->second = BfsDistances(g, x);
     return it->second;
   };
-  std::vector<Asked> asked;
+  std::vector<ShortestPathGraph> oracles;
   for (const auto& [u, v] : pairs) {
-    const ShortestPathGraph oracle = SpgFromDistances(g, u, v, bfs(u), bfs(v));
+    oracles.push_back(SpgFromDistances(g, u, v, bfs(u), bfs(v)));
+  }
+  return oracles;
+}
+
+// Each pair asked five ways: the SPG, the distance, and SPGs budgeted at
+// d - 1, d and d + 1 where those budgets are positive.
+std::vector<Asked> Requests(const std::vector<Pair>& pairs,
+                            const std::vector<ShortestPathGraph>& oracles) {
+  std::vector<Asked> asked;
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    const auto [u, v] = pairs[p];
+    const ShortestPathGraph& oracle = oracles[p];
     const uint32_t d = oracle.distance;
-    asked.push_back({{u, v}, oracle});
-    asked.push_back({{u, v, QueryMode::kDistance}, oracle});
+    asked.push_back({{u, v}, p, oracle});
+    asked.push_back({{u, v, QueryMode::kDistance}, p, oracle});
     for (uint32_t b = d > 0 ? d - 1 : 1; d != kUnreachable && b <= d + 1; ++b) {
-      if (b > 0) asked.push_back({{u, v, QueryMode::kSpg, b}, oracle});
+      if (b > 0) asked.push_back({{u, v, QueryMode::kSpg, b}, p, oracle});
     }
   }
   return asked;
 }
 
-// "" when `got` is the answer the oracle prescribes for `q`. A budget
-// below d may be certified by the labels (pruned, distance unknown) or
-// resolved by the search (exceeded, exact distance). Work counters are
+// The answer the oracle prescribes for `q`, a budget below d resolved by
+// the search: exceeded with the exact distance, or plain kUnreachable for
+// a disconnected pair. Distance-only and past-budget answers stop before
+// the edges.
+QueryResponse Prescribed(const Asked& q) {
+  const QueryRequest& r = q.request;
+  QueryResponse want;
+  want.spg = q.oracle;
+  const bool past_budget = r.budget > 0 && r.budget < q.oracle.distance;
+  if (r.mode == QueryMode::kDistance || past_budget) want.spg.edges.clear();
+  if (past_budget && q.oracle.Connected()) {
+    want.flags = kResponseFlagBudgetExceeded;
+  }
+  return want;
+}
+
+// "" when `got` is the prescribed answer for `q`, or, for a budget below
+// d, the labels' certificate (pruned, distance unknown). Work counters are
 // checked where the response carries them, not through the wire: a
 // stopped query scans no reverse or recover edge, and a full one never
 // scans more reverse edges than it searched.
@@ -370,14 +404,10 @@ std::string CheckAnswer(const Asked& q, const QueryResponse& got,
   const QueryRequest& r = q.request;
   const bool past_budget = r.budget > 0 && r.budget < q.oracle.distance;
   const bool stopped = r.mode == QueryMode::kDistance || past_budget;
-  QueryResponse want;
-  want.spg = q.oracle;
-  if (stopped) want.spg.edges.clear();
+  QueryResponse want = Prescribed(q);
   if (past_budget && got.flags == kResponseFlagBudgetPruned) {
     want.flags = kResponseFlagBudgetPruned;
     want.spg.distance = kUnreachable;
-  } else if (past_budget) {
-    want.flags = kResponseFlagBudgetExceeded;
   }
   const SearchStats& s = got.stats;
   const bool stats_ok =
@@ -432,29 +462,88 @@ std::string CheckState(const Graph& want, const QbsIndex& index,
   return "";
 }
 
-// Serves `index` over loopback with the cache on. Each request is sent
-// twice; both answers must be the oracle's and the second a cache hit.
-std::string CheckServer(QbsIndex& index, const std::vector<Asked>& asked) {
-  server::QueryServer daemon(index, {});
-  std::string error;
-  server::QueryClient client;
-  if (!daemon.Start(&error) || !client.Connect("127.0.0.1", daemon.port())) {
-    return "cannot start or connect: " + error + client.last_error();
-  }
-  for (const Asked& q : asked) {
-    for (int repeat = 0; repeat < 2; ++repeat) {
-      QueryResponse got;
-      if (client.Query(q.request, &got) !=
-          server::QueryClient::RpcStatus::kOk) {
-        return "query failed: " + client.last_error();
-      }
-      const std::string failure = CheckAnswer(q, got, false);
-      if (!failure.empty()) return failure;
-      if (repeat == 1 && !got.cache_hit) return "second ask missed the cache";
+// An updatable loopback daemon over `index`, its cache on, with one
+// client for edit batches and one raw connection that pipelines queries.
+struct Served {
+  explicit Served(QbsIndex& index)
+      : daemon(index, [] {
+          server::ServerOptions options;
+          options.allow_updates = true;
+          return options;
+        }()) {}
+
+  // "" once the daemon listens and both connections are up.
+  std::string Start() {
+    std::string error;
+    if (!daemon.Start(&error) ||
+        !client.Connect("127.0.0.1", daemon.port())) {
+      return "cannot start or connect: " + error + client.last_error();
     }
+    sock = server::Socket::ConnectTcp("127.0.0.1", daemon.port(), &error);
+    return sock.valid() ? "" : "cannot connect: " + error;
   }
-  return "";
-}
+
+  // Asks every request of `asked`, a chunk of frames at a time; "" when
+  // each answer is the oracle's and, with `want_hits`, a cache hit.
+  // `missed`, if given, collects the requests answered without a hit.
+  std::string Check(const std::vector<Asked>& asked, bool want_hits,
+                    std::vector<Asked>* missed = nullptr) {
+    constexpr size_t kChunk = 64;
+    constexpr int32_t kTimeoutMs = 10000;
+    std::vector<uint8_t> buf(1 << 16);
+    for (size_t begin = 0; begin < asked.size(); begin += kChunk) {
+      const size_t end = std::min(begin + kChunk, asked.size());
+      std::vector<uint8_t> wire;
+      for (size_t i = begin; i < end; ++i) {
+        server::AppendFrame(&wire, server::FrameType::kQueryRequest,
+                            server::EncodeQueryRequest(asked[i].request));
+      }
+      if (sock.SendAll(wire, kTimeoutMs) != server::IoStatus::kOk) {
+        return "query send failed";
+      }
+      for (size_t i = begin; i < end;) {
+        server::Frame frame;
+        const server::FrameReader::Status status = reader.Next(&frame);
+        if (status == server::FrameReader::Status::kNeedMore) {
+          size_t n = 0;
+          if (sock.RecvSome(buf.data(), buf.size(), &n, kTimeoutMs) !=
+              server::IoStatus::kOk) {
+            return "query receive failed";
+          }
+          reader.Feed({buf.data(), n});
+          continue;
+        }
+        QueryResponse got;
+        if (status != server::FrameReader::Status::kFrame ||
+            frame.type != server::FrameType::kQueryResponse ||
+            !server::DecodeQueryResponse(frame.payload, &got)) {
+          return "no query response for pair " +
+                 std::to_string(asked[i].request.u) + "-" +
+                 std::to_string(asked[i].request.v);
+        }
+        const std::string failure = CheckAnswer(asked[i], got, false);
+        if (!failure.empty()) return failure;
+        if (want_hits && !got.cache_hit) return "second ask missed the cache";
+        if (missed != nullptr && !got.cache_hit) missed->push_back(asked[i]);
+        ++i;
+      }
+    }
+    return "";
+  }
+
+  // Asks each request, and again if it missed the cache: every answer
+  // must be the oracle's, and the second a cache hit.
+  std::string CheckAll(const std::vector<Asked>& asked) {
+    std::vector<Asked> missed;
+    const std::string failure = Check(asked, false, &missed);
+    return failure.empty() ? Check(missed, true) : failure;
+  }
+
+  server::QueryServer daemon;
+  server::QueryClient client;
+  server::Socket sock;
+  server::FrameReader reader;
+};
 
 // Runs every state of `c`; "" when every check passes, else the first
 // failure, prefixed by its state.
@@ -470,24 +559,52 @@ std::string RunCase(const Case& c) {
   const std::vector<Edge> initial = g.EdgeList();
   std::set<Edge> model(initial.begin(), initial.end());
   Graph want = Graph::FromEdges(n, initial);
-  std::vector<Asked> asked = Requests(want, pairs);
+  std::vector<Asked> asked = Requests(pairs, Oracles(want, pairs));
   std::string failure = CheckState(want, index, options, asked);
   if (!failure.empty()) return "build: " + failure;
+  Served served(index);
+  failure = served.Start();
+  if (failure.empty()) failure = served.Check(asked, false);
+  if (!failure.empty()) return "build served: " + failure;
+  // The daemon's cache holds an answer to each request of the build; each
+  // carries the oracle it was last checked against.
+  std::vector<Asked> cached = asked;
   for (size_t b = 0; b < c.batches.size(); ++b) {
     const std::string state = "batch " + std::to_string(b) + ": ";
     GraphDelta delta;
     for (const EdgeUpdate& e : c.batches[b]) delta.Add(e);
-    const UpdateStats stats = index.ApplyUpdates(delta);
+    UpdateStats stats;
+    if (served.client.Update(delta, &stats) !=
+        server::QueryClient::RpcStatus::kOk) {
+      return state + "update failed: " + served.client.last_error();
+    }
     if (stats.AppliedTotal() > delta.size() || stats.rebuilt_columns != 0 ||
         stats.repaired_columns > index.landmarks().size()) {
       return state + "update stats out of range";
     }
     ApplyToModel(c.batches[b], n, &model);
     want = Graph::FromEdges(n, {model.begin(), model.end()});
-    asked = Requests(want, pairs);
+    const std::vector<ShortestPathGraph> oracles = Oracles(want, pairs);
+    asked = Requests(pairs, oracles);
+    // An answer cached before the batch is still right if the answer the
+    // oracle prescribes for it did not move; asking the others checks
+    // that the batch erased them. The final state asks everything. The
+    // daemon answers while the index is checked directly: both only read.
+    std::vector<Asked> moved;
+    for (Asked& q : cached) {
+      const QueryResponse before = Prescribed(q);
+      q.oracle = oracles[q.pair];
+      if (!SameAnswer(before, Prescribed(q))) moved.push_back(q);
+    }
+    std::string served_failure;
+    std::thread ask([&] { served_failure = served.Check(moved, false); });
     failure = CheckState(want, index, options, asked);
+    ask.join();
     if (!failure.empty()) return state + failure;
+    if (!served_failure.empty()) return state + "served: " + served_failure;
   }
+  failure = served.CheckAll(asked);
+  if (!failure.empty()) return "served: " + failure;
   const std::string path = ::testing::TempDir() + "/oracle_driver_" +
                            std::to_string(getpid()) + ".qbs";
   const bool saved = index.Save(path);
@@ -495,9 +612,7 @@ std::string RunCase(const Case& c) {
   std::remove(path.c_str());
   if (!saved || !loaded.has_value()) return "Save or LoadFromFile failed";
   failure = CheckState(want, *loaded, options, asked);
-  if (!failure.empty()) return "loaded: " + failure;
-  failure = CheckServer(*loaded, asked);
-  return failure.empty() ? "" : "served: " + failure;
+  return failure.empty() ? "" : "loaded: " + failure;
 }
 
 using Check = std::function<std::string(const Case&)>;

@@ -1,8 +1,9 @@
 // Hot-pair result cache: correctness of the bit-identity contract (a hit
 // replays exactly the payload of the miss that stored it), LRU eviction
-// under a byte budget, and shard-level thread safety (the concurrent
-// hammer runs under TSan in CI's nightly job).
+// under a byte budget, EraseIf's bookkeeping, and shard-level thread
+// safety (the concurrent hammers run under TSan in CI's nightly job).
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -146,6 +147,87 @@ TEST(ResultCacheTest, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(stats.hits, 1u);
 }
 
+// EraseIf drops exactly the entries its predicate picks, which see their
+// canonical pair and payload; the survivors replay their payloads, their
+// bytes are what inserting only them charges, and they keep their LRU
+// order: the next evictions take the oldest survivors first.
+TEST(ResultCacheTest, EraseIfKeepsSurvivorsBytesAndLruOrder) {
+  const auto request = [](VertexId k) { return QueryRequest(k + 100, k); };
+  const auto response = [](VertexId k) {
+    return MakeResponse(k + 100, k, k, {{k, k + 100}},
+                        k == 6 ? kResponseFlagBudgetExceeded : 0);
+  };
+  ResultCache one({.capacity_bytes = 1 << 20, .shards = 1});
+  one.Insert(request(0), response(0));
+  const size_t entry_bytes = one.GetStats().bytes;
+
+  ResultCache cache({.capacity_bytes = 10 * entry_bytes, .shards = 1});
+  for (VertexId k = 0; k < 10; ++k) cache.Insert(request(k), response(k));
+  QueryResponse out;
+  ASSERT_TRUE(cache.Lookup(request(3), &out));
+  ASSERT_TRUE(cache.Lookup(request(0), &out));
+  // LRU order, oldest first: 1 2 4 5 6 7 8 9 3 0.
+  const size_t erased = cache.EraseIf([](const ResultCache::EntryView& e) {
+    EXPECT_EQ(e.u, e.distance);
+    EXPECT_EQ(e.v, e.u + 100);
+    return e.u % 2 == 0 && (e.flags & kResponseFlagBudgetExceeded) == 0;
+  });
+  EXPECT_EQ(erased, 4u);  // 0, 2, 4 and 8; 6 carries the flag
+  for (const VertexId k : {0u, 2u, 4u, 8u}) {
+    EXPECT_FALSE(cache.Lookup(request(k), &out)) << k;  // a miss: no reorder
+  }
+  const std::vector<VertexId> survivors = {1, 5, 6, 7, 9, 3};
+
+  ResultCache reference({.capacity_bytes = 1 << 20, .shards = 1});
+  for (const VertexId k : survivors) reference.Insert(request(k), response(k));
+  const auto stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, survivors.size());
+  EXPECT_EQ(stats.bytes, reference.GetStats().bytes);
+  EXPECT_EQ(stats.invalidated, 4u);
+  EXPECT_EQ(stats.evictions, 0u);
+
+  // Four new entries fill the budget; each insert after them evicts one
+  // entry, and it must be the oldest survivor left.
+  for (VertexId k = 20; k < 24; ++k) cache.Insert(request(k), response(k));
+  EXPECT_EQ(cache.GetStats().evictions, 0u);
+  for (size_t i = 0; i < survivors.size(); ++i) {
+    cache.Insert(request(30 + static_cast<VertexId>(i)), response(30));
+    EXPECT_EQ(cache.GetStats().evictions, i + 1);
+    EXPECT_FALSE(cache.Lookup(request(survivors[i]), &out)) << survivors[i];
+  }
+}
+
+// The survivors' payloads replay bit-identically, and an erased entry is
+// a miss that a later insert refills.
+TEST(ResultCacheTest, EraseIfSurvivorsReplayTheirPayloads) {
+  ResultCache cache({.capacity_bytes = 1 << 20, .shards = 4});
+  for (VertexId k = 0; k < 40; ++k) {
+    cache.Insert(QueryRequest(k, k + 1, QueryMode::kSpg, k % 3),
+                 MakeResponse(k, k + 1, k % 7, {{k, k + 1}}));
+  }
+  EXPECT_EQ(cache.EraseIf([](const ResultCache::EntryView& e) {
+              return e.distance == 0;
+            }),
+            6u);
+  QueryResponse out;
+  for (VertexId k = 0; k < 40; ++k) {
+    const QueryRequest request(k + 1, k, QueryMode::kSpg, k % 3);
+    const bool hit = cache.Lookup(request, &out);
+    EXPECT_EQ(hit, k % 7 != 0) << k;
+    if (hit) {
+      EXPECT_TRUE(SameAnswer(out, MakeResponse(k + 1, k, k % 7, {{k, k + 1}})));
+    }
+  }
+  cache.Insert(QueryRequest(0, 1), MakeResponse(0, 1, 0, {{0, 1}}));
+  EXPECT_TRUE(cache.Lookup(QueryRequest(0, 1), &out));
+  EXPECT_EQ(cache.EraseIf([](const ResultCache::EntryView&) { return true; }),
+            35u);
+  const auto stats = cache.GetStats();
+  EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
+  EXPECT_EQ(stats.invalidated, 6u + 35u);
+}
+
 TEST(ResultCacheTest, ConcurrentHammer) {
   // 8 threads × mixed lookups/inserts over an overlapping key range on a
   // capacity-constrained cache: exercises eviction racing lookup splices.
@@ -177,6 +259,53 @@ TEST(ResultCacheTest, ConcurrentHammer) {
   const auto stats = cache.GetStats();
   EXPECT_GT(stats.hits + stats.misses, 0u);
   EXPECT_LE(stats.bytes, 64u * 1024u);
+}
+
+// EraseIf racing lookups, inserts and evictions: every hit still replays
+// its own key's payload, and once the threads are done the bookkeeping
+// adds up — erasing everything leaves zero bytes and zero entries.
+TEST(ResultCacheTest, ConcurrentEraseIfHammer) {
+  ResultCache cache({.capacity_bytes = 32 * 1024, .shards = 4});
+  constexpr int kThreads = 6;
+  constexpr int kOpsPerThread = 4000;
+  std::atomic<bool> done{false};
+  std::thread eraser([&] {
+    for (uint32_t round = 0; !done.load(); ++round) {
+      cache.EraseIf([round](const ResultCache::EntryView& e) {
+        return (e.u + round) % 3 == 0;
+      });
+    }
+  });
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, t] {
+      for (int i = 0; i < kOpsPerThread; ++i) {
+        const VertexId u = static_cast<VertexId>((t * 11 + i) % 89);
+        const QueryRequest request(u + 500, u);
+        QueryResponse out;
+        if (cache.Lookup(request, &out)) {
+          ASSERT_EQ(out.spg.distance, u % 5);
+          ASSERT_EQ(out.spg.edges.size(), 1u);
+          ASSERT_EQ(out.spg.edges[0], Edge(u, u + 500));
+        } else {
+          cache.Insert(request,
+                       MakeResponse(u, u + 500, u % 5, {{u, u + 500}}));
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  done.store(true);
+  eraser.join();
+  const auto before = cache.GetStats();
+  EXPECT_GT(before.invalidated, 0u);
+  EXPECT_LE(before.bytes, 32u * 1024u);
+  EXPECT_EQ(cache.EraseIf([](const ResultCache::EntryView&) { return true; }),
+            before.entries);
+  const auto after = cache.GetStats();
+  EXPECT_EQ(after.entries, 0u);
+  EXPECT_EQ(after.bytes, 0u);
 }
 
 }  // namespace

@@ -1,15 +1,20 @@
 // kUpdateRequest end-to-end over loopback: the acceptance contract is that
 // the daemon NEVER returns a stale cached answer through an applied delta
-// — a pair cached before an update re-executes afterwards and matches a
-// fresh index built on the updated graph — and that query traffic
-// (including degraded answers) stays correct while updates churn the
-// index.
+// — every answer served after an update matches a fresh index built on
+// the updated graph — and that query traffic (including degraded answers)
+// stays correct while updates churn the index. An update erases only the
+// cached answers it can change (the rule is stated at EditCanChange in
+// server/server.cc), so the answers it cannot change are still cache hits
+// after it.
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <random>
+#include <set>
 #include <span>
 #include <string>
 #include <thread>
@@ -19,6 +24,7 @@
 
 #include "core/qbs_index.h"
 #include "gen/generators.h"
+#include "graph/bfs.h"
 #include "graph/graph_delta.h"
 #include "server/client.h"
 #include "server/protocol.h"
@@ -308,6 +314,251 @@ TEST_F(ServerUpdateTest, AppliedTogglesNeverServeStaleCache) {
         << "stale answer after delete, round " << round;
   }
   EXPECT_EQ(server->GetStats().updates, 10u);
+}
+
+// Exact invalidation: every sampled pair is cached in kSpg, kDistance and
+// budgeted modes, then single-edge inserts and deletes and multi-edge
+// batches arrive through the daemon. After each one every served answer
+// must be a fresh build's. Each of a pair's entries is kept exactly when
+// its kSpg entry is, unless it carries a budget flag (never kept); after a
+// single-edge edit the kSpg entry is kept exactly when its answer did not
+// change, so some answers are cache hits. The corners: an insert that adds
+// an equal-length shortest path, a delete of one of several shortest
+// paths, an edit that turns a budget-exceeded answer budget-pruned while
+// its SPG stays, a batch that cuts a vertex off, an insert that joins it
+// back, a u == v entry, and budget-pruned and budget-exceeded entries.
+TEST_F(ServerUpdateTest, EditsEraseOnlyTheAnswersTheyChange) {
+  auto server = StartUpdatable();
+  QueryClient client = ConnectTo(*server);
+  const VertexId n = g_.NumVertices();
+  std::mt19937_64 rng(43);
+
+  // The vertex a batch below cuts off; BA(n, 3) has minimum degree 3.
+  VertexId lone = 0;
+  while (g_.Degree(lone) > 3) ++lone;
+  std::set<std::pair<VertexId, VertexId>> sampled = {{lone, lone}};
+  while (sampled.size() < 160) {
+    const auto u = static_cast<VertexId>(rng() % n);
+    const auto v =
+        static_cast<VertexId>(sampled.size() < 12 ? lone : rng() % n);
+    if (u != v) sampled.insert(std::minmax(u, v));
+  }
+  const std::vector<std::pair<VertexId, VertexId>> pairs(sampled.begin(),
+                                                         sampled.end());
+  constexpr size_t kModes = 5;  // kSpg, kDistance, budgets 1, 2 and 3
+  std::vector<QueryRequest> requests;
+  for (const auto& [u, v] : pairs) {
+    requests.emplace_back(v, u);
+    requests.emplace_back(u, v, QueryMode::kDistance);
+    for (uint32_t budget = 1; budget <= 3; ++budget) {
+      requests.emplace_back(u, v, QueryMode::kSpg, budget);
+    }
+  }
+  const size_t self_pair =
+      std::find(pairs.begin(), pairs.end(), std::make_pair(lone, lone)) -
+      pairs.begin();
+  const size_t lone_pair = static_cast<size_t>(
+      std::find_if(pairs.begin(), pairs.end(),
+                   [&](const auto& p) {
+                     return p.first != p.second &&
+                            (p.first == lone || p.second == lone);
+                   }) -
+      pairs.begin());
+
+  // Asks every request once and checks it as described above; `prev`
+  // becomes this state's answers.
+  constexpr uint32_t kBudgetFlags =
+      kResponseFlagBudgetPruned | kResponseFlagBudgetExceeded;
+  std::vector<QueryResponse> prev;
+  std::vector<bool> hit(requests.size());
+  const auto ask_all = [&](const std::string& state, bool single_edit) {
+    const QbsIndex fresh =
+        QbsIndex::BuildWithLandmarks(g_, index_->landmarks());
+    std::vector<QueryResponse> now;
+    size_t hits = 0;
+    for (size_t i = 0; i < requests.size(); ++i) {
+      QueryResponse got;
+      ASSERT_EQ(client.Query(requests[i], &got), QueryClient::RpcStatus::kOk);
+      now.push_back(fresh.Query(requests[i]));
+      EXPECT_TRUE(SameAnswer(got, now[i]))
+          << state << ": stale answer for (" << requests[i].u << ", "
+          << requests[i].v << ") mode " << static_cast<int>(requests[i].mode)
+          << " budget " << requests[i].budget;
+      hit[i] = got.cache_hit;
+      hits += got.cache_hit ? 1 : 0;
+    }
+    for (size_t i = 0; !prev.empty() && i < requests.size(); ++i) {
+      const size_t spg = i - i % kModes;
+      const bool flagged = (prev[i].flags & kBudgetFlags) != 0;
+      EXPECT_EQ(hit[i], hit[spg] && !flagged) << state << ": request " << i;
+      if (single_edit && i == spg) {
+        EXPECT_EQ(hit[i], SameAnswer(prev[i], now[i]))
+            << state << ": kSpg entry (" << requests[i].u << ", "
+            << requests[i].v << ") kept " << hit[i];
+      }
+    }
+    if (!prev.empty()) {
+      EXPECT_TRUE(hit[self_pair * kModes]) << state << ": u == v erased";
+    }
+    if (single_edit) {
+      EXPECT_GT(hits, 0u) << state;
+    }
+    prev = std::move(now);
+  };
+  const auto update = [&](const GraphDelta& delta) {
+    UpdateStats stats;
+    ASSERT_EQ(client.Update(delta, &stats), QueryClient::RpcStatus::kOk);
+    EXPECT_EQ(stats.AppliedTotal(), delta.size());
+  };
+  const auto single = [&](EdgeOp op, VertexId a, VertexId b) {
+    GraphDelta delta;
+    delta.Add({op, a, b});
+    update(delta);
+    ask_all((op == EdgeOp::kInsert ? "insert " : "delete ") +
+                std::to_string(a) + "-" + std::to_string(b),
+            true);
+  };
+
+  ask_all("fill", false);
+  size_t pruned = 0;
+  size_t exceeded = 0;
+  for (const QueryResponse& r : prev) {
+    pruned += (r.flags & kResponseFlagBudgetPruned) != 0 ? 1 : 0;
+    exceeded += (r.flags & kResponseFlagBudgetExceeded) != 0 ? 1 : 0;
+  }
+  EXPECT_GT(pruned, 0u);
+  EXPECT_GT(exceeded, 0u);
+
+  // An insert (a, b) with d(u, a) + 1 + d(b, v) = d(u, v) adds an
+  // equal-length shortest path to (u, v): its SPG grows, its distance stays.
+  const auto equal_length = [&]() -> std::optional<std::array<size_t, 3>> {
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      const std::vector<uint32_t> du = BfsDistances(g_, pairs[p].first);
+      const std::vector<uint32_t> dv = BfsDistances(g_, pairs[p].second);
+      const uint32_t d = du[pairs[p].second];
+      if (d < 2 || d == kUnreachable) continue;
+      for (VertexId a = 0; a < n; ++a) {
+        for (VertexId b = 0; b < n && du[a] < d; ++b) {
+          if (a != b && du[a] + 1 + dv[b] == d && !g_.HasEdge(a, b)) {
+            return std::array<size_t, 3>{p, a, b};
+          }
+        }
+      }
+    }
+    return std::nullopt;
+  }();
+  ASSERT_TRUE(equal_length.has_value());
+  {
+    const auto [p, a, b] = *equal_length;
+    const QueryResponse before = prev[p * kModes];
+    single(EdgeOp::kInsert, static_cast<VertexId>(a), static_cast<VertexId>(b));
+    EXPECT_EQ(prev[p * kModes].spg.distance, before.spg.distance);
+    EXPECT_GT(prev[p * kModes].spg.edges.size(), before.spg.edges.size());
+    EXPECT_FALSE(hit[p * kModes]);
+  }
+
+  // Deleting one of two SPG edges at the same depth from u removes one of
+  // several shortest paths: the SPG shrinks, the distance stays.
+  const auto one_of_several = [&]() -> std::optional<std::pair<size_t, Edge>> {
+    for (size_t p = 0; p < pairs.size(); ++p) {
+      const std::vector<uint32_t> du = BfsDistances(g_, pairs[p].first);
+      std::vector<size_t> per_depth(n);
+      for (const Edge& e : prev[p * kModes].spg.edges) {
+        if (++per_depth[std::min(du[e.u], du[e.v])] == 2) {
+          return std::make_pair(p, e);
+        }
+      }
+    }
+    return std::nullopt;
+  }();
+  ASSERT_TRUE(one_of_several.has_value());
+  {
+    const auto [p, e] = *one_of_several;
+    const QueryResponse before = prev[p * kModes];
+    single(EdgeOp::kDelete, e.u, e.v);
+    EXPECT_EQ(prev[p * kModes].spg.distance, before.spg.distance);
+    EXPECT_LT(prev[p * kModes].spg.edges.size(), before.spg.edges.size());
+    EXPECT_FALSE(hit[p * kModes]);
+  }
+
+  // An edit that leaves (u, v)'s SPG alone but turns a budget-exceeded
+  // answer for it budget-pruned: the labels' lower bound moved. Only the
+  // budget clause erases that entry.
+  const auto flips = [&]() -> std::optional<std::pair<size_t, EdgeUpdate>> {
+    std::mt19937_64 pick(7);
+    const std::vector<Edge> edges = g_.EdgeList();
+    for (int k = 0; k < 1000; ++k) {
+      GraphDelta delta;
+      if (k % 2 == 0) {
+        const Edge e = edges[pick() % edges.size()];
+        delta.Delete(e.u, e.v);
+      } else {
+        delta.Insert(static_cast<VertexId>(pick() % n),
+                     static_cast<VertexId>(pick() % n));
+      }
+      const NetChanges net = ComputeNetChanges(g_, delta);
+      if (net.EmptyNet()) continue;
+      const Graph edited = ApplyNetChanges(g_, net);
+      const QbsIndex fresh =
+          QbsIndex::BuildWithLandmarks(edited, index_->landmarks());
+      for (size_t i = 0; i < requests.size(); ++i) {
+        const size_t spg = i - i % kModes;
+        if ((prev[i].flags & kResponseFlagBudgetExceeded) != 0 &&
+            !SameAnswer(fresh.Query(requests[i]), prev[i]) &&
+            SameAnswer(fresh.Query(requests[spg]), prev[spg])) {
+          return std::make_pair(i, delta.updates()[0]);
+        }
+      }
+    }
+    return std::nullopt;
+  }();
+  ASSERT_TRUE(flips.has_value());
+  {
+    const auto [i, edit] = *flips;
+    single(edit.op, edit.u, edit.v);
+    EXPECT_EQ(prev[i].flags, kResponseFlagBudgetPruned);
+    EXPECT_FALSE(hit[i]);
+    EXPECT_TRUE(hit[i - i % kModes]);
+  }
+
+  // A batch cuts `lone` off; then one insert joins its component back.
+  GraphDelta cut;
+  for (const VertexId w : g_.Neighbors(lone)) cut.Delete(lone, w);
+  update(cut);
+  ask_all("cut off " + std::to_string(lone), false);
+  EXPECT_EQ(prev[lone_pair * kModes].spg.distance, kUnreachable);
+  VertexId far = 0;
+  while (far == lone || g_.HasEdge(lone, far)) ++far;
+  single(EdgeOp::kInsert, lone, far);
+  EXPECT_NE(prev[lone_pair * kModes].spg.distance, kUnreachable);
+
+  // Random single-edge inserts and deletes, then a mixed batch.
+  const auto random_edge = [&] {
+    const std::vector<Edge> edges = g_.EdgeList();
+    return edges[rng() % edges.size()];
+  };
+  const auto random_non_edge = [&] {
+    for (;;) {
+      const auto a = static_cast<VertexId>(rng() % n);
+      const auto b = static_cast<VertexId>(rng() % n);
+      if (a != b && !g_.HasEdge(a, b)) return Edge(a, b);
+    }
+  };
+  for (int round = 0; round < 4; ++round) {
+    const Edge e = round % 2 == 0 ? random_non_edge() : random_edge();
+    single(round % 2 == 0 ? EdgeOp::kInsert : EdgeOp::kDelete, e.u, e.v);
+  }
+  GraphDelta mixed;
+  const Edge gone = random_edge();
+  mixed.Delete(gone.u, gone.v);
+  for (int i = 0; i < 2; ++i) {
+    const Edge e = random_non_edge();
+    mixed.Insert(e.u, e.v);
+  }
+  update(mixed);
+  ask_all("mixed batch", false);
+
+  EXPECT_GT(server->GetStats().cache.invalidated, 0u);
 }
 
 }  // namespace

@@ -750,11 +750,13 @@ int Serve(int argc, char** argv) {
       static_cast<unsigned long long>(stats.degraded),
       static_cast<unsigned long long>(stats.read_timeouts),
       static_cast<unsigned long long>(stats.idle_timeouts));
-  std::printf("  cache: %llu hits / %llu lookups (%.1f%%), %zu entries\n",
-              static_cast<unsigned long long>(stats.cache.hits),
-              static_cast<unsigned long long>(stats.cache.hits +
-                                              stats.cache.misses),
-              100.0 * stats.cache.HitRate(), stats.cache.entries);
+  std::printf(
+      "  cache: %llu hits / %llu lookups (%.1f%%), %zu entries, "
+      "%llu invalidated by edits\n",
+      static_cast<unsigned long long>(stats.cache.hits),
+      static_cast<unsigned long long>(stats.cache.hits + stats.cache.misses),
+      100.0 * stats.cache.HitRate(), stats.cache.entries,
+      static_cast<unsigned long long>(stats.cache.invalidated));
   const auto print_class = [](const char* name,
                               const qbs::server::LatencyHistogram::Snapshot&
                                   snap) {
