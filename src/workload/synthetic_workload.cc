@@ -1,6 +1,7 @@
 #include "workload/synthetic_workload.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "util/check.h"
@@ -44,6 +45,7 @@ std::vector<TimedQuery> GenerateWorkload(const Graph& g,
       std::max<size_t>((options.num_queries + phases - 1) / phases, 1);
   const double base_qps = options.arrival_rate_qps;
   double clock_ns = 0.0;
+  constexpr uint64_t kMaxArrivalNs = std::chrono::nanoseconds::max().count();
 
   for (size_t i = 0; i < options.num_queries; ++i) {
     const double u = rng.UniformReal();
@@ -60,7 +62,12 @@ std::vector<TimedQuery> GenerateWorkload(const Graph& g,
           base_qps * (burst ? std::max(options.burst_factor, 1e-9) : 1.0);
       // Exponential inter-arrival; 1 - U keeps log's argument in (0, 1].
       clock_ns += -std::log(1.0 - rng.UniformReal()) / rate * 1e9;
-      q.arrival_ns = static_cast<uint64_t>(clock_ns);
+      // A rate near 0 (or a NaN burst factor) puts the clock past what
+      // std::chrono::nanoseconds holds, or at NaN; the cast of either is
+      // undefined, so the arrival is capped instead.
+      q.arrival_ns = clock_ns < static_cast<double>(kMaxArrivalNs)
+                         ? static_cast<uint64_t>(clock_ns)
+                         : kMaxArrivalNs;
     }
     out.push_back(q);
   }

@@ -56,7 +56,8 @@ struct WorkloadOptions {
 
 struct TimedQuery {
   QueryRequest request;
-  /// Scheduled arrival offset from workload start (0 in closed-loop mode).
+  /// Scheduled arrival offset from workload start (0 in closed-loop mode),
+  /// at most std::chrono::nanoseconds::max().
   uint64_t arrival_ns = 0;
 };
 

@@ -5,6 +5,7 @@
 // advertised structure.
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <vector>
 
@@ -82,6 +83,23 @@ TEST(SyntheticWorkloadTest, OpenLoopArrivalsAreMonotone) {
       static_cast<double>(options.num_queries) / options.arrival_rate_qps;
   EXPECT_LT(span_s, nominal_s * 3.0);
   EXPECT_GT(span_s, nominal_s / 10.0);
+}
+
+// At 1e-12 q/s the first arrival lies ~10^21 ns out, past what
+// std::chrono::nanoseconds holds: every arrival is capped there, in order.
+TEST(SyntheticWorkloadTest, TinyRateArrivalsAreCapped) {
+  const Graph g = BarabasiAlbert(300, 3, 11);
+  auto options = SmallWorkload();
+  options.num_queries = 100;
+  options.arrival_rate_qps = 1e-12;
+  const uint64_t cap = std::chrono::nanoseconds::max().count();
+  uint64_t prev = 0;
+  for (const auto& q : GenerateWorkload(g, options)) {
+    EXPECT_GE(q.arrival_ns, prev);
+    EXPECT_LE(q.arrival_ns, cap);
+    prev = q.arrival_ns;
+  }
+  EXPECT_EQ(prev, cap);
 }
 
 TEST(SyntheticWorkloadTest, ZipfSkewMakesRankZeroHottest) {

@@ -15,6 +15,7 @@
 #include <filesystem>
 #include <string>
 #include <utility>
+#include <vector>
 
 namespace {
 
@@ -317,6 +318,8 @@ TEST_F(CliSmokeTest, UsageOnBadInvocation) {
     fclose(f);
   }
   const std::string h_edges = Quoted(Path("h.edges"));
+  const std::string h_index = Quoted(Path("h.qbs"));
+  const std::string load = " load " + edges + " 127.0.0.1 1";
   const struct {
     std::string args;
     int exit_code;
@@ -333,6 +336,18 @@ TEST_F(CliSmokeTest, UsageOnBadInvocation) {
        2, "bad value '4294967304' for --landmarks"},
       {" build " + edges + " " + Quoted(Path("h.qbs")) + " --strategy random",
        2, "unknown option --strategy"},
+      // Options are parsed before the graph is read.
+      {" build " + Quoted(Path("missing.edges")) + " " + h_index +
+           " --strategy random",
+       2, "unknown option --strategy"},
+      {" build " + edges + " " + h_index + " --landmarks", 2,
+       "missing value for --landmarks"},
+      {" query " + edges + " - 0 17 --budget", 2, "missing value for --budget"},
+      {" update 127.0.0.1 1 --insert 1", 2, "missing value for --insert"},
+      // Non-finite and negative rates fail before the CLI connects.
+      {load + " --zipf nan", 2, "bad value 'nan' for --zipf"},
+      {load + " --burst nan", 2, "bad value 'nan' for --burst"},
+      {load + " --rate -5", 2, "bad value '-5' for --rate"},
       // The trailing unknown option stops a daemon from starting, and
       // blocking the test, if --port ever stops being checked.
       {" serve " + edges + " " + index + " --port 70000 --no-such-option", 2,
@@ -372,9 +387,47 @@ TEST_F(CliSmokeTest, UsageOnBadInvocation) {
         << c.args << " printed:\n"
         << out;
     EXPECT_EQ(out.find("SPG("), std::string::npos) << c.args << "\n" << out;
+    EXPECT_EQ(out.find("cannot open"), std::string::npos) << c.args;
   }
   EXPECT_FALSE(std::filesystem::exists(Path("h.qbs")));
   EXPECT_FALSE(std::filesystem::exists(Path("h.edges")));
+}
+
+// `qbs` without a verb, or with an unknown one, exits 2 and lists each
+// verb's options. The reference is this list of all 34, not the CLI's own
+// tables.
+TEST_F(CliSmokeTest, UsageListsEveryOption) {
+  const std::pair<const char*, std::vector<std::string>> verbs[] = {
+      {"build", {"--landmarks", "--threads"}},
+      {"query", {"--requests", "--mode", "--budget", "--format", "--threads"}},
+      {"serve",
+       {"--host", "--port", "--max-inflight", "--max-queue", "--max-conns",
+        "--cache-mb", "--no-remote-shutdown", "--updatable",
+        "--read-timeout-ms", "--idle-timeout-ms", "--write-timeout-ms",
+        "--degrade-after-inflight"}},
+      {"load",
+       {"--queries", "--pairs", "--zipf", "--seed", "--conns", "--mode",
+        "--budget", "--rate", "--burst", "--deadline-ms", "--no-cache",
+        "--shutdown"}},
+      {"update", {"--insert", "--delete", "--file"}},
+  };
+  for (const char* args : {"", " bogus"}) {
+    std::string out;
+    const int status = RunCapture(Quoted(g_cli_path) + args, &out);
+    ASSERT_TRUE(WIFEXITED(status)) << args;
+    EXPECT_EQ(WEXITSTATUS(status), 2) << args;
+    for (const auto& [verb, names] : verbs) {
+      // A verb's usage runs from "qbs <verb> " to the next "qbs ".
+      const size_t begin = out.find(std::string("qbs ") + verb + " ");
+      ASSERT_NE(begin, std::string::npos) << verb << "\n" << out;
+      const std::string usage =
+          out.substr(begin, out.find("qbs ", begin + 1) - begin);
+      for (const std::string& name : names) {
+        EXPECT_NE(usage.find("[" + name), std::string::npos)
+            << verb << " " << name << "\n" << out;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,13 +1,5 @@
-// qbs — command-line front end for the library.
-//
-//   qbs generate <family> <out.edges> [args...]   synthesize a graph
-//   qbs stats    <graph>                          print graph statistics
-//   qbs build    <graph> <out.qbs> [opts]         build & save an index
-//   qbs query    <graph> <index.qbs|-> [pairs | --requests F] [opts]
-//   qbs serve    <graph> <index.qbs|-> [opts]     long-lived query daemon
-//   qbs load     <graph> <host> <port> [opts]     drive a daemon with load
-//   qbs update   <host> <port> [edits | --file F] send edge edits to a daemon
-//   qbs datasets                                  list the dataset registry
+// qbs — command-line front end for the library. Run without arguments, it
+// lists every verb with the options of its table below.
 //
 // <graph> is an edge-list path (".gz" decompressed on the fly; vertices
 // keep the file's ids when those are 0..n-1, and queries name them) or
@@ -16,31 +8,17 @@
 // tools/fetch_datasets.py), falling back to the Table 1 stand-in when no
 // data is present.
 //
-// generate families:
-//   ba <n> <m> [seed]           Barabási–Albert
-//   er <n> <edges> [seed]       Erdős–Rényi G(n, m)
-//   ws <n> <k> <beta> [seed]    Watts–Strogatz
-//   rmat <scale> <ef> [seed]    R-MAT (2^scale vertices)
-//   dataset <name> [scale]      Table 1 stand-in (DO or douban, ..., CW)
+// '-' as the index path of `query` or `serve` builds the index in memory
+// (the 20 highest-degree vertices as landmarks, as `build` defaults to)
+// instead of loading one.
 //
-// build options: --landmarks K (default 20), --threads T (default all);
-//                the landmarks are the K highest-degree vertices
-//
-// query: pass '-' as the index path to build one in memory on the fly.
-// Pairs come either positionally (u v u v ...) or from --requests FILE
-// ('-' = stdin; lines "u v [spg|distance] [budget]", '#' comments).
-// --format human|tsv|jsonl selects output. Exit codes: 0 = all queries
-// answered, 1 = runtime failure (bad graph/index/request input),
-// 2 = usage error.
+// Exit codes: 0 = success, 1 = runtime failure (bad graph, index or
+// request input; an unreachable daemon), 2 = usage error.
 //
 // serve timeouts: --read-timeout-ms bounds a started frame's arrival,
 // --idle-timeout-ms reaps a connection with no traffic between frames, and
 // --write-timeout-ms bounds a send blocked on a full buffer; all three are
 // echoed in the "listening on" readiness line.
-//
-// serve/load quickstart (see docs/REPRODUCING.md for the full runbook):
-//   qbs serve graph.edges index.qbs --port 7471 &
-//   qbs load  graph.edges 127.0.0.1 7471 --queries 20000 --shutdown
 
 #include <algorithm>
 #include <atomic>
@@ -52,6 +30,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -78,34 +57,7 @@
 
 namespace {
 
-int Usage() {
-  std::fprintf(
-      stderr,
-      "usage: qbs generate <family> <out.edges> [args...]\n"
-      "       qbs stats <graph>\n"
-      "       qbs build <graph> <out.qbs> [--landmarks K] [--threads T]\n"
-      "       qbs query <graph> <index.qbs|-> [u v ...] "
-      "[--requests FILE|-] [--mode spg|distance] [--budget N]\n"
-      "                 [--format human|tsv|jsonl] [--threads T]\n"
-      "       qbs serve <graph> <index.qbs|-> [--host H] [--port P] "
-      "[--max-inflight N] [--max-queue N]\n"
-      "                 [--max-conns N] [--cache-mb MB] "
-      "[--no-remote-shutdown] [--updatable]\n"
-      "                 [--read-timeout-ms MS] [--idle-timeout-ms MS] "
-      "[--write-timeout-ms MS]\n"
-      "                 [--degrade-after-inflight N]\n"
-      "       qbs load <graph> <host> <port> [--queries N] [--pairs N] "
-      "[--zipf S] [--seed S] [--conns C]\n"
-      "                 [--mode spg|distance] [--budget N] [--rate QPS] "
-      "[--burst F] [--deadline-ms MS]\n"
-      "                 [--no-cache] [--shutdown]\n"
-      "       qbs update <host> <port> [--insert U V]... [--delete U V]... "
-      "[--file F|-]\n"
-      "       qbs datasets\n"
-      "<graph>: an edge-list path (.gz ok) or dataset:<name> "
-      "(see `qbs datasets`)\n");
-  return 2;
-}
+int Usage();
 
 // Resolves a <graph> argument: "dataset:<name>" goes through the real-
 // dataset registry (cache -> raw -> stand-in fallback), anything else is
@@ -125,7 +77,7 @@ std::optional<qbs::Graph> LoadGraphArg(const std::string& arg) {
   return qbs::ReadEdgeList(arg);
 }
 
-int Datasets() {
+int Datasets(int, char**) {
   const std::string data_dir = qbs::DefaultDataDir();
   std::printf("data dir: %s (override with QBS_DATA_DIR)\n", data_dir.c_str());
   std::printf("%-12s %-6s %-9s %-11s %-11s %s\n", "name", "Tbl.1", "status",
@@ -154,16 +106,17 @@ int Datasets() {
 }
 
 // Parses a whole decimal number that fits T. Blanks, trailing
-// characters, signs on an unsigned T and values outside T's range are
-// rejected rather than truncated or read as 0, so no argument lands on a
-// different vertex, edge or size than the one written.
+// characters, signs on an unsigned T, values outside T's range and
+// non-finite floating-point values are rejected rather than truncated or
+// read as 0, so no argument lands on a different vertex, edge, size or
+// rate than the one written.
 template <typename T>
 bool ParseNumber(std::string_view tok, T* out) {
   const char* end = tok.data() + tok.size();
   if constexpr (std::is_floating_point_v<T>) {
     T value = 0;
     const auto [ptr, ec] = std::from_chars(tok.data(), end, value);
-    if (ec != std::errc() || ptr != end) return false;
+    if (ec != std::errc() || ptr != end || !std::isfinite(value)) return false;
     *out = value;
   } else {
     static_assert(std::is_unsigned_v<T>);
@@ -187,15 +140,135 @@ bool ParseArg(const char* name, const char* tok, T* out) {
   return false;
 }
 
-// The generators abort on arguments outside their preconditions, so
-// Generate tests each one first: a failed test names the argument, and the
-// caller exits 2.
+// Checks a parsed argument against the range its consumer takes (the
+// generators abort outside their preconditions): a failed test names the
+// argument, and the caller exits 2.
 bool Require(bool ok, const char* name, const char* tok, const char* want) {
   if (!ok) {
     std::fprintf(stderr, "bad value '%s' for %s (want %s)\n", tok, name,
                  want);
   }
   return ok;
+}
+
+bool ParseMode(const std::string& s, qbs::QueryMode* mode) {
+  if (s == "spg") {
+    *mode = qbs::QueryMode::kSpg;
+  } else if (s == "distance" || s == "d") {
+    *mode = qbs::QueryMode::kDistance;
+  } else {
+    return false;
+  }
+  return true;
+}
+
+// In the order of --format's names.
+enum class QueryFormat { kHuman, kTsv, kJsonl };
+
+// What the option tables write; each verb reads the fields its own table
+// writes.
+struct Args {
+  qbs::QbsOptions build{.num_threads = 0};
+  qbs::QueryRequest query;  // defaults for every requested pair
+  QueryFormat format = QueryFormat::kHuman;
+  std::string requests;
+  qbs::QbsIndex::BatchOptions batch;
+  qbs::server::ServerOptions serve;
+  qbs::WorkloadOptions load;
+  size_t conns = 1;
+  bool shutdown = false;
+  qbs::GraphDelta edits;
+  std::string edit_file;
+};
+
+// One row of a verb's option table: its name, a placeholder per value (none
+// for a switch), and `apply`, which writes the values or prints why not.
+struct Option {
+  const char* name;
+  std::vector<const char*> values;
+  std::function<bool(const char* name, char** values)> apply;
+};
+
+// A row that stores its one value in *out: a string as given, a query
+// mode by name, a number through ParseArg.
+template <typename T>
+auto Value(T* out) {
+  return [out](const char* name, char** v) {
+    if constexpr (std::is_same_v<T, std::string>) {
+      *out = v[0];
+    } else if constexpr (std::is_same_v<T, qbs::QueryMode>) {
+      if (!ParseMode(v[0], out)) {
+        std::fprintf(stderr, "unknown mode %s\n", v[0]);
+        return false;
+      }
+    } else {
+      return ParseArg(name, v[0], out);
+    }
+    return true;
+  };
+}
+
+// A switch that stores `value` in *out.
+auto Set(bool* out, bool value) {
+  return [out, value](const char*, char**) {
+    *out = value;
+    return true;
+  };
+}
+
+// Applies argv's options from `table` in command-line order. Any other
+// argument is collected in *operands when that is given, unless it looks
+// like an option ("-x"; a lone "-" is an operand). Returns false, with the
+// error printed, when the caller should exit 2.
+bool ParseOptions(const std::vector<Option>& table, int argc, char** argv,
+                  std::vector<const char*>* operands = nullptr) {
+  for (int i = 0; i < argc; ++i) {
+    const char* arg = argv[i];
+    const auto row =
+        std::find_if(table.begin(), table.end(), [arg](const Option& o) {
+          return std::strcmp(o.name, arg) == 0;
+        });
+    if (row == table.end()) {
+      if (operands == nullptr || (arg[0] == '-' && arg[1] != '\0')) {
+        std::fprintf(stderr, "unknown option %s\n", arg);
+        return false;
+      }
+      operands->push_back(arg);
+      continue;
+    }
+    const int arity = static_cast<int>(row->values.size());
+    if (argc - 1 - i < arity) {
+      std::fprintf(stderr, "missing value for %s\n", row->name);
+      return false;
+    }
+    if (!row->apply(row->name, argv + i + 1)) return false;
+    i += arity;
+  }
+  return true;
+}
+
+// Feeds each line of `path` ('-' = stdin) to `parse`. Returns false, with
+// "cannot read path" or "path:line: error" printed, for the caller to exit 1.
+bool ForEachLine(
+    const std::string& path,
+    const std::function<bool(const std::string&, std::string*)>& parse) {
+  std::ifstream file;
+  if (path != "-") file.open(path);
+  std::istream& in = path == "-" ? std::cin : file;
+  if (!in) {
+    std::fprintf(stderr, "cannot read %s\n", path.c_str());
+    return false;
+  }
+  std::string line;
+  std::string error;
+  for (size_t line_no = 1; std::getline(in, line); ++line_no) {
+    if (!parse(line, &error)) {
+      std::fprintf(stderr, "%s:%zu: %s\n", path.c_str(), line_no,
+                   error.c_str());
+      return false;
+    }
+  }
+  return true;
 }
 
 // MakeDataset's preconditions: its generator's, at the sizes it derives
@@ -324,34 +397,21 @@ int Stats(int argc, char** argv) {
   return 0;
 }
 
-bool ParseBuildOptions(int argc, char** argv, qbs::QbsOptions* options) {
-  for (int i = 0; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--landmarks" && i + 1 < argc) {
-      if (!ParseArg("--landmarks", argv[++i], &options->num_landmarks)) {
-        return false;
-      }
-    } else if (a == "--threads" && i + 1 < argc) {
-      if (!ParseArg("--threads", argv[++i], &options->num_threads)) {
-        return false;
-      }
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return false;
-    }
-  }
-  return true;
+std::vector<Option> BuildOptions(Args* a) {
+  return {
+      {"--landmarks", {"K"}, Value(&a->build.num_landmarks)},
+      {"--threads", {"T"}, Value(&a->build.num_threads)},
+  };
 }
 
 int Build(int argc, char** argv) {
   if (argc < 2) return Usage();
+  Args args;
+  if (!ParseOptions(BuildOptions(&args), argc - 2, argv + 2)) return 2;
   auto g = LoadGraphArg(argv[0]);
   if (!g.has_value()) return 1;
-  qbs::QbsOptions options;
-  options.num_threads = 0;
-  if (!ParseBuildOptions(argc - 2, argv + 2, &options)) return 2;
   qbs::WallTimer timer;
-  qbs::QbsIndex index = qbs::QbsIndex::Build(*g, options);
+  qbs::QbsIndex index = qbs::QbsIndex::Build(*g, args.build);
   std::printf("built |R|=%zu in %.3fs (labelling %.3fs, delta %.3fs)\n",
               index.landmarks().size(), timer.ElapsedSeconds(),
               index.timings().labeling_seconds,
@@ -370,31 +430,20 @@ int Build(int argc, char** argv) {
 // Loads-or-builds the index for serving/querying ('-' = build in memory).
 std::optional<qbs::QbsIndex> LoadOrBuildIndex(const qbs::Graph& g,
                                               const char* index_arg) {
-  qbs::QbsOptions options;
-  options.num_threads = 0;
-  if (std::strcmp(index_arg, "-") == 0) {
-    return qbs::QbsIndex::Build(g, options);
-  }
+  const qbs::QbsOptions options{.num_threads = 0};
+  if (std::strcmp(index_arg, "-") == 0) return qbs::QbsIndex::Build(g, options);
   return qbs::QbsIndex::LoadFromFile(g, index_arg, options);
 }
 
-bool ParseMode(const std::string& s, qbs::QueryMode* mode) {
-  if (s == "spg") {
-    *mode = qbs::QueryMode::kSpg;
-  } else if (s == "distance" || s == "d") {
-    *mode = qbs::QueryMode::kDistance;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-// One request per line: "u v [spg|distance] [budget]". Blank lines and
-// '#' comments are skipped; a token past the budget is an error. Defaults
-// come from the command line.
+// One request per line: "u v [spg|distance] [budget]", appended to *out.
+// Blank lines and '#' comments are skipped; a token past the budget is an
+// error. Defaults come from the command line.
 bool ParseRequestLine(const std::string& line,
                       const qbs::QueryRequest& defaults,
-                      qbs::QueryRequest* out, std::string* error) {
+                      std::vector<qbs::QueryRequest>* out,
+                      std::string* error) {
+  const size_t start = line.find_first_not_of(" \t\r");
+  if (start == std::string::npos || line[start] == '#') return true;
   std::istringstream in(line);
   std::string u_tok, v_tok, mode_tok, budget_tok;
   if (!(in >> u_tok >> v_tok)) {
@@ -405,16 +454,16 @@ bool ParseRequestLine(const std::string& line,
     *error = std::string("bad ") + what + " '" + tok + "'";
     return false;
   };
-  *out = defaults;
-  if (!ParseNumber(u_tok, &out->u)) return bad("vertex id", u_tok);
-  if (!ParseNumber(v_tok, &out->v)) return bad("vertex id", v_tok);
+  qbs::QueryRequest request = defaults;
+  if (!ParseNumber(u_tok, &request.u)) return bad("vertex id", u_tok);
+  if (!ParseNumber(v_tok, &request.v)) return bad("vertex id", v_tok);
   if (in >> mode_tok) {
-    if (!ParseMode(mode_tok, &out->mode)) {
+    if (!ParseMode(mode_tok, &request.mode)) {
       *error = "unknown mode '" + mode_tok + "'";
       return false;
     }
   }
-  if (in >> budget_tok && !ParseNumber(budget_tok, &out->budget)) {
+  if (in >> budget_tok && !ParseNumber(budget_tok, &request.budget)) {
     return bad("budget", budget_tok);
   }
   std::string extra_tok;
@@ -422,10 +471,9 @@ bool ParseRequestLine(const std::string& line,
     *error = "unexpected '" + extra_tok + "'";
     return false;
   }
+  out->push_back(request);
   return true;
 }
-
-enum class QueryFormat { kHuman, kTsv, kJsonl };
 
 void PrintTsvHeader() {
   std::printf("# u\tv\tmode\tbudget\tdistance\tflags\tedge_scans\tedges\n");
@@ -508,95 +556,59 @@ void PrintResponseHuman(const qbs::QueryRequest& request,
   }
 }
 
+std::vector<Option> QueryOptions(Args* a) {
+  return {
+      {"--requests", {"FILE|-"}, Value(&a->requests)},
+      {"--mode", {"spg|distance"}, Value(&a->query.mode)},
+      {"--budget", {"N"}, Value(&a->query.budget)},
+      {"--format", {"human|tsv|jsonl"},
+       [a](const char*, char** v) {
+         const std::string_view names[] = {"human", "tsv", "jsonl"};
+         const auto it = std::find(std::begin(names), std::end(names), v[0]);
+         if (it == std::end(names)) {
+           std::fprintf(stderr, "unknown format %s\n", v[0]);
+           return false;
+         }
+         a->format = static_cast<QueryFormat>(it - std::begin(names));
+         return true;
+       }},
+      {"--threads", {"T"}, Value(&a->batch.num_threads)},
+  };
+}
+
 int Query(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const char* graph_arg = argv[0];
-  const char* index_arg = argv[1];
-
-  qbs::QueryRequest defaults;
-  QueryFormat format = QueryFormat::kHuman;
-  std::string requests_path;
-  size_t threads = 0;
-  std::vector<qbs::VertexId> positional;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--requests" && i + 1 < argc) {
-      requests_path = argv[++i];
-    } else if (a == "--mode" && i + 1 < argc) {
-      if (!ParseMode(argv[++i], &defaults.mode)) {
-        std::fprintf(stderr, "unknown mode %s\n", argv[i]);
-        return 2;
-      }
-    } else if (a == "--budget" && i + 1 < argc) {
-      if (!ParseArg("--budget", argv[++i], &defaults.budget)) return 2;
-    } else if (a == "--threads" && i + 1 < argc) {
-      if (!ParseArg("--threads", argv[++i], &threads)) return 2;
-    } else if (a == "--format" && i + 1 < argc) {
-      const std::string f = argv[++i];
-      if (f == "human") {
-        format = QueryFormat::kHuman;
-      } else if (f == "tsv") {
-        format = QueryFormat::kTsv;
-      } else if (f == "jsonl") {
-        format = QueryFormat::kJsonl;
-      } else {
-        std::fprintf(stderr, "unknown format %s\n", f.c_str());
-        return 2;
-      }
-    } else if (!a.empty() && a[0] == '-' && a != "-") {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return 2;
-    } else {
-      qbs::VertexId id = 0;
-      if (!ParseArg("vertex id", argv[i], &id)) return 2;
-      positional.push_back(id);
-    }
+  Args args;
+  std::vector<const char*> ids;
+  if (!ParseOptions(QueryOptions(&args), argc - 2, argv + 2, &ids)) return 2;
+  std::vector<qbs::VertexId> positional(ids.size());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    if (!ParseArg("vertex id", ids[i], &positional[i])) return 2;
   }
-  if (!requests_path.empty() && !positional.empty()) {
+  if (!args.requests.empty() && !positional.empty()) {
     std::fprintf(stderr,
                  "pass pairs positionally or via --requests, not both\n");
     return 2;
   }
-  if (requests_path.empty() &&
+  if (args.requests.empty() &&
       (positional.empty() || positional.size() % 2 != 0)) {
     return Usage();
   }
 
-  auto g = LoadGraphArg(graph_arg);
+  auto g = LoadGraphArg(argv[0]);
   if (!g.has_value()) return 1;
 
   // Assemble the request batch before touching the index, so input errors
   // fail fast (exit 1) without paying for a build.
   std::vector<qbs::QueryRequest> requests;
-  if (!requests_path.empty()) {
-    std::ifstream file;
-    std::istream* in = &std::cin;
-    if (requests_path != "-") {
-      file.open(requests_path);
-      if (!file) {
-        std::fprintf(stderr, "cannot read %s\n", requests_path.c_str());
-        return 1;
-      }
-      in = &file;
-    }
-    std::string line;
-    size_t line_no = 0;
-    while (std::getline(*in, line)) {
-      ++line_no;
-      const size_t start = line.find_first_not_of(" \t\r");
-      if (start == std::string::npos || line[start] == '#') continue;
-      qbs::QueryRequest request;
-      std::string error;
-      if (!ParseRequestLine(line, defaults, &request, &error)) {
-        std::fprintf(stderr, "%s:%zu: %s\n", requests_path.c_str(), line_no,
-                     error.c_str());
-        return 1;
-      }
-      requests.push_back(request);
-    }
+  if (!args.requests.empty()) {
+    const auto parse = [&](const std::string& line, std::string* error) {
+      return ParseRequestLine(line, args.query, &requests, error);
+    };
+    if (!ForEachLine(args.requests, parse)) return 1;
   } else {
     for (size_t i = 0; i + 1 < positional.size(); i += 2) {
-      qbs::QueryRequest request = defaults;
+      qbs::QueryRequest request = args.query;
       request.u = positional[i];
       request.v = positional[i + 1];
       requests.push_back(request);
@@ -610,10 +622,10 @@ int Query(int argc, char** argv) {
     }
   }
 
-  auto index = LoadOrBuildIndex(*g, index_arg);
+  auto index = LoadOrBuildIndex(*g, argv[1]);
   if (!index.has_value()) return 1;
 
-  if (format == QueryFormat::kHuman) {
+  if (args.format == QueryFormat::kHuman) {
     // Sequential so each answer carries its own wall time.
     for (const auto& request : requests) {
       qbs::WallTimer timer;
@@ -623,13 +635,11 @@ int Query(int argc, char** argv) {
     return 0;
   }
 
-  qbs::QbsIndex::BatchOptions batch_options;
-  batch_options.num_threads = threads;
   const std::vector<qbs::QueryResponse> responses =
-      index->QueryBatch(requests, batch_options);
-  if (format == QueryFormat::kTsv) PrintTsvHeader();
+      index->QueryBatch(requests, args.batch);
+  if (args.format == QueryFormat::kTsv) PrintTsvHeader();
   for (size_t i = 0; i < responses.size(); ++i) {
-    if (format == QueryFormat::kTsv) {
+    if (args.format == QueryFormat::kTsv) {
       PrintResponseTsv(requests[i], responses[i]);
     } else {
       PrintResponseJsonl(requests[i], responses[i]);
@@ -642,71 +652,44 @@ std::atomic<int> g_signal{0};
 
 void OnSignal(int sig) { g_signal.store(sig); }
 
+std::vector<Option> ServeOptions(Args* a) {
+  qbs::server::ServerOptions* o = &a->serve;
+  return {
+      {"--host", {"H"}, Value(&o->host)},
+      {"--port", {"P"}, Value(&o->port)},
+      {"--max-inflight", {"N"}, Value(&o->max_inflight)},
+      {"--max-queue", {"N"}, Value(&o->max_queue)},
+      {"--max-conns", {"N"}, Value(&o->max_connections)},
+      {"--cache-mb", {"MB"},
+       [o](const char* name, char** v) {
+         // 32 bits of MiB: the byte count cannot overflow the shift.
+         uint32_t mib = 0;
+         if (!ParseArg(name, v[0], &mib)) return false;
+         o->cache_bytes = static_cast<size_t>(mib) << 20;
+         return true;
+       }},
+      {"--no-remote-shutdown", {}, Set(&o->allow_remote_shutdown, false)},
+      {"--updatable", {}, Set(&o->allow_updates, true)},
+      {"--read-timeout-ms", {"MS"}, Value(&o->read_timeout_ms)},
+      {"--idle-timeout-ms", {"MS"}, Value(&o->idle_timeout_ms)},
+      {"--write-timeout-ms", {"MS"}, Value(&o->write_timeout_ms)},
+      {"--degrade-after-inflight", {"N"}, Value(&o->degrade_after_inflight)},
+  };
+}
+
 int Serve(int argc, char** argv) {
   if (argc < 2) return Usage();
-  qbs::server::ServerOptions options;
-  bool updatable = false;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--host" && i + 1 < argc) {
-      options.host = argv[++i];
-    } else if (a == "--port" && i + 1 < argc) {
-      if (!ParseArg("--port", argv[++i], &options.port)) return 2;
-    } else if (a == "--max-inflight" && i + 1 < argc) {
-      if (!ParseArg("--max-inflight", argv[++i], &options.max_inflight)) {
-        return 2;
-      }
-    } else if (a == "--max-queue" && i + 1 < argc) {
-      if (!ParseArg("--max-queue", argv[++i], &options.max_queue)) return 2;
-    } else if (a == "--max-conns" && i + 1 < argc) {
-      if (!ParseArg("--max-conns", argv[++i], &options.max_connections)) {
-        return 2;
-      }
-    } else if (a == "--cache-mb" && i + 1 < argc) {
-      // 32 bits of MiB: the byte count cannot overflow the shift.
-      uint32_t mib = 0;
-      if (!ParseArg("--cache-mb", argv[++i], &mib)) return 2;
-      options.cache_bytes = static_cast<size_t>(mib) << 20;
-    } else if (a == "--no-remote-shutdown") {
-      options.allow_remote_shutdown = false;
-    } else if (a == "--updatable") {
-      updatable = true;
-    } else if (a == "--read-timeout-ms" && i + 1 < argc) {
-      if (!ParseArg("--read-timeout-ms", argv[++i],
-                    &options.read_timeout_ms)) {
-        return 2;
-      }
-    } else if (a == "--idle-timeout-ms" && i + 1 < argc) {
-      if (!ParseArg("--idle-timeout-ms", argv[++i],
-                    &options.idle_timeout_ms)) {
-        return 2;
-      }
-    } else if (a == "--write-timeout-ms" && i + 1 < argc) {
-      if (!ParseArg("--write-timeout-ms", argv[++i],
-                    &options.write_timeout_ms)) {
-        return 2;
-      }
-    } else if (a == "--degrade-after-inflight" && i + 1 < argc) {
-      if (!ParseArg("--degrade-after-inflight", argv[++i],
-                    &options.degrade_after_inflight)) {
-        return 2;
-      }
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return 2;
-    }
-  }
+  Args args;
+  if (!ParseOptions(ServeOptions(&args), argc - 2, argv + 2)) return 2;
+  const qbs::server::ServerOptions& options = args.serve;
 
   auto g = LoadGraphArg(argv[0]);
   if (!g.has_value()) return 1;
   auto index = LoadOrBuildIndex(*g, argv[1]);
   if (!index.has_value()) return 1;
-  if (updatable) {
-    // Lets kUpdateRequest frames edit the graph loaded above; each edit
-    // repairs the label columns incrementally instead of rebuilding.
-    index->EnableUpdates(&*g);
-    options.allow_updates = true;
-  }
+  // Lets kUpdateRequest frames edit the graph loaded above; each edit
+  // repairs the label columns incrementally instead of rebuilding.
+  if (options.allow_updates) index->EnableUpdates(&*g);
 
   qbs::server::QueryServer server(*index, options);
   std::string error;
@@ -772,54 +755,38 @@ int Serve(int argc, char** argv) {
   return 0;
 }
 
+std::vector<Option> UpdateOptions(Args* a) {
+  // Edits apply in command-line order.
+  const auto edit = [a](qbs::EdgeOp op) {
+    return [a, op](const char* name, char** v) {
+      qbs::EdgeUpdate e{op};
+      if (!ParseArg(name, v[0], &e.u) || !ParseArg(name, v[1], &e.v)) {
+        return false;
+      }
+      a->edits.Add(e);
+      return true;
+    };
+  };
+  return {
+      {"--insert", {"U", "V"}, edit(qbs::EdgeOp::kInsert)},
+      {"--delete", {"U", "V"}, edit(qbs::EdgeOp::kDelete)},
+      {"--file", {"F|-"}, Value(&a->edit_file)},
+  };
+}
+
 int Update(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string host = argv[0];
   uint16_t port = 0;
   if (!ParseArg("port", argv[1], &port)) return 2;
-  qbs::GraphDelta delta;
-  std::string file_path;
-  for (int i = 2; i < argc; ++i) {
-    const std::string a = argv[i];
-    if ((a == "--insert" || a == "--delete") && i + 2 < argc) {
-      qbs::VertexId ends[2];
-      for (qbs::VertexId& end : ends) {
-        if (!ParseArg(a.c_str(), argv[++i], &end)) return 2;
-      }
-      if (a == "--insert") {
-        delta.Insert(ends[0], ends[1]);
-      } else {
-        delta.Delete(ends[0], ends[1]);
-      }
-    } else if (a == "--file" && i + 1 < argc) {
-      file_path = argv[++i];
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return 2;
-    }
-  }
-  if (!file_path.empty()) {
-    std::ifstream file;
-    std::istream* in = &std::cin;
-    if (file_path != "-") {
-      file.open(file_path);
-      if (!file) {
-        std::fprintf(stderr, "cannot read %s\n", file_path.c_str());
-        return 1;
-      }
-      in = &file;
-    }
-    std::string line;
-    size_t line_no = 0;
-    while (std::getline(*in, line)) {
-      ++line_no;
-      std::string error;
-      if (!qbs::ParseEditLine(line, &delta, &error)) {
-        std::fprintf(stderr, "%s:%zu: %s\n", file_path.c_str(), line_no,
-                     error.c_str());
-        return 1;
-      }
-    }
+  Args args;
+  if (!ParseOptions(UpdateOptions(&args), argc - 2, argv + 2)) return 2;
+  qbs::GraphDelta& delta = args.edits;
+  if (!args.edit_file.empty()) {
+    const auto parse = [&delta](const std::string& line, std::string* error) {
+      return qbs::ParseEditLine(line, &delta, error);
+    };
+    if (!ForEachLine(args.edit_file, parse)) return 1;
   }
   if (delta.empty()) {
     std::fprintf(stderr, "qbs update: no edits given\n");
@@ -851,52 +818,38 @@ int Update(int argc, char** argv) {
   return 0;
 }
 
+std::vector<Option> LoadOptions(Args* a) {
+  qbs::WorkloadOptions* w = &a->load;
+  return {
+      {"--queries", {"N"}, Value(&w->num_queries)},
+      {"--pairs", {"N"}, Value(&w->num_distinct_pairs)},
+      {"--zipf", {"S"}, Value(&w->zipf_s)},
+      {"--seed", {"S"}, Value(&w->seed)},
+      {"--conns", {"C"}, Value(&a->conns)},
+      {"--mode", {"spg|distance"}, Value(&w->mode)},
+      {"--budget", {"N"}, Value(&w->budget)},
+      {"--rate", {"QPS"},
+       [w](const char* name, char** v) {
+         return ParseArg(name, v[0], &w->arrival_rate_qps) &&
+                Require(w->arrival_rate_qps >= 0.0, name, v[0], "at least 0");
+       }},
+      {"--burst", {"F"}, Value(&w->burst_factor)},
+      {"--deadline-ms", {"MS"}, Value(&w->deadline_ms)},
+      {"--no-cache", {},
+       [w](const char*, char**) {
+         w->flags |= qbs::kQueryFlagNoCache;
+         return true;
+       }},
+      {"--shutdown", {}, Set(&a->shutdown, true)},
+  };
+}
+
 int Load(int argc, char** argv) {
   if (argc < 3) return Usage();
-  qbs::WorkloadOptions workload;
-  size_t conns = 1;
-  bool send_shutdown = false;
-  for (int i = 3; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a == "--queries" && i + 1 < argc) {
-      if (!ParseArg("--queries", argv[++i], &workload.num_queries)) return 2;
-    } else if (a == "--pairs" && i + 1 < argc) {
-      if (!ParseArg("--pairs", argv[++i], &workload.num_distinct_pairs)) {
-        return 2;
-      }
-    } else if (a == "--zipf" && i + 1 < argc) {
-      if (!ParseArg("--zipf", argv[++i], &workload.zipf_s)) return 2;
-    } else if (a == "--seed" && i + 1 < argc) {
-      if (!ParseArg("--seed", argv[++i], &workload.seed)) return 2;
-    } else if (a == "--conns" && i + 1 < argc) {
-      if (!ParseArg("--conns", argv[++i], &conns)) return 2;
-      conns = std::max<size_t>(1, conns);
-    } else if (a == "--mode" && i + 1 < argc) {
-      if (!ParseMode(argv[++i], &workload.mode)) {
-        std::fprintf(stderr, "unknown mode %s\n", argv[i]);
-        return 2;
-      }
-    } else if (a == "--budget" && i + 1 < argc) {
-      if (!ParseArg("--budget", argv[++i], &workload.budget)) return 2;
-    } else if (a == "--rate" && i + 1 < argc) {
-      if (!ParseArg("--rate", argv[++i], &workload.arrival_rate_qps)) {
-        return 2;
-      }
-    } else if (a == "--burst" && i + 1 < argc) {
-      if (!ParseArg("--burst", argv[++i], &workload.burst_factor)) return 2;
-    } else if (a == "--deadline-ms" && i + 1 < argc) {
-      if (!ParseArg("--deadline-ms", argv[++i], &workload.deadline_ms)) {
-        return 2;
-      }
-    } else if (a == "--no-cache") {
-      workload.flags |= qbs::kQueryFlagNoCache;
-    } else if (a == "--shutdown") {
-      send_shutdown = true;
-    } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return 2;
-    }
-  }
+  Args args;
+  if (!ParseOptions(LoadOptions(&args), argc - 3, argv + 3)) return 2;
+  const qbs::WorkloadOptions& workload = args.load;
+  const size_t conns = std::max<size_t>(1, args.conns);
   const std::string host = argv[1];
   uint16_t port = 0;
   if (!ParseArg("port", argv[2], &port)) return 2;
@@ -940,8 +893,10 @@ int Load(int argc, char** argv) {
       if (i >= queries.size()) break;
       const qbs::TimedQuery& q = queries[i];
       if (q.arrival_ns > 0) {
-        const auto target = t0 + std::chrono::nanoseconds(q.arrival_ns);
-        std::this_thread::sleep_until(target);
+        // The rest of the wait, not t0 plus it: an arrival capped at
+        // nanoseconds::max() would overflow the time_point.
+        std::this_thread::sleep_for(std::chrono::nanoseconds(q.arrival_ns) -
+                                    (std::chrono::steady_clock::now() - t0));
       }
       const auto qt0 = std::chrono::steady_clock::now();
       qbs::QueryResponse response;
@@ -1023,7 +978,7 @@ int Load(int argc, char** argv) {
               snap.QuantileMillis(0.50), snap.QuantileMillis(0.99),
               snap.QuantileMillis(0.999), snap.MeanMillis());
 
-  if (send_shutdown) {
+  if (args.shutdown) {
     qbs::server::QueryClient client;
     if (!client.Connect(host, port) || !client.Shutdown()) {
       std::fprintf(stderr, "qbs load: shutdown request failed: %s\n",
@@ -1035,18 +990,61 @@ int Load(int argc, char** argv) {
   return errors.load() == 0 ? 0 : 1;
 }
 
+// A verb: its name, its operands (each after a space) and option table
+// for the usage text, and what runs it.
+struct Verb {
+  const char* name;
+  const char* operands;
+  int (*run)(int argc, char** argv);
+  std::vector<Option> (*options)(Args* args);
+};
+
+const Verb kVerbs[] = {
+    {"generate", " <family> <out.edges> [args...]", Generate, nullptr},
+    {"stats", " <graph>", Stats, nullptr},
+    {"build", " <graph> <out.qbs>", Build, BuildOptions},
+    {"query", " <graph> <index.qbs|-> [u v ...]", Query, QueryOptions},
+    {"serve", " <graph> <index.qbs|->", Serve, ServeOptions},
+    {"load", " <graph> <host> <port>", Load, LoadOptions},
+    {"update", " <host> <port>", Update, UpdateOptions},
+    {"datasets", "", Datasets, nullptr},
+};
+
+// Prints every verb with its operands and options, wrapped at 100
+// columns; the caller exits 2.
+int Usage() {
+  Args unused;  // the tables bind to it; the usage text applies no row
+  std::string text;
+  for (const Verb& verb : kVerbs) {
+    std::string line = (text.empty() ? "usage: qbs " : "       qbs ") +
+                       std::string(verb.name) + verb.operands;
+    for (const Option& option :
+         verb.options ? verb.options(&unused) : std::vector<Option>()) {
+      std::string word = std::string(" [") + option.name;
+      for (const char* value : option.values) word += std::string(" ") + value;
+      word += "]";
+      if (line.size() + word.size() > 100) {
+        text += line + "\n";
+        line = std::string(16, ' ');
+      }
+      line += word;
+    }
+    text += line + "\n";
+  }
+  std::fprintf(stderr,
+               "%s<graph>: an edge-list path (.gz ok) or dataset:<name> (see "
+               "`qbs datasets`)\n",
+               text.c_str());
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::string cmd = argv[1];
-  if (cmd == "generate") return Generate(argc - 2, argv + 2);
-  if (cmd == "stats") return Stats(argc - 2, argv + 2);
-  if (cmd == "build") return Build(argc - 2, argv + 2);
-  if (cmd == "query") return Query(argc - 2, argv + 2);
-  if (cmd == "serve") return Serve(argc - 2, argv + 2);
-  if (cmd == "load") return Load(argc - 2, argv + 2);
-  if (cmd == "update") return Update(argc - 2, argv + 2);
-  if (cmd == "datasets") return Datasets();
+  for (const Verb& verb : kVerbs) {
+    if (argc >= 2 && std::strcmp(argv[1], verb.name) == 0) {
+      return verb.run(argc - 2, argv + 2);
+    }
+  }
   return Usage();
 }
