@@ -1,13 +1,12 @@
 // Blocking client for the `qbs serve` protocol: one TCP connection, one
 // outstanding request at a time. Used by the `qbs load` driver, the CLI's
-// remote query path, bench_e2e's serving workloads, and the server/chaos
-// tests.
+// remote query path, bench_e2e's serving workloads, and the tests.
 //
 // Robustness surface:
 //   * All socket I/O goes through server/socket.h — EINTR-retried,
 //     MSG_NOSIGNAL, optionally bounded by ClientOptions timeouts (a
 //     blocking recv under a kernel timeout; a send that waits only on a
-//     full send buffer), and fault-injectable for chaos tests.
+//     full send buffer), and fault-injectable for the oracle driver.
 //   * QueryWithRetry() layers a deterministic RetryPolicy on Query():
 //     exponential backoff with seeded jitter, honoring the server's
 //     retry_after hint and reconnecting across transport errors, for at

@@ -4,9 +4,9 @@
 // operation with a pure function of (spec, endpoint id, operation index):
 // build two injectors from the same spec and endpoint and ask them the
 // same sequence of questions, and you get the same sequence of answers —
-// which is what makes a chaos run replayable and a failure bisectable by
-// seed. The spec covers every failure class the serving stack must
-// survive:
+// which is what makes a faulted run replayable from its plan's name in an
+// oracle driver replay line. The spec covers every failure class the
+// serving stack must survive:
 //
 //   * short reads / short writes  — an op is capped below the requested
 //     size, exercising every partial-I/O resume loop;

@@ -105,16 +105,6 @@ ResultCache::Stats ResultCache::GetStats() const {
   return stats;
 }
 
-void ResultCache::Clear() {
-  for (const auto& shard_ptr : shards_) {
-    Shard& shard = *shard_ptr;
-    MutexLock lock(shard.mu);
-    shard.lru.clear();
-    shard.index.clear();
-    shard.bytes = 0;
-  }
-}
-
 size_t ResultCache::EraseIf(
     const std::function<bool(const EntryView&)>& erase) {
   size_t erased = 0;

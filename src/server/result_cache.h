@@ -83,9 +83,6 @@ class ResultCache {
   /// Aggregated over all shards.
   Stats GetStats() const;
 
-  /// Drops every entry (stat counters survive).
-  void Clear();
-
   /// What EraseIf's predicate sees of one entry: its canonical pair
   /// (u <= v) and its payload's distance and flags.
   struct EntryView {
@@ -98,8 +95,8 @@ class ResultCache {
   /// Drops every entry for which `erase` returns true, counting each in
   /// Stats::invalidated. Survivors keep their payload and LRU order, and
   /// the shard's charged bytes stay the sum over them. Locks one shard at
-  /// a time, like Clear, and calls `erase` under that lock, so `erase`
-  /// must not call back into the cache. Returns the number dropped.
+  /// a time and calls `erase` under that lock, so `erase` must not call
+  /// back into the cache. Returns the number dropped; counters survive.
   size_t EraseIf(const std::function<bool(const EntryView&)>& erase);
 
  private:
@@ -131,7 +128,7 @@ class ResultCache {
   };
 
   struct Shard {
-    // Shard locks never nest with each other (GetStats/Clear hold one at a
+    // Shard locks never nest with each other (GetStats/EraseIf hold one at a
     // time), so a single rank covers all shards.
     Mutex mu{LockRank::kResultCacheShard};
     // MRU at front; Entry owned by the list, map points into it.

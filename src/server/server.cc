@@ -401,7 +401,7 @@ bool QueryServer::ServeQuery(Socket& sock, FaultInjector* injector,
       case AdmissionGate::Ticket::kAdmitted:
         break;
     }
-    // Injected query slowness (chaos lever): the sleep holds the admission
+    // Injected query slowness (a fault lever): the sleep holds the admission
     // slot, exactly like a genuinely slow query would.
     if (injector != nullptr) {
       const uint32_t delay_ms = injector->OnQueryDelayMs();

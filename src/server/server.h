@@ -39,8 +39,8 @@
 // connection thread exits — no leaked threads, sockets, or searchers
 // (ASan/TSan-clean by test). Fault injection (server/fault_injection.h)
 // hooks each connection's socket and query execution through
-// ServerOptions::fault_injector_factory; chaos_test drives every failure
-// path above through real loopback connections.
+// ServerOptions::fault_injector_factory; oracle_driver_test's fault plans
+// drive every failure path above through real loopback connections.
 
 #ifndef QBS_SERVER_SERVER_H_
 #define QBS_SERVER_SERVER_H_

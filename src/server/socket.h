@@ -10,7 +10,7 @@
 // class — raw ::send/::recv calls are confined to socket.cc.
 //
 // An optional FaultInjector (server/fault_injection.h) intercepts each
-// operation, which is how the chaos tests drive short reads/writes,
+// operation, which is how the oracle driver drives short reads/writes,
 // stalls, resets, and torn frames through the exact code paths production
 // traffic uses.
 

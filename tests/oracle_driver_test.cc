@@ -1,15 +1,18 @@
 // The oracle driver: one seeded checker over every query surface.
 //
 // A case is a graph family and seed, a landmark rule and |R|, the build's
-// thread count, edit batches and a pair set. RunCase builds the index,
-// applies each batch, then saves and reloads it. At each of these states
-// it checks the index against SpgByDoubleBfs (Definition 2.2) and against
-// a fresh build on the edited graph, which Lemma 5.2 makes bit-exact:
-// after each update, every query answers on the current graph. One
-// updatable loopback QueryServer, its cache on, serves the case from the
-// build on: each batch goes through QueryClient::Update, and the cached
-// requests whose prescribed answer the batch moved are asked again after
-// it.
+// thread count, a fault plan, edit batches and a pair set. RunCase builds
+// the index, applies each batch, then saves and reloads it. At each of
+// these states it checks the index against SpgByDoubleBfs (Definition 2.2)
+// and against a fresh build on the edited graph, which Lemma 5.2 makes
+// bit-exact: after each update, every query answers on the current graph.
+// One updatable loopback QueryServer, its cache on, serves the case from
+// the build on: each batch goes through QueryClient::Update, and the
+// cached requests whose prescribed answer the batch moved are asked again
+// after it. A faulted case then serves its final state from a second
+// daemon under the plan's injected faults: each answer is the oracle's, a
+// degraded one whose bounds bracket the oracle's distance, or a typed
+// error.
 //
 // Checks return a message instead of asserting. A failing case is shrunk
 // (batches, then edits, then pairs) and printed as one line, which
@@ -21,12 +24,16 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <charconv>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <iterator>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <random>
 #include <set>
@@ -46,6 +53,7 @@
 #include "graph/components.h"
 #include "graph/graph_delta.h"
 #include "server/client.h"
+#include "server/fault_injection.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/socket.h"
@@ -78,12 +86,77 @@ constexpr int kNumFamilies = 10;
 constexpr int kDeep = 9;
 constexpr uint32_t kAllLandmarks = std::numeric_limits<uint32_t>::max();
 
+// Faults on the client's socket and on every connection of the faulted
+// daemon, the requests' deadline, and the daemon's admission limits.
+struct FaultPlan {
+  const char* name;
+  server::FaultSpec client{};
+  server::FaultSpec server{};
+  uint32_t deadline_ms = kNoDeadline;
+  size_t max_inflight = 4;
+  size_t degrade_after_inflight = 0;
+};
+
+constexpr server::FaultSpec Combined(uint64_t seed) {
+  return {.seed = seed,
+          .short_send_rate = 0.3,
+          .short_recv_rate = 0.3,
+          .stall_rate = 0.1,
+          .stall_ms = 2,
+          .reset_rate = 0.02,
+          .torn_frame_rate = 0.05};
+}
+
+// Entry 0 is fault-free; a case line names any other as fault=<name>.
+const FaultPlan kFaultPlans[] = {
+    {.name = "none"},
+    // Client reads arrive in tiny chunks: FrameReader reassembly.
+    {.name = "client-short-reads",
+     .client = {.seed = 11, .short_recv_rate = 0.8}},
+    // Client writes fragment and stall under the daemon's read timeout.
+    {.name = "client-short-writes-stalls",
+     .client = {.seed = 22,
+                .short_send_rate = 0.8,
+                .stall_rate = 0.15,
+                .stall_ms = 2}},
+    // Torn request frames: the daemon drops the stream, the client
+    // reconnects.
+    {.name = "client-torn-frames",
+     .client = {.seed = 33, .torn_frame_rate = 0.2}},
+    {.name = "client-resets", .client = {.seed = 44, .reset_rate = 0.04}},
+    // Responses fragment and stall: client-side reassembly.
+    {.name = "server-short-writes-stalls",
+     .server = {.seed = 55,
+                .short_send_rate = 0.7,
+                .stall_rate = 0.1,
+                .stall_ms = 2}},
+    {.name = "server-resets", .server = {.seed = 66, .reset_rate = 0.04}},
+    // Slow queries against tight deadlines: kDeadlineExceeded, never a
+    // late execution.
+    {.name = "slow-queries-tight-deadline",
+     .server = {.seed = 77, .query_delay_rate = 0.5, .query_delay_ms = 30},
+     .deadline_ms = 10,
+     .max_inflight = 2},
+    // A hog holds the one slot: the overflow is answered from the labels.
+    {.name = "saturation-degrades",
+     .server = {.seed = 88, .query_delay_rate = 1.0, .query_delay_ms = 15},
+     .max_inflight = 1,
+     .degrade_after_inflight = 1},
+    {.name = "combined-a", .client = Combined(99), .server = Combined(100)},
+    {.name = "combined-b",
+     .client = Combined(101),
+     .server = Combined(102),
+     .deadline_ms = 2000},
+};
+constexpr size_t kNumFaultPlans = std::size(kFaultPlans);
+
 struct Case {
   int family = 0;  // index into kFamilies's names
   uint64_t seed = 0;
   bool random_landmarks = false;
   uint32_t num_landmarks = 0;  // kAllLandmarks: |R| = |V|
   size_t threads = 1;
+  size_t fault = 0;  // index into kFaultPlans
   std::vector<Batch> batches;
   bool all_pairs = false;  // every ordered pair, u = v included
   std::vector<Pair> pairs;
@@ -170,7 +243,8 @@ void ApplyToModel(const Batch& batch, VertexId n, std::set<Edge>* edges) {
 // 10 batches clustered on hot vertices, and 120 alternating single-edge
 // batches on the deep family. At seeds 1..16 the rotations below draw
 // every family in both the mixed and the hot shape, and every |R|,
-// landmark rule and thread count.
+// landmark rule and thread count; the mixed shape also rotates through
+// kFaultPlans, so seeds 1..10 draw each fault plan once.
 std::vector<Case> DrawCases(uint64_t seed) {
   constexpr uint32_t kR[] = {0, 1, 2, 8, 20, 50, kAllLandmarks};
   std::vector<Case> cases;
@@ -182,6 +256,7 @@ std::vector<Case> DrawCases(uint64_t seed) {
     c.random_landmarks = (seed / 2 + shape) % 2 == 1;
     c.num_landmarks = kR[(seed + shape) % 7];
     c.threads = (seed / 4 + shape) % 2 == 0 ? 1 : 4;
+    c.fault = shape == 0 ? seed % kNumFaultPlans : 0;
     std::mt19937_64 rng(seed * 3 + shape);
     const Graph g = FamilyGraph(c.family, seed);
     const VertexId n = g.NumVertices();
@@ -264,7 +339,9 @@ std::string Line(const Case& c) {
       << " rule=" << (c.random_landmarks ? "random" : "degree") << " R="
       << (c.num_landmarks == kAllLandmarks ? "all"
                                            : std::to_string(c.num_landmarks))
-      << " threads=" << c.threads << " edits=\"";
+      << " threads=" << c.threads;
+  if (c.fault != 0) out << " fault=" << kFaultPlans[c.fault].name;
+  out << " edits=\"";
   for (size_t b = 0; b < c.batches.size(); ++b) {
     for (size_t i = 0; i < c.batches[b].size(); ++i) {
       const EdgeUpdate& e = c.batches[b][i];
@@ -310,6 +387,16 @@ std::optional<Case> ParseCase(std::string_view line, std::string* error) {
   }
   c.num_landmarks = all ? kAllLandmarks : static_cast<uint32_t>(landmarks);
   c.threads = threads;
+  // A line without the fault field is fault-free.
+  const std::string_view fault = Field(line, "fault");
+  while (!fault.empty() && c.fault < kNumFaultPlans &&
+         kFaultPlans[c.fault].name != fault) {
+    ++c.fault;
+  }
+  if (c.fault == kNumFaultPlans) {
+    *error = "unknown fault plan '" + std::string(fault) + "'";
+    return std::nullopt;
+  }
   const std::string_view edits = Field(line, "edits");
   for (const std::string_view batch : Split(edits, '|')) {
     if (edits.empty()) break;
@@ -545,6 +632,133 @@ struct Served {
   server::FrameReader reader;
 };
 
+// Serves `index` from a second loopback daemon under `plan` and asks
+// kFaultedRequests of `asked`, cycling through it, on one faulted client
+// and without the cache. "" when each outcome is allowed: the oracle's
+// answer; a degraded one, uncached and without edges, whose bounds bracket
+// the oracle's distance; kBusy or kDeadlineExceeded; or a transport error
+// after which the client reconnects. A fault-free probe must then be
+// exact, and under saturation some answer to a pair u != v must have
+// degraded.
+std::string CheckFaulted(QbsIndex& index, const FaultPlan& plan,
+                         const std::vector<Asked>& asked) {
+  constexpr size_t kFaultedRequests = 60;
+  using Status = server::QueryClient::RpcStatus;
+  if (asked.empty()) return "";
+  server::ServerOptions options;
+  options.max_inflight = plan.max_inflight;
+  options.degrade_after_inflight = plan.degrade_after_inflight;
+  options.read_timeout_ms = 1000;
+  options.idle_timeout_ms = 10000;
+  options.write_timeout_ms = 2000;
+  // Connection ids count every connection the daemon accepted, so which
+  // fault stream a late connection draws depends on how many reconnects
+  // timing caused. The probe therefore connects with the faults off.
+  std::atomic<bool> server_faults{true};
+  options.fault_injector_factory = [&](uint64_t conn_id) {
+    return server_faults.load()
+               ? std::make_unique<server::FaultInjector>(plan.server, conn_id)
+               : nullptr;
+  };
+  server::QueryServer daemon(index, options);
+  std::string error;
+  if (!daemon.Start(&error)) return "cannot start: " + error;
+  server::ClientOptions timeouts;
+  timeouts.read_timeout_ms = 3000;
+  timeouts.write_timeout_ms = 3000;
+  server::ClientOptions faulted = timeouts;
+  server::FaultInjector client_faults(plan.client, /*endpoint_id=*/1);
+  if (plan.client.HasIoFaults()) faulted.fault_injector = &client_faults;
+  server::QueryClient client;
+  if (!client.Connect("127.0.0.1", daemon.port(), faulted)) {
+    return "cannot connect: " + client.last_error();
+  }
+  // A single sequential client never sees its own concurrency: under
+  // saturation a hog loops slow uncached queries, holding the one slot.
+  std::jthread hog;
+  if (plan.degrade_after_inflight > 0) {
+    hog = std::jthread([&](const std::stop_token& stop) {
+      server::QueryClient hog_client;
+      if (!hog_client.Connect("127.0.0.1", daemon.port(), timeouts)) return;
+      QueryRequest slow = asked[0].request;
+      slow.flags |= kQueryFlagNoCache;
+      QueryResponse ignored;
+      while (!stop.stop_requested() &&
+             hog_client.Query(slow, &ignored) != Status::kTransportError) {
+      }
+    });
+    // Wait, for at most 5 s, until the daemon counts the hog's query.
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (daemon.GetStats().admission_inflight < 1 &&
+           std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+  size_t degraded = 0;
+  bool degradable = false;  // a pair u = u is never degraded
+  for (size_t i = 0; i < kFaultedRequests; ++i) {
+    const Asked& q = asked[i % asked.size()];
+    degradable |= q.request.u != q.request.v;
+    QueryRequest request = q.request;
+    request.deadline_ms = plan.deadline_ms;
+    request.flags |= kQueryFlagNoCache;
+    QueryResponse got;
+    std::string failure;
+    switch (client.Query(request, &got)) {
+      case Status::kOk:
+        if (!got.degraded()) {
+          failure = CheckAnswer(q, got, false);
+          break;
+        }
+        ++degraded;
+        if (got.degraded_lower > q.oracle.distance ||
+            got.spg.distance < q.oracle.distance || !got.spg.edges.empty() ||
+            got.cache_hit) {
+          failure = "pair " + std::to_string(q.request.u) + "-" +
+                    std::to_string(q.request.v) + " degraded to [" +
+                    std::to_string(got.degraded_lower) + ", " +
+                    std::to_string(got.spg.distance) + "] around d=" +
+                    std::to_string(q.oracle.distance);
+        }
+        break;
+      case Status::kBusy:
+      case Status::kDeadlineExceeded:
+        break;
+      case Status::kRemoteError:
+        failure = "remote error: " + client.last_error();
+        break;
+      case Status::kTransportError:
+        if (!client.Reconnect()) failure = "reconnect: " + client.last_error();
+        break;
+    }
+    if (!failure.empty()) return failure;
+  }
+  if (hog.joinable()) {
+    hog.request_stop();
+    hog.join();
+  }
+  if (!client.connected() && !client.Reconnect()) {
+    return "reconnect: " + client.last_error();
+  }
+  server_faults.store(false);
+  server::QueryClient probe;
+  QueryResponse after;
+  if (!probe.Connect("127.0.0.1", daemon.port(), timeouts) ||
+      probe.Query(asked[0].request, &after) != Status::kOk) {
+    return "probe: " + probe.last_error();
+  }
+  if (const std::string failure = CheckAnswer(asked[0], after, false);
+      !failure.empty()) {
+    return "probe: " + failure;
+  }
+  if (plan.degrade_after_inflight > 0 && degradable &&
+      (degraded == 0 || daemon.GetStats().degraded == 0)) {
+    return "the saturated daemon degraded no answer";
+  }
+  return "";
+}
+
 // Runs every state of `c`; "" when every check passes, else the first
 // failure, prefixed by its state.
 std::string RunCase(const Case& c) {
@@ -605,6 +819,8 @@ std::string RunCase(const Case& c) {
   }
   failure = served.CheckAll(asked);
   if (!failure.empty()) return "served: " + failure;
+  if (c.fault != 0) failure = CheckFaulted(index, kFaultPlans[c.fault], asked);
+  if (!failure.empty()) return "faulted: " + failure;
   const std::string path = ::testing::TempDir() + "/oracle_driver_" +
                            std::to_string(getpid()) + ".qbs";
   const bool saved = index.Save(path);
@@ -704,6 +920,7 @@ TEST(OracleDriverTest, DefaultSeedsDrawTheCoverageFloor) {
   std::set<std::pair<int, size_t>> families_and_shapes;
   std::set<uint32_t> sizes;
   std::set<std::pair<bool, size_t>> rules_and_threads;
+  std::set<size_t> faults;
   for (uint64_t seed = 1; seed <= 16; ++seed) {
     const std::vector<Case> cases = DrawCases(seed);
     for (size_t shape = 0; shape < cases.size(); ++shape) {
@@ -711,6 +928,7 @@ TEST(OracleDriverTest, DefaultSeedsDrawTheCoverageFloor) {
       families_and_shapes.emplace(c.family, shape);
       sizes.insert(c.num_landmarks);
       rules_and_threads.emplace(c.random_landmarks, c.threads);
+      faults.insert(c.fault);
       std::string error;
       EXPECT_EQ(ParseCase(Line(c), &error), c) << error << " in " << Line(c);
     }
@@ -720,6 +938,25 @@ TEST(OracleDriverTest, DefaultSeedsDrawTheCoverageFloor) {
   EXPECT_TRUE(families_and_shapes.contains({kDeep, 2}));
   EXPECT_EQ(sizes, (std::set<uint32_t>{0, 1, 2, 8, 20, 50, kAllLandmarks}));
   EXPECT_EQ(rules_and_threads.size(), 4u);
+  // Every fault plan, and fault-free cases too.
+  EXPECT_EQ(faults.size(), kNumFaultPlans);
+}
+
+// A line without fault= is fault-free; an unknown plan is a parse error.
+// (DefaultSeedsDrawTheCoverageFloor round-trips every plan.)
+TEST(OracleDriverTest, FaultFieldIsOptionalAndNamesAPlan) {
+  std::string error;
+  for (const char* line : kRegressions) {
+    const std::optional<Case> c = ParseCase(line, &error);
+    ASSERT_TRUE(c.has_value()) << error << " in " << line;
+    EXPECT_EQ(c->fault, 0u) << line;
+  }
+  EXPECT_EQ(ParseCase("family=ba seed=1 rule=degree R=2 threads=1 "
+                      "fault=client-hangs edits=\"\" pairs=\"\"",
+                      &error),
+            std::nullopt);
+  EXPECT_NE(error.find("unknown fault plan 'client-hangs'"), std::string::npos)
+      << error;
 }
 
 TEST(OracleDriverTest, ShrinksToTheFailingEditAndPair) {

@@ -135,16 +135,20 @@ TEST(ResultCacheTest, ReinsertRefreshesInPlace) {
   EXPECT_EQ(stats.insertions, 1u);  // second insert was a refresh
 }
 
-TEST(ResultCacheTest, ClearDropsEntriesKeepsCounters) {
+TEST(ResultCacheTest, EraseEverythingDropsEntriesKeepsCounters) {
   ResultCache cache({.capacity_bytes = 1 << 20, .shards = 2});
   cache.Insert(QueryRequest(1, 2), MakeResponse(1, 2, 1, {{1, 2}}));
+  cache.Insert(QueryRequest(3, 4), MakeResponse(3, 4, 1, {{3, 4}}));
   QueryResponse out;
   ASSERT_TRUE(cache.Lookup(QueryRequest(1, 2), &out));
-  cache.Clear();
+  EXPECT_EQ(cache.EraseIf([](const ResultCache::EntryView&) { return true; }),
+            2u);
   EXPECT_FALSE(cache.Lookup(QueryRequest(1, 2), &out));
   const auto stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 0u);
+  EXPECT_EQ(stats.bytes, 0u);
   EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.invalidated, 2u);
 }
 
 // EraseIf drops exactly the entries its predicate picks, which see their

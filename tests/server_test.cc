@@ -598,6 +598,79 @@ TEST_F(ServerTest, ShortDeadlineOnSaturatedServerIsDeadlineExceeded) {
   server->Stop();
 }
 
+// A mid-frame stall longer than the server's read timeout gets the
+// connection reaped (slowloris defense) — and the server stays healthy.
+TEST_F(ServerTest, SlowlorisConnectionIsReaped) {
+  ServerOptions options;
+  options.read_timeout_ms = 50;
+  options.idle_timeout_ms = 10000;
+  auto server = StartServer(options);
+
+  QueryClient victim;
+  ClientOptions victim_options;
+  victim_options.read_timeout_ms = 2000;
+  ASSERT_TRUE(victim.Connect("127.0.0.1", server->port(), victim_options));
+  // Hand-feed half a request frame, then stall past the read timeout.
+  {
+    std::vector<uint8_t> frame;
+    AppendFrame(&frame, FrameType::kQueryRequest,
+                EncodeQueryRequest(QueryRequest(1, 2)));
+    std::string connect_error;
+    Socket raw = Socket::ConnectTcp("127.0.0.1", server->port(),
+                                    &connect_error);
+    ASSERT_TRUE(raw.valid()) << connect_error;
+    const std::span<const uint8_t> half(frame.data(), frame.size() / 2);
+    ASSERT_EQ(raw.SendAll(half, 1000), IoStatus::kOk);
+    // Wait for the reaper, then observe the cut-off: the next read hits
+    // EOF (or an error frame followed by EOF), never a hang.
+    uint8_t buf[256];
+    size_t n = 0;
+    IoStatus status;
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    do {
+      status = raw.RecvSome(buf, sizeof(buf), &n, 1000);
+    } while (status == IoStatus::kOk &&
+             std::chrono::steady_clock::now() < give_up);
+    EXPECT_NE(status, IoStatus::kTimeout);
+  }
+
+  // The healthy connection is unaffected.
+  QueryResponse response;
+  ASSERT_EQ(victim.Query(QueryRequest(3, 4), &response),
+            QueryClient::RpcStatus::kOk)
+      << victim.last_error();
+  EXPECT_GE(server->GetStats().read_timeouts, 1u);
+  server->Stop();
+}
+
+// An idle connection is reaped after idle_timeout_ms; an active one with
+// in-flight frames is not.
+TEST_F(ServerTest, IdleConnectionIsReaped) {
+  ServerOptions options;
+  options.idle_timeout_ms = 50;
+  options.read_timeout_ms = 5000;
+  auto server = StartServer(options);
+
+  QueryClient client;
+  ClientOptions client_options;
+  client_options.read_timeout_ms = 3000;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port(), client_options));
+  QueryResponse response;
+  ASSERT_EQ(client.Query(QueryRequest(1, 2), &response),
+            QueryClient::RpcStatus::kOk);
+  // Go idle past the reaper threshold: the next query hits a dead socket
+  // — a typed transport error — and a fresh connect works fine.
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  EXPECT_EQ(client.Query(QueryRequest(1, 2), &response),
+            QueryClient::RpcStatus::kTransportError);
+  ASSERT_TRUE(client.Reconnect()) << client.last_error();
+  ASSERT_EQ(client.Query(QueryRequest(1, 2), &response),
+            QueryClient::RpcStatus::kOk);
+  EXPECT_GE(server->GetStats().idle_timeouts, 1u);
+  server->Stop();
+}
+
 TEST_F(ServerTest, ServedWorkloadHitRateIsDeterministic) {
   // Same seed, fresh server, single connection => exactly the same
   // hit-rate (the workload and the LRU are both deterministic).

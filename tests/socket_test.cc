@@ -2,7 +2,9 @@
 // blocking recv whose timeout the kernel enforces (SO_RCVTIMEO, remembered
 // per socket and re-set only when it changes), a zero timeout never blocks,
 // a shutdown from another thread wakes an unbounded reader, and a send into
-// a peer that never drains gives up within its budget.
+// a peer that never drains gives up within its budget. The FaultInjector
+// that a socket consults before each operation decides by (seed, endpoint,
+// op index) alone, so a faulted run replays from its FaultSpec.
 
 #include <sys/socket.h>
 #include <sys/time.h>
@@ -17,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "server/fault_injection.h"
 #include "server/socket.h"
 
 namespace qbs::server {
@@ -191,6 +194,78 @@ TEST(SocketTest, SendIntoAnUndrainedPeerTimesOutWithinItsBudget) {
   const int64_t elapsed = MsSince(start);
   EXPECT_GE(elapsed, kBudgetMs);
   EXPECT_LT(elapsed, kBudgetMs + 1000);
+}
+
+struct FaultTrace {
+  std::vector<uint8_t> kinds;
+  std::vector<size_t> caps;
+  std::vector<uint32_t> delays;
+
+  friend bool operator==(const FaultTrace&, const FaultTrace&) = default;
+};
+
+// Records the injector's decisions over a fixed op sequence WITHOUT
+// executing them (stalls would otherwise sleep for real).
+FaultTrace TraceInjector(FaultInjector& injector, size_t ops) {
+  FaultTrace trace;
+  for (size_t i = 0; i < ops; ++i) {
+    const IoFault fault =
+        i % 2 == 0 ? injector.OnSend(4096) : injector.OnRecv(4096);
+    trace.kinds.push_back(static_cast<uint8_t>(fault.kind));
+    trace.caps.push_back(fault.cap);
+    trace.delays.push_back(injector.OnQueryDelayMs());
+  }
+  return trace;
+}
+
+TEST(FaultPlanTest, SameSeedSameEndpointReplaysIdentically) {
+  FaultSpec spec;
+  spec.seed = 0xC0FFEEull;
+  spec.short_send_rate = 0.3;
+  spec.short_recv_rate = 0.3;
+  spec.stall_rate = 0.2;
+  spec.reset_rate = 0.05;
+  spec.torn_frame_rate = 0.1;
+  spec.query_delay_rate = 0.5;
+  spec.query_delay_ms = 7;
+
+  for (const uint64_t endpoint : {0ull, 1ull, 42ull}) {
+    FaultInjector ia(spec, endpoint);
+    FaultInjector ib(spec, endpoint);
+    EXPECT_EQ(TraceInjector(ia, 512), TraceInjector(ib, 512))
+        << "endpoint " << endpoint;
+  }
+}
+
+TEST(FaultPlanTest, DifferentSeedsOrEndpointsDiverge) {
+  FaultSpec spec;
+  spec.seed = 1;
+  spec.short_send_rate = 0.5;
+  spec.stall_rate = 0.25;
+  FaultSpec other = spec;
+  other.seed = 2;
+
+  FaultInjector base(spec, 0);
+  FaultInjector reseeded(other, 0);
+  FaultInjector shifted(spec, 1);
+  const FaultTrace base_trace = TraceInjector(base, 512);
+  EXPECT_NE(base_trace, TraceInjector(reseeded, 512));
+  EXPECT_NE(base_trace, TraceInjector(shifted, 512));
+}
+
+TEST(FaultPlanTest, ScriptedResetFiresExactlyOnce) {
+  FaultSpec spec;
+  spec.reset_at_op = 3;
+  FaultInjector injector(spec, 0);
+  size_t resets = 0;
+  for (size_t op = 1; op <= 16; ++op) {
+    const IoFault fault = injector.OnSend(64);
+    if (fault.kind == IoFault::Kind::kReset) {
+      EXPECT_EQ(op, 3u);
+      ++resets;
+    }
+  }
+  EXPECT_EQ(resets, 1u);
 }
 
 }  // namespace

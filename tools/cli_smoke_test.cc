@@ -348,6 +348,10 @@ TEST_F(CliSmokeTest, UsageOnBadInvocation) {
       {load + " --zipf nan", 2, "bad value 'nan' for --zipf"},
       {load + " --burst nan", 2, "bad value 'nan' for --burst"},
       {load + " --rate -5", 2, "bad value '-5' for --rate"},
+      // Counts past any allocation fail at run time, without an abort.
+      {load + " --queries 18446744073709551615", 1, "qbs load: cannot alloc"},
+      {load + " --pairs 18446744073709551615", 1, "qbs load: cannot alloc"},
+      {load + " --queries 4 --conns 18446744073709551615", 1, "qbs load: 0/4"},
       // The trailing unknown option stops a daemon from starting, and
       // blocking the test, if --port ever stops being checked.
       {" serve " + edges + " " + index + " --port 70000 --no-such-option", 2,

@@ -28,6 +28,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstring>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -849,7 +850,6 @@ int Load(int argc, char** argv) {
   Args args;
   if (!ParseOptions(LoadOptions(&args), argc - 3, argv + 3)) return 2;
   const qbs::WorkloadOptions& workload = args.load;
-  const size_t conns = std::max<size_t>(1, args.conns);
   const std::string host = argv[1];
   uint16_t port = 0;
   if (!ParseArg("port", argv[2], &port)) return 2;
@@ -861,8 +861,18 @@ int Load(int argc, char** argv) {
                  g->NumVertices());
     return 1;
   }
-  const std::vector<qbs::TimedQuery> queries =
-      qbs::GenerateWorkload(*g, workload);
+  std::vector<qbs::TimedQuery> queries;
+  try {
+    queries = qbs::GenerateWorkload(*g, workload);
+  } catch (const std::exception& e) {  // std::length_error or std::bad_alloc
+    std::fprintf(stderr,
+                 "qbs load: cannot allocate %zu queries over %zu pairs (%s)\n",
+                 workload.num_queries, workload.num_distinct_pairs, e.what());
+    return 1;
+  }
+  // A worker past the last query would claim nothing.
+  const size_t conns =
+      std::clamp<size_t>(args.conns, 1, std::max<size_t>(queries.size(), 1));
 
   // One connection per worker; workers claim queries through a shared
   // cursor (with conns=1 this is exactly the workload order, which is what
