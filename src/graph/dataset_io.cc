@@ -1,5 +1,6 @@
 #include "graph/dataset_io.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <iostream>
@@ -80,18 +81,40 @@ std::optional<Graph> LoadGraphCache(const std::string& path,
   // bit-flipped count rejects gracefully (and is rebuilt from raw) instead
   // of dying in std::bad_alloc.
   std::vector<uint64_t> offsets;
-  std::vector<VertexId> adjacency;
   if (m > in.left() / (2 * sizeof(VertexId)) ||
       !in.ReadArray(&offsets, static_cast<uint64_t>(n) + 1) ||
-      !in.ReadArray(&adjacency, 2 * m)) {
+      2 * m > in.left() / sizeof(VertexId)) {
     return reject("truncated CSR");
+  }
+  std::vector<VertexId> adjacency(2 * m);
+  // The adjacency is read a chunk at a time, and each chunk is checksummed
+  // and the lists it completes are checked while it is still in cache, so
+  // the file's bytes are walked once. Offsets that fail their check steer
+  // no list read; either way the whole file is read, so a file bad in both
+  // ways reports the checksum.
+  bool valid = Graph::ValidCsrOffsets(offsets, adjacency.size());
+  VertexId checked = 0;  // the lists of [0, checked) are checked
+  for (uint64_t at = 0; at < adjacency.size();) {
+    const uint64_t end =
+        std::min<uint64_t>(at + kGraphCacheChunkEntries, adjacency.size());
+    if (!in.Read(adjacency.data() + at, end - at)) {
+      return reject("truncated CSR");
+    }
+    at = end;
+    if (!valid) continue;
+    // Every list that ends at or before `end` is complete.
+    const auto complete = static_cast<VertexId>(
+        std::upper_bound(offsets.begin() + checked + 1, offsets.end(), end) -
+        offsets.begin() - 1);
+    valid = Graph::ValidCsrLists(offsets, adjacency, checked, complete);
+    checked = complete;
   }
   if (!in.VerifyChecksum()) {
     return reject("checksum mismatch (corrupt cache; re-convert it)");
   }
-  if (!Graph::IsValidCsr(offsets, adjacency)) return reject("not a valid CSR");
+  if (!valid) return reject("not a valid CSR");
   if (info != nullptr) *info = header;
-  // IsValidCsr just proved every FromCsr invariant; adopt without a second
+  // Every FromCsr invariant was just proved; adopt without a second
   // O(|V| + |E|) CHECK pass.
   return Graph::AdoptCsr(std::move(offsets), std::move(adjacency));
 }

@@ -63,6 +63,12 @@ struct DatasetCacheInfo {
   uint64_t raw_file_bytes = 0;
 };
 
+// LoadGraphCache reads the adjacency in chunks of this many entries
+// (256 KB), checksumming each and checking the lists it completes while
+// the chunk is still in cache.
+inline constexpr uint64_t kGraphCacheChunkEntries =
+    (uint64_t{256} << 10) / sizeof(VertexId);
+
 // Writes `g` and its provenance to `path` in QBSGRF03 format, atomically.
 // Returns false on I/O failure.
 bool SaveGraphCache(const Graph& g, const DatasetCacheInfo& info,
@@ -70,6 +76,8 @@ bool SaveGraphCache(const Graph& g, const DatasetCacheInfo& info,
 
 // Reads a QBSGRF03 file. Verifies magic, header sanity, the checksum and
 // the CSR; returns std::nullopt (with a stderr message) on any mismatch.
+// A file that fails both the checksum and the CSR check reports the
+// checksum.
 // On success *info (when non-null) receives the header's provenance.
 std::optional<Graph> LoadGraphCache(const std::string& path,
                                     DatasetCacheInfo* info = nullptr);

@@ -68,7 +68,10 @@ class Graph {
                        std::vector<VertexId> adjacency);
 
   /// True iff the arrays satisfy every invariant FromCsr requires: the
-  /// graceful check for untrusted bytes such as a dataset cache file.
+  /// graceful check for untrusted bytes such as a dataset cache file. One
+  /// pass over each array: every offset is checked before any list is
+  /// read (so a bad offset never steers a read out of bounds), then each
+  /// list by one branch-free loop (ValidCsrLists).
   static bool IsValidCsr(std::span<const uint64_t> offsets,
                          std::span<const VertexId> adjacency);
 
@@ -116,8 +119,25 @@ class Graph {
   std::span<const VertexId> RawAdjacency() const { return adjacency_; }
 
  private:
+  /// IsValidCsr's two halves, which the cache loader runs separately: it
+  /// checks the offsets once read, then the lists each adjacency chunk
+  /// completes while the chunk is still in cache.
+  ///
+  /// True iff offsets[0] == 0, the offsets never decrease, the last one is
+  /// `adjacency_size`, and that size is even (both directions of every
+  /// edge). False for an empty array.
+  static bool ValidCsrOffsets(std::span<const uint64_t> offsets,
+                              uint64_t adjacency_size);
+  /// True iff the list of every vertex in [begin, end) is strictly
+  /// ascending, free of the vertex itself and below n = offsets.size() - 1.
+  /// Requires ValidCsrOffsets(offsets, adjacency.size()); reads only
+  /// adjacency[offsets[begin], offsets[end]).
+  static bool ValidCsrLists(std::span<const uint64_t> offsets,
+                            std::span<const VertexId> adjacency,
+                            VertexId begin, VertexId end);
+
   /// FromCsr without the invariant CHECKs. Reserved for arrays already
-  /// known valid: the cache loader just ran IsValidCsr on them (a second
+  /// known valid: the cache loader checked them as it read them (a second
   /// O(|V| + |E|) pass per load would cancel much of the cache's point on
   /// billion-edge graphs).
   static Graph AdoptCsr(std::vector<uint64_t> offsets,

@@ -5,7 +5,9 @@
 
 #include "graph/dataset_io.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -17,6 +19,7 @@
 #include "graph/components.h"
 #include "graph/edge_list_io.h"
 #include "graph/graph.h"
+#include "util/binary_io.h"
 
 namespace qbs {
 namespace {
@@ -213,6 +216,99 @@ TEST(DatasetIoTest, EveryFlippedByteIsRejected) {
     corrupt[at] = static_cast<char>(corrupt[at] ^ 0x01);
     WriteFileBytes(path, corrupt);
     ASSERT_FALSE(LoadGraphCache(path).has_value()) << "byte " << at;
+  }
+}
+
+// Rewrites the trailing checksum to match the bytes before it, so a body
+// error gets past the checksum to the CSR check.
+void Rechecksum(std::string* bytes) {
+  Checksum64 sum;
+  sum.Update(bytes->data(), bytes->size() - sizeof(uint64_t));
+  const uint64_t digest = sum.Digest();
+  std::memcpy(bytes->data() + bytes->size() - sizeof(digest), &digest,
+              sizeof(digest));
+}
+
+// K_600: 359,400 adjacency entries, several load chunks, and lists of 599
+// entries, so every chunk boundary falls inside a list.
+Graph CompleteGraph(VertexId n) {
+  std::vector<Edge> edges;
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) edges.emplace_back(u, v);
+  }
+  return Graph::FromEdges(n, std::move(edges));
+}
+
+// The header's bytes: magic, n, m, the largest-CC flag and three u64s.
+constexpr size_t kCacheHeaderBytes = 8 + 4 + 8 + 1 + 3 * 8;
+
+std::string LoadGraphCacheStderr(const std::string& path) {
+  ::testing::internal::CaptureStderr();
+  const bool loaded = LoadGraphCache(path).has_value();
+  std::string err = ::testing::internal::GetCapturedStderr();
+  return loaded ? "loaded" : err;
+}
+
+// The loader checks each list once the chunk that completes it has been
+// read. A descent placed at, just before or just after a chunk boundary
+// spans two chunks, and must be rejected as a CSR error, not missed.
+TEST(DatasetIoTest, DescentAtAChunkBoundaryIsRejected) {
+  const Graph g = CompleteGraph(600);
+  const auto offsets = g.RawOffsets();
+  const uint64_t entries = g.RawAdjacency().size();
+  ASSERT_GT(entries, 4 * kGraphCacheChunkEntries);
+  const std::string path = TempPath("chunked.qbsgrf");
+  ASSERT_TRUE(SaveGraphCache(g, DatasetCacheInfo{}, path));
+  auto loaded = LoadGraphCache(path);
+  ASSERT_TRUE(loaded.has_value());
+  ExpectBitIdentical(g, *loaded);
+
+  const std::string bytes = ReadFileBytes(path);
+  const size_t adjacency_at = kCacheHeaderBytes + offsets.size() * 8;
+  for (uint64_t boundary = kGraphCacheChunkEntries; boundary < entries;
+       boundary += kGraphCacheChunkEntries) {
+    for (const uint64_t at : {boundary - 1, boundary, boundary + 1}) {
+      // Entries at - 1 and at share a list.
+      ASSERT_FALSE(std::binary_search(offsets.begin(), offsets.end(), at));
+      std::string corrupt = bytes;
+      char* entry = corrupt.data() + adjacency_at + at * sizeof(VertexId);
+      // Entries at - 1 and at trade places.
+      std::swap_ranges(entry - sizeof(VertexId), entry, entry);
+      Rechecksum(&corrupt);
+      WriteFileBytes(path, corrupt);
+      EXPECT_NE(LoadGraphCacheStderr(path).find("not a valid CSR"),
+                std::string::npos)
+          << "entry " << at;
+    }
+  }
+}
+
+// A file whose CSR is broken and whose checksum no longer matches reports
+// the checksum, whichever part of the CSR is broken: the loader reads the
+// whole file before it names a CSR error.
+TEST(DatasetIoTest, CacheBadInBothWaysReportsTheChecksum) {
+  const Graph g = CompleteGraph(600);
+  const std::string path = TempPath("bad_both_ways.qbsgrf");
+  ASSERT_TRUE(SaveGraphCache(g, DatasetCacheInfo{}, path));
+  const std::string bytes = ReadFileBytes(path);
+  const size_t adjacency_at = kCacheHeaderBytes + g.RawOffsets().size() * 8;
+
+  std::string swapped = bytes;  // a descent in the third chunk
+  char* entry = swapped.data() + adjacency_at +
+                (2 * kGraphCacheChunkEntries + 1) * sizeof(VertexId);
+  std::swap_ranges(entry - sizeof(VertexId), entry, entry);
+  std::string overshoot = bytes;  // offsets[1] past the adjacency
+  const uint64_t huge = 1ull << 40;
+  std::memcpy(overshoot.data() + kCacheHeaderBytes + 8, &huge, sizeof(huge));
+
+  for (std::string* corrupt : {&swapped, &overshoot}) {
+    WriteFileBytes(path, *corrupt);
+    EXPECT_NE(LoadGraphCacheStderr(path).find("checksum mismatch"),
+              std::string::npos);
+    Rechecksum(corrupt);
+    WriteFileBytes(path, *corrupt);
+    EXPECT_NE(LoadGraphCacheStderr(path).find("not a valid CSR"),
+              std::string::npos);
   }
 }
 

@@ -9,14 +9,18 @@
 //   * a graph cache the loader accepts saves back to the very same bytes
 //     (the layout has exactly one encoding of each graph).
 //
-// Each input is written to a temp file and handed to both loaders. Built
-// two ways, like protocol_fuzz.cc: with QBS_FUZZ_LIBFUZZER under clang
-// -fsanitize=fuzzer for real fuzzing, and with a standalone main() that
-// replays the checked-in corpus under tests/fuzz/file_corpus/ as a plain
-// ctest in every build.
+// Each input is written to a temp file and handed to both loaders, twice:
+// as it is, and with its last 8 bytes replaced by the Checksum64 of the
+// rest. Both formats end with that checksum, so the second copy carries a
+// mutation past it to the checks behind it (the CSR's, the labels')
+// instead of letting it die there. Built two ways, like protocol_fuzz.cc:
+// with QBS_FUZZ_LIBFUZZER under clang -fsanitize=fuzzer for real fuzzing,
+// and with a standalone main() that replays the checked-in corpus under
+// tests/fuzz/file_corpus/ as a plain ctest in every build.
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -28,6 +32,7 @@
 
 #include "core/serialization.h"
 #include "graph/dataset_io.h"
+#include "util/binary_io.h"
 
 namespace {
 
@@ -50,22 +55,34 @@ std::vector<uint8_t> ReadFile(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), {}};
 }
 
-void RunOneInput(const uint8_t* data, size_t size) {
-  // Every rejection prints a line; the fuzzer runs millions of them.
-  std::cerr.rdbuf(nullptr);
+void LoadBoth(const std::vector<uint8_t>& bytes) {
   static const std::string input = ScratchPath(".in");
   static const std::string resaved = ScratchPath(".out");
-  WriteFile(input, data, size);
+  WriteFile(input, bytes.data(), bytes.size());
 
   (void)LoadLabelingScheme(input);
 
   DatasetCacheInfo info;
   if (auto g = LoadGraphCache(input, &info)) {
-    if (!SaveGraphCache(*g, info, resaved) ||
-        ReadFile(resaved) != std::vector<uint8_t>(data, data + size)) {
+    if (!SaveGraphCache(*g, info, resaved) || ReadFile(resaved) != bytes) {
       __builtin_trap();
     }
   }
+}
+
+void RunOneInput(const uint8_t* data, size_t size) {
+  // Every rejection prints a line; the fuzzer runs millions of them.
+  std::cerr.rdbuf(nullptr);
+  const std::vector<uint8_t> bytes(data, data + size);
+  LoadBoth(bytes);
+  if (size < sizeof(uint64_t)) return;
+  std::vector<uint8_t> resummed = bytes;
+  const size_t body = size - sizeof(uint64_t);
+  Checksum64 sum;
+  sum.Update(resummed.data(), body);
+  const uint64_t digest = sum.Digest();
+  std::memcpy(resummed.data() + body, &digest, sizeof(digest));
+  if (resummed != bytes) LoadBoth(resummed);
 }
 
 }  // namespace

@@ -1,10 +1,15 @@
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <functional>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "graph/edge_list_io.h"
 #include "graph/graph.h"
+#include "util/rng.h"
 
 namespace qbs {
 namespace {
@@ -65,6 +70,124 @@ TEST(GraphTest, SizeBytesGrowsWithEdges) {
   Graph small = Graph::FromEdges(4, {{0, 1}});
   Graph large = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}, {0, 3}});
   EXPECT_GT(large.SizeBytes(), small.SizeBytes());
+}
+
+// Offset 1 overshoots the adjacency and offset 2 drops back. A check that
+// read vertex 0's list before it had seen offset 2 would walk 98 entries
+// past the end of the adjacency.
+TEST(GraphTest, IsValidCsrChecksEveryOffsetBeforeAnyList) {
+  const std::vector<uint64_t> offsets{0, 100, 2, 2, 2, 2, 2, 2, 2, 2, 2};
+  const std::vector<VertexId> adjacency{1, 2};
+  EXPECT_FALSE(Graph::IsValidCsr(offsets, adjacency));
+}
+
+// The invariants FromCsr requires, spelled out one at a time with every
+// read bounds-checked: the reference IsValidCsr must agree with.
+bool ReferenceIsValidCsr(const std::vector<uint64_t>& offsets,
+                         const std::vector<VertexId>& adjacency) {
+  if (offsets.empty() || offsets.front() != 0 ||
+      offsets.back() != adjacency.size() || adjacency.size() % 2 != 0) {
+    return false;
+  }
+  const size_t n = offsets.size() - 1;
+  for (size_t v = 0; v < n; ++v) {
+    if (offsets[v] > offsets[v + 1] || offsets[v + 1] > adjacency.size()) {
+      return false;
+    }
+    const std::vector<VertexId> list(adjacency.begin() + offsets[v],
+                                     adjacency.begin() + offsets[v + 1]);
+    if (std::adjacent_find(list.begin(), list.end(),
+                           std::greater_equal<>()) != list.end() ||
+        std::find(list.begin(), list.end(), v) != list.end() ||
+        std::any_of(list.begin(), list.end(),
+                    [n](VertexId w) { return w >= n; })) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// Random small graphs, each with one corruption drawn from the ways a CSR
+// can go wrong; IsValidCsr must give the reference's verdict on every one.
+TEST(GraphTest, IsValidCsrMatchesReference) {
+  Rng rng(20261019);
+  int corrupted = 0;
+  int rejected = 0;
+  while (corrupted < 2500) {
+    const auto n = static_cast<VertexId>(2 + rng.UniformInt(11));
+    std::vector<Edge> edges;
+    const uint64_t m = 1 + rng.UniformInt(2 * n);
+    for (uint64_t e = 0; e < m; ++e) {
+      edges.emplace_back(static_cast<VertexId>(rng.UniformInt(n)),
+                         static_cast<VertexId>(rng.UniformInt(n)));
+    }
+    const Graph g = Graph::FromEdges(n, edges);
+    std::vector<uint64_t> offsets(g.RawOffsets().begin(),
+                                  g.RawOffsets().end());
+    std::vector<VertexId> adjacency(g.RawAdjacency().begin(),
+                                    g.RawAdjacency().end());
+    ASSERT_TRUE(Graph::IsValidCsr(offsets, adjacency));
+    if (adjacency.empty()) continue;  // every draw was a self-loop
+
+    const size_t size = adjacency.size();
+    const size_t at = rng.UniformInt(size);  // an adjacency entry
+    // The vertex whose list holds entry `at`.
+    const auto owner = static_cast<VertexId>(
+        std::upper_bound(offsets.begin(), offsets.end(), at) -
+        offsets.begin() - 1);
+    const bool has_prev = at > offsets[owner];
+    switch (rng.UniformInt(9)) {
+      case 0:  // an offset bump
+        ++offsets[rng.UniformInt(n + 1)];
+        break;
+      case 1: {  // an offset drop
+        uint64_t& offset = offsets[1 + rng.UniformInt(n)];
+        if (offset == 0) continue;
+        --offset;
+        break;
+      }
+      case 2:  // a duplicate
+        if (!has_prev) continue;
+        adjacency[at] = adjacency[at - 1];
+        break;
+      case 3:  // a swapped pair
+        if (!has_prev) continue;
+        std::swap(adjacency[at - 1], adjacency[at]);
+        break;
+      case 4:  // a self-loop
+        adjacency[at] = owner;
+        break;
+      case 5:  // an entry equal to n
+        adjacency[at] = n;
+        break;
+      case 6:  // an odd size: one entry more or less in the last list
+        if (rng.UniformInt(2) == 0) {
+          adjacency.push_back(static_cast<VertexId>(rng.UniformInt(n)));
+          ++offsets.back();
+        } else {
+          adjacency.pop_back();
+          for (uint64_t& offset : offsets) {
+            offset = std::min<uint64_t>(offset, adjacency.size());
+          }
+        }
+        break;
+      case 7:  // an empty first list
+        offsets[1] = 0;
+        break;
+      case 8:  // an empty last list
+        offsets[n - 1] = offsets[n];
+        break;
+    }
+    ++corrupted;
+    const bool expected = ReferenceIsValidCsr(offsets, adjacency);
+    rejected += expected ? 0 : 1;
+    ASSERT_EQ(Graph::IsValidCsr(offsets, adjacency), expected)
+        << "case " << corrupted;
+  }
+  // Most corruptions break an invariant; a few (an empty list emptied
+  // again) leave a valid CSR. Both verdicts are exercised.
+  EXPECT_GT(rejected, 2000);
+  EXPECT_LT(rejected, corrupted);
 }
 
 class EdgeListIoTest : public ::testing::Test {
