@@ -29,8 +29,6 @@ std::optional<PplIndex> PplIndex::Build(const Graph& g,
               const uint32_t db = g.Degree(b);
               return da != db ? da > db : a < b;
             });
-  index.rank_of_.resize(n);
-  for (uint32_t r = 0; r < n; ++r) index.rank_of_[index.order_[r]] = r;
 
   WallTimer timer;
   uint64_t total_entries = 0;

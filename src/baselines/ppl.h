@@ -103,7 +103,6 @@ class PplIndex {
   const std::vector<PplEntry>& Label(VertexId v) const { return labels_[v]; }
   // Vertex id of the landmark with the given order rank.
   VertexId LandmarkVertex(uint32_t rank) const { return order_[rank]; }
-  uint32_t RankOf(VertexId v) const { return rank_of_[v]; }
 
   uint64_t NumEntries() const;
   // Bytes of all labelling entries (Table 3 footprint: 32-bit landmark +
@@ -119,8 +118,7 @@ class PplIndex {
 
   const Graph* g_ = nullptr;  // not owned
   std::vector<std::vector<PplEntry>> labels_;
-  std::vector<VertexId> order_;    // rank -> vertex (degree-descending)
-  std::vector<uint32_t> rank_of_;  // vertex -> rank
+  std::vector<VertexId> order_;  // rank -> vertex (degree-descending)
 };
 
 }  // namespace qbs

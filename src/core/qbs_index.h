@@ -107,10 +107,6 @@ class QbsIndex {
   std::vector<QueryResponse> QueryBatch(
       const std::vector<QueryRequest>& requests,
       const BatchOptions& options) const;
-  std::vector<QueryResponse> QueryBatch(
-      const std::vector<QueryRequest>& requests) const {
-    return QueryBatch(requests, BatchOptions());
-  }
 
   /// Executes one request on a caller-managed searcher (one held via
   /// SearcherLease); the primitive Query() and QueryBatch are built on.

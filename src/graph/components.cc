@@ -70,9 +70,4 @@ SubgraphResult LargestComponent(const Graph& g, const ComponentInfo& info) {
   return result;
 }
 
-bool IsConnected(const Graph& g) {
-  if (g.NumVertices() == 0) return true;
-  return ConnectedComponents(g).num_components == 1;
-}
-
 }  // namespace qbs

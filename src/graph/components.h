@@ -44,9 +44,6 @@ SubgraphResult LargestComponent(const Graph& g);
 // traversal.
 SubgraphResult LargestComponent(const Graph& g, const ComponentInfo& info);
 
-// True iff g is connected (or empty).
-bool IsConnected(const Graph& g);
-
 }  // namespace qbs
 
 #endif  // QBS_GRAPH_COMPONENTS_H_

@@ -10,14 +10,14 @@
 #include "core/sketch.h"
 #include "graph/bfs.h"
 #include "graph/graph_delta.h"
+#include "util/check.h"
+#include "util/thread_pool.h"
 
 namespace qbs::server {
 namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Result-cache LRU shards; more shards, less lock contention on hot pairs.
-constexpr size_t kCacheShards = 16;
 // Advisory retry hint carried in kBusy responses.
 constexpr uint32_t kBusyRetryMs = 50;
 
@@ -138,12 +138,10 @@ QueryServer::QueryServer(QbsIndex& index, const ServerOptions& options)
     : index_(index),
       options_(options),
       num_vertices_(index.graph().NumVertices()),
-      cache_({.capacity_bytes = options.cache_bytes,
-              .shards = kCacheShards}),
-      gate_(options.max_inflight == 0
-                ? std::max<size_t>(std::thread::hardware_concurrency(), 1)
-                : options.max_inflight,
-            options.max_queue) {}
+      cache_({.capacity_bytes = options.cache_bytes}),
+      gate_(EffectiveThreads(options.max_inflight), options.max_queue) {
+  QBS_CHECK(!options.allow_updates || index.updates_enabled());
+}
 
 QueryServer::~QueryServer() { Stop(); }
 
@@ -478,11 +476,6 @@ QueryResponse QueryServer::LabelAnswer(const QueryRequest& request) const {
 }
 
 bool QueryServer::ServeUpdate(Socket& sock, const GraphDelta& delta) {
-  if (!index_.updates_enabled()) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    return SendError(sock, ErrorCode::kBadRequest,
-                     "index was not loaded in updatable mode");
-  }
   UpdateStats stats;
   {
     // Writer side: queries drain, the delta applies, and every cached

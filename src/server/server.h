@@ -122,7 +122,8 @@ struct ServerOptions {
   /// anything resembling production).
   bool allow_remote_shutdown = true;
   /// Honor kUpdateRequest frames (edge edit scripts). Requires the index
-  /// to be in updatable mode (QbsIndex::EnableUpdates) before Start().
+  /// to be in updatable mode (QbsIndex::EnableUpdates) before the server
+  /// is constructed; the constructor QBS_CHECKs it.
   /// Updates run under a writer lock — queries drain first, the delta
   /// applies, and every cached answer the delta can change is erased
   /// before any query can read the cache again, so a served answer is
@@ -153,6 +154,8 @@ struct ServerOptions {
 class QueryServer {
  public:
   /// The index (and the graph it was built on) must outlive the server.
+  /// Aborts if options.allow_updates is set on an index whose updates
+  /// are not enabled.
   QueryServer(QbsIndex& index, const ServerOptions& options);
   ~QueryServer();
 

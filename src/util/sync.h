@@ -40,9 +40,10 @@
 
 // ---- Clang Thread Safety Analysis annotation macros -----------------------
 //
-// QBS_-prefixed spellings of the standard capability attributes (see
-// https://clang.llvm.org/docs/ThreadSafetyAnalysis.html). Under non-clang
-// compilers every macro expands to nothing.
+// QBS_-prefixed spellings of the standard capability attributes this
+// project uses (see https://clang.llvm.org/docs/ThreadSafetyAnalysis.html).
+// There is no opt-out macro: code the analysis rejects is restructured.
+// Under non-clang compilers every macro expands to nothing.
 
 #if defined(__clang__)
 #define QBS_THREAD_ANNOTATION_(x) __attribute__((x))
@@ -53,15 +54,8 @@
 #define QBS_CAPABILITY(x) QBS_THREAD_ANNOTATION_(capability(x))
 #define QBS_SCOPED_CAPABILITY QBS_THREAD_ANNOTATION_(scoped_lockable)
 #define QBS_GUARDED_BY(x) QBS_THREAD_ANNOTATION_(guarded_by(x))
-#define QBS_PT_GUARDED_BY(x) QBS_THREAD_ANNOTATION_(pt_guarded_by(x))
-#define QBS_ACQUIRED_BEFORE(...) \
-  QBS_THREAD_ANNOTATION_(acquired_before(__VA_ARGS__))
-#define QBS_ACQUIRED_AFTER(...) \
-  QBS_THREAD_ANNOTATION_(acquired_after(__VA_ARGS__))
 #define QBS_REQUIRES(...) \
   QBS_THREAD_ANNOTATION_(requires_capability(__VA_ARGS__))
-#define QBS_REQUIRES_SHARED(...) \
-  QBS_THREAD_ANNOTATION_(requires_shared_capability(__VA_ARGS__))
 #define QBS_ACQUIRE(...) \
   QBS_THREAD_ANNOTATION_(acquire_capability(__VA_ARGS__))
 #define QBS_ACQUIRE_SHARED(...) \
@@ -76,14 +70,6 @@
   QBS_THREAD_ANNOTATION_(try_acquire_capability(__VA_ARGS__))
 #define QBS_TRY_ACQUIRE_SHARED(...) \
   QBS_THREAD_ANNOTATION_(try_acquire_shared_capability(__VA_ARGS__))
-#define QBS_EXCLUDES(...) QBS_THREAD_ANNOTATION_(locks_excluded(__VA_ARGS__))
-#define QBS_ASSERT_CAPABILITY(x) \
-  QBS_THREAD_ANNOTATION_(assert_capability(x))
-#define QBS_RETURN_CAPABILITY(x) QBS_THREAD_ANNOTATION_(lock_returned(x))
-// Escape hatch. Project rule (lint-visible, reviewed): zero uses outside
-// sync.h internals — new code must restructure instead of opting out.
-#define QBS_NO_THREAD_SAFETY_ANALYSIS \
-  QBS_THREAD_ANNOTATION_(no_thread_safety_analysis)
 
 // ---- Lock-rank runtime checker --------------------------------------------
 

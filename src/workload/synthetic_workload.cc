@@ -37,12 +37,12 @@ std::vector<TimedQuery> GenerateWorkload(const Graph& g,
   std::vector<TimedQuery> out;
   out.reserve(options.num_queries);
 
-  // Bursty arrival schedule: the stream is cut into `phases` equal chunks
+  // Bursty arrival schedule: the stream is cut into kPhases equal chunks
   // alternating base rate and base * burst_factor, Poisson (exponential
   // inter-arrivals) within each phase. Rate 0 = closed loop, arrival 0.
-  const size_t phases = std::max<size_t>(options.phases, 1);
+  constexpr size_t kPhases = 16;
   const size_t phase_len =
-      std::max<size_t>((options.num_queries + phases - 1) / phases, 1);
+      std::max<size_t>((options.num_queries + kPhases - 1) / kPhases, 1);
   const double base_qps = options.arrival_rate_qps;
   double clock_ns = 0.0;
   constexpr uint64_t kMaxArrivalNs = std::chrono::nanoseconds::max().count();

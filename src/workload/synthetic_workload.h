@@ -46,12 +46,10 @@ struct WorkloadOptions {
   /// arrival_ns is 0 and the load driver fires as fast as the server
   /// admits.
   double arrival_rate_qps = 0.0;
-  /// Arrivals alternate between phases at the base rate and phases at
-  /// base * burst_factor (Poisson within each phase). burst_factor = 1
-  /// disables burstiness.
+  /// The stream is cut into a fixed number of equal phases that alternate
+  /// between the base rate and base * burst_factor (Poisson within each
+  /// phase). burst_factor = 1 disables burstiness.
   double burst_factor = 4.0;
-  /// Number of alternating phases the query stream is split into.
-  size_t phases = 16;
 };
 
 struct TimedQuery {

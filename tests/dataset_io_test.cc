@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "gen/generators.h"
 #include "graph/components.h"
 #include "graph/edge_list_io.h"
 #include "graph/graph.h"
@@ -229,16 +230,6 @@ void Rechecksum(std::string* bytes) {
               sizeof(digest));
 }
 
-// K_600: 359,400 adjacency entries, several load chunks, and lists of 599
-// entries, so every chunk boundary falls inside a list.
-Graph CompleteGraph(VertexId n) {
-  std::vector<Edge> edges;
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v = u + 1; v < n; ++v) edges.emplace_back(u, v);
-  }
-  return Graph::FromEdges(n, std::move(edges));
-}
-
 // The header's bytes: magic, n, m, the largest-CC flag and three u64s.
 constexpr size_t kCacheHeaderBytes = 8 + 4 + 8 + 1 + 3 * 8;
 
@@ -251,7 +242,9 @@ std::string LoadGraphCacheStderr(const std::string& path) {
 
 // The loader checks each list once the chunk that completes it has been
 // read. A descent placed at, just before or just after a chunk boundary
-// spans two chunks, and must be rejected as a CSR error, not missed.
+// spans two chunks, and must be rejected as a CSR error, not missed. K_600
+// has 359,400 adjacency entries, several load chunks, and lists of 599
+// entries, so every chunk boundary falls inside a list.
 TEST(DatasetIoTest, DescentAtAChunkBoundaryIsRejected) {
   const Graph g = CompleteGraph(600);
   const auto offsets = g.RawOffsets();

@@ -11,6 +11,7 @@
 #include "graph/bfs.h"
 #include "graph/graph.h"
 #include "graph/spg.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace qbs {
@@ -339,22 +340,6 @@ TEST(BidirectionalSearchTest, LastLevelSettlesOnlyTheMeetSet) {
   }
 }
 
-// G[V \ blocked], on the same vertex ids: what a search with `blocked`
-// traverses.
-Graph WithoutBlocked(const Graph& g, const std::vector<VertexId>& blocked) {
-  const auto is_blocked = [&](VertexId x) {
-    return std::binary_search(blocked.begin(), blocked.end(), x);
-  };
-  std::vector<Edge> edges;
-  for (VertexId x = 0; x < g.NumVertices(); ++x) {
-    if (is_blocked(x)) continue;
-    for (const VertexId y : g.Neighbors(x)) {
-      if (x < y && !is_blocked(y)) edges.emplace_back(x, y);
-    }
-  }
-  return Graph::FromEdges(g.NumVertices(), std::move(edges));
-}
-
 void ExpectNothingSettled(const BidirectionalSearch& search, VertexId n) {
   for (VertexId x = 0; x < n; ++x) {
     ASSERT_EQ(search.Depth(0, x), kUnreachable) << "x=" << x;
@@ -379,7 +364,7 @@ TEST(BidirectionalSearchTest, MeetRulesSettleOnlyWhatTheAnswerReads) {
     for (const bool any_blocked : {false, true}) {
       const std::vector<VertexId> blocked =
           any_blocked ? SomeBlocked(g, &rng) : std::vector<VertexId>{};
-      const Graph searched = WithoutBlocked(g, blocked);
+      const Graph searched = testing::WithoutVertices(g, blocked);
       BidirectionalSearch full(g, blocked);
       BidirectionalSearch fair(g, blocked);
       BidirectionalSearch first(g, blocked);

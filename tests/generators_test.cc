@@ -23,7 +23,7 @@ TEST(ErdosRenyiTest, DeterministicBySeed) {
 TEST(BarabasiAlbertTest, ConnectedWithExpectedSize) {
   Graph g = BarabasiAlbert(500, 3, 2);
   EXPECT_EQ(g.NumVertices(), 500u);
-  EXPECT_TRUE(IsConnected(g));
+  EXPECT_EQ(ConnectedComponents(g).num_components, 1u);
   // Seed clique C(4,2)=6 edges + 3 per subsequent vertex.
   EXPECT_EQ(g.NumEdges(), 6u + 3u * (500 - 4));
 }
@@ -81,8 +81,8 @@ TEST(StructuredGraphsTest, PathCycleGridStarCompleteTree) {
   EXPECT_EQ(StarGraph(6).NumEdges(), 5u);
   EXPECT_EQ(CompleteGraph(6).NumEdges(), 15u);
   EXPECT_EQ(CompleteBinaryTree(7).NumEdges(), 6u);
-  EXPECT_TRUE(IsConnected(GridGraph(3, 4)));
-  EXPECT_TRUE(IsConnected(CompleteBinaryTree(15)));
+  EXPECT_EQ(ConnectedComponents(GridGraph(3, 4)).num_components, 1u);
+  EXPECT_EQ(ConnectedComponents(CompleteBinaryTree(15)).num_components, 1u);
 }
 
 TEST(StructuredGraphsTest, SingleVertexEdgeCases) {

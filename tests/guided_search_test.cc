@@ -333,16 +333,6 @@ TEST(ReverseWalkTest, MatchesOracleAndNeverOutscansSearch) {
   }
 }
 
-// G⁻ the slow way: keep the landmark-free edges and let FromEdges sort and
-// deduplicate them.
-Graph ReferenceSparsified(const Graph& g, const std::vector<bool>& is_blocked) {
-  std::vector<Edge> edges;
-  for (const Edge& e : g.EdgeList()) {
-    if (!is_blocked[e.u] && !is_blocked[e.v]) edges.push_back(e);
-  }
-  return Graph::FromEdges(g.NumVertices(), std::move(edges));
-}
-
 std::vector<VertexId> LevelVector(const BidirectionalSearch& search, int t,
                                   size_t level) {
   const auto span = search.levels(t).Level(level);
@@ -359,7 +349,7 @@ void ExpectBlockedSearchMatchesReference(const Graph& g,
                                          size_t max_pairs = 0) {
   std::vector<bool> is_blocked(g.NumVertices(), false);
   for (const VertexId b : blocked) is_blocked[b] = true;
-  const Graph ref = ReferenceSparsified(g, is_blocked);
+  const Graph ref = testing::WithoutVertices(g, blocked);
   BidirectionalSearch in_place(g, blocked);
   BidirectionalSearch stored(ref);
   std::vector<std::pair<VertexId, VertexId>> pairs;

@@ -58,9 +58,9 @@ TEST(QueryBatchTest, DistanceModeDropsEdges) {
   options.num_landmarks = 8;
   QbsIndex index = QbsIndex::Build(g, options);
   const auto pairs = SampleQueryPairs(g, 100, 12);
-  const auto spg = index.QueryBatch(ToRequests(pairs, QueryMode::kSpg));
+  const auto spg = index.QueryBatch(ToRequests(pairs, QueryMode::kSpg), {});
   const auto dist =
-      index.QueryBatch(ToRequests(pairs, QueryMode::kDistance));
+      index.QueryBatch(ToRequests(pairs, QueryMode::kDistance), {});
   for (size_t i = 0; i < pairs.size(); ++i) {
     EXPECT_EQ(dist[i].distance(), spg[i].distance()) << "i=" << i;
     EXPECT_TRUE(dist[i].spg.edges.empty()) << "i=" << i;
@@ -76,7 +76,7 @@ TEST(QueryBatchTest, BudgetSemantics) {
   requests.emplace_back(0, 3, QueryMode::kSpg, /*budget_in=*/5);   // within
   requests.emplace_back(0, 5, QueryMode::kSpg, /*budget_in=*/5);   // exactly
   requests.emplace_back(0, 40, QueryMode::kSpg, /*budget_in=*/5);  // beyond
-  const auto batch = index.QueryBatch(requests);
+  const auto batch = index.QueryBatch(requests, {});
 
   EXPECT_EQ(batch[0].distance(), 3u);
   EXPECT_FALSE(batch[0].spg.edges.empty());
@@ -104,9 +104,8 @@ TEST(QueryBatchTest, EmptyAndSingleton) {
   QbsOptions options;
   options.num_landmarks = 2;
   QbsIndex index = QbsIndex::Build(g, options);
-  EXPECT_TRUE(index.QueryBatch(std::vector<QueryRequest>{}).empty());
-  const auto single =
-      index.QueryBatch(std::vector<QueryRequest>{QueryRequest(0, 9)});
+  EXPECT_TRUE(index.QueryBatch({}, {}).empty());
+  const auto single = index.QueryBatch({QueryRequest(0, 9)}, {});
   ASSERT_EQ(single.size(), 1u);
   EXPECT_EQ(single[0].spg, SpgByDoubleBfs(g, 0, 9));
 }
@@ -143,7 +142,7 @@ TEST(QueryBatchTest, DuplicateAndSelfPairs) {
   const std::vector<QueryRequest> requests{
       QueryRequest(0, 10), QueryRequest(0, 10), QueryRequest(5, 5),
       QueryRequest(10, 0)};
-  const auto batch = index.QueryBatch(requests);
+  const auto batch = index.QueryBatch(requests, {});
   EXPECT_TRUE(SameAnswer(batch[0], batch[1]));
   EXPECT_EQ(batch[2].distance(), 0u);
   EXPECT_EQ(batch[3].distance(), batch[0].distance());

@@ -282,6 +282,26 @@ TEST_F(SerializationTest, MetaEdgeWithTwoWeightsIsRejected) {
   EXPECT_FALSE(LoadLabelingScheme(path_).has_value());
 }
 
+// A meta-edge must join two distinct landmarks of the file at a real
+// distance; each way of breaking that is rejected behind a valid checksum.
+TEST_F(SerializationTest, BadMetaEdgesAreRejected) {
+  const MetaEdge bad[] = {
+      {1, 1, 2},             // a == b
+      {0, 2, 2},             // b >= k
+      {2, 1, 2},             // a >= k
+      {0, 1, 0},             // weight 0
+      {0, 1, kUnreachable},  // weight "no path"
+  };
+  for (const MetaEdge& e : bad) {
+    WriteFileBytes(path_, CraftIndex({0, 2}, {e}));
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(LoadLabelingScheme(path_).has_value());
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("bad meta-edge"), std::string::npos)
+        << e.a << " " << e.b << " " << e.weight << ": " << err;
+  }
+}
+
 // Header counts are checked against the file's size before they size any
 // allocation, so a corrupt count is a clean rejection, not bad_alloc.
 TEST_F(SerializationTest, HeaderCountsLargerThanTheFileAreRejected) {

@@ -557,6 +557,72 @@ TEST_F(ServerTest, PipelinedFramesOnSaturatedServerAnswerInOrder) {
   server->Stop();
 }
 
+// Typed errors for frames the daemon cannot serve keep the connection: a
+// query payload one byte short is kBadRequest, a frame type only the
+// server sends is "unexpected frame type", and the next frame on the same
+// connection is still answered.
+TEST_F(ServerTest, UnservableFramesAreAnsweredAndTheConnectionKept) {
+  auto server = StartServer();
+  std::vector<uint8_t> request = EncodeQueryRequest(QueryRequest(0, 1));
+  ASSERT_EQ(request.size(), 24u);
+  std::vector<uint8_t> wire;
+  AppendFrame(&wire, FrameType::kQueryRequest,
+              std::span<const uint8_t>(request.data(), 23));
+  AppendFrame(&wire, FrameType::kQueryRequest, request);
+  AppendFrame(&wire, FrameType::kQueryResponse,
+              EncodeQueryResponse(index_->Query(QueryRequest(0, 1))));
+  AppendFrame(&wire, FrameType::kPing, {});
+
+  const int fd = ConnectRaw(server->port());
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::send(fd, wire.data(), wire.size(), 0),
+            static_cast<ssize_t>(wire.size()));
+  const std::vector<Frame> frames = ReadFrames(fd, 4);
+  ::close(fd);
+  ASSERT_EQ(frames.size(), 4u);
+  ErrorCode code = ErrorCode::kInternal;
+  std::string message;
+  ASSERT_EQ(frames[0].type, FrameType::kError);
+  ASSERT_TRUE(DecodeError(frames[0].payload, &code, &message));
+  EXPECT_EQ(code, ErrorCode::kBadRequest);
+  EXPECT_EQ(message, "malformed query payload");
+  ASSERT_EQ(frames[1].type, FrameType::kQueryResponse);
+  QueryResponse response;
+  ASSERT_TRUE(DecodeQueryResponse(frames[1].payload, &response));
+  EXPECT_EQ(response.spg, index_->Query(QueryRequest(0, 1)).spg);
+  ASSERT_EQ(frames[2].type, FrameType::kError);
+  ASSERT_TRUE(DecodeError(frames[2].payload, &code, &message));
+  EXPECT_EQ(code, ErrorCode::kBadRequest);
+  EXPECT_EQ(message, "unexpected frame type 2");
+  EXPECT_EQ(frames[3].type, FrameType::kPong);
+  EXPECT_EQ(server->GetStats().bad_requests, 2u);
+  server->Stop();
+}
+
+// Past max_connections the daemon accepts and closes at once, counts the
+// rejection, and keeps serving the connection it holds.
+TEST_F(ServerTest, ConnectionsPastTheLimitAreClosedAndCounted) {
+  ServerOptions options;
+  options.max_connections = 1;
+  auto server = StartServer(options);
+  QueryClient client = ConnectTo(*server);
+  QueryResponse response;
+  // One round trip: the held connection is registered before the next.
+  ASSERT_EQ(client.Query(QueryRequest(0, 1), &response),
+            QueryClient::RpcStatus::kOk);
+
+  const int fd = ConnectRaw(server->port());
+  ASSERT_GE(fd, 0);
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0);  // closed without a frame
+  ::close(fd);
+  EXPECT_EQ(server->GetStats().connections_rejected, 1u);
+  ASSERT_EQ(client.Query(QueryRequest(2, 3), &response),
+            QueryClient::RpcStatus::kOk);
+  EXPECT_EQ(server->GetStats().connections_accepted, 1u);
+  server->Stop();
+}
+
 // A request with under a millisecond of budget left on a saturated server
 // whose queue has room waits out that remainder and is answered
 // kDeadlineExceeded — not kBusy, which would invite a retry.
@@ -667,6 +733,79 @@ TEST_F(ServerTest, IdleConnectionIsReaped) {
   ASSERT_TRUE(client.Reconnect()) << client.last_error();
   ASSERT_EQ(client.Query(QueryRequest(1, 2), &response),
             QueryClient::RpcStatus::kOk);
+  EXPECT_GE(server->GetStats().idle_timeouts, 1u);
+  server->Stop();
+}
+
+// QueryWithRetry backs off and retries a kBusy answer until a slot
+// frees: with one slot, no queue and a hog holding the slot, the first
+// try is kBusy and a later one is admitted.
+TEST_F(ServerTest, QueryWithRetryRetriesBusyUntilAdmitted) {
+  ServerOptions options;
+  options.max_inflight = 1;
+  options.max_queue = 0;
+  options.fault_injector_factory = [](uint64_t conn_id) {
+    return std::make_unique<FaultInjector>(SlowQueries(), conn_id);
+  };
+  auto server = StartServer(options);
+
+  // A jthread, so a failed ASSERT below still joins it.
+  std::jthread hog([&] {
+    QueryClient client;
+    if (!client.Connect("127.0.0.1", server->port())) return;
+    QueryResponse ignored;
+    client.Query(QueryRequest(1, 2, QueryMode::kSpg, 0, kQueryFlagNoCache),
+                 &ignored);
+  });
+  while (server->GetStats().admission_inflight < 1) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+
+  QueryClient client = ConnectTo(*server);
+  RetryPolicy policy;
+  policy.max_attempts = 40;
+  policy.max_backoff_ms = 100;
+  RetryStats stats;
+  QueryResponse response;
+  const QueryRequest request(5, 6, QueryMode::kSpg, 0, kQueryFlagNoCache);
+  ASSERT_EQ(client.QueryWithRetry(request, &response, policy, &stats),
+            QueryClient::RpcStatus::kOk)
+      << client.last_error();
+  EXPECT_EQ(response.spg, index_->Query(request).spg);
+  EXPECT_GE(stats.busy_retries, 1u);
+  EXPECT_EQ(stats.attempts, stats.busy_retries + 1);
+  EXPECT_GT(stats.total_backoff_ms, 0u);
+  EXPECT_EQ(stats.reconnects, 0u);
+  EXPECT_GE(server->GetStats().busy_rejections, stats.busy_retries);
+  hog.join();
+  server->Stop();
+}
+
+// QueryWithRetry reconnects after the daemon reaped its idle connection:
+// the first try fails in transport, the retry reconnects and is answered.
+TEST_F(ServerTest, QueryWithRetryReconnectsAfterTheIdleReaper) {
+  ServerOptions options;
+  options.idle_timeout_ms = 50;
+  auto server = StartServer(options);
+
+  QueryClient client;
+  ClientOptions client_options;
+  client_options.read_timeout_ms = 3000;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server->port(), client_options));
+  QueryResponse response;
+  ASSERT_EQ(client.Query(QueryRequest(1, 2), &response),
+            QueryClient::RpcStatus::kOk);
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+
+  RetryStats stats;
+  ASSERT_EQ(client.QueryWithRetry(QueryRequest(3, 4), &response,
+                                  RetryPolicy(), &stats),
+            QueryClient::RpcStatus::kOk)
+      << client.last_error();
+  EXPECT_EQ(response.spg, index_->Query(QueryRequest(3, 4)).spg);
+  EXPECT_GE(stats.reconnects, 1u);
+  EXPECT_GE(stats.transport_retries, 1u);
+  EXPECT_EQ(stats.busy_retries, 0u);
   EXPECT_GE(server->GetStats().idle_timeouts, 1u);
   server->Stop();
 }

@@ -142,6 +142,17 @@ TEST_F(ServerUpdateTest, UpdatesRejectedWhenNotEnabled) {
   EXPECT_EQ(server->GetStats().updates, 0u);
 }
 
+// Serving updates needs an updatable index: the constructor enforces it,
+// so no request can reach an update path the index cannot apply.
+using ServerUpdateDeathTest = ServerUpdateTest;
+
+TEST_F(ServerUpdateDeathTest, AllowUpdatesWithoutEnableUpdatesAborts) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ServerOptions options;
+  options.allow_updates = true;
+  EXPECT_DEATH({ QueryServer server(*index_, options); }, "updates_enabled");
+}
+
 TEST_F(ServerUpdateTest, MalformedUpdatePayloadRejected) {
   auto server = StartUpdatable();
   // A nonzero reserved word (payload bytes 4..7) is a malformed payload,

@@ -66,7 +66,6 @@ TEST(SyntheticWorkloadTest, OpenLoopArrivalsAreMonotone) {
   auto options = SmallWorkload();
   options.arrival_rate_qps = 5000.0;
   options.burst_factor = 4.0;
-  options.phases = 8;
   const auto queries = GenerateWorkload(g, options);
   uint64_t prev = 0;
   uint64_t last = 0;

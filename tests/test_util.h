@@ -93,6 +93,19 @@ inline std::vector<Edge> PaperEdgeSet(
   return e;
 }
 
+// G[V \ removed] on the same vertex ids: g without every edge that touches
+// a vertex of `removed` (G⁻ when `removed` is the landmark set).
+inline Graph WithoutVertices(const Graph& g,
+                             const std::vector<VertexId>& removed) {
+  std::vector<bool> gone(g.NumVertices(), false);
+  for (const VertexId x : removed) gone[x] = true;
+  std::vector<Edge> edges;
+  for (const Edge& e : g.EdgeList()) {
+    if (!gone[e.u] && !gone[e.v]) edges.push_back(e);
+  }
+  return Graph::FromEdges(g.NumVertices(), std::move(edges));
+}
+
 // Distance from `from` to `to` in g with the vertices in `removed` deleted
 // (kUnreachable if none). Used to brute-force the labelling definition.
 inline uint32_t MaskedDistance(const Graph& g, VertexId from, VertexId to,

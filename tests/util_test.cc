@@ -52,21 +52,6 @@ TEST(RngTest, UniformRealInUnitInterval) {
   }
 }
 
-TEST(RngTest, UniformInRangeInclusive) {
-  Rng rng(11);
-  bool saw_lo = false;
-  bool saw_hi = false;
-  for (int i = 0; i < 2000; ++i) {
-    const int64_t x = rng.UniformInRange(-3, 3);
-    EXPECT_GE(x, -3);
-    EXPECT_LE(x, 3);
-    saw_lo |= x == -3;
-    saw_hi |= x == 3;
-  }
-  EXPECT_TRUE(saw_lo);
-  EXPECT_TRUE(saw_hi);
-}
-
 TEST(RngTest, ShufflePreservesElements) {
   Rng rng(5);
   std::vector<int> v{1, 2, 3, 4, 5, 6, 7};

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -57,6 +58,27 @@ std::string RunOk(const std::string& cmd) {
   const int status = RunCapture(cmd, &out);
   EXPECT_EQ(status, 0) << "command failed: " << cmd << "\noutput:\n" << out;
   return out;
+}
+
+// Reads a popen()'d `qbs serve`'s readiness line into *ready and returns
+// the port it names, or 0 if the line is not the readiness line.
+int ReadyPort(FILE* server, std::string* ready) {
+  std::array<char, 512> line{};
+  if (fgets(line.data(), line.size(), server) == nullptr) return 0;
+  *ready = line.data();
+  const size_t colon = ready->find("listening on 127.0.0.1:");
+  if (colon == std::string::npos) return 0;
+  return std::atoi(ready->c_str() + colon + 23);
+}
+
+// Reads a popen()'d daemon's remaining output (its shutdown stats) into
+// *log, reaps it and returns its pclose() status.
+int Reap(FILE* server, std::string* log) {
+  std::array<char, 512> line{};
+  while (fgets(line.data(), line.size(), server) != nullptr) {
+    *log += line.data();
+  }
+  return pclose(server);
 }
 
 class CliSmokeTest : public ::testing::Test {
@@ -198,13 +220,8 @@ TEST_F(CliSmokeTest, ServeAndLoadRoundTrip) {
                            .c_str(),
                        "r");
   ASSERT_NE(server, nullptr);
-  std::array<char, 512> line{};
-  ASSERT_NE(fgets(line.data(), line.size(), server), nullptr);
-  const std::string ready(line.data());
-  ASSERT_NE(ready.find("listening on"), std::string::npos) << ready;
-  const size_t colon = ready.find("127.0.0.1:");
-  ASSERT_NE(colon, std::string::npos) << ready;
-  const int port = std::atoi(ready.c_str() + colon + 10);
+  std::string ready;
+  const int port = ReadyPort(server, &ready);
   ASSERT_GT(port, 0) << ready;
 
   const std::string load_out =
@@ -216,12 +233,69 @@ TEST_F(CliSmokeTest, ServeAndLoadRoundTrip) {
   EXPECT_NE(load_out.find("acknowledged shutdown"), std::string::npos)
       << load_out;
 
-  // Drain the daemon's remaining output (stats dump) and reap it.
-  while (fgets(line.data(), line.size(), server) != nullptr) {
-  }
-  const int status = pclose(server);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), 0);
+  std::string log;
+  const int status = Reap(server, &log);
+  ASSERT_TRUE(WIFEXITED(status)) << log;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << log;
+}
+
+// The updatable daemon on a saved index (the load path, which runs no
+// extra labelling pass): one insert and one delete through `qbs update`,
+// then a load run on four connections against the edited index and a
+// remote shutdown, with a clean exit from both sides. The readiness line
+// echoes each timeout the daemon runs with.
+TEST_F(CliSmokeTest, UpdatableServeUpdateLoadRoundTrip) {
+  const std::string cli = Quoted(g_cli_path);
+  const std::string edges = Path("g.edges");
+  const std::string index = Path("g.qbs");
+  RunOk(cli + " generate ba " + Quoted(edges) + " 300 3 7");
+  RunOk(cli + " build " + Quoted(edges) + " " + Quoted(index) +
+        " --landmarks 8");
+  // Delete the file's first edge (the line after its "# n m" header) and
+  // insert 0-299, which is no edge of this graph: the update below needs
+  // both applied.
+  std::ifstream file(edges);
+  std::string first_edge;
+  std::getline(file, first_edge);
+  std::getline(file, first_edge);
+  ASSERT_NE(first_edge.find(' '), std::string::npos) << first_edge;
+
+  FILE* server = popen((cli + " serve " + Quoted(edges) + " " +
+                        Quoted(index) +
+                        " --port 0 --updatable --read-timeout-ms 4000"
+                        " --idle-timeout-ms 30000 --write-timeout-ms 4000"
+                        " 2>&1")
+                           .c_str(),
+                       "r");
+  ASSERT_NE(server, nullptr);
+  std::string ready;
+  const int port = ReadyPort(server, &ready);
+  ASSERT_GT(port, 0) << ready;
+  EXPECT_NE(ready.find("read-timeout 4000ms, idle-timeout 30000ms, "
+                       "write-timeout 4000ms"),
+            std::string::npos)
+      << ready;
+  const std::string endpoint = " 127.0.0.1 " + std::to_string(port);
+
+  const std::string update_out = RunOk(cli + " update" + endpoint +
+                                       " --insert 0 299 --delete " +
+                                       first_edge);
+  EXPECT_NE(update_out.find("applied 1 inserts, 1 deletes"),
+            std::string::npos)
+      << update_out;
+  const std::string load_out =
+      RunOk(cli + " load " + Quoted(edges) + endpoint +
+            " --queries 2000 --pairs 500 --zipf 0.99 --seed 42 --conns 4"
+            " --shutdown");
+  EXPECT_NE(load_out.find("2000/2000 ok"), std::string::npos) << load_out;
+  EXPECT_NE(load_out.find("acknowledged shutdown"), std::string::npos)
+      << load_out;
+
+  std::string log;
+  const int status = Reap(server, &log);
+  ASSERT_TRUE(WIFEXITED(status)) << log;
+  EXPECT_EQ(WEXITSTATUS(status), 0) << log;
+  EXPECT_NE(log.find("stopped after"), std::string::npos) << log;
 }
 
 // A graph with fewer than 2 vertices has no query pair to sample: `stats`

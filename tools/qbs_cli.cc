@@ -698,8 +698,8 @@ int Serve(int argc, char** argv) {
     std::fprintf(stderr, "qbs serve: %s\n", error.c_str());
     return 1;
   }
-  // Machine-parseable readiness line (the CI smoke test and the runbook
-  // grep for it), flushed before any query lands.
+  // Machine-parseable readiness line (cli_smoke_test and the runbook read
+  // the port and timeouts from it), flushed before any query lands.
   std::printf(
       "qbs serve: listening on %s:%u (|V|=%u, cache %zu MiB, "
       "read-timeout %ums, idle-timeout %ums, write-timeout %ums, "
