@@ -14,7 +14,7 @@
 namespace qbs {
 namespace {
 
-constexpr uint64_t kMagic = 0x3330584449534251ull;  // "QBSIDX03"
+constexpr uint64_t kMagic = 0x3430584449534251ull;  // "QBSIDX04"
 
 // Sections are copied between memory and the file verbatim, so the
 // in-memory records must be the on-disk records.
@@ -67,7 +67,12 @@ std::optional<LabelingScheme> LoadLabelingScheme(
   VertexId n = 0;
   uint32_t k = 0;
   if (!in.Read(&magic) || magic != kMagic) {
-    return Reject("not a QBSIDX03 index: " + path);
+    const std::string retired = RetiredMagic(magic, kMagic);
+    if (!retired.empty()) {
+      return Reject("retired " + retired +
+                    " index (rebuild it with `qbs build`): " + path);
+    }
+    return Reject("not a QBSIDX04 index: " + path);
   }
   if (!in.Read(&n) || !in.Read(&k)) return Reject("bad header in " + path);
   if (num_vertices.has_value() && n != *num_vertices) {

@@ -1,9 +1,9 @@
 // Binary persistence for the labelling scheme, so the offline phase runs
 // once and query servers load the precomputed index at startup.
 //
-// Current format (version QBSIDX03, little-endian, host-endianness — the
+// Current format (version QBSIDX04, little-endian, host-endianness — the
 // index is a single-machine artifact like the paper's):
-//   u64  magic 'QBSIDX03'
+//   u64  magic 'QBSIDX04'
 //   u32  num_vertices
 //   u32  num_landmarks k
 //   u32  landmarks[k]            (vertex ids)
@@ -13,7 +13,8 @@
 //   u64  checksum                (Checksum64 of every preceding byte)
 //
 // This is the only format the loader reads; files with any other magic
-// (including the two older versions) are rejected.
+// are rejected, and an older version (QBSIDX03 had this layout under the
+// serial one-lane Checksum64) by name.
 //
 // The file is written and read through util/binary_io.h's BinaryWriter
 // and BinaryReader, the layer the graph cache uses too: a save goes to

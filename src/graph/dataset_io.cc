@@ -14,11 +14,7 @@
 namespace qbs {
 namespace {
 
-constexpr uint64_t kMagic = 0x3330465247534251ull;    // "QBSGRF03"
-constexpr uint64_t kMagicV1 = 0x3130465247534251ull;  // "QBSGRF01", retired
-// "QBSGRF02", retired: its vertices may be numbered by first appearance in
-// the raw file, where QBSGRF03 numbers them by ascending file id.
-constexpr uint64_t kMagicV2 = 0x3230465247534251ull;
+constexpr uint64_t kMagic = 0x3430465247534251ull;  // "QBSGRF04"
 
 }  // namespace
 
@@ -60,12 +56,13 @@ std::optional<Graph> LoadGraphCache(const std::string& path,
   if (!in.is_open()) return reject("cannot open");
   uint64_t magic = 0;
   if (!in.Read(&magic)) return reject("bad header");
-  if (magic == kMagicV1 || magic == kMagicV2) {
-    return reject(std::string("retired QBSGRF0") +
-                  (magic == kMagicV1 ? "1" : "2") +
-                  " cache (re-convert it from the raw file)");
+  if (magic != kMagic) {
+    const std::string retired = RetiredMagic(magic, kMagic);
+    if (!retired.empty()) {
+      return reject("retired " + retired + " cache (re-convert it)");
+    }
+    return reject("not a QBSGRF04 graph cache");
   }
-  if (magic != kMagic) return reject("not a QBSGRF03 graph cache");
   VertexId n = 0;
   uint64_t m = 0;
   uint8_t cc_flag = 0;

@@ -1,9 +1,9 @@
 // Real-dataset ingestion: raw SNAP/LAW edge lists -> a versioned binary
 // graph cache that amortizes parsing and largest-CC extraction across runs.
 //
-// Cache format QBSGRF03 (little-endian, host-endianness — a single-machine
+// Cache format QBSGRF04 (little-endian, host-endianness — a single-machine
 // artifact like the index files):
-//   u64  magic 'QBSGRF03'
+//   u64  magic 'QBSGRF04'
 //   u32  num_vertices n
 //   u64  num_undirected_edges m
 //   u8   largest_cc_extracted        (1 = the CSR is the largest
@@ -25,10 +25,10 @@
 // RawOffsets()/RawAdjacency(). The file is written and read through
 // util/binary_io.h, the layer the index file uses too: saves are atomic
 // (tmp file + rename), and loads verify the checksum and reject corrupt,
-// truncated or over-long files, and the retired QBSGRF01 layout. QBSGRF02
-// had this layout, but its caches may number vertices by first appearance
-// in the raw file; they are rejected too, so LoadOrConvertDataset
-// re-converts them.
+// truncated or over-long files. A cache in any retired version (QBSGRF01
+// had another layout; QBSGRF02 may number vertices by first appearance in
+// the raw file; QBSGRF03 had this layout under the serial one-lane
+// Checksum64) is rejected by name, so LoadOrConvertDataset re-converts it.
 //
 // Raw files are read with ReadEdgeList (graph/edge_list_io.h), which
 // decompresses ".gz" files itself. tools/fetch_datasets.py downloads them;
@@ -46,7 +46,7 @@
 
 namespace qbs {
 
-// Provenance recorded in a QBSGRF03 header alongside the CSR.
+// Provenance recorded in a QBSGRF04 header alongside the CSR.
 struct DatasetCacheInfo {
   // True when the cached graph is the largest connected component of the
   // raw edge list (vertices relabelled to a dense range), the reduction
@@ -69,12 +69,12 @@ struct DatasetCacheInfo {
 inline constexpr uint64_t kGraphCacheChunkEntries =
     (uint64_t{256} << 10) / sizeof(VertexId);
 
-// Writes `g` and its provenance to `path` in QBSGRF03 format, atomically.
+// Writes `g` and its provenance to `path` in QBSGRF04 format, atomically.
 // Returns false on I/O failure.
 bool SaveGraphCache(const Graph& g, const DatasetCacheInfo& info,
                     const std::string& path);
 
-// Reads a QBSGRF03 file. Verifies magic, header sanity, the checksum and
+// Reads a QBSGRF04 file. Verifies magic, header sanity, the checksum and
 // the CSR; returns std::nullopt (with a stderr message) on any mismatch.
 // A file that fails both the checksum and the CSR check reports the
 // checksum.

@@ -5,12 +5,16 @@
 // fails the read instead of sizing an allocation) and folding every read
 // into the checksum it verifies at the end. Arrays move with one stream
 // call and are fingerprinted as they pass through memory, so verifying a
-// file needs no second pass over it.
+// file needs no second pass over it. The checksum runs four independent
+// multiply chains, so hashing a file costs less than reading it.
+// RetiredMagic names an older version of a format, for the loaders'
+// rejection messages.
 
 #ifndef QBS_UTIL_BINARY_IO_H_
 #define QBS_UTIL_BINARY_IO_H_
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -24,10 +28,14 @@
 namespace qbs {
 
 /// A fast 64-bit checksum of a byte stream; the digest does not depend on
-/// how the stream is split into Update() calls. Each 8-byte word is folded
-/// in by a step that, for a fixed state, is a bijection of the word (and
-/// vice versa), and the finalizer is a bijection too, so a change confined
-/// to one word — any single corrupted byte — always changes the digest.
+/// how the stream is split into Update() calls. Word i of the stream (8
+/// bytes, the last one zero-padded) is folded into lane i mod 4, each lane
+/// from its own seed, so the four chains are independent and the CPU runs
+/// them side by side; Digest() folds the lanes into one word with the same
+/// step. For a fixed state the step is a bijection of the word, and for a
+/// fixed word a bijection of the state, and the finalizer is a bijection
+/// too, so a change confined to one word — any single corrupted byte —
+/// always changes the digest.
 class Checksum64 {
  public:
   /// Folds in the bytes of `count` PODs.
@@ -38,12 +46,14 @@ class Checksum64 {
   }
 
   uint64_t Digest() const {
-    uint64_t h = state_;
-    if (buffered_ > 0) {
-      unsigned char last[8] = {};  // the final partial word, zero-padded
-      std::memcpy(last, buffer_, buffered_);
-      h = Fold(h, last);
+    auto lanes = lanes_;
+    unsigned char tail[kBlock] = {};  // the last word zero-padded
+    std::memcpy(tail, buffer_, buffered_);
+    for (uint64_t i = 0; 8 * i < buffered_; ++i) {
+      lanes[i] = Step(lanes[i], Word(tail + 8 * i));
     }
+    uint64_t h = lanes[0];
+    for (int i = 1; i < kLanes; ++i) h = Step(h, lanes[i]);
     // The length tells a zero-padded tail from real zero bytes; the
     // murmur3 fmix64 finalizer spreads every bit over the digest.
     h ^= length_;
@@ -53,35 +63,77 @@ class Checksum64 {
   }
 
  private:
-  static uint64_t Fold(uint64_t h, const unsigned char* word) {
+  static constexpr int kLanes = 4;
+  static constexpr uint64_t kBlock = 8 * kLanes;  // one word per lane
+
+  static uint64_t Word(const unsigned char* p) {
     uint64_t w = 0;
-    std::memcpy(&w, word, sizeof(w));
+    std::memcpy(&w, p, sizeof(w));
+    return w;
+  }
+
+  static uint64_t Step(uint64_t h, uint64_t w) {
     return (std::rotl(h, 29) ^ w) * 0x9E3779B97F4A7C15ull;  // odd multiplier
+  }
+
+  // Folds `blocks` whole blocks into the lanes. The lanes are held in four
+  // locals: a loop over an array, or a store to a member (which could
+  // alias `p`'s bytes), would keep them in memory, in each chain's path.
+  void FoldBlocks(const unsigned char* p, uint64_t blocks) {
+    uint64_t a = lanes_[0], b = lanes_[1], c = lanes_[2], d = lanes_[3];
+    for (; blocks > 0; --blocks, p += kBlock) {
+      a = Step(a, Word(p));
+      b = Step(b, Word(p + 8));
+      c = Step(c, Word(p + 16));
+      d = Step(d, Word(p + 24));
+    }
+    lanes_ = {a, b, c, d};
   }
 
   void UpdateBytes(const unsigned char* p, uint64_t len) {
     if (len == 0) return;  // p may be null (an empty vector's data())
     length_ += len;
     if (buffered_ > 0) {
-      const uint64_t take = std::min<uint64_t>(len, 8 - buffered_);
+      const uint64_t take = std::min(len, kBlock - buffered_);
       std::memcpy(buffer_ + buffered_, p, take);
       buffered_ += take;
       p += take;
       len -= take;
-      if (buffered_ < 8) return;
-      state_ = Fold(state_, buffer_);
+      if (buffered_ < kBlock) return;
+      FoldBlocks(buffer_, 1);
       buffered_ = 0;
     }
-    for (; len >= 8; p += 8, len -= 8) state_ = Fold(state_, p);
+    FoldBlocks(p, len / kBlock);
+    p += len - len % kBlock;
+    len %= kBlock;
     std::memcpy(buffer_, p, len);
     buffered_ = len;
   }
 
-  uint64_t state_ = 0x243F6A8885A308D3ull;
+  // The first four 64-bit words of pi's fraction.
+  std::array<uint64_t, kLanes> lanes_ = {
+      0x243F6A8885A308D3ull, 0x13198A2E03707344ull, 0xA4093822299F31D0ull,
+      0x082EFA98EC4E6C89ull};
   uint64_t length_ = 0;
-  unsigned char buffer_[8] = {};  // bytes of a word not yet folded in
+  unsigned char buffer_[kBlock] = {};  // bytes of a block not yet folded in
   uint64_t buffered_ = 0;
 };
+
+/// A checked file opens with an 8-byte magic: a 7-byte family name
+/// ("QBSIDX0", "QBSGRF0") and a version digit. Returns `magic` as text
+/// ("QBSGRF03") if it is `current`'s family with another version digit,
+/// and "" otherwise, so a loader can name a retired format it rejects.
+inline std::string RetiredMagic(uint64_t magic, uint64_t current) {
+  constexpr uint64_t kFamily = (uint64_t{1} << 56) - 1;  // the first 7 bytes
+  const auto digit = static_cast<char>(magic >> 56);
+  if ((magic & kFamily) != (current & kFamily) || magic == current ||
+      digit < '0' || digit > '9') {
+    return "";
+  }
+  std::string name(sizeof(magic), '\0');
+  std::memcpy(name.data(), &magic, sizeof(magic));
+  return name;
+}
 
 /// Writes a checked file: the bytes go to `path + ".tmp"`, folded into a
 /// Checksum64 on the way, and Commit() appends the digest and renames the

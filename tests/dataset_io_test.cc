@@ -1,5 +1,5 @@
 // Tests for the real-dataset ingestion layer (graph/dataset_io.h): the
-// gz-aware edge-list reader and the QBSGRF03 binary cache — round-trip
+// gz-aware edge-list reader and the QBSGRF04 binary cache — round-trip
 // bit-identity, the committed fixture that pins the layout, corruption
 // rejection, and the convert-once-then-cache flow.
 
@@ -39,7 +39,7 @@ const char* FixtureGz() {
   return kPath->c_str();
 }
 
-// The committed QBSGRF03 fixture: the largest component of FixturePlain()
+// The committed QBSGRF04 fixture: the largest component of FixturePlain()
 // as LoadOrConvertDataset caches it.
 std::string FixtureCache() {
   return std::string(QBS_TEST_DATA_DIR) + "/tiny_edges.qbsgrf";
@@ -305,10 +305,11 @@ TEST(DatasetIoTest, CacheBadInBothWaysReportsTheChecksum) {
   }
 }
 
-// The fixture was made outside the C++ writer, by a separate
-// implementation of the QBSGRF03 layout and of Checksum64, so it pins the
-// layout and the checksum function both: today's writer must reproduce it
-// byte for byte, and the loader must read it back bit-identically.
+// The fixture is written outside the C++ writer, by
+// scripts/file_fixtures.py's separate implementation of the QBSGRF04
+// layout and of Checksum64, so it pins the layout and the checksum
+// function both: today's writer must reproduce it byte for byte, and the
+// loader must read it back bit-identically.
 DatasetCacheInfo FixtureCacheInfo() {
   DatasetCacheInfo info;
   info.largest_cc_extracted = true;
@@ -348,16 +349,16 @@ TEST(DatasetIoTest, LoaderReadsFixtureBitIdentically) {
 // rejected with a message that names the old format, and
 // LoadOrConvertDataset rebuilds it from the raw edge list.
 TEST(DatasetIoTest, RetiredV1CacheIsRejectedAndRebuilt) {
-  constexpr size_t kCsrAt = 8 + 4 + 8 + 1 + 3 * 8;  // QBSGRF03 header size
-  const std::string v3 = ReadFileBytes(FixtureCache());
-  ASSERT_GT(v3.size(), kCsrAt + sizeof(uint64_t));
+  constexpr size_t kCsrAt = 8 + 4 + 8 + 1 + 3 * 8;  // QBSGRF04 header size
+  const std::string current = ReadFileBytes(FixtureCache());
+  ASSERT_GT(current.size(), kCsrAt + sizeof(uint64_t));
   const std::string csr =
-      v3.substr(kCsrAt, v3.size() - kCsrAt - sizeof(uint64_t));
+      current.substr(kCsrAt, current.size() - kCsrAt - sizeof(uint64_t));
   uint64_t fnv = 0xcbf29ce484222325ull;
   for (const char c : csr) {
     fnv = (fnv ^ static_cast<unsigned char>(c)) * 0x100000001b3ull;
   }
-  std::string v1 = v3.substr(0, kCsrAt);
+  std::string v1 = current.substr(0, kCsrAt);
   v1.replace(0, 8, "QBSGRF01");
   Put(&v1, uint64_t{csr.size()});
   Put(&v1, fnv);
@@ -375,26 +376,41 @@ TEST(DatasetIoTest, RetiredV1CacheIsRejectedAndRebuilt) {
   auto rebuilt = LoadOrConvertDataset(raw, cache, nullptr);
   ASSERT_TRUE(rebuilt.has_value());
   EXPECT_EQ(rebuilt->NumVertices(), 5u);
-  EXPECT_TRUE(ReadFileBytes(cache) == v3);
+  EXPECT_TRUE(ReadFileBytes(cache) == current);
+}
+
+// The fixture under another version digit of its magic is rejected with
+// a message that names the version, and LoadOrConvertDataset rebuilds it.
+void ExpectRetiredCacheRebuilt(char digit) {
+  const std::string current = ReadFileBytes(FixtureCache());
+  std::string old = current;
+  old[7] = digit;
+  const std::string raw = TempPath(std::string("v") + digit + "_raw.txt");
+  const std::string cache = TempPath(std::string("v") + digit + ".qbsgrf");
+  fs::copy_file(FixturePlain(), raw, fs::copy_options::overwrite_existing);
+  WriteFileBytes(cache, old);
+  ::testing::internal::CaptureStderr();
+  EXPECT_FALSE(LoadGraphCache(cache).has_value());
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(err.find(std::string("retired QBSGRF0") + digit +
+                     " cache (re-convert it)"),
+            std::string::npos)
+      << err;
+
+  ASSERT_TRUE(LoadOrConvertDataset(raw, cache, nullptr).has_value());
+  EXPECT_TRUE(ReadFileBytes(cache) == current);
 }
 
 // A QBSGRF02 cache has today's layout, but its vertices may be numbered by
-// first appearance in the raw file: it is rejected by name and rebuilt.
+// first appearance in the raw file.
 TEST(DatasetIoTest, RetiredV2CacheIsRejectedAndRebuilt) {
-  const std::string v3 = ReadFileBytes(FixtureCache());
-  std::string v2 = v3;
-  v2[7] = '2';
-  const std::string raw = TempPath("v2_raw.txt");
-  const std::string cache = TempPath("v2.qbsgrf");
-  fs::copy_file(FixturePlain(), raw, fs::copy_options::overwrite_existing);
-  WriteFileBytes(cache, v2);
-  ::testing::internal::CaptureStderr();
-  EXPECT_FALSE(LoadGraphCache(cache).has_value());
-  EXPECT_NE(::testing::internal::GetCapturedStderr().find("QBSGRF02"),
-            std::string::npos);
+  ExpectRetiredCacheRebuilt('2');
+}
 
-  ASSERT_TRUE(LoadOrConvertDataset(raw, cache, nullptr).has_value());
-  EXPECT_TRUE(ReadFileBytes(cache) == v3);
+// A QBSGRF03 cache has today's layout and numbering; only its trailer, a
+// one-lane Checksum64, differs.
+TEST(DatasetIoTest, RetiredV3CacheIsRejectedAndRebuilt) {
+  ExpectRetiredCacheRebuilt('3');
 }
 
 TEST(DatasetIoTest, LoadOrConvertExtractsLargestComponentAndCaches) {

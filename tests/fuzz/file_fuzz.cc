@@ -1,5 +1,5 @@
-// libFuzzer target for the two file loaders: LoadLabelingScheme (QBSIDX03
-// index files) and LoadGraphCache (QBSGRF03 graph caches). Both parse
+// libFuzzer target for the two file loaders: LoadLabelingScheme (QBSIDX04
+// index files) and LoadGraphCache (QBSGRF04 graph caches). Both parse
 // untrusted bytes from disk, so the properties fuzzed here are the ones a
 // server restart relies on:
 //
@@ -16,7 +16,10 @@
 // instead of letting it die there. Built two ways, like protocol_fuzz.cc:
 // with QBS_FUZZ_LIBFUZZER under clang -fsanitize=fuzzer for real fuzzing,
 // and with a standalone main() that replays the checked-in corpus under
-// tests/fuzz/file_corpus/ as a plain ctest in every build.
+// tests/fuzz/file_corpus/ as a plain ctest in every build. That corpus is
+// written by scripts/file_fixtures.py, which has its own implementation of
+// both layouts and of Checksum64; the driver fails if either unmodified
+// fixture in it is rejected, so the corpus cannot fall behind the formats.
 
 #include <cstddef>
 #include <cstdint>
@@ -55,27 +58,37 @@ std::vector<uint8_t> ReadFile(const std::string& path) {
   return {std::istreambuf_iterator<char>(in), {}};
 }
 
-void LoadBoth(const std::vector<uint8_t>& bytes) {
+// Which loaders accepted an input.
+struct Accepted {
+  bool index = false;
+  bool cache = false;
+};
+
+Accepted LoadBoth(const std::vector<uint8_t>& bytes) {
   static const std::string input = ScratchPath(".in");
   static const std::string resaved = ScratchPath(".out");
   WriteFile(input, bytes.data(), bytes.size());
 
-  (void)LoadLabelingScheme(input);
+  Accepted accepted;
+  accepted.index = LoadLabelingScheme(input).has_value();
 
   DatasetCacheInfo info;
   if (auto g = LoadGraphCache(input, &info)) {
+    accepted.cache = true;
     if (!SaveGraphCache(*g, info, resaved) || ReadFile(resaved) != bytes) {
       __builtin_trap();
     }
   }
+  return accepted;
 }
 
-void RunOneInput(const uint8_t* data, size_t size) {
+// Returns what the loaders made of the input as it is.
+Accepted RunOneInput(const uint8_t* data, size_t size) {
   // Every rejection prints a line; the fuzzer runs millions of them.
   std::cerr.rdbuf(nullptr);
   const std::vector<uint8_t> bytes(data, data + size);
-  LoadBoth(bytes);
-  if (size < sizeof(uint64_t)) return;
+  const Accepted accepted = LoadBoth(bytes);
+  if (size < sizeof(uint64_t)) return accepted;
   std::vector<uint8_t> resummed = bytes;
   const size_t body = size - sizeof(uint64_t);
   Checksum64 sum;
@@ -83,6 +96,7 @@ void RunOneInput(const uint8_t* data, size_t size) {
   const uint64_t digest = sum.Digest();
   std::memcpy(resummed.data() + body, &digest, sizeof(digest));
   if (resummed != bytes) LoadBoth(resummed);
+  return accepted;
 }
 
 }  // namespace
@@ -95,6 +109,9 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
 #ifndef QBS_FUZZ_LIBFUZZER
 // Standalone corpus driver: replays every file passed on the command line
 // (the checked-in corpus under tests/fuzz/file_corpus/) through the target.
+// The two unmodified fixtures must load as they are: a corpus left behind
+// by a format change would otherwise die at the magic check, seed by seed,
+// and still pass.
 #include <cstdio>
 
 int main(int argc, char** argv) {
@@ -105,7 +122,16 @@ int main(int argc, char** argv) {
       return 1;
     }
     const std::vector<uint8_t> bytes = ReadFile(argv[i]);
-    RunOneInput(bytes.data(), bytes.size());
+    const Accepted accepted = RunOneInput(bytes.data(), bytes.size());
+    const std::string name = std::filesystem::path(argv[i]).filename();
+    if ((name == "index_full.qbsidx" && !accepted.index) ||
+        (name == "cache_full.qbsgrf" && !accepted.cache)) {
+      std::fprintf(stderr,
+                   "file_fuzz: %s is rejected as it is; rewrite the corpus "
+                   "with scripts/file_fixtures.py\n",
+                   argv[i]);
+      return 1;
+    }
     ++ran;
   }
   std::filesystem::remove(ScratchPath(".in"));

@@ -36,7 +36,7 @@ void Put(std::string* bytes, const T& value) {
   bytes->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-constexpr uint64_t kMagic = 0x3330584449534251ull;  // "QBSIDX03"
+constexpr uint64_t kMagic = 0x3430584449534251ull;  // "QBSIDX04"
 
 // Appends the Checksum64 of everything before it, as the writer does.
 void AppendChecksum(std::string* bytes) {
@@ -89,16 +89,16 @@ class SerializationTest : public ::testing::Test {
   std::string path_;
 };
 
-// The committed fixture holds BA(200, 2, seed 12) with |R| = 6. It was
-// made outside the C++ writer — converted from the previous version's
-// fixture by a separate implementation of this layout and of Checksum64 —
-// so it pins the layout and the checksum function both: today's writer
-// must reproduce it byte for byte, and the loader must read it back into
-// exactly the scheme a fresh build produces.
-class V3FixtureTest : public SerializationTest {
+// The committed fixture holds BA(200, 2, seed 12) with |R| = 6. It is
+// written outside the C++ writer, by scripts/file_fixtures.py's separate
+// implementation of this layout and of Checksum64 (CI checks it with
+// --check), so it pins the layout and the checksum function both: today's
+// writer must reproduce it byte for byte, and the loader must read it
+// back into exactly the scheme a fresh build produces.
+class V4FixtureTest : public SerializationTest {
  protected:
   static std::string FixturePath() {
-    return std::string(QBS_TEST_DATA_DIR) + "/ba200_r6_v3.qbsidx";
+    return std::string(QBS_TEST_DATA_DIR) + "/ba200_r6_v4.qbsidx";
   }
   static QbsIndex BuildFixtureIndex(const Graph& g) {
     QbsOptions options;
@@ -107,7 +107,7 @@ class V3FixtureTest : public SerializationTest {
   }
 };
 
-TEST_F(V3FixtureTest, WriterReproducesFixtureBytes) {
+TEST_F(V4FixtureTest, WriterReproducesFixtureBytes) {
   const Graph g = BarabasiAlbert(200, 2, 12);
   const QbsIndex built = BuildFixtureIndex(g);
   ASSERT_TRUE(built.Save(path_));
@@ -116,7 +116,7 @@ TEST_F(V3FixtureTest, WriterReproducesFixtureBytes) {
   EXPECT_TRUE(ReadFileBytes(path_) == fixture);
 }
 
-TEST_F(V3FixtureTest, LoaderReadsFixtureBitIdentically) {
+TEST_F(V4FixtureTest, LoaderReadsFixtureBitIdentically) {
   const Graph g = BarabasiAlbert(200, 2, 12);
   const QbsIndex built = BuildFixtureIndex(g);
   auto loaded = LoadLabelingScheme(FixturePath());
@@ -136,7 +136,7 @@ TEST_F(V3FixtureTest, LoaderReadsFixtureBitIdentically) {
 
 // Cutting the file at any section boundary, or one byte either side of
 // it, must be rejected: no section may be silently short or absent.
-TEST_F(V3FixtureTest, TruncationAtEverySectionBoundaryIsRejected) {
+TEST_F(V4FixtureTest, TruncationAtEverySectionBoundaryIsRejected) {
   const std::string bytes = ReadFileBytes(FixturePath());
   auto loaded = LoadLabelingScheme(FixturePath());
   ASSERT_TRUE(loaded.has_value());
@@ -172,7 +172,7 @@ TEST_F(V3FixtureTest, TruncationAtEverySectionBoundaryIsRejected) {
 
 // Corrupting any single byte of the fixture — header, landmarks, labels,
 // meta-edges or the checksum itself — must be rejected, never loaded.
-TEST_F(V3FixtureTest, EveryFlippedByteIsRejected) {
+TEST_F(V4FixtureTest, EveryFlippedByteIsRejected) {
   const Graph g = BarabasiAlbert(200, 2, 12);
   const std::string bytes = ReadFileBytes(FixturePath());
   ASSERT_FALSE(bytes.empty());
@@ -195,8 +195,10 @@ TEST_F(V3FixtureTest, EveryFlippedByteIsRejected) {
 // Lemma 5.2 makes the scheme a function of (G, R) alone, so any change to
 // how it is built must leave every saved file unchanged. Each row pins the
 // size and trailing Checksum64 of one stand-in saved at one |R|; the
-// values were recorded from the per-landmark BFS build. |R| = 64 and 65
-// sit either side of one 64-bit word of landmarks, and 100 spans two.
+// sizes were recorded from the per-landmark BFS build, and
+// scripts/file_fixtures.py's checksum64 reproduces each checksum. |R| =
+// 64 and 65 sit either side of one 64-bit word of landmarks, and 100
+// spans two.
 struct IndexDigest {
   const char* graph;
   uint32_t landmarks;
@@ -205,30 +207,30 @@ struct IndexDigest {
 };
 
 const IndexDigest kIndexDigests[] = {
-    {"ba", 1, 6036, 0xe700386b37a9c75cull},
-    {"ba", 5, 30172, 0x46f6c1cac881192cull},
-    {"ba", 20, 122140, 0xcb248a611e59fbc4ull},
-    {"ba", 64, 400368, 0x64a7e83a13ad0abdull},
-    {"ba", 65, 406804, 0x141287ac11a6b7ceull},
-    {"ba", 100, 633636, 0x2dcb4cc56ef68bacull},
-    {"er", 1, 5704, 0x4088ed09c2deb8b3ull},
-    {"er", 5, 28512, 0x50f29bd90903afbeull},
-    {"er", 20, 115608, 0xc7ca4dd1a282c21bull},
-    {"er", 64, 380536, 0xbdca1bf1dcf67f72ull},
-    {"er", 65, 386628, 0xafb575b99fb6f4d5ull},
-    {"er", 100, 604336, 0xc325559b387ac1cdull},
-    {"ws", 1, 6036, 0xcf4caff05c74690bull},
-    {"ws", 5, 30172, 0x291d9e347d453549ull},
-    {"ws", 20, 122236, 0x7b937941ecdd2efcull},
-    {"ws", 64, 402996, 0xc21dd5ba49b44101ull},
-    {"ws", 65, 409600, 0x5d0c1d45a4541601ull},
-    {"ws", 100, 636468, 0x734cadb7b170f0bdull},
-    {"grid", 1, 6036, 0x09fa6c02d2476132ull},
-    {"grid", 5, 30100, 0x6974cd865c5a6f6eull},
-    {"grid", 20, 120340, 0xcf63e34bcfcde657ull},
-    {"grid", 64, 385728, 0x0c8b3111bf9a5a8cull},
-    {"grid", 65, 391744, 0x9fe7fca1803245deull},
-    {"grid", 100, 602304, 0xafc79f0e8b004d19ull},
+    {"ba", 1, 6036, 0xb5c50c51576138f2ull},
+    {"ba", 5, 30172, 0xaab76330b7f10e0full},
+    {"ba", 20, 122140, 0x53d718d9a84bdb83ull},
+    {"ba", 64, 400368, 0x7458376e17985793ull},
+    {"ba", 65, 406804, 0x9f9ac411ac9c27fdull},
+    {"ba", 100, 633636, 0xf1bddc8a0fbbbb50ull},
+    {"er", 1, 5704, 0x3875d62e93d3822cull},
+    {"er", 5, 28512, 0xb2365083e05c1bd6ull},
+    {"er", 20, 115608, 0x88ab1822b4e96851ull},
+    {"er", 64, 380536, 0x8941f0290907acd2ull},
+    {"er", 65, 386628, 0x8c4cda9867f8e431ull},
+    {"er", 100, 604336, 0x9302e54823ac3ba8ull},
+    {"ws", 1, 6036, 0x9471583435bc05d4ull},
+    {"ws", 5, 30172, 0xa5166f8d1973e313ull},
+    {"ws", 20, 122236, 0x142a69a7b754eae7ull},
+    {"ws", 64, 402996, 0x2565b992d826c994ull},
+    {"ws", 65, 409600, 0x6c4490b9e505f2d7ull},
+    {"ws", 100, 636468, 0x524a20a48064410bull},
+    {"grid", 1, 6036, 0xd0f87a913c74b353ull},
+    {"grid", 5, 30100, 0x6532c6a93d31ffe1ull},
+    {"grid", 20, 120340, 0x2e09a715980eb555ull},
+    {"grid", 64, 385728, 0x3c4e6707199cb4c5ull},
+    {"grid", 65, 391744, 0xb556c263353748b6ull},
+    {"grid", 100, 602304, 0x101a563915be0c90ull},
 };
 
 Graph DigestGraph(const std::string& name) {
@@ -490,14 +492,14 @@ TEST_F(SerializationTest, OlderFormatsAreRejected) {
   const LabelingScheme fresh =
       BuildLabelingScheme(g, testing::Figure4Landmarks());
   ASSERT_TRUE(SaveLabelingScheme(fresh, path_));
-  const std::string v3 = ReadFileBytes(path_);
+  const std::string saved = ReadFileBytes(path_);
   ASSERT_TRUE(LoadLabelingScheme(path_).has_value());
 
   const size_t k = fresh.labeling.num_landmarks();
   const size_t flag_at = sizeof(uint64_t) + 2 * sizeof(uint32_t) +
                          k * sizeof(VertexId) +
                          size_t{g.NumVertices()} * k * sizeof(DistT);
-  std::string v1 = v3.substr(0, v3.size() - sizeof(uint64_t));
+  std::string v1 = saved.substr(0, saved.size() - sizeof(uint64_t));
   std::string v2 = v1;
   v2.insert(flag_at, 1, '\0');  // "no masks"
   for (std::string* old : {&v1, &v2}) {
@@ -507,6 +509,30 @@ TEST_F(SerializationTest, OlderFormatsAreRejected) {
     WriteFileBytes(path_, *old);
     EXPECT_FALSE(LoadLabelingScheme(path_).has_value());
     EXPECT_FALSE(QbsIndex::LoadFromFile(g, path_).has_value());
+  }
+}
+
+// An index under another version digit of its magic is rejected with a
+// message that names the version. QBSIDX03 had today's layout under the
+// one-lane Checksum64, so its files differ from today's only in the magic
+// and the trailer.
+TEST_F(SerializationTest, RetiredVersionIsRejectedByName) {
+  Graph g = testing::Figure4Graph();
+  ASSERT_TRUE(SaveLabelingScheme(
+      BuildLabelingScheme(g, testing::Figure4Landmarks()), path_));
+  const std::string saved = ReadFileBytes(path_);
+  for (const char digit : {'1', '2', '3', 'x'}) {
+    std::string old = saved;
+    old[7] = digit;  // the version digit of the magic
+    WriteFileBytes(path_, old);
+    ::testing::internal::CaptureStderr();
+    EXPECT_FALSE(LoadLabelingScheme(path_).has_value());
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    const std::string expected =
+        digit == 'x' ? "not a QBSIDX04 index"
+                     : std::string("retired QBSIDX0") + digit +
+                           " index (rebuild it with `qbs build`)";
+    EXPECT_NE(err.find(expected), std::string::npos) << err;
   }
 }
 
