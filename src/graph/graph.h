@@ -71,7 +71,9 @@ class Graph {
   /// graceful check for untrusted bytes such as a dataset cache file. One
   /// pass over each array: every offset is checked before any list is
   /// read (so a bad offset never steers a read out of bounds), then each
-  /// list by one branch-free loop (ValidCsrLists).
+  /// list by one branch-free loop (ValidCsrLists). It does not check
+  /// symmetry: a list holding v without v's list holding u passes, and
+  /// neither FromCsr nor the cache loader catches it.
   static bool IsValidCsr(std::span<const uint64_t> offsets,
                          std::span<const VertexId> adjacency);
 

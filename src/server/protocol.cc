@@ -1,41 +1,41 @@
 #include "server/protocol.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstddef>
 #include <cstring>
+#include <type_traits>
 
 namespace qbs::server {
+
+// Every payload integer is stored in host order, so the codecs are only
+// correct on a little-endian host — the index and graph-cache formats
+// assume the same.
+static_assert(std::endian::native == std::endian::little,
+              "the QBSP codecs store integers in host (little-endian) order");
+// A response's edge block is the spg.edges array itself: (u, v) as two
+// packed u32 per edge, moved with one memcpy each way.
+static_assert(std::is_trivially_copyable_v<Edge> &&
+                  sizeof(Edge) == 2 * sizeof(uint32_t) &&
+                  offsetof(Edge, u) == 0 && offsetof(Edge, v) == 4,
+              "Edge must be two packed u32s to be copied as a block");
+
 namespace {
 
-void Put16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
+/// Fixed part of a response payload, before its edge block.
+constexpr size_t kResponseFixedBytes = 32;
+
+/// Stores `v` at `p` (any alignment) and returns the byte after it.
+template <typename T>
+uint8_t* Store(uint8_t* p, T v) {
+  std::memcpy(p, &v, sizeof(v));
+  return p + sizeof(v);
 }
 
-void Put32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-void Put64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
-
-uint16_t Get16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0]) | static_cast<uint16_t>(p[1]) << 8;
-}
-
-uint32_t Get32(const uint8_t* p) {
-  uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = v << 8 | p[i];
-  return v;
-}
-
-uint64_t Get64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = v << 8 | p[i];
+template <typename T>
+T Load(const uint8_t* p) {
+  T v{};
+  std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
@@ -48,13 +48,14 @@ bool ValidFrameType(uint8_t t) {
 
 void AppendFrame(std::vector<uint8_t>* out, FrameType type,
                  std::span<const uint8_t> payload) {
-  out->reserve(out->size() + kFrameHeaderBytes + payload.size());
-  Put32(out, kProtocolMagic);
-  out->push_back(kProtocolVersion);
-  out->push_back(static_cast<uint8_t>(type));
-  Put16(out, 0);  // reserved
-  Put32(out, static_cast<uint32_t>(payload.size()));
-  out->insert(out->end(), payload.begin(), payload.end());
+  const size_t start = out->size();
+  out->resize(start + kFrameHeaderBytes + payload.size());
+  uint8_t* p = Store<uint32_t>(out->data() + start, kProtocolMagic);
+  *p++ = kProtocolVersion;
+  *p++ = static_cast<uint8_t>(type);
+  p = Store<uint16_t>(p, 0);  // reserved
+  p = Store<uint32_t>(p, static_cast<uint32_t>(payload.size()));
+  if (!payload.empty()) std::memcpy(p, payload.data(), payload.size());
 }
 
 FrameReader::FrameReader(uint32_t max_payload)
@@ -76,7 +77,7 @@ FrameReader::Status FrameReader::Next(Frame* frame) {
   const size_t available = buffer_.size() - consumed_;
   if (available < kFrameHeaderBytes) return Status::kNeedMore;
   const uint8_t* header = buffer_.data() + consumed_;
-  if (Get32(header) != kProtocolMagic) {
+  if (Load<uint32_t>(header) != kProtocolMagic) {
     bad_ = true;
     error_ = "bad magic";
     return Status::kBad;
@@ -91,12 +92,12 @@ FrameReader::Status FrameReader::Next(Frame* frame) {
     error_ = "unknown frame type " + std::to_string(header[5]);
     return Status::kBad;
   }
-  if (Get16(header + 6) != 0) {
+  if (Load<uint16_t>(header + 6) != 0) {
     bad_ = true;
     error_ = "nonzero reserved field";
     return Status::kBad;
   }
-  const uint32_t length = Get32(header + 8);
+  const uint32_t length = Load<uint32_t>(header + 8);
   if (length > max_payload_) {
     bad_ = true;
     error_ = "oversized frame payload (" + std::to_string(length) +
@@ -112,17 +113,13 @@ FrameReader::Status FrameReader::Next(Frame* frame) {
 }
 
 std::vector<uint8_t> EncodeQueryRequest(const QueryRequest& request) {
-  std::vector<uint8_t> out;
-  out.reserve(24);
-  Put32(&out, request.u);
-  Put32(&out, request.v);
-  out.push_back(static_cast<uint8_t>(request.mode));
-  out.push_back(0);
-  out.push_back(0);
-  out.push_back(0);
-  Put32(&out, request.budget);
-  Put32(&out, request.flags);
-  Put32(&out, request.deadline_ms);
+  std::vector<uint8_t> out(24);  // zero-filled: the reserved bytes stay 0
+  uint8_t* p = Store<uint32_t>(out.data(), request.u);
+  p = Store<uint32_t>(p, request.v);
+  *p = static_cast<uint8_t>(request.mode);  // then 3 reserved bytes
+  p = Store<uint32_t>(p + 4, request.budget);
+  p = Store<uint32_t>(p, request.flags);
+  Store<uint32_t>(p, request.deadline_ms);
   return out;
 }
 
@@ -131,97 +128,88 @@ bool DecodeQueryRequest(std::span<const uint8_t> payload, QueryRequest* out) {
   const uint8_t mode = payload[8];
   if (mode > static_cast<uint8_t>(QueryMode::kSpg)) return false;
   if (payload[9] != 0 || payload[10] != 0 || payload[11] != 0) return false;
-  const uint32_t flags = Get32(payload.data() + 16);
+  const uint32_t flags = Load<uint32_t>(payload.data() + 16);
   if ((flags & ~kQueryFlagNoCache) != 0) return false;
-  out->u = Get32(payload.data());
-  out->v = Get32(payload.data() + 4);
+  out->u = Load<uint32_t>(payload.data());
+  out->v = Load<uint32_t>(payload.data() + 4);
   out->mode = static_cast<QueryMode>(mode);
-  out->budget = Get32(payload.data() + 12);
+  out->budget = Load<uint32_t>(payload.data() + 12);
   out->flags = flags;
-  out->deadline_ms = Get32(payload.data() + 20);
+  out->deadline_ms = Load<uint32_t>(payload.data() + 20);
   return true;
 }
 
 std::vector<uint8_t> EncodeQueryResponse(const QueryResponse& response) {
-  std::vector<uint8_t> out;
-  out.reserve(32 + response.spg.edges.size() * 8);
-  Put32(&out, response.spg.u);
-  Put32(&out, response.spg.v);
-  Put32(&out, response.spg.distance);
-  Put32(&out, response.flags);
-  out.push_back(response.cache_hit ? 1 : 0);
-  out.push_back(0);
-  out.push_back(0);
-  out.push_back(0);
-  Put64(&out, response.stats.TotalEdgesScanned());
-  Put32(&out, static_cast<uint32_t>(response.spg.edges.size()));
-  for (const Edge& e : response.spg.edges) {
-    Put32(&out, e.u);
-    Put32(&out, e.v);
-  }
-  if ((response.flags & kResponseFlagDegraded) != 0) {
-    Put32(&out, response.degraded_lower);
-  }
+  const std::vector<Edge>& edges = response.spg.edges;
+  const size_t edge_bytes = edges.size() * sizeof(Edge);
+  const bool degraded = (response.flags & kResponseFlagDegraded) != 0;
+  std::vector<uint8_t> out(kResponseFixedBytes + edge_bytes +
+                           (degraded ? 4 : 0));
+  uint8_t* p = Store<uint32_t>(out.data(), response.spg.u);
+  p = Store<uint32_t>(p, response.spg.v);
+  p = Store<uint32_t>(p, response.spg.distance);
+  p = Store<uint32_t>(p, response.flags);
+  *p = response.cache_hit ? 1 : 0;  // then 3 reserved zero bytes
+  p = Store<uint64_t>(p + 4, response.stats.TotalEdgesScanned());
+  p = Store<uint32_t>(p, static_cast<uint32_t>(edges.size()));
+  if (edge_bytes != 0) std::memcpy(p, edges.data(), edge_bytes);
+  if (degraded) Store<uint32_t>(p + edge_bytes, response.degraded_lower);
   return out;
 }
 
 bool DecodeQueryResponse(std::span<const uint8_t> payload,
                          QueryResponse* out) {
-  constexpr size_t kFixed = 32;
-  if (payload.size() < kFixed) return false;
+  if (payload.size() < kResponseFixedBytes) return false;
+  // The hit byte is 0 or 1, so an accepted payload re-encodes to itself.
+  if (payload[16] > 1) return false;
   if (payload[17] != 0 || payload[18] != 0 || payload[19] != 0) return false;
-  const uint32_t num_edges = Get32(payload.data() + 28);
-  const uint32_t flags = Get32(payload.data() + 12);
+  const uint32_t num_edges = Load<uint32_t>(payload.data() + 28);
+  const uint32_t flags = Load<uint32_t>(payload.data() + 12);
+  const size_t edge_bytes = static_cast<size_t>(num_edges) * sizeof(Edge);
   const size_t tail = (flags & kResponseFlagDegraded) != 0 ? 4 : 0;
-  if (payload.size() != kFixed + static_cast<size_t>(num_edges) * 8 + tail) {
-    return false;
-  }
+  if (payload.size() != kResponseFixedBytes + edge_bytes + tail) return false;
   *out = QueryResponse();
-  out->spg.u = Get32(payload.data());
-  out->spg.v = Get32(payload.data() + 4);
-  out->spg.distance = Get32(payload.data() + 8);
+  out->spg.u = Load<uint32_t>(payload.data());
+  out->spg.v = Load<uint32_t>(payload.data() + 4);
+  out->spg.distance = Load<uint32_t>(payload.data() + 8);
   out->flags = flags;
   out->cache_hit = payload[16] != 0;
   // The decoded edge-scan total lands in the search counter: the client
   // only ever reads the aggregate back via TotalEdgesScanned().
-  out->stats.edges_scanned_search = Get64(payload.data() + 20);
-  out->spg.edges.reserve(num_edges);
-  const uint8_t* p = payload.data() + kFixed;
-  for (uint32_t i = 0; i < num_edges; ++i, p += 8) {
-    out->spg.edges.emplace_back(Get32(p), Get32(p + 4));
-  }
-  if (tail != 0) out->degraded_lower = Get32(p);
+  out->stats.edges_scanned_search = Load<uint64_t>(payload.data() + 20);
+  const uint8_t* p = payload.data() + kResponseFixedBytes;
+  out->spg.edges.resize(num_edges);
+  if (edge_bytes != 0) std::memcpy(out->spg.edges.data(), p, edge_bytes);
+  if (tail != 0) out->degraded_lower = Load<uint32_t>(p + edge_bytes);
   return true;
 }
 
 std::vector<uint8_t> EncodeError(ErrorCode code, const std::string& message) {
-  std::vector<uint8_t> out;
-  out.reserve(4 + message.size());
-  Put32(&out, static_cast<uint32_t>(code));
-  out.insert(out.end(), message.begin(), message.end());
+  std::vector<uint8_t> out(4 + message.size());
+  uint8_t* p = Store<uint32_t>(out.data(), static_cast<uint32_t>(code));
+  if (!message.empty()) std::memcpy(p, message.data(), message.size());
   return out;
 }
 
 bool DecodeError(std::span<const uint8_t> payload, ErrorCode* code,
                  std::string* message) {
   if (payload.size() < 4) return false;
-  *code = static_cast<ErrorCode>(Get32(payload.data()));
+  *code = static_cast<ErrorCode>(Load<uint32_t>(payload.data()));
   message->assign(payload.begin() + 4, payload.end());
   return true;
 }
 
 std::vector<uint8_t> EncodeUpdateRequest(const GraphDelta& delta) {
-  std::vector<uint8_t> out;
-  out.reserve(8 + delta.size() * 12);
-  Put32(&out, static_cast<uint32_t>(delta.size()));
-  Put32(&out, 0);  // reserved
+  // Zero-filled: the reserved word and each record's 3 reserved bytes
+  // stay 0.
+  std::vector<uint8_t> out(8 + delta.size() * 12);
+  uint8_t* p =
+      Store<uint32_t>(out.data(), static_cast<uint32_t>(delta.size()));
+  p += 4;  // reserved
   for (const EdgeUpdate& upd : delta.updates()) {
-    out.push_back(static_cast<uint8_t>(upd.op));
-    out.push_back(0);
-    out.push_back(0);
-    out.push_back(0);
-    Put32(&out, upd.u);
-    Put32(&out, upd.v);
+    *p = static_cast<uint8_t>(upd.op);  // then 3 reserved bytes
+    p = Store<uint32_t>(p + 4, upd.u);
+    p = Store<uint32_t>(p, upd.v);
   }
   return out;
 }
@@ -229,29 +217,28 @@ std::vector<uint8_t> EncodeUpdateRequest(const GraphDelta& delta) {
 bool DecodeUpdateRequest(std::span<const uint8_t> payload,
                          GraphDelta* delta) {
   if (payload.size() < 8) return false;
-  const uint32_t count = Get32(payload.data());
-  if (Get32(payload.data() + 4) != 0) return false;
+  const uint32_t count = Load<uint32_t>(payload.data());
+  if (Load<uint32_t>(payload.data() + 4) != 0) return false;
   if (payload.size() != 8 + static_cast<size_t>(count) * 12) return false;
   delta->Clear();
   const uint8_t* p = payload.data() + 8;
   for (uint32_t i = 0; i < count; ++i, p += 12) {
     if (p[0] > static_cast<uint8_t>(EdgeOp::kDelete)) return false;
     if (p[1] != 0 || p[2] != 0 || p[3] != 0) return false;
-    delta->Add(EdgeUpdate{static_cast<EdgeOp>(p[0]), Get32(p + 4),
-                          Get32(p + 8)});
+    delta->Add(EdgeUpdate{static_cast<EdgeOp>(p[0]), Load<uint32_t>(p + 4),
+                          Load<uint32_t>(p + 8)});
   }
   return true;
 }
 
 std::vector<uint8_t> EncodeUpdateResponse(const UpdateStats& stats) {
-  std::vector<uint8_t> out;
-  out.reserve(40);
-  Put64(&out, stats.applied_inserts);
-  Put64(&out, stats.applied_deletes);
-  Put64(&out, stats.noop_updates);
-  Put64(&out, stats.invalid_updates);
-  Put32(&out, stats.repaired_columns);
-  Put32(&out, stats.rebuilt_columns);
+  std::vector<uint8_t> out(40);
+  uint8_t* p = Store<uint64_t>(out.data(), stats.applied_inserts);
+  p = Store<uint64_t>(p, stats.applied_deletes);
+  p = Store<uint64_t>(p, stats.noop_updates);
+  p = Store<uint64_t>(p, stats.invalid_updates);
+  p = Store<uint32_t>(p, stats.repaired_columns);
+  Store<uint32_t>(p, stats.rebuilt_columns);
   return out;
 }
 
@@ -259,28 +246,29 @@ bool DecodeUpdateResponse(std::span<const uint8_t> payload,
                           UpdateStats* stats) {
   if (payload.size() != 40) return false;
   *stats = UpdateStats();
-  stats->applied_inserts = Get64(payload.data());
-  stats->applied_deletes = Get64(payload.data() + 8);
-  stats->noop_updates = Get64(payload.data() + 16);
-  stats->invalid_updates = Get64(payload.data() + 24);
-  stats->repaired_columns = Get32(payload.data() + 32);
-  stats->rebuilt_columns = Get32(payload.data() + 36);
+  stats->applied_inserts = Load<uint64_t>(payload.data());
+  stats->applied_deletes = Load<uint64_t>(payload.data() + 8);
+  stats->noop_updates = Load<uint64_t>(payload.data() + 16);
+  stats->invalid_updates = Load<uint64_t>(payload.data() + 24);
+  stats->repaired_columns = Load<uint32_t>(payload.data() + 32);
+  stats->rebuilt_columns = Load<uint32_t>(payload.data() + 36);
   return true;
 }
 
 std::vector<uint8_t> EncodeBusy(uint32_t retry_after_ms,
                                 uint32_t queue_depth) {
-  std::vector<uint8_t> out;
-  Put32(&out, retry_after_ms);
-  Put32(&out, queue_depth);
+  std::vector<uint8_t> out(8);
+  Store<uint32_t>(Store<uint32_t>(out.data(), retry_after_ms), queue_depth);
   return out;
 }
 
 bool DecodeBusy(std::span<const uint8_t> payload, uint32_t* retry_after_ms,
                 uint32_t* queue_depth) {
   if (payload.size() != 8) return false;
-  *retry_after_ms = Get32(payload.data());
-  if (queue_depth != nullptr) *queue_depth = Get32(payload.data() + 4);
+  *retry_after_ms = Load<uint32_t>(payload.data());
+  if (queue_depth != nullptr) {
+    *queue_depth = Load<uint32_t>(payload.data() + 4);
+  }
   return true;
 }
 

@@ -17,7 +17,9 @@
 // until the peer delivers the rest (or closes the connection).
 //
 // Payload codecs are pure functions over byte vectors, so the whole
-// protocol is unit-testable without a socket in sight.
+// protocol is unit-testable without a socket in sight. Each encoder sizes
+// its buffer once and stores fields in host order, which on the
+// little-endian hosts the codecs require is the wire order.
 
 #ifndef QBS_SERVER_PROTOCOL_H_
 #define QBS_SERVER_PROTOCOL_H_
@@ -133,10 +135,17 @@ class FrameReader {
 std::vector<uint8_t> EncodeQueryRequest(const QueryRequest& request);
 bool DecodeQueryRequest(std::span<const uint8_t> payload, QueryRequest* out);
 
-/// The response payload carries the deterministic answer (u, v, distance,
-/// flags, edges), the cache-hit bit, and the total-edge-scan diagnostic.
-/// Degraded answers (kResponseFlagDegraded) append the u32 lower bound
-/// after the edge list; the flag gates its presence.
+/// Response payload: a 32-byte fixed part — u32 u, u32 v, u32 distance,
+/// u32 flags (kResponseFlag*), u8 cache hit (0 or 1; any other value
+/// rejects), 3 reserved bytes (must be 0), u64 total edges scanned, u32
+/// edge count n — then the edge block, n records of u32 u, u32 v (8n
+/// bytes, spg.edges exactly as stored). Degraded answers
+/// (kResponseFlagDegraded) append a u32 lower bound after the edge block;
+/// the flag gates its presence, so the payload is 32 + 8n (+ 4) bytes.
+/// The edge block moves with one memcpy each way; like every field, it is
+/// in host order, hence the little-endian requirement (a static_assert in
+/// protocol.cc, as the index and graph-cache formats already assume). An
+/// accepted payload re-encodes to the same bytes.
 std::vector<uint8_t> EncodeQueryResponse(const QueryResponse& response);
 bool DecodeQueryResponse(std::span<const uint8_t> payload,
                          QueryResponse* out);

@@ -5,12 +5,13 @@
 //   * no crash / OOB / UB on any byte stream, however torn up (ASan/UBSan
 //     catch violations);
 //   * bounded buffering (the reader's payload cap holds);
-//   * decode → encode → decode is the identity on every payload the
-//     decoder accepts (a decoded value always re-encodes canonically);
-//   * for the query-request, busy, update-request and update-response
-//     codecs, which have exactly one layout and reject nonzero padding or
-//     reserved words, decode → encode reproduces the accepted payload byte
-//     for byte.
+//   * decode → encode reproduces every accepted payload byte for byte.
+//     The query-request, query-response, busy, update-request and
+//     update-response codecs each have exactly one layout and reject
+//     nonzero padding, reserved words and a cache-hit byte other than
+//     0 or 1, so an accepted payload has only one encoding. For responses
+//     this covers the edge block the codec moves with one memcpy each way.
+//     The error codec is only decoded: its message is free text.
 //
 // Built two ways: with QBS_FUZZ_LIBFUZZER under clang -fsanitize=fuzzer
 // for real fuzzing, and with a standalone main() that replays the
@@ -45,13 +46,7 @@ void ExerciseCodecs(std::span<const uint8_t> payload) {
   }
   QueryResponse response;
   if (DecodeQueryResponse(payload, &response)) {
-    QueryResponse again;
-    if (!DecodeQueryResponse(EncodeQueryResponse(response), &again) ||
-        !SameAnswer(again, response) ||
-        again.degraded_lower != response.degraded_lower ||
-        again.cache_hit != response.cache_hit) {
-      __builtin_trap();
-    }
+    if (!SameBytes(payload, EncodeQueryResponse(response))) __builtin_trap();
   }
   uint32_t retry = 0;
   uint32_t depth = 0;

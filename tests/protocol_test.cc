@@ -234,6 +234,95 @@ TEST(ProtocolTest, QueryResponseCodecRejectsMalformed) {
     bad_pad[17] = 1;
     EXPECT_FALSE(DecodeQueryResponse(bad_pad, &out));
   }
+  // The cache-hit byte is 0 or 1: any other value would decode to a hit
+  // that re-encodes as 1, a different payload.
+  for (const uint8_t hit : {2, 0x80, 0xFF}) {
+    auto bad_hit = payload;
+    bad_hit[16] = hit;
+    EXPECT_FALSE(DecodeQueryResponse(bad_hit, &out)) << int{hit};
+  }
+}
+
+// Golden payloads, written out by hand from the layouts in protocol.h:
+// encoding must produce exactly these bytes and decoding must give the
+// structs back. Several values fill more than one byte of their field,
+// which pins the byte order as well as the offsets.
+TEST(ProtocolTest, SpgResponseMatchesGoldenBytes) {
+  const std::vector<uint8_t> golden = {
+      0x02, 0x01, 0x00, 0x00,  // u = 258
+      0x70, 0x11, 0x01, 0x00,  // v = 70000
+      0x03, 0x00, 0x00, 0x00,  // distance = 3
+      0x00, 0x00, 0x00, 0x00,  // flags
+      0x01, 0x00, 0x00, 0x00,  // cache hit, 3 reserved bytes
+      0x03, 0x02, 0x00, 0x00,  // edges scanned = 0x1'0000'0203 (u64)
+      0x01, 0x00, 0x00, 0x00,  //
+      0x03, 0x00, 0x00, 0x00,  // 3 edges
+      0x02, 0x01, 0x00, 0x00, 0x2C, 0x01, 0x00, 0x00,  // (258, 300)
+      0x2C, 0x01, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00,  // (300, 65536)
+      0x00, 0x00, 0x01, 0x00, 0x70, 0x11, 0x01, 0x00,  // (65536, 70000)
+  };
+  QueryResponse response;
+  response.spg.u = 258;
+  response.spg.v = 70000;
+  response.spg.distance = 3;
+  response.spg.edges = {{258, 300}, {300, 65536}, {65536, 70000}};
+  response.cache_hit = true;
+  response.stats.edges_scanned_search = 0x100000203ull;
+
+  EXPECT_EQ(EncodeQueryResponse(response), golden);
+  QueryResponse decoded;
+  ASSERT_TRUE(DecodeQueryResponse(golden, &decoded));
+  EXPECT_TRUE(SameAnswer(decoded, response));
+  EXPECT_TRUE(decoded.cache_hit);
+  EXPECT_EQ(decoded.stats.TotalEdgesScanned(), 0x100000203ull);
+  EXPECT_EQ(decoded.degraded_lower, 0u);
+}
+
+TEST(ProtocolTest, DegradedResponseMatchesGoldenBytes) {
+  const std::vector<uint8_t> golden = {
+      0x04, 0x00, 0x00, 0x00,  // u = 4
+      0x11, 0x00, 0x00, 0x00,  // v = 17
+      0x09, 0x00, 0x00, 0x00,  // distance = 9, the upper bound
+      0x04, 0x00, 0x00, 0x00,  // flags = kResponseFlagDegraded
+      0x00, 0x00, 0x00, 0x00,  // no cache hit, 3 reserved bytes
+      0x00, 0x00, 0x00, 0x00,  // edges scanned = 0 (u64)
+      0x00, 0x00, 0x00, 0x00,  //
+      0x00, 0x00, 0x00, 0x00,  // 0 edges
+      0x06, 0x00, 0x00, 0x00,  // lower bound = 6
+  };
+  QueryResponse response;
+  response.spg.u = 4;
+  response.spg.v = 17;
+  response.spg.distance = 9;
+  response.flags = kResponseFlagDegraded;
+  response.degraded_lower = 6;
+
+  EXPECT_EQ(EncodeQueryResponse(response), golden);
+  QueryResponse decoded;
+  ASSERT_TRUE(DecodeQueryResponse(golden, &decoded));
+  EXPECT_TRUE(SameAnswer(decoded, response));
+  EXPECT_FALSE(decoded.cache_hit);
+  EXPECT_EQ(decoded.stats.TotalEdgesScanned(), 0u);
+  EXPECT_EQ(decoded.degraded_lower, 6u);
+}
+
+TEST(ProtocolTest, QueryRequestMatchesGoldenBytes) {
+  const std::vector<uint8_t> golden = {
+      0x04, 0x03, 0x02, 0x01,  // u = 0x01020304
+      0x05, 0x00, 0x00, 0x00,  // v = 5
+      0x01, 0x00, 0x00, 0x00,  // mode = kSpg, 3 reserved bytes
+      0x07, 0x00, 0x00, 0x00,  // budget = 7
+      0x01, 0x00, 0x00, 0x00,  // flags = kQueryFlagNoCache
+      0xFA, 0x00, 0x00, 0x00,  // deadline_ms = 250
+  };
+  const QueryRequest request(0x01020304, 5, QueryMode::kSpg, /*budget_in=*/7,
+                             /*flags_in=*/kQueryFlagNoCache,
+                             /*deadline_ms_in=*/250);
+
+  EXPECT_EQ(EncodeQueryRequest(request), golden);
+  QueryRequest decoded;
+  ASSERT_TRUE(DecodeQueryRequest(golden, &decoded));
+  EXPECT_EQ(decoded, request);
 }
 
 TEST(ProtocolTest, QueryRequestCodecCarriesDeadline) {
