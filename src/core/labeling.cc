@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -17,14 +18,18 @@ namespace {
 constexpr size_t kPullBlock = 1024;
 
 // The landmark index of the lowest set lane in word `word` of a lane set.
-LandmarkIndex LowestLane(size_t word, uint64_t bits) {
-  return static_cast<LandmarkIndex>(word * 64 + std::countr_zero(bits));
+template <typename Word>
+LandmarkIndex LowestLane(size_t word, Word bits) {
+  return static_cast<LandmarkIndex>(word * std::numeric_limits<Word>::digits +
+                                    std::countr_zero(bits));
 }
 
 // Algorithm 2 for every landmark at once: one level-synchronous BFS that
 // carries a bit lane per landmark [Then et al., "The More the Merrier",
-// PVLDB 8(4), 2014], `words` 64-bit words of lanes per vertex and lane
-// set (kWords when nonzero, fixed at compile time). Each vertex keeps
+// PVLDB 8(4), 2014], `words` lane words of type Word per vertex and lane
+// set (kWords when nonzero, fixed at compile time). The word is 32 bits
+// wide when |R| <= 32 and 64 bits otherwise, so the default |R| = 20
+// moves half the lane bytes a 64-bit word would. Each vertex keeps
 // three lane sets: `seen` (lanes that have reached it), `cur` (lanes that
 // reached it at the current depth) and `cur_ql`, the subset of `cur` whose
 // landmark reached it by a shortest path avoiding every other landmark —
@@ -42,37 +47,39 @@ LandmarkIndex LowestLane(size_t word, uint64_t bits) {
 // blocks on `num_threads`; each vertex writes only its own lanes and label
 // row, so the result cannot depend on the thread count. Sparser levels push
 // sequentially from the frontier list.
-template <size_t kWords>
+template <typename Word, size_t kWords>
 void LabelAllLandmarks(const Graph& g, size_t num_threads,
                        PathLabeling* labeling,
                        std::vector<std::vector<MetaEdge>>* meta) {
   const VertexId n = g.NumVertices();
   const uint32_t k = labeling->num_landmarks();
-  const size_t words = kWords != 0 ? kWords : (k + 63) / 64;
-  std::vector<uint64_t> seen(n * words), cur(n * words), cur_ql(n * words),
+  constexpr uint32_t kLanes = std::numeric_limits<Word>::digits;
+  const size_t words = kWords != 0 ? kWords : (k + kLanes - 1) / kLanes;
+  std::vector<Word> seen(n * words), cur(n * words), cur_ql(n * words),
       next(n * words), next_ql(n * words);
-  const auto at = [words](std::vector<uint64_t>& lanes, VertexId v) {
+  const auto at = [words](std::vector<Word>& lanes, VertexId v) {
     return lanes.data() + v * words;
   };
 
   std::vector<VertexId> frontier;
   for (LandmarkIndex i = 0; i < k; ++i) {
     const VertexId r = labeling->LandmarkVertex(i);
-    const uint64_t bit = 1ull << (i % 64);
-    at(seen, r)[i / 64] = at(cur, r)[i / 64] = at(cur_ql, r)[i / 64] = bit;
+    const Word bit = Word{1} << (i % kLanes);
+    at(seen, r)[i / kLanes] = at(cur, r)[i / kLanes] =
+        at(cur_ql, r)[i / kLanes] = bit;
     frontier.push_back(r);
   }
 
   // Settles v at `depth` with the lanes the level left in next[v].
   const auto settle = [&](VertexId v, uint32_t depth) {
     QBS_CHECK_LT(depth, static_cast<uint32_t>(kInfDist));
-    uint64_t* s = at(seen, v);
-    const uint64_t* nx = at(next, v);
-    const uint64_t* nq = at(next_ql, v);
+    Word* s = at(seen, v);
+    const Word* nx = at(next, v);
+    const Word* nq = at(next_ql, v);
     for (size_t x = 0; x < words; ++x) s[x] |= nx[x];
     if (labeling->IsLandmark(v)) return;  // meta-edges follow the level
     for (size_t x = 0; x < words; ++x) {
-      for (uint64_t b = nq[x]; b != 0; b &= b - 1) {
+      for (Word b = nq[x]; b != 0; b &= b - 1) {
         labeling->Set(v, LowestLane(x, b), static_cast<DistT>(depth));
       }
     }
@@ -81,8 +88,8 @@ void LabelAllLandmarks(const Graph& g, size_t num_threads,
   const size_t blocks = (n + kPullBlock - 1) / kPullBlock;
   const size_t workers = std::min(EffectiveThreads(num_threads), blocks);
   std::vector<std::vector<VertexId>> block_reached(blocks);
-  std::vector<uint64_t> scratch(workers * 3 * words);  // per worker
-  std::vector<uint64_t> active(words);  // lanes in the frontier
+  std::vector<Word> scratch(workers * 3 * words);  // per worker
+  std::vector<Word> active(words);  // lanes in the frontier
   std::vector<VertexId> reached;
   for (uint32_t depth = 1; !frontier.empty(); ++depth) {
     uint64_t degree_sum = 0;
@@ -94,18 +101,18 @@ void LabelAllLandmarks(const Graph& g, size_t num_threads,
     reached.clear();
     if (degree_sum > 2 * g.NumEdges() / 15) {
       ParallelFor(blocks, workers, [&](size_t block, size_t worker) {
-        uint64_t local[kWords != 0 ? 3 * kWords : 1] = {};
-        uint64_t* want =
+        Word local[kWords != 0 ? 3 * kWords : 1] = {};
+        Word* want =
             kWords != 0 ? local : scratch.data() + worker * 3 * words;
-        uint64_t* acc = want + words;
-        uint64_t* acc_ql = acc + words;
+        Word* acc = want + words;
+        Word* acc_ql = acc + words;
         std::vector<VertexId>& out = block_reached[block];
         out.clear();
         const auto begin = static_cast<VertexId>(block * kPullBlock);
         const auto end = static_cast<VertexId>(
             std::min<size_t>(n, (block + 1) * kPullBlock));
         for (VertexId v = begin; v < end; ++v) {
-          uint64_t any = 0;
+          Word any = 0;
           for (size_t x = 0; x < words; ++x) {
             want[x] = ~at(seen, v)[x] & active[x];
             any |= want[x];
@@ -113,7 +120,7 @@ void LabelAllLandmarks(const Graph& g, size_t num_threads,
           }
           if (any == 0) continue;
           for (const VertexId w : g.Neighbors(v)) {
-            uint64_t missing = 0;
+            Word missing = 0;
             for (size_t x = 0; x < words; ++x) {
               acc[x] |= at(cur, w)[x];
               acc_ql[x] |= at(cur_ql, w)[x];
@@ -121,7 +128,7 @@ void LabelAllLandmarks(const Graph& g, size_t num_threads,
             }
             if (missing == 0) break;
           }
-          uint64_t hit = 0;
+          Word hit = 0;
           for (size_t x = 0; x < words; ++x) {
             at(next, v)[x] = acc[x] & want[x];
             at(next_ql, v)[x] = acc_ql[x] & want[x];
@@ -138,10 +145,10 @@ void LabelAllLandmarks(const Graph& g, size_t num_threads,
     } else {
       for (const VertexId u : frontier) {
         for (const VertexId v : g.Neighbors(u)) {
-          uint64_t before = 0;
-          uint64_t after = 0;
+          Word before = 0;
+          Word after = 0;
           for (size_t x = 0; x < words; ++x) {
-            const uint64_t unseen = ~at(seen, v)[x];
+            const Word unseen = ~at(seen, v)[x];
             before |= at(next, v)[x];
             at(next, v)[x] |= at(cur, u)[x] & unseen;
             at(next_ql, v)[x] |= at(cur_ql, u)[x] & unseen;
@@ -155,9 +162,9 @@ void LabelAllLandmarks(const Graph& g, size_t num_threads,
     // Landmarks reached along a QL lane: one meta-edge per lane, listed in
     // that lane's column, and QN in every lane from here on.
     for (LandmarkIndex j = 0; j < k; ++j) {
-      uint64_t* nq = at(next_ql, labeling->LandmarkVertex(j));
+      Word* nq = at(next_ql, labeling->LandmarkVertex(j));
       for (size_t x = 0; x < words; ++x) {
-        for (uint64_t b = nq[x]; b != 0; b &= b - 1) {
+        for (Word b = nq[x]; b != 0; b &= b - 1) {
           const LandmarkIndex i = LowestLane(x, b);
           (*meta)[i].push_back(MetaEdge{i, j, depth});
         }
@@ -215,12 +222,14 @@ LabelingScheme BuildLabelingScheme(const Graph& g,
   scheme.labeling = PathLabeling(g.NumVertices(), landmarks);
   const auto k = static_cast<uint32_t>(landmarks.size());
   std::vector<std::vector<MetaEdge>> meta(k);
-  if (k <= 64) {
-    LabelAllLandmarks<1>(g, num_threads, &scheme.labeling, &meta);
+  if (k <= 32) {
+    LabelAllLandmarks<uint32_t, 1>(g, num_threads, &scheme.labeling, &meta);
+  } else if (k <= 64) {
+    LabelAllLandmarks<uint64_t, 1>(g, num_threads, &scheme.labeling, &meta);
   } else if (k <= 128) {
-    LabelAllLandmarks<2>(g, num_threads, &scheme.labeling, &meta);
+    LabelAllLandmarks<uint64_t, 2>(g, num_threads, &scheme.labeling, &meta);
   } else {
-    LabelAllLandmarks<0>(g, num_threads, &scheme.labeling, &meta);
+    LabelAllLandmarks<uint64_t, 0>(g, num_threads, &scheme.labeling, &meta);
   }
   scheme.meta = AssembleMetaGraph(
       k, [&](LandmarkIndex i) -> std::span<const MetaEdge> { return meta[i]; });

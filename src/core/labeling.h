@@ -96,8 +96,9 @@ struct LabelingScheme {
 };
 
 /// Runs Algorithm 2 for every landmark in one level-synchronous BFS that
-/// carries a bit lane per landmark (⌈|R|/64⌉ words per vertex), with the
-/// QL / QN rule applied lane by lane. Dense levels pull and split over
+/// carries a bit lane per landmark (one 32-bit word per vertex when |R| ≤
+/// 32, else ⌈|R|/64⌉ 64-bit words), with the QL / QN rule applied lane
+/// by lane. Dense levels pull and split over
 /// vertex ranges on `num_threads` threads (1 = sequential, the paper's
 /// QbS; 0 = hardware concurrency, QbS-P; otherwise the exact count);
 /// sparse levels push on the calling thread. Landmark vertex ids must be

@@ -303,16 +303,19 @@ void ExpectMatchesReferences(const Graph& g,
       << message;
 }
 
-// The build carries one bit lane per landmark, 64 to a word: these counts
-// fill a word exactly, spill one lane into the next, and do the same at
-// two words, where the word count stops being a compile-time constant.
+// The build carries one bit lane per landmark, 32 to a word up to |R| =
+// 32 and 64 to a word beyond: these counts fill the last 32-bit word
+// (32), move to 64-bit words (33), fill a 64-bit word exactly, spill one
+// lane into the next, and do the same at two words, where the word count
+// stops being a compile-time constant.
 TEST(LabelingTest, LaneWordBoundaries) {
   const Graph ba = BarabasiAlbert(200, 3, 11);
-  for (const uint32_t k : {63u, 64u, 65u, 128u, 129u}) {
+  for (const uint32_t k : {31u, 32u, 33u, 63u, 64u, 65u, 128u, 129u}) {
     SCOPED_TRACE("|R| = " + std::to_string(k));
     ExpectMatchesReferences(ba, SelectLandmarks(ba, k));
   }
   const Graph er = LargestComponent(ErdosRenyi(220, 440, 11)).graph;
+  ExpectMatchesReferences(er, SelectLandmarks(er, 33));
   ExpectMatchesReferences(er, SelectLandmarks(er, 65));
   ExpectMatchesReferences(er, SelectLandmarks(er, 129));
 }

@@ -197,8 +197,9 @@ TEST_F(V4FixtureTest, EveryFlippedByteIsRejected) {
 // size and trailing Checksum64 of one stand-in saved at one |R|; the
 // sizes were recorded from the per-landmark BFS build, and
 // scripts/file_fixtures.py's checksum64 reproduces each checksum. |R| =
-// 64 and 65 sit either side of one 64-bit word of landmarks, and 100
-// spans two.
+// 32 and 33 sit either side of the build's switch from 32-bit to 64-bit
+// lane words (their rows were recorded from the 64-bit-only build), 64
+// and 65 either side of one 64-bit word of landmarks, and 100 spans two.
 struct IndexDigest {
   const char* graph;
   uint32_t landmarks;
@@ -210,24 +211,32 @@ const IndexDigest kIndexDigests[] = {
     {"ba", 1, 6036, 0xb5c50c51576138f2ull},
     {"ba", 5, 30172, 0xaab76330b7f10e0full},
     {"ba", 20, 122140, 0x53d718d9a84bdb83ull},
+    {"ba", 32, 196864, 0xd8f05739240589e3ull},
+    {"ba", 33, 203132, 0xbcc414022cd052e4ull},
     {"ba", 64, 400368, 0x7458376e17985793ull},
     {"ba", 65, 406804, 0x9f9ac411ac9c27fdull},
     {"ba", 100, 633636, 0xf1bddc8a0fbbbb50ull},
     {"er", 1, 5704, 0x3875d62e93d3822cull},
     {"er", 5, 28512, 0xb2365083e05c1bd6ull},
     {"er", 20, 115608, 0x88ab1822b4e96851ull},
+    {"er", 32, 186480, 0x620903c61f15ea06ull},
+    {"er", 33, 192344, 0xdaf99b57e6f09a70ull},
     {"er", 64, 380536, 0x8941f0290907acd2ull},
     {"er", 65, 386628, 0x8c4cda9867f8e431ull},
     {"er", 100, 604336, 0x9302e54823ac3ba8ull},
     {"ws", 1, 6036, 0x9471583435bc05d4ull},
     {"ws", 5, 30172, 0xa5166f8d1973e313ull},
     {"ws", 20, 122236, 0x142a69a7b754eae7ull},
+    {"ws", 32, 196924, 0xd0409268ad2ac634ull},
+    {"ws", 33, 203216, 0x7636f113b978ee43ull},
     {"ws", 64, 402996, 0x2565b992d826c994ull},
     {"ws", 65, 409600, 0x6c4490b9e505f2d7ull},
     {"ws", 100, 636468, 0x524a20a48064410bull},
     {"grid", 1, 6036, 0xd0f87a913c74b353ull},
     {"grid", 5, 30100, 0x6532c6a93d31ffe1ull},
     {"grid", 20, 120340, 0x2e09a715980eb555ull},
+    {"grid", 32, 192532, 0x4e238ca1005da2a7ull},
+    {"grid", 33, 198548, 0x04b7ff35b8d663f4ull},
     {"grid", 64, 385728, 0x3c4e6707199cb4c5ull},
     {"grid", 65, 391744, 0xb556c263353748b6ull},
     {"grid", 100, 602304, 0x101a563915be0c90ull},
@@ -243,7 +252,7 @@ Graph DigestGraph(const std::string& name) {
 TEST_F(SerializationTest, SavedIndexBytesArePinned) {
   for (const std::string name : {"ba", "er", "ws", "grid"}) {
     const Graph g = DigestGraph(name);
-    for (const uint32_t k : {1u, 5u, 20u, 64u, 65u, 100u}) {
+    for (const uint32_t k : {1u, 5u, 20u, 32u, 33u, 64u, 65u, 100u}) {
       QbsOptions options;
       options.num_landmarks = k;
       ASSERT_TRUE(QbsIndex::Build(g, options).Save(path_));
